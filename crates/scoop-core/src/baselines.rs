@@ -68,34 +68,36 @@ impl<'a> AnalyticalModel<'a> {
         AnalyticalModel { topo }
     }
 
-    fn hops(&self, a: NodeId, b: NodeId) -> f64 {
-        self.topo.hop_distance(a, b).unwrap_or(0) as f64
+    /// Hop count from every sensor to the basestation, in sensor order, from
+    /// one BFS rooted at the basestation (radio-range adjacency is symmetric,
+    /// so base→sensor equals sensor→base). Unreachable counts as 0 hops.
+    fn sensor_hops_to_base(&self) -> impl Iterator<Item = f64> {
+        self.topo
+            .hops_from(NodeId::BASESTATION)
+            .into_iter()
+            .skip(1)
+            .map(hops_or_zero)
     }
 
     /// Mean hop distance from a sensor to the basestation.
     pub fn mean_hops_to_base(&self) -> f64 {
-        let sensors: Vec<NodeId> = self.topo.sensors().collect();
-        if sensors.is_empty() {
+        let n = self.topo.num_sensors();
+        if n == 0 {
             return 0.0;
         }
-        sensors
-            .iter()
-            .map(|&s| self.hops(s, NodeId::BASESTATION))
-            .sum::<f64>()
-            / sensors.len() as f64
+        self.sensor_hops_to_base().sum::<f64>() / n as f64
     }
 
     /// Mean hop distance between two arbitrary distinct nodes — the expected
     /// cost of shipping a reading to a uniformly random owner, i.e. "roughly
-    /// halfway across the network" (Section 6).
+    /// halfway across the network" (Section 6). One BFS per source node.
     pub fn mean_pairwise_hops(&self) -> f64 {
-        let nodes: Vec<NodeId> = self.topo.nodes().collect();
         let mut total = 0.0;
         let mut count = 0usize;
-        for &a in &nodes {
-            for &b in &nodes {
-                if a != b {
-                    total += self.hops(a, b);
+        for a in self.topo.nodes() {
+            for (b, d) in self.topo.hops_from(a).into_iter().enumerate() {
+                if a.index() != b {
+                    total += hops_or_zero(d);
                     count += 1;
                 }
             }
@@ -111,9 +113,8 @@ impl<'a> AnalyticalModel<'a> {
     /// producer's depth; queries are answered at the basestation for free.
     pub fn base(&self, readings_per_sensor: u64) -> AnalyticalCosts {
         let data: f64 = self
-            .topo
-            .sensors()
-            .map(|s| self.hops(s, NodeId::BASESTATION) * readings_per_sensor as f64)
+            .sensor_hops_to_base()
+            .map(|h| h * readings_per_sensor as f64)
             .sum();
         AnalyticalCosts {
             data,
@@ -127,11 +128,7 @@ impl<'a> AnalyticalModel<'a> {
     /// node replies up the tree.
     pub fn local(&self, num_queries: u64) -> AnalyticalCosts {
         let n = self.topo.num_sensors() as f64;
-        let reply_per_query: f64 = self
-            .topo
-            .sensors()
-            .map(|s| self.hops(s, NodeId::BASESTATION))
-            .sum();
+        let reply_per_query: f64 = self.sensor_hops_to_base().sum();
         AnalyticalCosts {
             data: 0.0,
             query: num_queries as f64 * n,
@@ -151,14 +148,23 @@ impl<'a> AnalyticalModel<'a> {
     ) -> AnalyticalCosts {
         let n_sensors = self.topo.num_sensors() as f64;
         let data = n_sensors * readings_per_sensor as f64 * self.mean_pairwise_hops();
-        let per_owner_roundtrip = 2.0 * self.mean_hops_to_base();
+        let to_base = self.mean_hops_to_base();
+        let per_owner_roundtrip = 2.0 * to_base;
         AnalyticalCosts {
             data,
-            query: num_queries as f64 * owners_per_query * self.mean_hops_to_base(),
-            reply: num_queries as f64
-                * owners_per_query
-                * (per_owner_roundtrip - self.mean_hops_to_base()),
+            query: num_queries as f64 * owners_per_query * to_base,
+            reply: num_queries as f64 * owners_per_query * (per_owner_roundtrip - to_base),
         }
+    }
+}
+
+/// The model's convention: an unreachable node (`u32::MAX` from
+/// [`Topology::hops_from`]) contributes 0 hops.
+fn hops_or_zero(d: u32) -> f64 {
+    if d == u32::MAX {
+        0.0
+    } else {
+        d as f64
     }
 }
 
@@ -239,5 +245,42 @@ mod tests {
         let mean = m.mean_pairwise_hops();
         assert!(mean > 1.0);
         assert!(mean <= t.network_depth() as f64 * 2.0);
+    }
+
+    #[test]
+    fn means_are_bit_identical_to_the_pairwise_hop_distance_sums() {
+        // A connected floor, and a starved one whose unreachable pairs must
+        // count as 0 hops.
+        let sparse = scoop_types::TopologySpec {
+            range_factor: 0.4,
+            ..scoop_types::TopologySpec::office_floor()
+        };
+        let starved = Topology::from_spec(&sparse, 30, 5).unwrap();
+        assert!(!starved.is_connected());
+        for t in [topo(), starved] {
+            let hops = |a, b| t.hop_distance(a, b).unwrap_or(0) as f64;
+            let to_base: f64 = t.sensors().map(|s| hops(s, NodeId::BASESTATION)).sum();
+            let mut pairwise = 0.0;
+            for a in t.nodes() {
+                for b in t.nodes().filter(|&b| b != a) {
+                    pairwise += hops(a, b);
+                }
+            }
+            let pairs = t.len() * (t.len() - 1);
+            let m = AnalyticalModel::new(&t);
+            assert_eq!(
+                m.mean_hops_to_base().to_bits(),
+                (to_base / t.num_sensors() as f64).to_bits()
+            );
+            assert_eq!(
+                m.mean_pairwise_hops().to_bits(),
+                (pairwise / pairs as f64).to_bits()
+            );
+            let base_data: f64 = t
+                .sensors()
+                .map(|s| hops(s, NodeId::BASESTATION) * 7.0)
+                .sum();
+            assert_eq!(m.base(7).data.to_bits(), base_data.to_bits());
+        }
     }
 }

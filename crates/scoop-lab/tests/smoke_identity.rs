@@ -8,30 +8,48 @@
 //! byte-identity proof for the pre-calibration engine lives on in
 //! `spec_equivalence.rs`, which replays the suite under the `link=legacy`
 //! preset against the preserved `baselines/smoke-legacy.json`.
+//!
+//! The chaos suite is held to the same bar against `baselines/chaos.json`
+//! (`scoop-lab check --chaos`, but exact): its failover scenario is the one
+//! place the multi-sink federation runs under a committed baseline.
 
-use scoop_lab::check::{baseline_file_content, run_smoke_suite};
+use scoop_lab::artifact::Artifact;
+use scoop_lab::check::{baseline_file_content, run_chaos_suite, run_smoke_suite};
 use std::path::PathBuf;
 
 fn committed_baseline_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines/smoke.json")
 }
 
-#[test]
-fn quick_smoke_suite_is_byte_identical_to_committed_baseline() {
-    let measured = run_smoke_suite().expect("smoke suite runs");
-    let fresh = baseline_file_content(&measured).expect("serializes");
+fn assert_byte_identical(measured: &[Artifact], committed_path: PathBuf) {
+    let fresh = baseline_file_content(measured).expect("serializes");
     let committed =
-        std::fs::read_to_string(committed_baseline_path()).expect("committed baseline file exists");
+        std::fs::read_to_string(&committed_path).expect("committed baseline file exists");
     assert!(
         fresh == committed,
-        "the quick-smoke suite no longer reproduces the committed baseline byte \
-         for byte; the engine's random stream or row serialization changed \
-         (first divergence at byte {})",
+        "the suite no longer reproduces {} byte for byte; the engine's random \
+         stream or row serialization changed (first divergence at byte {})",
+        committed_path.display(),
         fresh
             .bytes()
             .zip(committed.bytes())
             .position(|(a, b)| a != b)
             .unwrap_or_else(|| fresh.len().min(committed.len()))
+    );
+}
+
+#[test]
+fn quick_smoke_suite_is_byte_identical_to_committed_baseline() {
+    let measured = run_smoke_suite().expect("smoke suite runs");
+    assert_byte_identical(&measured, committed_baseline_path());
+}
+
+#[test]
+fn chaos_suite_is_byte_identical_to_committed_baseline() {
+    let measured = run_chaos_suite().expect("chaos suite runs");
+    assert_byte_identical(
+        &measured,
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines/chaos.json"),
     );
 }
 

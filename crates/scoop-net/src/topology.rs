@@ -35,7 +35,9 @@ pub struct Topology {
     kind: TopologyKind,
     positions: Vec<NodePosition>,
     radio_range: f64,
-    /// `neighbors[i]` lists every node within radio range of node `i`.
+    /// `neighbors[i]` lists every node within radio range of node `i`, in
+    /// strictly ascending id order (`build_neighbors` sorts every list);
+    /// `in_range` binary-searches on that invariant.
     neighbors: Vec<Vec<NodeId>>,
 }
 
@@ -350,7 +352,7 @@ impl Topology {
 
     /// Returns `true` if `b` is within radio range of `a`.
     pub fn in_range(&self, a: NodeId, b: NodeId) -> bool {
-        self.neighbors(a).contains(&b)
+        self.neighbors(a).binary_search(&b).is_ok()
     }
 
     /// Average fraction of the network each node can hear (the paper reports
@@ -391,17 +393,42 @@ impl Topology {
         None
     }
 
+    /// Hop distance from `src` to every node in one full BFS, O(n + E):
+    /// `hops_from(a)[b.index()]` equals `hop_distance(a, b)`, with `u32::MAX`
+    /// standing for unreachable (`None`). An unknown `src` reaches nothing.
+    pub fn hops_from(&self, src: NodeId) -> Vec<u32> {
+        let mut dist = vec![u32::MAX; self.len()];
+        if src.index() >= self.len() {
+            return dist;
+        }
+        dist[src.index()] = 0;
+        let mut q = VecDeque::new();
+        q.push_back(src);
+        while let Some(n) = q.pop_front() {
+            let d = dist[n.index()];
+            for &m in self.neighbors(n) {
+                if dist[m.index()] == u32::MAX {
+                    dist[m.index()] = d + 1;
+                    q.push_back(m);
+                }
+            }
+        }
+        dist
+    }
+
     /// Returns `true` if every node can reach the basestation over radio-range
     /// links (ignoring loss).
     pub fn is_connected(&self) -> bool {
-        self.nodes()
-            .all(|n| self.hop_distance(NodeId::BASESTATION, n).is_some())
+        self.hops_from(NodeId::BASESTATION)
+            .iter()
+            .all(|&d| d != u32::MAX)
     }
 
-    /// The largest hop distance from the basestation to any node.
+    /// The largest hop distance from the basestation to any node it reaches.
     pub fn network_depth(&self) -> u32 {
-        self.nodes()
-            .filter_map(|n| self.hop_distance(NodeId::BASESTATION, n))
+        self.hops_from(NodeId::BASESTATION)
+            .into_iter()
+            .filter(|&d| d != u32::MAX)
             .max()
             .unwrap_or(0)
     }

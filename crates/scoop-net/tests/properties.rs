@@ -276,6 +276,83 @@ proptest! {
     }
 }
 
+/// Checks the one-BFS `hops_from` / `is_connected` / `network_depth` against
+/// the pairwise early-exit `hop_distance` oracle on every pair of `topo`.
+fn assert_bfs_matches_pairwise_oracle(topo: &Topology) {
+    for a in topo.nodes() {
+        let hops = topo.hops_from(a);
+        assert_eq!(hops.len(), topo.len());
+        for b in topo.nodes() {
+            let expected = topo.hop_distance(a, b).unwrap_or(u32::MAX);
+            assert_eq!(hops[b.index()], expected, "hops {a} -> {b}");
+        }
+    }
+    let from_base: Vec<Option<u32>> = topo
+        .nodes()
+        .map(|n| topo.hop_distance(NodeId::BASESTATION, n))
+        .collect();
+    assert_eq!(topo.is_connected(), from_base.iter().all(Option::is_some));
+    assert_eq!(
+        topo.network_depth(),
+        from_base.iter().flatten().copied().max().unwrap_or(0)
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The single full BFS agrees with the pairwise oracle for every
+    /// placement family, on connected *and* disconnected layouts: the range
+    /// factor is drawn low enough that many raw `from_spec` results have
+    /// unreachable islands (a grid below 2/3 has no links at all), and the
+    /// generator's escalation loop must then rescue exactly those.
+    #[test]
+    fn hops_from_matches_the_pairwise_oracle(
+        kind_index in 0usize..TopologyKind::ALL.len(),
+        nodes in 2usize..200,
+        seed in 0u64..50,
+        range_factor in 0.2f64..1.1,
+    ) {
+        let spec = TopologySpec {
+            kind: TopologyKind::ALL[kind_index],
+            range_factor,
+            ..TopologySpec::office_floor()
+        };
+        let raw = Topology::from_spec(&spec, nodes, seed).expect("within limits");
+        assert_bfs_matches_pairwise_oracle(&raw);
+        // An unknown source reaches nothing, like `hop_distance` from it.
+        prop_assert!(raw.hops_from(NodeId(raw.len() as u16)).iter().all(|&d| d == u32::MAX));
+
+        let escalated = StdTopologyGen.generate(&spec, nodes, seed).expect("escalates");
+        if raw.is_connected() {
+            prop_assert_eq!(escalated.radio_range(), raw.radio_range());
+        } else {
+            prop_assert!(escalated.radio_range() > raw.radio_range());
+        }
+        prop_assert!(escalated
+            .nodes()
+            .all(|n| escalated.hop_distance(NodeId::BASESTATION, n).is_some()));
+    }
+}
+
+/// The property above only bites if its input space really contains
+/// disconnected layouts; pin that down for every family at a fixed point.
+#[test]
+fn starved_range_disconnects_every_family_and_escalation_rescues_it() {
+    for kind in TopologyKind::ALL {
+        let spec = TopologySpec {
+            kind,
+            range_factor: 0.2,
+            ..TopologySpec::office_floor()
+        };
+        let raw = Topology::from_spec(&spec, 60, 3).expect("within limits");
+        assert!(!raw.is_connected(), "{kind:?} should be starved at 0.2");
+        let rescued = StdTopologyGen.generate(&spec, 60, 3).expect("escalates");
+        assert!(rescued.is_connected(), "{kind:?}");
+        assert!(rescued.radio_range() > raw.radio_range());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -9,7 +9,7 @@
 //! and deterministic in `spec.seed`, which is what lets the parallel sweep
 //! runner spread builds across threads.
 
-use crate::node::SimNode;
+use crate::node::{NodeShared, SimNode};
 use scoop_net::{
     Engine, EngineConfig, FaultSchedule, LinkGen, LinkModel, StdLinkGen, StdTopologyGen, Topology,
     TopologyGen,
@@ -106,9 +106,12 @@ pub fn assemble(
     // the sweep runner spread runs over threads. Construct once, then take
     // cheap copies (bulky immutable state is Arc-shared inside the source).
     let proto_source = make_source_for(&spec.workload, cfg.num_nodes, spec.seed);
+    // Likewise everything that is a function of the config alone — the
+    // static HASH / BASE index above all — is computed once and shared.
+    let shared = NodeShared::new(cfg);
     let nodes: Vec<SimNode> = topology
         .nodes()
-        .map(|id| SimNode::new(id, Arc::clone(&cfg), proto_source.clone_box()))
+        .map(|id| SimNode::with_shared(id, &shared, proto_source.clone_box()))
         .collect();
     let total = topology.len();
     let engine_cfg = EngineConfig {

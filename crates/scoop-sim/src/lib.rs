@@ -37,8 +37,8 @@ pub mod sweep;
 pub use builder::{resolve_fault_schedule, SimBuilder};
 pub use metrics::{MessageBreakdown, QueryMetrics, RootSkew, RunResult, StorageMetrics};
 pub use node::SharedPayload;
-pub use node::SimNode;
 pub use node::TICK_SERVE;
+pub use node::{NodeShared, SimNode};
 pub use runner::{
     average_results, build_engine, build_engine_with, events_dispatched_total,
     run_built_experiment, run_experiment, run_trials,

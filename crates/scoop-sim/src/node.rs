@@ -260,8 +260,10 @@ pub struct SimNode {
     buffer: DataBuffer,
     source: Box<dyn DataSource>,
     rng: StdRng,
-    /// Newest complete storage index this node holds.
-    current_index: Option<StorageIndex>,
+    /// Newest complete storage index this node holds. Behind an `Arc`: the
+    /// static HASH / BASE index is one allocation shared by every node of
+    /// the run (see [`NodeShared`]).
+    current_index: Option<Arc<StorageIndex>>,
     assembler: ChunkAssembler<IndexEntry>,
     assembling_meta: Option<(ValueRange, SimTime)>,
     /// Readings batched for the same owner, waiting to be sent.
@@ -289,7 +291,7 @@ pub struct SimNode {
     /// Multi-sink only: the newest complete index per sink rank. Owner
     /// lookups scan these newest-first; `current_index` mirrors the newest
     /// overall so the routing rules keep working unchanged.
-    sink_indices: Vec<Option<StorageIndex>>,
+    sink_indices: Vec<Option<Arc<StorageIndex>>>,
     /// Sink-liveness beacons already gossiped, keyed by (sink, epoch).
     seen_alive: HashSet<(u16, u64)>,
     /// In-network tree aggregation (LOCAL aggregate workloads): partials
@@ -301,23 +303,70 @@ pub struct SimNode {
     pub metrics: NodeLocalMetrics,
 }
 
-impl SimNode {
-    /// Creates the state machine for node `id` under the given experiment
-    /// configuration.
-    ///
-    /// Each node owns its `source` outright. Data sources are pure functions
-    /// of `(node, now)` (see [`scoop_workload::sources`]), so per-node copies
-    /// built from the same config behave exactly like one shared source —
-    /// without the `Rc<RefCell<...>>` sharing that would pin a run to a
-    /// single thread. This keeps `SimNode` (and the whole engine) `Send`.
-    pub fn new(id: NodeId, cfg: Arc<ExperimentConfig>, source: Box<dyn DataSource>) -> Self {
+/// The part of a node's initial state that is a pure function of the
+/// experiment configuration, hence identical on every node of a run. Built
+/// once per engine and handed to every [`SimNode::with_shared`] call, so the
+/// per-run immutable state (notably the static index) exists once, not once
+/// per node.
+pub struct NodeShared {
+    cfg: Arc<ExperimentConfig>,
+    routing_cfg: RoutingConfig,
+    /// The sorted sink set (`[node 0]` classically).
+    sink_set: Vec<NodeId>,
+    /// The index known a priori under the HASH and BASE policies — the
+    /// paper's "locally computed", statistics-free mapping.
+    static_index: Option<Arc<StorageIndex>>,
+}
+
+impl NodeShared {
+    /// Derives the shared state from `cfg`.
+    pub fn new(cfg: Arc<ExperimentConfig>) -> Self {
         let routing_cfg = RoutingConfig {
             neighbor_cap: cfg.policy.scoop.neighbor_list_cap,
             descendants_cap: cfg.policy.scoop.descendants_cap,
             summary_neighbors: cfg.policy.scoop.summary_neighbors,
             ..RoutingConfig::default()
         };
-        let sink_set = cfg.policy.sink_ids();
+        let static_index = match cfg.policy.kind {
+            StoragePolicy::Hash => Some(scoop_core::baselines::hash_index(
+                cfg.workload.value_domain,
+                cfg.num_nodes,
+                SimTime::ZERO,
+            )),
+            StoragePolicy::Base => Some(StorageIndex::send_to_base(
+                StorageIndexId(1),
+                cfg.workload.value_domain,
+                SimTime::ZERO,
+            )),
+            StoragePolicy::Scoop | StoragePolicy::Local => None,
+        };
+        NodeShared {
+            routing_cfg,
+            sink_set: cfg.policy.sink_ids(),
+            static_index: static_index.map(Arc::new),
+            cfg,
+        }
+    }
+}
+
+impl SimNode {
+    /// Creates the state machine for node `id` under the given experiment
+    /// configuration. Builds a private [`NodeShared`]; anything constructing
+    /// a whole network should build one and call [`SimNode::with_shared`].
+    pub fn new(id: NodeId, cfg: Arc<ExperimentConfig>, source: Box<dyn DataSource>) -> Self {
+        Self::with_shared(id, &NodeShared::new(cfg), source)
+    }
+
+    /// Creates the state machine for node `id` over the run's shared state.
+    ///
+    /// Each node owns its `source` outright. Data sources are pure functions
+    /// of `(node, now)` (see [`scoop_workload::sources`]), so per-node copies
+    /// built from the same config behave exactly like one shared source —
+    /// without the `Rc<RefCell<...>>` sharing that would pin a run to a
+    /// single thread. This keeps `SimNode` (and the whole engine) `Send`.
+    pub fn with_shared(id: NodeId, shared: &NodeShared, source: Box<dyn DataSource>) -> Self {
+        let cfg = Arc::clone(&shared.cfg);
+        let sink_set = &shared.sink_set;
         let is_multi = sink_set.len() > 1;
         let is_base = if is_multi {
             sink_set.contains(&id)
@@ -359,7 +408,7 @@ impl SimNode {
         let (sinks, rank_assemblers, sink_indices) = if is_multi {
             let n = sink_set.len();
             (
-                sink_set,
+                sink_set.clone(),
                 (0..n).map(|_| (ChunkAssembler::new(), None)).collect(),
                 vec![None; n],
             )
@@ -367,29 +416,14 @@ impl SimNode {
             (Vec::new(), Vec::new(), Vec::new())
         };
 
-        // Static indices known a priori under the HASH and BASE policies.
-        let current_index = match cfg.policy.kind {
-            StoragePolicy::Hash => Some(scoop_core::baselines::hash_index(
-                cfg.workload.value_domain,
-                cfg.num_nodes,
-                SimTime::ZERO,
-            )),
-            StoragePolicy::Base => Some(StorageIndex::send_to_base(
-                StorageIndexId(1),
-                cfg.workload.value_domain,
-                SimTime::ZERO,
-            )),
-            StoragePolicy::Scoop | StoragePolicy::Local => None,
-        };
-
         SimNode {
             id,
-            routing: RoutingState::new(id, routing_cfg),
+            routing: RoutingState::new(id, shared.routing_cfg),
             recent: RecentReadings::new(cfg.policy.scoop.recent_readings),
             buffer: DataBuffer::new(DATA_BUFFER_CAP),
             source,
             rng: StdRng::seed_from_u64(cfg.seed ^ (0xa0de_0000 + id.0 as u64)),
-            current_index,
+            current_index: shared.static_index.clone(),
             assembler: ChunkAssembler::new(),
             assembling_meta: None,
             batch: Vec::new(),
@@ -426,7 +460,7 @@ impl SimNode {
 
     /// The newest complete storage index this node holds.
     pub fn current_index(&self) -> Option<&StorageIndex> {
-        self.current_index.as_ref()
+        self.current_index.as_deref()
     }
 
     /// The id of the newest complete index, or `NONE`.
@@ -595,7 +629,7 @@ impl SimNode {
                 None => (self.id, StorageIndexId::NONE),
             };
         }
-        let mut held: Vec<&StorageIndex> = self.sink_indices.iter().flatten().collect();
+        let mut held: Vec<&Arc<StorageIndex>> = self.sink_indices.iter().flatten().collect();
         held.sort_by_key(|i| (i.created_at(), i.id()));
         for idx in held.iter().rev() {
             if let Some(owner) = idx.lookup(value) {
@@ -702,7 +736,7 @@ impl SimNode {
         let action = {
             let view = LocalNodeView {
                 id: self.id,
-                index: self.current_index.as_ref(),
+                index: self.current_index.as_deref(),
                 routing: &self.routing,
                 neighbor_shortcut: self.cfg.policy.scoop.neighbor_shortcut,
             };
@@ -892,10 +926,10 @@ impl SimNode {
             for chunk in &chunks {
                 self.seen_chunks.insert((chunk.version, chunk.index));
             }
-            self.sink_indices[my_rank] = Some(index);
+            self.sink_indices[my_rank] = Some(Arc::new(index));
             self.refresh_current_index();
         } else {
-            self.current_index = Some(index);
+            self.current_index = Some(Arc::new(index));
         }
         for chunk in chunks {
             let payload = Arc::new(ScoopPayload::Mapping(MappingChunk {
@@ -1192,7 +1226,7 @@ impl SimNode {
                     entries,
                     created_at,
                 );
-                self.current_index = Some(index);
+                self.current_index = Some(Arc::new(index));
             }
             return;
         }
@@ -1239,7 +1273,7 @@ impl SimNode {
             if let Some(base) = self.base.as_mut() {
                 base.planner.record_index(index.clone());
             }
-            self.sink_indices[rank] = Some(index);
+            self.sink_indices[rank] = Some(Arc::new(index));
             self.refresh_current_index();
         }
     }
@@ -1779,6 +1813,18 @@ mod tests {
             merged >= 6,
             "most sensors should hold both sinks' slices, got {merged}"
         );
+        // The newest-index mirror shares a per-rank slot's allocation.
+        for (id, n) in engine.iter_nodes() {
+            if let Some(current) = &n.current_index {
+                assert!(
+                    n.sink_indices
+                        .iter()
+                        .flatten()
+                        .any(|held| Arc::ptr_eq(held, current)),
+                    "node {id} mirrors a copy, not one of its per-rank indices"
+                );
+            }
+        }
 
         // Both sinks issue queries (odd/even id split) and replies find
         // their way back to the issuing sink.
