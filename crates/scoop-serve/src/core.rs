@@ -70,13 +70,28 @@ impl AnswerCore {
             return;
         }
         self.index.insert_batch(records);
-        if let Some(cache) = &mut self.cache {
-            self.touched.clear();
-            for rec in records {
-                self.touched.record(rec.value, rec.time_ms);
-            }
-            cache.invalidate(&self.touched);
+        self.invalidate_for(records);
+    }
+
+    /// Starts a bulk load of stored history: push it block by block in any
+    /// order; buckets left disordered are sorted once when the returned
+    /// loader drops. The result is the index one [`AnswerCore::ingest`] of
+    /// the same records in canonical order builds.
+    pub fn bulk_load(&mut self) -> BulkLoad<'_> {
+        BulkLoad { core: self }
+    }
+
+    /// Drops every cached answer `records` could have changed. An empty
+    /// cache has nothing to drop, so the touched-values table is not built.
+    fn invalidate_for(&mut self, records: &[DurableRecord]) {
+        let Some(cache) = self.cache.as_mut().filter(|c| !c.is_empty()) else {
+            return;
+        };
+        self.touched.clear();
+        for rec in records {
+            self.touched.record(rec.value, rec.time_ms);
         }
+        cache.invalidate(&self.touched);
     }
 
     /// The encoded rows payload answering `pred` — from the cache when
@@ -154,6 +169,26 @@ impl AnswerCore {
     }
 }
 
+/// An in-progress [`AnswerCore::bulk_load`]. It borrows the core, so nothing
+/// can be answered from a half-ordered index; dropping it restores order.
+pub struct BulkLoad<'a> {
+    core: &'a mut AnswerCore,
+}
+
+impl BulkLoad<'_> {
+    /// Indexes one block of records.
+    pub fn push(&mut self, records: &[DurableRecord]) {
+        self.core.index.push_unordered(records);
+        self.core.invalidate_for(records);
+    }
+}
+
+impl Drop for BulkLoad<'_> {
+    fn drop(&mut self) {
+        self.core.index.restore_order();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,6 +240,35 @@ mod tests {
         assert_ne!(before, after, "stale answer must not survive ingest");
         assert_eq!(core.stats().cache_invalidated, 1);
         assert_eq!(core.stats().cache_misses, 2, "second answer re-evaluated");
+    }
+
+    #[test]
+    fn bulk_load_equals_one_sorted_ingest_and_still_invalidates() {
+        let domain = ValueRange::new(0, 9);
+        let history: Vec<DurableRecord> = (0..90u64)
+            .map(|i| rec((i * 7) % 50, (i % 3) as u16, (i % 12) as i32 - 1))
+            .collect();
+        let mut sorted = history.clone();
+        sorted.sort_unstable();
+        let mut reference = AnswerCore::new(domain, 0);
+        reference.ingest(&sorted);
+
+        let mut core = AnswerCore::new(domain, 8);
+        // A cached answer from before the load must not survive it.
+        core.ingest(&history[..5]);
+        let p = pred(-5, 20, 0, 100);
+        let stale = core.answer_payload(&p);
+        let mut load = core.bulk_load();
+        for block in history[5..].chunks(4) {
+            load.push(block);
+        }
+        drop(load);
+        assert_eq!(core.indexed(), 90);
+        assert_ne!(core.answer_payload(&p), stale);
+        assert_eq!(core.stats().cache_invalidated, 1);
+        for p in [p, pred(3, 4, 10, 30), pred(11, 11, 0, 100)] {
+            assert_eq!(core.answer_payload(&p), reference.answer_payload(&p));
+        }
     }
 
     #[test]

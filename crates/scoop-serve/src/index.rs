@@ -8,17 +8,19 @@
 //! `Vec` per value, each kept in canonical [`DurableRecord`] order — a query
 //! binary-searches the few buckets its range touches and merges.
 
-use scoop_types::{DurableRecord, Value, ValueRange};
+use scoop_types::{DurableRecord, ValueRange};
 
 /// Consolidated, value-bucketed view of every reading drained from the
 /// simulated network (plus anything preloaded from a durable store).
 pub struct ServeIndex {
     domain: ValueRange,
-    /// One time-ordered bucket per domain value (`value - domain.lo`).
-    /// Out-of-domain values (possible when a preloaded store was written
-    /// under a different spec) go to `overflow`.
+    /// One time-ordered bucket per domain value (`value - domain.lo`), then
+    /// one last bucket for out-of-domain values (possible when a preloaded
+    /// store was written under a different spec).
     buckets: Vec<Vec<DurableRecord>>,
-    overflow: Vec<DurableRecord>,
+    /// Per bucket: has a push since the last [`ServeIndex::restore_order`]
+    /// broken its canonical order?
+    disordered: Vec<bool>,
     len: u64,
 }
 
@@ -28,8 +30,8 @@ impl ServeIndex {
         let width = domain.width().max(1) as usize;
         ServeIndex {
             domain,
-            buckets: (0..width).map(|_| Vec::new()).collect(),
-            overflow: Vec::new(),
+            buckets: vec![Vec::new(); width + 1],
+            disordered: vec![false; width + 1],
             len: 0,
         }
     }
@@ -44,50 +46,48 @@ impl ServeIndex {
         self.len == 0
     }
 
-    fn bucket_of(&self, value: Value) -> Option<usize> {
-        if self.domain.contains(value) {
-            Some((value - self.domain.lo) as usize)
-        } else {
-            None
+    fn overflow(&self) -> &[DurableRecord] {
+        &self.buckets[self.buckets.len() - 1]
+    }
+
+    /// Appends `records` to their buckets without restoring order: buckets
+    /// a push disorders are flagged, and the index must not be queried until
+    /// [`ServeIndex::restore_order`] has run. A bulk load pushes block after
+    /// block and restores once.
+    pub(crate) fn push_unordered(&mut self, records: &[DurableRecord]) {
+        let overflow = self.buckets.len() - 1;
+        for rec in records {
+            let b = if self.domain.contains(rec.value) {
+                (rec.value - self.domain.lo) as usize
+            } else {
+                overflow
+            };
+            let bucket = &mut self.buckets[b];
+            self.disordered[b] |= bucket.last().is_some_and(|last| last > rec);
+            bucket.push(*rec);
+        }
+        self.len += records.len() as u64;
+    }
+
+    /// Sorts every bucket disordered since the last call back into canonical
+    /// order — one sort per such bucket, however many pushes disordered it.
+    pub(crate) fn restore_order(&mut self) {
+        for (bucket, disordered) in self.buckets.iter_mut().zip(&mut self.disordered) {
+            if std::mem::take(disordered) {
+                bucket.sort_unstable();
+            }
         }
     }
 
     /// Inserts a batch, restoring per-bucket canonical order afterwards.
     ///
     /// Batches arrive once per server tick in node-id order, so a bucket's
-    /// tail is usually *almost* sorted; `sort_unstable` on just the touched
-    /// buckets keeps the cost proportional to the tick's new data.
+    /// tail is usually *almost* sorted; `sort_unstable` on just the
+    /// disordered buckets keeps the cost proportional to the tick's new data
+    /// (plus one pass over the per-bucket flags).
     pub fn insert_batch(&mut self, records: &[DurableRecord]) {
-        let mut touched: Vec<usize> = Vec::new();
-        for rec in records {
-            self.len += 1;
-            match self.bucket_of(rec.value) {
-                Some(b) => {
-                    // `sorted` tracks whether the push kept the bucket
-                    // ordered; only disordered buckets pay a sort.
-                    let bucket = &mut self.buckets[b];
-                    let was_ordered = bucket.last().map(|last| last <= rec).unwrap_or(true);
-                    bucket.push(*rec);
-                    if !was_ordered && !touched.contains(&b) {
-                        touched.push(b);
-                    }
-                }
-                None => {
-                    let was_ordered = self.overflow.last().map(|last| last <= rec).unwrap_or(true);
-                    self.overflow.push(*rec);
-                    if !was_ordered && !touched.contains(&usize::MAX) {
-                        touched.push(usize::MAX);
-                    }
-                }
-            }
-        }
-        for b in touched {
-            if b == usize::MAX {
-                self.overflow.sort_unstable();
-            } else {
-                self.buckets[b].sort_unstable();
-            }
-        }
+        self.push_unordered(records);
+        self.restore_order();
     }
 
     /// Appends every record matching `(values, [time_lo_ms, time_hi_ms])` to
@@ -107,7 +107,7 @@ impl ServeIndex {
             None => {
                 // The whole range is outside the domain; only overflow
                 // records (if any) can match.
-                Self::scan_sorted(&self.overflow, values, time_lo_ms, time_hi_ms, out);
+                Self::scan_sorted(self.overflow(), values, time_lo_ms, time_hi_ms, out);
                 out[from..].sort_unstable();
                 return;
             }
@@ -116,8 +116,8 @@ impl ServeIndex {
             let b = (v - self.domain.lo) as usize;
             Self::scan_sorted(&self.buckets[b], values, time_lo_ms, time_hi_ms, out);
         }
-        if !self.overflow.is_empty() {
-            Self::scan_sorted(&self.overflow, values, time_lo_ms, time_hi_ms, out);
+        if !self.overflow().is_empty() {
+            Self::scan_sorted(self.overflow(), values, time_lo_ms, time_hi_ms, out);
         }
         out[from..].sort_unstable();
     }
@@ -145,7 +145,7 @@ impl ServeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scoop_types::NodeId;
+    use scoop_types::{NodeId, Value};
 
     fn rec(time_ms: u64, node: u16, value: Value) -> DurableRecord {
         DurableRecord {
@@ -200,6 +200,27 @@ mod tests {
         many.query_into(&ValueRange::new(0, 9), 0, 100, &mut b);
         assert_eq!(a, b);
         assert_eq!(a.len(), 200);
+    }
+
+    #[test]
+    fn unordered_pushes_then_one_restore_equal_one_sorted_batch() {
+        // Every bucket (overflow included) is disordered again and again.
+        let records: Vec<DurableRecord> = (0..600)
+            .map(|i| rec((i * 37) % 100, (i % 5) as u16, (i % 14) as Value - 2))
+            .collect();
+        let mut sorted = records.clone();
+        sorted.sort_unstable();
+        let mut one = ServeIndex::new(ValueRange::new(0, 9));
+        one.insert_batch(&sorted);
+        let mut streamed = ServeIndex::new(ValueRange::new(0, 9));
+        for chunk in records.chunks(4) {
+            streamed.push_unordered(chunk);
+        }
+        assert_eq!(streamed.disordered, vec![true; 11]);
+        streamed.restore_order();
+        assert!(!streamed.disordered.contains(&true));
+        assert_eq!(streamed.len(), 600);
+        assert_eq!(streamed.buckets, one.buckets);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod transport;
 pub use admission::AdmissionQueue;
 pub use bench::{run_bench, BenchOptions, BenchReport};
 pub use cache::{AnswerCache, TouchedValues};
-pub use core::{AnswerCore, CoreStats};
+pub use core::{AnswerCore, BulkLoad, CoreStats};
 pub use index::ServeIndex;
 pub use server::{pump_once, ServeOptions, ServeServer, ServeStats};
 pub use smoke::{run_smoke, SmokeOptions, SmokeReport};

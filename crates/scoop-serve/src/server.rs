@@ -161,9 +161,12 @@ impl ServeServer {
         let persistence: Option<Box<dyn PersistSeam>> = match options.persist_dir {
             Some(dir) => {
                 let mut store = Store::open(&dir, StoreOptions::default())?;
-                let preloaded = store.scan_all()?;
-                stats.readings_preloaded = preloaded.records.len() as u64;
-                core.ingest(&preloaded.records);
+                // Blocks stream from the log straight into the index; the
+                // whole history is never held a second time.
+                let mut load = core.bulk_load();
+                store.for_each_block(|block| load.push(block))?;
+                drop(load);
+                stats.readings_preloaded = core.indexed();
                 Some(Box::new(FlashPersistence::new(
                     DiskBackend::from_store(store),
                     options.flash,

@@ -10,7 +10,7 @@
 //! `write_all`) and the unit of read I/O (queries fetch whole blocks).
 
 use crate::crc::crc32;
-use crate::error::{corrupt, Result, StoreError};
+use crate::error::{corrupt, Result};
 use scoop_types::{DurableRecord, DURABLE_RECORD_LEN};
 use std::path::Path;
 
@@ -58,14 +58,17 @@ pub fn encode_block(records: &[DurableRecord], block_size: usize) -> Vec<u8> {
     block
 }
 
-/// Decodes and validates one block. `path` is only used for error context.
-/// Returns the records in stored order.
-pub fn decode_block(
+/// Decodes and validates one block, appending its records to `out` in
+/// stored order. `path` is only used for error context. This is the only
+/// block decoder: every read path hands it a buffer it reuses across blocks.
+/// On error `out` is left as it was.
+pub fn decode_block_into(
     bytes: &[u8],
     block_size: usize,
     path: &Path,
     block_index: usize,
-) -> Result<Vec<DurableRecord>> {
+    out: &mut Vec<DurableRecord>,
+) -> Result<()> {
     if bytes.len() != block_size {
         return Err(corrupt(
             path,
@@ -100,19 +103,31 @@ pub fn decode_block(
             ),
         ));
     }
-    let mut records = Vec::with_capacity(count);
-    let mut offset = BLOCK_HEADER_LEN;
-    for _ in 0..count {
-        let raw: [u8; DURABLE_RECORD_LEN] = bytes[offset..offset + DURABLE_RECORD_LEN]
-            .try_into()
-            .expect("sliced to record length");
-        let record = DurableRecord::decode(&raw).map_err(|e| StoreError::Corrupt {
-            path: path.to_path_buf(),
-            detail: format!("block {block_index}: {e}"),
-        })?;
-        records.push(record);
-        offset += DURABLE_RECORD_LEN;
+    let start = out.len();
+    out.reserve(count);
+    let payload = &bytes[BLOCK_HEADER_LEN..BLOCK_HEADER_LEN + count * DURABLE_RECORD_LEN];
+    for raw in payload.chunks_exact(DURABLE_RECORD_LEN) {
+        let raw: &[u8; DURABLE_RECORD_LEN] = raw.try_into().expect("chunked to record length");
+        match DurableRecord::decode(raw) {
+            Ok(record) => out.push(record),
+            Err(e) => {
+                out.truncate(start);
+                return Err(corrupt(path, format!("block {block_index}: {e}")));
+            }
+        }
     }
+    Ok(())
+}
+
+/// [`decode_block_into`] a fresh `Vec`.
+pub fn decode_block(
+    bytes: &[u8],
+    block_size: usize,
+    path: &Path,
+    block_index: usize,
+) -> Result<Vec<DurableRecord>> {
+    let mut records = Vec::new();
+    decode_block_into(bytes, block_size, path, block_index, &mut records)?;
     Ok(records)
 }
 
@@ -167,6 +182,27 @@ mod tests {
                 "flip at byte {pos} went undetected"
             );
         }
+    }
+
+    #[test]
+    fn decode_into_appends_and_leaves_the_buffer_alone_on_error() {
+        let block_size = 8 + 16 * 2;
+        let first = encode_block(&[record(1, 10), record(2, 20)], block_size);
+        let second = encode_block(&[record(3, 30)], block_size);
+        let mut out = Vec::new();
+        decode_block_into(&first, block_size, Path::new("t"), 0, &mut out).unwrap();
+        decode_block_into(&second, block_size, Path::new("t"), 1, &mut out).unwrap();
+        assert_eq!(out, vec![record(1, 10), record(2, 20), record(3, 30)]);
+
+        // A record whose reserved byte is set, under a checksum that matches:
+        // the failure comes after the first record was already decoded.
+        let mut bad = first.clone();
+        bad[BLOCK_HEADER_LEN + DURABLE_RECORD_LEN + 3] = 1;
+        let crc = crc32(&bad[BLOCK_HEADER_LEN..]);
+        bad[4..8].copy_from_slice(&crc.to_le_bytes());
+        let err = decode_block_into(&bad, block_size, Path::new("t"), 9, &mut out).unwrap_err();
+        assert!(err.to_string().contains("block 9"), "{err}");
+        assert_eq!(out.len(), 3, "a failed block contributes nothing");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! everything", which rewrites old data on every pass.
 
 use crate::error::{corrupt, io_err, Result, StoreError};
-use crate::segment::{Segment, SegmentWriter};
+use crate::segment::{BlockBuf, Segment, SegmentWriter};
 use crate::store::StoreOptions;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
@@ -93,12 +93,18 @@ fn merge(
     options: StoreOptions,
 ) -> Result<CompactionResult> {
     let mut input_ids = Vec::with_capacity(inputs.len());
-    let mut records = Vec::new();
+    let mut segments = Vec::with_capacity(inputs.len());
     for (id, path) in &inputs {
-        let segment =
-            Segment::open(path)?.ok_or_else(|| corrupt(path, "compaction input vanished"))?;
-        records.extend(segment.scan_all()?.records);
+        segments
+            .push(Segment::open(path)?.ok_or_else(|| corrupt(path, "compaction input vanished"))?);
         input_ids.push(*id);
+    }
+    // The footers say how much is coming: one allocation for the merge.
+    let total: u64 = segments.iter().map(Segment::record_count).sum();
+    let mut records = Vec::with_capacity(total as usize);
+    let mut buf = BlockBuf::default();
+    for segment in &segments {
+        segment.for_each_block(&mut buf, |block| records.extend_from_slice(block))?;
     }
     // Canonical order (time, node, attribute, value); stable for duplicates
     // because inputs are visited in id order and each is already sorted.

@@ -39,7 +39,7 @@ pub use compact::{CompactionJob, CompactionResult};
 pub use error::{Result, StoreError};
 pub use index::{BTreeRefIndex, LearnedTimeIndex, TimeIndex, DEFAULT_MAX_ERROR};
 pub use segment::{
-    RecoveryOutcome, ScanOutcome, Segment, SegmentWriter, DEFAULT_BLOCK_SIZE, FOOTER_LEN,
+    BlockBuf, RecoveryOutcome, ScanOutcome, Segment, SegmentWriter, DEFAULT_BLOCK_SIZE, FOOTER_LEN,
     HEADER_LEN, SCHEMA_VERSION,
 };
 pub use store::{IngestReport, Store, StoreOptions, StoreStats};

@@ -16,7 +16,7 @@
 //! typed [`StoreError`], never a panic.
 
 use crate::block::{
-    decode_block, encode_block, meta_of, records_per_block, BlockMeta, MIN_BLOCK_SIZE,
+    decode_block_into, encode_block, meta_of, records_per_block, BlockMeta, MIN_BLOCK_SIZE,
 };
 use crate::crc::crc32;
 use crate::error::{corrupt, io_err, Result, StoreError};
@@ -65,6 +65,36 @@ pub struct ScanOutcome {
     pub records: Vec<DurableRecord>,
     /// Data blocks fetched from disk to answer this.
     pub blocks_read: u64,
+}
+
+/// The streaming block reader's two reusable buffers: one block of raw bytes
+/// and the records decoded from it. Every read path — point and range
+/// lookups, full scans, compaction input, torn-tail recovery — fetches blocks
+/// through one of these, so a scan of any length allocates twice.
+#[derive(Debug, Default)]
+pub struct BlockBuf {
+    bytes: Vec<u8>,
+    records: Vec<DurableRecord>,
+}
+
+impl BlockBuf {
+    /// Reads, CRC-checks and decodes block `index` of `file`, replacing the
+    /// buffer's previous contents.
+    fn read(
+        &mut self,
+        file: &File,
+        path: &Path,
+        block_size: usize,
+        index: usize,
+    ) -> Result<&[DurableRecord]> {
+        self.bytes.resize(block_size, 0);
+        let offset = (HEADER_LEN + index * block_size) as u64;
+        file.read_exact_at(&mut self.bytes, offset)
+            .map_err(|e| io_err(path, e))?;
+        self.records.clear();
+        decode_block_into(&self.bytes, block_size, path, index, &mut self.records)?;
+        Ok(&self.records)
+    }
 }
 
 fn sync_dir_of(path: &Path) -> Result<()> {
@@ -445,6 +475,16 @@ impl Segment {
         if dir.len() as u64 != footer.block_count {
             return Err(corrupt(path, "directory length disagrees with footer"));
         }
+        // A block holds at most `records_per_block` records, which also
+        // bounds `record_count` — scans size their buffers from it — by the
+        // file's length.
+        let per_block = records_per_block(block_size);
+        if dir.iter().any(|m| m.count as usize > per_block) {
+            return Err(corrupt(
+                path,
+                "directory entry claims more records than a block holds",
+            ));
+        }
         let total: u64 = dir.iter().map(|m| m.count as u64).sum();
         if total != footer.record_count {
             return Err(corrupt(
@@ -477,17 +517,14 @@ impl Segment {
         let mut dir = Vec::new();
         let mut prev_last = 0u64;
         let mut offset = HEADER_LEN;
-        let mut buf = vec![0u8; block_size];
+        let mut buf = BlockBuf::default();
         while offset + block_size <= file_len {
-            if file.read_exact_at(&mut buf, offset as u64).is_err() {
-                break;
-            }
-            let records = match decode_block(&buf, block_size, path, dir.len()) {
+            let records = match buf.read(&file, path, block_size, dir.len()) {
                 Ok(r) => r,
                 Err(_) => break, // torn or corrupt tail starts here
             };
             let in_order = records.windows(2).all(|w| w[0].time_ms <= w[1].time_ms);
-            let meta = meta_of(&records);
+            let meta = meta_of(records);
             if !in_order || (!dir.is_empty() && meta.first_time_ms < prev_last) {
                 break; // bytes validate but violate the log's time order
             }
@@ -608,12 +645,22 @@ impl Segment {
 
     /// Reads and validates one data block.
     pub fn read_block(&self, index: usize) -> Result<Vec<DurableRecord>> {
-        let mut buf = vec![0u8; self.block_size];
-        let offset = (HEADER_LEN + index * self.block_size) as u64;
-        self.file
-            .read_exact_at(&mut buf, offset)
-            .map_err(|e| io_err(&self.path, e))?;
-        decode_block(&buf, self.block_size, &self.path, index)
+        let mut buf = BlockBuf::default();
+        buf.read(&self.file, &self.path, self.block_size, index)?;
+        Ok(buf.records)
+    }
+
+    /// Hands every data block's records to `visit`, in log order, through
+    /// `buf`. Returns the number of blocks read.
+    pub fn for_each_block(
+        &self,
+        buf: &mut BlockBuf,
+        mut visit: impl FnMut(&[DurableRecord]),
+    ) -> Result<u64> {
+        for i in 0..self.dir.len() {
+            visit(buf.read(&self.file, &self.path, self.block_size, i)?);
+        }
+        Ok(self.dir.len() as u64)
     }
 
     /// All records with timestamp exactly `t`.
@@ -630,31 +677,47 @@ impl Segment {
     /// tests drive both the learned and the reference index through here).
     pub fn scan_matching(&self, t0: u64, t1: u64, index: &dyn TimeIndex) -> Result<ScanOutcome> {
         let mut outcome = ScanOutcome::default();
+        self.scan_matching_into(t0, t1, index, &mut BlockBuf::default(), &mut outcome)?;
+        Ok(outcome)
+    }
+
+    /// [`Segment::scan_matching`] through a caller-owned `buf`, accumulating
+    /// into `outcome` (the store merges all its segments into one this way).
+    pub(crate) fn scan_matching_into(
+        &self,
+        t0: u64,
+        t1: u64,
+        index: &dyn TimeIndex,
+        buf: &mut BlockBuf,
+        outcome: &mut ScanOutcome,
+    ) -> Result<()> {
         if t1 < t0 {
-            return Ok(outcome);
+            return Ok(());
         }
         let mut i = index.first_block_for(t0, &self.dir);
         while i < self.dir.len() && self.dir[i].first_time_ms <= t1 {
-            let records = self.read_block(i)?;
+            let records = buf.read(&self.file, &self.path, self.block_size, i)?;
             outcome.blocks_read += 1;
             outcome.records.extend(
                 records
-                    .into_iter()
+                    .iter()
                     .filter(|r| r.time_ms >= t0 && r.time_ms <= t1),
             );
             i += 1;
         }
-        Ok(outcome)
+        Ok(())
     }
 
     /// Every committed record, in log order.
     pub fn scan_all(&self) -> Result<ScanOutcome> {
-        let mut outcome = ScanOutcome::default();
-        for i in 0..self.dir.len() {
-            outcome.records.extend(self.read_block(i)?);
-            outcome.blocks_read += 1;
-        }
-        Ok(outcome)
+        let mut records = Vec::with_capacity(self.record_count as usize);
+        let blocks_read = self.for_each_block(&mut BlockBuf::default(), |block| {
+            records.extend_from_slice(block)
+        })?;
+        Ok(ScanOutcome {
+            records,
+            blocks_read,
+        })
     }
 }
 

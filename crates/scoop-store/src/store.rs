@@ -15,7 +15,9 @@
 
 use crate::compact::{self, CompactionJob};
 use crate::error::{io_err, Result, StoreError};
-use crate::segment::{RecoveryOutcome, ScanOutcome, Segment, SegmentWriter, DEFAULT_BLOCK_SIZE};
+use crate::segment::{
+    BlockBuf, RecoveryOutcome, ScanOutcome, Segment, SegmentWriter, DEFAULT_BLOCK_SIZE,
+};
 use scoop_types::DurableRecord;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -88,6 +90,8 @@ pub struct Store {
     active: Option<(u64, SegmentWriter)>,
     next_id: u64,
     blocks_read: u64,
+    /// The block reader's buffers, reused by every lookup and scan.
+    buf: BlockBuf,
     /// Counters carried over from segments retired by compaction.
     retired_fallbacks: u64,
     retired_index_build_secs: f64,
@@ -145,6 +149,7 @@ impl Store {
             active: None,
             next_id: ids.last().map(|id| id + 1).unwrap_or(0),
             blocks_read: 0,
+            buf: BlockBuf::default(),
             retired_fallbacks: 0,
             retired_index_build_secs: 0.0,
             recovery_report,
@@ -353,47 +358,52 @@ impl Store {
         self.seal_active()
     }
 
-    fn merged_query<F>(&mut self, mut per_segment: F) -> Result<ScanOutcome>
-    where
-        F: FnMut(&Segment) -> Result<ScanOutcome>,
-    {
+    /// All records with timestamp exactly `t`, in canonical order.
+    pub fn query_point(&mut self, t: u64) -> Result<ScanOutcome> {
+        self.query_range(t, t)
+    }
+
+    /// All records with `t0 <= time <= t1`, in canonical order.
+    pub fn query_range(&mut self, t0: u64, t1: u64) -> Result<ScanOutcome> {
         self.commit()?;
         let mut merged = ScanOutcome::default();
         for (_, segment) in &self.segments {
-            let outcome = per_segment(segment)?;
-            merged.blocks_read += outcome.blocks_read;
-            merged.records.extend(outcome.records);
+            if t1 < segment.min_time_ms() || t0 > segment.max_time_ms() {
+                continue;
+            }
+            let index = segment.learned_index();
+            segment.scan_matching_into(t0, t1, index, &mut self.buf, &mut merged)?;
         }
         self.blocks_read += merged.blocks_read;
         merged.records.sort_unstable();
         Ok(merged)
     }
 
-    /// All records with timestamp exactly `t`, in canonical order.
-    pub fn query_point(&mut self, t: u64) -> Result<ScanOutcome> {
-        self.merged_query(|segment| {
-            if segment.record_count() > 0
-                && (t < segment.min_time_ms() || t > segment.max_time_ms())
-            {
-                return Ok(ScanOutcome::default());
-            }
-            segment.query_point(t)
-        })
-    }
-
-    /// All records with `t0 <= time <= t1`, in canonical order.
-    pub fn query_range(&mut self, t0: u64, t1: u64) -> Result<ScanOutcome> {
-        self.merged_query(|segment| {
-            if t1 < segment.min_time_ms() || t0 > segment.max_time_ms() {
-                return Ok(ScanOutcome::default());
-            }
-            segment.query_range(t0, t1)
-        })
+    /// Hands every committed data block's records to `visit` — segments in
+    /// id order, blocks in log order — through the store's one reused block
+    /// buffer. Every block is CRC-checked and decoded; nothing is collected.
+    /// Returns the number of blocks read.
+    pub fn for_each_block(&mut self, mut visit: impl FnMut(&[DurableRecord])) -> Result<u64> {
+        self.commit()?;
+        let mut blocks_read = 0;
+        for (_, segment) in &self.segments {
+            blocks_read += segment.for_each_block(&mut self.buf, &mut visit)?;
+        }
+        self.blocks_read += blocks_read;
+        Ok(blocks_read)
     }
 
     /// Every committed record, in canonical order.
     pub fn scan_all(&mut self) -> Result<ScanOutcome> {
-        self.merged_query(|segment| segment.scan_all())
+        self.commit()?;
+        let total: u64 = self.segments().map(Segment::record_count).sum();
+        let mut records = Vec::with_capacity(total as usize);
+        let blocks_read = self.for_each_block(|block| records.extend_from_slice(block))?;
+        records.sort_unstable();
+        Ok(ScanOutcome {
+            records,
+            blocks_read,
+        })
     }
 
     /// Store-wide statistics.
