@@ -6,11 +6,11 @@
 //! header of all their outgoing packets." (Section 5.2)
 
 use scoop_types::{NodeId, SeqNo, SimTime};
-use std::collections::HashMap;
 
 /// Per-neighbor reception bookkeeping.
 #[derive(Clone, Copy, Debug)]
 struct LinkRecord {
+    node: NodeId,
     last_seqno: SeqNo,
     received: u64,
     missed: u64,
@@ -29,7 +29,11 @@ const REORDER_WINDOW: u32 = 128;
 /// this node actually hears) for every neighbor it has ever overheard.
 #[derive(Clone, Debug, Default)]
 pub struct LinkEstimator {
-    records: HashMap<NodeId, LinkRecord>,
+    /// One record per neighbor, sorted by ascending `NodeId` and found by
+    /// binary search: a node hears a radio neighborhood, not the network, so
+    /// the table is a few cache lines and every id-ordered walk of it is
+    /// deterministic.
+    records: Vec<LinkRecord>,
     /// EWMA smoothing factor applied per observation.
     alpha: f64,
 }
@@ -37,29 +41,36 @@ pub struct LinkEstimator {
 impl LinkEstimator {
     /// Creates an estimator with the default smoothing factor.
     pub fn new() -> Self {
-        LinkEstimator {
-            records: HashMap::new(),
-            alpha: 0.1,
-        }
+        Self::with_alpha(0.1)
     }
 
     /// Creates an estimator with an explicit EWMA smoothing factor in
     /// `(0, 1]`; larger values react faster to changes.
     pub fn with_alpha(alpha: f64) -> Self {
         LinkEstimator {
-            records: HashMap::new(),
+            records: Vec::new(),
             alpha: alpha.clamp(0.001, 1.0),
         }
     }
 
+    fn position(&self, src: NodeId) -> Result<usize, usize> {
+        self.records.binary_search_by_key(&src, |r| r.node)
+    }
+
+    fn record(&self, src: NodeId) -> Option<&LinkRecord> {
+        self.position(src).ok().map(|at| &self.records[at])
+    }
+
     /// Records that a packet from `src` carrying sequence number `seqno` was
-    /// heard (whether addressed to us or snooped) at time `now`.
-    pub fn observe(&mut self, src: NodeId, seqno: SeqNo, now: SimTime) {
-        match self.records.get_mut(&src) {
-            None => {
+    /// heard (whether addressed to us or snooped) at time `now`. Returns the
+    /// updated [`quality`](Self::quality) of `src`.
+    pub fn observe(&mut self, src: NodeId, seqno: SeqNo, now: SimTime) -> f64 {
+        match self.position(src) {
+            Err(at) => {
                 self.records.insert(
-                    src,
+                    at,
                     LinkRecord {
+                        node: src,
                         last_seqno: seqno,
                         received: 1,
                         missed: 0,
@@ -67,8 +78,10 @@ impl LinkEstimator {
                         last_heard: now,
                     },
                 );
+                1.0
             }
-            Some(rec) => {
+            Ok(at) => {
+                let rec = &mut self.records[at];
                 let gap = seqno.distance_from(rec.last_seqno);
                 // gap == 0 is a duplicate; gaps beyond the reorder window are
                 // out-of-order arrivals (e.g. a retransmitted packet overtaken
@@ -87,6 +100,7 @@ impl LinkEstimator {
                 // received packet.
                 rec.ewma *= (1.0 - self.alpha).powi(missed_now.min(1_000) as i32);
                 rec.ewma = (1.0 - self.alpha) * rec.ewma + self.alpha;
+                rec.ewma
             }
         }
     }
@@ -94,12 +108,12 @@ impl LinkEstimator {
     /// The estimated probability of hearing a transmission from `src`, or
     /// `None` if `src` has never been heard.
     pub fn quality(&self, src: NodeId) -> Option<f64> {
-        self.records.get(&src).map(|r| r.ewma)
+        self.record(src).map(|r| r.ewma)
     }
 
     /// Long-run reception ratio (received / (received + missed)) for `src`.
     pub fn reception_ratio(&self, src: NodeId) -> Option<f64> {
-        self.records.get(&src).map(|r| {
+        self.record(src).map(|r| {
             let total = r.received + r.missed;
             if total == 0 {
                 0.0
@@ -118,27 +132,26 @@ impl LinkEstimator {
 
     /// When `src` was last heard.
     pub fn last_heard(&self, src: NodeId) -> Option<SimTime> {
-        self.records.get(&src).map(|r| r.last_heard)
+        self.record(src).map(|r| r.last_heard)
     }
 
     /// Forgets every neighbor not heard since `cutoff`. Returns the ids that
-    /// were evicted.
+    /// were evicted, in ascending `NodeId` order.
     pub fn evict_silent_since(&mut self, cutoff: SimTime) -> Vec<NodeId> {
-        let stale: Vec<NodeId> = self
-            .records
-            .iter()
-            .filter(|(_, r)| r.last_heard < cutoff)
-            .map(|(&n, _)| n)
-            .collect();
-        for n in &stale {
-            self.records.remove(n);
-        }
+        let mut stale = Vec::new();
+        self.records.retain(|r| {
+            let keep = r.last_heard >= cutoff;
+            if !keep {
+                stale.push(r.node);
+            }
+            keep
+        });
         stale
     }
 
-    /// Every neighbor currently tracked.
+    /// Every neighbor currently tracked, in ascending `NodeId` order.
     pub fn tracked(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.records.keys().copied()
+        self.records.iter().map(|r| r.node)
     }
 
     /// Number of neighbors tracked.
@@ -244,5 +257,25 @@ mod tests {
             bad.observe(NodeId(1), SeqNo(i * 4), SimTime::from_secs(i as u64));
         }
         assert!(bad.etx(NodeId(1)).unwrap() > good.etx(NodeId(1)).unwrap() * 1.5);
+    }
+
+    #[test]
+    fn tracked_and_evicted_ids_come_out_in_ascending_node_order() {
+        let mut est = LinkEstimator::new();
+        // Heard in an order unrelated to the ids; 9 and 40 stay fresh.
+        for (id, at) in [(40u16, 90), (3, 10), (17, 20), (9, 80), (1, 30), (25, 5)] {
+            est.observe(NodeId(id), SeqNo(0), SimTime::from_secs(at));
+        }
+        let ids = |v: &[u16]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        assert_eq!(
+            est.tracked().collect::<Vec<_>>(),
+            ids(&[1, 3, 9, 17, 25, 40])
+        );
+        let evicted = est.evict_silent_since(SimTime::from_secs(50));
+        assert_eq!(evicted, ids(&[1, 3, 17, 25]));
+        assert_eq!(est.tracked().collect::<Vec<_>>(), ids(&[9, 40]));
+        // Survivors keep their records and stay searchable.
+        assert_eq!(est.last_heard(NodeId(9)), Some(SimTime::from_secs(80)));
+        assert_eq!(est.quality(NodeId(3)), None);
     }
 }

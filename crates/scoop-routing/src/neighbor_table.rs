@@ -29,10 +29,12 @@ pub struct NeighborTable {
 }
 
 impl NeighborTable {
-    /// Creates an empty table holding at most `capacity` neighbors.
+    /// Creates an empty table holding at most `capacity` neighbors. Storage
+    /// grows with the neighbors actually heard: `capacity` is the paper's
+    /// logical bound, not a reservation.
     pub fn new(capacity: usize) -> Self {
         NeighborTable {
-            entries: Vec::with_capacity(capacity.min(64)),
+            entries: Vec::new(),
             capacity: capacity.max(1),
         }
     }

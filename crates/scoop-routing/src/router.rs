@@ -123,8 +123,7 @@ impl RoutingState {
         if meta.link_src == self.id {
             return;
         }
-        self.estimator.observe(meta.link_src, meta.seqno, now);
-        let quality = self.estimator.quality(meta.link_src).unwrap_or(0.0);
+        let quality = self.estimator.observe(meta.link_src, meta.seqno, now);
         self.neighbors.observe(meta.link_src, quality, now);
         if meta.origin_parent == Some(self.id) && meta.origin != self.id {
             // The origin is our direct child: it is trivially a descendant

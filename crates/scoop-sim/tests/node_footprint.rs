@@ -1,0 +1,114 @@
+//! The per-node memory gate: a simulated node costs what its role needs, not
+//! what the richest role in the codebase needs.
+//!
+//! Measured with a live-bytes counting global allocator (the pattern of
+//! `scoop-net/tests/zero_alloc.rs`, extended from counting calls to tracking
+//! bytes currently allocated). Heap sizes are a function of the allocation
+//! sequence, which a seeded run repeats exactly, so the bound is a count —
+//! never a wall-clock or RSS reading.
+//!
+//! This file deliberately contains a single `#[test]`: the counter is
+//! process-global, and a concurrently running test would pollute the window.
+
+use scoop_sim::{build_engine, SimNode};
+use scoop_types::{
+    DataSourceKind, ExperimentConfig, NodeId, SimDuration, SimTime, StoragePolicy, TopologyKind,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering};
+
+/// Tracks the bytes currently allocated through the global allocator.
+struct LiveBytesAllocator;
+
+static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is only a side effect.
+unsafe impl GlobalAlloc for LiveBytesAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_add(
+            new_size as isize - layout.size() as isize,
+            Ordering::Relaxed,
+        );
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LiveBytesAllocator = LiveBytesAllocator;
+
+/// The benchmark's grid network (`bench/` `grid_config`), 90 s of warm-up
+/// then 120 measured seconds.
+fn grid_spec(policy: StoragePolicy, sensors: usize) -> ExperimentConfig {
+    let mut spec = ExperimentConfig::paper_defaults();
+    spec.topology.kind = TopologyKind::Grid;
+    spec.workload.data_source = DataSourceKind::Gaussian;
+    spec.policy.kind = policy;
+    spec.num_nodes = sensors;
+    spec.seed = 11;
+    spec.warmup = SimDuration::from_secs(90);
+    spec.duration = SimDuration::from_secs(90 + 120);
+    spec
+}
+
+#[test]
+fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
+    // The hot core every event touches: eight cache lines, down from 1,336 B
+    // when the sink state sat inline in every node.
+    let inline = std::mem::size_of::<SimNode>();
+    assert!(inline <= 512, "SimNode is {inline} B inline, budget 512");
+
+    // Everything a built-and-run HASH network holds on the heap — topology,
+    // links, event queue, the nodes and all they own, stored readings — per
+    // node. This run measures 2,021 B; before the hot/cold split it was 3,954 B.
+    let spec = grid_spec(StoragePolicy::Hash, 4_095);
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let mut engine = build_engine(&spec).expect("HASH grid builds");
+    engine.run_until(SimTime::ZERO + spec.duration);
+    let held = LIVE_BYTES.load(Ordering::Relaxed) - before;
+    let nodes = engine.topology().len();
+    assert_eq!(nodes, 4_096);
+    let per_node = held as usize / nodes;
+    assert!(
+        per_node <= 2_560,
+        "a HASH node holds {per_node} B of live heap, budget 2,560"
+    );
+    assert!(engine.stats().total_tx().data > 0, "the run stored nothing");
+
+    // Under HASH node 0 alone plays the sink; no role leaks onto sensors.
+    for (id, node) in engine.iter_nodes() {
+        assert_eq!(node.is_sink(), id == NodeId::BASESTATION, "node {id}");
+    }
+    let (issued, ..) = engine.node(NodeId::BASESTATION).query_outcomes();
+    assert!(issued > 0, "the sink issued no query");
+    drop(engine);
+
+    // SCOOP sensors still carry the recent-readings ring, and it still feeds
+    // their summaries: the basestation can only build (and disseminate) an
+    // index that moves data off the producers from non-empty histograms.
+    let mut spec = grid_spec(StoragePolicy::Scoop, 256);
+    spec.duration = SimDuration::from_mins(12);
+    let mut engine = build_engine(&spec).expect("SCOOP grid builds");
+    engine.run_until(SimTime::ZERO + spec.duration);
+    assert!(engine.stats().total_tx().summary > 0, "no summary was sent");
+    let sink = engine.node(NodeId::BASESTATION);
+    assert!(
+        sink.indices_disseminated() > 0,
+        "summaries reached the sink empty: no index was ever worth sending"
+    );
+    let stored_as_owner: u64 = engine
+        .iter_nodes()
+        .map(|(_, node)| node.metrics.stored_as_owner)
+        .sum();
+    assert!(stored_as_owner > 0, "no reading was routed by the index");
+}

@@ -6,7 +6,7 @@
 use scoop_core::baselines::hash_index;
 use scoop_core::StorageIndex;
 use scoop_net::{Engine, EngineConfig, LinkGen, StdLinkGen, StdTopologyGen, TopologyGen};
-use scoop_sim::{build_engine, run_built_experiment, SimBuilder, SimNode};
+use scoop_sim::{build_engine, run_built_experiment, NodeShared, SimBuilder, SimNode};
 use scoop_types::{
     DataSourceKind, NodeId, ScenarioSpec, SimDuration, SimTime, StorageIndexId, StoragePolicy,
     TopologyKind, MAX_NODES,
@@ -70,8 +70,8 @@ fn federation_spec() -> ScenarioSpec {
     spec
 }
 
-/// The same network with every node built through `SimNode::new`, i.e. with
-/// a private `NodeShared` each — the unshared reference construction.
+/// The same network with every node built over a private `NodeShared` of its
+/// own — the unshared reference construction.
 fn unshared_engine(spec: &ScenarioSpec) -> Engine<SimNode> {
     let topology = StdTopologyGen
         .generate(&spec.topology, spec.num_nodes, spec.seed)
@@ -83,7 +83,10 @@ fn unshared_engine(spec: &ScenarioSpec) -> Engine<SimNode> {
     let source = make_source_for(&spec.workload, spec.num_nodes, spec.seed);
     let nodes = topology
         .nodes()
-        .map(|id| SimNode::new(id, Arc::clone(&cfg), source.clone_box()))
+        .map(|id| {
+            let private = NodeShared::new(Arc::clone(&cfg));
+            SimNode::with_shared(id, &private, source.clone_box())
+        })
         .collect();
     let engine_cfg = EngineConfig {
         seed: spec.seed,
