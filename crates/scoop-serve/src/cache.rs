@@ -27,7 +27,7 @@ pub struct TouchedValues {
     /// `(min, max)` sample time (ms) per domain value, `u64::MAX`/`0` when
     /// untouched this tick.
     spans: Vec<(u64, u64)>,
-    /// Span over values outside the domain (rare: preloaded foreign data).
+    /// Span over values outside the domain (rare: readings a foreign spec produced).
     overflow: Option<(u64, u64)>,
     any: bool,
 }

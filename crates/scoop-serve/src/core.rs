@@ -8,8 +8,10 @@
 
 use crate::cache::{AnswerCache, TouchedValues};
 use crate::index::ServeIndex;
+use scoop_store::Snapshot;
 use scoop_types::{
-    append_rows_payload, AggregateSpec, DurableRecord, PartialAggregate, QueryPredicate, ValueRange,
+    append_rows_payload, AggregateSpec, DurableRecord, PartialAggregate, QueryPredicate,
+    ScoopError, ValueRange,
 };
 use std::sync::Arc;
 
@@ -20,8 +22,12 @@ pub struct CoreStats {
     pub answers: u64,
     /// Rows across all answers.
     pub rows_returned: u64,
-    /// Readings ingested into the index.
+    /// Live readings ingested into the in-memory index. Stored history is
+    /// not indexed here — it is answered from its segments.
     pub readings_indexed: u64,
+    /// Data blocks of stored history read (and CRC-checked) to evaluate
+    /// predicates; a function of the log and the predicates alone.
+    pub history_blocks_read: u64,
     /// Answers served from the cache.
     pub cache_hits: u64,
     /// Answers that had to evaluate.
@@ -36,6 +42,9 @@ pub struct CoreStats {
 pub struct AnswerCore {
     domain: ValueRange,
     index: ServeIndex,
+    /// Stored history, answered straight from its sealed segments.
+    history: Option<Snapshot>,
+    history_blocks_read: u64,
     cache: Option<AnswerCache>,
     touched: TouchedValues,
     scratch: Vec<DurableRecord>,
@@ -50,6 +59,8 @@ impl AnswerCore {
         AnswerCore {
             domain,
             index: ServeIndex::new(domain),
+            history: None,
+            history_blocks_read: 0,
             cache: (cache_capacity > 0).then(|| AnswerCache::new(cache_capacity)),
             touched: TouchedValues::new(domain),
             scratch: Vec::new(),
@@ -58,32 +69,22 @@ impl AnswerCore {
         }
     }
 
-    /// Readings indexed so far.
-    pub fn indexed(&self) -> u64 {
-        self.index.len()
+    /// The same core, also answering from `history`. The view is immutable,
+    /// so it never invalidates a cached answer; only [`AnswerCore::ingest`]
+    /// does.
+    pub fn with_history(mut self, history: Snapshot) -> Self {
+        self.history = Some(history);
+        self
     }
 
     /// Ingests one tick's worth of new readings: indexes them and drops
-    /// every cached answer they could have changed.
+    /// every cached answer they could have changed. An empty cache has
+    /// nothing to drop, so the touched-values table is not built.
     pub fn ingest(&mut self, records: &[DurableRecord]) {
         if records.is_empty() {
             return;
         }
         self.index.insert_batch(records);
-        self.invalidate_for(records);
-    }
-
-    /// Starts a bulk load of stored history: push it block by block in any
-    /// order; buckets left disordered are sorted once when the returned
-    /// loader drops. The result is the index one [`AnswerCore::ingest`] of
-    /// the same records in canonical order builds.
-    pub fn bulk_load(&mut self) -> BulkLoad<'_> {
-        BulkLoad { core: self }
-    }
-
-    /// Drops every cached answer `records` could have changed. An empty
-    /// cache has nothing to drop, so the touched-values table is not built.
-    fn invalidate_for(&mut self, records: &[DurableRecord]) {
         let Some(cache) = self.cache.as_mut().filter(|c| !c.is_empty()) else {
             return;
         };
@@ -94,10 +95,28 @@ impl AnswerCore {
         cache.invalidate(&self.touched);
     }
 
+    /// Fills the scratch buffer with every record matching `pred`, in
+    /// canonical order: the stored history's rows (value-filtered as their
+    /// blocks are read) and the live index's, sorted together. The one
+    /// evaluation both answer shapes share.
+    fn evaluate(&mut self, pred: &QueryPredicate) -> Result<(), ScoopError> {
+        let values = ValueRange::new(pred.value_lo, pred.value_hi);
+        let (t0, t1) = (pred.time_lo_ms, pred.time_hi_ms);
+        self.scratch.clear();
+        if let Some(history) = &mut self.history {
+            let keep = |r: &DurableRecord| values.contains(r.value);
+            self.history_blocks_read += history.query_into(t0, t1, keep, &mut self.scratch)?;
+        }
+        self.index.query_into(&values, t0, t1, &mut self.scratch);
+        Ok(())
+    }
+
     /// The encoded rows payload answering `pred` — from the cache when
     /// possible, evaluated (and cached) otherwise. The bytes are identical
-    /// either way; that is the cache's correctness contract.
-    pub fn answer_payload(&mut self, pred: &QueryPredicate) -> Arc<Vec<u8>> {
+    /// either way; that is the cache's correctness contract. The only error
+    /// is a stored block that fails its checks: a typed
+    /// [`ScoopError::Store`] naming file and block, never a short answer.
+    pub fn answer_payload(&mut self, pred: &QueryPredicate) -> Result<Arc<Vec<u8>>, ScoopError> {
         self.answers += 1;
         if let Some(cache) = &mut self.cache {
             if let Some(payload) = cache.get(pred) {
@@ -105,16 +124,10 @@ impl AnswerCore {
                 let count =
                     u32::from_le_bytes(payload[0..4].try_into().expect("payload has a count"));
                 self.rows_returned += count as u64;
-                return payload;
+                return Ok(payload);
             }
         }
-        self.scratch.clear();
-        self.index.query_into(
-            &ValueRange::new(pred.value_lo, pred.value_hi),
-            pred.time_lo_ms,
-            pred.time_hi_ms,
-            &mut self.scratch,
-        );
+        self.evaluate(pred)?;
         self.rows_returned += self.scratch.len() as u64;
         let mut payload = Vec::with_capacity(4 + self.scratch.len() * 16);
         append_rows_payload(&self.scratch, &mut payload);
@@ -122,33 +135,27 @@ impl AnswerCore {
         if let Some(cache) = &mut self.cache {
             cache.insert(*pred, Arc::clone(&payload));
         }
-        payload
+        Ok(payload)
     }
 
     /// The partial aggregate over every record matching `pred` — the serve
     /// twin of the in-network aggregation path. It evaluates over exactly
     /// the rows [`AnswerCore::answer_payload`] would return for the same
-    /// predicate (same index, same scratch path), so an aggregate answer and
-    /// a range answer can never disagree about which readings matched. The
-    /// byte cache is not consulted: partials are tiny and derived, and their
+    /// predicate (one shared evaluation), so an aggregate answer and a range
+    /// answer can never disagree about which readings matched. The byte
+    /// cache is not consulted: partials are tiny and derived, and their
     /// correctness is anchored to the row path, not to cached bytes.
     pub fn aggregate_answer(
         &mut self,
         pred: &QueryPredicate,
         spec: &AggregateSpec,
-    ) -> PartialAggregate {
-        self.scratch.clear();
-        self.index.query_into(
-            &ValueRange::new(pred.value_lo, pred.value_hi),
-            pred.time_lo_ms,
-            pred.time_hi_ms,
-            &mut self.scratch,
-        );
+    ) -> Result<PartialAggregate, ScoopError> {
+        self.evaluate(pred)?;
         let mut partial = PartialAggregate::for_spec(spec, self.domain);
         for rec in &self.scratch {
             partial.observe(rec.value);
         }
-        partial
+        Ok(partial)
     }
 
     /// Lifetime counters.
@@ -161,31 +168,12 @@ impl AnswerCore {
             answers: self.answers,
             rows_returned: self.rows_returned,
             readings_indexed: self.index.len(),
+            history_blocks_read: self.history_blocks_read,
             cache_hits: hits,
             cache_misses: misses,
             cache_invalidated: invalidated,
             cache_evicted: evicted,
         }
-    }
-}
-
-/// An in-progress [`AnswerCore::bulk_load`]. It borrows the core, so nothing
-/// can be answered from a half-ordered index; dropping it restores order.
-pub struct BulkLoad<'a> {
-    core: &'a mut AnswerCore,
-}
-
-impl BulkLoad<'_> {
-    /// Indexes one block of records.
-    pub fn push(&mut self, records: &[DurableRecord]) {
-        self.core.index.push_unordered(records);
-        self.core.invalidate_for(records);
-    }
-}
-
-impl Drop for BulkLoad<'_> {
-    fn drop(&mut self) {
-        self.core.index.restore_order();
     }
 }
 
@@ -218,8 +206,8 @@ mod tests {
         let mut core = AnswerCore::new(domain, 64);
         core.ingest(&[rec(10, 1, 3), rec(20, 2, 3)]);
         let p = pred(3, 3, 0, 100);
-        let first = core.answer_payload(&p);
-        let second = core.answer_payload(&p);
+        let first = core.answer_payload(&p).unwrap();
+        let second = core.answer_payload(&p).unwrap();
         assert_eq!(first, second);
         let stats = core.stats();
         assert_eq!(stats.cache_hits, 1);
@@ -234,41 +222,12 @@ mod tests {
         let mut core = AnswerCore::new(domain, 64);
         core.ingest(&[rec(10, 1, 5)]);
         let p = pred(5, 5, 0, 100);
-        let before = core.answer_payload(&p);
+        let before = core.answer_payload(&p).unwrap();
         core.ingest(&[rec(50, 2, 5)]);
-        let after = core.answer_payload(&p);
+        let after = core.answer_payload(&p).unwrap();
         assert_ne!(before, after, "stale answer must not survive ingest");
         assert_eq!(core.stats().cache_invalidated, 1);
         assert_eq!(core.stats().cache_misses, 2, "second answer re-evaluated");
-    }
-
-    #[test]
-    fn bulk_load_equals_one_sorted_ingest_and_still_invalidates() {
-        let domain = ValueRange::new(0, 9);
-        let history: Vec<DurableRecord> = (0..90u64)
-            .map(|i| rec((i * 7) % 50, (i % 3) as u16, (i % 12) as i32 - 1))
-            .collect();
-        let mut sorted = history.clone();
-        sorted.sort_unstable();
-        let mut reference = AnswerCore::new(domain, 0);
-        reference.ingest(&sorted);
-
-        let mut core = AnswerCore::new(domain, 8);
-        // A cached answer from before the load must not survive it.
-        core.ingest(&history[..5]);
-        let p = pred(-5, 20, 0, 100);
-        let stale = core.answer_payload(&p);
-        let mut load = core.bulk_load();
-        for block in history[5..].chunks(4) {
-            load.push(block);
-        }
-        drop(load);
-        assert_eq!(core.indexed(), 90);
-        assert_ne!(core.answer_payload(&p), stale);
-        assert_eq!(core.stats().cache_invalidated, 1);
-        for p in [p, pred(3, 4, 10, 30), pred(11, 11, 0, 100)] {
-            assert_eq!(core.answer_payload(&p), reference.answer_payload(&p));
-        }
     }
 
     #[test]
@@ -288,8 +247,14 @@ mod tests {
             off.ingest(batch);
             for p in &preds {
                 // Ask twice so the second answer is a hot cache hit.
-                assert_eq!(on.answer_payload(p), off.answer_payload(p));
-                assert_eq!(on.answer_payload(p), off.answer_payload(p));
+                assert_eq!(
+                    on.answer_payload(p).unwrap(),
+                    off.answer_payload(p).unwrap()
+                );
+                assert_eq!(
+                    on.answer_payload(p).unwrap(),
+                    off.answer_payload(p).unwrap()
+                );
             }
         }
         assert!(on.stats().cache_hits > 0, "the cache actually engaged");
@@ -307,26 +272,24 @@ mod tests {
             op: AggregateOp::Quantile(0.5),
             epsilon: 0.05,
         };
-        let partial = core.aggregate_answer(&p, &spec);
+        let partial = core.aggregate_answer(&p, &spec).unwrap();
         // Matches {2, 7, 4}: same rows the payload path returns.
         assert_eq!(partial.count, 3);
         assert_eq!(partial.min, 2);
         assert_eq!(partial.max, 7);
         assert_eq!(partial.sum, 13);
-        let payload = core.answer_payload(&p);
+        let payload = core.answer_payload(&p).unwrap();
         let rows = u32::from_le_bytes(payload[0..4].try_into().unwrap());
         assert_eq!(rows as u64, partial.count);
         // The digest is present for quantile specs and tracks the stream.
         let digest = partial.digest.as_ref().expect("quantile carries a digest");
         assert_eq!(digest.count(), 3);
         // Min/max specs skip the digest entirely.
-        let lean = core.aggregate_answer(
-            &p,
-            &AggregateSpec {
-                op: AggregateOp::Min,
-                epsilon: 0.05,
-            },
-        );
+        let min_spec = AggregateSpec {
+            op: AggregateOp::Min,
+            epsilon: 0.05,
+        };
+        let lean = core.aggregate_answer(&p, &min_spec).unwrap();
         assert!(lean.digest.is_none());
         assert_eq!(lean.answer(AggregateOp::Min), Some(2.0));
     }

@@ -11,15 +11,15 @@
 use scoop_types::{DurableRecord, ValueRange};
 
 /// Consolidated, value-bucketed view of every reading drained from the
-/// simulated network (plus anything preloaded from a durable store).
+/// simulated network. (History stored by an earlier process is not in here;
+/// it is answered from its segments.)
 pub struct ServeIndex {
     domain: ValueRange,
     /// One time-ordered bucket per domain value (`value - domain.lo`), then
-    /// one last bucket for out-of-domain values (possible when a preloaded
-    /// store was written under a different spec).
+    /// one last bucket for out-of-domain values.
     buckets: Vec<Vec<DurableRecord>>,
-    /// Per bucket: has a push since the last [`ServeIndex::restore_order`]
-    /// broken its canonical order?
+    /// Per bucket, within one [`ServeIndex::insert_batch`]: has a push broken
+    /// its canonical order? All false between calls.
     disordered: Vec<bool>,
     len: u64,
 }
@@ -50,11 +50,13 @@ impl ServeIndex {
         &self.buckets[self.buckets.len() - 1]
     }
 
-    /// Appends `records` to their buckets without restoring order: buckets
-    /// a push disorders are flagged, and the index must not be queried until
-    /// [`ServeIndex::restore_order`] has run. A bulk load pushes block after
-    /// block and restores once.
-    pub(crate) fn push_unordered(&mut self, records: &[DurableRecord]) {
+    /// Inserts a batch, restoring per-bucket canonical order afterwards.
+    ///
+    /// Batches arrive once per server tick in node-id order, so a bucket's
+    /// tail is usually *almost* sorted; one `sort_unstable` per bucket the
+    /// batch disordered keeps the cost proportional to the tick's new data
+    /// (plus one pass over the per-bucket flags).
+    pub fn insert_batch(&mut self, records: &[DurableRecord]) {
         let overflow = self.buckets.len() - 1;
         for rec in records {
             let b = if self.domain.contains(rec.value) {
@@ -67,11 +69,6 @@ impl ServeIndex {
             bucket.push(*rec);
         }
         self.len += records.len() as u64;
-    }
-
-    /// Sorts every bucket disordered since the last call back into canonical
-    /// order — one sort per such bucket, however many pushes disordered it.
-    pub(crate) fn restore_order(&mut self) {
         for (bucket, disordered) in self.buckets.iter_mut().zip(&mut self.disordered) {
             if std::mem::take(disordered) {
                 bucket.sort_unstable();
@@ -79,19 +76,9 @@ impl ServeIndex {
         }
     }
 
-    /// Inserts a batch, restoring per-bucket canonical order afterwards.
-    ///
-    /// Batches arrive once per server tick in node-id order, so a bucket's
-    /// tail is usually *almost* sorted; `sort_unstable` on just the
-    /// disordered buckets keeps the cost proportional to the tick's new data
-    /// (plus one pass over the per-bucket flags).
-    pub fn insert_batch(&mut self, records: &[DurableRecord]) {
-        self.push_unordered(records);
-        self.restore_order();
-    }
-
     /// Appends every record matching `(values, [time_lo_ms, time_hi_ms])` to
-    /// `out`, then sorts `out` into canonical global order. The time filter
+    /// `out`, then sorts all of `out` — these rows and whatever the caller
+    /// had already put there — into canonical global order. The time filter
     /// binary-searches each bucket (they are time-major sorted); the final
     /// sort merges the few touched buckets.
     pub fn query_into(
@@ -101,25 +88,17 @@ impl ServeIndex {
         time_hi_ms: u64,
         out: &mut Vec<DurableRecord>,
     ) {
-        let from = out.len();
-        let clipped = match self.domain.intersect(values) {
-            Some(r) => r,
-            None => {
-                // The whole range is outside the domain; only overflow
-                // records (if any) can match.
-                Self::scan_sorted(self.overflow(), values, time_lo_ms, time_hi_ms, out);
-                out[from..].sort_unstable();
-                return;
+        // A range wholly outside the domain can only match overflow records.
+        if let Some(clipped) = self.domain.intersect(values) {
+            for v in clipped.lo..=clipped.hi {
+                let b = (v - self.domain.lo) as usize;
+                Self::scan_sorted(&self.buckets[b], values, time_lo_ms, time_hi_ms, out);
             }
-        };
-        for v in clipped.lo..=clipped.hi {
-            let b = (v - self.domain.lo) as usize;
-            Self::scan_sorted(&self.buckets[b], values, time_lo_ms, time_hi_ms, out);
         }
         if !self.overflow().is_empty() {
             Self::scan_sorted(self.overflow(), values, time_lo_ms, time_hi_ms, out);
         }
-        out[from..].sort_unstable();
+        out.sort_unstable();
     }
 
     /// Pushes the slice of `bucket` within the time window (and value range,
@@ -212,15 +191,11 @@ mod tests {
         sorted.sort_unstable();
         let mut one = ServeIndex::new(ValueRange::new(0, 9));
         one.insert_batch(&sorted);
-        let mut streamed = ServeIndex::new(ValueRange::new(0, 9));
-        for chunk in records.chunks(4) {
-            streamed.push_unordered(chunk);
-        }
-        assert_eq!(streamed.disordered, vec![true; 11]);
-        streamed.restore_order();
-        assert!(!streamed.disordered.contains(&true));
-        assert_eq!(streamed.len(), 600);
-        assert_eq!(streamed.buckets, one.buckets);
+        let mut shuffled = ServeIndex::new(ValueRange::new(0, 9));
+        shuffled.insert_batch(&records);
+        assert!(!shuffled.disordered.contains(&true));
+        assert_eq!(shuffled.len(), 600);
+        assert_eq!(shuffled.buckets, one.buckets);
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //!   bursts get a typed `Overloaded` rejection, never a panic or a silent
 //!   drop.
 //! * [`index`]/[`cache`]/[`core`] — the answering side: a value-bucketed,
-//!   time-sorted index, plus a predicate-keyed answer cache whose hits are
-//!   provably byte-identical to evaluation (the cache stores encoded
-//!   payloads and invalidates on every tick's new readings).
+//!   time-sorted index of live readings, history a restart found on disk
+//!   answered straight from its sealed segments, plus a predicate-keyed
+//!   answer cache whose hits are provably byte-identical to evaluation (the
+//!   cache stores encoded payloads and invalidates on every tick's new
+//!   readings).
 //! * [`server`] — the tick loop tying it together. Admitted batches enter
 //!   the region-sharded event loop as ordinary injected events, so the
 //!   engine's determinism guarantees extend to the serving tier.
@@ -44,7 +46,7 @@ pub mod transport;
 pub use admission::AdmissionQueue;
 pub use bench::{run_bench, BenchOptions, BenchReport};
 pub use cache::{AnswerCache, TouchedValues};
-pub use core::{AnswerCore, BulkLoad, CoreStats};
+pub use core::{AnswerCore, CoreStats};
 pub use index::ServeIndex;
 pub use server::{pump_once, ServeOptions, ServeServer, ServeStats};
 pub use smoke::{run_smoke, SmokeOptions, SmokeReport};

@@ -43,7 +43,8 @@ byte-identical, and reports p50/p99 latency and queries/s. `smoke` runs the
 fixed-seed hermetic mix CI checks against its committed golden. `serve`
 exposes the server over length-prefixed TCP frames; `--persist` additionally
 journals drained readings through the flash-accounted seam into a scoop-store
-segment log at DIR and preloads it on restart. `query` sends one value/time
+segment log at DIR; a restart reads none of it and answers it from the sealed
+segments, a few blocks per cache miss. `query` sends one value/time
 range query to a serving process; `--retry=N` opts into bounded retry with
 seeded jittered backoff on `Overloaded`, failing with the typed give-up
 error once the budget is spent.";
@@ -235,7 +236,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut server = ServeServer::new(options).map_err(|e| e.to_string())?;
     let mut transport = TcpServerTransport::bind(addr).map_err(|e| e.to_string())?;
     println!(
-        "serving on {} (tick {} ms, queue {}, preloaded {} records) — ctrl-c to stop",
+        "serving on {} (tick {} ms, queue {}, {} stored records answerable) — ctrl-c to stop",
         transport.local_addr().map_err(|e| e.to_string())?,
         tick_ms,
         server.queue_capacity(),
@@ -253,6 +254,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         pump_once(&mut server, &mut transport, &mut reqs, &mut frames)
             .map_err(|e| e.to_string())?;
         server.sync().map_err(|e| e.to_string())?;
+        if server.stats().ticks % 60 == 0 {
+            let core = server.core_stats();
+            // Every answer that was not a cache hit was evaluated.
+            let misses = (core.answers - core.cache_hits).max(1);
+            let per_miss = core.history_blocks_read as f64 / misses as f64;
+            println!("{core:?}: {per_miss:.2} history blocks read per miss");
+        }
         // A dying disk degrades persistence to a typed error; the server
         // keeps answering from memory. Say so exactly once.
         if !degrade_reported {

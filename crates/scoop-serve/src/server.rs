@@ -35,6 +35,7 @@ use scoop_types::{
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Configuration of one serving process.
 pub struct ServeOptions {
@@ -48,8 +49,8 @@ pub struct ServeOptions {
     pub cache_capacity: usize,
     /// When set, drained readings also flow through the flash-accounted
     /// persistence seam into a `scoop-store` segment log at this directory,
-    /// and any records already on disk are preloaded into the query index at
-    /// startup (serving across restarts).
+    /// and any records already on disk are answered from its sealed segments
+    /// (serving across restarts).
     pub persist_dir: Option<PathBuf>,
     /// Flash chip model used for per-node accounting at the persistence
     /// seam.
@@ -85,7 +86,9 @@ pub struct ServeStats {
     pub coalesced_groups: u64,
     /// Readings drained out of node buffers into the index.
     pub readings_drained: u64,
-    /// Readings preloaded from the durable store at startup.
+    /// Stored records the restart made answerable: the record count of the
+    /// segments sealed when the log was opened, summed from their footers.
+    /// None of them is read, let alone loaded, until a predicate asks.
     pub readings_preloaded: u64,
     /// Readings forwarded to the persistence seam.
     pub records_persisted: u64,
@@ -144,11 +147,14 @@ pub struct ServeServer {
     drain_readings: Vec<StoredReading>,
     drain_records: Vec<DurableRecord>,
     batch: Vec<(ClientId, ServeRequest)>,
+    /// This tick's coalesced predicates and their payloads.
+    groups: HashMap<QueryPredicate, Arc<Vec<u8>>>,
 }
 
 impl ServeServer {
     /// Builds the simulated network and (optionally) opens the durable
-    /// store, preloading its records into the query index.
+    /// store. Opening reads each segment's footer and index region and no
+    /// data block: what is already on disk is answered in place.
     pub fn new(options: ServeOptions) -> Result<Self, ScoopError> {
         let spec = options.spec;
         spec.validate()?;
@@ -160,13 +166,13 @@ impl ServeServer {
         let mut stats = ServeStats::default();
         let persistence: Option<Box<dyn PersistSeam>> = match options.persist_dir {
             Some(dir) => {
-                let mut store = Store::open(&dir, StoreOptions::default())?;
-                // Blocks stream from the log straight into the index; the
-                // whole history is never held a second time.
-                let mut load = core.bulk_load();
-                store.for_each_block(|block| load.push(block))?;
-                drop(load);
-                stats.readings_preloaded = core.indexed();
+                let store = Store::open(&dir, StoreOptions::default())?;
+                // Taken before the store starts journaling this process's
+                // drained readings, which the live index already serves: no
+                // record is ever answered from both.
+                let history = store.snapshot();
+                stats.readings_preloaded = history.records();
+                core = core.with_history(history);
                 Some(Box::new(FlashPersistence::new(
                     DiskBackend::from_store(store),
                     options.flash,
@@ -188,12 +194,13 @@ impl ServeServer {
             drain_readings: Vec::new(),
             drain_records: Vec::new(),
             batch: Vec::new(),
+            groups: HashMap::new(),
         })
     }
 
     /// Builds the simulated network over an explicit persistence backend
-    /// (flash-accounted like the disk path, no preload). This is how fault
-    /// models are wired into the seam: wrap any backend in a
+    /// (flash-accounted like the disk path, no stored history). This is how
+    /// fault models are wired into the seam: wrap any backend in a
     /// [`scoop_storage::FailpointBackend`] and hand it here.
     pub fn with_backend<B: PersistenceBackend + Send + 'static>(
         options: ServeOptions,
@@ -233,14 +240,14 @@ impl ServeServer {
         self.core.stats()
     }
 
-    /// The partial aggregate over every indexed record matching `pred` —
-    /// the serve twin of the in-network aggregation path, see
+    /// The partial aggregate over every stored or live record matching
+    /// `pred` — the serve twin of the in-network aggregation path, see
     /// [`AnswerCore::aggregate_answer`].
     pub fn aggregate_answer(
         &mut self,
         pred: &scoop_types::QueryPredicate,
         spec: &scoop_types::AggregateSpec,
-    ) -> scoop_types::PartialAggregate {
+    ) -> Result<scoop_types::PartialAggregate, ScoopError> {
         self.core.aggregate_answer(pred, spec)
     }
 
@@ -278,7 +285,9 @@ impl ServeServer {
 
     /// Runs one admission tick (see the module docs for the four phases) and
     /// appends `(client, response frame)` pairs to `out` — one frame per
-    /// admitted request, in admission order.
+    /// admitted request, in admission order. A stored block that fails its
+    /// checks ends the tick with the typed error at the first predicate that
+    /// reads it; that predicate gets no frame rather than a short one.
     pub fn tick(&mut self, out: &mut Vec<(ClientId, Vec<u8>)>) -> Result<(), ScoopError> {
         self.stats.ticks += 1;
         let target = self.engine.now() + self.tick;
@@ -330,15 +339,15 @@ impl ServeServer {
         // each group once, fan the payload out under each request id.
         self.batch.clear();
         self.admission.drain_into(&mut self.batch);
-        let mut groups: HashMap<QueryPredicate, std::sync::Arc<Vec<u8>>> = HashMap::new();
+        self.groups.clear();
         for (client, req) in self.batch.drain(..) {
             let pred = req.predicate();
-            let payload = match groups.get(&pred) {
-                Some(payload) => std::sync::Arc::clone(payload),
+            let payload = match self.groups.get(&pred) {
+                Some(payload) => Arc::clone(payload),
                 None => {
-                    let payload = self.core.answer_payload(&pred);
+                    let payload = self.core.answer_payload(&pred)?;
                     self.stats.coalesced_groups += 1;
-                    groups.insert(pred, std::sync::Arc::clone(&payload));
+                    self.groups.insert(pred, Arc::clone(&payload));
                     payload
                 }
             };

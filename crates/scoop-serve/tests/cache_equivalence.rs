@@ -94,8 +94,14 @@ proptest! {
                     };
                     // Ask twice: the second answer exercises the hot-hit
                     // splice path in the cached core.
-                    prop_assert_eq!(cached.answer_payload(&pred), uncached.answer_payload(&pred));
-                    prop_assert_eq!(cached.answer_payload(&pred), uncached.answer_payload(&pred));
+                    prop_assert_eq!(
+                        cached.answer_payload(&pred).unwrap(),
+                        uncached.answer_payload(&pred).unwrap()
+                    );
+                    prop_assert_eq!(
+                        cached.answer_payload(&pred).unwrap(),
+                        uncached.answer_payload(&pred).unwrap()
+                    );
                 }
             }
         }

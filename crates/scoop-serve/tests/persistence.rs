@@ -43,9 +43,9 @@ fn a_restarted_server_answers_from_the_durable_store() {
     assert!(ledger.total_write_energy_joules() > 0.0);
     drop(first);
 
-    // Second life: same directory, fresh simulation. The index starts
-    // preloaded and a query over the first life's time span returns rows
-    // before the new network has produced anything past its warmup.
+    // Second life: same directory, fresh simulation. The first life's log
+    // is answerable and a query over its time span returns rows before the
+    // new network has produced anything past its warmup.
     let mut second = ServeServer::new(options(&dir)).expect("second server");
     assert_eq!(
         second.stats().readings_preloaded,

@@ -1,8 +1,10 @@
-//! The restart preload streams blocks from the segment log straight into the
-//! query index. These tests hold that path to the one it replaced — collect
-//! `Store::scan_all()`, then one `AnswerCore::ingest` — byte for byte, on the
-//! three log shapes that stress it differently, and prove a damaged block
-//! stops the restart with a typed error instead of a partial preload.
+//! A restarted server answers stored history straight from the sealed
+//! segments of its log; it preloads nothing (the file keeps the name of the
+//! streaming preload these sweeps were written against). The sweeps hold that
+//! path to the plain reference — collect `Store::scan_all()`, then one
+//! `AnswerCore::ingest` — byte for byte, on the three log shapes that stress
+//! it differently, and the corruption test proves a damaged block fails the
+//! first tick that reads it with a typed error instead of a short answer.
 
 use scoop_serve::core::AnswerCore;
 use scoop_serve::server::{ServeOptions, ServeServer};
@@ -113,8 +115,9 @@ fn predicate_sweep(seed: u64, span_ms: u64) -> Vec<ServeRequest> {
         .collect()
 }
 
-/// The streamed server and the collect-sort-ingest reference answer every
-/// predicate of the sweep with the same frame bytes.
+/// The restarted server, reading segments per predicate, and the
+/// collect-sort-ingest reference answer every predicate of the sweep with the
+/// same frame bytes.
 fn assert_stream_equals_collect(name: &str, batches: &[Vec<DurableRecord>], seed: u64) {
     let dir = scratch_dir(name);
     let (written, _) = write_log(&dir, batches);
@@ -134,7 +137,8 @@ fn assert_stream_equals_collect(name: &str, batches: &[Vec<DurableRecord>], seed
 
     let mut server = ServeServer::new(serve_options(&dir)).expect("restart");
     assert_eq!(server.stats().readings_preloaded, written);
-    assert_eq!(server.core_stats().readings_indexed, written);
+    assert_eq!(server.core_stats().readings_indexed, 0, "nothing is loaded");
+    assert_eq!(server.core_stats().history_blocks_read, 0, "nor read");
 
     let requests = predicate_sweep(seed, span_ms);
     for req in &requests {
@@ -146,13 +150,14 @@ fn assert_stream_equals_collect(name: &str, batches: &[Vec<DurableRecord>], seed
     assert_eq!(frames.len(), requests.len());
     let mut rows = 0;
     for (req, (_, frame)) in requests.iter().zip(&frames) {
-        let payload = reference.answer_payload(&req.predicate());
+        let payload = reference.answer_payload(&req.predicate()).unwrap();
         let mut expected = Vec::new();
         append_rows_frame(req.id, &payload, &mut expected);
         assert_eq!(frame, &expected, "{name}: request {} differs", req.id);
         rows += u32::from_le_bytes(payload[0..4].try_into().unwrap());
     }
     assert!(rows > 0, "{name}: the sweep matched stored rows");
+    assert!(server.core_stats().history_blocks_read > 0);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -193,13 +198,13 @@ fn out_of_domain_values_stream_to_the_same_answers() {
 }
 
 #[test]
-fn a_flipped_bit_in_a_middle_block_fails_the_restart_with_a_typed_error() {
+fn a_flipped_bit_in_a_middle_block_fails_the_first_tick_that_reads_it_with_a_typed_error() {
     let dir = scratch_dir("corrupt");
     let mut rng = Rng(0x5C00_0004);
     let batches: Vec<_> = (0..4)
         .map(|b| records(&mut rng, 100, HISTORY_START_MS + b * 1_000, 10, domain()))
         .collect();
-    write_log(&dir, &batches);
+    let (written, _) = write_log(&dir, &batches);
 
     // One payload bit of block 5 in the second segment file.
     let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
@@ -208,17 +213,54 @@ fn a_flipped_bit_in_a_middle_block_fails_the_restart_with_a_typed_error() {
         .collect();
     files.sort();
     let victim = &files[1];
+    let damaged = Store::open(&dir, StoreOptions::default())
+        .expect("open")
+        .segments()
+        .nth(1)
+        .map(|segment| segment.dir()[5])
+        .expect("second segment has a block 5");
     let mut bytes = std::fs::read(victim).unwrap();
     bytes[HEADER_LEN + 5 * BLOCK_SIZE + 8 + 21] ^= 0x04;
     std::fs::write(victim, &bytes).unwrap();
 
-    let error = match ServeServer::new(serve_options(&dir)) {
-        Ok(server) => panic!(
-            "restart succeeded over a corrupt log ({} preloaded)",
-            server.stats().readings_preloaded
-        ),
-        Err(e) => e,
+    // The restart reads no block, so it cannot see the damage.
+    let mut server = ServeServer::new(serve_options(&dir)).expect("restart reads no block");
+    assert_eq!(server.stats().readings_preloaded, written);
+    let request = |id, lo_ms, hi_ms| ServeRequest {
+        id,
+        values: ValueRange::new(domain().lo - 1_000, domain().hi + 1_000),
+        time_lo: SimTime::from_millis(lo_ms),
+        time_hi: SimTime::from_millis(hi_ms),
     };
+
+    // A window that ends before the damaged block is answered in full.
+    let mut frames = Vec::new();
+    let before = request(1, HISTORY_START_MS, damaged.first_time_ms - 1);
+    server.submit(1, before).expect("queue has room");
+    server
+        .tick(&mut frames)
+        .expect("the damaged block is not read");
+    assert_eq!(frames.len(), 1);
+    match scoop_types::ServeResponse::decode(&frames[0].1).expect("frame decodes") {
+        scoop_types::ServeResponse::Rows(rows) => {
+            let expected = batches
+                .iter()
+                .flatten()
+                .filter(|r| r.time_ms < damaged.first_time_ms)
+                .count();
+            assert_eq!(rows.rows.len(), expected);
+        }
+        other => panic!("expected rows, got {other:?}"),
+    }
+
+    // The first tick whose predicate covers it fails, typed, with no frame.
+    frames.clear();
+    let covering = request(2, damaged.first_time_ms, damaged.last_time_ms);
+    server.submit(1, covering).expect("queue has room");
+    let error = server
+        .tick(&mut frames)
+        .expect_err("a damaged block must fail the tick that reads it");
+    assert!(frames.is_empty(), "no short answer was emitted: {frames:?}");
     let ScoopError::Store(message) = &error else {
         panic!("expected a store error, got {error}");
     };

@@ -4,7 +4,7 @@
 //! digest-identical with the cache on or off. The restart half proves the
 //! durable path: a second process over the same store segments answers range
 //! predicates about data it never simulated, and disjoint ranges partition
-//! the preloaded rows exactly.
+//! the stored rows exactly.
 
 use scoop_serve::server::{pump_once, ServeOptions, ServeServer};
 use scoop_serve::transport::InMemoryHub;
@@ -132,12 +132,12 @@ fn restarted_server_answers_range_queries_from_preloaded_segments() {
     assert!(drained > 0, "the first life produced data");
     drop(first);
 
-    // Second life: the index starts preloaded from the store segments.
+    // Second life: the first life's records are answerable from its segments.
     let mut second = ServeServer::new(persist_options(&dir)).expect("second server");
     assert_eq!(second.stats().readings_preloaded, drained);
 
     // Two disjoint ranges that cover the whole domain must partition the
-    // preloaded rows exactly — no double counting, nothing dropped.
+    // stored rows exactly — no double counting, nothing dropped.
     let domain = range_scenario().workload.value_domain;
     let mid = (domain.lo + domain.hi) / 2;
     let halves = [
@@ -175,7 +175,7 @@ fn restarted_server_answers_range_queries_from_preloaded_segments() {
     }
     assert_eq!(
         rows_total, drained,
-        "disjoint covering ranges partition the preloaded store"
+        "disjoint covering ranges partition the stored rows"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -207,10 +207,12 @@ fn aggregate_answers_agree_with_served_rows_across_a_restart() {
         op: AggregateOp::Quantile(0.5),
         epsilon: 0.05,
     };
-    let partial = second.aggregate_answer(&pred, &spec);
+    let partial = second
+        .aggregate_answer(&pred, &spec)
+        .expect("stored blocks are intact");
     assert_eq!(
         partial.count, drained,
-        "the aggregate sees every preloaded record"
+        "the aggregate sees every stored record"
     );
     assert!(domain.contains(partial.min) && domain.contains(partial.max));
     assert!(partial.min <= partial.max);

@@ -17,6 +17,8 @@ use std::path::Path;
 pub struct DiskBackend {
     store: Store,
     records_persisted: u64,
+    /// The batch being converted, reused across calls.
+    records: Vec<DurableRecord>,
 }
 
 impl DiskBackend {
@@ -30,6 +32,7 @@ impl DiskBackend {
         DiskBackend {
             store,
             records_persisted: 0,
+            records: Vec::new(),
         }
     }
 
@@ -49,12 +52,13 @@ impl PersistenceBackend for DiskBackend {
         if batch.is_empty() {
             return Ok(());
         }
-        let records: Vec<DurableRecord> = batch
+        self.records.clear();
+        let converted = batch
             .iter()
-            .map(|stored| DurableRecord::from_reading(&stored.reading))
-            .collect();
-        self.store.append_batch(&records)?;
-        self.records_persisted += records.len() as u64;
+            .map(|stored| DurableRecord::from_reading(&stored.reading));
+        self.records.extend(converted);
+        self.store.append_batch(&self.records)?;
+        self.records_persisted += self.records.len() as u64;
         Ok(())
     }
 

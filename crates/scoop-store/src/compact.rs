@@ -18,6 +18,7 @@ use crate::error::{corrupt, io_err, Result, StoreError};
 use crate::segment::{BlockBuf, Segment, SegmentWriter};
 use crate::store::StoreOptions;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// A finished merge, ready to install.
@@ -55,7 +56,7 @@ impl CompactionJob {
 /// merging, or `None`. Tiers are `log4` buckets of on-disk size; the
 /// *smallest* due tier wins so fresh little segments fold together before
 /// anything big is rewritten.
-pub fn plan_tier(segments: &[(u64, Segment)], tier_threshold: usize) -> Option<Vec<usize>> {
+pub fn plan_tier(segments: &[(u64, Arc<Segment>)], tier_threshold: usize) -> Option<Vec<usize>> {
     if tier_threshold == 0 || segments.len() < 2 {
         return None;
     }
@@ -165,7 +166,7 @@ mod tests {
         let mut segments = Vec::new();
         for i in 0..3u64 {
             let path = dir.join(format!("seg-{i}.scoop"));
-            segments.push((i, sealed_segment(&path, (i * 10)..(i * 10 + 10))));
+            segments.push((i, Arc::new(sealed_segment(&path, (i * 10)..(i * 10 + 10)))));
         }
         assert!(
             plan_tier(&segments, 4).is_none(),

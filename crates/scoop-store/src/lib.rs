@@ -42,4 +42,4 @@ pub use segment::{
     BlockBuf, RecoveryOutcome, ScanOutcome, Segment, SegmentWriter, DEFAULT_BLOCK_SIZE, FOOTER_LEN,
     HEADER_LEN, SCHEMA_VERSION,
 };
-pub use store::{IngestReport, Store, StoreOptions, StoreStats};
+pub use store::{IngestReport, Snapshot, Store, StoreOptions, StoreStats};

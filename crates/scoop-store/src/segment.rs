@@ -264,8 +264,6 @@ pub struct SegmentWriter {
     dir: Vec<BlockMeta>,
     record_count: u64,
     last_time_ms: Option<u64>,
-    min_time_ms: u64,
-    max_time_ms: u64,
 }
 
 impl SegmentWriter {
@@ -293,8 +291,6 @@ impl SegmentWriter {
             dir: Vec::new(),
             record_count: 0,
             last_time_ms: None,
-            min_time_ms: 0,
-            max_time_ms: 0,
         })
     }
 
@@ -305,18 +301,13 @@ impl SegmentWriter {
 
     /// Appends one record; must not go backwards in time.
     pub fn append(&mut self, record: DurableRecord) -> Result<()> {
-        if let Some(last) = self.last_time_ms {
-            if record.time_ms < last {
-                return Err(StoreError::OutOfOrder {
-                    last_time_ms: last,
-                    got_time_ms: record.time_ms,
-                });
-            }
-        } else {
-            self.min_time_ms = record.time_ms;
+        if let Some(last) = self.last_time_ms.filter(|&last| record.time_ms < last) {
+            return Err(StoreError::OutOfOrder {
+                last_time_ms: last,
+                got_time_ms: record.time_ms,
+            });
         }
         self.last_time_ms = Some(record.time_ms);
-        self.max_time_ms = record.time_ms;
         self.pending.push(record);
         self.record_count += 1;
         if self.pending.len() == records_per_block(self.block_size) {
@@ -359,35 +350,40 @@ impl SegmentWriter {
     /// fsyncs file and directory. Returns the opened (sealed) segment.
     pub fn seal(mut self) -> Result<Segment> {
         self.flush_pending()?;
-        let build_started = std::time::Instant::now();
-        let learned = LearnedTimeIndex::build_with_error(&self.dir, DEFAULT_MAX_ERROR);
-        let index_bytes = encode_index(&self.dir, &learned);
-        let index_build_secs = build_started.elapsed().as_secs_f64();
-        let index_offset = (HEADER_LEN + self.dir.len() * self.block_size) as u64;
-        let footer = Footer {
-            record_count: self.record_count,
-            block_count: self.dir.len() as u64,
-            index_offset,
-            index_len: index_bytes.len() as u64,
-            min_time_ms: self.min_time_ms,
-            max_time_ms: self.max_time_ms,
-            index_crc: crc32(&index_bytes),
-        };
-        self.file
-            .write_all(&index_bytes)
-            .map_err(|e| io_err(&self.path, e))?;
-        self.file
-            .write_all(&encode_footer(&footer))
-            .map_err(|e| io_err(&self.path, e))?;
-        self.file.sync_all().map_err(|e| io_err(&self.path, e))?;
-        sync_dir_of(&self.path)?;
-        let path = self.path;
-        drop(self.file);
-        let mut segment = Segment::open(&path)?
-            .ok_or_else(|| corrupt(&path, "sealed segment vanished on reopen"))?;
-        segment.index_build_secs = index_build_secs;
-        Ok(segment)
+        seal_file(self.file, &self.path, self.block_size, &self.dir)
     }
+}
+
+/// Seals `file`, whose data region is exactly the blocks of `dir`: fits the
+/// index, writes the index region and the committing footer after the data,
+/// fsyncs file and directory, and reopens the result.
+fn seal_file(mut file: File, path: &Path, block_size: usize, dir: &[BlockMeta]) -> Result<Segment> {
+    let build_started = std::time::Instant::now();
+    let learned = LearnedTimeIndex::build_with_error(dir, DEFAULT_MAX_ERROR);
+    let index_bytes = encode_index(dir, &learned);
+    let index_build_secs = build_started.elapsed().as_secs_f64();
+    let index_offset = (HEADER_LEN + dir.len() * block_size) as u64;
+    let footer = Footer {
+        record_count: dir.iter().map(|m| m.count as u64).sum(),
+        block_count: dir.len() as u64,
+        index_offset,
+        index_len: index_bytes.len() as u64,
+        min_time_ms: dir.first().map_or(0, |m| m.first_time_ms),
+        max_time_ms: dir.last().map_or(0, |m| m.last_time_ms),
+        index_crc: crc32(&index_bytes),
+    };
+    file.seek(SeekFrom::Start(index_offset))
+        .map_err(|e| io_err(path, e))?;
+    file.write_all(&index_bytes).map_err(|e| io_err(path, e))?;
+    file.write_all(&encode_footer(&footer))
+        .map_err(|e| io_err(path, e))?;
+    file.sync_all().map_err(|e| io_err(path, e))?;
+    sync_dir_of(path)?;
+    drop(file);
+    let mut segment =
+        Segment::open(path)?.ok_or_else(|| corrupt(path, "sealed segment vanished on reopen"))?;
+    segment.index_build_secs = index_build_secs;
+    Ok(segment)
 }
 
 /// A readable segment: the block directory and learned index live in
@@ -510,7 +506,7 @@ impl Segment {
 
     fn recover_unsealed(
         path: &Path,
-        mut file: File,
+        file: File,
         block_size: usize,
         file_len: usize,
     ) -> Result<Option<Segment>> {
@@ -542,45 +538,9 @@ impl Segment {
 
         let dropped_bytes = (file_len - offset) as u64;
         file.set_len(offset as u64).map_err(|e| io_err(path, e))?;
-
-        // Seal the survivor: rebuild the index from the scanned directory
-        // and write it plus a fresh footer.
-        let build_started = std::time::Instant::now();
-        let learned = LearnedTimeIndex::build_with_error(&dir, DEFAULT_MAX_ERROR);
-        let index_bytes = encode_index(&dir, &learned);
-        let index_build_secs = build_started.elapsed().as_secs_f64();
-        let record_count: u64 = dir.iter().map(|m| m.count as u64).sum();
-        let footer = Footer {
-            record_count,
-            block_count: dir.len() as u64,
-            index_offset: offset as u64,
-            index_len: index_bytes.len() as u64,
-            min_time_ms: dir[0].first_time_ms,
-            max_time_ms: dir[dir.len() - 1].last_time_ms,
-            index_crc: crc32(&index_bytes),
-        };
-        file.seek(SeekFrom::Start(offset as u64))
-            .map_err(|e| io_err(path, e))?;
-        file.write_all(&index_bytes).map_err(|e| io_err(path, e))?;
-        file.write_all(&encode_footer(&footer))
-            .map_err(|e| io_err(path, e))?;
-        file.sync_all().map_err(|e| io_err(path, e))?;
-        sync_dir_of(path)?;
-
-        let reference = BTreeRefIndex::build(&dir);
-        Ok(Some(Segment {
-            path: path.to_path_buf(),
-            file,
-            block_size,
-            dir,
-            learned,
-            reference,
-            record_count,
-            min_time_ms: footer.min_time_ms,
-            max_time_ms: footer.max_time_ms,
-            recovery: RecoveryOutcome::Resealed { dropped_bytes },
-            index_build_secs,
-        }))
+        let mut segment = seal_file(file, path, block_size, &dir)?;
+        segment.recovery = RecoveryOutcome::Resealed { dropped_bytes };
+        Ok(Some(segment))
     }
 
     /// The file this segment reads from.
@@ -677,35 +637,40 @@ impl Segment {
     /// tests drive both the learned and the reference index through here).
     pub fn scan_matching(&self, t0: u64, t1: u64, index: &dyn TimeIndex) -> Result<ScanOutcome> {
         let mut outcome = ScanOutcome::default();
-        self.scan_matching_into(t0, t1, index, &mut BlockBuf::default(), &mut outcome)?;
+        let (buf, records) = (&mut BlockBuf::default(), &mut outcome.records);
+        outcome.blocks_read = self.scan_matching_into(t0, t1, index, buf, |_| true, records)?;
         Ok(outcome)
     }
 
-    /// [`Segment::scan_matching`] through a caller-owned `buf`, accumulating
-    /// into `outcome` (the store merges all its segments into one this way).
+    /// [`Segment::scan_matching`] through a caller-owned `buf`, appending
+    /// the in-window records `keep` accepts to `out` (the store merges all
+    /// its segments into one this way). Returns the blocks read — none when
+    /// the window misses the segment's `[min_time, max_time]`.
     pub(crate) fn scan_matching_into(
         &self,
         t0: u64,
         t1: u64,
         index: &dyn TimeIndex,
         buf: &mut BlockBuf,
-        outcome: &mut ScanOutcome,
-    ) -> Result<()> {
-        if t1 < t0 {
-            return Ok(());
+        keep: impl Fn(&DurableRecord) -> bool,
+        out: &mut Vec<DurableRecord>,
+    ) -> Result<u64> {
+        let mut blocks_read = 0;
+        if t1 < t0 || t1 < self.min_time_ms || t0 > self.max_time_ms {
+            return Ok(blocks_read);
         }
         let mut i = index.first_block_for(t0, &self.dir);
         while i < self.dir.len() && self.dir[i].first_time_ms <= t1 {
             let records = buf.read(&self.file, &self.path, self.block_size, i)?;
-            outcome.blocks_read += 1;
-            outcome.records.extend(
+            blocks_read += 1;
+            out.extend(
                 records
                     .iter()
-                    .filter(|r| r.time_ms >= t0 && r.time_ms <= t1),
+                    .filter(|r| r.time_ms >= t0 && r.time_ms <= t1 && keep(r)),
             );
             i += 1;
         }
-        Ok(())
+        Ok(blocks_read)
     }
 
     /// Every committed record, in log order.

@@ -20,6 +20,7 @@ use crate::segment::{
 };
 use scoop_types::DurableRecord;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Tuning knobs for a store. The defaults suit paper-scale runs.
@@ -85,8 +86,9 @@ pub struct Store {
     dir: PathBuf,
     options: StoreOptions,
     /// Sealed segments, in id order. Ids only grow; compaction outputs get
-    /// fresh ids, so id order is also recency order.
-    segments: Vec<(u64, Segment)>,
+    /// fresh ids, so id order is also recency order. Shared with any
+    /// [`Snapshot`] taken while they were live.
+    segments: Vec<(u64, Arc<Segment>)>,
     active: Option<(u64, SegmentWriter)>,
     next_id: u64,
     blocks_read: u64,
@@ -139,7 +141,7 @@ impl Store {
             let path = segment_path(dir, *id);
             if let Some(segment) = Segment::open(&path)? {
                 recovery_report.push((path, segment.recovery()));
-                segments.push((*id, segment));
+                segments.push((*id, Arc::new(segment)));
             }
         }
         Ok(Store {
@@ -160,11 +162,6 @@ impl Store {
     /// The store's directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The options the store was opened with.
-    pub fn options(&self) -> &StoreOptions {
-        &self.options
     }
 
     /// What `open` found, per segment file (sealed vs recovered).
@@ -249,7 +246,7 @@ impl Store {
                 return Ok(());
             }
             let segment = writer.seal()?;
-            self.segments.push((id, segment));
+            self.segments.push((id, Arc::new(segment)));
             self.maybe_compact()?;
         }
         Ok(())
@@ -271,13 +268,19 @@ impl Store {
     /// in a worker thread; call [`Store::finish_compaction`] to install the
     /// result.
     pub fn start_compaction(&mut self) -> Result<bool> {
+        let tier = compact::plan_tier(&self.segments, self.options.compact_tier_segments);
+        self.launch_compaction(tier.as_deref().unwrap_or(&[]))
+    }
+
+    /// Starts merging the sealed segments at indices `tier` (none: no job)
+    /// into one segment under a fresh id.
+    fn launch_compaction(&mut self, tier: &[usize]) -> Result<bool> {
         if self.compaction.is_some() {
             return Err(StoreError::Busy("a compaction is already running".into()));
         }
-        let Some(tier) = compact::plan_tier(&self.segments, self.options.compact_tier_segments)
-        else {
+        if tier.is_empty() {
             return Ok(false);
-        };
+        }
         let output_id = self.next_id;
         self.next_id += 1;
         let inputs: Vec<(u64, PathBuf)> = tier
@@ -285,12 +288,8 @@ impl Store {
             .map(|&i| (self.segments[i].0, self.segments[i].1.path().to_path_buf()))
             .collect();
         let output_path = segment_path(&self.dir, output_id);
-        self.compaction = Some(compact::start(
-            inputs,
-            output_id,
-            output_path,
-            self.options,
-        )?);
+        let job = compact::start(inputs, output_id, output_path, self.options)?;
+        self.compaction = Some(job);
         Ok(true)
     }
 
@@ -302,7 +301,8 @@ impl Store {
         };
         let done = job.join()?;
         // Retire the inputs: carry their counters over, then delete their
-        // files (the merged output is already durable under its own name).
+        // files (the merged output is already durable under its own name; a
+        // snapshot still holding an input reads on through its descriptor).
         let input_ids: std::collections::HashSet<u64> = done.input_ids.iter().copied().collect();
         let mut kept = Vec::new();
         let mut retired_paths = Vec::new();
@@ -319,7 +319,7 @@ impl Store {
         for path in &retired_paths {
             std::fs::remove_file(path).map_err(|e| io_err(path, e))?;
         }
-        self.segments.push((done.output_id, done.segment));
+        self.segments.push((done.output_id, Arc::new(done.segment)));
         self.segments.sort_by_key(|(id, _)| *id);
         Ok(())
     }
@@ -331,23 +331,8 @@ impl Store {
         if self.segments.len() < 2 {
             return Ok(false);
         }
-        if self.compaction.is_some() {
-            return Err(StoreError::Busy("a compaction is already running".into()));
-        }
-        let output_id = self.next_id;
-        self.next_id += 1;
-        let inputs: Vec<(u64, PathBuf)> = self
-            .segments
-            .iter()
-            .map(|(id, seg)| (*id, seg.path().to_path_buf()))
-            .collect();
-        let output_path = segment_path(&self.dir, output_id);
-        self.compaction = Some(compact::start(
-            inputs,
-            output_id,
-            output_path,
-            self.options,
-        )?);
+        let all: Vec<usize> = (0..self.segments.len()).collect();
+        self.launch_compaction(&all)?;
         self.finish_compaction()?;
         Ok(true)
     }
@@ -368,15 +353,22 @@ impl Store {
         self.commit()?;
         let mut merged = ScanOutcome::default();
         for (_, segment) in &self.segments {
-            if t1 < segment.min_time_ms() || t0 > segment.max_time_ms() {
-                continue;
-            }
-            let index = segment.learned_index();
-            segment.scan_matching_into(t0, t1, index, &mut self.buf, &mut merged)?;
+            let (index, buf, out) = (segment.learned_index(), &mut self.buf, &mut merged.records);
+            merged.blocks_read += segment.scan_matching_into(t0, t1, index, buf, |_| true, out)?;
         }
         self.blocks_read += merged.blocks_read;
         merged.records.sort_unstable();
         Ok(merged)
+    }
+
+    /// A frozen view of the segments sealed so far (the active segment, if
+    /// any, is not part of it). It shares the open files, so nothing is read
+    /// to take it and a later compaction that unlinks one cannot hurt it.
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            segments: self.segments.iter().map(|(_, s)| Arc::clone(s)).collect(),
+            buf: BlockBuf::default(),
+        }
     }
 
     /// Hands every committed data block's records to `visit` — segments in
@@ -436,7 +428,7 @@ impl Store {
 
     /// The sealed segments, for inspection in tests.
     pub fn segments(&self) -> impl Iterator<Item = &Segment> {
-        self.segments.iter().map(|(_, s)| s)
+        self.segments.iter().map(|(_, s)| &**s)
     }
 }
 
@@ -456,6 +448,42 @@ impl std::fmt::Debug for Store {
             .field("segments", &self.segments.len())
             .field("active", &self.active.is_some())
             .finish()
+    }
+}
+
+/// A read-only view of the segments that were sealed when
+/// [`Store::snapshot`] took it. Only the block directories and learned
+/// indexes are in memory; a lookup fetches the few blocks its window names.
+/// The view never changes: records the store appends later are not in it,
+/// and inputs a later compaction retires stay readable until it is dropped.
+#[derive(Debug)]
+pub struct Snapshot {
+    segments: Vec<Arc<Segment>>,
+    buf: BlockBuf,
+}
+
+impl Snapshot {
+    /// Records the view can answer, summed from the segment footers.
+    pub fn records(&self) -> u64 {
+        self.segments.iter().map(|s| s.record_count()).sum()
+    }
+
+    /// Appends every record with `t0 <= time <= t1` that `keep` accepts to
+    /// `out` (segment, then log order — not sorted across segments). Returns
+    /// the data blocks read; a damaged one is a typed error naming it.
+    pub fn query_into(
+        &mut self,
+        t0: u64,
+        t1: u64,
+        keep: impl Fn(&DurableRecord) -> bool,
+        out: &mut Vec<DurableRecord>,
+    ) -> Result<u64> {
+        let mut blocks_read = 0;
+        for segment in &self.segments {
+            let index = segment.learned_index();
+            blocks_read += segment.scan_matching_into(t0, t1, index, &mut self.buf, &keep, out)?;
+        }
+        Ok(blocks_read)
     }
 }
 
@@ -581,6 +609,56 @@ mod tests {
             assert!(miss.blocks_read <= 1);
         }
         assert_eq!(store.stats().unwrap().index_fallback_lookups, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_outlives_the_compaction_that_unlinks_its_files() {
+        let dir = tmp_dir("snapshot");
+        let options = StoreOptions {
+            compact_tier_segments: 4,
+            ..small_options()
+        };
+        let mut store = Store::open(&dir, options).unwrap();
+        let batch = |from: u64, to: u64| -> Vec<DurableRecord> {
+            (from..to)
+                .map(|t| record(t, (t % 5) as u16, t as i32))
+                .collect()
+        };
+        // Three sealed segments: one short of the tier that compacts.
+        store.append_batch(&batch(0, 96)).unwrap();
+        assert_eq!(store.stats().unwrap().segments, 3);
+        let files: Vec<PathBuf> = store.segments().map(|s| s.path().to_path_buf()).collect();
+
+        let mut view = store.snapshot();
+        assert_eq!(view.records(), 96);
+        let windows = [(0u64, u64::MAX), (10, 40), (31, 32), (64, 95), (96, 500)];
+        let answers = |view: &mut Snapshot| -> Vec<(Vec<DurableRecord>, u64)> {
+            let mut all = Vec::new();
+            for (t0, t1) in windows {
+                let mut out = Vec::new();
+                let blocks = view.query_into(t0, t1, |r| r.value % 3 != 0, &mut out);
+                all.push((out, blocks.unwrap()));
+            }
+            all
+        };
+        let before = answers(&mut view);
+        assert_eq!(before[0].0.len(), 64, "a third of the values is filtered");
+        assert_eq!(before[2], (vec![record(31, 1, 31), record(32, 2, 32)], 2));
+        assert_eq!(before[4], (vec![], 0), "no segment overlaps: none is read");
+
+        // A fourth segment seals, the tier fires and the inputs are unlinked.
+        store.append_batch(&batch(96, 128)).unwrap();
+        assert_eq!(store.stats().unwrap().segments, 1);
+        assert!(files.iter().all(|f| !f.exists()), "inputs were unlinked");
+
+        // The view still answers, byte for byte, and sees nothing newer.
+        assert_eq!(answers(&mut view), before);
+        assert_eq!(view.records(), 96);
+        // The live store answers the same windows from the merged segment.
+        let merged = store.query_range(10, 40).unwrap().records;
+        assert_eq!(merged, batch(10, 41));
+        assert_eq!(store.scan_all().unwrap().records, batch(0, 128));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
