@@ -36,12 +36,28 @@ pub trait NodeLogic {
     /// Called when a packet arrives at this node's radio. `addressed` is
     /// `true` if the packet was unicast to this node or broadcast; `false`
     /// if the node merely overheard a unicast meant for someone else.
+    ///
+    /// The engine itself only calls [`NodeLogic::on_packet_ref`]; this
+    /// by-value form is what that method's default hands a clone to.
     fn on_packet(
         &mut self,
         ctx: &mut NodeCtx<'_, Self::Payload>,
         packet: Packet<Self::Payload>,
         addressed: bool,
     );
+
+    /// [`NodeLogic::on_packet`] on a borrowed packet: every listener of one
+    /// transmission is shown the same queued packet, so an implementation
+    /// that overrides this pays no per-listener clone. The default clones
+    /// and calls `on_packet`.
+    fn on_packet_ref(
+        &mut self,
+        ctx: &mut NodeCtx<'_, Self::Payload>,
+        packet: &Packet<Self::Payload>,
+        addressed: bool,
+    ) {
+        self.on_packet(ctx, packet.clone(), addressed);
+    }
 
     /// Called when a timer armed through [`NodeCtx::set_timer`] fires.
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Self::Payload>, token: TimerToken);
@@ -227,10 +243,11 @@ impl<L: NodeLogic> Engine<L> {
         let n = topology.len();
         let num_shards = config.num_shards.clamp(1, n);
         let nodes_per_shard = n.div_ceil(num_shards);
-        // Pre-size each shard by expected in-flight event density, not a
-        // blanket multiple of the node count: steady state carries a few
-        // pending events per node (timers plus arrivals in flight), so a
-        // handful of slots per region node covers warm-up for typical runs
+        // Pre-size each shard by expected queue-entry density, not a blanket
+        // multiple of the node count: steady state carries a few pending
+        // entries per node (its timers, plus one entry per 32-listener word
+        // of each transmission attempt in flight — not one per listener), so
+        // a handful of slots per region node covers warm-up for typical runs
         // while the heap still grows on demand for denser workloads —
         // capacity is recycled across `run_until` calls and plateaus either
         // way (asserted by the zero-allocation gate). The cap keeps a
@@ -286,18 +303,24 @@ impl<L: NodeLogic> Engine<L> {
         &self.stats
     }
 
-    /// Number of events currently waiting in the queue (diagnostics).
+    /// Number of entries currently waiting in the queue (diagnostics): one
+    /// per pending timer or send result and one per 32-listener word of each
+    /// transmission attempt in flight — not one per delivery, so this is
+    /// smaller than the number of callbacks still to come.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
 
-    /// Total number of events dispatched so far (diagnostics).
+    /// Total number of events dispatched so far (diagnostics): timers, send
+    /// results and packet *deliveries* — a transmission heard by twelve
+    /// listeners counts twelve, however it was queued.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
 
-    /// Current allocated capacity of the event queue (diagnostics) — summed
-    /// over all region shards. Once the simulation reaches steady state this
+    /// Current allocated capacity of the event queue (diagnostics), in queue
+    /// entries as [`Engine::pending_events`] counts them — summed over all
+    /// region shards. Once the simulation reaches steady state this
     /// must stop growing: each shard's backing storage is recycled across
     /// `run_until` calls.
     pub fn queue_capacity(&self) -> usize {
@@ -351,7 +374,6 @@ impl<L: NodeLogic> Engine<L> {
             }
             let (time, event) = self.queue.pop().expect("peeked event must exist");
             self.now = time;
-            self.events_processed += 1;
             self.dispatch(event);
         }
         if t > self.now {
@@ -382,26 +404,42 @@ impl<L: NodeLogic> Engine<L> {
 
     fn dispatch(&mut self, event: Event<L::Payload>) {
         match event {
-            Event::PacketArrival {
-                node,
+            Event::Arrivals {
+                first,
+                mut heard,
                 packet,
-                addressed,
             } => {
-                // A node whose radio is down hears nothing; the packet
-                // evaporates without touching stats or node state. Timers
-                // still fire (the CPU is alive), so a node whose outage ends
-                // rejoins with its protocol state intact.
-                if self.faults.is_down(node, self.now) {
-                    return;
+                // Every set bit is one delivery, counted whether or not the
+                // listener turns out to be down.
+                self.events_processed += u64::from(heard.count_ones());
+                let src = packet.meta.link_src;
+                let target = packet.meta.link_dst.unicast_target();
+                // Ascending bit order is ascending row order: the order the
+                // loss rolls were made in (see the `event` module docs).
+                while heard != 0 {
+                    let bit = heard.trailing_zeros() as usize;
+                    heard &= heard - 1;
+                    let node = self.links.neighbors(src)[first as usize + bit].node;
+                    // A node whose radio is down hears nothing; the packet
+                    // evaporates without touching stats or node state. Timers
+                    // still fire (the CPU is alive), so a node whose outage
+                    // ends rejoins with its protocol state intact.
+                    if self.faults.is_down(node, self.now) {
+                        continue;
+                    }
+                    let addressed = target.is_none_or(|dst| dst == node);
+                    if addressed {
+                        self.stats.record_rx(node, packet.meta.kind);
+                    } else {
+                        self.stats.record_snoop(node);
+                    }
+                    self.with_ctx(node, |logic, ctx| {
+                        logic.on_packet_ref(ctx, &packet, addressed)
+                    });
                 }
-                if addressed {
-                    self.stats.record_rx(node, packet.meta.kind);
-                } else {
-                    self.stats.record_snoop(node);
-                }
-                self.with_ctx(node, |logic, ctx| logic.on_packet(ctx, packet, addressed));
             }
             Event::TimerFire { node, token } => {
+                self.events_processed += 1;
                 // A halted CPU (crashed sink) fires nothing; the timer is
                 // deferred to the halt's end, so a restarted node resumes its
                 // periodic duties with state intact.
@@ -416,6 +454,7 @@ impl<L: NodeLogic> Engine<L> {
                 delivered,
                 packet,
             } => {
+                self.events_processed += 1;
                 if let Some(until) = self.faults.halted_until(node, self.now) {
                     self.queue.push(
                         until,
@@ -496,14 +535,6 @@ impl<L: NodeLogic> Engine<L> {
 
     /// Simulates the physical transmission of `packet` by `src`, including
     /// link-layer retransmission for unicasts.
-    ///
-    /// Loss is sampled from the precomputed CSR neighbor table: the same
-    /// listeners in the same ascending order, with the same pre-clamped
-    /// probabilities, as the historical dense-row scan — one RNG draw per
-    /// listener per attempt, so the random stream (and therefore every
-    /// committed artifact) is byte-identical. The table iteration borrows
-    /// `self.links` while the loop mutates the rng/queue, hence the field
-    /// destructuring.
     fn transmit(&mut self, src: NodeId, mut packet: Packet<L::Payload>) {
         // A downed radio transmits nothing: the command is swallowed without
         // counting a transmission or consuming loss randomness.
@@ -516,96 +547,18 @@ impl<L: NodeLogic> Engine<L> {
                 packet.meta.seqno = self.bump_seq(src);
                 self.stats.record_tx(src, kind);
                 let arrival = self.now + self.config.tx_slot;
-                let Engine {
-                    links,
-                    rng,
-                    queue,
-                    faults,
-                    ..
-                } = self;
-                for &Neighbor {
-                    node: listener,
-                    delivery_prob,
-                } in links.neighbors(src)
-                {
-                    if rng.gen_bool(delivery_prob) {
-                        // A partition cut severs the link *after* the loss
-                        // roll, so scheduling one never shifts the random
-                        // stream of the surviving links.
-                        if faults.is_cut(src, listener, arrival) {
-                            continue;
-                        }
-                        queue.push(
-                            arrival,
-                            Event::PacketArrival {
-                                node: listener,
-                                packet: packet.clone(),
-                                addressed: true,
-                            },
-                        );
-                    }
-                }
+                self.air(&packet, None, arrival);
             }
             LinkDst::Unicast(dst) => {
                 let max_attempts = self.config.max_unicast_retries + 1;
                 let mut delivered = false;
                 let mut attempts_used = 0;
-                for attempt in 0..max_attempts {
-                    attempts_used = attempt + 1;
+                while !delivered && attempts_used < max_attempts {
+                    attempts_used += 1;
                     packet.meta.seqno = self.bump_seq(src);
                     self.stats.record_tx(src, kind);
                     let arrival = self.now + self.config.tx_slot.mul(attempts_used as u64);
-                    let Engine {
-                        links,
-                        rng,
-                        queue,
-                        config,
-                        faults,
-                        ..
-                    } = self;
-                    for &Neighbor {
-                        node: listener,
-                        delivery_prob,
-                    } in links.neighbors(src)
-                    {
-                        if !rng.gen_bool(delivery_prob) {
-                            continue;
-                        }
-                        if listener == dst {
-                            // A destination whose radio is down at delivery
-                            // time cannot acknowledge: the attempt fails and
-                            // the retry loop continues, exactly like loss. A
-                            // partition cut between the endpoints fails the
-                            // attempt the same way.
-                            if faults.is_down(dst, arrival) || faults.is_cut(src, dst, arrival) {
-                                continue;
-                            }
-                            queue.push(
-                                arrival,
-                                Event::PacketArrival {
-                                    node: listener,
-                                    packet: packet.clone(),
-                                    addressed: true,
-                                },
-                            );
-                            delivered = true;
-                        } else if config.enable_snooping {
-                            if faults.is_cut(src, listener, arrival) {
-                                continue;
-                            }
-                            queue.push(
-                                arrival,
-                                Event::PacketArrival {
-                                    node: listener,
-                                    packet: packet.clone(),
-                                    addressed: false,
-                                },
-                            );
-                        }
-                    }
-                    if delivered {
-                        break;
-                    }
+                    delivered = self.air(&packet, Some(dst), arrival);
                 }
                 if !delivered {
                     self.stats.record_send_failure(src);
@@ -621,6 +574,81 @@ impl<L: NodeLogic> Engine<L> {
                 );
             }
         }
+    }
+
+    /// Puts one transmission attempt of `packet` on the air: rolls loss for
+    /// every listener of the transmitter's row and queues who heard it, one
+    /// [`Event::Arrivals`] per 32-listener word, to arrive at `arrival`.
+    /// `target` is the unicast destination (`None` for a broadcast); returns
+    /// whether it heard the attempt, i.e. whether a unicast was acknowledged.
+    ///
+    /// Loss is sampled from the precomputed CSR neighbor table: the same
+    /// listeners in the same ascending order, with the same pre-clamped
+    /// probabilities, as the historical dense-row scan — one RNG draw per
+    /// listener per attempt, so the random stream (and therefore every
+    /// committed artifact) is byte-identical. The table iteration borrows
+    /// `self.links` while the loop mutates the rng/queue, hence the field
+    /// destructuring.
+    fn air(
+        &mut self,
+        packet: &Packet<L::Payload>,
+        target: Option<NodeId>,
+        arrival: SimTime,
+    ) -> bool {
+        let Engine {
+            links,
+            rng,
+            queue,
+            config,
+            faults,
+            ..
+        } = self;
+        let src = packet.meta.link_src;
+        let mut acknowledged = false;
+        for (word, listeners) in links.neighbors(src).chunks(32).enumerate() {
+            let mut heard = 0u32;
+            for (
+                bit,
+                &Neighbor {
+                    node: listener,
+                    delivery_prob,
+                },
+            ) in listeners.iter().enumerate()
+            {
+                if !rng.gen_bool(delivery_prob) {
+                    continue;
+                }
+                // Faults apply *after* the loss roll, so scheduling one never
+                // shifts the random stream of the surviving links. A unicast
+                // destination whose radio is down at the arrival instant
+                // cannot acknowledge, and a partition cut between the
+                // endpoints severs the link: the attempt fails and the retry
+                // loop continues, exactly like loss. Bystanders' outages are
+                // left to dispatch.
+                let is_target = target == Some(listener);
+                let deaf = if is_target {
+                    faults.is_down(listener, arrival)
+                } else {
+                    target.is_some() && !config.enable_snooping
+                };
+                if deaf || faults.is_cut(src, listener, arrival) {
+                    continue;
+                }
+                acknowledged |= is_target;
+                heard |= 1 << bit;
+            }
+            if heard != 0 {
+                queue.push(
+                    arrival,
+                    Event::Arrivals {
+                        first: (word * 32) as u16,
+                        heard,
+                        packet: packet.clone(),
+                    },
+                );
+            }
+        }
+        acknowledged
     }
 
     fn bump_seq(&mut self, node: NodeId) -> SeqNo {

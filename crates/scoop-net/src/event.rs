@@ -3,6 +3,23 @@
 //! Events are ordered by simulated time; ties are broken by insertion order
 //! so the simulation is fully deterministic.
 //!
+//! # One entry per transmission
+//!
+//! A transmission attempt is heard by many listeners at the same instant, so
+//! it is queued as one [`Event::Arrivals`] per 32-listener word of the
+//! transmitter's neighbour row — a bit mask of who heard it plus the packet —
+//! not as one entry per listener. Dispatch delivers to the set bits in
+//! ascending order. This is the order a per-listener queue produces, by
+//! construction: the engine rolls loss for a row front to back, so
+//! per-listener entries of one attempt would receive consecutive `seq`
+//! values at one `time`; a batch occupies exactly that contiguous block of
+//! `(time, seq)` keys, nothing else can sort between its members, and
+//! whatever a listener's callback schedules is pushed after the batch was —
+//! it gets a later `seq` (and never an earlier `time`) in both designs, so it
+//! runs after the rest of the batch either way. The random stream is
+//! untouched because loss is still rolled once per listener per attempt, at
+//! transmit time.
+//!
 //! # Sharding
 //!
 //! The queue can be partitioned into per-region shards: contiguous node-id
@@ -26,15 +43,20 @@ use std::collections::BinaryHeap;
 /// A pending simulation event.
 #[derive(Clone, Debug)]
 pub enum Event<P> {
-    /// A packet arrives at `node`'s radio.
-    PacketArrival {
-        /// Receiving node.
-        node: NodeId,
+    /// One transmission attempt arrives at the radios that heard it (see the
+    /// module docs). The transmitter is `packet.meta.link_src`; a listener
+    /// is *addressed* if the packet is a broadcast or a unicast to it, and
+    /// merely overhears it (snoop) otherwise.
+    Arrivals {
+        /// Index, in the transmitter's neighbour row, of the listener that
+        /// bit 0 of `heard` stands for (a multiple of 32).
+        first: u16,
+        /// Bit `i` is set if the listener at row index `first + i` heard the
+        /// attempt. One 32-bit word keeps the event at 40 bytes with an
+        /// `Arc` payload; wider rows are split across several events.
+        heard: u32,
         /// The packet as transmitted.
         packet: Packet<P>,
-        /// `true` if the packet was link-addressed to this node (unicast to it
-        /// or broadcast); `false` if the node merely overheard it (snoop).
-        addressed: bool,
     },
     /// A timer set by `node` fires.
     TimerFire {
@@ -56,12 +78,14 @@ pub enum Event<P> {
 }
 
 impl<P> Event<P> {
-    /// The node this event should be delivered to.
+    /// The node whose region shard queues this event: the node a timer or
+    /// send result is delivered to, the *transmitter* of a batch of arrivals
+    /// (its listeners are its radio neighbours, so they share its region or
+    /// border it).
     pub fn node(&self) -> NodeId {
         match self {
-            Event::PacketArrival { node, .. }
-            | Event::TimerFire { node, .. }
-            | Event::SendResult { node, .. } => *node,
+            Event::Arrivals { packet, .. } => packet.meta.link_src,
+            Event::TimerFire { node, .. } | Event::SendResult { node, .. } => *node,
         }
     }
 }
@@ -142,7 +166,8 @@ impl<P> EventQueue<P> {
         (event.node().index() / self.nodes_per_shard).min(self.shards.len() - 1)
     }
 
-    /// Total number of events the shards can hold without reallocating.
+    /// Total number of queue entries the shards can hold without
+    /// reallocating.
     pub fn capacity(&self) -> usize {
         self.shards.iter().map(BinaryHeap::capacity).sum()
     }
@@ -184,7 +209,8 @@ impl<P> EventQueue<P> {
             .and_then(|s| self.shards[s].peek().map(|e| e.time))
     }
 
-    /// Number of pending events.
+    /// Number of pending queue entries (a transmission's arrivals count once
+    /// per 32-listener word, not once per listener).
     pub fn len(&self) -> usize {
         self.shards.iter().map(BinaryHeap::len).sum()
     }
@@ -204,6 +230,8 @@ impl<P> Default for EventQueue<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::{LinkDst, PacketMeta};
+    use scoop_types::{MessageKind, SeqNo};
 
     #[test]
     fn pops_in_time_order() {
@@ -345,5 +373,30 @@ mod tests {
             token: 1,
         };
         assert_eq!(e.node(), NodeId(7));
+        // A batch of arrivals is routed by its transmitter.
+        let batch: Event<()> = Event::Arrivals {
+            first: 32,
+            heard: 0b101,
+            packet: Packet {
+                meta: PacketMeta {
+                    link_src: NodeId(9),
+                    link_dst: LinkDst::Broadcast,
+                    origin: NodeId(3),
+                    origin_parent: None,
+                    seqno: SeqNo(1),
+                    kind: MessageKind::Heartbeat,
+                    hops: 0,
+                },
+                payload: (),
+            },
+        };
+        assert_eq!(batch.node(), NodeId(9));
+    }
+
+    #[test]
+    fn an_event_with_a_shared_payload_stays_within_40_bytes() {
+        // The queue entry is the unit of the 32k-node run's heap footprint; a
+        // 64-bit listener mask would grow this to 48.
+        assert!(std::mem::size_of::<Event<std::sync::Arc<u64>>>() <= 40);
     }
 }

@@ -5,15 +5,18 @@
 //! Measured with a counting global allocator around an application whose own
 //! callbacks are allocation-free, so every counted allocation would belong to
 //! the engine: the CSR neighbor table (no per-transmit listener `Vec`), the
-//! reusable command buffer (no per-callback `Vec`), and the recycled event
-//! queue capacity. The same run asserts the buffer-capacity invariant: queue
+//! listener bit masks a transmission is queued as (rows here have 48
+//! listeners, so every transmission spans two mask words), the reusable
+//! command buffer (no per-callback `Vec`), and the recycled event queue
+//! capacity. The same run asserts the buffer-capacity invariant: queue
 //! and command-buffer capacities established during warm-up never grow again.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a concurrently running test would pollute the window.
 
 use scoop_net::{
-    Engine, EngineConfig, LinkModel, NodeCtx, NodeLogic, Packet, TimerToken, Topology,
+    Engine, EngineConfig, LinkModel, NodeCtx, NodeLogic, NodePosition, Packet, TimerToken,
+    Topology, TopologyKind,
 };
 use scoop_types::{MessageKind, NodeId, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -90,9 +93,22 @@ impl NodeLogic for FloodApp {
 
 #[test]
 fn steady_state_event_loop_allocates_nothing() {
-    let topo = Topology::grid(4, 10.0).expect("grid");
+    // A 7 × 7 field whose radio range covers all of it: every node has 48
+    // listeners, more than one 32-bit mask word.
+    let positions = (0..49)
+        .map(|i| NodePosition {
+            x: (i % 7) as f64 * 10.0,
+            y: (i / 7) as f64 * 10.0,
+        })
+        .collect();
+    let topo = Topology::from_positions(TopologyKind::Grid, positions, 100.0).expect("field");
+    let n = topo.len() as u16;
     // Lossy links: the unicast retry loop must actually retry sometimes.
     let links = LinkModel::from_topology(&topo, 42);
+    assert!(
+        links.neighbors(NodeId(1)).len() > 32,
+        "a transmission must span more than one listener word"
+    );
     let nodes = (0..topo.len()).map(|_| FloodApp::default()).collect();
     let mut engine = Engine::new(topo, links, nodes, EngineConfig::default()).expect("engine");
 
@@ -133,9 +149,9 @@ fn steady_state_event_loop_allocates_nothing() {
 
     // Sanity: the workload really exercised broadcast, snoop, unicast ack,
     // and retry-exhaustion paths.
-    let received: u64 = (0..16).map(|i| engine.node(NodeId(i)).received).sum();
-    let snooped: u64 = (0..16).map(|i| engine.node(NodeId(i)).snooped).sum();
-    let results: u64 = (0..16).map(|i| engine.node(NodeId(i)).send_results).sum();
+    let received: u64 = (0..n).map(|i| engine.node(NodeId(i)).received).sum();
+    let snooped: u64 = (0..n).map(|i| engine.node(NodeId(i)).snooped).sum();
+    let results: u64 = (0..n).map(|i| engine.node(NodeId(i)).send_results).sum();
     assert!(received > 0, "no packets delivered");
     assert!(snooped > 0, "no unicasts snooped");
     assert!(results > 0, "no unicast send results");

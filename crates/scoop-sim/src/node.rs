@@ -28,14 +28,14 @@
 //! delay, unless it overhears enough copies from its neighbors first — the
 //! same suppression idea Trickle uses, specialized to the single-round case.
 //!
-//! The engine payload is `Arc<ScoopPayload>` (see [`SharedPayload`]): the
-//! engine clones one packet per listener per transmission attempt, so with a
-//! plain enum payload every broadcast, snooped unicast, forwarded packet, and
-//! gossip re-broadcast deep-copied readings, histograms, and index chunks.
-//! Behind an `Arc` that fan-out is a reference-count bump; the payload body
-//! is cloned only at the single point that needs ownership (a data message
-//! being unbatched at its destination, a summary entering the basestation's
-//! statistics).
+//! The engine payload is `Arc<ScoopPayload>` (see [`SharedPayload`]): a
+//! packet is queued once per transmission attempt and every listener is shown
+//! that one copy by reference ([`NodeLogic::on_packet_ref`]), so hearing a
+//! packet costs no clone at all; a node that forwards or re-broadcasts what
+//! it heard bumps the reference count instead of deep-copying readings,
+//! histograms, and index chunks. The payload body is cloned only at the
+//! single point that needs ownership (a data message being unbatched at its
+//! destination, a summary entering the basestation's statistics).
 
 mod aggregate;
 mod federation;
@@ -65,7 +65,7 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 /// The engine-level payload type: one shared allocation per application
-/// message, so the engine's per-listener packet clones are pointer bumps.
+/// message, so queueing, forwarding and re-broadcasting it are pointer bumps.
 pub type SharedPayload = Arc<ScoopPayload>;
 
 // Timer tokens.
@@ -111,7 +111,10 @@ const DATA_BUFFER_CAP: usize = 65_536;
 pub struct NodeLocalMetrics {
     /// Readings sampled by this node.
     pub sampled: u64,
-    /// Readings stored in this node's data buffer.
+    /// Readings stored in this node's data buffer. The readings in a data
+    /// packet that exhausted its retries are lost: they stay counted as
+    /// `sampled` on their producer and are never `stored` anywhere, which is
+    /// exactly the storage-success gap the paper reports.
     pub stored: u64,
     /// Readings stored here because this node was the designated owner.
     pub stored_as_owner: u64,
@@ -526,7 +529,7 @@ impl SimNode {
     fn handle_payload(
         &mut self,
         ctx: &mut NodeCtx<'_, SharedPayload>,
-        packet: Packet<SharedPayload>,
+        packet: &Packet<SharedPayload>,
     ) {
         let meta = packet.meta;
         match &*packet.payload {
@@ -569,7 +572,7 @@ impl SimNode {
                 self.dispatch_data(ctx, data.clone(), Some(&meta));
             }
             ScoopPayload::Query(query) => self.handle_query(ctx, query, &packet.payload),
-            ScoopPayload::Reply(reply) => self.handle_reply(ctx, reply, &packet),
+            ScoopPayload::Reply(reply) => self.handle_reply(ctx, reply, packet),
             ScoopPayload::SinkAlive(alive) => self.handle_sink_alive(ctx, alive, &packet.payload),
         }
     }
@@ -744,6 +747,15 @@ impl NodeLogic for SimNode {
         packet: Packet<SharedPayload>,
         addressed: bool,
     ) {
+        self.on_packet_ref(ctx, &packet, addressed);
+    }
+
+    fn on_packet_ref(
+        &mut self,
+        ctx: &mut NodeCtx<'_, SharedPayload>,
+        packet: &Packet<SharedPayload>,
+        addressed: bool,
+    ) {
         self.routing.observe_packet(&packet.meta, ctx.now());
         if let Some(base) = self.sink.as_mut() {
             if let Some(parent) = packet.meta.origin_parent {
@@ -813,20 +825,6 @@ impl NodeLogic for SimNode {
                 self.metrics.serve_ticks += 1;
             }
             _ => {}
-        }
-    }
-
-    fn on_send_result(
-        &mut self,
-        _ctx: &mut NodeCtx<'_, SharedPayload>,
-        delivered: bool,
-        packet: Packet<SharedPayload>,
-    ) {
-        if !delivered && matches!(&*packet.payload, ScoopPayload::Data(_)) {
-            // The readings in a dropped data packet are lost; they stay
-            // counted as sampled but never as stored, which is exactly the
-            // storage-success gap the paper reports.
-            let _ = packet;
         }
     }
 }
