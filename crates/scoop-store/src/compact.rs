@@ -1,11 +1,22 @@
 //! Size-tiered compaction of sealed segments.
 //!
-//! Sealed segments are immutable files, which makes compaction safely
-//! concurrent with reads and writes: a worker thread re-opens the input
-//! files *by path*, merges their records in canonical order, writes the
-//! result to `seg-<id>.scoop.tmp`, seals it, and atomically renames it into
-//! place. A crash at any point is harmless — `Store::open` discards `.tmp`
-//! leftovers and the inputs are only deleted after the output is durable.
+//! A merge runs inside the call that found a tier due and holds one block per
+//! input, never a segment: `merge` keeps a cursor (one [`BlockBuf`]) on each
+//! input, moves records to the output writer in time order, and finishes with
+//! `seg-<id>.scoop.tmp` sealed, renamed into place and reopened. Its memory
+//! is `k` blocks plus the longest run of equal timestamps, whatever the
+//! inputs hold. A crash at any point is harmless — `Store::open` discards
+//! `.tmp` leftovers and the inputs are only deleted after the output is
+//! durable; an error (a damaged input block, a full disk) removes the `.tmp`
+//! and leaves every input installed.
+//!
+//! The output is the canonical sort of the inputs' records, byte for byte. A
+//! segment is only *time*-ordered inside — two batches may have contributed
+//! the same timestamp, each in canonical order, the pair not — so the merge
+//! is by `time_ms` alone and every run of equal timestamps is put in
+//! canonical order (time, node, attribute, value) as it completes. That makes
+//! the merged file a function of the record multiset, not of how batches and
+//! seals happened to cut it.
 //!
 //! Planning is **size-tiered**: segments are bucketed by `log4(bytes)` and a
 //! tier is merged only once it holds `compact_tier_segments` members. Each
@@ -14,43 +25,13 @@
 //! write amplification the issue asks for, as opposed to "always merge
 //! everything", which rewrites old data on every pass.
 
-use crate::error::{corrupt, io_err, Result, StoreError};
-use crate::segment::{BlockBuf, Segment, SegmentWriter};
-use crate::store::StoreOptions;
-use std::path::PathBuf;
+use crate::error::{corrupt, io_err, Result};
+use crate::segment::{sync_dir_of, BlockBuf, Segment, SegmentWriter};
+use scoop_types::DurableRecord;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::path::Path;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-
-/// A finished merge, ready to install.
-pub struct CompactionResult {
-    /// Ids of the segments that were merged (to retire).
-    pub input_ids: Vec<u64>,
-    /// Id of the merged output segment.
-    pub output_id: u64,
-    /// The merged segment, already renamed into place and sealed.
-    pub segment: Segment,
-    /// Records written to the output.
-    pub records_written: u64,
-}
-
-/// A running background compaction.
-pub struct CompactionJob {
-    handle: JoinHandle<Result<CompactionResult>>,
-}
-
-impl CompactionJob {
-    /// Blocks until the merge finishes and returns the result.
-    pub fn join(self) -> Result<CompactionResult> {
-        self.handle
-            .join()
-            .map_err(|_| StoreError::Busy("compaction thread panicked".into()))?
-    }
-
-    /// Whether the worker has finished (join will not block).
-    pub fn is_finished(&self) -> bool {
-        self.handle.is_finished()
-    }
-}
 
 /// Picks the indices (into `segments`) of one size tier that is due for
 /// merging, or `None`. Tiers are `log4` buckets of on-disk size; the
@@ -71,68 +52,122 @@ pub fn plan_tier(segments: &[(u64, Arc<Segment>)], tier_threshold: usize) -> Opt
         .find(|members| members.len() >= tier_threshold.max(2))
 }
 
-/// Spawns the merge worker. `inputs` are `(id, path)` of sealed segments;
-/// the worker re-opens them independently, so the caller's `Segment`
-/// handles stay untouched and readable throughout.
-pub fn start(
-    inputs: Vec<(u64, PathBuf)>,
-    output_id: u64,
-    output_path: PathBuf,
-    options: StoreOptions,
-) -> Result<CompactionJob> {
-    let handle = std::thread::Builder::new()
-        .name("scoop-store-compact".into())
-        .spawn(move || merge(inputs, output_id, output_path, options))
-        .map_err(|e| StoreError::Busy(format!("cannot spawn compaction thread: {e}")))?;
-    Ok(CompactionJob { handle })
+/// One merge input: the block being consumed and how far into it.
+struct Cursor<'a> {
+    segment: &'a Segment,
+    buf: BlockBuf,
+    block: usize,
+    pos: usize,
 }
 
-fn merge(
-    inputs: Vec<(u64, PathBuf)>,
-    output_id: u64,
-    output_path: PathBuf,
-    options: StoreOptions,
-) -> Result<CompactionResult> {
-    let mut input_ids = Vec::with_capacity(inputs.len());
-    let mut segments = Vec::with_capacity(inputs.len());
-    for (id, path) in &inputs {
-        segments
-            .push(Segment::open(path)?.ok_or_else(|| corrupt(path, "compaction input vanished"))?);
-        input_ids.push(*id);
+impl<'a> Cursor<'a> {
+    /// A cursor on the first record of `segment`; `None` if it holds none.
+    fn open(segment: &'a Segment) -> Result<Option<Self>> {
+        if segment.block_count() == 0 {
+            return Ok(None);
+        }
+        let mut buf = BlockBuf::default();
+        segment.read_block_into(&mut buf, 0)?;
+        Ok(Some(Cursor {
+            segment,
+            buf,
+            block: 0,
+            pos: 0,
+        }))
     }
-    // The footers say how much is coming: one allocation for the merge.
-    let total: u64 = segments.iter().map(Segment::record_count).sum();
-    let mut records = Vec::with_capacity(total as usize);
-    let mut buf = BlockBuf::default();
-    for segment in &segments {
-        segment.for_each_block(&mut buf, |block| records.extend_from_slice(block))?;
-    }
-    // Canonical order (time, node, attribute, value); stable for duplicates
-    // because inputs are visited in id order and each is already sorted.
-    records.sort();
 
+    /// The unconsumed rest of the current block (never empty).
+    fn rest(&self) -> &[DurableRecord] {
+        &self.buf.records()[self.pos..]
+    }
+
+    fn head_time(&self) -> u64 {
+        self.rest()[0].time_ms
+    }
+
+    /// Consumes `n` records of the current block, reading the next block
+    /// when that was all of it. `false` once the input is exhausted.
+    fn advance(&mut self, n: usize) -> Result<bool> {
+        self.pos += n;
+        if self.pos < self.buf.records().len() {
+            return Ok(true);
+        }
+        self.block += 1;
+        if self.block == self.segment.block_count() {
+            return Ok(false);
+        }
+        self.pos = 0;
+        self.segment.read_block_into(&mut self.buf, self.block)?;
+        Ok(true)
+    }
+}
+
+/// Streams the records of `inputs` into `writer` in canonical order.
+fn merge_into(inputs: &[&Segment], writer: &mut SegmentWriter) -> Result<()> {
+    let mut cursors = Vec::with_capacity(inputs.len());
+    for segment in inputs {
+        cursors.extend(Cursor::open(segment)?);
+    }
+    // The inputs that still hold records, earliest head timestamp on top.
+    let mut heads: BinaryHeap<Reverse<(u64, usize)>> = cursors
+        .iter()
+        .enumerate()
+        .map(|(i, cursor)| Reverse((cursor.head_time(), i)))
+        .collect();
+    // Taken from the inputs in time order, not yet written: at most the
+    // current run of equal timestamps plus one slice.
+    let mut pending: Vec<DurableRecord> = Vec::new();
+    while let Some(Reverse((_, i))) = heads.pop() {
+        // Everything up to the earliest head among the *other* inputs can
+        // leave this one in a single slice — a whole block when the inputs'
+        // time ranges do not overlap.
+        let bound = heads.peek().map_or(u64::MAX, |Reverse((head, _))| *head);
+        let cursor = &mut cursors[i];
+        let rest = cursor.rest();
+        let take = rest.partition_point(|r| r.time_ms <= bound);
+        pending.extend_from_slice(&rest[..take]);
+        if cursor.advance(take)? {
+            heads.push(Reverse((cursor.head_time(), i)));
+        }
+        // No input holds anything earlier than the last timestamp taken, so
+        // everything before it is complete.
+        let last = pending.last().expect("a slice was just taken").time_ms;
+        let complete = pending.partition_point(|r| r.time_ms < last);
+        write_canonical(&mut pending[..complete], writer)?;
+        pending.drain(..complete);
+    }
+    write_canonical(&mut pending, writer)
+}
+
+/// Puts time-ordered `records` into canonical order and appends them. Equal
+/// records are identical in every field, so an in-place unstable sort gives
+/// the one possible result.
+fn write_canonical(records: &mut [DurableRecord], writer: &mut SegmentWriter) -> Result<()> {
+    records.sort_unstable();
+    writer.append_batch(records)
+}
+
+/// Merges sealed `inputs` into one sealed segment at `output_path` (written
+/// as `<output_path>.tmp`, renamed once durable) and opens it. On error the
+/// temporary is removed and no output exists; the inputs are never touched.
+pub(crate) fn merge(inputs: &[&Segment], output_path: &Path, block_size: usize) -> Result<Segment> {
     let tmp_path = output_path.with_extension("scoop.tmp");
-    let mut writer = SegmentWriter::create(&tmp_path, options.block_size)?;
-    writer.append_batch(&records)?;
-    let records_written = writer.record_count();
-    let sealed_tmp = writer.seal()?;
-    drop(sealed_tmp);
-    std::fs::rename(&tmp_path, &output_path).map_err(|e| io_err(&tmp_path, e))?;
-    let parent = output_path
-        .parent()
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
-    let dir = std::fs::File::open(&parent).map_err(|e| io_err(&parent, e))?;
-    dir.sync_all().map_err(|e| io_err(&parent, e))?;
-
-    let segment = Segment::open(&output_path)?
-        .ok_or_else(|| corrupt(&output_path, "merged segment vanished after rename"))?;
-    Ok(CompactionResult {
-        input_ids,
-        output_id,
-        segment,
-        records_written,
-    })
+    let written = SegmentWriter::create(&tmp_path, block_size)
+        .and_then(|mut writer| {
+            merge_into(inputs, &mut writer)?;
+            writer.seal()
+        })
+        .and_then(|_sealed_tmp| {
+            std::fs::rename(&tmp_path, output_path).map_err(|e| io_err(&tmp_path, e))
+        });
+    if let Err(e) = written {
+        // Best effort: `Store::open` sweeps whatever is left.
+        let _ = std::fs::remove_file(&tmp_path);
+        return Err(e);
+    }
+    sync_dir_of(output_path)?;
+    Segment::open(output_path)?
+        .ok_or_else(|| corrupt(output_path, "merged segment vanished after rename"))
 }
 
 #[cfg(test)]
@@ -185,24 +220,12 @@ mod tests {
         // Overlapping time ranges on purpose.
         let a = dir.join("seg-00000000.scoop");
         let b = dir.join("seg-00000001.scoop");
-        sealed_segment(&a, 0..40);
-        sealed_segment(&b, 20..60);
+        let (a, b) = (sealed_segment(&a, 0..40), sealed_segment(&b, 20..60));
         let out = dir.join("seg-00000002.scoop");
-        let job = start(
-            vec![(0, a.clone()), (1, b.clone())],
-            2,
-            out.clone(),
-            StoreOptions {
-                block_size: 8 + 16 * 4,
-                ..StoreOptions::default()
-            },
-        )
-        .unwrap();
-        let result = job.join().unwrap();
+        let merged = merge(&[&a, &b], &out, 8 + 16 * 4).unwrap();
         // The log is append-only and keeps duplicates: 40 + 40 records.
-        assert_eq!(result.records_written, 80);
-        assert_eq!(result.segment.record_count(), 80);
-        let all = result.segment.scan_all().unwrap();
+        assert_eq!(merged.record_count(), 80);
+        let all = merged.scan_all().unwrap();
         assert!(all.records.windows(2).all(|w| w[0] <= w[1]));
         assert!(out.exists());
         assert!(!out.with_extension("scoop.tmp").exists());

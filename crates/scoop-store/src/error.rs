@@ -47,9 +47,6 @@ pub enum StoreError {
     },
     /// Store options are unusable (e.g. a block too small for one record).
     InvalidOptions(String),
-    /// The requested operation conflicts with one already in flight
-    /// (e.g. starting a second background compaction).
-    Busy(String),
 }
 
 impl fmt::Display for StoreError {
@@ -79,7 +76,6 @@ impl fmt::Display for StoreError {
                  segments are time-ordered — sort the batch"
             ),
             StoreError::InvalidOptions(msg) => write!(f, "invalid store options: {msg}"),
-            StoreError::Busy(msg) => write!(f, "store busy: {msg}"),
         }
     }
 }

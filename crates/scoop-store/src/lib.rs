@@ -16,7 +16,7 @@
 //! * [`index`] — learned index + B-tree reference behind [`TimeIndex`]
 //! * [`segment`] — one segment file: writer, reader, torn-tail recovery
 //! * [`store`] — the multi-segment store with query-at-rest and stats
-//! * [`compact`] — size-tiered background compaction
+//! * [`compact`] — size-tiered compaction: planning and the streaming merge
 //! * [`backend`] — [`DiskBackend`], the `scoop-storage` persistence seam
 //! * [`error`] — typed [`StoreError`]
 //!
@@ -35,7 +35,6 @@ pub mod store;
 
 pub use backend::DiskBackend;
 pub use block::{records_per_block, BlockMeta};
-pub use compact::{CompactionJob, CompactionResult};
 pub use error::{Result, StoreError};
 pub use index::{BTreeRefIndex, LearnedTimeIndex, TimeIndex, DEFAULT_MAX_ERROR};
 pub use segment::{

@@ -26,6 +26,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// First 8 bytes of every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"SCOOPSG1";
@@ -95,9 +96,14 @@ impl BlockBuf {
         decode_block_into(&self.bytes, block_size, path, index, &mut self.records)?;
         Ok(&self.records)
     }
+
+    /// The records of the block read last (none before the first read).
+    pub(crate) fn records(&self) -> &[DurableRecord] {
+        &self.records
+    }
 }
 
-fn sync_dir_of(path: &Path) -> Result<()> {
+pub(crate) fn sync_dir_of(path: &Path) -> Result<()> {
     let parent = path.parent().unwrap_or_else(|| Path::new("."));
     let dir = File::open(parent).map_err(|e| io_err(parent, e))?;
     dir.sync_all().map_err(|e| io_err(parent, e))
@@ -247,10 +253,8 @@ fn decode_index(bytes: &[u8], path: &Path) -> Result<(Vec<BlockMeta>, LearnedTim
         });
         offset += PLA_ENTRY_LEN;
     }
-    Ok((
-        dir.clone(),
-        LearnedTimeIndex::from_parts(segments, max_error, dir.len()),
-    ))
+    let learned = LearnedTimeIndex::from_parts(segments, max_error, dir.len());
+    Ok((dir, learned))
 }
 
 /// Appends time-ordered records into a new segment file. Full blocks are
@@ -394,7 +398,9 @@ pub struct Segment {
     block_size: usize,
     dir: Vec<BlockMeta>,
     learned: LearnedTimeIndex,
-    reference: BTreeRefIndex,
+    /// Built by the first [`Segment::reference_index`] call; no query path
+    /// reads it.
+    reference: OnceLock<BTreeRefIndex>,
     record_count: u64,
     min_time_ms: u64,
     max_time_ms: u64,
@@ -488,14 +494,13 @@ impl Segment {
                 "directory record counts disagree with footer",
             ));
         }
-        let reference = BTreeRefIndex::build(&dir);
         Ok(Segment {
             path: path.to_path_buf(),
             file,
             block_size,
             dir,
             learned,
-            reference,
+            reference: OnceLock::new(),
             record_count: footer.record_count,
             min_time_ms: footer.min_time_ms,
             max_time_ms: footer.max_time_ms,
@@ -589,9 +594,10 @@ impl Segment {
         self.index_build_secs
     }
 
-    /// The reference index (for A/B checks).
+    /// The reference index (for A/B checks), built on first use.
     pub fn reference_index(&self) -> &BTreeRefIndex {
-        &self.reference
+        self.reference
+            .get_or_init(|| BTreeRefIndex::build(&self.dir))
     }
 
     /// Bytes this segment occupies on disk.
@@ -606,8 +612,19 @@ impl Segment {
     /// Reads and validates one data block.
     pub fn read_block(&self, index: usize) -> Result<Vec<DurableRecord>> {
         let mut buf = BlockBuf::default();
-        buf.read(&self.file, &self.path, self.block_size, index)?;
+        self.read_block_into(&mut buf, index)?;
         Ok(buf.records)
+    }
+
+    /// Reads and validates data block `index` into `buf` and returns its
+    /// records; a caller that keeps the buffer finds them in `buf.records()`
+    /// until the next read.
+    pub(crate) fn read_block_into<'b>(
+        &self,
+        buf: &'b mut BlockBuf,
+        index: usize,
+    ) -> Result<&'b [DurableRecord]> {
+        buf.read(&self.file, &self.path, self.block_size, index)
     }
 
     /// Hands every data block's records to `visit`, in log order, through
@@ -618,7 +635,7 @@ impl Segment {
         mut visit: impl FnMut(&[DurableRecord]),
     ) -> Result<u64> {
         for i in 0..self.dir.len() {
-            visit(buf.read(&self.file, &self.path, self.block_size, i)?);
+            visit(self.read_block_into(buf, i)?);
         }
         Ok(self.dir.len() as u64)
     }
@@ -661,7 +678,7 @@ impl Segment {
         }
         let mut i = index.first_block_for(t0, &self.dir);
         while i < self.dir.len() && self.dir[i].first_time_ms <= t1 {
-            let records = buf.read(&self.file, &self.path, self.block_size, i)?;
+            let records = self.read_block_into(buf, i)?;
             blocks_read += 1;
             out.extend(
                 records

@@ -4,21 +4,23 @@
 //! Layout on disk: `<db>/seg-<id>.scoop`, ids strictly increasing. Sealed
 //! segments are immutable; compaction (see [`crate::compact`]) replaces a
 //! tier of them with one merged segment under a fresh id, via a `.tmp` file
-//! and an atomic rename. `open` recovers every unsealed segment (torn tails
-//! truncated, survivor resealed) and removes stale `.tmp` leftovers, so a
-//! crash at *any* point leaves exactly the committed prefix readable.
+//! and an atomic rename, inside the call whose seal made the tier due.
+//! `open` recovers every unsealed segment (torn tails truncated, survivor
+//! resealed) and removes stale `.tmp` leftovers, so a crash at *any* point
+//! leaves exactly the committed prefix readable.
 //!
 //! Query results are returned in the canonical record order (time-major,
 //! then node/attribute/value — [`DurableRecord`]'s `Ord`), which makes them
 //! independent of segment layout: the same data answers the same bytes
 //! before and after compaction, restarts, or re-ingest batching.
 
-use crate::compact::{self, CompactionJob};
+use crate::compact;
 use crate::error::{io_err, Result, StoreError};
 use crate::segment::{
     BlockBuf, RecoveryOutcome, ScanOutcome, Segment, SegmentWriter, DEFAULT_BLOCK_SIZE,
 };
 use scoop_types::DurableRecord;
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -98,7 +100,6 @@ pub struct Store {
     retired_fallbacks: u64,
     retired_index_build_secs: f64,
     recovery_report: Vec<(PathBuf, RecoveryOutcome)>,
-    compaction: Option<CompactionJob>,
 }
 
 fn segment_path(dir: &Path, id: u64) -> PathBuf {
@@ -155,7 +156,6 @@ impl Store {
             retired_fallbacks: 0,
             retired_index_build_secs: 0.0,
             recovery_report,
-            compaction: None,
         })
     }
 
@@ -205,13 +205,16 @@ impl Store {
     }
 
     /// Appends a batch. The batch is sorted into canonical record order
-    /// first, so callers can hand over readings in any order. Returns an
-    /// [`IngestReport`] with throughput for provenance.
+    /// first (copied only if it is not in that order already), so callers
+    /// can hand over readings in any order. Returns an [`IngestReport`] with
+    /// throughput for provenance.
     pub fn append_batch(&mut self, batch: &[DurableRecord]) -> Result<IngestReport> {
         let started = Instant::now();
-        let mut sorted = batch.to_vec();
-        sorted.sort_unstable();
-        for record in sorted {
+        let mut sorted = Cow::Borrowed(batch);
+        if !batch.is_sorted() {
+            sorted.to_mut().sort_unstable();
+        }
+        for &record in sorted.iter() {
             self.append_one(record)?;
         }
         self.sync()?;
@@ -253,87 +256,49 @@ impl Store {
     }
 
     fn maybe_compact(&mut self) -> Result<()> {
-        if self.compaction.is_some() {
-            return Ok(()); // one at a time; the running job will be finished first
+        match compact::plan_tier(&self.segments, self.options.compact_tier_segments) {
+            Some(tier) => self.compact(&tier),
+            None => Ok(()),
         }
-        if compact::plan_tier(&self.segments, self.options.compact_tier_segments).is_some() {
-            self.start_compaction()?;
-            self.finish_compaction()?;
-        }
-        Ok(())
     }
 
-    /// Starts a background compaction if a tier is due. Returns `true` when
-    /// a job was started. The job merges *sealed, immutable* files by path
-    /// in a worker thread; call [`Store::finish_compaction`] to install the
-    /// result.
-    pub fn start_compaction(&mut self) -> Result<bool> {
-        let tier = compact::plan_tier(&self.segments, self.options.compact_tier_segments);
-        self.launch_compaction(tier.as_deref().unwrap_or(&[]))
-    }
-
-    /// Starts merging the sealed segments at indices `tier` (none: no job)
-    /// into one segment under a fresh id.
-    fn launch_compaction(&mut self, tier: &[usize]) -> Result<bool> {
-        if self.compaction.is_some() {
-            return Err(StoreError::Busy("a compaction is already running".into()));
-        }
-        if tier.is_empty() {
-            return Ok(false);
-        }
+    /// Merges the sealed segments at (ascending) indices `tier` into one
+    /// segment under a fresh id and swaps it in for them. On error nothing
+    /// changed: every input is still installed and on disk.
+    fn compact(&mut self, tier: &[usize]) -> Result<()> {
         let output_id = self.next_id;
         self.next_id += 1;
-        let inputs: Vec<(u64, PathBuf)> = tier
-            .iter()
-            .map(|&i| (self.segments[i].0, self.segments[i].1.path().to_path_buf()))
-            .collect();
+        let inputs: Vec<&Segment> = tier.iter().map(|&i| &*self.segments[i].1).collect();
         let output_path = segment_path(&self.dir, output_id);
-        let job = compact::start(inputs, output_id, output_path, self.options)?;
-        self.compaction = Some(job);
-        Ok(true)
-    }
-
-    /// Waits for the running compaction (if any) and swaps the merged
-    /// segment in for its inputs. Idempotent when none is running.
-    pub fn finish_compaction(&mut self) -> Result<()> {
-        let Some(job) = self.compaction.take() else {
-            return Ok(());
-        };
-        let done = job.join()?;
+        let merged = compact::merge(&inputs, &output_path, self.options.block_size)?;
         // Retire the inputs: carry their counters over, then delete their
         // files (the merged output is already durable under its own name; a
         // snapshot still holding an input reads on through its descriptor).
-        let input_ids: std::collections::HashSet<u64> = done.input_ids.iter().copied().collect();
-        let mut kept = Vec::new();
-        let mut retired_paths = Vec::new();
-        for (id, segment) in self.segments.drain(..) {
-            if input_ids.contains(&id) {
-                self.retired_fallbacks += segment.learned_index().fallback_lookups();
-                self.retired_index_build_secs += segment.index_build_secs();
-                retired_paths.push(segment.path().to_path_buf());
-            } else {
-                kept.push((id, segment));
-            }
+        let retired: Vec<Arc<Segment>> = tier
+            .iter()
+            .rev()
+            .map(|&i| self.segments.remove(i).1)
+            .collect();
+        // No segment is active while one is compacted, so the fresh id is
+        // the largest and the list stays in id order.
+        self.segments.push((output_id, Arc::new(merged)));
+        for segment in &retired {
+            self.retired_fallbacks += segment.learned_index().fallback_lookups();
+            self.retired_index_build_secs += segment.index_build_secs();
+            std::fs::remove_file(segment.path()).map_err(|e| io_err(segment.path(), e))?;
         }
-        self.segments = kept;
-        for path in &retired_paths {
-            std::fs::remove_file(path).map_err(|e| io_err(path, e))?;
-        }
-        self.segments.push((done.output_id, Arc::new(done.segment)));
-        self.segments.sort_by_key(|(id, _)| *id);
         Ok(())
     }
 
-    /// Merges every sealed segment into one, synchronously. Used by tests
-    /// and the CLI's explicit `--compact`.
+    /// Merges every sealed segment into one. Used by tests and the CLI's
+    /// explicit `--compact`.
     pub fn compact_all_blocking(&mut self) -> Result<bool> {
         self.seal_active()?;
         if self.segments.len() < 2 {
             return Ok(false);
         }
         let all: Vec<usize> = (0..self.segments.len()).collect();
-        self.launch_compaction(&all)?;
-        self.finish_compaction()?;
+        self.compact(&all)?;
         Ok(true)
     }
 
@@ -429,15 +394,6 @@ impl Store {
     /// The sealed segments, for inspection in tests.
     pub fn segments(&self) -> impl Iterator<Item = &Segment> {
         self.segments.iter().map(|(_, s)| &**s)
-    }
-}
-
-impl Drop for Store {
-    fn drop(&mut self) {
-        // Best effort: don't leave a joinable thread behind.
-        if let Some(job) = self.compaction.take() {
-            let _ = job.join();
-        }
     }
 }
 
