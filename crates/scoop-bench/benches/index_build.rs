@@ -1,8 +1,13 @@
-//! Criterion micro-benchmark of the `O(V · n²)` index-construction algorithm
-//! (Figure 2) at the paper's scale: V ≈ 150 values, n = 62 nodes.
+//! Criterion micro-benchmark of the index-construction algorithm (Figure 2)
+//! at the paper's scale: V ≈ 150 values, n = 62 nodes.
 //!
 //! The paper argues this is "very practical" for networks of a few hundred
-//! nodes; this bench quantifies it and also measures the scaling in `n`.
+//! nodes; this bench quantifies it and also measures the scaling in `n`, up
+//! to the 1,024- and 4,096-sensor scale points (skipped under
+//! `SCOOP_BENCH_QUICK=1`). At those two sizes it also times the `n`
+//! single-source Dijkstras on their own — the part of a remap that
+//! cross-epoch reuse of `xmits` rows could save; the rest of `V150` is the
+//! histogram scan and the dense `V × n` updates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scoop_core::histogram::SummaryHistogram;
@@ -60,8 +65,23 @@ fn stats_for(n_sensors: usize, domain_width: i32) -> StatsStore {
 fn bench_index_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("index_build");
     group.sample_size(10);
-    for &n in &[16usize, 62, 100] {
+    let scale_points: &[usize] = if scoop_bench::quick_mode() {
+        &[]
+    } else {
+        &[1_024, 4_096]
+    };
+    for &n in [16usize, 62, 100].iter().chain(scale_points) {
         let st = stats_for(n, 150);
+        if scale_points.contains(&n) {
+            group.bench_with_input(BenchmarkId::new("xmits_rows", n), &st, |b, st| {
+                let mut row = Vec::new();
+                b.iter(|| {
+                    for src in st.candidate_owners() {
+                        st.xmits_row_into(src, &mut row);
+                    }
+                });
+            });
+        }
         group.bench_with_input(BenchmarkId::new("V150", n), &st, |b, st| {
             let builder = IndexBuilder::new(IndexBuilderConfig::default());
             b.iter(|| {

@@ -32,11 +32,16 @@
 use scoop_lab::{ArtifactStore, ExperimentId, PointSet, Scale, SuiteOptions};
 use std::time::Instant;
 
+/// Whether `SCOOP_BENCH_QUICK` asks for the fast configuration.
+pub fn quick_mode() -> bool {
+    std::env::var("SCOOP_BENCH_QUICK")
+        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
+        .unwrap_or(false)
+}
+
 /// Returns the suite options selected by the environment (see crate docs).
 pub fn bench_options(id: ExperimentId) -> SuiteOptions {
-    let quick = std::env::var("SCOOP_BENCH_QUICK")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false);
+    let quick = quick_mode();
     let scale = if quick { Scale::Quick } else { Scale::Paper };
     let default_trials = if quick { 1 } else { 3 };
     let trials = std::env::var("SCOOP_BENCH_TRIALS")

@@ -9,6 +9,35 @@
 //!   storage_index[v] = argmin_o cost(o,v)
 //! ```
 //!
+//! [`CostModel::placement_cost`] / [`CostModel::best_owner`] are that
+//! pseudo-code one cell at a time. A remap runs it inside out instead
+//! ([`CostModel::best_owners`], the only path `IndexBuilder::build` takes):
+//!
+//! ```text
+//! cost[v][o] = 0                            [V × n matrix]
+//! for all sensors p, ascending id:          [producer]
+//!   skip p if P(p produces v) = 0 for every v
+//!   row = xmits(p → ·)                      [one Dijkstra, one reused buffer]
+//!   for all values v with P(p produces v) > 0:
+//!     for all sensors o:
+//!       cost[v][o] += (P(p produces v) × rate_p) × row[o]
+//! row = xmits(base → ·)
+//! for all values v:
+//!   for all sensors o, ascending id:
+//!     cost[v][o] += (P(user queries v) × query_rate) × (2 × row[o])
+//!   storage_index[v] = argmin_o cost[v][o]
+//! ```
+//!
+//! A cell `cost[v][o]` has a term only for the producers whose histogram
+//! covers `v`, so the producer-major order runs each producer's Dijkstra once
+//! and never holds more than one `xmits` row, where the value-major order
+//! needs all `n` rows (`n²` floats) resident to avoid recomputing them. The
+//! result is bit-identical, not merely close: every cell receives the same
+//! addends (`prob * rate * x` already parses as `(prob * rate) * x`), in the
+//! same order (producers ascending, the query term last), starting from the
+//! same `0.0`, and the arg-min scans owners in the same ascending order with
+//! the same tie rule.
+//!
 //! Costs are expressed in expected transmissions per second. The model also
 //! prices the "store-local" alternative policy so the basestation can fall
 //! back to it when that is cheaper (Section 4).
@@ -17,6 +46,7 @@ use crate::stats_store::StatsStore;
 use scoop_types::{NodeId, Value};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::collections::HashMap;
 
 /// Parameters of one cost evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -53,23 +83,24 @@ impl CostParams {
 pub struct CostModel<'a> {
     stats: &'a StatsStore,
     params: CostParams,
-    /// Cached `(producer, rate, owner-independent)` list: producers with a
+    /// Cached `(producer, rate)` list, ascending by id: producers with a
     /// non-zero data rate, so the inner loop skips silent nodes.
     producers: Vec<(NodeId, f64)>,
-    /// Private copy of the stats store driving its per-source lazy Dijkstra
-    /// cache; `xmits` needs `&mut`, so interior mutability keeps the cost
-    /// model's public API immutable. Rows materialize on first touch —
-    /// constructing a model allocates nothing quadratic, so a policy that
-    /// never prices a placement (Base/Local/Hash at 32k nodes) never pays
-    /// for one.
-    warm: RefCell<StatsStore>,
+    /// Per-source xmits rows behind the per-cell entry points ([`xmits`],
+    /// [`placement_cost`], [`best_owner`]), each computed on the first
+    /// lookup from that source; `RefCell` keeps those entry points `&self`.
+    /// The whole-domain kernel never touches it.
+    ///
+    /// [`xmits`]: CostModel::xmits
+    /// [`placement_cost`]: CostModel::placement_cost
+    /// [`best_owner`]: CostModel::best_owner
+    rows: RefCell<HashMap<usize, Vec<f64>>>,
 }
 
 impl<'a> CostModel<'a> {
-    /// Builds a cost model. Cheap at any scale: xmits rows are computed
-    /// lazily per source, so nothing `O(n²)` is allocated up front — the
-    /// `O(V · n²)` remap loop is the only thing that can materialize many
-    /// rows, and only when it actually runs.
+    /// Builds a cost model. Cheap at any scale: it borrows the store and
+    /// copies nothing but the producers' rates, so a policy that never
+    /// prices a placement (Base/Local/Hash at 32k nodes) never pays for one.
     pub fn new(stats: &'a StatsStore, params: CostParams) -> Self {
         let n = stats.total_nodes();
         let producers = (0..n)
@@ -81,7 +112,7 @@ impl<'a> CostModel<'a> {
             stats,
             params,
             producers,
-            warm: RefCell::new(stats.clone()),
+            rows: RefCell::new(HashMap::new()),
         }
     }
 
@@ -95,14 +126,26 @@ impl<'a> CostModel<'a> {
     /// row; the values are bit-identical to the dense-table era because each
     /// row was always an independent single-source computation.
     pub fn xmits(&self, a: NodeId, b: NodeId) -> f64 {
-        self.warm.borrow_mut().xmits(a, b)
+        let n = self.stats.total_nodes();
+        if a == b || a.index() >= n || b.index() >= n {
+            // Answered without a row: zero, or the unknown-path penalty.
+            return self.stats.xmits(a, b);
+        }
+        let mut rows = self.rows.borrow_mut();
+        let row = rows.entry(a.index()).or_insert_with(|| {
+            let mut row = Vec::new();
+            self.stats.xmits_row_into(a, &mut row);
+            row
+        });
+        row[b.index()]
     }
 
-    /// How many per-source xmits rows have been materialized so far. A cost
-    /// model that priced nothing reports zero — the guard the 32k-node
-    /// HASH/Base/Local scenarios rely on.
+    /// How many per-source xmits rows the per-cell entry points have
+    /// materialized so far. A cost model that priced nothing reports zero —
+    /// the guard the 32k-node HASH/Base/Local scenarios rely on — and so
+    /// does one that only ever ran [`CostModel::best_owners`].
     pub fn rows_materialized(&self) -> usize {
-        self.warm.borrow().xmits_rows_cached()
+        self.rows.borrow().len()
     }
 
     /// The paper's `cost(o, v)`: expected messages per second if value `v` is
@@ -125,18 +168,48 @@ impl<'a> CostModel<'a> {
     /// broken towards the lower node id (which prefers the basestation), so
     /// values nobody produces or queries do not thrash between epochs.
     pub fn best_owner(&self, v: Value, candidates: &[NodeId]) -> (NodeId, f64) {
-        let mut best = (NodeId::BASESTATION, f64::INFINITY);
-        for &o in candidates {
-            let c = self.placement_cost(o, v);
-            if c + 1e-12 < best.1 {
-                best = (o, c);
+        cheapest(candidates.iter().map(|&o| (o, self.placement_cost(o, v))))
+    }
+
+    /// The best owner and its cost for every value of the domain, lowest
+    /// value first: [`CostModel::best_owner`] over all candidate owners, as
+    /// one producer-major pass (see the module docs for the loop and for why
+    /// every cost comes out bit-identical). Live memory is the `V × n` cost
+    /// matrix plus one xmits row.
+    pub fn best_owners(&self) -> Vec<(NodeId, f64)> {
+        let domain = self.stats.domain();
+        let n = self.stats.total_nodes();
+        let mut cost = vec![0.0f64; domain.width() as usize * n];
+        let mut row = Vec::new();
+        // `(value offset, P(p produces v) × rate_p)` of the current producer.
+        let mut covered: Vec<(usize, f64)> = Vec::new();
+        for &(p, rate) in &self.producers {
+            covered.clear();
+            covered.extend(domain.values().enumerate().filter_map(|(i, v)| {
+                let prob = self.stats.p_produces(p, v);
+                (prob > 0.0).then_some((i, prob * rate))
+            }));
+            if covered.is_empty() {
+                continue;
+            }
+            self.stats.xmits_row_into(p, &mut row);
+            for &(i, weight) in &covered {
+                for (c, &x) in cost[i * n..(i + 1) * n].iter_mut().zip(&row) {
+                    *c += weight * x;
+                }
             }
         }
-        if best.1.is_infinite() {
-            (NodeId::BASESTATION, 0.0)
-        } else {
-            best
-        }
+
+        self.stats.xmits_row_into(NodeId::BASESTATION, &mut row);
+        domain
+            .values()
+            .enumerate()
+            .map(|(i, v)| {
+                let weight = self.stats.p_queries(v) * self.params.query_rate_hz;
+                let cells = cost[i * n..(i + 1) * n].iter().zip(&row).enumerate();
+                cheapest(cells.map(|(o, (&c, &x))| (NodeId(o as u16), c + weight * (2.0 * x))))
+            })
+            .collect()
     }
 
     /// Expected messages per second of the whole index described by a
@@ -165,6 +238,23 @@ impl<'a> CostModel<'a> {
             .iter()
             .map(|&(p, rate)| rate * self.xmits(p, NodeId::BASESTATION))
             .sum()
+    }
+}
+
+/// The first of the cheapest `(owner, cost)` pairs — callers list owners in
+/// ascending id, so ties go to the lower id — or the basestation at zero cost
+/// when no owner has a finite cost.
+fn cheapest(costs: impl Iterator<Item = (NodeId, f64)>) -> (NodeId, f64) {
+    let mut best = (NodeId::BASESTATION, f64::INFINITY);
+    for (o, c) in costs {
+        if c + 1e-12 < best.1 {
+            best = (o, c);
+        }
+    }
+    if best.1.is_infinite() {
+        (NodeId::BASESTATION, 0.0)
+    } else {
+        best
     }
 }
 

@@ -1,5 +1,5 @@
 //! The storage index: representation, compaction, lookup, diffing, and the
-//! `O(V · n²)` construction algorithm of Figure 2.
+//! construction algorithm of Figure 2 ([`IndexBuilder::build`]).
 //!
 //! A storage index is "a value to node ID mapping" (Figure 1): every value in
 //! the attribute's domain is owned by exactly one node, and consecutive
@@ -48,9 +48,24 @@ impl StorageIndex {
                 domain.width()
             )));
         }
+        Ok(Self::coalesced(
+            id,
+            domain,
+            owners.iter().copied(),
+            created_at,
+        ))
+    }
+
+    /// The index assigning the domain's values, lowest first, to `owners` in
+    /// turn, consecutive values with the same owner coalesced.
+    fn coalesced(
+        id: StorageIndexId,
+        domain: ValueRange,
+        owners: impl Iterator<Item = NodeId>,
+        created_at: SimTime,
+    ) -> Self {
         let mut entries: Vec<IndexEntry> = Vec::new();
-        for (i, &owner) in owners.iter().enumerate() {
-            let v = domain.lo + i as Value;
+        for (v, owner) in domain.values().zip(owners) {
             match entries.last_mut() {
                 Some(last) if last.owner == owner && last.range.hi + 1 == v => {
                     last.range.hi = v;
@@ -61,12 +76,12 @@ impl StorageIndex {
                 }),
             }
         }
-        Ok(StorageIndex {
+        StorageIndex {
             id,
             domain,
             entries,
             created_at,
-        })
+        }
     }
 
     /// Builds an index directly from (already coalesced) entries. Used when a
@@ -227,8 +242,13 @@ impl IndexBuilder {
 
     /// Runs the algorithm of Figure 2: for every value in the domain, try
     /// every node as owner and keep the one minimizing the expected number of
-    /// messages. Complexity is `O(V · n²)` because each cost evaluation sums
-    /// over all producers.
+    /// messages. The loop runs producer-major
+    /// ([`CostModel::best_owners`]): one Dijkstra per producer whose
+    /// histogram reaches into the domain plus `O(n)` work per (producer,
+    /// covered value) pair, in a `V × n` cost matrix — the same owners and
+    /// the same costs, to the bit, as Figure 2's value-major `O(V · n²)`
+    /// order (`crate::cost` states the argument; the `properties` tests
+    /// check it against [`CostModel::best_owner`]).
     pub fn build(
         &self,
         stats: &StatsStore,
@@ -236,18 +256,12 @@ impl IndexBuilder {
         id: StorageIndexId,
         now: SimTime,
     ) -> IndexDecision {
-        let domain = stats.domain();
         let cost_model = CostModel::new(stats, params);
-        let candidates = stats.candidate_owners();
-        let mut owners = Vec::with_capacity(domain.width() as usize);
-        let mut total_cost = 0.0;
-        for v in domain.values() {
-            let (owner, cost) = cost_model.best_owner(v, &candidates);
-            owners.push(owner);
-            total_cost += cost;
-        }
-        let index = StorageIndex::from_owners(id, domain, &owners, now)
-            .expect("owner vector sized from the domain");
+        // One `(owner, cost)` per domain value, so the index is complete.
+        let best = cost_model.best_owners();
+        let total_cost = best.iter().fold(0.0, |total, &(_, cost)| total + cost);
+        let owners = best.iter().map(|&(owner, _)| owner);
+        let index = StorageIndex::coalesced(id, stats.domain(), owners, now);
 
         if self.config.allow_store_local_fallback {
             let store_local = cost_model.store_local_cost();

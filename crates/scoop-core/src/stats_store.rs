@@ -29,12 +29,12 @@ const QUERY_PRIOR: f64 = 0.03;
 pub struct StatsStore {
     n: usize,
     domain: ValueRange,
-    /// Last summary per node (index = node id).
-    latest: Vec<Option<SummaryMessage>>,
+    /// Position in `history` of the last summary per node (index = node
+    /// id), so each summary — histogram and neighbour list included — is
+    /// held once.
+    latest: Vec<Option<u32>>,
     /// Every summary ever received (never discarded).
     history: Vec<SummaryMessage>,
-    /// Routing-tree parent learned from packet headers.
-    parent_of: Vec<Option<NodeId>>,
     /// Undirected link-quality knowledge as a sparse adjacency: `adj[a]`
     /// holds `(b, q)` pairs sorted by ascending `b`, where `q` is the best
     /// delivery probability reported for the pair in *either* direction.
@@ -51,11 +51,6 @@ pub struct StatsStore {
     /// When the first / last query was observed.
     first_query: Option<SimTime>,
     last_query: Option<SimTime>,
-    /// Cached per-source xmits rows, computed lazily on first use of each
-    /// source (`None` = invalidated by new topology knowledge). The dense
-    /// era ran Dijkstra from *every* source eagerly; most callers only ever
-    /// ask about a handful of sources (the basestation, query owners).
-    xmits_cache: Option<std::collections::HashMap<usize, Vec<f64>>>,
 }
 
 impl StatsStore {
@@ -67,13 +62,11 @@ impl StatsStore {
             domain,
             latest: vec![None; total_nodes],
             history: Vec::new(),
-            parent_of: vec![None; total_nodes],
             adj: vec![Vec::new(); total_nodes],
             query_value_counts: vec![0; domain.width() as usize],
             query_count: 0,
             first_query: None,
             last_query: None,
-            xmits_cache: None,
         }
     }
 
@@ -110,9 +103,8 @@ impl StatsStore {
         if let Some(parent) = summary.parent {
             self.note_parent(summary.node, parent);
         }
-        self.latest[idx] = Some(summary.clone());
+        self.latest[idx] = Some(self.history.len() as u32);
         self.history.push(summary);
-        self.xmits_cache = None;
     }
 
     /// Records the `origin → origin's parent` pair carried in a Scoop packet
@@ -120,10 +112,6 @@ impl StatsStore {
     pub fn note_parent(&mut self, origin: NodeId, parent: NodeId) {
         if origin.index() >= self.n || parent.index() >= self.n || origin == parent {
             return;
-        }
-        if self.parent_of[origin.index()] != Some(parent) {
-            self.parent_of[origin.index()] = Some(parent);
-            self.xmits_cache = None;
         }
         // A tree edge implies a usable link in both directions; assume a
         // conservative quality if we have nothing better from summaries.
@@ -180,18 +168,14 @@ impl StatsStore {
 
     /// The paper's `P(p produces v)` for node `p`, from its latest histogram.
     pub fn p_produces(&self, p: NodeId, v: Value) -> f64 {
-        self.latest
-            .get(p.index())
-            .and_then(|s| s.as_ref())
+        self.latest_summary(p)
             .map(|s| s.probability_of(v))
             .unwrap_or(0.0)
     }
 
     /// The data production rate of node `p` in readings per second.
     pub fn data_rate(&self, p: NodeId) -> f64 {
-        self.latest
-            .get(p.index())
-            .and_then(|s| s.as_ref())
+        self.latest_summary(p)
             .map(|s| s.data_rate_hz)
             .unwrap_or(0.0)
     }
@@ -235,10 +219,8 @@ impl StatsStore {
     /// nodes; the minimum such id is the oldest index that may still be in
     /// active use somewhere in the network.
     pub fn min_live_index(&self) -> StorageIndexId {
-        self.latest
-            .iter()
-            .skip(1) // the basestation itself
-            .filter_map(|s| s.as_ref())
+        self.latest_summaries()
+            .filter(|s| !s.node.is_basestation())
             .map(|s| s.newest_complete_index)
             .min()
             .unwrap_or(StorageIndexId::NONE)
@@ -246,16 +228,22 @@ impl StatsStore {
 
     /// The newest complete index reported by a specific node.
     pub fn newest_complete_index(&self, node: NodeId) -> StorageIndexId {
-        self.latest
-            .get(node.index())
-            .and_then(|s| s.as_ref())
+        self.latest_summary(node)
             .map(|s| s.newest_complete_index)
             .unwrap_or(StorageIndexId::NONE)
     }
 
     /// The latest summary from `node`, if any.
     pub fn latest_summary(&self, node: NodeId) -> Option<&SummaryMessage> {
-        self.latest.get(node.index()).and_then(|s| s.as_ref())
+        let at = (*self.latest.get(node.index())?)?;
+        self.history.get(at as usize)
+    }
+
+    /// The latest summary of every node that has reported, ascending by id.
+    fn latest_summaries(&self) -> impl Iterator<Item = &SummaryMessage> {
+        self.latest
+            .iter()
+            .filter_map(|&at| self.history.get(at? as usize))
     }
 
     /// Every summary ever received (the basestation never discards them).
@@ -271,20 +259,12 @@ impl StatsStore {
     /// The maximum value reported by any node's summary — the "answer MAX
     /// from summaries without touching the network" shortcut (Section 5.5).
     pub fn max_from_summaries(&self) -> Option<Value> {
-        self.latest
-            .iter()
-            .filter_map(|s| s.as_ref())
-            .filter_map(|s| s.max)
-            .max()
+        self.latest_summaries().filter_map(|s| s.max).max()
     }
 
     /// The minimum value reported by any node's summary.
     pub fn min_from_summaries(&self) -> Option<Value> {
-        self.latest
-            .iter()
-            .filter_map(|s| s.as_ref())
-            .filter_map(|s| s.min)
-            .min()
+        self.latest_summaries().filter_map(|s| s.min).min()
     }
 
     // ---------------------------------------------------------------------
@@ -296,55 +276,55 @@ impl StatsStore {
     /// packet headers. Symmetric by construction (the underlying graph is
     /// made undirected by taking the better direction of each link). Nodes
     /// with no known connectivity get a large finite penalty.
-    pub fn xmits(&mut self, a: NodeId, b: NodeId) -> f64 {
+    ///
+    /// Each call runs `a`'s single-source Dijkstra; anything pricing many
+    /// pairs goes through [`crate::cost::CostModel`], which keeps the rows
+    /// it has computed for as long as it borrows the store.
+    pub fn xmits(&self, a: NodeId, b: NodeId) -> f64 {
         if a == b {
             return 0.0;
         }
         if a.index() >= self.n || b.index() >= self.n {
             return UNKNOWN_PATH_XMITS;
         }
-        let dst = b.index();
-        self.xmits_row(a.index())[dst]
+        let mut row = Vec::new();
+        self.xmits_row_into(a, &mut row);
+        row[b.index()]
     }
 
     /// Round-trip estimate `xmits(base → o → base)` from Figure 2.
-    pub fn xmits_roundtrip_base(&mut self, o: NodeId) -> f64 {
+    pub fn xmits_roundtrip_base(&self, o: NodeId) -> f64 {
         2.0 * self.xmits(NodeId::BASESTATION, o)
     }
 
-    /// How many per-source xmits rows are currently cached. Lets callers
-    /// (and the [`crate::cost::CostModel`] lazy-construction guard test)
-    /// verify that nothing quadratic was materialized behind their back.
-    pub fn xmits_rows_cached(&self) -> usize {
-        self.xmits_cache.as_ref().map_or(0, |c| c.len())
-    }
-
-    /// The cached xmits row for one source, running Dijkstra on first use.
+    /// Overwrites `row` with `xmits(src → b)` for every node `b`, reusing its
+    /// allocation: one Dijkstra over the sparse adjacency, with the
+    /// unknown-path penalty wherever no path is known (everywhere, for a
+    /// `src` outside the network).
     ///
-    /// Per-source lazy caching replaces the dense era's eager all-pairs
-    /// `Vec<Vec<f64>>` (another n² table): each row is the *identical*
-    /// Dijkstra the dense code ran — the sparse adjacency stores neighbors
-    /// in ascending id order with the same `1 / max(quality)` weights, so
-    /// relaxations happen in the same order with the same float operands and
-    /// every distance is bit-identical.
-    fn xmits_row(&mut self, src: usize) -> &[f64] {
-        let cache = self
-            .xmits_cache
-            .get_or_insert_with(std::collections::HashMap::new);
-        cache.entry(src).or_insert_with(|| {
-            dijkstra(&self.adj, src)
-                .into_iter()
-                .map(|d| if d.is_finite() { d } else { UNKNOWN_PATH_XMITS })
-                .collect()
-        })
+    /// Each row is the *identical* Dijkstra the dense era ran from every
+    /// source eagerly — the sparse adjacency stores neighbors in ascending
+    /// id order with the same `1 / max(quality)` weights, so relaxations
+    /// happen in the same order with the same float operands and every
+    /// distance is bit-identical.
+    pub fn xmits_row_into(&self, src: NodeId, row: &mut Vec<f64>) {
+        row.clear();
+        row.resize(self.n, f64::INFINITY);
+        if src.index() < self.n {
+            dijkstra(&self.adj, src.index(), row);
+        }
+        for d in row.iter_mut() {
+            if !d.is_finite() {
+                *d = UNKNOWN_PATH_XMITS;
+            }
+        }
     }
 }
 
 /// Simple binary-heap Dijkstra over the sparse undirected ETX adjacency
-/// (`weight = 1 / quality`, neighbors ascending).
-fn dijkstra(adj: &[Vec<(u32, f64)>], src: usize) -> Vec<f64> {
-    let n = adj.len();
-    let mut dist = vec![f64::INFINITY; n];
+/// (`weight = 1 / quality`, neighbors ascending), into a `dist` the caller
+/// has filled with infinities.
+fn dijkstra(adj: &[Vec<(u32, f64)>], src: usize, dist: &mut [f64]) {
     dist[src] = 0.0;
     // BinaryHeap is a max-heap over ordered keys; store negated distances as
     // sortable integers (micro-units) to avoid a float Ord wrapper.
@@ -364,7 +344,6 @@ fn dijkstra(adj: &[Vec<(u32, f64)>], src: usize) -> Vec<f64> {
             }
         }
     }
-    dist
 }
 
 #[cfg(test)]

@@ -400,9 +400,9 @@ pub fn run_experiment(
         }
         ExperimentId::Scaling4096 | ExperimentId::Scaling32768 => {
             // The engine-scalability stress points. HASH keeps these runs
-            // feasible: its storage index is static (no summaries, no remap,
-            // no dense cost table at the basestation), so memory and event
-            // volume grow with the network, not with its square. Durations
+            // about the engine: its storage index is static (no summaries,
+            // no remap — a Scoop remap runs one Dijkstra per producer), so
+            // event volume and host time grow with the network. Durations
             // are trimmed so the event count stays proportional to node
             // count — the interesting figures are peak RSS and events/s in
             // the provenance block, not the message totals.

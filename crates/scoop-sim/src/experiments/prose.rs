@@ -175,8 +175,9 @@ pub fn scaling(
 
 /// The scaling study under an explicit storage policy. The large-scale
 /// scenarios (thousands of nodes) run HASH: its storage index is static, so
-/// the basestation never builds the dense all-pairs cost table a Scoop remap
-/// needs — which is what makes 32k-node networks feasible in memory.
+/// no node ships summaries and the basestation never remaps. A Scoop remap
+/// holds only a values × nodes cost matrix, but it runs one Dijkstra per
+/// producer — 0.2 s at 4,096 sensors — every remap interval.
 pub fn scaling_with_policy(
     base: &ExperimentConfig,
     sizes: &[usize],
