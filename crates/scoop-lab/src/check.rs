@@ -1,10 +1,10 @@
 //! The regression gate behind `scoop-lab check`.
 //!
-//! Runs the deterministic quick smoke suite ([`SuiteOptions::quick_smoke`])
-//! and compares every metric of every row against the committed baseline
-//! file (`crates/scoop-lab/baselines/smoke.json`), at a chosen tolerance
-//! preset. Any `Drift` or `Missing` row fails the check — CI turns that into
-//! a red build. `--bless` rewrites the baseline from the current run after a
+//! Runs one deterministic quick-scale [`Suite`] and compares every metric of
+//! every row against that suite's committed baseline file
+//! (`crates/scoop-lab/baselines/<name>.json`), at a chosen tolerance preset.
+//! Any `Drift` or `Missing` row fails the check — CI turns that into a red
+//! build. `--bless` rewrites the baseline from the current run after a
 //! deliberate behavioral change.
 
 use crate::artifact::{Artifact, Provenance};
@@ -12,24 +12,59 @@ use crate::baselines::{regression_baseline, TolerancePreset};
 use crate::diff::{diff_rows, DiffReport};
 use crate::suite::{run_suite, SuiteOptions};
 use scoop_types::ScoopError;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// Path of the committed smoke baseline, relative to the workspace root.
-pub const DEFAULT_BASELINE_PATH: &str = "crates/scoop-lab/baselines/smoke.json";
+/// A checked suite. Each has its own committed baseline file, so extending
+/// one scenario family (the fault model, the workload kinds) never perturbs
+/// another's baseline.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Suite {
+    /// The classic quick smoke suite ([`SuiteOptions::quick_smoke`]).
+    Smoke,
+    /// The three chaos scenarios ([`SuiteOptions::chaos_smoke`]).
+    Chaos,
+    /// The range and aggregate workload grids
+    /// ([`SuiteOptions::workloads_smoke`]).
+    Workloads,
+}
 
-/// Path of the committed chaos baseline (the chaos scenario family runs as
-/// its own gate with its own baseline file, so extending the fault model
-/// never perturbs the classic smoke baseline).
-pub const DEFAULT_CHAOS_BASELINE_PATH: &str = "crates/scoop-lab/baselines/chaos.json";
+impl Suite {
+    /// Every suite, in `check --suite` listing order.
+    pub const ALL: [Suite; 3] = [Suite::Smoke, Suite::Chaos, Suite::Workloads];
 
-/// Path of the committed workloads baseline (the range/aggregate workload
-/// grids run as their own gate with their own baseline file, like chaos).
-pub const DEFAULT_WORKLOADS_BASELINE_PATH: &str = "crates/scoop-lab/baselines/workloads.json";
+    /// The `--suite` name, also the baseline file's stem.
+    pub fn name(self) -> &'static str {
+        match self {
+            Suite::Smoke => "smoke",
+            Suite::Chaos => "chaos",
+            Suite::Workloads => "workloads",
+        }
+    }
+
+    /// Parses a `--suite` name.
+    pub fn from_name(name: &str) -> Option<Suite> {
+        Suite::ALL.into_iter().find(|s| s.name() == name)
+    }
+
+    /// The suite's experiments and scale.
+    pub fn options(self) -> SuiteOptions {
+        match self {
+            Suite::Smoke => SuiteOptions::quick_smoke(),
+            Suite::Chaos => SuiteOptions::chaos_smoke(),
+            Suite::Workloads => SuiteOptions::workloads_smoke(),
+        }
+    }
+
+    /// Path of the committed baseline, relative to the workspace root.
+    pub fn baseline_path(self) -> PathBuf {
+        Path::new("crates/scoop-lab/baselines").join(format!("{}.json", self.name()))
+    }
+}
 
 /// The outcome of one `scoop-lab check`.
 #[derive(Clone, Debug)]
 pub struct CheckOutcome {
-    /// One diff per smoke experiment, in suite order.
+    /// One diff per suite experiment, in suite order.
     pub reports: Vec<DiffReport>,
 }
 
@@ -46,10 +81,10 @@ impl CheckOutcome {
             out.push_str(&report.render_text());
         }
         let verdict = if self.failed() {
-            "CHECK FAILED: smoke suite drifted from the committed baseline \
-             (re-bless with `scoop-lab check --bless` if the change is intended)"
+            "CHECK FAILED: the suite drifted from its committed baseline \
+             (re-bless with `scoop-lab check --suite NAME --bless` if the change is intended)"
         } else {
-            "check passed: smoke suite matches the committed baseline"
+            "check passed: the suite matches its committed baseline"
         };
         out.push_str(verdict);
         out.push('\n');
@@ -57,34 +92,17 @@ impl CheckOutcome {
     }
 }
 
-/// Runs the smoke suite and returns its artifacts (provenance masked, so the
-/// baseline file is stable across machines and commits).
-pub fn run_smoke_suite() -> Result<Vec<Artifact>, ScoopError> {
-    run_masked(&SuiteOptions::quick_smoke())
-}
-
-/// Runs the chaos smoke suite (the three chaos scenarios at quick scale)
-/// and returns its artifacts, provenance masked like [`run_smoke_suite`].
-pub fn run_chaos_suite() -> Result<Vec<Artifact>, ScoopError> {
-    run_masked(&SuiteOptions::chaos_smoke())
-}
-
-/// Runs the workloads smoke suite (the range and aggregate grids at quick
-/// scale) and returns its artifacts, provenance masked like
-/// [`run_smoke_suite`].
-pub fn run_workloads_suite() -> Result<Vec<Artifact>, ScoopError> {
-    run_masked(&SuiteOptions::workloads_smoke())
-}
-
-fn run_masked(options: &SuiteOptions) -> Result<Vec<Artifact>, ScoopError> {
-    let mut artifacts = run_suite(options, |_| ())?;
+/// Runs `suite` and returns its artifacts, provenance masked so the baseline
+/// file is stable across machines and commits.
+pub fn run_masked(suite: Suite) -> Result<Vec<Artifact>, ScoopError> {
+    let mut artifacts = run_suite(&suite.options(), |_| ())?;
     for artifact in &mut artifacts {
         artifact.provenance = Provenance::masked();
     }
     Ok(artifacts)
 }
 
-/// Serializes smoke artifacts as the baseline file's content.
+/// Serializes suite artifacts as the baseline file's content.
 pub fn baseline_file_content(artifacts: &[Artifact]) -> Result<String, ScoopError> {
     let mut json = serde_json::to_string_pretty(artifacts)
         .map_err(|e| ScoopError::Serialization(e.to_string()))?;
@@ -100,7 +118,7 @@ pub fn load_baseline(path: &Path) -> Result<Vec<Artifact>, ScoopError> {
         .map_err(|e| ScoopError::Serialization(format!("{}: {e}", path.display())))
 }
 
-/// Compares freshly measured smoke artifacts against baseline artifacts.
+/// Compares freshly measured suite artifacts against baseline artifacts.
 ///
 /// Coverage is checked in *both* directions: a baseline row absent from the
 /// measurement is `Missing`, and a measured experiment with no baseline
@@ -146,88 +164,16 @@ pub fn compare_to_baseline(
     CheckOutcome { reports }
 }
 
-/// The full check: run the smoke suite, load the committed baseline at
-/// `baseline_path`, and classify. With `bless`, the baseline file is
-/// (re)written from the current run instead and the check trivially passes.
+/// The full check: run `suite`, load the baseline at `baseline_path`, and
+/// classify. With `bless`, the baseline file is (re)written from the current
+/// run instead and the check trivially passes.
 pub fn run_check(
+    suite: Suite,
     baseline_path: &Path,
     preset: TolerancePreset,
     bless: bool,
 ) -> Result<CheckOutcome, ScoopError> {
-    check_measured(run_smoke_suite()?, baseline_path, preset, bless)
-}
-
-/// Same gate over the chaos suite and its own baseline file.
-pub fn run_chaos_check(
-    baseline_path: &Path,
-    preset: TolerancePreset,
-    bless: bool,
-) -> Result<CheckOutcome, ScoopError> {
-    run_chaos_check_with_history(baseline_path, preset, bless, None)
-}
-
-/// The chaos gate with an optional perf-history side effect: before the
-/// provenance is masked for the baseline comparison, one `scale:"chaos"`
-/// record (real wall clock, events/sec, peak RSS) is appended to `history`.
-/// The scale override keeps the comparability filter honest — chaos wall
-/// clocks are only ever gated against earlier chaos records, never against
-/// the classic quick suite, store ingests, or serve benches.
-pub fn run_chaos_check_with_history(
-    baseline_path: &Path,
-    preset: TolerancePreset,
-    bless: bool,
-    history: Option<&Path>,
-) -> Result<CheckOutcome, ScoopError> {
-    let mut artifacts = run_suite(&SuiteOptions::chaos_smoke(), |_| ())?;
-    if let Some(path) = history {
-        if let Some(mut record) = crate::history::HistoryRecord::from_artifacts(&artifacts) {
-            record.scale = "chaos".to_string();
-            record.append_to(path)?;
-        }
-    }
-    for artifact in &mut artifacts {
-        artifact.provenance = Provenance::masked();
-    }
-    check_measured(artifacts, baseline_path, preset, bless)
-}
-
-/// Same gate over the workloads suite and its own baseline file.
-pub fn run_workloads_check(
-    baseline_path: &Path,
-    preset: TolerancePreset,
-    bless: bool,
-) -> Result<CheckOutcome, ScoopError> {
-    run_workloads_check_with_history(baseline_path, preset, bless, None)
-}
-
-/// The workloads gate with the same optional perf-history side effect as
-/// [`run_chaos_check_with_history`], stamped `scale:"workload"` so workload
-/// wall clocks only ever gate against earlier workload records.
-pub fn run_workloads_check_with_history(
-    baseline_path: &Path,
-    preset: TolerancePreset,
-    bless: bool,
-    history: Option<&Path>,
-) -> Result<CheckOutcome, ScoopError> {
-    let mut artifacts = run_suite(&SuiteOptions::workloads_smoke(), |_| ())?;
-    if let Some(path) = history {
-        if let Some(mut record) = crate::history::HistoryRecord::from_artifacts(&artifacts) {
-            record.scale = "workload".to_string();
-            record.append_to(path)?;
-        }
-    }
-    for artifact in &mut artifacts {
-        artifact.provenance = Provenance::masked();
-    }
-    check_measured(artifacts, baseline_path, preset, bless)
-}
-
-fn check_measured(
-    measured: Vec<Artifact>,
-    baseline_path: &Path,
-    preset: TolerancePreset,
-    bless: bool,
-) -> Result<CheckOutcome, ScoopError> {
+    let measured = run_masked(suite)?;
     if bless {
         if let Some(parent) = baseline_path.parent() {
             std::fs::create_dir_all(parent)
@@ -249,7 +195,7 @@ mod tests {
 
     #[test]
     fn smoke_run_matches_itself_at_every_preset() {
-        let artifacts = run_smoke_suite().unwrap();
+        let artifacts = run_masked(Suite::Smoke).unwrap();
         for preset in [
             TolerancePreset::Strict,
             TolerancePreset::Default,
@@ -262,7 +208,7 @@ mod tests {
 
     #[test]
     fn perturbed_baseline_fails_the_check() {
-        let measured = run_smoke_suite().unwrap();
+        let measured = run_masked(Suite::Smoke).unwrap();
         let mut baseline = measured.clone();
         // Perturb one Figure 5 total by 10 % — far beyond the default 2 %.
         let fig5 = baseline
@@ -297,7 +243,7 @@ mod tests {
 
     #[test]
     fn empty_or_truncated_baseline_fails_the_check() {
-        let measured = run_smoke_suite().unwrap();
+        let measured = run_masked(Suite::Smoke).unwrap();
         // Entirely empty baseline: the gate must not silently pass.
         let outcome = compare_to_baseline(&measured, &[], TolerancePreset::Default);
         assert!(outcome.failed());
@@ -318,7 +264,7 @@ mod tests {
 
     #[test]
     fn missing_experiment_fails_the_check() {
-        let measured = run_smoke_suite().unwrap();
+        let measured = run_masked(Suite::Smoke).unwrap();
         let mut short = measured.clone();
         short.retain(|a| a.experiment != "fig4");
         let outcome = compare_to_baseline(&short, &measured, TolerancePreset::Loose);
@@ -332,72 +278,5 @@ mod tests {
             .rows
             .iter()
             .all(|(_, s)| matches!(s, RowStatus::Missing)));
-    }
-
-    #[test]
-    fn chaos_gate_appends_a_chaos_scale_history_record() {
-        let tmp = std::env::temp_dir().join(format!("scoop-chaos-hist-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&tmp);
-        std::fs::create_dir_all(&tmp).unwrap();
-        let baseline = tmp.join("chaos-baseline.json");
-        let history = tmp.join("history.jsonl");
-
-        // Bless against a fresh baseline so the gate passes regardless of
-        // CWD, while the unmasked run feeds the history side effect.
-        let outcome =
-            run_chaos_check_with_history(&baseline, TolerancePreset::Default, true, Some(&history))
-                .unwrap();
-        assert!(!outcome.failed(), "{}", outcome.render_text());
-
-        let records = crate::history::load_history(&history).unwrap();
-        assert_eq!(records.len(), 1);
-        let record = &records[0];
-        assert_eq!(record.scale, "chaos");
-        assert_eq!(record.experiments.len(), 3, "one timing per scenario");
-        assert!(
-            record.total_wall_clock_secs > 0.0,
-            "the record keeps real provenance even though the gate compares masked"
-        );
-        assert!(record.total_events_processed > 0);
-        // The blessed baseline itself stays masked and machine-independent.
-        let blessed = load_baseline(&baseline).unwrap();
-        assert!(blessed
-            .iter()
-            .all(|a| a.provenance.wall_clock_secs == 0.0 && a.provenance.git_rev.is_empty()));
-
-        let _ = std::fs::remove_dir_all(&tmp);
-    }
-
-    #[test]
-    fn workloads_gate_appends_a_workload_scale_history_record() {
-        let tmp = std::env::temp_dir().join(format!("scoop-wl-hist-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&tmp);
-        std::fs::create_dir_all(&tmp).unwrap();
-        let baseline = tmp.join("workloads-baseline.json");
-        let history = tmp.join("history.jsonl");
-
-        let outcome = run_workloads_check_with_history(
-            &baseline,
-            TolerancePreset::Default,
-            true,
-            Some(&history),
-        )
-        .unwrap();
-        assert!(!outcome.failed(), "{}", outcome.render_text());
-
-        let records = crate::history::load_history(&history).unwrap();
-        assert_eq!(records.len(), 1);
-        let record = &records[0];
-        assert_eq!(record.scale, "workload");
-        assert_eq!(record.experiments.len(), 2, "one timing per grid");
-        assert!(record.total_events_processed > 0);
-        // The blessed baseline itself stays masked and machine-independent.
-        let blessed = load_baseline(&baseline).unwrap();
-        assert_eq!(blessed.len(), 2);
-        assert!(blessed
-            .iter()
-            .all(|a| a.provenance.wall_clock_secs == 0.0 && a.provenance.git_rev.is_empty()));
-
-        let _ = std::fs::remove_dir_all(&tmp);
     }
 }

@@ -5,32 +5,32 @@
 //!                  [--history=FILE] [--json] [experiment...]
 //! scoop-lab report [--results=DIR] [--out=FILE]
 //! scoop-lab diff   [--results=DIR]
-//! scoop-lab check  [--tolerance NAME] [--bless] [--baseline=FILE]
+//! scoop-lab check  [--suite NAME] [--tolerance NAME] [--bless] [--baseline=FILE]
 //! scoop-lab calibrate [--smoke] [--trials=N] [--seed=N] [--out=FILE]
+//! scoop-lab history [--file=FILE]
 //! scoop-lab trace  [policy] [source] [nodes]
 //! ```
 //!
 //! `run` executes experiments and persists one artifact per experiment under
 //! the results directory; `report` regenerates `EXPERIMENTS.md` from those
 //! artifacts; `diff` classifies the stored artifacts against the paper
-//! baselines; `check` is the CI regression gate against the committed smoke
-//! baseline; `trace` is the step-by-step diagnostic previously shipped as a
-//! separate `scoop-sim` binary. [`run_cli`] is public so
+//! baselines; `check` is the CI regression gate of one suite (smoke, chaos or
+//! workloads) against its committed baseline; `history` prints the latest
+//! `run --history` record and its wall-clock delta; `trace` is the
+//! step-by-step diagnostic previously shipped as a separate `scoop-sim`
+//! binary. [`run_cli`] is public so
 //! `examples/reproduce.rs` can stay a thin wrapper over the same code path.
 
 use crate::artifact::ArtifactStore;
 use crate::baselines::{paper_baseline, TolerancePreset};
 use crate::calibrate::{run_calibration, save_calibration, CalibrationOptions};
-use crate::check::{
-    run_chaos_check_with_history, run_check, run_workloads_check_with_history,
-    DEFAULT_BASELINE_PATH, DEFAULT_CHAOS_BASELINE_PATH, DEFAULT_WORKLOADS_BASELINE_PATH,
-};
+use crate::check::{run_check, Suite};
 use crate::diff::diff_rows;
 use crate::history::HistoryRecord;
 use crate::rows::RowSet;
 use crate::suite::{run_suite, ExperimentId, PointSet, Scale, SuiteOptions};
 use scoop_sim::MessageBreakdown;
-use scoop_types::{DataSourceKind, ExperimentConfig, SimDuration, SimTime, StoragePolicy};
+use scoop_types::{ExperimentConfig, SimDuration, SimTime, MAX_NODES};
 use std::path::PathBuf;
 
 /// Default directory artifacts are written to / read from.
@@ -45,14 +45,11 @@ const USAGE: &str =
          [--set key=value]... [--show-spec] [experiment...]
   report [--results=DIR] [--out=FILE]
   diff   [--results=DIR]
-  check  [--tolerance NAME] [--bless] [--baseline=FILE] [--chaos|--workloads]
-         [--history=FILE]
-         (NAME: strict|default|loose; --chaos gates the chaos suite and
-          --workloads the range/aggregate workload suite, each against its
-          own baseline; with --history each appends one perf record at its
-          scale, \"chaos\" or \"workload\")
+  check  [--suite smoke|chaos|workloads] [--tolerance strict|default|loose]
+         [--bless] [--baseline=FILE]
+         (each suite is gated against its own committed baseline)
   calibrate [--smoke] [--trials=N] [--seed=N] [--out=FILE] [--results=DIR]
-  history [--file=FILE] [--max-regression=FRAC] [--gate]
+  history [--file=FILE]
   store  <ingest|query|stats> --db DIR [options]   (durable basestation store)
   trace  [scoop|local|base|hash] [real|unique|equal|random|gaussian] [nodes]
 experiments: fig3-left fig3-middle fig3-right fig4 fig5 ablations sample-interval
@@ -323,47 +320,24 @@ fn cmd_diff(args: &[String]) -> Result<i32, String> {
 }
 
 fn cmd_check(args: &[String]) -> Result<i32, String> {
-    let (positional, flags, values) = parse(
-        args,
-        &["tolerance", "baseline", "history"],
-        &["bless", "chaos", "workloads"],
-    )?;
+    let (positional, flags, values) = parse(args, &["suite", "tolerance", "baseline"], &["bless"])?;
     if let Some(extra) = positional.first() {
         return Err(format!("unexpected argument `{extra}`"));
     }
+    let suite_name = lookup(&values, "suite").unwrap_or("smoke");
+    let suite = Suite::from_name(suite_name).ok_or_else(|| {
+        format!(
+            "unknown suite `{suite_name}` ({})",
+            Suite::ALL.map(Suite::name).join("|")
+        )
+    })?;
     let preset_name = lookup(&values, "tolerance").unwrap_or("default");
     let preset = TolerancePreset::from_name(preset_name)
         .ok_or_else(|| format!("unknown tolerance `{preset_name}` (strict|default|loose)"))?;
     let bless = flags.iter().any(|f| f == "bless");
-    let chaos = flags.iter().any(|f| f == "chaos");
-    let workloads = flags.iter().any(|f| f == "workloads");
-    if chaos && workloads {
-        return Err("--chaos and --workloads are mutually exclusive".to_string());
-    }
-    let history = lookup(&values, "history").map(PathBuf::from);
-    if history.is_some() && !chaos && !workloads {
-        return Err(
-            "--history only applies to `check --chaos` or `check --workloads` \
-                    (the classic smoke suite's record is appended by `run --history`)"
-                .to_string(),
-        );
-    }
-    let default_path = if chaos {
-        DEFAULT_CHAOS_BASELINE_PATH
-    } else if workloads {
-        DEFAULT_WORKLOADS_BASELINE_PATH
-    } else {
-        DEFAULT_BASELINE_PATH
-    };
-    let baseline_path = PathBuf::from(lookup(&values, "baseline").unwrap_or(default_path));
-    let outcome = if chaos {
-        run_chaos_check_with_history(&baseline_path, preset, bless, history.as_deref())
-    } else if workloads {
-        run_workloads_check_with_history(&baseline_path, preset, bless, history.as_deref())
-    } else {
-        run_check(&baseline_path, preset, bless)
-    }
-    .map_err(|e| e.to_string())?;
+    let baseline_path =
+        lookup(&values, "baseline").map_or_else(|| suite.baseline_path(), PathBuf::from);
+    let outcome = run_check(suite, &baseline_path, preset, bless).map_err(|e| e.to_string())?;
     print!("{}", outcome.render_text());
     if bless {
         println!("blessed: wrote {}", baseline_path.display());
@@ -418,39 +392,22 @@ fn cmd_calibrate(args: &[String]) -> Result<i32, String> {
     Ok(0)
 }
 
-/// The perf-trajectory reader behind the CI throughput gate: prints the last
-/// `BENCH_history.jsonl` record (per-experiment wall clock and events/sec)
-/// and its wall-clock delta against the most recent comparable record. With
-/// `--gate`, a regression beyond `--max-regression` (default 0.25 = +25 %)
-/// exits non-zero.
+/// The timing-history reader: prints the last `BENCH_history.jsonl` record
+/// (per-experiment wall clock and events/sec) and its wall-clock delta
+/// against the most recent comparable record. It reports and never fails
+/// on a slowdown: wall clock on a shared host does not repeat well enough
+/// to gate on (`bench/run.sh` is the measured benchmark).
 fn cmd_history(args: &[String]) -> Result<i32, String> {
-    let (positional, flags, values) = parse(args, &["file", "max-regression"], &["gate"])?;
+    let (positional, _, values) = parse(args, &["file"], &[])?;
     if let Some(extra) = positional.first() {
         return Err(format!("unexpected argument `{extra}`"));
     }
     let path = PathBuf::from(lookup(&values, "file").unwrap_or("BENCH_history.jsonl"));
-    let max_regression: f64 = match lookup(&values, "max-regression") {
-        None => 0.25,
-        Some(raw) => raw
-            .parse()
-            .ok()
-            .filter(|v: &f64| *v >= 0.0)
-            .ok_or_else(|| format!("bad --max-regression value `{raw}`"))?,
-    };
-    let gate = flags.iter().any(|f| f == "gate");
     let records = crate::history::load_history(&path).map_err(|e| e.to_string())?;
     let Some(delta) = crate::history::HistoryDelta::from_records(&records) else {
         return Err(format!("{}: no records", path.display()));
     };
-    print!("{}", delta.render_text(max_regression));
-    if gate && delta.regressed(max_regression) {
-        println!(
-            "HISTORY GATE FAILED: wall clock regressed more than {:.0} % \
-             vs the previous comparable record",
-            max_regression * 100.0
-        );
-        return Ok(1);
-    }
+    print!("{}", delta.render_text());
     Ok(0)
 }
 
@@ -462,22 +419,20 @@ fn cmd_history(args: &[String]) -> Result<i32, String> {
 /// entry per 32 listeners, not one per delivery still to come).
 fn cmd_trace(args: &[String]) -> Result<i32, String> {
     let (positional, _, _) = parse(args, &[], &[])?;
+    if let Some(extra) = positional.get(3) {
+        return Err(format!("unexpected argument `{extra}`"));
+    }
+    // The positionals are the spec axes of the same names, so a bad value
+    // fails with the axis's accepted vocabulary instead of a silent default.
     let mut cfg = ExperimentConfig::small_test();
-    cfg.policy.kind = match positional.first().map(String::as_str) {
-        Some("local") => StoragePolicy::Local,
-        Some("base") => StoragePolicy::Base,
-        Some("hash") => StoragePolicy::Hash,
-        _ => StoragePolicy::Scoop,
-    };
-    cfg.workload.data_source = match positional.get(1).map(String::as_str) {
-        Some("unique") => DataSourceKind::Unique,
-        Some("equal") => DataSourceKind::Equal,
-        Some("random") => DataSourceKind::Random,
-        Some("gaussian") => DataSourceKind::Gaussian,
-        _ => DataSourceKind::Real,
-    };
-    if let Some(n) = positional.get(2).and_then(|s| s.parse().ok()) {
-        cfg.num_nodes = n;
+    for (axis, value) in ["policy", "source", "nodes"].into_iter().zip(&positional) {
+        cfg.set_axis(axis, value).map_err(|e| e.to_string())?;
+    }
+    if !(2..=MAX_NODES).contains(&cfg.num_nodes) {
+        return Err(format!(
+            "bad node count `{}` (expected 2..={MAX_NODES})",
+            cfg.num_nodes
+        ));
     }
 
     let mut engine = scoop_sim::build_engine(&cfg).map_err(|e| e.to_string())?;
@@ -597,6 +552,15 @@ mod tests {
         assert_eq!(run_cli(&s(&["frobnicate"])), 2);
         assert_eq!(run_cli(&s(&["run", "fig9"])), 2);
         assert_eq!(run_cli(&s(&["check", "--tolerance", "yolo"])), 2);
+        assert_eq!(run_cli(&s(&["check", "--suite", "bogus"])), 2);
+        assert_eq!(run_cli(&s(&["check", "--chaos"])), 2);
+        assert_eq!(run_cli(&s(&["history", "--gate"])), 2);
+        assert_eq!(run_cli(&s(&["trace", "ghost"])), 2);
+        assert_eq!(run_cli(&s(&["trace", "scoop", "bogus"])), 2);
+        assert_eq!(run_cli(&s(&["trace", "scoop", "real", "many"])), 2);
+        assert_eq!(run_cli(&s(&["trace", "scoop", "real", "1"])), 2);
+        assert_eq!(run_cli(&s(&["trace", "scoop", "real", "40000"])), 2);
+        assert_eq!(run_cli(&s(&["trace", "scoop", "real", "10", "extra"])), 2);
         assert_eq!(run_cli(&s(&[])), 2);
     }
 

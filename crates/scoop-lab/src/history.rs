@@ -1,11 +1,11 @@
-//! Per-commit performance history (`BENCH_history.jsonl`).
+//! Per-commit experiment timing history (`BENCH_history.jsonl`).
 //!
 //! Every `scoop-lab run --history <file>` appends one JSON line recording
-//! the wall-clock of each experiment in the run, keyed by git revision. CI
-//! appends a line per commit, turning the file into a coarse perf
-//! trajectory — enough to spot a simulation slowdown without a dedicated
-//! benchmarking service. JSONL appends never rewrite history, so the file is
-//! merge-friendly.
+//! the wall-clock and events/s of each experiment in the run, keyed by git
+//! revision. That is the file's one job: it is a record, not a gate — wall
+//! clock on a shared host varies too much to fail a build on. Store and
+//! serve numbers come from the repository benchmark (`bench/run.sh`). JSONL
+//! appends never rewrite history, so the file is merge-friendly.
 
 use crate::artifact::Artifact;
 use scoop_types::ScoopError;
@@ -16,8 +16,7 @@ use std::path::Path;
 /// One experiment's timing within a history record.
 ///
 /// The throughput fields carry `#[serde(default)]` so records appended
-/// before they existed still parse (as zero) when the regression gate walks
-/// the file.
+/// before they existed still parse (as zero).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentTiming {
     /// Experiment slug.
@@ -40,6 +39,10 @@ pub struct ExperimentTiming {
 }
 
 /// One appended line of `BENCH_history.jsonl`.
+///
+/// Lines written by older revisions may carry keys this struct no longer
+/// has (the retired `store_*` / `serve_*` families); deserialization ignores
+/// them, so the committed file still loads.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct HistoryRecord {
     /// Git revision the suite ran at.
@@ -50,6 +53,10 @@ pub struct HistoryRecord {
     pub trials: usize,
     /// Sweep worker threads.
     pub threads: usize,
+    /// Cores the host offered (`available_parallelism`; 0 in records
+    /// appended before it was recorded).
+    #[serde(default)]
+    pub nproc: usize,
     /// Sum of per-experiment wall-clocks.
     pub total_wall_clock_secs: f64,
     /// Sum of per-experiment dispatched events (0 in pre-throughput records).
@@ -59,44 +66,8 @@ pub struct HistoryRecord {
     /// per-experiment high-water marks (0 in pre-memory records).
     #[serde(default)]
     pub peak_rss_bytes: u64,
-    /// Records ingested into the durable store (only set on `scale:"store"`
-    /// records appended by `scoop-lab store ingest --history`; elided as 0
-    /// on simulation records so their lines are unchanged).
-    #[serde(default, skip_serializing_if = "is_zero_u64")]
-    pub store_records: u64,
-    /// Durable-store ingest throughput, records per second.
-    #[serde(default, skip_serializing_if = "is_zero_f64")]
-    pub store_ingest_records_per_sec: f64,
-    /// Wall-clock seconds spent building learned indexes during the ingest.
-    #[serde(default, skip_serializing_if = "is_zero_f64")]
-    pub store_index_build_secs: f64,
-    /// Bytes the store occupies on disk after the ingest.
-    #[serde(default, skip_serializing_if = "is_zero_u64")]
-    pub store_disk_bytes: u64,
-    /// Queries completed by a `scoop-serve bench` run (only set on
-    /// `scale:"serve"` records; elided as 0 elsewhere so simulation and
-    /// store lines are unchanged).
-    #[serde(default, skip_serializing_if = "is_zero_u64")]
-    pub serve_queries: u64,
-    /// Serving throughput, completed queries per wall-clock second.
-    #[serde(default, skip_serializing_if = "is_zero_f64")]
-    pub serve_qps: f64,
-    /// Median served-request latency, in milliseconds.
-    #[serde(default, skip_serializing_if = "is_zero_f64")]
-    pub serve_p50_ms: f64,
-    /// 99th-percentile served-request latency, in milliseconds.
-    #[serde(default, skip_serializing_if = "is_zero_f64")]
-    pub serve_p99_ms: f64,
     /// Per-experiment timings, in suite order.
     pub experiments: Vec<ExperimentTiming>,
-}
-
-fn is_zero_u64(v: &u64) -> bool {
-    *v == 0
-}
-
-fn is_zero_f64(v: &f64) -> bool {
-    *v == 0.0
 }
 
 impl HistoryRecord {
@@ -119,6 +90,7 @@ impl HistoryRecord {
             scale: first.scale.clone(),
             trials: first.trials,
             threads: first.provenance.threads,
+            nproc: std::thread::available_parallelism().map_or(0, |n| n.get()),
             total_wall_clock_secs: experiments.iter().map(|e| e.wall_clock_secs).sum(),
             total_events_processed: experiments.iter().map(|e| e.events_processed).sum(),
             peak_rss_bytes: experiments
@@ -126,75 +98,8 @@ impl HistoryRecord {
                 .map(|e| e.peak_rss_bytes)
                 .max()
                 .unwrap_or(0),
-            store_records: 0,
-            store_ingest_records_per_sec: 0.0,
-            store_index_build_secs: 0.0,
-            store_disk_bytes: 0,
-            serve_queries: 0,
-            serve_qps: 0.0,
-            serve_p50_ms: 0.0,
-            serve_p99_ms: 0.0,
             experiments,
         })
-    }
-
-    /// Summarizes one `scoop-lab store ingest` for the perf trajectory.
-    /// `scale` is `"store"`, so the history gate never compares these
-    /// records against simulation runs.
-    pub fn from_store_ingest(
-        report: &scoop_store::IngestReport,
-        stats: &scoop_store::StoreStats,
-    ) -> HistoryRecord {
-        HistoryRecord {
-            git_rev: crate::artifact::workspace_git_rev(),
-            scale: "store".to_string(),
-            trials: 1,
-            threads: 1,
-            total_wall_clock_secs: report.ingest_secs,
-            total_events_processed: 0,
-            peak_rss_bytes: crate::artifact::peak_rss_bytes(),
-            store_records: report.records,
-            store_ingest_records_per_sec: report.records_per_sec,
-            store_index_build_secs: stats.index_build_secs,
-            store_disk_bytes: stats.disk_bytes,
-            serve_queries: 0,
-            serve_qps: 0.0,
-            serve_p50_ms: 0.0,
-            serve_p99_ms: 0.0,
-            experiments: Vec::new(),
-        }
-    }
-
-    /// Summarizes one `scoop-serve bench` run. `scale` is `"serve"` and the
-    /// query count participates in comparability, so serving latency is
-    /// gated only against runs of the same workload size and concurrency —
-    /// never against simulation events/s records.
-    pub fn from_serve_bench(
-        queries: u64,
-        wall_clock_secs: f64,
-        qps: f64,
-        p50_ms: f64,
-        p99_ms: f64,
-        concurrency: usize,
-    ) -> HistoryRecord {
-        HistoryRecord {
-            git_rev: crate::artifact::workspace_git_rev(),
-            scale: "serve".to_string(),
-            trials: 1,
-            threads: concurrency,
-            total_wall_clock_secs: wall_clock_secs,
-            total_events_processed: 0,
-            peak_rss_bytes: crate::artifact::peak_rss_bytes(),
-            store_records: 0,
-            store_ingest_records_per_sec: 0.0,
-            store_index_build_secs: 0.0,
-            store_disk_bytes: 0,
-            serve_queries: queries,
-            serve_qps: qps,
-            serve_p50_ms: p50_ms,
-            serve_p99_ms: p99_ms,
-            experiments: Vec::new(),
-        }
     }
 
     /// Aggregate events per second over the whole run.
@@ -223,7 +128,7 @@ impl HistoryRecord {
 
 /// Loads every record of a `BENCH_history.jsonl` file, in append order.
 /// Blank lines are skipped; a malformed line is an error (a truncated write
-/// should fail the gate, not silently vanish).
+/// should be reported, not silently vanish).
 pub fn load_history(path: &Path) -> Result<Vec<HistoryRecord>, ScoopError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| ScoopError::Artifact(format!("{}: {e}", path.display())))?;
@@ -238,8 +143,8 @@ pub fn load_history(path: &Path) -> Result<Vec<HistoryRecord>, ScoopError> {
 
 /// The latest history record measured against the most recent *comparable*
 /// earlier one (same scale, trials, sweep threads, and experiment count — a
-/// quick CI run must never be judged against a committed paper-scale run,
-/// nor a 4-thread run against a 1-thread wall clock).
+/// quick run is never set against a committed paper-scale run, nor a
+/// 4-thread run against a 1-thread wall clock).
 #[derive(Clone, Debug)]
 pub struct HistoryDelta {
     /// The newest record (this commit's run).
@@ -261,17 +166,12 @@ impl HistoryDelta {
                     && r.trials == latest.trials
                     && r.threads == latest.threads
                     && r.experiments.len() == latest.experiments.len()
-                    // Serving records additionally match on workload size, so
-                    // a smoke-sized serve run is never judged against the
-                    // million-query bench (0 == 0 keeps every older record
-                    // kind comparable exactly as before).
-                    && r.serve_queries == latest.serve_queries
             })
             .cloned();
         Some(HistoryDelta { latest, previous })
     }
 
-    /// Wall-clock ratio `latest / previous` (`> 1` is a slowdown), if a
+    /// Wall-clock ratio `latest / previous` (`> 1` is slower), if a
     /// comparable previous record exists and both totals are positive.
     pub fn wall_clock_ratio(&self) -> Option<f64> {
         let previous = self.previous.as_ref()?;
@@ -281,37 +181,20 @@ impl HistoryDelta {
         Some(self.latest.total_wall_clock_secs / previous.total_wall_clock_secs)
     }
 
-    /// Tail-latency ratio `latest / previous` of served-request p99
-    /// (`> 1` is a slowdown), if both records are serve records with
-    /// positive p99s.
-    pub fn serve_p99_ratio(&self) -> Option<f64> {
-        let previous = self.previous.as_ref()?;
-        if previous.serve_p99_ms <= 0.0 || self.latest.serve_p99_ms <= 0.0 {
-            return None;
-        }
-        Some(self.latest.serve_p99_ms / previous.serve_p99_ms)
-    }
-
-    /// Whether the latest run regressed by more than `max_regression`
-    /// (e.g. `0.25` fails anything over 1.25× the previous wall clock).
-    /// Serve records are additionally gated on p99 latency — a serving-tier
-    /// tail-latency regression fails even when total wall clock hides it.
-    pub fn regressed(&self, max_regression: f64) -> bool {
-        let over = |ratio: Option<f64>| matches!(ratio, Some(r) if r > 1.0 + max_regression);
-        over(self.wall_clock_ratio()) || over(self.serve_p99_ratio())
-    }
-
     /// Human-readable summary: per-experiment wall clock and events/sec of
-    /// the latest record, plus the delta against the previous comparable run.
-    pub fn render_text(&self, max_regression: f64) -> String {
+    /// the latest record, plus the wall-clock delta against the previous
+    /// comparable run. No verdict: the delta is reported, not judged.
+    pub fn render_text(&self) -> String {
         let mut out = String::new();
         let latest = &self.latest;
         out.push_str(&format!(
-            "latest record: rev `{}` scale={} trials={} — {:.2} s total, \
+            "latest record: rev `{}` scale={} trials={} threads={} nproc={} — {:.2} s total, \
              {} events ({:.0} events/s)",
             latest.git_rev,
             latest.scale,
             latest.trials,
+            latest.threads,
+            latest.nproc,
             latest.total_wall_clock_secs,
             latest.total_events_processed,
             latest.events_per_sec(),
@@ -323,22 +206,6 @@ impl HistoryDelta {
             ));
         }
         out.push('\n');
-        if latest.serve_queries > 0 {
-            out.push_str(&format!(
-                "  serving: {} queries at {:.0} q/s, p50 {:.3} ms, p99 {:.3} ms\n",
-                latest.serve_queries, latest.serve_qps, latest.serve_p50_ms, latest.serve_p99_ms
-            ));
-        }
-        if latest.store_records > 0 {
-            out.push_str(&format!(
-                "  durable store: {} record(s) at {:.0} records/s, \
-                 index built in {:.4} s, {} bytes on disk\n",
-                latest.store_records,
-                latest.store_ingest_records_per_sec,
-                latest.store_index_build_secs,
-                latest.store_disk_bytes
-            ));
-        }
         for e in &latest.experiments {
             out.push_str(&format!(
                 "  {:<18} {:>7.2} s  {:>10} events  {:>10.0} events/s\n",
@@ -346,33 +213,15 @@ impl HistoryDelta {
             ));
         }
         match (&self.previous, self.wall_clock_ratio()) {
-            (Some(previous), Some(ratio)) => {
-                out.push_str(&format!(
-                    "previous comparable record: rev `{}` — {:.2} s total\n\
-                     wall-clock delta: {:+.1} % ({})\n",
-                    previous.git_rev,
-                    previous.total_wall_clock_secs,
-                    (ratio - 1.0) * 100.0,
-                    if self.regressed(max_regression) {
-                        "REGRESSION over threshold"
-                    } else if ratio < 1.0 {
-                        "faster"
-                    } else {
-                        "within threshold"
-                    },
-                ));
-                if let Some(p99_ratio) = self.serve_p99_ratio() {
-                    out.push_str(&format!(
-                        "serve p99 delta: {:+.1} % ({:.3} ms -> {:.3} ms)\n",
-                        (p99_ratio - 1.0) * 100.0,
-                        previous.serve_p99_ms,
-                        self.latest.serve_p99_ms
-                    ));
-                }
-            }
+            (Some(previous), Some(ratio)) => out.push_str(&format!(
+                "previous comparable record: rev `{}` — {:.2} s total\n\
+                 wall-clock delta: {:+.1} %\n",
+                previous.git_rev,
+                previous.total_wall_clock_secs,
+                (ratio - 1.0) * 100.0,
+            )),
             _ => out.push_str(
-                "no comparable previous record (same scale/trials/threads/experiments) — \
-                 nothing to gate against\n",
+                "no comparable previous record (same scale/trials/threads/experiments)\n",
             ),
         }
         out
@@ -393,6 +242,7 @@ mod tests {
         assert_eq!(record.experiments.len(), 2);
         assert!(record.total_wall_clock_secs >= 0.0);
         assert_eq!(record.scale, "quick");
+        assert!(record.nproc >= 1, "available_parallelism is readable");
 
         let path =
             std::env::temp_dir().join(format!("scoop-lab-history-{}.jsonl", std::process::id()));
@@ -417,17 +267,10 @@ mod tests {
             scale: scale.to_string(),
             trials,
             threads: 1,
+            nproc: 2,
             total_wall_clock_secs: wall,
             total_events_processed: (wall * 1_000_000.0) as u64,
             peak_rss_bytes: 64 * 1024 * 1024,
-            store_records: 0,
-            store_ingest_records_per_sec: 0.0,
-            store_index_build_secs: 0.0,
-            store_disk_bytes: 0,
-            serve_queries: 0,
-            serve_qps: 0.0,
-            serve_p50_ms: 0.0,
-            serve_p99_ms: 0.0,
             experiments: (0..experiments)
                 .map(|i| ExperimentTiming {
                     experiment: format!("exp-{i}"),
@@ -443,7 +286,7 @@ mod tests {
 
     #[test]
     fn delta_compares_only_same_shape_runs() {
-        // quick records must not be judged against the paper-scale one, and
+        // quick records must not be set against the paper-scale one, and
         // a run on different sweep threads is not comparable either.
         let mut other_threads = record("quick", 1, 1.0, 2);
         other_threads.threads = 4;
@@ -457,99 +300,16 @@ mod tests {
         assert_eq!(delta.previous.as_ref().unwrap().total_wall_clock_secs, 2.0);
         let ratio = delta.wall_clock_ratio().unwrap();
         assert!((ratio - 1.1).abs() < 1e-9, "{ratio}");
-        assert!(!delta.regressed(0.25));
-        assert!(delta.regressed(0.05));
-        let text = delta.render_text(0.25);
-        assert!(text.contains("within threshold"), "{text}");
+        let text = delta.render_text();
+        assert!(text.contains("wall-clock delta: +10.0 %"), "{text}");
+        assert!(text.contains("nproc=2"), "{text}");
 
         let only = vec![record("paper", 3, 37.0, 2)];
         let delta = HistoryDelta::from_records(&only).unwrap();
         assert!(delta.previous.is_none());
-        assert!(!delta.regressed(0.0), "no baseline, nothing to fail");
-        assert!(delta.render_text(0.25).contains("no comparable previous"));
+        assert!(delta.wall_clock_ratio().is_none());
+        assert!(delta.render_text().contains("no comparable previous"));
         assert!(HistoryDelta::from_records(&[]).is_none());
-    }
-
-    #[test]
-    fn chaos_records_compare_only_against_chaos_records() {
-        // The chaos gate's record carries the same experiment count (3) as a
-        // hypothetical trimmed quick run could; only the scale override
-        // keeps the two trajectories apart. A chaos record must reach past
-        // quick, paper, and same-shaped foreign records to the previous
-        // chaos one — and a quick record must never see a chaos baseline.
-        let records = vec![
-            record("chaos", 1, 4.0, 3),
-            record("quick", 1, 2.0, 3),
-            record("chaos", 1, 4.4, 3),
-        ];
-        let delta = HistoryDelta::from_records(&records).unwrap();
-        let previous = delta.previous.as_ref().unwrap();
-        assert_eq!(previous.scale, "chaos");
-        assert_eq!(previous.total_wall_clock_secs, 4.0);
-        let ratio = delta.wall_clock_ratio().unwrap();
-        assert!((ratio - 1.1).abs() < 1e-9, "{ratio}");
-
-        let records = vec![record("chaos", 1, 4.0, 3), record("quick", 1, 2.0, 3)];
-        let delta = HistoryDelta::from_records(&records).unwrap();
-        assert!(delta.previous.is_none(), "quick never gates against chaos");
-    }
-
-    fn serve_record(queries: u64, wall: f64, p99_ms: f64) -> HistoryRecord {
-        let mut r = HistoryRecord::from_serve_bench(
-            queries,
-            wall,
-            queries as f64 / wall,
-            p99_ms / 2.0,
-            p99_ms,
-            32,
-        );
-        r.git_rev = format!("serve-{wall}-{p99_ms}");
-        r
-    }
-
-    #[test]
-    fn serve_records_compare_only_against_same_sized_serve_runs() {
-        // A serve record must skip simulation and store records, and also a
-        // serve run of a different query count, when picking its baseline.
-        let records = vec![
-            record("quick", 1, 2.0, 2),
-            serve_record(1_000_000, 10.0, 4.0),
-            serve_record(5_000, 0.1, 3.0),
-            serve_record(1_000_000, 11.0, 4.2),
-        ];
-        let delta = HistoryDelta::from_records(&records).unwrap();
-        let previous = delta.previous.as_ref().unwrap();
-        assert_eq!(previous.serve_queries, 1_000_000);
-        assert_eq!(previous.total_wall_clock_secs, 10.0);
-        let p99 = delta.serve_p99_ratio().unwrap();
-        assert!((p99 - 1.05).abs() < 1e-9, "{p99}");
-        assert!(!delta.regressed(0.25));
-        let text = delta.render_text(0.25);
-        assert!(text.contains("serving: 1000000 queries"), "{text}");
-        assert!(text.contains("serve p99 delta"), "{text}");
-
-        // A simulation record never grows a serve baseline, and vice versa.
-        let records = vec![serve_record(5_000, 0.1, 3.0), record("quick", 1, 2.0, 2)];
-        let delta = HistoryDelta::from_records(&records).unwrap();
-        assert!(delta.previous.is_none());
-        assert!(delta.serve_p99_ratio().is_none());
-    }
-
-    #[test]
-    fn serve_p99_regression_gates_even_when_wall_clock_is_flat() {
-        let records = vec![
-            serve_record(1_000_000, 10.0, 4.0),
-            serve_record(1_000_000, 10.0, 9.0),
-        ];
-        let delta = HistoryDelta::from_records(&records).unwrap();
-        assert_eq!(delta.wall_clock_ratio(), Some(1.0), "wall clock is flat");
-        assert!(delta.regressed(1.0), "p99 more than doubled");
-        assert!(!delta.regressed(1.5), "within a generous threshold");
-        assert!(
-            delta.render_text(1.0).contains("REGRESSION"),
-            "{}",
-            delta.render_text(1.0)
-        );
     }
 
     #[test]
@@ -562,9 +322,18 @@ mod tests {
         let back: HistoryRecord = serde_json::from_str(&line).unwrap();
         assert_eq!(back.total_events_processed, 0);
         assert_eq!(back.peak_rss_bytes, 0);
+        assert_eq!(back.nproc, 0);
         assert_eq!(back.experiments[0].events_processed, 0);
         assert_eq!(back.experiments[0].events_per_sec, 0.0);
         assert_eq!(back.experiments[0].peak_rss_bytes, 0);
+
+        // The committed file, including its retired serve/store/chaos/workload
+        // lines whose extra keys this struct no longer has, still loads whole.
+        let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_history.jsonl");
+        let records = load_history(&committed).unwrap();
+        assert_eq!(records.len(), 22);
+        assert!(records.iter().any(|r| r.scale == "serve"));
+        assert!(records.iter().any(|r| r.scale == "store"));
     }
 
     #[test]
@@ -582,7 +351,7 @@ mod tests {
             latest: record,
             previous: None,
         };
-        assert!(delta.render_text(0.25).contains("peak RSS"));
+        assert!(delta.render_text().contains("peak RSS"));
     }
 
     #[test]

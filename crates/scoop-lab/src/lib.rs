@@ -24,11 +24,12 @@
 //!   `Missing` against a baseline.
 //! * [`render`] — regenerates `EXPERIMENTS.md` (measured-vs-paper tables
 //!   with drift annotations) from the latest artifacts.
-//! * [`check`] — the CI regression gate: quick smoke suite vs. the
-//!   committed baseline file.
-//! * [`history`] — per-commit wall-clock records (`BENCH_history.jsonl`).
+//! * [`check`] — the CI regression gate: one quick-scale [`check::Suite`]
+//!   (smoke, chaos or workloads) vs. its committed baseline file.
+//! * [`history`] — per-commit `scoop-lab run` wall-clock and events/s
+//!   records (`BENCH_history.jsonl`); a record, not a gate.
 //! * [`cli`] — the `scoop-lab` binary's `run | report | diff | check |
-//!   calibrate | history | trace` subcommands (also driven by
+//!   calibrate | history | store | trace` subcommands (also driven by
 //!   `examples/reproduce.rs`).
 
 #![warn(missing_docs)]
@@ -51,7 +52,7 @@ pub use calibrate::{
     load_calibration, run_calibration, save_calibration, CalibrationArtifact, CalibrationOptions,
     CalibrationPoint, CalibrationRow, Objective, CALIBRATION_SCHEMA_VERSION,
 };
-pub use check::{run_chaos_check, run_check, CheckOutcome};
+pub use check::{run_check, run_masked, CheckOutcome, Suite};
 pub use diff::{
     diff_rows, BaselineRow, BaselineSet, DiffReport, MetricCheck, RowStatus, Tolerance,
 };

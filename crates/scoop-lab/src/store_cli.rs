@@ -4,7 +4,7 @@
 //! ```text
 //! scoop-lab store ingest --db DIR [--artifact FILE]... [--sim [--paper]]
 //!                        [--set key=value]... [--block-size N] [--compact]
-//!                        [--dump FILE] [--history FILE]
+//!                        [--dump FILE]
 //! scoop-lab store query  --db DIR (--at MS | --from MS --to MS | --all)
 //!                        [--json] [--out FILE]
 //! scoop-lab store stats  --db DIR [--json]
@@ -21,7 +21,6 @@
 //! are ingestible" path.
 
 use crate::artifact::Artifact;
-use crate::history::HistoryRecord;
 use crate::suite::{ExperimentId, PointSet, Scale, SuiteOptions};
 use scoop_storage::{PersistenceBackend, StoredReading};
 use scoop_store::{DiskBackend, IngestReport, Store, StoreOptions, StoreStats};
@@ -31,7 +30,7 @@ use std::path::{Path, PathBuf};
 
 pub(crate) const STORE_USAGE: &str = "usage: scoop-lab store <ingest|query|stats> [options]
   ingest --db DIR [--artifact FILE]... [--sim [--paper]] [--set key=value]...
-         [--block-size N] [--compact] [--dump FILE] [--history FILE]
+         [--block-size N] [--compact] [--dump FILE]
   query  --db DIR (--at MS | --from MS --to MS | --all) [--json] [--out FILE]
   stats  --db DIR [--json]";
 
@@ -154,7 +153,7 @@ fn cmd_ingest(
 ) -> Result<i32, String> {
     let (positional, flags, values) = parse(
         args,
-        &["db", "artifact", "set", "block-size", "dump", "history"],
+        &["db", "artifact", "set", "block-size", "dump"],
         &["sim", "paper", "compact"],
     )?;
     if let Some(extra) = positional.first() {
@@ -237,12 +236,6 @@ fn cmd_ingest(
     if let Some((_, dump)) = values.iter().rev().find(|(n, _)| n == "dump") {
         std::fs::write(dump, records_json(&records)?).map_err(|e| format!("{dump}: {e}"))?;
         println!("dumped canonical ingest set to {dump}");
-    }
-    if let Some((_, history)) = values.iter().rev().find(|(n, _)| n == "history") {
-        HistoryRecord::from_store_ingest(&report, &stats)
-            .append_to(Path::new(history))
-            .map_err(|e| e.to_string())?;
-        println!("appended store metrics to {history}");
     }
     Ok(0)
 }

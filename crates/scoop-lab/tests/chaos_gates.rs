@@ -7,10 +7,10 @@
 //! * mass churn — the surviving-plus-joined network must recover too.
 //!
 //! These run the same deterministic quick-scale chaos suite the
-//! `scoop-lab check --chaos` CI gate snapshots, so a baseline re-bless
+//! `scoop-lab check --suite chaos` CI gate snapshots, so a baseline re-bless
 //! cannot quietly lower the bar: the gates here are absolute.
 
-use scoop_lab::check::run_chaos_suite;
+use scoop_lab::check::{run_masked, Suite};
 use scoop_lab::rows::RowSet;
 
 fn phase_metrics(rows: &RowSet, phase: &str) -> (f64, f64, f64, f64) {
@@ -33,7 +33,7 @@ fn phase_metrics(rows: &RowSet, phase: &str) -> (f64, f64, f64, f64) {
 
 #[test]
 fn chaos_scenarios_meet_the_recovery_gates() {
-    let artifacts = run_chaos_suite().expect("chaos suite runs");
+    let artifacts = run_masked(Suite::Chaos).expect("chaos suite runs");
     assert_eq!(artifacts.len(), 3);
     for artifact in &artifacts {
         let (storage, query, ctrl_storage, ctrl_query) = phase_metrics(&artifact.rows, "after");

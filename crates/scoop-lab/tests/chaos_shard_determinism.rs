@@ -9,13 +9,13 @@
 //! Env mutation is process-global, so this file keeps a single #[test]
 //! (its own binary) and restores the variable before asserting.
 
-use scoop_lab::check::run_chaos_suite;
+use scoop_lab::check::{run_masked, Suite};
 
 #[test]
 fn chaos_suite_is_shard_count_invariant() {
     let run_with_shards = |shards: &str| {
         std::env::set_var("SCOOP_ENGINE_SHARDS", shards);
-        let artifacts = run_chaos_suite().expect("chaos suite");
+        let artifacts = run_masked(Suite::Chaos).expect("chaos suite");
         std::env::remove_var("SCOOP_ENGINE_SHARDS");
         artifacts
             .iter()

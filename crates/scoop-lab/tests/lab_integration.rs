@@ -2,7 +2,7 @@
 //! (golden file), run determinism, and the regression-gate exit code.
 
 use scoop_lab::artifact::{Artifact, Provenance};
-use scoop_lab::check::{baseline_file_content, run_smoke_suite};
+use scoop_lab::check::{baseline_file_content, run_masked, Suite};
 use scoop_lab::cli::run_cli;
 use scoop_lab::rows::RowSet;
 use scoop_lab::suite::{run_suite, ExperimentId, PointSet, Scale, SuiteOptions};
@@ -112,7 +112,7 @@ fn check_exit_codes_track_baseline_perturbation() {
     let baseline_path = dir.join("smoke.json");
 
     // A faithful baseline: what the current code measures.
-    let measured = run_smoke_suite().unwrap();
+    let measured = run_masked(Suite::Smoke).unwrap();
     std::fs::write(&baseline_path, baseline_file_content(&measured).unwrap()).unwrap();
     let args: Vec<String> = [
         "check",

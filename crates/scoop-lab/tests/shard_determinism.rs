@@ -12,7 +12,7 @@
 //! Env mutation is process-global, so this file keeps a single #[test] (its
 //! own binary) and restores the variable before asserting.
 
-use scoop_lab::check::{run_smoke_suite, run_workloads_suite};
+use scoop_lab::check::{run_masked, Suite};
 
 #[test]
 fn quick_smoke_suite_is_shard_count_invariant() {
@@ -20,8 +20,8 @@ fn quick_smoke_suite_is_shard_count_invariant() {
         std::env::set_var("SCOOP_ENGINE_SHARDS", shards);
         // Smoke plus the workloads suite, so the new range/aggregate kinds
         // (q-digest folds included) are held to the same shard invariance.
-        let mut artifacts = run_smoke_suite().expect("smoke suite");
-        artifacts.extend(run_workloads_suite().expect("workloads suite"));
+        let mut artifacts = run_masked(Suite::Smoke).expect("smoke suite");
+        artifacts.extend(run_masked(Suite::Workloads).expect("workloads suite"));
         std::env::remove_var("SCOOP_ENGINE_SHARDS");
         artifacts
             .iter()

@@ -9,26 +9,33 @@
 //! `spec_equivalence.rs`, which replays the suite under the `link=legacy`
 //! preset against the preserved `baselines/smoke-legacy.json`.
 //!
-//! The chaos suite is held to the same bar against `baselines/chaos.json`
-//! (`scoop-lab check --chaos`, but exact): its failover scenario is the one
-//! place the multi-sink federation runs under a committed baseline.
+//! Every [`Suite`] is held to the same bar against its own committed
+//! baseline (`scoop-lab check --suite NAME`, but exact): the chaos suite's
+//! failover scenario is the one place the multi-sink federation runs under a
+//! committed baseline, and the workloads suite pins the range and aggregate
+//! query paths. One test per suite, so the three run in parallel and a
+//! failure names its suite.
 
-use scoop_lab::artifact::Artifact;
-use scoop_lab::check::{baseline_file_content, run_chaos_suite, run_smoke_suite};
+use scoop_lab::check::{baseline_file_content, load_baseline, run_masked, Suite};
 use std::path::PathBuf;
 
-fn committed_baseline_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines/smoke.json")
+fn committed_baseline_path(suite: Suite) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(suite.baseline_path())
 }
 
-fn assert_byte_identical(measured: &[Artifact], committed_path: PathBuf) {
-    let fresh = baseline_file_content(measured).expect("serializes");
+fn assert_byte_identical(suite: Suite) {
+    let committed_path = committed_baseline_path(suite);
+    let measured = run_masked(suite).expect("suite runs");
+    let fresh = baseline_file_content(&measured).expect("serializes");
     let committed =
         std::fs::read_to_string(&committed_path).expect("committed baseline file exists");
     assert!(
         fresh == committed,
-        "the suite no longer reproduces {} byte for byte; the engine's random \
+        "the {} suite no longer reproduces {} byte for byte; the engine's random \
          stream or row serialization changed (first divergence at byte {})",
+        suite.name(),
         committed_path.display(),
         fresh
             .bytes()
@@ -38,19 +45,38 @@ fn assert_byte_identical(measured: &[Artifact], committed_path: PathBuf) {
     );
 }
 
+/// The table itself: every suite's name round-trips and its baseline path
+/// names a committed file covering exactly the suite's experiments.
+#[test]
+fn every_suite_names_its_committed_baseline() {
+    for suite in Suite::ALL {
+        assert_eq!(Suite::from_name(suite.name()), Some(suite));
+        let committed =
+            load_baseline(&committed_baseline_path(suite)).expect("committed baseline parses");
+        let names: Vec<&str> = committed.iter().map(|a| a.experiment.as_str()).collect();
+        let expected: Vec<&str> = suite
+            .options()
+            .experiments
+            .iter()
+            .map(|id| id.slug())
+            .collect();
+        assert_eq!(names, expected, "{} suite", suite.name());
+    }
+}
+
 #[test]
 fn quick_smoke_suite_is_byte_identical_to_committed_baseline() {
-    let measured = run_smoke_suite().expect("smoke suite runs");
-    assert_byte_identical(&measured, committed_baseline_path());
+    assert_byte_identical(Suite::Smoke);
 }
 
 #[test]
 fn chaos_suite_is_byte_identical_to_committed_baseline() {
-    let measured = run_chaos_suite().expect("chaos suite runs");
-    assert_byte_identical(
-        &measured,
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines/chaos.json"),
-    );
+    assert_byte_identical(Suite::Chaos);
+}
+
+#[test]
+fn workloads_suite_is_byte_identical_to_committed_baseline() {
+    assert_byte_identical(Suite::Workloads);
 }
 
 /// Row-for-row equality stated structurally as well: every experiment in the
@@ -59,9 +85,9 @@ fn chaos_suite_is_byte_identical_to_committed_baseline() {
 /// failure mode from "bytes differ" to a precise row diff.
 #[test]
 fn quick_smoke_rows_match_committed_baseline_row_for_row() {
-    let measured = run_smoke_suite().expect("smoke suite runs");
-    let committed = scoop_lab::check::load_baseline(&committed_baseline_path())
-        .expect("committed baseline parses");
+    let measured = run_masked(Suite::Smoke).expect("smoke suite runs");
+    let committed =
+        load_baseline(&committed_baseline_path(Suite::Smoke)).expect("committed baseline parses");
     assert_eq!(measured.len(), committed.len(), "experiment count changed");
     for (fresh, baseline) in measured.iter().zip(&committed) {
         assert_eq!(fresh.experiment, baseline.experiment, "suite order changed");

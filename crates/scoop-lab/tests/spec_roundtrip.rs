@@ -6,9 +6,7 @@
 
 use scoop_lab::artifact::ArtifactStore;
 use scoop_lab::baselines::TolerancePreset;
-use scoop_lab::check::{
-    compare_to_baseline, load_baseline, run_smoke_suite, DEFAULT_BASELINE_PATH,
-};
+use scoop_lab::check::{compare_to_baseline, load_baseline, run_masked, Suite};
 use scoop_lab::suite::ExperimentId;
 use scoop_types::ScenarioSpec;
 use std::path::PathBuf;
@@ -69,10 +67,10 @@ fn committed_artifacts_load_under_the_current_schema() {
 
 #[test]
 fn quick_smoke_matches_the_committed_baseline() {
-    let baseline_path = workspace_root().join(DEFAULT_BASELINE_PATH);
+    let baseline_path = workspace_root().join(Suite::Smoke.baseline_path());
     let baseline = load_baseline(&baseline_path)
         .expect("committed smoke baseline must deserialize under the current schema");
-    let measured = run_smoke_suite().expect("quick smoke suite must run");
+    let measured = run_masked(Suite::Smoke).expect("quick smoke suite must run");
     let outcome = compare_to_baseline(&measured, &baseline, TolerancePreset::Default);
     assert!(
         !outcome.failed(),

@@ -25,16 +25,15 @@
 //! * [`server`] — the tick loop tying it together. Admitted batches enter
 //!   the region-sharded event loop as ordinary injected events, so the
 //!   engine's determinism guarantees extend to the serving tier.
-//! * [`bench`]/[`smoke`] — the load generator (millions of queries over the
-//!   in-memory transport, p50/p99 + qps) and the fixed-seed golden smoke CI
-//!   runs.
+//! * [`smoke`] — the fixed-seed golden smoke CI runs. Throughput and
+//!   latency are measured by the repository benchmark (`bench/run.sh`)
+//!   through the real TCP transport, not here.
 //!
 //! [`ScenarioSpec`]: scoop_types::ScenarioSpec
 
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod bench;
 pub mod cache;
 pub mod core;
 pub mod index;
@@ -44,7 +43,6 @@ pub mod tcp;
 pub mod transport;
 
 pub use admission::AdmissionQueue;
-pub use bench::{run_bench, BenchOptions, BenchReport};
 pub use cache::{AnswerCache, TouchedValues};
 pub use core::{AnswerCore, CoreStats};
 pub use index::ServeIndex;

@@ -1,9 +1,6 @@
 //! The `scoop-serve` binary.
 //!
 //! ```text
-//! scoop-serve bench [--queries=N] [--concurrency=N] [--queue=N] [--cache=N]
-//!                   [--tick-ms=N] [--seed=N] [--scale=paper|small]
-//!                   [--history=FILE]
 //! scoop-serve smoke [--json]
 //! scoop-serve serve --addr=HOST:PORT [--queue=N] [--cache=N] [--tick-ms=N]
 //!                   [--scale=paper|small] [--persist=DIR]
@@ -11,43 +8,35 @@
 //!                   [--from-ms=N] [--to-ms=N] [--retry=N] [--seed=N]
 //! ```
 //!
-//! `bench` is the load generator: it runs the same workload twice — cache
-//! off, then cache on — refuses to report unless both response streams are
-//! byte-identical, prints p50/p99 and queries/s, and (with `--history`)
-//! appends one `scale:"serve"` record to `BENCH_history.jsonl` for the CI
-//! latency gate. `smoke` prints the deterministic golden report CI compares.
+//! `smoke` prints the deterministic golden report CI compares.
 //! `serve` puts the simulated network behind a real TCP socket, pacing
 //! simulated ticks against the wall clock. `query` is the matching one-shot
 //! TCP client; `--retry=N` opts into bounded retry with seeded jittered
 //! backoff when the server answers `Overloaded`, and exhausting the budget
 //! exits with the typed give-up error instead of dropping the query.
+//! Serving throughput and latency are measured by `bench/run.sh`.
 
-use scoop_serve::bench::{run_bench, BenchOptions, BenchReport};
 use scoop_serve::server::{pump_once, ServeOptions, ServeServer};
 use scoop_serve::smoke::{run_smoke, SmokeOptions};
 use scoop_serve::tcp::{RetryPolicy, TcpClient, TcpServerTransport};
 use scoop_types::{ScenarioSpec, ServeRequest, SimDuration, SimTime, ValueRange};
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "usage: scoop-serve <bench|smoke|serve|query> [options]
-  bench  [--queries=N] [--concurrency=N] [--queue=N] [--cache=N] [--tick-ms=N]
-         [--seed=N] [--scale=paper|small] [--history=FILE]
+const USAGE: &str = "usage: scoop-serve <smoke|serve|query> [options]
   smoke  [--json]
   serve  --addr=HOST:PORT [--queue=N] [--cache=N] [--tick-ms=N]
          [--scale=paper|small] [--persist=DIR]
   query  --addr=HOST:PORT [--id=N] [--lo=N] [--hi=N] [--from-ms=N] [--to-ms=N]
          [--retry=N] [--seed=N]
-`bench` drives >= --queries point/range queries through the in-memory
-transport path twice (cache off/on), proves the response streams
-byte-identical, and reports p50/p99 latency and queries/s. `smoke` runs the
-fixed-seed hermetic mix CI checks against its committed golden. `serve`
+`smoke` runs the fixed-seed hermetic mix CI checks against its committed
+golden (cache off and on, byte-identical). `serve`
 exposes the server over length-prefixed TCP frames; `--persist` additionally
 journals drained readings through the flash-accounted seam into a scoop-store
 segment log at DIR; a restart reads none of it and answers it from the sealed
 segments, a few blocks per cache miss. `query` sends one value/time
 range query to a serving process; `--retry=N` opts into bounded retry with
 seeded jittered backoff on `Overloaded`, failing with the typed give-up
-error once the budget is spent.";
+error once the budget is spent. Throughput and latency: `bench/run.sh`.";
 
 /// `--key=value` pairs and bare `--flag`s, in command-line order.
 type ParsedArgs = (Vec<(String, String)>, Vec<String>);
@@ -104,94 +93,6 @@ fn scale_spec(values: &[(String, String)]) -> Result<ScenarioSpec, String> {
         "small" => Ok(ScenarioSpec::small_test()),
         other => Err(format!("bad --scale value `{other}` (paper|small)")),
     }
-}
-
-fn render_report(label: &str, r: &BenchReport) -> String {
-    format!(
-        "{label}: {} queries in {:.2} s -> {:.0} q/s\n\
-         \x20 latency p50 {:.3} ms, p99 {:.3} ms ({} ticks over {:.0} simulated s)\n\
-         \x20 answered {} / overloaded {} / coalesced groups {} / rows {}\n\
-         \x20 cache: {} hits, {} misses, {} invalidated\n\
-         \x20 drained {} readings; digest {}",
-        r.total_queries,
-        r.wall_secs,
-        r.qps,
-        r.p50_ms,
-        r.p99_ms,
-        r.ticks,
-        r.simulated_ms as f64 / 1e3,
-        r.answered,
-        r.overloaded,
-        r.coalesced_groups,
-        r.rows_returned,
-        r.cache_hits,
-        r.cache_misses,
-        r.cache_invalidated,
-        r.readings_drained,
-        r.digest
-    )
-}
-
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let (values, _) = parse(
-        args,
-        &[
-            "queries",
-            "concurrency",
-            "queue",
-            "cache",
-            "tick-ms",
-            "seed",
-            "scale",
-            "history",
-        ],
-        &[],
-    )?;
-    let mut options = BenchOptions::paper_scale();
-    options.spec = scale_spec(&values)?;
-    options.total_queries = numeric(&values, "queries", options.total_queries)?;
-    options.concurrency = numeric(&values, "concurrency", options.concurrency)?;
-    options.queue_capacity = numeric(&values, "queue", options.queue_capacity)?;
-    options.cache_capacity = numeric(&values, "cache", options.cache_capacity)?;
-    options.seed = numeric(&values, "seed", options.seed)?;
-    options.tick = SimDuration::from_millis(numeric(&values, "tick-ms", 1_000u64)?);
-
-    let mut uncached_options = options.clone();
-    uncached_options.cache_capacity = 0;
-    println!(
-        "running {} queries x2 (cache off, then on), {} streams, queue {}...",
-        options.total_queries, options.concurrency, options.queue_capacity
-    );
-    let uncached = run_bench(&uncached_options).map_err(|e| e.to_string())?;
-    println!("{}", render_report("uncached", &uncached));
-    let cached = run_bench(&options).map_err(|e| e.to_string())?;
-    println!("{}", render_report("cached  ", &cached));
-    if uncached.digest != cached.digest {
-        return Err(format!(
-            "BYTE-IDENTITY VIOLATION: cached digest {} != uncached digest {}",
-            cached.digest, uncached.digest
-        ));
-    }
-    println!(
-        "cache on/off response streams are byte-identical ({})",
-        cached.digest
-    );
-
-    if let Some(path) = lookup(&values, "history") {
-        let record = scoop_lab::HistoryRecord::from_serve_bench(
-            cached.total_queries,
-            cached.wall_secs,
-            cached.qps,
-            cached.p50_ms,
-            cached.p99_ms,
-            options.concurrency,
-        );
-        record
-            .append_to(std::path::Path::new(path))
-            .map_err(|e| e.to_string())?;
-        println!("appended scale=\"serve\" record to {path}");
-    }
-    Ok(())
 }
 
 fn cmd_smoke(args: &[String]) -> Result<(), String> {
@@ -318,7 +219,6 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("bench") => cmd_bench(&args[1..]),
         Some("smoke") => cmd_smoke(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("query") => cmd_query(&args[1..]),

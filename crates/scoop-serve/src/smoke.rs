@@ -7,12 +7,39 @@
 //! resulting [`SmokeReport`] is a pure function of the options, so the report
 //! is committed as a golden file and compared verbatim in CI.
 
-use crate::bench::{quantize, Digest};
 use crate::server::{pump_once, ServeOptions, ServeServer};
 use crate::transport::{InMemoryClient, InMemoryHub};
-use scoop_types::{ScenarioSpec, ScoopError, ServeRequest, ServeResponse, SimDuration};
+use scoop_types::{ScenarioSpec, ScoopError, ServeRequest, ServeResponse, SimDuration, SimTime};
 use scoop_workload::QueryGenerator;
 use serde::{Deserialize, Serialize};
+
+/// Running FNV-1a 64 over frame bytes (same idiom as scoop-lab's config
+/// hashes, so digests render recognizably as `fnv1a:<16 hex>`).
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn fold(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    fn render(&self) -> String {
+        format!("fnv1a:{:016x}", self.0)
+    }
+}
+
+/// Snaps a timestamp down to a multiple of `quantum`, so identical
+/// predicates recur across ticks and the cache genuinely engages.
+fn quantize(t: SimTime, quantum: SimDuration) -> SimTime {
+    let q = quantum.as_millis().max(1);
+    SimTime::from_millis((t.as_millis() / q) * q)
+}
 
 /// Configuration of the smoke run (defaults are what CI uses).
 #[derive(Clone)]
