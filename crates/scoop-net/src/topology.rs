@@ -9,9 +9,28 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scoop_types::{NodeId, ScoopError, TopologySpec, MAX_NODES};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 pub use scoop_types::TopologyKind;
+
+/// An Fx-style hasher for the spatial bins' `(i64, i64)` cell keys: with
+/// SipHash, the ≈ 300k probes of a 32k-node build were half its topology
+/// time. The bins are probed, never iterated, so no output depends on it.
+#[derive(Default)]
+struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_i64(b.into()));
+    }
+    fn write_i64(&mut self, v: i64) {
+        self.0 = (self.0.rotate_left(5) ^ v as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
 
 /// A node's position, in meters, on the floor plan.
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
@@ -102,8 +121,8 @@ impl Topology {
                 ((p.y - min_y) / radio_range) as i64,
             )
         };
-        let mut bins: std::collections::HashMap<(i64, i64), Vec<usize>> =
-            std::collections::HashMap::new();
+        let mut bins: HashMap<(i64, i64), Vec<usize>, BuildHasherDefault<CellHasher>> =
+            HashMap::default();
         for (i, p) in positions.iter().enumerate() {
             bins.entry(cell(p)).or_default().push(i);
         }

@@ -123,8 +123,8 @@ impl RoutingState {
         if meta.link_src == self.id {
             return;
         }
-        let quality = self.estimator.observe(meta.link_src, meta.seqno, now);
-        self.neighbors.observe(meta.link_src, quality, now);
+        self.estimator.observe(meta.link_src, meta.seqno, now);
+        self.neighbors.observe(meta.link_src, &self.estimator);
         if meta.origin_parent == Some(self.id) && meta.origin != self.id {
             // The origin is our direct child: it is trivially a descendant
             // reached through itself.
@@ -169,7 +169,8 @@ impl RoutingState {
 
     /// The best-connected neighbors to report in a summary message.
     pub fn summary_neighbors(&self) -> Vec<NeighborEntry> {
-        self.neighbors.best(self.config.summary_neighbors)
+        self.neighbors
+            .best(self.config.summary_neighbors, &self.estimator)
     }
 
     /// The full neighbor table (bounded at `neighbor_cap`).
@@ -196,18 +197,9 @@ impl RoutingState {
         if let Some(child) = self.descendants.next_hop(dst) {
             return NextHop::DownTree(child);
         }
-        match self.parent() {
-            Some(p) => NextHop::UpTree(p),
-            None => {
-                if self.id.is_basestation() {
-                    // The basestation has no parent; if it cannot reach the
-                    // destination directly or down the tree it is stuck.
-                    NextHop::Stuck
-                } else {
-                    NextHop::Stuck
-                }
-            }
-        }
+        // With no parent (the basestation, or a detached sensor) there is no
+        // way left to make progress.
+        self.parent().map_or(NextHop::Stuck, NextHop::UpTree)
     }
 
     /// Periodic maintenance: evicts neighbors and descendants that have been
@@ -217,7 +209,8 @@ impl RoutingState {
             now.as_millis()
                 .saturating_sub(self.config.stale_timeout.as_millis()),
         );
-        let evicted = self.neighbors.evict_silent_since(cutoff);
+        // The table reads last-heard times from the estimator: it goes first.
+        let evicted = self.neighbors.evict_silent_since(cutoff, &self.estimator);
         self.estimator.evict_silent_since(cutoff);
         self.descendants.evict(cutoff, None);
         for gone in evicted {
