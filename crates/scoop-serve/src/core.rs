@@ -36,6 +36,9 @@ pub struct CoreStats {
     pub cache_invalidated: u64,
     /// Cache entries dropped by capacity eviction.
     pub cache_evicted: u64,
+    /// Payload bytes resident in the cache now (a level, not a lifetime
+    /// count): the cache's share of the process's memory.
+    pub cache_bytes: u64,
 }
 
 /// Index + optional answer cache; produces encoded rows payloads.
@@ -160,9 +163,15 @@ impl AnswerCore {
 
     /// Lifetime counters.
     pub fn stats(&self) -> CoreStats {
-        let (hits, misses, invalidated, evicted) = match &self.cache {
-            Some(c) => (c.hits, c.misses, c.invalidated, c.evicted),
-            None => (0, 0, 0, 0),
+        let (hits, misses, invalidated, evicted, bytes) = match &self.cache {
+            Some(c) => (
+                c.hits,
+                c.misses,
+                c.invalidated,
+                c.evicted,
+                c.resident_bytes(),
+            ),
+            None => (0, 0, 0, 0, 0),
         };
         CoreStats {
             answers: self.answers,
@@ -173,6 +182,7 @@ impl AnswerCore {
             cache_misses: misses,
             cache_invalidated: invalidated,
             cache_evicted: evicted,
+            cache_bytes: bytes,
         }
     }
 }
@@ -214,6 +224,11 @@ mod tests {
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.rows_returned, 4, "both answers count their rows");
         assert_eq!(stats.answers, 2);
+        assert_eq!(
+            stats.cache_bytes,
+            first.len() as u64,
+            "one payload resident"
+        );
     }
 
     #[test]
@@ -224,10 +239,12 @@ mod tests {
         let p = pred(5, 5, 0, 100);
         let before = core.answer_payload(&p).unwrap();
         core.ingest(&[rec(50, 2, 5)]);
+        assert_eq!(core.stats().cache_bytes, 0, "the stale payload is gone");
         let after = core.answer_payload(&p).unwrap();
         assert_ne!(before, after, "stale answer must not survive ingest");
         assert_eq!(core.stats().cache_invalidated, 1);
         assert_eq!(core.stats().cache_misses, 2, "second answer re-evaluated");
+        assert_eq!(core.stats().cache_bytes, after.len() as u64);
     }
 
     #[test]

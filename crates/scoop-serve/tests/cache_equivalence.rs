@@ -126,20 +126,34 @@ fn serve_frames(cache_capacity: usize) -> (Vec<Vec<u8>>, u64) {
     let mut frames = Vec::new();
     let mut id = 0u64;
 
+    // A deterministic, repetitive mix: point and range predicates whose
+    // windows repeat across ticks.
+    let pred_at = |tick: u64, k: u64| {
+        let lo = ((tick + k) % 10) as i32 * 3;
+        let width = (k % 3) as i32 * 4;
+        let t0 = (tick / 4) * 120_000;
+        (
+            ValueRange::new(lo, lo + width),
+            SimTime::from_millis(t0),
+            SimTime::from_millis(t0 + 240_000),
+        )
+    };
     for tick in 0..12u64 {
-        for k in 0..8u64 {
-            // A deterministic, repetitive mix: point and range predicates
-            // whose windows repeat across ticks so the cache engages.
-            let lo = ((tick + k) % 10) as i32 * 3;
-            let width = (k % 3) as i32 * 4;
-            let t0 = (tick / 4) * 120_000;
-            clients[(k % 2) as usize].submit(ServeRequest {
-                id,
-                values: ValueRange::new(lo, lo + width),
-                time_lo: SimTime::from_millis(t0),
-                time_hi: SimTime::from_millis(t0 + 240_000),
-            });
-            id += 1;
+        // Each tick's predicates are asked again on the next two ticks: a
+        // first repeat finds only a ghost (probation is smaller than a
+        // tick's worth of answers) and re-admits it to main, where the
+        // second repeat can hit.
+        for age in 0..3u64.min(tick + 1) {
+            for k in 0..8u64 {
+                let (values, time_lo, time_hi) = pred_at(tick - age, k);
+                clients[(k % 2) as usize].submit(ServeRequest {
+                    id,
+                    values,
+                    time_lo,
+                    time_hi,
+                });
+                id += 1;
+            }
         }
         pump_once(&mut server, &mut transport, &mut reqs, &mut frames).expect("pump");
         for client in &clients {
