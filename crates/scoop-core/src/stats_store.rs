@@ -2,13 +2,18 @@
 //!
 //! The basestation "always saves the last histogram it receives from each
 //! node, thus allowing it to reason about a node even if newer summary
-//! messages are lost" (Section 5.2); it also never discards *any* summary so
-//! that historical and aggregate queries can be answered from summaries alone
-//! (Section 5.5). Topology knowledge comes from two places: the neighbor
-//! lists in summaries and the `origin → origin's parent` pairs carried in
-//! every Scoop packet header. From these the store can estimate the expected
-//! number of transmissions between any two nodes (`xmits(x → y)` in Figure 2)
-//! and the probabilities the indexing algorithm needs.
+//! messages are lost" (Section 5.2), and that is all it saves: one summary
+//! per node, replaced in place by the next. This deviates from Section 5.5,
+//! whose basestation "never discards any summary" so that historical
+//! queries can be answered from summaries alone: no query path in this
+//! repository answers from an old summary, and keeping every one would grow
+//! the store with uptime.
+//!
+//! Topology knowledge comes from two places: the neighbor lists in summaries
+//! and the `origin → origin's parent` pairs carried in every Scoop packet
+//! header. From these the store can estimate the expected number of
+//! transmissions between any two nodes (`xmits(x → y)` in Figure 2) and the
+//! probabilities the indexing algorithm needs.
 
 use crate::summary::SummaryMessage;
 use scoop_types::{NodeId, SimTime, StorageIndexId, Value, ValueRange};
@@ -29,12 +34,13 @@ const QUERY_PRIOR: f64 = 0.03;
 pub struct StatsStore {
     n: usize,
     domain: ValueRange,
-    /// Position in `history` of the last summary per node (index = node
-    /// id), so each summary — histogram and neighbour list included — is
-    /// held once.
+    /// Position in `summaries` of each node's summary (index = node id): an
+    /// 8-byte slot per node rather than an inline `Option<SummaryMessage>`,
+    /// which on a 32,768-node network costs megabytes under every policy.
     latest: Vec<Option<u32>>,
-    /// Every summary ever received (never discarded).
-    history: Vec<SummaryMessage>,
+    /// The newest summary of every node that has reported, in order of
+    /// first report; a node's next summary overwrites its entry.
+    summaries: Vec<SummaryMessage>,
     /// Undirected link-quality knowledge as a sparse adjacency: `adj[a]`
     /// holds `(b, q)` pairs sorted by ascending `b`, where `q` is the best
     /// delivery probability reported for the pair in *either* direction.
@@ -61,7 +67,7 @@ impl StatsStore {
             n: total_nodes,
             domain,
             latest: vec![None; total_nodes],
-            history: Vec::new(),
+            summaries: Vec::new(),
             adj: vec![Vec::new(); total_nodes],
             query_value_counts: vec![0; domain.width() as usize],
             query_count: 0,
@@ -103,8 +109,13 @@ impl StatsStore {
         if let Some(parent) = summary.parent {
             self.note_parent(summary.node, parent);
         }
-        self.latest[idx] = Some(self.history.len() as u32);
-        self.history.push(summary);
+        match self.latest[idx] {
+            Some(at) => self.summaries[at as usize] = summary,
+            None => {
+                self.latest[idx] = Some(self.summaries.len() as u32);
+                self.summaries.push(summary);
+            }
+        }
     }
 
     /// Records the `origin → origin's parent` pair carried in a Scoop packet
@@ -236,19 +247,14 @@ impl StatsStore {
     /// The latest summary from `node`, if any.
     pub fn latest_summary(&self, node: NodeId) -> Option<&SummaryMessage> {
         let at = (*self.latest.get(node.index())?)?;
-        self.history.get(at as usize)
+        self.summaries.get(at as usize)
     }
 
     /// The latest summary of every node that has reported, ascending by id.
     fn latest_summaries(&self) -> impl Iterator<Item = &SummaryMessage> {
         self.latest
             .iter()
-            .filter_map(|&at| self.history.get(at? as usize))
-    }
-
-    /// Every summary ever received (the basestation never discards them).
-    pub fn summary_history(&self) -> &[SummaryMessage] {
-        &self.history
+            .filter_map(|&at| self.summaries.get(at? as usize))
     }
 
     /// Number of sensor nodes that have reported at least one summary.
@@ -392,17 +398,33 @@ mod tests {
         assert!((st.data_rate(NodeId(1)) - 1.0 / 15.0).abs() < 1e-9);
         assert_eq!(st.data_rate(NodeId(3)), 0.0);
         assert_eq!(st.nodes_reporting(), 1);
-        assert_eq!(st.summary_history().len(), 1);
+        assert_eq!(st.summaries.len(), 1);
     }
 
     #[test]
-    fn latest_summary_wins_but_history_is_kept() {
-        let mut st = StatsStore::new(3, domain());
-        st.record_summary(summary(1, &[10; 5], &[], Some(0)));
-        st.record_summary(summary(1, &[90; 5], &[], Some(0)));
-        assert!(st.p_produces(NodeId(1), 90) > 0.0);
-        assert_eq!(st.p_produces(NodeId(1), 10), 0.0);
-        assert_eq!(st.summary_history().len(), 2);
+    fn exactly_one_summary_per_reporting_node_is_held_and_it_is_the_newest() {
+        let mut st = StatsStore::new(4, domain());
+        for round in 0..5 {
+            // Node 2 reports first, so the held order is not the id order.
+            for node in [2, 1] {
+                let mut s = summary(node, &[10 * round + node as Value; 5], &[], Some(0));
+                s.newest_complete_index = StorageIndexId(round as u32);
+                st.record_summary(s);
+            }
+        }
+        assert_eq!(st.summaries.len(), 2, "one summary per reporting node");
+        assert_eq!(st.nodes_reporting(), 2);
+        for node in [1, 2] {
+            let held = st.latest_summary(NodeId(node)).expect("node reported");
+            assert_eq!(held.node, NodeId(node));
+            assert_eq!(held.newest_complete_index, StorageIndexId(4), "the newest");
+            assert!(st.p_produces(NodeId(node), 40 + node as Value) > 0.0);
+            assert_eq!(st.p_produces(NodeId(node), 30 + node as Value), 0.0);
+        }
+        assert!(st.latest_summary(NodeId(3)).is_none());
+        // Aggregates still read the newest summary of each node.
+        assert_eq!(st.min_from_summaries(), Some(41));
+        assert_eq!(st.max_from_summaries(), Some(42));
     }
 
     #[test]

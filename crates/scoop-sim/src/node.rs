@@ -5,7 +5,7 @@
 //! event-driven [`NodeLogic`] for the discrete-event engine. Its state is
 //! split by how often it is touched and by who needs it:
 //!
-//! * the **hot core**, inline in every `SimNode` (at most 512 bytes) and
+//! * the **hot core**, inline in every `SimNode` (at most 488 bytes) and
 //!   touched by every event: tree routing (periodic beacons, link estimation
 //!   by snooping, parent selection), the data buffer and source, the current
 //!   storage index and the six routing rules applied to sampled and forwarded
@@ -39,6 +39,7 @@
 
 mod aggregate;
 mod federation;
+mod id_set;
 mod scoop_sensor;
 mod sink;
 
@@ -46,6 +47,7 @@ pub use sink::QueryRecord;
 
 use aggregate::Aggregation;
 use federation::Federation;
+use id_set::SparseIdSet;
 use scoop_core::routing_rules::{route_data, DataRoutingAction, LocalNodeView};
 use scoop_core::{DataMessage, QueryMessage, ReplyMessage, ScoopPayload, StorageIndex};
 use scoop_net::{NodeCtx, NodeLogic, Packet, TimerToken};
@@ -61,7 +63,7 @@ use sink::SinkRole;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The engine-level payload type: one shared allocation per application
@@ -144,8 +146,8 @@ pub struct SimNode {
     /// Readings batched for the same owner, waiting to be sent.
     batch: Vec<Reading>,
     batch_dest: Option<(NodeId, StorageIndexId)>,
-    /// Queries already processed (deduplication for gossip).
-    seen_queries: HashSet<u32>,
+    /// Ids of the queries already processed (deduplication for gossip).
+    seen_queries: SparseIdSet,
     /// Items waiting to be re-broadcast, with a count of copies overheard.
     /// The payloads are the shared `Arc`s the packets arrived with, so a
     /// re-broadcast reuses the original allocation.
@@ -231,7 +233,7 @@ impl SimNode {
             current_index: shared.static_index.clone(),
             batch: Vec::new(),
             batch_dest: None,
-            seen_queries: HashSet::new(),
+            seen_queries: SparseIdSet::default(),
             pending_gossip: VecDeque::new(),
             gossip_timer_armed: false,
             sink: rank.map(|rank| Box::new(SinkRole::new(&cfg, rank, nsinks))),
@@ -368,7 +370,7 @@ impl SimNode {
         let reading = Reading::new(self.id, self.cfg.workload.attribute, value, now);
         self.metrics.sampled += 1;
         if let Some(scoop) = self.scoop.as_mut() {
-            scoop.recent.push(reading);
+            scoop.recent.push(value);
         }
 
         if self.policy() == StoragePolicy::Local {
@@ -636,7 +638,7 @@ impl SimNode {
             // gossip, and a sink sits on good tree positions) but never
             // answers them: sinks hold only fallback data, which the issuing
             // sink already accounts for via its own planner.
-            if !self.seen_queries.insert(query.query_id) {
+            if !self.seen_queries.insert(query.query_id.into()) {
                 return;
             }
             let useful = query
@@ -648,7 +650,7 @@ impl SimNode {
             }
             return;
         }
-        if !self.seen_queries.insert(query.query_id) {
+        if !self.seen_queries.insert(query.query_id.into()) {
             return;
         }
 

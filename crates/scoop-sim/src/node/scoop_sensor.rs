@@ -3,6 +3,7 @@
 //! [`ScoopSensor`] — their index, if any, is static and nobody reads a
 //! histogram of their readings.
 
+use super::id_set::SparseIdSet;
 use super::{SharedPayload, SimNode};
 use scoop_core::histogram::SummaryHistogram;
 use scoop_core::index::IndexEntry;
@@ -10,19 +11,19 @@ use scoop_core::summary::ReportedNeighbor;
 use scoop_core::{MappingChunk, ScoopPayload, StorageIndex, SummaryMessage};
 use scoop_net::NodeCtx;
 use scoop_storage::RecentReadings;
-use scoop_trickle::ChunkAssembler;
+use scoop_trickle::{Chunk, ChunkAssembler};
 use scoop_types::{ExperimentConfig, MessageKind, SimTime, StorageIndexId, ValueRange};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Per-node state of the SCOOP policy.
 pub(super) struct ScoopSensor {
-    /// The node's own latest readings, the input of its summary histogram.
+    /// The values of the node's own latest readings, the input of its
+    /// summary histogram.
     pub(super) recent: RecentReadings,
     assembler: ChunkAssembler<IndexEntry>,
     assembling_meta: Option<(ValueRange, SimTime)>,
-    /// Mapping chunks already gossiped, keyed by (index id, chunk index).
-    pub(super) seen_chunks: HashSet<(u64, u32)>,
+    /// Mapping chunks already gossiped, keyed by [`chunk_key`].
+    pub(super) seen_chunks: SparseIdSet,
 }
 
 impl ScoopSensor {
@@ -31,9 +32,15 @@ impl ScoopSensor {
             recent: RecentReadings::new(cfg.policy.scoop.recent_readings),
             assembler: ChunkAssembler::new(),
             assembling_meta: None,
-            seen_chunks: HashSet::new(),
+            seen_chunks: SparseIdSet::default(),
         }
     }
+}
+
+/// A mapping chunk's identity as one id: `version << 32 | index`. Exact,
+/// because a chunk's version is a `StorageIndexId` (a `u32`) widened.
+pub(super) fn chunk_key(chunk: &Chunk<IndexEntry>) -> u64 {
+    chunk.version << 32 | u64::from(chunk.index)
 }
 
 impl SimNode {
@@ -42,10 +49,9 @@ impl SimNode {
             return;
         };
         let recent = &scoop.recent;
-        let values = recent.values();
         let summary = SummaryMessage {
             node: self.id,
-            histogram: SummaryHistogram::build(&values, self.cfg.policy.scoop.n_bins),
+            histogram: SummaryHistogram::build(recent.values(), self.cfg.policy.scoop.n_bins),
             min: recent.min_value(),
             max: recent.max_value(),
             sum: recent.sum(),
@@ -84,7 +90,7 @@ impl SimNode {
         let Some(scoop) = self.scoop.as_mut().filter(|_| !is_classic_sink) else {
             return;
         };
-        if !scoop.seen_chunks.insert((mc.chunk.version, mc.chunk.index)) {
+        if !scoop.seen_chunks.insert(chunk_key(&mc.chunk)) {
             return;
         }
         // Gossip the chunk onward (once, with suppression), reusing the

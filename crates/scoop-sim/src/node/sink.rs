@@ -3,6 +3,7 @@
 //! federation — peer liveness. Only sinks carry a [`SinkRole`].
 
 use super::federation::{filter_entries_to_rank, RANK_STRIDE};
+use super::scoop_sensor::chunk_key;
 use super::{SharedPayload, SimNode};
 use scoop_core::index::{IndexBuilderConfig, IndexDecision};
 use scoop_core::{
@@ -301,7 +302,7 @@ impl SimNode {
             // them back, and our own slice joins the per-rank merge like any
             // peer's would.
             for chunk in &chunks {
-                scoop.seen_chunks.insert((chunk.version, chunk.index));
+                scoop.seen_chunks.insert(chunk_key(chunk));
             }
             fed.sink_indices[my_rank] = Some(Arc::new(index));
             self.current_index = fed.newest_index();
@@ -397,7 +398,7 @@ impl SimNode {
             targets,
             aggregate: self.cfg.workload.kind.aggregate_spec(),
         };
-        self.seen_queries.insert(query_id);
+        self.seen_queries.insert(query_id.into());
         ctx.send_broadcast(MessageKind::Query, None, Arc::new(ScoopPayload::Query(msg)));
     }
 }

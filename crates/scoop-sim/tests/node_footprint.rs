@@ -63,16 +63,18 @@ fn grid_spec(policy: StoragePolicy, sensors: usize) -> ExperimentConfig {
 
 #[test]
 fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
-    // The hot core every event touches: eight cache lines, down from 1,336 B
-    // when the sink state sat inline in every node.
+    // The hot core every event touches: under eight cache lines, down from
+    // 1,336 B when the sink state sat inline in every node and from 512 B
+    // when the seen query ids were a `HashSet`.
     let inline = std::mem::size_of::<SimNode>();
-    assert!(inline <= 512, "SimNode is {inline} B inline, budget 512");
+    assert!(inline <= 488, "SimNode is {inline} B inline, budget 488");
 
     // Everything a built-and-run HASH network holds on the heap — topology,
     // links, event queue, the nodes and all they own, stored readings — per
-    // node. This run measures 1,609 B: 1,913 B before the neighbour table
-    // dropped to ids, link records to 24 B and `DataBuffer` growth to a
-    // quarter, and 3,954 B before the hot/cold split.
+    // node. This run measures 1,585 B: 1,609 B before the seen query ids
+    // became bits, 1,913 B before the neighbour table dropped to ids, link
+    // records to 24 B and `DataBuffer` growth to a quarter, and 3,954 B
+    // before the hot/cold split.
     let spec = grid_spec(StoragePolicy::Hash, 4_095);
     let before = LIVE_BYTES.load(Ordering::Relaxed);
     let mut engine = build_engine(&spec).expect("HASH grid builds");
@@ -95,13 +97,27 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
     assert!(issued > 0, "the sink issued no query");
     drop(engine);
 
+    // A SCOOP network holds what the protocol reads: one summary per node at
+    // the basestation, seen query ids and mapping chunks as bits, a ring of
+    // 30 values per sensor, and partial chunks in one flat buffer per
+    // assembler. This run measures 7,125 B per node: 10,214 B when the
+    // basestation kept every summary ever received, the seen sets were hash
+    // sets, the ring held whole readings and each chunk was its own `Vec`.
+    let mut spec = grid_spec(StoragePolicy::Scoop, 256);
+    spec.duration = SimDuration::from_mins(12);
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let mut engine = build_engine(&spec).expect("SCOOP grid builds");
+    engine.run_until(SimTime::ZERO + spec.duration);
+    let held = LIVE_BYTES.load(Ordering::Relaxed) - before;
+    let per_node = held as usize / engine.topology().len();
+    assert!(
+        per_node <= 8_000,
+        "a SCOOP node holds {per_node} B of live heap, budget 8,000"
+    );
+
     // SCOOP sensors still carry the recent-readings ring, and it still feeds
     // their summaries: the basestation can only build (and disseminate) an
     // index that moves data off the producers from non-empty histograms.
-    let mut spec = grid_spec(StoragePolicy::Scoop, 256);
-    spec.duration = SimDuration::from_mins(12);
-    let mut engine = build_engine(&spec).expect("SCOOP grid builds");
-    engine.run_until(SimTime::ZERO + spec.duration);
     assert!(engine.stats().total_tx().summary > 0, "no summary was sent");
     let sink = engine.node(NodeId::BASESTATION);
     assert!(

@@ -5,23 +5,27 @@
 //! recent-readings buffer (size 30, in our experiments). This ensures that
 //! summary messages always contain histograms over the node's most recent
 //! data." (Section 5.2)
+//!
+//! The summary reads only the readings' values — histogram bins, min, max,
+//! sum and count, none of which depend on order — so the ring holds values
+//! alone: 4 bytes a slot, not a whole [`scoop_types::Reading`].
 
-use scoop_types::{Reading, Value};
+use scoop_types::Value;
 use serde::{Deserialize, Serialize};
 
-/// A fixed-capacity ring buffer of the node's own most recent readings.
+/// A fixed-capacity ring buffer of the node's own most recent values.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RecentReadings {
     capacity: usize,
-    slots: Vec<Reading>,
-    /// Index of the slot the next reading will overwrite.
+    slots: Vec<Value>,
+    /// Index of the slot the next value will overwrite.
     next: usize,
-    /// Total readings ever pushed (may exceed capacity).
+    /// Total values ever pushed (may exceed capacity).
     pushed: u64,
 }
 
 impl RecentReadings {
-    /// Creates a ring holding at most `capacity` readings (30 in the paper).
+    /// Creates a ring holding at most `capacity` values (30 in the paper).
     pub fn new(capacity: usize) -> Self {
         RecentReadings {
             capacity: capacity.max(1),
@@ -36,7 +40,7 @@ impl RecentReadings {
         self.capacity
     }
 
-    /// Number of readings currently held (at most `capacity`).
+    /// Number of values currently held (at most `capacity`).
     pub fn len(&self) -> usize {
         self.slots.len()
     }
@@ -46,64 +50,57 @@ impl RecentReadings {
         self.slots.is_empty()
     }
 
-    /// Total number of readings ever recorded.
+    /// Total number of values ever recorded.
     pub fn total_pushed(&self) -> u64 {
         self.pushed
     }
 
-    /// Records a reading, overwriting the oldest one if the ring is full.
-    pub fn push(&mut self, reading: Reading) {
+    /// Records a reading's value, overwriting the oldest one if the ring is
+    /// full.
+    pub fn push(&mut self, value: Value) {
         self.pushed += 1;
         if self.slots.len() < self.capacity {
-            self.slots.push(reading);
+            // The first value reserves every slot, exactly and once; not at
+            // construction, which a network pays for on every node.
+            self.slots.reserve_exact(self.capacity - self.slots.len());
+            self.slots.push(value);
             self.next = self.slots.len() % self.capacity;
         } else {
-            self.slots[self.next] = reading;
+            self.slots[self.next] = value;
             self.next = (self.next + 1) % self.capacity;
         }
     }
 
-    /// Iterates over the currently held readings (order unspecified — the
-    /// histogram does not care).
-    pub fn iter(&self) -> impl Iterator<Item = &Reading> {
-        self.slots.iter()
-    }
-
-    /// The held readings' values.
-    pub fn values(&self) -> Vec<Value> {
-        self.slots.iter().map(|r| r.value).collect()
+    /// The held values (order unspecified — the histogram does not care).
+    pub fn values(&self) -> &[Value] {
+        &self.slots
     }
 
     /// The smallest value currently held.
     pub fn min_value(&self) -> Option<Value> {
-        self.slots.iter().map(|r| r.value).min()
+        self.slots.iter().copied().min()
     }
 
     /// The largest value currently held.
     pub fn max_value(&self) -> Option<Value> {
-        self.slots.iter().map(|r| r.value).max()
+        self.slots.iter().copied().max()
     }
 
     /// The sum of the values currently held (the summary reports it).
     pub fn sum(&self) -> i64 {
-        self.slots.iter().map(|r| r.value as i64).sum()
+        self.slots.iter().map(|&v| v as i64).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scoop_types::{Attribute, NodeId, SimTime};
-
-    fn reading(v: Value, t: u64) -> Reading {
-        Reading::new(NodeId(1), Attribute::Light, v, SimTime::from_secs(t))
-    }
 
     #[test]
     fn fills_up_to_capacity() {
         let mut ring = RecentReadings::new(5);
         for i in 0..3 {
-            ring.push(reading(i, i as u64));
+            ring.push(i);
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.total_pushed(), 3);
@@ -116,11 +113,11 @@ mod tests {
     fn overwrites_oldest_when_full() {
         let mut ring = RecentReadings::new(3);
         for i in 0..10 {
-            ring.push(reading(i, i as u64));
+            ring.push(i);
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.total_pushed(), 10);
-        let mut vals = ring.values();
+        let mut vals = ring.values().to_vec();
         vals.sort();
         assert_eq!(vals, vec![7, 8, 9], "only the most recent readings remain");
     }
@@ -138,17 +135,18 @@ mod tests {
     fn zero_capacity_is_clamped_to_one() {
         let mut ring = RecentReadings::new(0);
         assert_eq!(ring.capacity(), 1);
-        ring.push(reading(5, 0));
-        ring.push(reading(6, 1));
-        assert_eq!(ring.values(), vec![6]);
+        ring.push(5);
+        ring.push(6);
+        assert_eq!(ring.values(), [6]);
     }
 
     #[test]
     fn paper_default_capacity_is_thirty() {
         let mut ring = RecentReadings::new(30);
         for i in 0..100 {
-            ring.push(reading(i % 7, i as u64));
+            ring.push(i % 7);
         }
         assert_eq!(ring.len(), 30);
+        assert_eq!(ring.slots.capacity(), 30, "reserved exactly, never regrown");
     }
 }

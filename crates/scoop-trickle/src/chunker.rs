@@ -65,17 +65,37 @@ impl Chunker {
     }
 }
 
+/// Where one received chunk's items sit in [`ChunkAssembler`]'s buffer.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    index: u32,
+    start: u32,
+    len: u32,
+}
+
 /// Reassembles chunks of the newest version seen so far.
 ///
 /// The assembler only tracks one version at a time: when it sees a chunk of a
 /// newer version it abandons the partial older assembly (matching the paper's
 /// behaviour of nodes that keep using their last *complete* index while a new
-/// one trickles in).
+/// one trickles in). A chunk of the same version that announces a different
+/// `total` also restarts the assembly.
+///
+/// Received items sit in one buffer in arrival order, with a span per chunk,
+/// and both are released the moment the version completes. Each version is
+/// therefore delivered at most once: after completion, every further chunk of
+/// that version — a duplicate included — is ignored until a newer one
+/// arrives.
 #[derive(Clone, Debug, Default)]
 pub struct ChunkAssembler<T> {
     version: u64,
+    /// Chunks in the version being assembled; 0 when none is in progress.
     total: u32,
-    received: Vec<Option<Vec<T>>>,
+    /// Whether `version` has been assembled and handed out.
+    delivered: bool,
+    items: Vec<T>,
+    /// One span per received chunk, sorted by chunk index.
+    spans: Vec<Span>,
 }
 
 impl<T: Clone> ChunkAssembler<T> {
@@ -84,21 +104,22 @@ impl<T: Clone> ChunkAssembler<T> {
         ChunkAssembler {
             version: 0,
             total: 0,
-            received: Vec::new(),
+            delivered: false,
+            items: Vec::new(),
+            spans: Vec::new(),
         }
     }
 
-    /// The version currently being assembled (0 if none yet).
+    /// The version currently being assembled, or last delivered (0 if none
+    /// yet).
     pub fn assembling_version(&self) -> u64 {
         self.version
     }
 
-    /// Number of chunks still missing for the version being assembled.
+    /// Number of chunks still missing for the version being assembled (0
+    /// once it has been delivered).
     pub fn missing(&self) -> u32 {
-        if self.total == 0 {
-            return 0;
-        }
-        self.total - self.received.iter().filter(|c| c.is_some()).count() as u32
+        self.total - self.spans.len() as u32
     }
 
     /// Feeds one received chunk. Returns `Some(items)` with the fully
@@ -108,30 +129,48 @@ impl<T: Clone> ChunkAssembler<T> {
         if chunk.total == 0 || chunk.index >= chunk.total {
             return None;
         }
-        if chunk.version < self.version {
-            // A stale chunk from an older dissemination: ignore.
+        if chunk.version < self.version || (chunk.version == self.version && self.delivered) {
+            // A stale chunk, or one of the version already handed out.
             return None;
         }
-        if chunk.version > self.version || self.received.len() != chunk.total as usize {
+        if chunk.version > self.version || chunk.total != self.total {
             // Start assembling the newer version from scratch.
             self.version = chunk.version;
             self.total = chunk.total;
-            self.received = vec![None; chunk.total as usize];
+            self.delivered = false;
+            self.items = Vec::new();
+            self.spans = Vec::with_capacity(chunk.total as usize);
         }
-        let slot = &mut self.received[chunk.index as usize];
-        if slot.is_none() {
-            *slot = Some(chunk.items.clone());
+        let at = match self.spans.binary_search_by_key(&chunk.index, |s| s.index) {
+            Ok(_) => return None, // a duplicate: the first copy stands
+            Err(at) => at,
+        };
+        if self.items.capacity() - self.items.len() < chunk.items.len() {
+            // Grow by a quarter, not `Vec`'s doubling: where dissemination
+            // stalls, partial assemblies stay resident for the whole run.
+            let grow = (self.items.len() / 4).max(chunk.items.len());
+            self.items.reserve_exact(grow);
         }
-        if self.received.iter().all(|c| c.is_some()) {
-            let assembled = self
-                .received
-                .iter()
-                .flat_map(|c| c.as_ref().unwrap().iter().cloned())
-                .collect();
-            Some(assembled)
-        } else {
-            None
+        let span = Span {
+            index: chunk.index,
+            start: self.items.len() as u32,
+            len: chunk.items.len() as u32,
+        };
+        self.spans.insert(at, span);
+        self.items.extend_from_slice(&chunk.items);
+        if self.spans.len() < self.total as usize {
+            return None;
         }
+        let mut assembled = Vec::with_capacity(self.items.len());
+        for s in &self.spans {
+            let start = s.start as usize;
+            assembled.extend_from_slice(&self.items[start..start + s.len as usize]);
+        }
+        self.total = 0;
+        self.delivered = true;
+        self.items = Vec::new();
+        self.spans = Vec::new();
+        Some(assembled)
     }
 }
 
