@@ -22,9 +22,9 @@
 
 use crate::artifact::Artifact;
 use crate::suite::{ExperimentId, PointSet, Scale, SuiteOptions};
-use scoop_storage::{PersistenceBackend, StoredReading};
+use scoop_storage::PersistenceBackend;
 use scoop_store::{DiskBackend, IngestReport, Store, StoreOptions, StoreStats};
-use scoop_types::{Attribute, DurableRecord, NodeId, SimTime};
+use scoop_types::{Attribute, DurableRecord, NodeId, Reading, SimTime};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 
@@ -115,10 +115,7 @@ fn load_artifact(path: &str) -> Result<Artifact, String> {
 
 /// Runs a simulation and returns every reading sitting in the network's
 /// data buffers at the end — the readings a basestation would persist.
-fn records_from_sim(
-    paper: bool,
-    overrides: Vec<(String, String)>,
-) -> Result<Vec<StoredReading>, String> {
+fn records_from_sim(paper: bool, overrides: Vec<(String, String)>) -> Result<Vec<Reading>, String> {
     let options = SuiteOptions {
         scale: if paper { Scale::Paper } else { Scale::Quick },
         trials: 1,
@@ -201,11 +198,7 @@ fn cmd_ingest(
         backend.sync().map_err(|e| e.to_string())?;
         let persisted = backend.records_persisted();
         store = backend.into_store();
-        records.extend(
-            readings
-                .iter()
-                .map(|stored| DurableRecord::from_reading(&stored.reading)),
-        );
+        records.extend(readings.iter().map(DurableRecord::from_reading));
         report.records += persisted;
         report.ingest_secs += started.elapsed().as_secs_f64();
     }

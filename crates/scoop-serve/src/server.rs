@@ -26,12 +26,12 @@ use crate::core::{AnswerCore, CoreStats};
 use crate::transport::{ClientId, Transport};
 use scoop_net::Engine;
 use scoop_sim::{SimBuilder, SimNode, TICK_SERVE};
-use scoop_storage::{FlashLedger, FlashModel, FlashPersistence, PersistenceBackend, StoredReading};
+use scoop_storage::{FlashLedger, FlashModel, FlashPersistence, PersistenceBackend};
 use scoop_store::{DiskBackend, Store, StoreOptions};
 use scoop_types::append_overloaded_frame;
 use scoop_types::{
-    append_rows_frame, DurableRecord, NodeId, Overloaded, QueryPredicate, ScenarioSpec, ScoopError,
-    ServeRequest, SimDuration, SimTime,
+    append_rows_frame, DurableRecord, NodeId, Overloaded, QueryPredicate, Reading, ScenarioSpec,
+    ScoopError, ServeRequest, SimDuration, SimTime,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -98,22 +98,14 @@ pub struct ServeStats {
 /// the concrete backend so tests can wire in fault-injecting ones (see
 /// `scoop_storage::FailpointBackend`) without changing the serving loop.
 trait PersistSeam: Send {
-    fn append_node_batch(
-        &mut self,
-        owner: NodeId,
-        batch: &[StoredReading],
-    ) -> Result<(), ScoopError>;
+    fn append_node_batch(&mut self, owner: NodeId, batch: &[Reading]) -> Result<(), ScoopError>;
     fn sync(&mut self) -> Result<(), ScoopError>;
     fn records_persisted(&self) -> u64;
     fn ledger(&self) -> &FlashLedger;
 }
 
 impl<B: PersistenceBackend + Send> PersistSeam for FlashPersistence<B> {
-    fn append_node_batch(
-        &mut self,
-        owner: NodeId,
-        batch: &[StoredReading],
-    ) -> Result<(), ScoopError> {
+    fn append_node_batch(&mut self, owner: NodeId, batch: &[Reading]) -> Result<(), ScoopError> {
         FlashPersistence::append_node_batch(self, owner, batch)
     }
 
@@ -144,7 +136,7 @@ pub struct ServeServer {
     tick: SimDuration,
     stats: ServeStats,
     // Reused per-tick scratch.
-    drain_readings: Vec<StoredReading>,
+    drain_readings: Vec<Reading>,
     drain_records: Vec<DurableRecord>,
     batch: Vec<(ClientId, ServeRequest)>,
     /// This tick's coalesced predicates and their payloads.
@@ -328,11 +320,8 @@ impl ServeServer {
             self.stats.records_persisted = persist.records_persisted();
         }
         self.drain_records.clear();
-        self.drain_records.extend(
-            self.drain_readings
-                .iter()
-                .map(|s| DurableRecord::from_reading(&s.reading)),
-        );
+        self.drain_records
+            .extend(self.drain_readings.iter().map(DurableRecord::from_reading));
         self.core.ingest(&self.drain_records);
 
         // Phase 4: drain admissions, coalesce identical predicates, answer

@@ -5,7 +5,7 @@
 //! event-driven [`NodeLogic`] for the discrete-event engine. Its state is
 //! split by how often it is touched and by who needs it:
 //!
-//! * the **hot core**, inline in every `SimNode` (at most 488 bytes) and
+//! * the **hot core**, inline in every `SimNode` (at most 472 bytes) and
 //!   touched by every event: tree routing (periodic beacons, link estimation
 //!   by snooping, parent selection), the data buffer and source, the current
 //!   storage index and the six routing rules applied to sampled and forwarded

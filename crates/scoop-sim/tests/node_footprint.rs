@@ -64,15 +64,17 @@ fn grid_spec(policy: StoragePolicy, sensors: usize) -> ExperimentConfig {
 #[test]
 fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
     // The hot core every event touches: under eight cache lines, down from
-    // 1,336 B when the sink state sat inline in every node and from 512 B
-    // when the seen query ids were a `HashSet`.
+    // 1,336 B when the sink state sat inline in every node, from 512 B when
+    // the seen query ids were a `HashSet`, and from 488 B when `DataBuffer`
+    // stored its next slot and overwrite count beside its write count.
     let inline = std::mem::size_of::<SimNode>();
-    assert!(inline <= 488, "SimNode is {inline} B inline, budget 488");
+    assert!(inline <= 472, "SimNode is {inline} B inline, budget 472");
 
     // Everything a built-and-run HASH network holds on the heap — topology,
     // links, event queue, the nodes and all they own, stored readings — per
-    // node. This run measures 1,585 B: 1,609 B before the seen query ids
-    // became bits, 1,913 B before the neighbour table dropped to ids, link
+    // node. This run measures 1,441 B: 1,585 B before a `DataBuffer` slot
+    // shrank from a 32-byte tagged reading to the bare 16-byte `Reading`,
+    // 1,609 B before the seen query ids became bits, 1,913 B before the neighbour table dropped to ids, link
     // records to 24 B and `DataBuffer` growth to a quarter, and 3,954 B
     // before the hot/cold split.
     let spec = grid_spec(StoragePolicy::Hash, 4_095);
@@ -84,8 +86,8 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
     assert_eq!(nodes, 4_096);
     let per_node = held as usize / nodes;
     assert!(
-        per_node <= 1_800,
-        "a HASH node holds {per_node} B of live heap, budget 1,800"
+        per_node <= 1_500,
+        "a HASH node holds {per_node} B of live heap, budget 1,500"
     );
     assert!(engine.stats().total_tx().data > 0, "the run stored nothing");
 
@@ -100,9 +102,11 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
     // A SCOOP network holds what the protocol reads: one summary per node at
     // the basestation, seen query ids and mapping chunks as bits, a ring of
     // 30 values per sensor, and partial chunks in one flat buffer per
-    // assembler. This run measures 7,125 B per node: 10,214 B when the
-    // basestation kept every summary ever received, the seen sets were hash
-    // sets, the ring held whole readings and each chunk was its own `Vec`.
+    // assembler, and 16-byte data-buffer slots. This run measures 6,236 B per
+    // node: 7,125 B when each slot was a 32-byte tagged reading, and
+    // 10,214 B when the basestation kept every summary ever received, the
+    // seen sets were hash sets, the ring held whole readings and each chunk
+    // was its own `Vec`.
     let mut spec = grid_spec(StoragePolicy::Scoop, 256);
     spec.duration = SimDuration::from_mins(12);
     let before = LIVE_BYTES.load(Ordering::Relaxed);
@@ -111,8 +115,8 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
     let held = LIVE_BYTES.load(Ordering::Relaxed) - before;
     let per_node = held as usize / engine.topology().len();
     assert!(
-        per_node <= 8_000,
-        "a SCOOP node holds {per_node} B of live heap, budget 8,000"
+        per_node <= 6_500,
+        "a SCOOP node holds {per_node} B of live heap, budget 6,500"
     );
 
     // SCOOP sensors still carry the recent-readings ring, and it still feeds

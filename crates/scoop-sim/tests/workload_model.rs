@@ -45,7 +45,7 @@ fn gods_eye(engine: &scoop_net::Engine<SimNode>) -> (Vec<Reading>, u64) {
     let mut all = Vec::new();
     let mut overwrites = 0;
     for (_, node) in engine.iter_nodes() {
-        all.extend(node.data_buffer().iter().map(|s| s.reading));
+        all.extend(node.data_buffer().iter().copied());
         overwrites += node.data_buffer().total_overwrites();
     }
     (all, overwrites)

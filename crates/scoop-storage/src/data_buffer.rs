@@ -3,36 +3,26 @@
 //! "If o == n, store data locally on n: write data to the circular data
 //! buffer. (Notice that the data buffer is separate from the recent readings
 //! buffer...)" (Section 5.4). Queries scan this buffer linearly for tuples
-//! matching a time range and value range (Section 5.5).
+//! matching a time range and value range (Section 5.5). A slot is the bare
+//! 16-byte [`Reading`]: nothing answers by storage-index epoch or by the time
+//! a reading was stored, so neither is kept.
 
 use scoop_types::{Reading, SimTime, StorageIndexId, Value, ValueRange};
-use serde::{Deserialize, Serialize};
-
-/// A reading as stored in the owner's flash, tagged with the storage-index
-/// epoch under which it was stored (used when answering historical queries
-/// that span multiple index epochs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StoredReading {
-    /// The reading itself (producer, attribute, value, sample timestamp).
-    pub reading: Reading,
-    /// When the owner stored it.
-    pub stored_at: SimTime,
-    /// The storage index epoch that routed the reading here.
-    pub index_epoch: StorageIndexId,
-}
 
 /// A circular buffer of stored readings with flash-style semantics: when it
 /// fills up, the oldest readings are overwritten.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// Write number `w` (0-based) lives in slot `w % capacity`: during the fill
+/// phase `w < len <= capacity` so the modulo is the identity, and once full
+/// the overwrite position advances exactly one slot per write. The next slot
+/// and the overwrite count are therefore derived from `writes`, not stored.
+#[derive(Clone, Debug)]
 pub struct DataBuffer {
     capacity: usize,
-    slots: Vec<StoredReading>,
-    next: usize,
+    slots: Vec<Reading>,
     /// Total number of readings ever written (monotone, used for flash energy
     /// accounting and the storage-success metric).
     writes: u64,
-    /// Number of writes that overwrote a still-live older reading.
-    overwrites: u64,
 }
 
 impl DataBuffer {
@@ -41,9 +31,7 @@ impl DataBuffer {
         DataBuffer {
             capacity: capacity.max(1),
             slots: Vec::new(),
-            next: 0,
             writes: 0,
-            overwrites: 0,
         }
     }
 
@@ -67,19 +55,17 @@ impl DataBuffer {
         self.writes
     }
 
-    /// Number of writes that displaced an older stored reading.
+    /// Number of writes that displaced an older stored reading: every write
+    /// past the first `capacity` overwrote one.
     pub fn total_overwrites(&self) -> u64 {
-        self.overwrites
+        self.writes - self.slots.len() as u64
     }
 
     /// Stores a reading.
-    pub fn store(&mut self, reading: Reading, stored_at: SimTime, index_epoch: StorageIndexId) {
-        self.writes += 1;
-        let entry = StoredReading {
-            reading,
-            stored_at,
-            index_epoch,
-        };
+    ///
+    /// `_stored_at` and `_index_epoch` are not retained; the `[benchmark]`
+    /// re-base removes them.
+    pub fn store(&mut self, reading: Reading, _stored_at: SimTime, _index_epoch: StorageIndexId) {
         let len = self.slots.len();
         if len < self.capacity {
             // Grow by a quarter, not `Vec`'s doubling: at 32k nodes holding
@@ -88,13 +74,17 @@ impl DataBuffer {
                 self.slots
                     .reserve_exact((len / 4).max(4).min(self.capacity - len));
             }
-            self.slots.push(entry);
-            self.next = self.slots.len() % self.capacity;
+            self.slots.push(reading);
         } else {
-            self.overwrites += 1;
-            self.slots[self.next] = entry;
-            self.next = (self.next + 1) % self.capacity;
+            let slot = self.slot_of(self.writes);
+            self.slots[slot] = reading;
         }
+        self.writes += 1;
+    }
+
+    /// The slot holding write number `w` (see the type docs).
+    fn slot_of(&self, w: u64) -> usize {
+        (w % self.capacity as u64) as usize
     }
 
     /// Linearly scans the buffer for readings whose value lies in
@@ -108,12 +98,10 @@ impl DataBuffer {
     ) -> Vec<Reading> {
         self.slots
             .iter()
-            .filter(|s| {
-                value_range.contains(s.reading.value)
-                    && s.reading.timestamp >= time_lo
-                    && s.reading.timestamp <= time_hi
+            .filter(|r| {
+                value_range.contains(r.value) && r.timestamp >= time_lo && r.timestamp <= time_hi
             })
-            .map(|s| s.reading)
+            .copied()
             .collect()
     }
 
@@ -122,13 +110,13 @@ impl DataBuffer {
     pub fn scan_values(&self, values: &[Value]) -> Vec<Reading> {
         self.slots
             .iter()
-            .filter(|s| values.contains(&s.reading.value))
-            .map(|s| s.reading)
+            .filter(|r| values.contains(&r.value))
+            .copied()
             .collect()
     }
 
     /// Iterates over everything currently stored.
-    pub fn iter(&self) -> impl Iterator<Item = &StoredReading> {
+    pub fn iter(&self) -> impl Iterator<Item = &Reading> {
         self.slots.iter()
     }
 
@@ -143,14 +131,10 @@ impl DataBuffer {
     /// since the cursor was taken the overwritten readings are gone — only
     /// the surviving newest ones are copied, and the shortfall
     /// `(writes - cursor) - copied` counts the misses.
-    pub fn read_new_since(&self, cursor: u64, out: &mut Vec<StoredReading>) -> u64 {
-        // Write number `w` (0-based) lives in slot `w % capacity`: during the
-        // fill phase `w < len <= capacity` so the modulo is the identity, and
-        // once full the overwrite pointer advances exactly one slot per
-        // write. Only the last `len` writes are still present.
-        let start = cursor.max(self.writes.saturating_sub(self.slots.len() as u64));
-        for w in start..self.writes {
-            out.push(self.slots[(w % self.capacity as u64) as usize]);
+    pub fn read_new_since(&self, cursor: u64, out: &mut Vec<Reading>) -> u64 {
+        // Only the last `len` writes are still present.
+        for w in cursor.max(self.total_overwrites())..self.writes {
+            out.push(self.slots[self.slot_of(w)]);
         }
         self.writes
     }
@@ -228,16 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_tags_are_preserved() {
-        let mut buf = DataBuffer::new(10);
-        buf.store(reading(3, 7, 1), SimTime::from_secs(2), StorageIndexId(4));
-        let stored: Vec<&StoredReading> = buf.iter().collect();
-        assert_eq!(stored.len(), 1);
-        assert_eq!(stored[0].index_epoch, StorageIndexId(4));
-        assert_eq!(stored[0].stored_at, SimTime::from_secs(2));
-    }
-
-    #[test]
     fn cursor_follows_writes_incrementally() {
         let mut buf = DataBuffer::new(100);
         let mut out = Vec::new();
@@ -254,7 +228,7 @@ mod tests {
         let cursor = buf.read_new_since(0, &mut out);
         assert_eq!(cursor, 4);
         assert_eq!(
-            out.iter().map(|s| s.reading.value).collect::<Vec<_>>(),
+            out.iter().map(|r| r.value).collect::<Vec<_>>(),
             vec![0, 1, 2, 3],
             "write order"
         );
@@ -274,10 +248,7 @@ mod tests {
         }
         let cursor = buf.read_new_since(cursor, &mut out);
         assert_eq!(cursor, 6);
-        assert_eq!(
-            out.iter().map(|s| s.reading.value).collect::<Vec<_>>(),
-            vec![4, 5]
-        );
+        assert_eq!(out.iter().map(|r| r.value).collect::<Vec<_>>(), vec![4, 5]);
     }
 
     #[test]
@@ -296,7 +267,7 @@ mod tests {
         let cursor = buf.read_new_since(2, &mut out);
         assert_eq!(cursor, 12);
         assert_eq!(
-            out.iter().map(|s| s.reading.value).collect::<Vec<_>>(),
+            out.iter().map(|r| r.value).collect::<Vec<_>>(),
             vec![7, 8, 9, 10, 11]
         );
         let missed = (12 - 2) - out.len() as u64;

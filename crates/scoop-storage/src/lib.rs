@@ -21,7 +21,7 @@ pub mod flash;
 pub mod persist;
 pub mod ring;
 
-pub use data_buffer::{DataBuffer, StoredReading};
+pub use data_buffer::DataBuffer;
 pub use flash::{FlashLedger, FlashModel};
 pub use persist::{FailpointBackend, FlashPersistence, InMemoryBackend, PersistenceBackend};
 pub use ring::RecentReadings;

@@ -2,19 +2,18 @@
 //!
 //! Everything the simulator stores lives in in-memory [`DataBuffer`]s and
 //! dies with the process. [`PersistenceBackend`] is the seam that changes
-//! that *without touching the simulation*: a backend receives batches of
-//! [`StoredReading`]s after (or outside) a run and makes them durable. The
-//! in-memory default, [`InMemoryBackend`], reproduces today's behavior
-//! exactly — readings are held in RAM and lost on drop — so attaching a
+//! that *without touching the simulation*: a backend receives batches of the
+//! [`Reading`]s drained from those buffers after (or outside) a run and
+//! makes them durable. The in-memory default, [`InMemoryBackend`],
+//! reproduces today's behavior exactly — readings are held in RAM and lost on drop — so attaching a
 //! backend is strictly opt-in and the simulation's byte-identity is
 //! untouched. The disk implementation lives in the `scoop-store` crate
 //! (crash-safe segment log + learned time index).
 //!
 //! [`DataBuffer`]: crate::DataBuffer
 
-use crate::data_buffer::StoredReading;
 use crate::flash::{FlashLedger, FlashModel};
-use scoop_types::{NodeId, ScoopError};
+use scoop_types::{NodeId, Reading, ScoopError};
 
 /// A sink that makes basestation readings durable.
 ///
@@ -26,7 +25,7 @@ pub trait PersistenceBackend {
     /// Appends a batch of readings. Batches arrive in the order the caller
     /// drains them; time-ordering requirements (if any) are the backend's
     /// own contract.
-    fn append_batch(&mut self, batch: &[StoredReading]) -> Result<(), ScoopError>;
+    fn append_batch(&mut self, batch: &[Reading]) -> Result<(), ScoopError>;
 
     /// Commits everything appended so far.
     fn sync(&mut self) -> Result<(), ScoopError>;
@@ -40,7 +39,7 @@ pub trait PersistenceBackend {
 /// that persistence is opt-in.
 #[derive(Debug, Default)]
 pub struct InMemoryBackend {
-    readings: Vec<StoredReading>,
+    readings: Vec<Reading>,
 }
 
 impl InMemoryBackend {
@@ -50,13 +49,13 @@ impl InMemoryBackend {
     }
 
     /// Everything appended so far, in arrival order.
-    pub fn readings(&self) -> &[StoredReading] {
+    pub fn readings(&self) -> &[Reading] {
         &self.readings
     }
 }
 
 impl PersistenceBackend for InMemoryBackend {
-    fn append_batch(&mut self, batch: &[StoredReading]) -> Result<(), ScoopError> {
+    fn append_batch(&mut self, batch: &[Reading]) -> Result<(), ScoopError> {
         self.readings.extend_from_slice(batch);
         Ok(())
     }
@@ -146,7 +145,7 @@ impl<B: PersistenceBackend> FailpointBackend<B> {
 }
 
 impl<B: PersistenceBackend> PersistenceBackend for FailpointBackend<B> {
-    fn append_batch(&mut self, batch: &[StoredReading]) -> Result<(), ScoopError> {
+    fn append_batch(&mut self, batch: &[Reading]) -> Result<(), ScoopError> {
         let call = self.appends_seen;
         self.appends_seen += 1;
         if self.fail_appends.contains(&call) {
@@ -209,7 +208,7 @@ impl<B: PersistenceBackend> FlashPersistence<B> {
     pub fn append_node_batch(
         &mut self,
         owner: NodeId,
-        batch: &[StoredReading],
+        batch: &[Reading],
     ) -> Result<(), ScoopError> {
         self.ledger.charge_writes(owner, batch.len() as u64);
         self.backend.append_batch(batch)
@@ -251,7 +250,7 @@ impl<B: PersistenceBackend> FlashPersistence<B> {
 mod tests {
     use super::*;
     use crate::DataBuffer;
-    use scoop_types::{Attribute, Reading, SimTime, StorageIndexId};
+    use scoop_types::{Attribute, SimTime, StorageIndexId};
 
     #[test]
     fn in_memory_backend_accumulates_and_counts() {
@@ -263,7 +262,7 @@ mod tests {
                 StorageIndexId(1),
             );
         }
-        let batch: Vec<StoredReading> = buf.iter().copied().collect();
+        let batch: Vec<Reading> = buf.iter().copied().collect();
 
         let mut backend = InMemoryBackend::new();
         backend.append_batch(&[]).unwrap();
@@ -271,17 +270,14 @@ mod tests {
         backend.sync().unwrap();
         assert_eq!(backend.records_persisted(), 5);
         assert_eq!(backend.readings().len(), 5);
-        assert_eq!(backend.readings()[0].reading.value, 0);
+        assert_eq!(backend.readings()[0].value, 0);
     }
 
     #[test]
     fn failpoints_fire_at_their_scripted_calls_and_tear_writes() {
-        let stored = |t: u64| StoredReading {
-            reading: Reading::new(NodeId(1), Attribute::Light, t as i32, SimTime::from_secs(t)),
-            stored_at: SimTime::from_secs(t),
-            index_epoch: StorageIndexId(1),
-        };
-        let batch: Vec<StoredReading> = (0..4).map(stored).collect();
+        let batch: Vec<Reading> = (0..4u64)
+            .map(|t| Reading::new(NodeId(1), Attribute::Light, t as i32, SimTime::from_secs(t)))
+            .collect();
         let mut backend = FailpointBackend::new(InMemoryBackend::new())
             .fail_append_at(1)
             .fail_sync_at(0)
@@ -297,7 +293,7 @@ mod tests {
         assert!(shown.contains("torn write kept 3 of 4"), "{shown}");
         assert!(matches!(err, ScoopError::Store(_)), "typed as Store");
         assert_eq!(backend.records_persisted(), 7, "prefix is durable");
-        assert_eq!(backend.inner().readings()[4].reading.value, 0);
+        assert_eq!(backend.inner().readings()[4].value, 0);
 
         // Call 2 is past the script: clean again.
         backend.append_batch(&batch).unwrap();
@@ -313,20 +309,12 @@ mod tests {
 
     #[test]
     fn flash_persistence_charges_the_owner_and_forwards_batches() {
-        let stored = |producer: u16, t: u64| StoredReading {
-            reading: Reading::new(
-                NodeId(producer),
-                Attribute::Light,
-                t as i32,
-                SimTime::from_secs(t),
-            ),
-            stored_at: SimTime::from_secs(t),
-            index_epoch: StorageIndexId(1),
-        };
         let mut persist = FlashPersistence::new(InMemoryBackend::new(), FlashModel::default(), 4);
 
         // Node 3 owns readings produced by node 1: the *owner*'s chip pays.
-        let batch: Vec<StoredReading> = (0..6).map(|t| stored(1, t)).collect();
+        let batch: Vec<Reading> = (0..6u64)
+            .map(|t| Reading::new(NodeId(1), Attribute::Light, t as i32, SimTime::from_secs(t)))
+            .collect();
         persist.append_node_batch(NodeId(3), &batch).unwrap();
         persist.append_node_batch(NodeId(2), &batch[..2]).unwrap();
         persist.append_node_batch(NodeId(3), &[]).unwrap();

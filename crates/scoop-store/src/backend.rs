@@ -1,15 +1,16 @@
 //! The disk implementation of `scoop-storage`'s [`PersistenceBackend`].
 //!
 //! [`DiskBackend`] adapts a [`Store`] to the backend trait: batches of
-//! simulator [`StoredReading`]s are converted to [`DurableRecord`]s and
-//! appended; `sync` is the commit point (flush + fsync). Attaching it is
-//! opt-in — nothing in the simulator constructs one — so the default
-//! in-memory behavior and the sim's byte-identity are untouched.
+//! the [`Reading`]s drained from simulator data buffers are converted to
+//! [`DurableRecord`]s and appended; `sync` is the commit point (flush +
+//! fsync). Attaching it is opt-in — nothing in the simulator constructs
+//! one — so the default in-memory behavior and the sim's byte-identity are
+//! untouched.
 
 use crate::error::Result;
 use crate::store::{Store, StoreOptions};
-use scoop_storage::{PersistenceBackend, StoredReading};
-use scoop_types::{DurableRecord, ScoopError};
+use scoop_storage::PersistenceBackend;
+use scoop_types::{DurableRecord, Reading, ScoopError};
 use std::path::Path;
 
 /// A [`PersistenceBackend`] that lands readings in a crash-safe [`Store`].
@@ -48,15 +49,13 @@ impl DiskBackend {
 }
 
 impl PersistenceBackend for DiskBackend {
-    fn append_batch(&mut self, batch: &[StoredReading]) -> std::result::Result<(), ScoopError> {
+    fn append_batch(&mut self, batch: &[Reading]) -> std::result::Result<(), ScoopError> {
         if batch.is_empty() {
             return Ok(());
         }
         self.records.clear();
-        let converted = batch
-            .iter()
-            .map(|stored| DurableRecord::from_reading(&stored.reading));
-        self.records.extend(converted);
+        self.records
+            .extend(batch.iter().map(DurableRecord::from_reading));
         self.store.append_batch(&self.records)?;
         self.records_persisted += self.records.len() as u64;
         Ok(())
@@ -76,7 +75,7 @@ impl PersistenceBackend for DiskBackend {
 mod tests {
     use super::*;
     use scoop_storage::DataBuffer;
-    use scoop_types::{Attribute, NodeId, Reading, SimTime, StorageIndexId};
+    use scoop_types::{Attribute, NodeId, SimTime, StorageIndexId};
 
     #[test]
     fn disk_backend_round_trips_simulator_readings() {
@@ -96,7 +95,7 @@ mod tests {
                 StorageIndexId(1),
             );
         }
-        let batch: Vec<StoredReading> = buf.iter().copied().collect();
+        let batch: Vec<Reading> = buf.iter().copied().collect();
 
         let mut backend = DiskBackend::open(
             &dir,
