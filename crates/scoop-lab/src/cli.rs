@@ -414,7 +414,7 @@ fn cmd_history(args: &[String]) -> Result<i32, String> {
 /// The step-by-step diagnostic: runs one experiment in 5-second simulated
 /// steps, printing cumulative per-kind transmission counters, and finishes
 /// with the standard Figure 3-style breakdown table. `events=` counts
-/// dispatched timers, send results and packet deliveries; `pending=` counts
+/// dispatched timers and packet deliveries; `pending=` counts
 /// queue entries (`Engine::pending_events`: a transmission in flight is one
 /// entry per 32 listeners, not one per delivery still to come).
 fn cmd_trace(args: &[String]) -> Result<i32, String> {

@@ -4,10 +4,7 @@
 //! `--bless`.
 //!
 //! The committed baseline pins the *calibrated* link-model defaults (the
-//! link-calibration re-baseline was a deliberate `--bless`). The
-//! byte-identity proof for the pre-calibration engine lives on in
-//! `spec_equivalence.rs`, which replays the suite under the `link=legacy`
-//! preset against the preserved `baselines/smoke-legacy.json`.
+//! link-calibration re-baseline was a deliberate `--bless`).
 //!
 //! Every [`Suite`] is held to the same bar against its own committed
 //! baseline (`scoop-lab check --suite NAME`, but exact): the chaos suite's

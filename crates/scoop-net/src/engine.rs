@@ -61,16 +61,6 @@ pub trait NodeLogic {
 
     /// Called when a timer armed through [`NodeCtx::set_timer`] fires.
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, Self::Payload>, token: TimerToken);
-
-    /// Called when a unicast send completes (acknowledged or retry budget
-    /// exhausted). The default implementation ignores the outcome.
-    fn on_send_result(
-        &mut self,
-        _ctx: &mut NodeCtx<'_, Self::Payload>,
-        _delivered: bool,
-        _packet: Packet<Self::Payload>,
-    ) {
-    }
 }
 
 /// Engine configuration.
@@ -304,16 +294,16 @@ impl<L: NodeLogic> Engine<L> {
     }
 
     /// Number of entries currently waiting in the queue (diagnostics): one
-    /// per pending timer or send result and one per 32-listener word of each
-    /// transmission attempt in flight — not one per delivery, so this is
-    /// smaller than the number of callbacks still to come.
+    /// per pending timer and one per 32-listener word of each transmission
+    /// attempt in flight — not one per delivery, so this is smaller than the
+    /// number of callbacks still to come.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
 
-    /// Total number of events dispatched so far (diagnostics): timers, send
-    /// results and packet *deliveries* — a transmission heard by twelve
-    /// listeners counts twelve, however it was queued.
+    /// Total number of events dispatched so far (diagnostics): timers and
+    /// packet *deliveries* — a transmission heard by twelve listeners counts
+    /// twelve, however it was queued.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -449,27 +439,6 @@ impl<L: NodeLogic> Engine<L> {
                 }
                 self.with_ctx(node, |logic, ctx| logic.on_timer(ctx, token));
             }
-            Event::SendResult {
-                node,
-                delivered,
-                packet,
-            } => {
-                self.events_processed += 1;
-                if let Some(until) = self.faults.halted_until(node, self.now) {
-                    self.queue.push(
-                        until,
-                        Event::SendResult {
-                            node,
-                            delivered,
-                            packet,
-                        },
-                    );
-                    return;
-                }
-                self.with_ctx(node, |logic, ctx| {
-                    logic.on_send_result(ctx, delivered, packet)
-                });
-            }
         }
     }
 
@@ -563,15 +532,6 @@ impl<L: NodeLogic> Engine<L> {
                 if !delivered {
                     self.stats.record_send_failure(src);
                 }
-                let done = self.now + self.config.tx_slot.mul(attempts_used as u64);
-                self.queue.push(
-                    done,
-                    Event::SendResult {
-                        node: src,
-                        delivered,
-                        packet,
-                    },
-                );
             }
         }
     }
@@ -672,8 +632,6 @@ mod tests {
         received: Vec<u32>,
         snooped: usize,
         timers: usize,
-        send_failures: usize,
-        send_successes: usize,
     }
 
     const TICK: TimerToken = 1;
@@ -705,19 +663,6 @@ mod tests {
             ctx.send_broadcast(MessageKind::Heartbeat, None, self.timers as u32);
             if self.timers < 5 {
                 ctx.set_timer(SimDuration::from_secs(1), TICK);
-            }
-        }
-
-        fn on_send_result(
-            &mut self,
-            _ctx: &mut NodeCtx<'_, u32>,
-            delivered: bool,
-            _p: Packet<u32>,
-        ) {
-            if delivered {
-                self.send_successes += 1;
-            } else {
-                self.send_failures += 1;
             }
         }
     }
@@ -775,8 +720,7 @@ mod tests {
             .filter(|v| *v > 100)
             .collect();
         assert_eq!(n1.len(), 5);
-        assert_eq!(eng.node(NodeId(2)).send_successes, 5);
-        assert_eq!(eng.node(NodeId(2)).send_failures, 0);
+        assert_eq!(eng.stats().node(NodeId(2)).send_failures, 0);
         // On perfect links a unicast needs exactly one transmission.
         assert_eq!(eng.stats().node(NodeId(2)).tx.data, 5);
     }
@@ -799,7 +743,6 @@ mod tests {
         let nodes = (0..topo.len()).map(|_| TestApp::default()).collect();
         let mut eng = Engine::new(topo, links, nodes, EngineConfig::default()).unwrap();
         eng.run_until(SimTime::from_secs(10));
-        assert_eq!(eng.node(NodeId(2)).send_failures, 5);
         // 5 sends × (1 + 3 retries) transmissions each.
         assert_eq!(eng.stats().node(NodeId(2)).tx.data, 20);
         assert_eq!(eng.stats().node(NodeId(2)).send_failures, 5);
@@ -928,8 +871,9 @@ mod tests {
         eng.set_fault_schedule(faults);
         eng.run_until(SimTime::from_secs(10));
         assert_eq!(eng.node(NodeId(1)).received, Vec::<u32>::new());
-        assert_eq!(eng.node(NodeId(2)).send_failures, 5);
-        assert_eq!(eng.node(NodeId(2)).send_successes, 0);
+        // Every one of the 5 sends spends its whole retry budget and fails.
+        assert_eq!(eng.stats().node(NodeId(2)).send_failures, 5);
+        assert_eq!(eng.stats().node(NodeId(2)).tx.data, 20);
     }
 
     #[test]

@@ -65,27 +65,16 @@ pub enum Event<P> {
         /// The opaque token the node supplied when arming the timer.
         token: u32,
     },
-    /// A unicast transmission completed.
-    SendResult {
-        /// The sending node.
-        node: NodeId,
-        /// `true` if the packet was acknowledged by the link destination
-        /// within the retry budget.
-        delivered: bool,
-        /// The packet that was sent.
-        packet: Packet<P>,
-    },
 }
 
 impl<P> Event<P> {
-    /// The node whose region shard queues this event: the node a timer or
-    /// send result is delivered to, the *transmitter* of a batch of arrivals
-    /// (its listeners are its radio neighbours, so they share its region or
-    /// border it).
+    /// The node whose region shard queues this event: the node a timer is
+    /// delivered to, the *transmitter* of a batch of arrivals (its listeners
+    /// are its radio neighbours, so they share its region or border it).
     pub fn node(&self) -> NodeId {
         match self {
             Event::Arrivals { packet, .. } => packet.meta.link_src,
-            Event::TimerFire { node, .. } | Event::SendResult { node, .. } => *node,
+            Event::TimerFire { node, .. } => *node,
         }
     }
 }

@@ -78,11 +78,10 @@ impl LinkModelParams {
 
 impl Default for LinkModelParams {
     fn default() -> Self {
-        // The *legacy* knobs, deliberately: `LinkModel::from_topology` (and
-        // these params) replay the historical hardcoded model, which is what
-        // the pre-calibration byte-identity proofs compare against. The
-        // shipped calibrated model arrives through the `LinkSpec` path
-        // (`LinkModel::from_spec` with `LinkSpec::default()`).
+        // The pre-calibration knobs (`LinkSpec::legacy`), which
+        // `LinkModel::from_topology` builds with. The shipped calibrated
+        // model arrives through the `LinkSpec` path (`LinkModel::from_spec`
+        // with `LinkSpec::default()`).
         Self::from_spec(&LinkSpec::legacy())
     }
 }
@@ -204,34 +203,6 @@ impl LinkModel {
                 asymmetry_noise: 0.0,
                 distance_exponent: 1.0,
             },
-            nbr_offsets,
-            nbr_entries,
-        }
-    }
-
-    /// Assembles a model from a dense row-major `n × n` delivery matrix —
-    /// the v1 wire schema. Usable entries (`p > 0`, off-diagonal) become CSR
-    /// entries in the same ascending-destination order the dense scan used.
-    fn from_dense(n: usize, delivery: Vec<f64>, params: LinkModelParams) -> Self {
-        debug_assert_eq!(delivery.len(), n * n);
-        let mut nbr_offsets = Vec::with_capacity(n + 1);
-        let mut nbr_entries = Vec::new();
-        nbr_offsets.push(0u32);
-        for i in 0..n {
-            for j in 0..n {
-                let p = delivery[i * n + j];
-                if i != j && p > 0.0 {
-                    nbr_entries.push(Neighbor {
-                        node: NodeId(j as u16),
-                        delivery_prob: p.clamp(0.0, 1.0),
-                    });
-                }
-            }
-            nbr_offsets.push(nbr_entries.len() as u32);
-        }
-        LinkModel {
-            n,
-            params,
             nbr_offsets,
             nbr_entries,
         }
@@ -412,12 +383,9 @@ impl LinkModel {
     }
 }
 
-// Hand-written (de)serialization. The v2 wire schema is sparse — `{n,
-// params, offsets, targets, probs}`, the CSR split into parallel arrays — so
-// file size scales with usable links, not n². Deserialization still accepts
-// the historical dense v1 schema `{n, delivery, params}` (detected by its
-// `delivery` key) and converts it through `from_dense`, so every committed
-// artifact and golden file written before the sparse rewrite keeps loading.
+// Hand-written (de)serialization. The wire schema is sparse — `{n, params,
+// offsets, targets, probs}`, the CSR split into parallel arrays — so file
+// size scales with usable links, not n².
 impl Serialize for LinkModel {
     fn to_value(&self) -> serde::Value {
         let targets: Vec<u16> = self.nbr_entries.iter().map(|e| e.node.0).collect();
@@ -440,17 +408,6 @@ impl Deserialize for LinkModel {
         let null = serde::Value::Null;
         let n: usize = Deserialize::from_value(v.get("n").unwrap_or(&null))?;
         let params: LinkModelParams = Deserialize::from_value(v.get("params").unwrap_or(&null))?;
-        if let Some(dense) = v.get("delivery") {
-            // v1 compat: the dense row-major matrix.
-            let delivery: Vec<f64> = Deserialize::from_value(dense)?;
-            if delivery.len() != n * n {
-                return Err(serde::Error::custom(format!(
-                    "LinkModel: delivery matrix has {} entries for n = {n}",
-                    delivery.len()
-                )));
-            }
-            return Ok(LinkModel::from_dense(n, delivery, params));
-        }
         let nbr_offsets: Vec<u32> = Deserialize::from_value(v.get("offsets").unwrap_or(&null))?;
         let targets: Vec<u16> = Deserialize::from_value(v.get("targets").unwrap_or(&null))?;
         let probs: Vec<f64> = Deserialize::from_value(v.get("probs").unwrap_or(&null))?;
@@ -693,40 +650,25 @@ mod tests {
     }
 
     #[test]
-    fn deserialization_accepts_the_dense_v1_schema() {
-        // Reconstruct what the pre-sparse code wrote — `{n, delivery,
-        // params}` with a dense row-major matrix — and check it loads into
-        // the same model the sparse schema describes.
-        let (_, links) = testbed();
+    fn deserialization_rejects_the_dense_v1_schema() {
+        // The pre-sparse `{n, delivery, params}` document — a dense row-major
+        // matrix — has no CSR arrays, so it is a typed error, not a model.
+        let topo = Topology::grid(2, 10.0).unwrap();
+        let links = LinkModel::perfect(&topo);
         let n = links.len();
-        let mut delivery = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                delivery[i * n + j] = links.link(NodeId(i as u16), NodeId(j as u16)).delivery_prob;
-            }
-        }
         let v1 = serde::Value::Object(vec![
             ("n".to_string(), serde::Serialize::to_value(&n)),
             (
                 "delivery".to_string(),
-                serde::Serialize::to_value(&delivery),
+                serde::Serialize::to_value(&vec![1.0; n * n]),
             ),
             (
                 "params".to_string(),
                 serde::Serialize::to_value(&links.params()),
             ),
         ]);
-        let v1_json = serde_json::to_string(&v1).unwrap();
-        assert!(v1_json.contains("\"delivery\":"));
-        let back: LinkModel = serde_json::from_str(&v1_json).unwrap();
-        assert_eq!(back.len(), links.len());
-        for a in 0..n {
-            let a = NodeId(a as u16);
-            assert_eq!(back.neighbors(a), links.neighbors(a), "{a}");
-        }
-        // The corrupt-length rejection from the v1 era still holds.
-        let bad = v1_json.replacen("\"n\":63", "\"n\":62", 1);
-        assert!(serde_json::from_str::<LinkModel>(&bad).is_err());
+        let err: serde::Error = LinkModel::from_value(&v1).unwrap_err();
+        assert!(err.to_string().contains("array"), "{err}");
     }
 
     #[test]

@@ -236,9 +236,9 @@ pub struct LinkSpec {
 impl LinkSpec {
     /// The original hardcoded distance-decay model (the pre-calibration
     /// default): linear decay from 78 % delivery at distance 0 to 10 % at
-    /// the range edge. Kept addressable — as this constructor and as the
-    /// `link=legacy` axis preset — so the byte-identity proofs of the
-    /// pre-calibration engine survive the default flip.
+    /// the range edge. These are the knobs of `LinkModelParams::default()`,
+    /// which `LinkModel::from_topology` builds with, and the anchor point of
+    /// the calibration grid that the calibrated model beats.
     pub fn legacy() -> Self {
         LinkSpec {
             family: LinkFamily::DistanceDecay,
@@ -1000,8 +1000,8 @@ pub const AXES: &[AxisDoc] = &[
     },
     AxisDoc {
         key: "link",
-        doc: "loss-model family or preset: distance|perfect|calibrated|legacy \
-              (presets also set the four knobs)",
+        doc: "loss-model family or preset: distance|perfect|calibrated \
+              (the preset also sets the four knobs)",
     },
     AxisDoc {
         key: "link.loss_floor",
@@ -1256,17 +1256,13 @@ impl ScenarioSpec {
                 self.topology.range_factor = parse_num(key, value, "a multiplier")?
             }
             // `link` accepts either a bare family (keeps the current knobs)
-            // or a named preset that pins family *and* knobs: `calibrated`
-            // is the shipped default, `legacy` the pre-calibration model —
-            // the handle the byte-identity equivalence tests address the old
-            // behavior by.
+            // or the `calibrated` preset, which pins family *and* knobs to
+            // the shipped default.
             "link" => match value {
                 "calibrated" => self.link = LinkSpec::calibrated(),
-                "legacy" => self.link = LinkSpec::legacy(),
                 family => {
-                    self.link.family = LinkFamily::from_name(family).ok_or_else(|| {
-                        bad_value(key, value, "distance|perfect|calibrated|legacy")
-                    })?
+                    self.link.family = LinkFamily::from_name(family)
+                        .ok_or_else(|| bad_value(key, value, "distance|perfect|calibrated"))?
                 }
             },
             "link.loss_floor" => self.link.loss_floor = parse_num(key, value, "a probability")?,
@@ -1808,7 +1804,7 @@ mod tests {
         // The shipped default *is* the calibrated point.
         assert_eq!(LinkSpec::default(), LinkSpec::calibrated());
         assert_eq!(LinkSpec::paper_defaults(), LinkSpec::calibrated());
-        // The legacy preset is the exact pre-calibration model.
+        // The legacy knobs are the exact pre-calibration model.
         let legacy = LinkSpec::legacy();
         assert_eq!(legacy.family, LinkFamily::DistanceDecay);
         assert!((legacy.loss_floor - 0.22).abs() < 1e-12);
@@ -1818,9 +1814,12 @@ mod tests {
         legacy.validate().unwrap();
         LinkSpec::calibrated().validate().unwrap();
 
-        // Axis presets set the whole link spec; bare families keep the knobs.
+        // The preset sets the whole link spec; bare families keep the knobs;
+        // `legacy` is not a preset, and the error names the vocabulary.
         let mut spec = ScenarioSpec::paper_defaults();
-        spec.set_axis("link", "legacy").unwrap();
+        spec.link = LinkSpec::legacy();
+        let err = spec.set_axis("link", "legacy").unwrap_err().to_string();
+        assert!(err.contains("distance|perfect|calibrated"), "{err}");
         assert_eq!(spec.link, LinkSpec::legacy());
         spec.set_axis("link", "calibrated").unwrap();
         assert_eq!(spec.link, LinkSpec::calibrated());
