@@ -59,7 +59,7 @@ static GLOBAL: PeakBytesAllocator = PeakBytesAllocator;
 const SENSORS: usize = 1_024;
 const DOMAIN_WIDTH: i32 = 150;
 
-/// A converged deployment (the shape of the `index_build` bench): a chain of
+/// A converged deployment (the shape `core.index_build_ms` times): a chain of
 /// sensors, each reporting twice — so the store holds superseded summaries
 /// too — with values clustered around a node-specific mean.
 fn converged_stats() -> StatsStore {

@@ -43,7 +43,7 @@ pub struct Provenance {
     #[serde(default, skip_serializing_if = "is_zero_u64")]
     pub events_processed: u64,
     /// `events_processed / wall_clock_secs` — the hot-path throughput number
-    /// the `engine_hot_path` bench and `BENCH_history.jsonl` track.
+    /// `BENCH_history.jsonl` tracks.
     #[serde(default, skip_serializing_if = "is_zero_f64")]
     pub events_per_sec: f64,
     /// Peak resident set size of the process in bytes when the experiment

@@ -18,8 +18,8 @@
 //! workloads) against its committed baseline; `history` prints the latest
 //! `run --history` record and its wall-clock delta; `trace` is the
 //! step-by-step diagnostic previously shipped as a separate `scoop-sim`
-//! binary. [`run_cli`] is public so
-//! `examples/reproduce.rs` can stay a thin wrapper over the same code path.
+//! binary. [`run_cli`] is public so tests drive the same code path as the
+//! binary.
 
 use crate::artifact::ArtifactStore;
 use crate::baselines::{paper_baseline, TolerancePreset};
@@ -129,8 +129,17 @@ fn parse_set(payload: &str) -> Result<(String, String), String> {
     Ok((key.trim().to_string(), value.trim().to_string()))
 }
 
-/// Entry point shared by the binary and `examples/reproduce.rs`. Returns the
-/// process exit code.
+/// A `--trials` count: a positive integer. Zero is rejected rather than
+/// clamped, so an artifact never records a trial count it did not run.
+fn parse_trials(value: &str) -> Result<usize, String> {
+    value
+        .parse()
+        .ok()
+        .filter(|&t| t >= 1)
+        .ok_or_else(|| format!("bad --trials value `{value}`"))
+}
+
+/// Entry point of the `scoop-lab` binary. Returns the process exit code.
 pub fn run_cli(args: &[String]) -> i32 {
     match dispatch(args) {
         Ok(code) => code,
@@ -182,9 +191,7 @@ fn cmd_run(args: &[String]) -> Result<i32, String> {
         overrides: Vec::new(),
     };
     if let Some(trials) = lookup(&values, "trials") {
-        options.trials = trials
-            .parse()
-            .map_err(|_| format!("bad --trials value `{trials}`"))?;
+        options.trials = parse_trials(trials)?;
     }
     if let Some(seed) = lookup(&values, "seed") {
         options.seed = seed
@@ -234,8 +241,8 @@ fn cmd_run(args: &[String]) -> Result<i32, String> {
     .map_err(|e| e.to_string())?;
 
     if json {
-        // The historical `reproduce --json` format: one bare JSON array per
-        // experiment. A serialization failure fails the whole command.
+        // One bare JSON array of rows per experiment, without the artifact
+        // envelope. A serialization failure fails the whole command.
         for artifact in &artifacts {
             println!("{}", artifact.rows.rows_json().map_err(|e| e.to_string())?);
         }
@@ -364,11 +371,7 @@ fn cmd_calibrate(args: &[String]) -> Result<i32, String> {
         CalibrationOptions::paper_full()
     };
     if let Some(trials) = lookup(&values, "trials") {
-        options.trials = trials
-            .parse()
-            .ok()
-            .filter(|&t: &usize| t >= 1)
-            .ok_or_else(|| format!("bad --trials value `{trials}`"))?;
+        options.trials = parse_trials(trials)?;
     }
     if let Some(seed) = lookup(&values, "seed") {
         options.seed = seed
@@ -551,6 +554,7 @@ mod tests {
     fn unknown_command_and_experiment_are_rejected() {
         assert_eq!(run_cli(&s(&["frobnicate"])), 2);
         assert_eq!(run_cli(&s(&["run", "fig9"])), 2);
+        assert_eq!(run_cli(&s(&["run", "--trials=0", "fig5"])), 2);
         assert_eq!(run_cli(&s(&["check", "--tolerance", "yolo"])), 2);
         assert_eq!(run_cli(&s(&["check", "--suite", "bogus"])), 2);
         assert_eq!(run_cli(&s(&["check", "--chaos"])), 2);
@@ -583,8 +587,12 @@ mod tests {
         ]));
         assert_eq!(code, 0);
         assert!(results.join("fig3-middle.json").exists());
-        assert!(results.join("fig5.json").exists());
         assert!(history.exists());
+        let fig5 = ArtifactStore::new(&results).load("fig5").unwrap();
+        assert_eq!(fig5.experiment, "fig5");
+        assert_eq!(fig5.scale, "quick");
+        assert_eq!(fig5.trials, 1);
+        assert!(!fig5.rows.is_empty());
 
         let code = run_cli(&s(&[
             "report",

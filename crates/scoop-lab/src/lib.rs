@@ -29,8 +29,7 @@
 //! * [`history`] — per-commit `scoop-lab run` wall-clock and events/s
 //!   records (`BENCH_history.jsonl`); a record, not a gate.
 //! * [`cli`] — the `scoop-lab` binary's `run | report | diff | check |
-//!   calibrate | history | store | trace` subcommands (also driven by
-//!   `examples/reproduce.rs`).
+//!   calibrate | history | store | trace` subcommands.
 
 #![warn(missing_docs)]
 

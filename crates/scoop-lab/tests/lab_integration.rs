@@ -101,7 +101,7 @@ fn same_seed_runs_are_byte_identical_modulo_provenance() {
     );
 }
 
-/// The acceptance-criterion path: `scoop-lab check` exits 0 against a
+/// The gate's exit codes: `scoop-lab check` exits 0 against a
 /// faithful baseline file and non-zero when the committed baseline is
 /// perturbed beyond the default tolerance.
 #[test]
