@@ -106,18 +106,6 @@ impl SummaryHistogram {
         let p_v_given_bin = 1.0 / width.max(1.0);
         p_v_given_bin * p_bin
     }
-
-    /// The probability mass this histogram assigns to any value inside the
-    /// given inclusive range (used by the range-placement extension and by
-    /// query planning against summaries).
-    pub fn probability_of_range(&self, lo: Value, hi: Value) -> f64 {
-        if hi < self.min || lo > self.max {
-            return 0.0;
-        }
-        (lo.max(self.min)..=hi.min(self.max))
-            .map(|v| self.probability_of(v))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -183,17 +171,6 @@ mod tests {
         let h = SummaryHistogram::build(&values, 10).unwrap();
         assert!(h.probability_of(50) > h.probability_of(0));
         assert!(h.probability_of(50) > h.probability_of(99));
-    }
-
-    #[test]
-    fn range_probability_accumulates() {
-        let values: Vec<Value> = (0..=29).collect();
-        let h = SummaryHistogram::build(&values, 10).unwrap();
-        let full = h.probability_of_range(0, 29);
-        assert!((full - 1.0).abs() < 0.05, "full-range mass {full}");
-        let half = h.probability_of_range(0, 14);
-        assert!((half - 0.5).abs() < 0.1, "half-range mass {half}");
-        assert_eq!(h.probability_of_range(100, 200), 0.0);
     }
 
     #[test]

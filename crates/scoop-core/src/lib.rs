@@ -14,8 +14,6 @@
 //! * [`cost`] / [`index`] — the `O(V · n²)` index-selection algorithm of
 //!   Figure 2, the store-local fallback comparison, and the compact
 //!   range-coalesced representation that gets disseminated.
-//! * [`placement`] — the extensions sketched in Section 4: owner sets and
-//!   range-granularity placement.
 //! * [`routing_rules`] — the six data-routing rules of Section 5.4.
 //! * [`query_plan`] — the basestation's query planner over (possibly many
 //!   generations of) storage indices, including the answer-from-summaries
@@ -32,7 +30,6 @@ pub mod cost;
 pub mod histogram;
 pub mod index;
 pub mod messages;
-pub mod placement;
 pub mod query_plan;
 pub mod routing_rules;
 pub mod stats_store;

@@ -335,12 +335,6 @@ impl<L: NodeLogic> Engine<L> {
         &self.nodes[id.index()]
     }
 
-    /// Mutable access to a node's application state (used by harnesses to
-    /// extract results; protocol behaviour should go through callbacks).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut L {
-        &mut self.nodes[id.index()]
-    }
-
     /// Iterates over `(node id, node logic)` pairs.
     pub fn iter_nodes(&self) -> impl Iterator<Item = (NodeId, &L)> {
         self.nodes

@@ -1,11 +1,9 @@
-//! Pluggable topology / link-model factories.
+//! The topology / link-model generators.
 //!
-//! `scoop_sim::SimBuilder` assembles engines through these two small traits
-//! instead of hardcoding `Topology::office_floor` + `LinkModel`
-//! construction, so an experiment can swap either axis — a custom placement
-//! generator, a trace-driven loss model — without touching the runner. Both
-//! traits are `Send + Sync` and deterministic in `seed`, which is what lets
-//! the parallel sweep runner share one factory across worker threads.
+//! `scoop_sim::SimBuilder` realizes a spec's topology and link axes with
+//! [`StdTopologyGen`] and [`StdLinkGen`]. Each trait has that one
+//! implementation; both are pure in `seed`, so builds on different sweep
+//! threads agree exactly.
 
 use crate::link::LinkModel;
 use crate::topology::Topology;

@@ -14,15 +14,13 @@
 //!   acknowledgements with bounded retransmission; every (re)transmission is
 //!   counted, because the paper's cost metric is transmissions.
 //! * **Accounting** — per-node, per-[`MessageKind`](scoop_types::MessageKind)
-//!   transmission and reception counters, plus an energy model calibrated to
-//!   the numbers in Section 2.1 (radio ≈ 700 nJ/bit, flash write ≈ 28 nJ/bit).
+//!   transmission and reception counters: the paper's cost metric.
 //!
 //! The simulator is deterministic: all randomness flows from the seed in the
 //! engine's configuration.
 
 #![warn(missing_docs)]
 
-pub mod energy;
 pub mod engine;
 pub mod event;
 pub mod fault;
@@ -32,7 +30,6 @@ pub mod packet;
 pub mod stats;
 pub mod topology;
 
-pub use energy::{EnergyModel, EnergyReport};
 pub use engine::{Engine, EngineConfig, NodeCtx, NodeLogic, TimerToken};
 pub use event::{Event, EventQueue};
 pub use fault::{FaultSchedule, Outage, PartitionCut};

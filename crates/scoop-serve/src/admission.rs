@@ -24,7 +24,7 @@ impl AdmissionQueue {
     /// A queue admitting at most `capacity` requests per drain.
     pub fn new(capacity: usize) -> Self {
         AdmissionQueue {
-            capacity: capacity.max(1),
+            capacity,
             queue: VecDeque::new(),
             admitted: 0,
             rejected: 0,

@@ -31,8 +31,8 @@ const USAGE: &str = "usage: scoop-serve <smoke|serve|query> [options]
 `smoke` runs the fixed-seed hermetic mix CI checks against its committed
 golden (cache off and on, byte-identical). `serve`
 exposes the server over length-prefixed TCP frames; `--persist` additionally
-journals drained readings through the flash-accounted seam into a scoop-store
-segment log at DIR; a restart reads none of it and answers it from the sealed
+journals drained readings into a scoop-store segment log at DIR; a restart
+reads none of it and answers it from the sealed
 segments, a few blocks per cache miss. `query` sends one value/time
 range query to a serving process; `--retry=N` opts into bounded retry with
 seeded jittered backoff on `Overloaded`, failing with the typed give-up

@@ -10,8 +10,8 @@
 //! 2. the engine runs up to the tick boundary;
 //! 3. every node's data buffer is drained incrementally (cursor per node, in
 //!    node-id order) into the server's [`AnswerCore`] — and, when persistence
-//!    is configured, through the flash-accounted [`FlashPersistence`] seam
-//!    into a `scoop-store` segment log on disk;
+//!    is configured, through the [`PersistenceBackend`] seam into a
+//!    `scoop-store` segment log on disk;
 //! 4. the bounded admission queue is drained, identical predicates are
 //!    coalesced, and each unique predicate is answered once — from the cache
 //!    when it can prove the bytes unchanged, by evaluation otherwise.
@@ -26,7 +26,7 @@ use crate::core::{AnswerCore, CoreStats};
 use crate::transport::{ClientId, Transport};
 use scoop_net::Engine;
 use scoop_sim::{SimBuilder, SimNode, TICK_SERVE};
-use scoop_storage::{FlashLedger, FlashModel, FlashPersistence, PersistenceBackend};
+use scoop_storage::PersistenceBackend;
 use scoop_store::{DiskBackend, Store, StoreOptions};
 use scoop_types::append_overloaded_frame;
 use scoop_types::{
@@ -47,14 +47,11 @@ pub struct ServeOptions {
     pub queue_capacity: usize,
     /// Answer-cache entries; 0 disables the cache.
     pub cache_capacity: usize,
-    /// When set, drained readings also flow through the flash-accounted
-    /// persistence seam into a `scoop-store` segment log at this directory,
-    /// and any records already on disk are answered from its sealed segments
-    /// (serving across restarts).
+    /// When set, drained readings also flow through the persistence seam
+    /// into a `scoop-store` segment log at this directory, and any records
+    /// already on disk are answered from its sealed segments (serving across
+    /// restarts).
     pub persist_dir: Option<PathBuf>,
-    /// Flash chip model used for per-node accounting at the persistence
-    /// seam.
-    pub flash: FlashModel,
 }
 
 impl ServeOptions {
@@ -67,7 +64,6 @@ impl ServeOptions {
             queue_capacity: 1024,
             cache_capacity: 4096,
             persist_dir: None,
-            flash: FlashModel::default(),
         }
     }
 }
@@ -94,34 +90,6 @@ pub struct ServeStats {
     pub records_persisted: u64,
 }
 
-/// The flash-accounted persistence seam as the server sees it, erased over
-/// the concrete backend so tests can wire in fault-injecting ones (see
-/// `scoop_storage::FailpointBackend`) without changing the serving loop.
-trait PersistSeam: Send {
-    fn append_node_batch(&mut self, owner: NodeId, batch: &[Reading]) -> Result<(), ScoopError>;
-    fn sync(&mut self) -> Result<(), ScoopError>;
-    fn records_persisted(&self) -> u64;
-    fn ledger(&self) -> &FlashLedger;
-}
-
-impl<B: PersistenceBackend + Send> PersistSeam for FlashPersistence<B> {
-    fn append_node_batch(&mut self, owner: NodeId, batch: &[Reading]) -> Result<(), ScoopError> {
-        FlashPersistence::append_node_batch(self, owner, batch)
-    }
-
-    fn sync(&mut self) -> Result<(), ScoopError> {
-        FlashPersistence::sync(self)
-    }
-
-    fn records_persisted(&self) -> u64 {
-        FlashPersistence::records_persisted(self)
-    }
-
-    fn ledger(&self) -> &FlashLedger {
-        FlashPersistence::ledger(self)
-    }
-}
-
 /// A long-running server owning one simulated network.
 pub struct ServeServer {
     engine: Engine<SimNode>,
@@ -129,7 +97,7 @@ pub struct ServeServer {
     admission: AdmissionQueue,
     /// Per-node data-buffer cursors, indexed by node id.
     cursors: Vec<u64>,
-    persistence: Option<Box<dyn PersistSeam>>,
+    persistence: Option<Box<dyn PersistenceBackend + Send>>,
     /// Set when the persistence seam failed and the server degraded to
     /// memory-only serving; the seam itself is dropped at that point.
     persist_error: Option<ScoopError>,
@@ -148,6 +116,18 @@ impl ServeServer {
     /// store. Opening reads each segment's footer and index region and no
     /// data block: what is already on disk is answered in place.
     pub fn new(options: ServeOptions) -> Result<Self, ScoopError> {
+        // A zero tick never advances simulated time; a zero queue admits
+        // nothing.
+        if options.tick.is_zero() {
+            return Err(ScoopError::InvalidConfig(
+                "serve tick must be positive".into(),
+            ));
+        }
+        if options.queue_capacity == 0 {
+            return Err(ScoopError::InvalidConfig(
+                "serve queue_capacity must be at least 1".into(),
+            ));
+        }
         let spec = options.spec;
         spec.validate()?;
         let domain = spec.workload.value_domain;
@@ -156,7 +136,7 @@ impl ServeServer {
 
         let mut core = AnswerCore::new(domain, options.cache_capacity);
         let mut stats = ServeStats::default();
-        let persistence: Option<Box<dyn PersistSeam>> = match options.persist_dir {
+        let persistence: Option<Box<dyn PersistenceBackend + Send>> = match options.persist_dir {
             Some(dir) => {
                 let store = Store::open(&dir, StoreOptions::default())?;
                 // Taken before the store starts journaling this process's
@@ -165,11 +145,7 @@ impl ServeServer {
                 let history = store.snapshot();
                 stats.readings_preloaded = history.records();
                 core = core.with_history(history);
-                Some(Box::new(FlashPersistence::new(
-                    DiskBackend::from_store(store),
-                    options.flash,
-                    total_nodes,
-                )))
+                Some(Box::new(DiskBackend::from_store(store)))
             }
             None => None,
         };
@@ -191,19 +167,17 @@ impl ServeServer {
     }
 
     /// Builds the simulated network over an explicit persistence backend
-    /// (flash-accounted like the disk path, no stored history). This is how
-    /// fault models are wired into the seam: wrap any backend in a
-    /// [`scoop_storage::FailpointBackend`] and hand it here.
+    /// (no stored history). This is how fault models are wired into the
+    /// seam: wrap any backend in a [`scoop_storage::FailpointBackend`] and
+    /// hand it here.
     pub fn with_backend<B: PersistenceBackend + Send + 'static>(
         options: ServeOptions,
         backend: B,
     ) -> Result<Self, ScoopError> {
         let mut options = options;
         options.persist_dir = None;
-        let flash = options.flash;
         let mut server = ServeServer::new(options)?;
-        let nodes = server.cursors.len();
-        server.persistence = Some(Box::new(FlashPersistence::new(backend, flash, nodes)));
+        server.persistence = Some(Box::new(backend));
         Ok(server)
     }
 
@@ -241,11 +215,6 @@ impl ServeServer {
         spec: &scoop_types::AggregateSpec,
     ) -> Result<scoop_types::PartialAggregate, ScoopError> {
         self.core.aggregate_answer(pred, spec)
-    }
-
-    /// Per-node flash accounting, when persistence is configured.
-    pub fn flash_ledger(&self) -> Option<&FlashLedger> {
-        self.persistence.as_ref().map(|p| p.ledger())
     }
 
     /// True while the persistence seam is attached and healthy.
@@ -304,7 +273,7 @@ impl ServeServer {
             // the typed error is kept, the seam is dropped, and the tick —
             // with every query in it — carries on.
             if let Some(mut persist) = self.persistence.take() {
-                match persist.append_node_batch(node, &self.drain_readings[before..]) {
+                match persist.append_batch(&self.drain_readings[before..]) {
                     Ok(()) => self.persistence = Some(persist),
                     Err(e) => {
                         // Count whatever landed (a torn write's prefix is

@@ -6,7 +6,9 @@
 use scoop_serve::server::{pump_once, ServeOptions, ServeServer};
 use scoop_serve::tcp::{QueryError, RetryPolicy, TcpClient, TcpServerTransport};
 use scoop_serve::transport::InMemoryHub;
-use scoop_types::{ScenarioSpec, ServeRequest, ServeResponse, SimDuration, SimTime, ValueRange};
+use scoop_types::{
+    ScenarioSpec, ScoopError, ServeRequest, ServeResponse, SimDuration, SimTime, ValueRange,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -97,6 +99,25 @@ fn direct_submission_reports_queue_depth_at_rejection_time() {
     server.tick(&mut frames).expect("tick");
     assert_eq!(frames.len(), 4);
     assert!(server.submit(0, request(100)).is_ok());
+}
+
+#[test]
+fn zero_tick_and_zero_queue_are_rejected_as_invalid_config() {
+    let mut zero_tick = ServeOptions::new(ScenarioSpec::small_test());
+    zero_tick.tick = SimDuration::from_millis(0);
+    match ServeServer::new(zero_tick) {
+        Err(ScoopError::InvalidConfig(msg)) => assert!(msg.contains("tick"), "{msg}"),
+        Err(other) => panic!("expected InvalidConfig, got {other}"),
+        Ok(_) => panic!("a zero tick would never advance simulated time"),
+    }
+
+    let mut zero_queue = ServeOptions::new(ScenarioSpec::small_test());
+    zero_queue.queue_capacity = 0;
+    match ServeServer::new(zero_queue) {
+        Err(ScoopError::InvalidConfig(msg)) => assert!(msg.contains("queue_capacity"), "{msg}"),
+        Err(other) => panic!("expected InvalidConfig, got {other}"),
+        Ok(_) => panic!("a zero queue must not be rounded up to 1"),
+    }
 }
 
 /// The retry half of the contract, over a real socket: more concurrent

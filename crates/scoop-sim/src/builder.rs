@@ -2,11 +2,10 @@
 //!
 //! [`SimBuilder`] is the single construction path for every experiment run:
 //! the runner, the sweep grids, `scoop-lab`, and the bench harness all build
-//! engines here. Each axis of the spec is realized by a pluggable factory —
-//! [`TopologyGen`] for placement, [`LinkGen`] for loss — so alternative
-//! generators slot in without touching the runner, and the fault axis is
-//! resolved into a concrete radio-outage schedule. Everything stays `Send`
-//! and deterministic in `spec.seed`, which is what lets the parallel sweep
+//! engines here. The topology and link axes are realized by
+//! [`StdTopologyGen`] and [`StdLinkGen`], and the fault axis is resolved into
+//! a concrete radio-outage schedule. Everything stays `Send` and
+//! deterministic in `spec.seed`, which is what lets the parallel sweep
 //! runner spread builds across threads.
 
 use crate::node::{NodeShared, SimNode};
@@ -22,33 +21,15 @@ use std::sync::Arc;
 /// per-seed streams (topology jitter, link noise, engine loss).
 const FAULT_SEED_SALT: u64 = 0x5eed_fa17;
 
-/// Builds engines from scenario specs through pluggable axis factories.
+/// Builds engines from scenario specs.
 pub struct SimBuilder {
     spec: ScenarioSpec,
-    topology_gen: Box<dyn TopologyGen>,
-    link_gen: Box<dyn LinkGen>,
 }
 
 impl SimBuilder {
-    /// A builder over `spec` with the standard topology / link factories.
+    /// A builder over `spec`.
     pub fn new(spec: ScenarioSpec) -> Self {
-        SimBuilder {
-            spec,
-            topology_gen: Box::new(StdTopologyGen),
-            link_gen: Box::new(StdLinkGen),
-        }
-    }
-
-    /// Replaces the placement factory.
-    pub fn with_topology_gen(mut self, gen: impl TopologyGen + 'static) -> Self {
-        self.topology_gen = Box::new(gen);
-        self
-    }
-
-    /// Replaces the loss-model factory.
-    pub fn with_link_gen(mut self, gen: impl LinkGen + 'static) -> Self {
-        self.link_gen = Box::new(gen);
-        self
+        SimBuilder { spec }
     }
 
     /// Applies one string-keyed axis override (`"topology=grid"` style; see
@@ -75,10 +56,8 @@ impl SimBuilder {
         let spec = &self.spec;
         spec.validate()?;
         let sensors = spec.num_nodes + spec.faults.total_joins(spec.num_nodes);
-        let topology = self
-            .topology_gen
-            .generate(&spec.topology, sensors, spec.seed)?;
-        let links = self.link_gen.generate(&spec.link, &topology, spec.seed)?;
+        let topology = StdTopologyGen.generate(&spec.topology, sensors, spec.seed)?;
+        let links = StdLinkGen.generate(&spec.link, &topology, spec.seed)?;
         assemble(spec, topology, links)
     }
 }

@@ -3,7 +3,6 @@
 //! study. Each is a declarative scenario grid run by the parallel
 //! [`SweepRunner`](crate::sweep::SweepRunner).
 
-use crate::metrics::RunResult;
 use crate::sweep::{ScenarioSuite, SweepRunner};
 use scoop_types::{DataSourceKind, ExperimentConfig, ScoopError, SimDuration, StoragePolicy};
 use serde::{Deserialize, Serialize};
@@ -208,21 +207,6 @@ pub fn scaling_with_policy(
             storage_success: avg.storage.storage_success(),
         })
         .collect())
-}
-
-/// Convenience: a full default-parameter SCOOP run (used by several benches
-/// and the quickstart example).
-pub fn default_scoop_run(base: &ExperimentConfig, trials: usize) -> Result<RunResult, ScoopError> {
-    let mut cfg = base.clone();
-    cfg.policy.kind = StoragePolicy::Scoop;
-    let suite = ScenarioSuite::new("default-scoop", trials).scenario("scoop", cfg);
-    let report = SweepRunner::from_env().run(&suite)?;
-    Ok(report
-        .results
-        .into_iter()
-        .next()
-        .expect("one scenario")
-        .averaged)
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 //! * [`metrics`] — per-run metrics: the Figure 3 message breakdown, storage
 //!   and query success rates, destination accuracy, and per-node skew.
 //! * [`builder`] — [`SimBuilder`]: assembles an engine from a
-//!   [`ScenarioSpec`](scoop_types::ScenarioSpec) through the pluggable
-//!   `TopologyGen` / `LinkGen` factories and resolves the fault axis into a
+//!   [`ScenarioSpec`](scoop_types::ScenarioSpec) through the standard
+//!   topology and link generators and resolves the fault axis into a
 //!   radio-outage schedule.
 //! * [`runner`] — runs a built engine and extracts a
 //!   [`metrics::RunResult`]; multi-trial averaging included.

@@ -105,7 +105,8 @@ const GOSSIP_SUPPRESSION: u32 = 2;
 /// or dropping the packet for query replies and summaries.
 const MAX_FORWARD_HOPS: u8 = 24;
 /// Capacity of each node's data buffer, in readings. Far larger than anything
-/// a 40-minute run produces; the flash model justifies ~670k per MB.
+/// a 40-minute run produces, and well under the paper's "about 670,000 12-bit
+/// sensor readings" per megabyte of flash (Section 5.5).
 const DATA_BUFFER_CAP: usize = 65_536;
 
 /// Per-node counters the harness reads out after a run.

@@ -1,5 +1,5 @@
 //! Node-local storage: the recent-readings ring buffer, the circular flash
-//! data buffer, and a flash capacity/energy model.
+//! data buffer, and the persistence seam that makes drained readings durable.
 //!
 //! Two separate buffers exist on every node, exactly as in Sections 5.2 and
 //! 5.4 of the paper:
@@ -10,18 +10,15 @@
 //!   the node *owns* according to the storage index (which may come from any
 //!   producer in the network). Queries scan this buffer linearly.
 //!
-//! The flash model reproduces the sizing arithmetic from Section 5.5: "With a
-//! megabyte of Flash memory, a Scoop node can store about 670,000 12-bit
-//! sensor readings."
+//! [`PersistenceBackend`] is the seam a drained buffer's readings leave
+//! through; the disk implementation lives in `scoop-store`.
 
 #![warn(missing_docs)]
 
 pub mod data_buffer;
-pub mod flash;
 pub mod persist;
 pub mod ring;
 
 pub use data_buffer::DataBuffer;
-pub use flash::{FlashLedger, FlashModel};
-pub use persist::{FailpointBackend, FlashPersistence, InMemoryBackend, PersistenceBackend};
+pub use persist::{FailpointBackend, InMemoryBackend, PersistenceBackend};
 pub use ring::RecentReadings;

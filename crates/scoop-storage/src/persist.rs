@@ -12,8 +12,7 @@
 //!
 //! [`DataBuffer`]: crate::DataBuffer
 
-use crate::flash::{FlashLedger, FlashModel};
-use scoop_types::{NodeId, Reading, ScoopError};
+use scoop_types::{Reading, ScoopError};
 
 /// A sink that makes basestation readings durable.
 ///
@@ -178,79 +177,11 @@ impl<B: PersistenceBackend> PersistenceBackend for FailpointBackend<B> {
     }
 }
 
-/// The per-node flash models wired to the persistence seam.
-///
-/// A [`FlashPersistence`] wraps any [`PersistenceBackend`] and charges every
-/// batch drained from a node's data buffer to that node's entry in a
-/// [`FlashLedger`] before forwarding the bytes to the inner backend. The
-/// owner is explicit — [`append_node_batch`](FlashPersistence::append_node_batch)
-/// — because flash is spent on the chip of the node that *stores* a reading,
-/// which under Scoop's index routing is usually not its producer.
-///
-/// The wrapper adds accounting only: the inner backend sees exactly the
-/// batches it would have seen without it.
-pub struct FlashPersistence<B> {
-    backend: B,
-    ledger: FlashLedger,
-}
-
-impl<B: PersistenceBackend> FlashPersistence<B> {
-    /// Wraps `backend`, modelling `nodes` chips of the given `model`.
-    pub fn new(backend: B, model: FlashModel, nodes: usize) -> Self {
-        FlashPersistence {
-            backend,
-            ledger: FlashLedger::new(model, nodes),
-        }
-    }
-
-    /// Appends a batch drained from `owner`'s data buffer: charges the
-    /// owner's flash model for the writes, then forwards to the backend.
-    pub fn append_node_batch(
-        &mut self,
-        owner: NodeId,
-        batch: &[Reading],
-    ) -> Result<(), ScoopError> {
-        self.ledger.charge_writes(owner, batch.len() as u64);
-        self.backend.append_batch(batch)
-    }
-
-    /// Commits everything appended so far (see
-    /// [`PersistenceBackend::sync`]).
-    pub fn sync(&mut self) -> Result<(), ScoopError> {
-        self.backend.sync()
-    }
-
-    /// Total readings forwarded to the inner backend.
-    pub fn records_persisted(&self) -> u64 {
-        self.backend.records_persisted()
-    }
-
-    /// The per-node flash accounting accumulated so far.
-    pub fn ledger(&self) -> &FlashLedger {
-        &self.ledger
-    }
-
-    /// The wrapped backend.
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
-    /// The wrapped backend, mutably.
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
-    }
-
-    /// Unwraps into the inner backend, dropping the ledger.
-    pub fn into_backend(self) -> B {
-        self.backend
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::DataBuffer;
-    use scoop_types::{Attribute, SimTime, StorageIndexId};
+    use scoop_types::{Attribute, NodeId, SimTime, StorageIndexId};
 
     #[test]
     fn in_memory_backend_accumulates_and_counts() {
@@ -305,31 +236,5 @@ mod tests {
         backend.sync().unwrap();
         assert_eq!(backend.failures_injected(), 2);
         assert_eq!(backend.into_inner().readings().len(), 11);
-    }
-
-    #[test]
-    fn flash_persistence_charges_the_owner_and_forwards_batches() {
-        let mut persist = FlashPersistence::new(InMemoryBackend::new(), FlashModel::default(), 4);
-
-        // Node 3 owns readings produced by node 1: the *owner*'s chip pays.
-        let batch: Vec<Reading> = (0..6u64)
-            .map(|t| Reading::new(NodeId(1), Attribute::Light, t as i32, SimTime::from_secs(t)))
-            .collect();
-        persist.append_node_batch(NodeId(3), &batch).unwrap();
-        persist.append_node_batch(NodeId(2), &batch[..2]).unwrap();
-        persist.append_node_batch(NodeId(3), &[]).unwrap();
-        persist.sync().unwrap();
-
-        assert_eq!(persist.ledger().writes(NodeId(3)), 6);
-        assert_eq!(persist.ledger().writes(NodeId(2)), 2);
-        assert_eq!(
-            persist.ledger().writes(NodeId(1)),
-            0,
-            "producer pays nothing"
-        );
-        assert!(persist.ledger().write_energy_joules(NodeId(3)) > 0.0);
-        assert_eq!(persist.records_persisted(), 8);
-        assert_eq!(persist.backend().readings().len(), 8);
-        assert_eq!(persist.into_backend().readings().len(), 8);
     }
 }

@@ -37,11 +37,6 @@ impl DiskBackend {
         }
     }
 
-    /// The underlying store, e.g. to query what was persisted.
-    pub fn store_mut(&mut self) -> &mut Store {
-        &mut self.store
-    }
-
     /// Consumes the backend, returning the store.
     pub fn into_store(self) -> Store {
         self.store

@@ -15,7 +15,7 @@
 //! * [`FaultSpec`] — scheduled radio-outage windows (node death / churn).
 //!
 //! `scoop_sim::SimBuilder` assembles an engine from a spec through the
-//! `TopologyGen` / `LinkGen` factory traits in `scoop-net`, and the
+//! standard topology and link generators in `scoop-net`, and the
 //! string-keyed *axis registry* ([`ScenarioSpec::set_axis`]) lets the CLI,
 //! sweep grids, and benches override any axis without recompiling
 //! (`topology=grid`, `link.loss_floor=0.1`, `nodes=96`, ...).
@@ -482,11 +482,6 @@ impl PolicySpec {
         sinks.sort();
         sinks.dedup();
         sinks
-    }
-
-    /// Whether more than one basestation is configured.
-    pub fn is_multi_sink(&self) -> bool {
-        self.sink_ids().len() > 1
     }
 }
 

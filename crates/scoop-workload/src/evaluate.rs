@@ -108,21 +108,6 @@ impl ExactAggregate {
     }
 }
 
-/// Exact aggregate over the readings matching a predicate — `scan` composed
-/// with [`ExactAggregate::over`], the one-call reference for sim-level tests.
-pub fn aggregate_scan(
-    readings: &[Reading],
-    values: &ValueRange,
-    time_lo: SimTime,
-    time_hi: SimTime,
-) -> ExactAggregate {
-    ExactAggregate::over(
-        scan(readings, values, time_lo, time_hi)
-            .iter()
-            .map(|r| r.value),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
