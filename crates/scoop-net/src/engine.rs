@@ -68,36 +68,23 @@ pub trait NodeLogic {
 pub struct EngineConfig {
     /// Seed for link-loss sampling and any other engine-level randomness.
     pub seed: u64,
-    /// Maximum link-layer retransmissions for a unicast packet (the original
-    /// transmission is not counted as a retry). TinyOS's default queued-send
-    /// behaviour retries a small number of times; we default to 3.
-    pub max_unicast_retries: u32,
-    /// Time occupied by a single transmission attempt (channel access, air
-    /// time, and ack). On a Mica2-class radio a full packet exchange takes
-    /// a few tens of milliseconds.
-    pub tx_slot: SimDuration,
-    /// If `true`, nodes overhear unicast packets addressed to other nodes
-    /// (needed for the paper's snooping-based link estimation).
-    pub enable_snooping: bool,
-    /// Number of region shards for the event queue: nodes are partitioned
-    /// into this many contiguous id ranges, each with its own heap, merged
-    /// deterministically on pop. Any value produces byte-identical results
-    /// (see the [`event`](crate::event) module docs); values above the node
-    /// count are clamped. Default 1 — the classic single global queue.
-    pub num_shards: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            seed: 1,
-            max_unicast_retries: 3,
-            tx_slot: SimDuration::from_millis(30),
-            enable_snooping: true,
-            num_shards: 1,
-        }
+        EngineConfig { seed: 1 }
     }
 }
+
+/// Maximum link-layer retransmissions for a unicast packet (the original
+/// transmission is not counted as a retry). TinyOS's default queued-send
+/// behaviour retries a small number of times.
+const MAX_UNICAST_RETRIES: u32 = 3;
+
+/// Time occupied by a single transmission attempt (channel access, air time,
+/// and ack). On a Mica2-class radio a full packet exchange takes a few tens
+/// of milliseconds.
+const TX_SLOT: SimDuration = SimDuration::from_millis(30);
 
 /// A node-issued command, buffered during a callback and applied by the
 /// engine afterwards.
@@ -198,7 +185,6 @@ pub struct Engine<L: NodeLogic> {
     stats: NetworkStats,
     seqnos: Vec<SeqNo>,
     rng: StdRng,
-    config: EngineConfig,
     faults: FaultSchedule,
     started: bool,
     events_processed: u64,
@@ -231,29 +217,25 @@ impl<L: NodeLogic> Engine<L> {
             ));
         }
         let n = topology.len();
-        let num_shards = config.num_shards.clamp(1, n);
-        let nodes_per_shard = n.div_ceil(num_shards);
-        // Pre-size each shard by expected queue-entry density, not a blanket
+        // Pre-size the queue by expected queue-entry density, not a blanket
         // multiple of the node count: steady state carries a few pending
         // entries per node (its timers, plus one entry per 32-listener word
         // of each transmission attempt in flight — not one per listener), so
-        // a handful of slots per region node covers warm-up for typical runs
-        // while the heap still grows on demand for denser workloads —
-        // capacity is recycled across `run_until` calls and plateaus either
-        // way (asserted by the zero-allocation gate). The cap keeps a
-        // 32k-node single-shard engine from reserving a ~524k-slot heap up
-        // front like the old `16 * n` rule did.
-        let cap_per_shard = (4 * nodes_per_shard + 64).min(16_384);
+        // a handful of slots per node covers warm-up for typical runs while
+        // the heap still grows on demand for denser workloads — capacity is
+        // recycled across `run_until` calls and plateaus either way (asserted
+        // by the zero-allocation gate). The cap keeps a 32k-node engine from
+        // reserving a heap of 100k+ slots up front.
+        let queue_cap = (4 * n + 64).min(16_384);
         Ok(Engine {
             topology,
             links,
             nodes,
-            queue: EventQueue::sharded(num_shards, nodes_per_shard, cap_per_shard),
+            queue: EventQueue::with_capacity(queue_cap),
             now: SimTime::ZERO,
             stats: NetworkStats::new(n),
             seqnos: vec![SeqNo::default(); n],
             rng: StdRng::seed_from_u64(config.seed ^ 0xe4e4_e4e4),
-            config,
             faults: FaultSchedule::empty(),
             started: false,
             events_processed: 0,
@@ -309,17 +291,11 @@ impl<L: NodeLogic> Engine<L> {
     }
 
     /// Current allocated capacity of the event queue (diagnostics), in queue
-    /// entries as [`Engine::pending_events`] counts them — summed over all
-    /// region shards. Once the simulation reaches steady state this
-    /// must stop growing: each shard's backing storage is recycled across
-    /// `run_until` calls.
+    /// entries as [`Engine::pending_events`] counts them. Once the simulation
+    /// reaches steady state this must stop growing: the backing storage is
+    /// recycled across `run_until` calls.
     pub fn queue_capacity(&self) -> usize {
         self.queue.capacity()
-    }
-
-    /// Number of region shards the event queue runs with (diagnostics).
-    pub fn queue_shards(&self) -> usize {
-        self.queue.num_shards()
     }
 
     /// Current allocated capacity of the reusable command buffer
@@ -376,11 +352,11 @@ impl<L: NodeLogic> Engine<L> {
     /// `scoop-serve` front end) uses to make its stimulus part of the run.
     ///
     /// The event is an ordinary [`Event::TimerFire`] pushed through the same
-    /// (sharded) queue as node-armed timers, so it participates in the
-    /// deterministic merge order like any internal event: a run with injected
-    /// timers is byte-identical at any shard count, and two runs injecting
-    /// the same `(at, node, token)` sequence dispatch identically. Times in
-    /// the past are clamped to `now` (the queue never travels backwards).
+    /// queue as node-armed timers, so it takes its place in the
+    /// deterministic `(time, seq)` order like any internal event: two runs
+    /// injecting the same `(at, node, token)` sequence dispatch identically.
+    /// Times in the past are clamped to `now` (the queue never travels
+    /// backwards).
     pub fn inject_timer(&mut self, node: NodeId, at: SimTime, token: TimerToken) {
         let at = if at > self.now { at } else { self.now };
         self.queue.push(at, Event::TimerFire { node, token });
@@ -509,18 +485,18 @@ impl<L: NodeLogic> Engine<L> {
             LinkDst::Broadcast => {
                 packet.meta.seqno = self.bump_seq(src);
                 self.stats.record_tx(src, kind);
-                let arrival = self.now + self.config.tx_slot;
+                let arrival = self.now + TX_SLOT;
                 self.air(&packet, None, arrival);
             }
             LinkDst::Unicast(dst) => {
-                let max_attempts = self.config.max_unicast_retries + 1;
+                let max_attempts = MAX_UNICAST_RETRIES + 1;
                 let mut delivered = false;
                 let mut attempts_used = 0;
                 while !delivered && attempts_used < max_attempts {
                     attempts_used += 1;
                     packet.meta.seqno = self.bump_seq(src);
                     self.stats.record_tx(src, kind);
-                    let arrival = self.now + self.config.tx_slot.mul(attempts_used as u64);
+                    let arrival = self.now + TX_SLOT.mul(attempts_used as u64);
                     delivered = self.air(&packet, Some(dst), arrival);
                 }
                 if !delivered {
@@ -553,7 +529,6 @@ impl<L: NodeLogic> Engine<L> {
             links,
             rng,
             queue,
-            config,
             faults,
             ..
         } = self;
@@ -580,12 +555,9 @@ impl<L: NodeLogic> Engine<L> {
                 // loop continues, exactly like loss. Bystanders' outages are
                 // left to dispatch.
                 let is_target = target == Some(listener);
-                let deaf = if is_target {
-                    faults.is_down(listener, arrival)
-                } else {
-                    target.is_some() && !config.enable_snooping
-                };
-                if deaf || faults.is_cut(src, listener, arrival) {
+                if (is_target && faults.is_down(listener, arrival))
+                    || faults.is_cut(src, listener, arrival)
+                {
                     continue;
                 }
                 acknowledged |= is_target;
@@ -748,16 +720,7 @@ mod tests {
             let topo = Topology::office_floor(20, 3).unwrap();
             let links = LinkModel::from_topology(&topo, 3);
             let nodes = (0..topo.len()).map(|_| TestApp::default()).collect();
-            let mut eng = Engine::new(
-                topo,
-                links,
-                nodes,
-                EngineConfig {
-                    seed,
-                    ..EngineConfig::default()
-                },
-            )
-            .unwrap();
+            let mut eng = Engine::new(topo, links, nodes, EngineConfig { seed }).unwrap();
             eng.run_until(SimTime::from_secs(10));
             eng.stats().total_tx()
         };

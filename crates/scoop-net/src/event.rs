@@ -1,4 +1,4 @@
-//! The discrete-event queue, optionally sharded by node region.
+//! The discrete-event queue.
 //!
 //! Events are ordered by simulated time; ties are broken by insertion order
 //! so the simulation is fully deterministic.
@@ -22,18 +22,17 @@
 //!
 //! # Sharding
 //!
-//! The queue can be partitioned into per-region shards: contiguous node-id
-//! ranges each backed by their own binary heap, with events routed to the
-//! shard of their destination node. Popping takes the minimum across shard
-//! heads ordered by `(time, seq, shard)`. Because `seq` is a *global*
-//! insertion counter shared by all shards, every event has a unique
+//! The engine runs one heap ([`EventQueue::with_capacity`]).
+//! [`EventQueue::sharded`] partitions the queue into per-region shards —
+//! contiguous node-id ranges each backed by their own binary heap, events
+//! routed to the shard of their node — and exists only so the benchmark
+//! harness can time it against the single heap. Popping takes the minimum
+//! across shard heads ordered by `(time, seq, shard)`. Because `seq` is a
+//! *global* insertion counter shared by all shards, every event has a unique
 //! `(time, seq)` key, and the cross-shard minimum is exactly the element a
-//! single merged heap would pop — so sharded execution is byte-identical to
-//! the sequential single-queue loop, shard count be what it may. (The shard
-//! index in the ordering key is the documented tie-breaker, but it is never
-//! reached: global `seq` uniqueness decides every tie first.) The win on one
-//! core is memory locality — each region's pending events stay in a compact
-//! heap sized to the region, not interleaved across the whole deployment.
+//! single merged heap would pop, whatever the shard count. (The shard index
+//! in the ordering key is the documented tie-breaker, but it is never
+//! reached: global `seq` uniqueness decides every tie first.)
 
 use crate::packet::Packet;
 use scoop_types::{NodeId, SimTime};

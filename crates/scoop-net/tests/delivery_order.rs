@@ -164,11 +164,7 @@ fn run(topology: Topology, faults: FaultSchedule, seed: u64, until: SimTime) -> 
             ticks: 0,
         })
         .collect();
-    let config = EngineConfig {
-        seed,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(topology, links, nodes, config).expect("engine");
+    let mut engine = Engine::new(topology, links, nodes, EngineConfig { seed }).expect("engine");
     engine.set_fault_schedule(faults);
     // Two legs, so a transmission in flight across a `run_until` boundary is
     // part of the picture.

@@ -23,7 +23,7 @@
 //!   cache stores encoded payloads and invalidates on every tick's new
 //!   readings).
 //! * [`server`] — the tick loop tying it together. Admitted batches enter
-//!   the region-sharded event loop as ordinary injected events, so the
+//!   the engine's event queue as ordinary injected events, so the
 //!   engine's determinism guarantees extend to the serving tier.
 //! * [`smoke`] — the fixed-seed golden smoke CI runs. Throughput and
 //!   latency are measured by the repository benchmark (`bench/run.sh`)

@@ -4,9 +4,9 @@
 //! and advances it in fixed admission ticks. Each tick:
 //!
 //! 1. an ordinary `TimerFire` with [`TICK_SERVE`] is injected into the
-//!    basestation through the region-sharded event queue — the admitted
-//!    batch is part of the deterministic event stream, so the engine's
-//!    determinism proofs (byte-identity at any shard count) keep holding;
+//!    basestation through the engine's event queue — the admitted batch is
+//!    part of the deterministic event stream, so two servers admitting the
+//!    same batches at the same ticks run identically;
 //! 2. the engine runs up to the tick boundary;
 //! 3. every node's data buffer is drained incrementally (cursor per node, in
 //!    node-id order) into the server's [`AnswerCore`] — and, when persistence

@@ -93,30 +93,12 @@ pub fn assemble(
         .map(|id| SimNode::with_shared(id, &shared, proto_source.clone_box()))
         .collect();
     let total = topology.len();
-    let engine_cfg = EngineConfig {
-        seed: spec.seed,
-        num_shards: engine_shards_from_env(),
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(topology, links, nodes, engine_cfg)?;
+    let mut engine = Engine::new(topology, links, nodes, EngineConfig { seed: spec.seed })?;
     let faults = resolve_fault_schedule(spec, total);
     if !faults.is_empty() {
         engine.set_fault_schedule(faults);
     }
     Ok(engine)
-}
-
-/// Region-shard count for the engine's event queue, from the
-/// `SCOOP_ENGINE_SHARDS` environment variable (default 1). Like
-/// `SCOOP_SWEEP_THREADS`, this is an execution knob, not part of the
-/// experiment spec: any value yields byte-identical results (proven by the
-/// `shard_determinism` integration test), so it never belongs in artifacts.
-fn engine_shards_from_env() -> usize {
-    std::env::var("SCOOP_ENGINE_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(1)
 }
 
 /// A "permanent" end time for faults that never heal (churn kills). Half the

@@ -23,10 +23,11 @@
 //!   - `aggregate` — sensors of LOCAL aggregate workloads only: partials held
 //!     for in-network tree aggregation.
 //!
-//! Mapping chunks and queries are disseminated by polite gossip: a node
-//! re-broadcasts an item it has not seen before once, after a short random
-//! delay, unless it overhears enough copies from its neighbors first — the
-//! same suppression idea Trickle uses, specialized to the single-round case.
+//! Mapping chunks, queries and sink-liveness beacons are disseminated by
+//! flood-once gossip: a node re-broadcasts an item it has not seen before at
+//! most once (a query only where it can still help), after a short random
+//! delay. Nothing suppresses or repeats it, so a node that misses every copy
+//! of an item never receives it.
 //!
 //! The engine payload is `Arc<ScoopPayload>` (see [`SharedPayload`]): a
 //! packet is queued once per transmission attempt and every listener is shown
@@ -96,9 +97,6 @@ const BEACON_INTERVAL: SimDuration = SimDuration::from_secs(25);
 const MAINTENANCE_INTERVAL: SimDuration = SimDuration::from_secs(60);
 /// Maximum random delay before re-broadcasting a gossiped item.
 const GOSSIP_DELAY_MS: u64 = 400;
-/// A gossiped item is suppressed once this many copies have been overheard
-/// while it waits in the queue.
-const GOSSIP_SUPPRESSION: u32 = 2;
 /// Maximum number of times one application packet may be forwarded. Transient
 /// routing loops (stale descendants entries, tree churn) are broken by
 /// storing the data wherever it happens to be once the budget is exhausted,
@@ -149,10 +147,10 @@ pub struct SimNode {
     batch_dest: Option<(NodeId, StorageIndexId)>,
     /// Ids of the queries already processed (deduplication for gossip).
     seen_queries: SparseIdSet,
-    /// Items waiting to be re-broadcast, with a count of copies overheard.
-    /// The payloads are the shared `Arc`s the packets arrived with, so a
-    /// re-broadcast reuses the original allocation.
-    pending_gossip: VecDeque<(SharedPayload, MessageKind, u32)>,
+    /// Items waiting to be re-broadcast. The payloads are the shared `Arc`s
+    /// the packets arrived with, so a re-broadcast reuses the original
+    /// allocation.
+    pending_gossip: VecDeque<(SharedPayload, MessageKind)>,
     gossip_timer_armed: bool,
     // The roles (see module docs); each is `Some` from construction on the
     // nodes that play it and `None` forever on the rest.
@@ -306,7 +304,7 @@ impl SimNode {
         payload: SharedPayload,
         kind: MessageKind,
     ) {
-        self.pending_gossip.push_back((payload, kind, 0));
+        self.pending_gossip.push_back((payload, kind));
         if !self.gossip_timer_armed {
             self.gossip_timer_armed = true;
             let delay = self.jitter(GOSSIP_DELAY_MS);
@@ -314,30 +312,9 @@ impl SimNode {
         }
     }
 
-    fn note_gossip_overheard(&mut self, payload: &ScoopPayload) {
-        for (pending, _, heard) in self.pending_gossip.iter_mut() {
-            let same = match (&**pending, payload) {
-                (ScoopPayload::Mapping(a), ScoopPayload::Mapping(b)) => {
-                    a.chunk.version == b.chunk.version && a.chunk.index == b.chunk.index
-                }
-                (ScoopPayload::Query(a), ScoopPayload::Query(b)) => a.query_id == b.query_id,
-                (ScoopPayload::SinkAlive(a), ScoopPayload::SinkAlive(b)) => a == b,
-                _ => false,
-            };
-            if same {
-                *heard += 1;
-            }
-        }
-    }
-
     fn flush_one_gossip(&mut self, ctx: &mut NodeCtx<'_, SharedPayload>) {
-        while let Some((payload, kind, heard)) = self.pending_gossip.pop_front() {
-            if heard >= GOSSIP_SUPPRESSION {
-                // Enough neighbors already repeated it: suppress ours.
-                continue;
-            }
+        if let Some((payload, kind)) = self.pending_gossip.pop_front() {
             ctx.send_broadcast(kind, self.routing.parent(), payload);
-            break;
         }
         if self.pending_gossip.is_empty() {
             self.gossip_timer_armed = false;
@@ -766,13 +743,11 @@ impl NodeLogic for SimNode {
             }
         }
         if !addressed {
-            // Snooped traffic still feeds gossip suppression and, for
-            // beacons, parent selection (beacons are broadcast anyway).
-            self.note_gossip_overheard(&packet.payload);
-            // Multi-sink: a promoted sink rarely sits on the unicast path a
-            // summary climbs towards node 0, so it harvests overheard
-            // summaries too — the statistics don't care how a report
-            // arrived. Never taken in single-sink mode.
+            // A snooped unicast feeds link estimation (above). Multi-sink:
+            // a promoted sink rarely sits on the unicast path a summary
+            // climbs towards node 0, so it harvests overheard summaries
+            // too — the statistics don't care how a report arrived. Never
+            // taken in single-sink mode.
             if self.federation.is_some() {
                 if let ScoopPayload::Summary(summary) = &*packet.payload {
                     if let Some(base) = self.sink.as_mut() {
@@ -857,16 +832,7 @@ mod tests {
             .nodes()
             .map(|id| SimNode::with_shared(id, &shared, proto.clone_box()))
             .collect();
-        Engine::new(
-            topo,
-            links,
-            nodes,
-            EngineConfig {
-                seed: cfg.seed,
-                ..Default::default()
-            },
-        )
-        .expect("engine")
+        Engine::new(topo, links, nodes, EngineConfig { seed: cfg.seed }).expect("engine")
     }
 
     fn tiny_cfg(policy: StoragePolicy, source: DataSourceKind) -> ExperimentConfig {
@@ -911,6 +877,31 @@ mod tests {
             sensors_with_index, 8,
             "on perfect links every sensor assembles the index"
         );
+    }
+
+    /// Every node of a fully connected network hears every chunk and
+    /// re-broadcasts each exactly once, so each transmits as many mapping
+    /// packets as node 0: nothing is suppressed and nothing is repeated.
+    fn assert_mapping_floods_once(sinks: Vec<NodeId>) {
+        let mut cfg = tiny_cfg(StoragePolicy::Scoop, DataSourceKind::Gaussian);
+        cfg.policy.basestations = sinks;
+        let mut engine = perfect_engine(&cfg, 3);
+        engine.run_until(SimTime::ZERO + cfg.duration);
+        let sent = |id: NodeId| engine.stats().node(id).tx.mapping;
+        assert!(sent(NodeId::BASESTATION) > 0, "no mapping chunk was sent");
+        for (id, _) in engine.iter_nodes() {
+            assert_eq!(sent(id), sent(NodeId::BASESTATION), "node {id}");
+        }
+    }
+
+    #[test]
+    fn mapping_chunks_flood_once_from_every_node() {
+        assert_mapping_floods_once(Vec::new());
+    }
+
+    #[test]
+    fn both_sinks_chunk_streams_flood_once_from_every_node() {
+        assert_mapping_floods_once(vec![NodeId(0), NodeId(5)]);
     }
 
     #[test]

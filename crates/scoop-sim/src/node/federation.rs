@@ -16,10 +16,6 @@ use std::sync::Arc;
 /// the low bits for the issuing sink's rank (`MAX_SINKS` ranks).
 pub(super) const RANK_STRIDE: u32 = 64;
 
-/// One sink rank's chunk assembler plus the pending domain/created-at
-/// metadata of the index it is currently assembling.
-type RankAssembler = (ChunkAssembler<IndexEntry>, Option<(ValueRange, SimTime)>);
-
 /// What every node of a multi-sink run tracks about the sink set.
 pub(super) struct Federation {
     /// The sorted sink set, shared by every node of the run.
@@ -27,7 +23,7 @@ pub(super) struct Federation {
     /// One chunk assembler per sink rank, because each sink versions its own
     /// chunk stream and a single assembler would let the streams preempt
     /// each other.
-    rank_assemblers: Vec<RankAssembler>,
+    rank_assemblers: Vec<ChunkAssembler<IndexEntry>>,
     /// The newest complete index per sink rank. Owner lookups scan these
     /// newest-first; `current_index` mirrors the newest overall so the
     /// routing rules keep working unchanged.
@@ -40,10 +36,7 @@ impl Federation {
     pub(super) fn new(sinks: &Arc<[NodeId]>) -> Self {
         Federation {
             sinks: Arc::clone(sinks),
-            rank_assemblers: sinks
-                .iter()
-                .map(|_| (ChunkAssembler::new(), None))
-                .collect(),
+            rank_assemblers: sinks.iter().map(|_| ChunkAssembler::new()).collect(),
             sink_indices: vec![None; sinks.len()],
             seen_alive: HashSet::new(),
         }
@@ -158,19 +151,12 @@ impl SimNode {
             .as_ref()
             .map(|i| i.id())
             .unwrap_or(StorageIndexId::NONE);
-        if StorageIndexId(mc.chunk.version as u32) <= newest_for_rank {
+        if mc.index_id() <= newest_for_rank {
             return;
         }
-        let (assembler, meta_slot) = &mut fed.rank_assemblers[rank];
-        *meta_slot = Some((mc.domain, mc.created_at));
-        if let Some(entries) = assembler.accept(&mc.chunk) {
-            let (domain, created_at) = meta_slot.take().unwrap_or((mc.domain, mc.created_at));
-            let index = StorageIndex::from_entries(
-                StorageIndexId(mc.chunk.version as u32),
-                domain,
-                entries,
-                created_at,
-            );
+        if let Some(entries) = fed.rank_assemblers[rank].accept(&mc.chunk) {
+            let index =
+                StorageIndex::from_entries(mc.index_id(), mc.domain, entries, mc.created_at);
             if let Some(base) = self.sink.as_mut() {
                 base.planner.record_index(index.clone());
             }
@@ -180,7 +166,7 @@ impl SimNode {
     }
 
     /// A sink-liveness beacon: note the peer alive (sinks only) and flood it
-    /// network-wide by polite gossip so every sink hears every peer even
+    /// network-wide by flood-once gossip so every sink hears every peer even
     /// across tree branches. Never sent in single-sink mode.
     pub(super) fn handle_sink_alive(
         &mut self,

@@ -12,7 +12,7 @@ use scoop_core::{MappingChunk, ScoopPayload, StorageIndex, SummaryMessage};
 use scoop_net::NodeCtx;
 use scoop_storage::RecentReadings;
 use scoop_trickle::{Chunk, ChunkAssembler};
-use scoop_types::{ExperimentConfig, MessageKind, SimTime, StorageIndexId, ValueRange};
+use scoop_types::{ExperimentConfig, MessageKind};
 use std::sync::Arc;
 
 /// Per-node state of the SCOOP policy.
@@ -21,7 +21,6 @@ pub(super) struct ScoopSensor {
     /// summary histogram.
     pub(super) recent: RecentReadings,
     assembler: ChunkAssembler<IndexEntry>,
-    assembling_meta: Option<(ValueRange, SimTime)>,
     /// Mapping chunks already gossiped, keyed by [`chunk_key`].
     pub(super) seen_chunks: SparseIdSet,
 }
@@ -31,7 +30,6 @@ impl ScoopSensor {
         ScoopSensor {
             recent: RecentReadings::new(cfg.policy.scoop.recent_readings),
             assembler: ChunkAssembler::new(),
-            assembling_meta: None,
             seen_chunks: SparseIdSet::default(),
         }
     }
@@ -93,7 +91,7 @@ impl SimNode {
         if !scoop.seen_chunks.insert(chunk_key(&mc.chunk)) {
             return;
         }
-        // Gossip the chunk onward (once, with suppression), reusing the
+        // Flood the chunk onward (once, after a random delay), reusing the
         // arrival's shared allocation.
         self.enqueue_gossip(ctx, Arc::clone(payload), MessageKind::Mapping);
         if self.federation.is_some() {
@@ -101,20 +99,15 @@ impl SimNode {
         }
 
         // Only feed the assembler chunks newer than what we already hold.
-        let version = StorageIndexId(mc.chunk.version as u32);
+        let version = mc.index_id();
         if version <= self.newest_index_id() {
             return;
         }
         let Some(scoop) = self.scoop.as_mut() else {
             return;
         };
-        scoop.assembling_meta = Some((mc.domain, mc.created_at));
         if let Some(entries) = scoop.assembler.accept(&mc.chunk) {
-            let (domain, created_at) = scoop
-                .assembling_meta
-                .take()
-                .unwrap_or((mc.domain, mc.created_at));
-            let index = StorageIndex::from_entries(version, domain, entries, created_at);
+            let index = StorageIndex::from_entries(version, mc.domain, entries, mc.created_at);
             self.current_index = Some(Arc::new(index));
         }
     }

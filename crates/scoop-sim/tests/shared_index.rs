@@ -88,11 +88,7 @@ fn unshared_engine(spec: &ScenarioSpec) -> Engine<SimNode> {
             SimNode::with_shared(id, &private, source.clone_box())
         })
         .collect();
-    let engine_cfg = EngineConfig {
-        seed: spec.seed,
-        ..EngineConfig::default()
-    };
-    Engine::new(topology, links, nodes, engine_cfg).expect("engine")
+    Engine::new(topology, links, nodes, EngineConfig { seed: spec.seed }).expect("engine")
 }
 
 #[test]
