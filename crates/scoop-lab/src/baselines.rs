@@ -15,47 +15,12 @@
 //!
 //! * **Regression baselines** ([`regression_baseline`]) — expectations built
 //!   from a previously committed artifact, pinning every metric of every row
-//!   at a chosen tolerance. `scoop-lab check` uses these to fail CI when the
-//!   smoke suite drifts from the committed numbers.
+//!   at a chosen tolerance. `scoop-lab check` pins them exactly to name the
+//!   rows that drifted when the smoke suite stops reproducing its baseline.
 
 use crate::artifact::Artifact;
 use crate::diff::{BaselineRow, BaselineSet, MetricCheck, Tolerance};
 use crate::suite::ExperimentId;
-
-/// Named tolerance presets for `scoop-lab check`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TolerancePreset {
-    /// Byte-for-byte: any numeric change fails. The simulator is
-    /// deterministic, so this is achievable — but every legitimate
-    /// behavioral change forces a re-bless.
-    Strict,
-    /// 2 % relative: absorbs nothing (runs are deterministic) but keeps the
-    /// gate meaningful if averaging or float evaluation order ever shifts.
-    Default,
-    /// 10 % relative: only flags substantial behavioral regressions.
-    Loose,
-}
-
-impl TolerancePreset {
-    /// Parses a preset name as typed on the CLI.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "strict" => Some(TolerancePreset::Strict),
-            "default" => Some(TolerancePreset::Default),
-            "loose" => Some(TolerancePreset::Loose),
-            _ => None,
-        }
-    }
-
-    /// The tolerance this preset applies to every metric.
-    pub fn tolerance(self) -> Tolerance {
-        match self {
-            TolerancePreset::Strict => Tolerance::Absolute(0.0),
-            TolerancePreset::Default => Tolerance::Relative(0.02),
-            TolerancePreset::Loose => Tolerance::Relative(0.10),
-        }
-    }
-}
 
 /// Shorthand for a `(key, [(metric, expected, tolerance)])` baseline row.
 fn row(key: &str, checks: &[(&str, f64, Tolerance)]) -> BaselineRow {
@@ -294,30 +259,13 @@ mod tests {
     }
 
     #[test]
-    fn tolerance_presets_parse() {
-        assert_eq!(
-            TolerancePreset::from_name("default"),
-            Some(TolerancePreset::Default)
-        );
-        assert_eq!(
-            TolerancePreset::from_name("strict"),
-            Some(TolerancePreset::Strict)
-        );
-        assert_eq!(
-            TolerancePreset::from_name("loose"),
-            Some(TolerancePreset::Loose)
-        );
-        assert_eq!(TolerancePreset::from_name("yolo"), None);
-    }
-
-    #[test]
     fn regression_baseline_matches_its_own_artifact() {
         let options = SuiteOptions::quick_smoke();
         let base = options.base_config().unwrap();
         let id = ExperimentId::Fig3Middle;
         let rows = run_experiment(id, &base, options.trials, options.points).unwrap();
         let artifact = Artifact::new(id, &options, &base, rows, Provenance::masked());
-        let baseline = regression_baseline(&artifact, TolerancePreset::Strict.tolerance());
+        let baseline = regression_baseline(&artifact, Tolerance::Absolute(0.0));
         let measured = artifact.rows.measured_rows(id.reference_key());
         let report = diff_rows(&measured, &baseline);
         assert!(!report.has_failures(), "{}", report.render_text());

@@ -1,101 +1,68 @@
 //! The regression gate behind `scoop-lab check`.
 //!
-//! Runs one deterministic quick-scale [`Suite`] and compares every metric of
-//! every row against that suite's committed baseline file
-//! (`crates/scoop-lab/baselines/<name>.json`), at a chosen tolerance preset.
-//! Any `Drift` or `Missing` row fails the check — CI turns that into a red
-//! build. `--bless` rewrites the baseline from the current run after a
-//! deliberate behavioral change.
+//! Runs the deterministic quick smoke suite ([`SuiteOptions::quick_smoke`]),
+//! serializes it with provenance masked, and requires the bytes to equal the
+//! committed baseline file ([`BASELINE_PATH`]). The simulator is
+//! deterministic, so any difference is a behavioral change: the check fails,
+//! naming each drifting row and the first differing byte. `--bless` rewrites
+//! the file from the current run after a deliberate change.
 
 use crate::artifact::{Artifact, Provenance};
-use crate::baselines::{regression_baseline, TolerancePreset};
-use crate::diff::{diff_rows, DiffReport};
+use crate::baselines::regression_baseline;
+use crate::diff::{diff_rows, DiffReport, RowStatus, Tolerance};
 use crate::suite::{run_suite, SuiteOptions};
 use scoop_types::ScoopError;
 use std::path::{Path, PathBuf};
 
-/// A checked suite. Each has its own committed baseline file, so extending
-/// one scenario family (the fault model, the workload kinds) never perturbs
-/// another's baseline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Suite {
-    /// The classic quick smoke suite ([`SuiteOptions::quick_smoke`]).
-    Smoke,
-    /// The three chaos scenarios ([`SuiteOptions::chaos_smoke`]).
-    Chaos,
-    /// The range and aggregate workload grids
-    /// ([`SuiteOptions::workloads_smoke`]).
-    Workloads,
-}
-
-impl Suite {
-    /// Every suite, in `check --suite` listing order.
-    pub const ALL: [Suite; 3] = [Suite::Smoke, Suite::Chaos, Suite::Workloads];
-
-    /// The `--suite` name, also the baseline file's stem.
-    pub fn name(self) -> &'static str {
-        match self {
-            Suite::Smoke => "smoke",
-            Suite::Chaos => "chaos",
-            Suite::Workloads => "workloads",
-        }
-    }
-
-    /// Parses a `--suite` name.
-    pub fn from_name(name: &str) -> Option<Suite> {
-        Suite::ALL.into_iter().find(|s| s.name() == name)
-    }
-
-    /// The suite's experiments and scale.
-    pub fn options(self) -> SuiteOptions {
-        match self {
-            Suite::Smoke => SuiteOptions::quick_smoke(),
-            Suite::Chaos => SuiteOptions::chaos_smoke(),
-            Suite::Workloads => SuiteOptions::workloads_smoke(),
-        }
-    }
-
-    /// Path of the committed baseline, relative to the workspace root.
-    pub fn baseline_path(self) -> PathBuf {
-        Path::new("crates/scoop-lab/baselines").join(format!("{}.json", self.name()))
-    }
-}
+/// The committed baseline, relative to the workspace root.
+pub const BASELINE_PATH: &str = "crates/scoop-lab/baselines/smoke.json";
 
 /// The outcome of one `scoop-lab check`.
 #[derive(Clone, Debug)]
 pub struct CheckOutcome {
-    /// One diff per suite experiment, in suite order.
+    /// The baseline file compared against.
+    pub baseline: PathBuf,
+    /// Number of experiments the suite ran.
+    pub experiments: usize,
+    /// Byte offset of the first difference between the fresh serialization
+    /// and the file; `None` when they are identical.
+    pub first_difference: Option<usize>,
+    /// The experiments whose rows drifted, with the drifting rows named.
     pub reports: Vec<DiffReport>,
 }
 
 impl CheckOutcome {
-    /// Whether any experiment drifted from the committed baseline.
+    /// Whether the run differs from the committed baseline.
     pub fn failed(&self) -> bool {
-        self.reports.iter().any(DiffReport::has_failures)
+        self.first_difference.is_some()
     }
 
-    /// Plain-text rendering of every report.
+    /// Plain-text rendering: the drifting experiments, then the verdict.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for report in &self.reports {
             out.push_str(&report.render_text());
         }
-        let verdict = if self.failed() {
-            "CHECK FAILED: the suite drifted from its committed baseline \
-             (re-bless with `scoop-lab check --suite NAME --bless` if the change is intended)"
-        } else {
-            "check passed: the suite matches its committed baseline"
-        };
-        out.push_str(verdict);
-        out.push('\n');
+        match self.first_difference {
+            Some(byte) => out.push_str(&format!(
+                "CHECK FAILED: the suite no longer reproduces {} (first differing byte {byte}; \
+                 re-bless with `scoop-lab check --bless` if the change is intended)\n",
+                self.baseline.display()
+            )),
+            None => out.push_str(&format!(
+                "check passed: {} experiments reproduce {} byte for byte\n",
+                self.experiments,
+                self.baseline.display()
+            )),
+        }
         out
     }
 }
 
-/// Runs `suite` and returns its artifacts, provenance masked so the baseline
-/// file is stable across machines and commits.
-pub fn run_masked(suite: Suite) -> Result<Vec<Artifact>, ScoopError> {
-    let mut artifacts = run_suite(&suite.options(), |_| ())?;
+/// Runs `options` and returns its artifacts, provenance masked so the
+/// baseline file is stable across machines and commits.
+fn run_masked(options: &SuiteOptions) -> Result<Vec<Artifact>, ScoopError> {
+    let mut artifacts = run_suite(options, |_| ())?;
     for artifact in &mut artifacts {
         artifact.provenance = Provenance::masked();
     }
@@ -110,32 +77,15 @@ pub fn baseline_file_content(artifacts: &[Artifact]) -> Result<String, ScoopErro
     Ok(json)
 }
 
-/// Loads the committed baseline artifacts.
-pub fn load_baseline(path: &Path) -> Result<Vec<Artifact>, ScoopError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| ScoopError::Artifact(format!("{}: {e}", path.display())))?;
-    serde_json::from_str(&text)
-        .map_err(|e| ScoopError::Serialization(format!("{}: {e}", path.display())))
-}
-
-/// Compares freshly measured suite artifacts against baseline artifacts.
-///
-/// Coverage is checked in *both* directions: a baseline row absent from the
-/// measurement is `Missing`, and a measured experiment with no baseline
-/// entry at all fails too — otherwise a truncated or emptied baseline file
-/// would make the gate pass while checking nothing.
-///
-/// Public (rather than folded into [`run_check`]) so tests can exercise the
-/// classification with perturbed baselines without touching the filesystem.
-pub fn compare_to_baseline(
-    measured: &[Artifact],
-    baseline: &[Artifact],
-    preset: TolerancePreset,
-) -> CheckOutcome {
+/// Names what drifted between measured and baseline artifacts: every row of
+/// every experiment, pinned exactly. Coverage is checked in *both*
+/// directions: a baseline row absent from the measurement is `Missing`, and
+/// a measured experiment with no baseline entry fails too. Only failing
+/// reports are returned.
+fn drifting_rows(measured: &[Artifact], baseline: &[Artifact]) -> Vec<DiffReport> {
     let mut reports: Vec<DiffReport> = baseline
         .iter()
         .map(|expected| {
-            let baseline_set = regression_baseline(expected, preset.tolerance());
             let measured_rows = measured
                 .iter()
                 .find(|a| a.experiment == expected.experiment)
@@ -144,137 +94,127 @@ pub fn compare_to_baseline(
                         .measured_rows(a.experiment_id().and_then(|id| id.reference_key()))
                 })
                 .unwrap_or_default();
-            diff_rows(&measured_rows, &baseline_set)
+            diff_rows(
+                &measured_rows,
+                &regression_baseline(expected, Tolerance::Absolute(0.0)),
+            )
         })
         .collect();
     for artifact in measured {
         if !baseline.iter().any(|b| b.experiment == artifact.experiment) {
             reports.push(DiffReport {
                 experiment: artifact.experiment.clone(),
-                source: "no committed baseline entry — the baseline file does not cover \
-                         this experiment (re-bless to extend it)"
-                    .to_string(),
-                rows: vec![(
-                    "<entire experiment>".to_string(),
-                    crate::diff::RowStatus::Missing,
-                )],
+                source: "no committed baseline entry".to_string(),
+                rows: vec![("<entire experiment>".to_string(), RowStatus::Missing)],
             });
         }
     }
-    CheckOutcome { reports }
+    reports.retain(DiffReport::has_failures);
+    reports
 }
 
-/// The full check: run `suite`, load the baseline at `baseline_path`, and
-/// classify. With `bless`, the baseline file is (re)written from the current
-/// run instead and the check trivially passes.
-pub fn run_check(
-    suite: Suite,
-    baseline_path: &Path,
-    preset: TolerancePreset,
-    bless: bool,
-) -> Result<CheckOutcome, ScoopError> {
-    let measured = run_masked(suite)?;
+/// The check: run the quick smoke suite, serialize it, write it to
+/// `baseline_path` first if `bless` is set, and compare the bytes with the
+/// file.
+pub fn run_check(baseline_path: &Path, bless: bool) -> Result<CheckOutcome, ScoopError> {
+    let artifact_error =
+        |path: &Path, e: std::io::Error| ScoopError::Artifact(format!("{}: {e}", path.display()));
+    let measured = run_masked(&SuiteOptions::quick_smoke())?;
+    let fresh = baseline_file_content(&measured)?;
     if bless {
         if let Some(parent) = baseline_path.parent() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| ScoopError::Artifact(format!("{}: {e}", parent.display())))?;
+            std::fs::create_dir_all(parent).map_err(|e| artifact_error(parent, e))?;
         }
-        std::fs::write(baseline_path, baseline_file_content(&measured)?)
-            .map_err(|e| ScoopError::Artifact(format!("{}: {e}", baseline_path.display())))?;
-        return Ok(compare_to_baseline(&measured, &measured, preset));
+        std::fs::write(baseline_path, &fresh).map_err(|e| artifact_error(baseline_path, e))?;
     }
-    let baseline = load_baseline(baseline_path)?;
-    Ok(compare_to_baseline(&measured, &baseline, preset))
+    let committed =
+        std::fs::read_to_string(baseline_path).map_err(|e| artifact_error(baseline_path, e))?;
+    let first_difference = fresh
+        .bytes()
+        .zip(committed.bytes())
+        .position(|(a, b)| a != b)
+        .or_else(|| (fresh.len() != committed.len()).then(|| fresh.len().min(committed.len())));
+    let reports = match first_difference {
+        Some(_) => {
+            let baseline: Vec<Artifact> = serde_json::from_str(&committed).map_err(|e| {
+                ScoopError::Serialization(format!("{}: {e}", baseline_path.display()))
+            })?;
+            drifting_rows(&measured, &baseline)
+        }
+        None => Vec::new(),
+    };
+    Ok(CheckOutcome {
+        baseline: baseline_path.to_path_buf(),
+        experiments: measured.len(),
+        first_difference,
+        reports,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff::RowStatus;
     use crate::rows::RowSet;
+    use crate::suite::ExperimentId;
 
-    #[test]
-    fn smoke_run_matches_itself_at_every_preset() {
-        let artifacts = run_masked(Suite::Smoke).unwrap();
-        for preset in [
-            TolerancePreset::Strict,
-            TolerancePreset::Default,
-            TolerancePreset::Loose,
-        ] {
-            let outcome = compare_to_baseline(&artifacts, &artifacts, preset);
-            assert!(!outcome.failed(), "{}", outcome.render_text());
-        }
+    fn fig4_and_fig5() -> Vec<Artifact> {
+        let options = SuiteOptions {
+            experiments: vec![ExperimentId::Fig4, ExperimentId::Fig5],
+            ..SuiteOptions::quick_smoke()
+        };
+        run_masked(&options).unwrap()
     }
 
     #[test]
     fn perturbed_baseline_fails_the_check() {
-        let measured = run_masked(Suite::Smoke).unwrap();
+        let measured = fig4_and_fig5();
+        assert!(drifting_rows(&measured, &measured).is_empty());
         let mut baseline = measured.clone();
-        // Perturb one Figure 5 total by 10 % — far beyond the default 2 %.
+        // Any change at all drifts: the gate is exact.
         let fig5 = baseline
             .iter_mut()
             .find(|a| a.experiment == "fig5")
-            .expect("smoke suite contains fig5");
+            .unwrap();
         match &mut fig5.rows {
-            RowSet::Fig5(rows) => {
-                rows[0].total_messages = rows[0].total_messages * 11 / 10 + 1;
-            }
+            RowSet::Fig5(rows) => rows[0].total_messages += 1,
             other => panic!("fig5 artifact carries {other:?}"),
         }
-        let outcome = compare_to_baseline(&measured, &baseline, TolerancePreset::Default);
-        assert!(outcome.failed());
-        let report = outcome
-            .reports
-            .iter()
-            .find(|r| r.experiment == "fig5")
-            .unwrap();
+        let reports = drifting_rows(&measured, &baseline);
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].experiment, "fig5");
         assert!(
-            report
+            reports[0]
                 .rows
                 .iter()
                 .any(|(_, s)| matches!(s, RowStatus::Drift(_))),
             "{}",
-            report.render_text()
+            reports[0].render_text()
         );
-        // The same perturbation is inside the loose 10 %+ tolerance… just.
-        let text = outcome.render_text();
-        assert!(text.contains("CHECK FAILED"), "{text}");
     }
 
     #[test]
     fn empty_or_truncated_baseline_fails_the_check() {
-        let measured = run_masked(Suite::Smoke).unwrap();
+        let measured = fig4_and_fig5();
         // Entirely empty baseline: the gate must not silently pass.
-        let outcome = compare_to_baseline(&measured, &[], TolerancePreset::Default);
-        assert!(outcome.failed());
-        assert_eq!(outcome.reports.len(), measured.len());
+        assert_eq!(drifting_rows(&measured, &[]).len(), measured.len());
         // Baseline missing one experiment: that experiment still fails.
         let mut truncated = measured.clone();
-        truncated.retain(|a| a.experiment != "ablations");
-        let outcome = compare_to_baseline(&measured, &truncated, TolerancePreset::Default);
-        assert!(outcome.failed());
-        let report = outcome
-            .reports
-            .iter()
-            .find(|r| r.experiment == "ablations")
-            .unwrap();
-        assert!(report.has_failures());
-        assert!(report.source.contains("no committed baseline"));
+        truncated.retain(|a| a.experiment != "fig5");
+        let reports = drifting_rows(&measured, &truncated);
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].experiment, "fig5");
+        assert!(reports[0].source.contains("no committed baseline"));
     }
 
     #[test]
     fn missing_experiment_fails_the_check() {
-        let measured = run_masked(Suite::Smoke).unwrap();
+        let measured = fig4_and_fig5();
         let mut short = measured.clone();
         short.retain(|a| a.experiment != "fig4");
-        let outcome = compare_to_baseline(&short, &measured, TolerancePreset::Loose);
-        assert!(outcome.failed());
-        let fig4 = outcome
-            .reports
-            .iter()
-            .find(|r| r.experiment == "fig4")
-            .unwrap();
-        assert!(fig4
+        let reports = drifting_rows(&short, &measured);
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].experiment, "fig4");
+        assert!(reports[0]
             .rows
             .iter()
             .all(|(_, s)| matches!(s, RowStatus::Missing)));

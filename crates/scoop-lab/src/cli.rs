@@ -5,7 +5,7 @@
 //!                  [--json] [experiment...]
 //! scoop-lab report [--results=DIR] [--out=FILE]
 //! scoop-lab diff   [--results=DIR]
-//! scoop-lab check  [--suite NAME] [--tolerance NAME] [--bless] [--baseline=FILE]
+//! scoop-lab check  [--bless] [--baseline=FILE]
 //! scoop-lab store  <ingest|query|stats> --db DIR [options]
 //! scoop-lab trace  [policy] [source] [nodes]
 //! ```
@@ -14,15 +14,15 @@
 //! persists one artifact per experiment under the results directory;
 //! `report` regenerates `EXPERIMENTS.md` from those artifacts; `diff`
 //! classifies the stored artifacts against the paper baselines; `check` is
-//! the CI regression gate of one suite (smoke, chaos or workloads) against
-//! its committed baseline; `store` drives the durable basestation store;
+//! the CI regression gate: the quick smoke suite must reproduce its committed
+//! baseline byte for byte; `store` drives the durable basestation store;
 //! `trace` is the step-by-step diagnostic previously shipped as a separate
 //! `scoop-sim` binary. [`run_cli`] is public so tests drive the same code
 //! path as the binary.
 
 use crate::artifact::ArtifactStore;
-use crate::baselines::{paper_baseline, TolerancePreset};
-use crate::check::{run_check, Suite};
+use crate::baselines::paper_baseline;
+use crate::check::{run_check, BASELINE_PATH};
 use crate::diff::diff_rows;
 use crate::rows::RowSet;
 use crate::suite::{run_suite, ExperimentId, PointSet, Scale, SuiteOptions};
@@ -41,9 +41,8 @@ const USAGE: &str = "usage: scoop-lab <run|report|diff|check|store|trace> [optio
          [--set key=value]... [--show-spec] [experiment...]
   report [--results=DIR] [--out=FILE]
   diff   [--results=DIR]
-  check  [--suite smoke|chaos|workloads] [--tolerance strict|default|loose]
-         [--bless] [--baseline=FILE]
-         (each suite is gated against its own committed baseline)
+  check  [--bless] [--baseline=FILE]
+         (the quick smoke suite must reproduce the baseline byte for byte)
   store  <ingest|query|stats> --db DIR [options]   (durable basestation store)
   trace  [scoop|local|base|hash] [real|unique|equal|random|gaussian] [nodes]
 experiments: fig3-left fig3-middle fig3-right fig4 fig5 ablations sample-interval
@@ -300,24 +299,13 @@ fn cmd_diff(args: &[String]) -> Result<i32, String> {
 }
 
 fn cmd_check(args: &[String]) -> Result<i32, String> {
-    let (positional, flags, values) = parse(args, &["suite", "tolerance", "baseline"], &["bless"])?;
+    let (positional, flags, values) = parse(args, &["baseline"], &["bless"])?;
     if let Some(extra) = positional.first() {
         return Err(format!("unexpected argument `{extra}`"));
     }
-    let suite_name = lookup(&values, "suite").unwrap_or("smoke");
-    let suite = Suite::from_name(suite_name).ok_or_else(|| {
-        format!(
-            "unknown suite `{suite_name}` ({})",
-            Suite::ALL.map(Suite::name).join("|")
-        )
-    })?;
-    let preset_name = lookup(&values, "tolerance").unwrap_or("default");
-    let preset = TolerancePreset::from_name(preset_name)
-        .ok_or_else(|| format!("unknown tolerance `{preset_name}` (strict|default|loose)"))?;
     let bless = flags.iter().any(|f| f == "bless");
-    let baseline_path =
-        lookup(&values, "baseline").map_or_else(|| suite.baseline_path(), PathBuf::from);
-    let outcome = run_check(suite, &baseline_path, preset, bless).map_err(|e| e.to_string())?;
+    let baseline_path = PathBuf::from(lookup(&values, "baseline").unwrap_or(BASELINE_PATH));
+    let outcome = run_check(&baseline_path, bless).map_err(|e| e.to_string())?;
     print!("{}", outcome.render_text());
     if bless {
         println!("blessed: wrote {}", baseline_path.display());
@@ -398,14 +386,14 @@ mod tests {
 
     #[test]
     fn parse_handles_both_flag_styles() {
-        let args = s(&["--tolerance", "loose", "--baseline=b.json", "--bless", "x"]);
+        let args = s(&["--results", "r", "--baseline=b.json", "--bless", "x"]);
         let (positional, flags, values) =
-            parse(&args, &["tolerance", "baseline"], &["bless"]).unwrap();
+            parse(&args, &["results", "baseline"], &["bless"]).unwrap();
         assert_eq!(positional, vec!["x"]);
         assert_eq!(flags, vec!["bless"]);
-        assert_eq!(lookup(&values, "tolerance"), Some("loose"));
+        assert_eq!(lookup(&values, "results"), Some("r"));
         assert_eq!(lookup(&values, "baseline"), Some("b.json"));
-        assert!(parse(&s(&["--tolerance"]), &["tolerance"], &[]).is_err());
+        assert!(parse(&s(&["--results"]), &["results"], &[]).is_err());
     }
 
     #[test]
@@ -466,8 +454,6 @@ mod tests {
         assert_eq!(run_cli(&s(&["frobnicate"])), 2);
         assert_eq!(run_cli(&s(&["run", "fig9"])), 2);
         assert_eq!(run_cli(&s(&["run", "--trials=0", "fig5"])), 2);
-        assert_eq!(run_cli(&s(&["check", "--tolerance", "yolo"])), 2);
-        assert_eq!(run_cli(&s(&["check", "--suite", "bogus"])), 2);
         assert_eq!(run_cli(&s(&["check", "--chaos"])), 2);
         assert_eq!(run_cli(&s(&["calibrate"])), 2);
         assert_eq!(run_cli(&s(&["history"])), 2);

@@ -11,16 +11,17 @@
 //! * [`artifact`] — schema-versioned JSON artifacts (config hash, seed, git
 //!   revision, per-experiment wall-clock, typed rows) and the
 //!   [`artifact::ArtifactStore`] that persists them under `results/`.
-//! * [`rows`] — the typed union of every experiment's rows, plus the
-//!   flattened metric view (including the figure-normalized ratios).
+//! * [`rows`] — the typed union of every experiment's rows, the flattened
+//!   metric view (including the figure-normalized ratios), and the plain-text
+//!   table rendered from it.
 //! * [`baselines`] — the paper's expected numbers with per-metric
 //!   tolerances, and regression baselines built from committed artifacts.
 //! * [`diff`] — the engine classifying measured rows as `Match` / `Drift` /
 //!   `Missing` against a baseline.
 //! * [`render`] — regenerates `EXPERIMENTS.md` (measured-vs-paper tables
 //!   with drift annotations) from the latest artifacts.
-//! * [`check`] — the CI regression gate: one quick-scale [`check::Suite`]
-//!   (smoke, chaos or workloads) vs. its committed baseline file.
+//! * [`check`] — the CI regression gate: the quick smoke suite must
+//!   reproduce its committed baseline file byte for byte.
 //! * [`cli`] — the `scoop-lab` binary's `run | report | diff | check |
 //!   store | trace` subcommands.
 //!
@@ -43,8 +44,8 @@ mod store_cli;
 pub mod suite;
 
 pub use artifact::{Artifact, ArtifactStore, Provenance, SCHEMA_VERSION};
-pub use baselines::{paper_baseline, paper_baselines, regression_baseline, TolerancePreset};
-pub use check::{run_check, run_masked, CheckOutcome, Suite};
+pub use baselines::{paper_baseline, paper_baselines, regression_baseline};
+pub use check::{run_check, CheckOutcome, BASELINE_PATH};
 pub use diff::{
     diff_rows, BaselineRow, BaselineSet, DiffReport, MetricCheck, RowStatus, Tolerance,
 };

@@ -9,83 +9,41 @@
 
 use crate::artifact::Artifact;
 use crate::baselines::paper_baseline;
-use crate::diff::{diff_rows, DiffReport, RowStatus};
-use crate::rows::MeasuredRow;
+use crate::diff::{diff_rows, BaselineSet, DiffReport, RowStatus};
+use crate::rows::{fmt_value, MeasuredRow};
 use scoop_types::ScoopError;
 
-/// Status badge used in the markdown tables.
-fn badge(status: Option<&RowStatus>) -> &'static str {
-    match status {
-        Some(RowStatus::Match) => "✓ match",
-        Some(RowStatus::Drift(_)) => "✗ drift",
-        Some(RowStatus::Missing) => "? missing",
-        None => "—",
-    }
-}
-
-fn fmt_value(metric: &str, value: f64) -> String {
-    if metric.ends_with("_success") || metric.ends_with("_accuracy") {
-        format!("{:.1}%", value * 100.0)
-    } else if metric.starts_with("total_vs") || metric.starts_with("fraction") {
-        format!("{value:.3}")
-    } else if value.fract() == 0.0 {
-        format!("{value:.0}")
-    } else {
-        format!("{value:.1}")
-    }
-}
-
-/// Renders one experiment's measured-vs-paper table. Every baseline-checked
-/// `(row, metric)` pair becomes a line; measured-only rows are summarized in
-/// the plain table above it.
-fn comparison_table(measured: &[MeasuredRow], report: &DiffReport) -> String {
+/// Renders one experiment's measured-vs-paper table: one line per metric
+/// the baseline checks, with the measured value, the paper's value and its
+/// tolerance, and whether the metric is within it. Measured-only metrics are
+/// in the plain table above it.
+fn comparison_table(
+    measured: &[MeasuredRow],
+    baseline: &BaselineSet,
+    report: &DiffReport,
+) -> String {
     let mut out = String::new();
     out.push_str("| row | metric | measured | paper | status |\n");
     out.push_str("|---|---|---:|---:|---|\n");
-    for (key, status) in &report.rows {
-        let row = measured.iter().find(|r| r.key == *key);
-        // Re-derive which metrics the baseline checked from the deviations
-        // plus the baseline set is not available here; instead the caller
-        // passes the full diff, so list drifted metrics explicitly and
-        // matched rows as one line.
-        match status {
-            RowStatus::Missing => {
-                out.push_str(&format!(
-                    "| `{key}` | — | — | — | {} |\n",
-                    badge(Some(status))
-                ));
-            }
-            RowStatus::Match => {
-                let shown = row
-                    .map(|r| {
-                        r.metrics
-                            .iter()
-                            .map(|(m, v)| format!("{m}={}", fmt_value(m, *v)))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    })
-                    .unwrap_or_default();
-                out.push_str(&format!(
-                    "| `{key}` | all checked | {shown} | within tolerance | {} |\n",
-                    badge(Some(status))
-                ));
-            }
-            RowStatus::Drift(deviations) => {
-                for deviation in deviations {
-                    out.push_str(&format!(
-                        "| `{key}` | {} | {} | {} ± {} | {} |\n",
-                        deviation.metric,
-                        if deviation.measured.is_nan() {
-                            "absent".to_string()
-                        } else {
-                            fmt_value(&deviation.metric, deviation.measured)
-                        },
-                        fmt_value(&deviation.metric, deviation.expected),
-                        fmt_value(&deviation.metric, deviation.allowed),
-                        badge(Some(status))
-                    ));
-                }
-            }
+    // `diff_rows` reports the baseline's rows in the baseline's order.
+    for ((key, status), brow) in report.rows.iter().zip(&baseline.rows) {
+        let Some(row) = measured.iter().find(|r| r.key == *key) else {
+            out.push_str(&format!("| `{key}` | — | — | — | ? missing |\n"));
+            continue;
+        };
+        for check in &brow.checks {
+            let drifted = matches!(status, RowStatus::Drift(deviations)
+                if deviations.iter().any(|d| d.metric == check.metric));
+            let shown = row
+                .metric(&check.metric)
+                .map_or_else(|| "absent".to_string(), |v| fmt_value(&check.metric, v));
+            out.push_str(&format!(
+                "| `{key}` | {} | {shown} | {} ± {} | {} |\n",
+                check.metric,
+                fmt_value(&check.metric, check.expected),
+                fmt_value(&check.metric, check.tolerance.allowed(check.expected)),
+                if drifted { "✗ drift" } else { "✓ match" }
+            ));
         }
     }
     out
@@ -210,7 +168,7 @@ pub fn render_experiments_md(artifacts: &[Artifact]) -> Result<String, ScoopErro
                 "**vs. paper** ({}): {matches} match, {drifts} drift, {missing} missing.\n\n",
                 baseline.source
             ));
-            out.push_str(&comparison_table(&measured, &report));
+            out.push_str(&comparison_table(&measured, &baseline, &report));
             out.push('\n');
         } else {
             out.push_str(
@@ -243,6 +201,23 @@ mod tests {
         assert!(md.contains("Figure 4"));
         assert!(md.contains("vs. paper"));
         assert!(md.contains("| row | metric | measured | paper | status |"));
+    }
+
+    #[test]
+    fn comparison_lists_each_checked_metric_with_its_paper_value() {
+        let md = render_experiments_md(&smoke_artifacts()).unwrap();
+        let scoop_real: Vec<&str> = md
+            .lines()
+            .filter(|l| l.starts_with("| `scoop/real` |"))
+            .collect();
+        assert_eq!(scoop_real.len(), 1, "{md}");
+        assert!(
+            scoop_real[0].contains("| total_vs_ref |")
+                && scoop_real[0].contains("| 0.700 ± 0.210 |"),
+            "{}",
+            scoop_real[0]
+        );
+        assert!(!md.contains("| data_messages |"), "{md}");
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! row set into keyed `(metric, value)` pairs — including the *normalized*
 //! metrics (ratios to a reference row) that the paper's figures actually
 //! argue about, so baselines transfer across absolute-scale differences
-//! between the paper's testbed and this simulator.
+//! between the paper's testbed and this simulator. [`RowSet::table`] renders
+//! the same flattening, so which fields a row has is decided in one place.
 
 use scoop_sim::experiments::{
     calibration, AblationRow, AggregateOpsRow, CalibrationRow, ChaosRow, Fig3Row, Fig4Row, Fig5Row,
     RangeWidthRow, ReliabilityRow, RootSkewRow, SampleIntervalRow, ScalingRow,
 };
-use scoop_sim::report;
+use scoop_types::{LinkSpec, ScoopError};
 use serde::{Deserialize, Serialize};
 
 /// The rows of one experiment run, tagged by experiment family.
@@ -54,6 +55,25 @@ pub struct MeasuredRow {
     pub metrics: Vec<(String, f64)>,
 }
 
+/// Formats one metric value for a table: success rates and accuracies as
+/// percentages, ratios, fractions and the calibration objective to three
+/// decimals, counts as integers.
+pub(crate) fn fmt_value(metric: &str, value: f64) -> String {
+    if metric.ends_with("_success") || metric.ends_with("_accuracy") {
+        format!("{:.1}%", value * 100.0)
+    } else if metric.starts_with("total_vs")
+        || metric.starts_with("fraction")
+        || metric.ends_with("_ratio")
+        || metric == "objective"
+    {
+        format!("{value:.3}")
+    } else if value.fract() == 0.0 {
+        format!("{value:.0}")
+    } else {
+        format!("{value:.1}")
+    }
+}
+
 impl MeasuredRow {
     /// The value of the named metric, if present.
     pub fn metric(&self, name: &str) -> Option<f64> {
@@ -88,43 +108,77 @@ impl RowSet {
         self.len() == 0
     }
 
-    /// Renders the set as the plain-text table the bench harness prints,
-    /// titled `title`.
+    /// Renders the set as a plain-text table titled `title`: one column per
+    /// absolute metric, one line per row. A calibration set also names its
+    /// grid winner.
     pub fn table(&self, title: &str) -> String {
-        match self {
-            RowSet::Fig3(rows) => report::fig3_table(title, rows),
-            RowSet::Fig4(rows) => report::fig4_table(rows),
-            RowSet::Fig5(rows) => report::fig5_table(rows),
-            RowSet::Ablations(rows) => report::ablation_table(rows),
-            RowSet::SampleInterval(rows) => report::sample_interval_table(rows),
-            RowSet::Reliability(rows) => report::reliability_table(rows),
-            RowSet::RootSkew(rows) => report::root_skew_table(rows),
-            RowSet::Scaling(rows) => report::scaling_table(title, rows),
-            RowSet::Calibration(rows) => report::calibration_table(rows),
-            RowSet::Chaos(rows) => report::chaos_table(title, rows),
-            RowSet::RangeWidth(rows) => report::range_width_table(rows),
-            RowSet::Aggregate(rows) => report::aggregate_ops_table(rows),
+        let rows = self.raw_rows();
+        let header = rows
+            .first()
+            .into_iter()
+            .flat_map(|r| r.metrics.iter().map(|(m, _)| m.clone()));
+        let mut lines: Vec<Vec<String>> =
+            vec![std::iter::once("row".to_string()).chain(header).collect()];
+        lines.extend(rows.iter().map(|r| {
+            std::iter::once(r.key.clone())
+                .chain(r.metrics.iter().map(|(m, v)| fmt_value(m, *v)))
+                .collect()
+        }));
+        let widths: Vec<usize> = (0..lines[0].len())
+            .map(|c| {
+                lines
+                    .iter()
+                    .filter_map(|l| l.get(c))
+                    .map(String::len)
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect();
+        let mut out = format!("{title}\n");
+        for line in &lines {
+            let (key, values) = line.split_first().expect("every line has a row key");
+            out.push_str(&format!("{key:<width$}", width = widths[0]));
+            for (value, width) in values.iter().zip(&widths[1..]) {
+                out.push_str(&format!("  {value:>width$}"));
+            }
+            out.push('\n');
         }
+        if let Some(winner) = match self {
+            RowSet::Calibration(rows) => calibration::winner(rows),
+            _ => None,
+        } {
+            out.push_str(&format!(
+                "winner: {} ({} LinkSpec::default())\n",
+                calibration::label(&winner.point),
+                if winner.point == LinkSpec::default() {
+                    "is"
+                } else {
+                    "is NOT"
+                }
+            ));
+        }
+        out
     }
 
     /// Renders the bare rows as a pretty JSON *array* (the machine-readable
     /// format `scoop-lab run --json` prints), without the enum tag
     /// that [`serde::Serialize`] adds for artifact files.
-    pub fn rows_json(&self) -> Result<String, scoop_types::ScoopError> {
+    pub fn rows_json(&self) -> Result<String, ScoopError> {
         match self {
-            RowSet::Fig3(rows) => report::to_json(rows),
-            RowSet::Fig4(rows) => report::to_json(rows),
-            RowSet::Fig5(rows) => report::to_json(rows),
-            RowSet::Ablations(rows) => report::to_json(rows),
-            RowSet::SampleInterval(rows) => report::to_json(rows),
-            RowSet::Reliability(rows) => report::to_json(rows),
-            RowSet::RootSkew(rows) => report::to_json(rows),
-            RowSet::Scaling(rows) => report::to_json(rows),
-            RowSet::Calibration(rows) => report::to_json(rows),
-            RowSet::Chaos(rows) => report::to_json(rows),
-            RowSet::RangeWidth(rows) => report::to_json(rows),
-            RowSet::Aggregate(rows) => report::to_json(rows),
+            RowSet::Fig3(rows) => serde_json::to_string_pretty(rows),
+            RowSet::Fig4(rows) => serde_json::to_string_pretty(rows),
+            RowSet::Fig5(rows) => serde_json::to_string_pretty(rows),
+            RowSet::Ablations(rows) => serde_json::to_string_pretty(rows),
+            RowSet::SampleInterval(rows) => serde_json::to_string_pretty(rows),
+            RowSet::Reliability(rows) => serde_json::to_string_pretty(rows),
+            RowSet::RootSkew(rows) => serde_json::to_string_pretty(rows),
+            RowSet::Scaling(rows) => serde_json::to_string_pretty(rows),
+            RowSet::Calibration(rows) => serde_json::to_string_pretty(rows),
+            RowSet::Chaos(rows) => serde_json::to_string_pretty(rows),
+            RowSet::RangeWidth(rows) => serde_json::to_string_pretty(rows),
+            RowSet::Aggregate(rows) => serde_json::to_string_pretty(rows),
         }
+        .map_err(|e| ScoopError::Serialization(e.to_string()))
     }
 
     /// Flattens the rows into keyed metric vectors.

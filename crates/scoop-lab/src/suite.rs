@@ -118,9 +118,6 @@ impl ExperimentId {
         ExperimentId::AggregateOps,
     ];
 
-    /// The workload-kind family (range and aggregate queries), in suite order.
-    pub const WORKLOADS: [ExperimentId; 2] = [ExperimentId::RangeWidth, ExperimentId::AggregateOps];
-
     /// The chaos scenario family, in suite order.
     pub const CHAOS: [ExperimentId; 3] = [
         ExperimentId::ChaosPartition,
@@ -250,52 +247,26 @@ impl SuiteOptions {
     /// The quick smoke suite backing `scoop-lab check`: deterministic,
     /// single-trial, reduced grids — small enough for a CI gate. Includes
     /// the 256-node grid scenario so the raised `MAX_NODES` cap stays
-    /// exercised on every check.
+    /// exercised, the three chaos scenarios (the failover one is where the
+    /// multi-sink federation runs), and the range and aggregate workloads.
     pub fn quick_smoke() -> Self {
+        let mut experiments = vec![
+            ExperimentId::Fig3Middle,
+            ExperimentId::Fig4,
+            ExperimentId::Fig5,
+            ExperimentId::Ablations,
+            ExperimentId::Reliability,
+            ExperimentId::Calibration,
+            ExperimentId::Scaling256,
+        ];
+        experiments.extend(ExperimentId::CHAOS);
+        experiments.extend([ExperimentId::RangeWidth, ExperimentId::AggregateOps]);
         SuiteOptions {
             scale: Scale::Quick,
             trials: 1,
             seed: 1,
             points: PointSet::Smoke,
-            experiments: vec![
-                ExperimentId::Fig3Middle,
-                ExperimentId::Fig4,
-                ExperimentId::Fig5,
-                ExperimentId::Ablations,
-                ExperimentId::Reliability,
-                ExperimentId::Calibration,
-                ExperimentId::Scaling256,
-            ],
-            overrides: Vec::new(),
-        }
-    }
-
-    /// The chaos gate suite: the three chaos scenarios at quick scale,
-    /// deterministic and single-trial, compared against their own committed
-    /// baseline (`crates/scoop-lab/baselines/chaos.json`) so the classic
-    /// smoke baseline stays untouched by fault-model work.
-    pub fn chaos_smoke() -> Self {
-        SuiteOptions {
-            scale: Scale::Quick,
-            trials: 1,
-            seed: 1,
-            points: PointSet::Smoke,
-            experiments: ExperimentId::CHAOS.to_vec(),
-            overrides: Vec::new(),
-        }
-    }
-
-    /// The workloads gate suite: the range and aggregate workload grids at
-    /// quick scale, deterministic and single-trial, compared against their
-    /// own committed baseline (`crates/scoop-lab/baselines/workloads.json`)
-    /// so the classic smoke baseline stays untouched by workload work.
-    pub fn workloads_smoke() -> Self {
-        SuiteOptions {
-            scale: Scale::Quick,
-            trials: 1,
-            seed: 1,
-            points: PointSet::Smoke,
-            experiments: ExperimentId::WORKLOADS.to_vec(),
+            experiments,
             overrides: Vec::new(),
         }
     }

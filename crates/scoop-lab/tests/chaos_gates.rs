@@ -6,12 +6,12 @@
 //!   sink crash must stay within tolerance of the single-sink control;
 //! * mass churn — the surviving-plus-joined network must recover too.
 //!
-//! These run the same deterministic quick-scale chaos suite the
-//! `scoop-lab check --suite chaos` CI gate snapshots, so a baseline re-bless
-//! cannot quietly lower the bar: the gates here are absolute.
+//! These run the same deterministic quick-scale chaos scenarios the
+//! `scoop-lab check` gate snapshots, so a baseline re-bless cannot quietly
+//! lower the bar: the gates here are absolute.
 
-use scoop_lab::check::{run_masked, Suite};
 use scoop_lab::rows::RowSet;
+use scoop_lab::suite::{run_suite, ExperimentId, SuiteOptions};
 
 fn phase_metrics(rows: &RowSet, phase: &str) -> (f64, f64, f64, f64) {
     match rows {
@@ -33,7 +33,11 @@ fn phase_metrics(rows: &RowSet, phase: &str) -> (f64, f64, f64, f64) {
 
 #[test]
 fn chaos_scenarios_meet_the_recovery_gates() {
-    let artifacts = run_masked(Suite::Chaos).expect("chaos suite runs");
+    let options = SuiteOptions {
+        experiments: ExperimentId::CHAOS.to_vec(),
+        ..SuiteOptions::quick_smoke()
+    };
+    let artifacts = run_suite(&options, |_| ()).expect("chaos scenarios run");
     assert_eq!(artifacts.len(), 3);
     for artifact in &artifacts {
         let (storage, query, ctrl_storage, ctrl_query) = phase_metrics(&artifact.rows, "after");

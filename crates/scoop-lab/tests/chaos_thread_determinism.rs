@@ -7,13 +7,17 @@
 //! Env mutation is process-global, so this file keeps a single #[test]
 //! (its own binary) and restores the variable before asserting.
 
-use scoop_lab::check::{run_masked, Suite};
+use scoop_lab::suite::{run_suite, ExperimentId, SuiteOptions};
 
 #[test]
 fn chaos_suite_is_thread_count_invariant() {
+    let options = SuiteOptions {
+        experiments: ExperimentId::CHAOS.to_vec(),
+        ..SuiteOptions::quick_smoke()
+    };
     let run_with_threads = |threads: &str| {
         std::env::set_var("SCOOP_SWEEP_THREADS", threads);
-        let artifacts = run_masked(Suite::Chaos).expect("chaos suite");
+        let artifacts = run_suite(&options, |_| ()).expect("chaos scenarios");
         std::env::remove_var("SCOOP_SWEEP_THREADS");
         artifacts
             .iter()

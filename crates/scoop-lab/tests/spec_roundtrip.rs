@@ -1,12 +1,9 @@
-//! The spec round-trip CI gate: serialize → deserialize → run quick smoke →
-//! check against the committed baseline. A schema change that breaks the
-//! committed artifacts under `results/`, the committed smoke baseline, or
-//! the spec JSON itself fails here — in `cargo test` and as an explicit CI
-//! step — instead of surfacing as a corrupt report three PRs later.
+//! The spec round-trip gate: a schema change that breaks the committed
+//! artifacts under `results/` or the spec JSON itself fails here instead of
+//! surfacing as a corrupt report three PRs later. The committed smoke
+//! baseline is held to the same bar, byte for byte, by `smoke_identity`.
 
 use scoop_lab::artifact::ArtifactStore;
-use scoop_lab::baselines::TolerancePreset;
-use scoop_lab::check::{compare_to_baseline, load_baseline, run_masked, Suite};
 use scoop_lab::suite::ExperimentId;
 use scoop_types::ScenarioSpec;
 use std::path::PathBuf;
@@ -63,18 +60,4 @@ fn committed_artifacts_load_under_the_current_schema() {
         let back: scoop_lab::Artifact = serde_json::from_str(&json).unwrap();
         assert_eq!(back.to_json().unwrap(), json, "{}", artifact.experiment);
     }
-}
-
-#[test]
-fn quick_smoke_matches_the_committed_baseline() {
-    let baseline_path = workspace_root().join(Suite::Smoke.baseline_path());
-    let baseline = load_baseline(&baseline_path)
-        .expect("committed smoke baseline must deserialize under the current schema");
-    let measured = run_masked(Suite::Smoke).expect("quick smoke suite must run");
-    let outcome = compare_to_baseline(&measured, &baseline, TolerancePreset::Default);
-    assert!(
-        !outcome.failed(),
-        "smoke suite drifted from the committed baseline:\n{}",
-        outcome.render_text()
-    );
 }

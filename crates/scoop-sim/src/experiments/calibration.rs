@@ -166,7 +166,6 @@ pub fn calibration(
 mod tests {
     use super::*;
     use crate::experiments::quick_base;
-    use crate::report::calibration_table;
 
     fn sample_row() -> CalibrationRow {
         CalibrationRow {
@@ -281,8 +280,6 @@ mod tests {
             .fold(f64::INFINITY, f64::min);
         let winner_row = winner(&rows).expect("winner is a grid row");
         assert_eq!(winner_row.objective, min);
-        let text = calibration_table(&rows);
-        assert!(text.contains("<- winner"), "{text}");
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //!   [`sweep::SweepRunner`] with results collected in input order.
 //! * [`experiments`] — one module per paper figure/table, each a declarative
 //!   scenario grid handed to the sweep runner.
-//! * [`report`] — plain-text and JSON rendering of experiment rows.
 
 #![warn(missing_docs)]
 
@@ -30,7 +29,6 @@ pub mod builder;
 pub mod experiments;
 pub mod metrics;
 pub mod node;
-pub mod report;
 pub mod runner;
 pub mod sweep;
 
