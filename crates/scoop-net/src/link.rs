@@ -136,6 +136,19 @@ impl LinkModel {
     pub fn with_params(topo: &Topology, seed: u64, params: LinkModelParams) -> Self {
         let n = topo.len();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x11d4_11d4);
+        // The last few `(frac bits, frac.powf(exponent))` pairs, direct-mapped
+        // by a hash of the bits. Regular layouts repeat a handful of distance
+        // fractions (a 10 m grid with a 16 m range has two), so most links
+        // skip the libm call; a miss on a jittered layout costs one hash and
+        // one compare. A hit returns the bits `powf` returned for the same
+        // input bits, so every probability is identical to calling `powf`.
+        // The initial slots are genuine pairs: `pow(1, y)` is 1 for every y.
+        // Do not replace `powf` with `frac * frac` for the calibrated
+        // exponent 2.0: glibc's `pow(x, 2.0)` differs from `x * x` in the last
+        // bit for 17,019 of 20M uniform x in [0, 1) (e.g. 0.8244240315627476),
+        // which would move the probabilities, and so the digests, of
+        // jittered layouts.
+        let mut shaped_memo = [(1.0f64.to_bits(), 1.0); 16];
         let mut nbr_offsets = Vec::with_capacity(n + 1);
         let mut nbr_entries = Vec::new();
         nbr_offsets.push(0u32);
@@ -153,7 +166,13 @@ impl LinkModel {
                 let shaped = if params.distance_exponent == 1.0 {
                     frac
                 } else {
-                    frac.powf(params.distance_exponent)
+                    let bits = frac.to_bits();
+                    let slot =
+                        &mut shaped_memo[(bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 60) as usize];
+                    if slot.0 != bits {
+                        *slot = (bits, frac.powf(params.distance_exponent));
+                    }
+                    slot.1
                 };
                 let base =
                     params.max_delivery - shaped * (params.max_delivery - params.min_delivery);

@@ -9,28 +9,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scoop_types::{NodeId, ScoopError, TopologySpec, MAX_NODES};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
 pub use scoop_types::TopologyKind;
-
-/// An Fx-style hasher for the spatial bins' `(i64, i64)` cell keys: with
-/// SipHash, the ≈ 300k probes of a 32k-node build were half its topology
-/// time. The bins are probed, never iterated, so no output depends on it.
-#[derive(Default)]
-struct CellHasher(u64);
-
-impl Hasher for CellHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_i64(b.into()));
-    }
-    fn write_i64(&mut self, v: i64) {
-        self.0 = (self.0.rotate_left(5) ^ v as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
 
 /// A node's position, in meters, on the floor plan.
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
@@ -54,17 +35,21 @@ pub struct Topology {
     kind: TopologyKind,
     positions: Vec<NodePosition>,
     radio_range: f64,
-    /// `neighbors[i]` lists every node within radio range of node `i`, in
-    /// strictly ascending id order (`build_neighbors` sorts every list);
+    /// CSR row offsets into `adjacency`, length `n + 1`: node `i`'s
+    /// neighbours are `adjacency[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    /// Every node's in-range neighbours, one row per node, each row in
+    /// strictly ascending id order (`build_adjacency` sorts every row);
     /// `in_range` binary-searches on that invariant.
-    neighbors: Vec<Vec<NodeId>>,
+    adjacency: Vec<NodeId>,
 }
 
 impl Topology {
     /// Builds a topology from explicit positions and a radio range.
     ///
     /// Node 0 is the basestation. Returns an error if more than
-    /// [`MAX_NODES`] positions are given or if fewer than two nodes exist.
+    /// [`MAX_NODES`] positions are given, if fewer than two nodes exist, or
+    /// if any coordinate is NaN or infinite.
     pub fn from_positions(
         kind: TopologyKind,
         positions: Vec<NodePosition>,
@@ -81,69 +66,125 @@ impl Topology {
                 "a topology needs at least a basestation and one sensor".into(),
             ));
         }
-        let neighbors = Self::build_neighbors(&positions, radio_range);
+        if let Some(i) = positions
+            .iter()
+            .position(|p| !(p.x.is_finite() && p.y.is_finite()))
+        {
+            return Err(ScoopError::InvalidConfig(format!(
+                "node {i} has a non-finite position ({}, {})",
+                positions[i].x, positions[i].y
+            )));
+        }
+        let (offsets, adjacency) = Self::build_adjacency(&positions, radio_range);
         Ok(Topology {
             kind,
             positions,
             radio_range,
-            neighbors,
+            offsets,
+            adjacency,
         })
     }
 
-    /// Derives per-node neighbor lists (every node within `radio_range`,
-    /// ascending ids) by spatial binning: nodes are bucketed into square
-    /// cells of side `radio_range`, so each node only tests candidates from
-    /// its 3×3 cell neighborhood — O(n · degree) instead of the O(n²)
-    /// all-pairs scan, which at 32k nodes was a billion distance checks.
-    /// Sorting each candidate list yields exactly the ascending order the
-    /// all-pairs loop produced (the link model's seeded noise stream and the
-    /// engine's per-listener loss draws both depend on that order).
-    fn build_neighbors(positions: &[NodePosition], radio_range: f64) -> Vec<Vec<NodeId>> {
+    /// Derives the CSR adjacency (every node within `radio_range`, ascending
+    /// ids) by spatial binning. Nodes are counting-sorted into a dense
+    /// `cols × rows` array of square cells whose side is at least
+    /// `radio_range`, so every in-range pair lies in the same or adjacent
+    /// cells and each node tests only its 3×3 cell neighbourhood —
+    /// O(n · degree) instead of the O(n²) all-pairs scan, which at 32k nodes
+    /// was a billion distance checks. The side starts at `radio_range` and
+    /// doubles until there are at most `2n + 16` cells, so sparse or
+    /// far-flung layouts (two nodes 10¹² m apart, range 10⁻³ m) stay O(n) in
+    /// time and memory. Each row is written straight into `adjacency` and
+    /// sorted, which yields exactly the ascending order the all-pairs loop
+    /// produced (the link model's seeded noise stream and the engine's
+    /// per-listener loss draws both depend on that order).
+    fn build_adjacency(positions: &[NodePosition], radio_range: f64) -> (Vec<u32>, Vec<NodeId>) {
         let n = positions.len();
-        let mut neighbors = vec![Vec::new(); n];
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut adjacency = Vec::new();
+        offsets.push(0u32);
         if !(radio_range > 0.0 && radio_range.is_finite()) {
             // Degenerate ranges (zero, negative, infinite) have no sensible
             // cell size; fall back to the exhaustive scan.
-            for i in 0..n {
-                for j in 0..n {
-                    if i != j && positions[i].distance(&positions[j]) <= radio_range {
-                        neighbors[i].push(NodeId(j as u16));
+            for (i, p) in positions.iter().enumerate() {
+                for (j, q) in positions.iter().enumerate() {
+                    if i != j && p.distance(q) <= radio_range {
+                        adjacency.push(NodeId(j as u16));
                     }
                 }
+                offsets.push(adjacency.len() as u32);
             }
-            return neighbors;
+            return (offsets, adjacency);
         }
-        let min_x = positions.iter().map(|p| p.x).fold(f64::INFINITY, f64::min);
-        let min_y = positions.iter().map(|p| p.y).fold(f64::INFINITY, f64::min);
-        let cell = |p: &NodePosition| {
+        let (min_x, max_x) = positions
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
+                (lo.min(p.x), hi.max(p.x))
+            });
+        let (min_y, max_y) = positions
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
+                (lo.min(p.y), hi.max(p.y))
+            });
+        // `as usize` saturates (and maps NaN to 0), so no span overflows; the
+        // doubling loop ends by the time `side` reaches the span.
+        let span = |side: f64| {
             (
-                ((p.x - min_x) / radio_range) as i64,
-                ((p.y - min_y) / radio_range) as i64,
+                (((max_x - min_x) / side) as usize).saturating_add(1),
+                (((max_y - min_y) / side) as usize).saturating_add(1),
             )
         };
-        let mut bins: HashMap<(i64, i64), Vec<usize>, BuildHasherDefault<CellHasher>> =
-            HashMap::default();
-        for (i, p) in positions.iter().enumerate() {
-            bins.entry(cell(p)).or_default().push(i);
+        let mut side = radio_range;
+        let (mut cols, mut rows) = span(side);
+        while cols.saturating_mul(rows) > 2 * n + 16 {
+            side *= 2.0;
+            (cols, rows) = span(side);
+        }
+        let cell = |p: &NodePosition| {
+            (
+                ((p.x - min_x) / side) as usize,
+                ((p.y - min_y) / side) as usize,
+            )
+        };
+        // Counting sort: count per cell, prefix-sum to each cell's end, then
+        // scatter ids in descending order, decrementing — which leaves
+        // `cell_start[c]` at cell `c`'s first slot in `members` and each
+        // cell's ids ascending. `cell_start[cols * rows]` stays `n`.
+        let mut cell_start = vec![0u32; cols * rows + 1];
+        for p in positions {
+            let (cx, cy) = cell(p);
+            cell_start[cy * cols + cx] += 1;
+        }
+        for c in 1..cell_start.len() {
+            cell_start[c] += cell_start[c - 1];
+        }
+        let mut members = vec![0u32; n];
+        for (i, p) in positions.iter().enumerate().rev() {
+            let (cx, cy) = cell(p);
+            let slot = &mut cell_start[cy * cols + cx];
+            *slot -= 1;
+            members[*slot as usize] = i as u32;
         }
         for (i, p) in positions.iter().enumerate() {
             let (cx, cy) = cell(p);
-            let out = &mut neighbors[i];
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    let Some(candidates) = bins.get(&(cx + dx, cy + dy)) else {
-                        continue;
-                    };
-                    for &j in candidates {
-                        if i != j && p.distance(&positions[j]) <= radio_range {
-                            out.push(NodeId(j as u16));
-                        }
+            let row_start = adjacency.len();
+            // Cells `cx - 1 ..= cx + 1` of one cell row are contiguous in
+            // `members`, so each of the (up to) three cell rows is one slice.
+            let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(cols - 1));
+            for y in cy.saturating_sub(1)..=(cy + 1).min(rows - 1) {
+                let lo = cell_start[y * cols + x0] as usize;
+                let hi = cell_start[y * cols + x1 + 1] as usize;
+                for &j in &members[lo..hi] {
+                    let j = j as usize;
+                    if i != j && p.distance(&positions[j]) <= radio_range {
+                        adjacency.push(NodeId(j as u16));
                     }
                 }
             }
-            out.sort_unstable();
+            adjacency[row_start..].sort_unstable();
+            offsets.push(adjacency.len() as u32);
         }
-        neighbors
+        (offsets, adjacency)
     }
 
     /// Builds the layout described by a [`TopologySpec`]: the generator named
@@ -363,10 +404,11 @@ impl Topology {
 
     /// Nodes within radio range of `node`.
     pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        self.neighbors
-            .get(node.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let i = node.index();
+        if i >= self.len() {
+            return &[];
+        }
+        &self.adjacency[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Returns `true` if `b` is within radio range of `a`.
@@ -380,8 +422,7 @@ impl Topology {
         if self.len() <= 1 {
             return 0.0;
         }
-        let total: usize = self.neighbors.iter().map(Vec::len).sum();
-        total as f64 / (self.len() as f64 * (self.len() - 1) as f64)
+        self.adjacency.len() as f64 / (self.len() as f64 * (self.len() - 1) as f64)
     }
 
     /// Hop distance between two nodes using radio-range connectivity (BFS),
@@ -585,6 +626,22 @@ mod tests {
             10.0
         )
         .is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_coordinates_with_a_typed_error() {
+        // An infinite coordinate used to overflow the cell arithmetic and a
+        // NaN one to build a node with no neighbours; both are config errors.
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            for (x, y) in [(bad, 0.0), (0.0, bad)] {
+                let positions = vec![NodePosition { x: 0.0, y: 0.0 }, NodePosition { x, y }];
+                let built = Topology::from_positions(TopologyKind::Grid, positions, 10.0);
+                assert!(
+                    matches!(built, Err(ScoopError::InvalidConfig(_))),
+                    "({x}, {y}) was not rejected"
+                );
+            }
+        }
     }
 
     #[test]

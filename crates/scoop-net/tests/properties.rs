@@ -3,8 +3,14 @@
 //! seed.
 
 use proptest::prelude::*;
-use scoop_net::{FaultSchedule, LinkModel, Neighbor, StdTopologyGen, Topology, TopologyGen};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use scoop_net::{
+    FaultSchedule, LinkModel, LinkModelParams, Neighbor, NodePosition, StdTopologyGen, Topology,
+    TopologyGen,
+};
 use scoop_types::{LinkSpec, NodeId, ScoopError, SimTime, TopologyKind, TopologySpec};
+use std::time::{Duration, Instant};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -81,6 +87,138 @@ proptest! {
         // Corner nodes always have exactly 3 neighbors.
         prop_assert_eq!(topo.neighbors(NodeId(0)).len(), 3);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Topology::from_positions`'s binned CSR adjacency equals the all-pairs
+    /// scan — same sets, same ascending order — on arbitrary geometry: random
+    /// clouds, collinear points and stacks of coincident points, with ranges
+    /// from 10⁻³ × the arena (the cell grid must coarsen) to beyond the
+    /// arena (everything lands in one cell).
+    #[test]
+    fn csr_adjacency_matches_the_all_pairs_oracle_on_arbitrary_geometry(
+        shape in 0usize..3,
+        raw in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..160),
+        arena_log10 in -2.0f64..4.0,
+        range_log10 in -3.0f64..0.5,
+        slope in -3.0f64..3.0,
+    ) {
+        let arena = 10f64.powf(arena_log10);
+        let positions: Vec<NodePosition> = raw
+            .iter()
+            .map(|&(u, v)| match shape {
+                // A random cloud.
+                0 => NodePosition { x: u * arena, y: v * arena },
+                // Collinear points on a line of random slope.
+                1 => NodePosition { x: u * arena, y: slope * u * arena },
+                // Coincident points: every node sits on one of four spots.
+                _ => {
+                    let (x, y) = raw[(u * 4.0) as usize % raw.len()];
+                    NodePosition { x: x * arena, y: y * arena }
+                }
+            })
+            .collect();
+        let range = arena * 10f64.powf(range_log10);
+        let topo = Topology::from_positions(TopologyKind::UniformRandom, positions.clone(), range)
+            .expect("finite positions");
+        for (i, p) in positions.iter().enumerate() {
+            let oracle: Vec<NodeId> = positions
+                .iter()
+                .enumerate()
+                .filter(|&(j, q)| j != i && p.distance(q) <= range)
+                .map(|(j, _)| NodeId(j as u16))
+                .collect();
+            prop_assert_eq!(
+                topo.neighbors(NodeId(i as u16)),
+                oracle.as_slice(),
+                "node {} (shape {}, {} nodes, range {})",
+                i, shape, positions.len(), range
+            );
+        }
+    }
+
+    /// The link model's memoized `powf` shaping is bit-identical to calling
+    /// `powf` on every link: each CSR entry's probability equals the
+    /// unmemoized formula, recomputed here from the same seeded noise stream,
+    /// for the calibrated exponent and for arbitrary ones in (0, 64].
+    #[test]
+    fn shaped_link_probabilities_equal_the_unmemoized_formula(
+        kind_index in 0usize..TopologyKind::ALL.len(),
+        nodes in 2usize..120,
+        seed in 0u64..500,
+        calibrated in 0usize..2,
+        offset in 0.0f64..64.0,
+    ) {
+        let spec = TopologySpec {
+            kind: TopologyKind::ALL[kind_index],
+            ..TopologySpec::office_floor()
+        };
+        let topo = StdTopologyGen.generate(&spec, nodes, seed).expect("within limits");
+        let link = LinkSpec {
+            distance_exponent: if calibrated == 1 {
+                LinkSpec::calibrated().distance_exponent
+            } else {
+                64.0 - offset
+            },
+            ..LinkSpec::calibrated()
+        };
+        let links = LinkModel::from_spec(&link, &topo, seed).expect("valid spec");
+        let params = LinkModelParams::from_spec(&link);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x11d4_11d4);
+        for a in topo.nodes() {
+            let mut expected = Vec::new();
+            for &b in topo.neighbors(a) {
+                let d = topo.distance(a, b).expect("both exist");
+                let frac = (d / topo.radio_range()).clamp(0.0, 1.0);
+                let shaped = if params.distance_exponent == 1.0 {
+                    frac
+                } else {
+                    frac.powf(params.distance_exponent)
+                };
+                let base =
+                    params.max_delivery - shaped * (params.max_delivery - params.min_delivery);
+                let noise: f64 = (rng.gen_range(-1.0..1.0) + rng.gen_range(-1.0..1.0)) / 2.0
+                    * params.asymmetry_noise
+                    * 2.0;
+                let p = (base + noise).clamp(params.min_delivery * 0.5, params.max_delivery);
+                if p > 0.0 {
+                    expected.push((b, p.clamp(0.0, 1.0).to_bits()));
+                }
+            }
+            let got: Vec<(NodeId, u64)> = links
+                .neighbors(a)
+                .iter()
+                .map(|e| (e.node, e.delivery_prob.to_bits()))
+                .collect();
+            prop_assert_eq!(
+                got, expected,
+                "row {} ({:?}, {} nodes, seed {}, exponent {})",
+                a, spec.kind, nodes, seed, params.distance_exponent
+            );
+        }
+    }
+}
+
+/// Two nodes 10¹² m apart with a 1 mm range would need 10³⁰ cells of side
+/// `radio_range`; the coarsened grid keeps the build O(n) and fast.
+#[test]
+fn far_apart_nodes_with_a_tiny_range_build_quickly() {
+    let positions = vec![
+        NodePosition { x: 0.0, y: 0.0 },
+        NodePosition { x: 1e12, y: -1e12 },
+    ];
+    let start = Instant::now();
+    let topo = Topology::from_positions(TopologyKind::UniformRandom, positions, 1e-3)
+        .expect("finite positions");
+    let elapsed = start.elapsed();
+    assert!(topo.neighbors(NodeId(0)).is_empty());
+    assert!(topo.neighbors(NodeId(1)).is_empty());
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "a two-node build took {elapsed:?}"
+    );
 }
 
 proptest! {

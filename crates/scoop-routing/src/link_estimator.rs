@@ -91,8 +91,11 @@ impl LinkEstimator {
                 rec.last_heard = now;
                 // Decay the EWMA once per missed packet (closed form) so
                 // bursts of loss push the estimate down, then credit the
-                // received packet.
-                rec.ewma *= (1.0 - self.alpha).powi(missed_now.min(1_000) as i32);
+                // received packet. With no miss the factor is exactly 1.0,
+                // so skipping the out-of-line `powi` call changes no bit.
+                if missed_now > 0 {
+                    rec.ewma *= (1.0 - self.alpha).powi(missed_now.min(1_000) as i32);
+                }
                 rec.ewma = (1.0 - self.alpha) * rec.ewma + self.alpha;
                 rec.ewma
             }
