@@ -212,12 +212,6 @@ impl<'a> CostModel<'a> {
             .collect()
     }
 
-    /// Expected messages per second of the whole index described by a
-    /// per-value owner assignment.
-    pub fn assignment_cost(&self, owners: &[(Value, NodeId)]) -> f64 {
-        owners.iter().map(|&(v, o)| self.placement_cost(o, v)).sum()
-    }
-
     /// Expected messages per second of the store-local policy: every query is
     /// flooded to all nodes and every node sends a reply up the tree, "even
     /// if no tuples matched the query" (Section 5.5); data storage itself is
@@ -379,14 +373,5 @@ mod tests {
         // A second lookup from the same source reuses the cached row.
         let _ = model.xmits(NodeId(17), NodeId(31_000));
         assert_eq!(model.rows_materialized(), 1);
-    }
-
-    #[test]
-    fn assignment_cost_sums_per_value_costs() {
-        let st = chain_store();
-        let model = CostModel::new(&st, CostParams::with_query_rate(0.0));
-        let a = model.assignment_cost(&[(10, NodeId(1)), (20, NodeId(2))]);
-        let b = model.placement_cost(NodeId(1), 10) + model.placement_cost(NodeId(2), 20);
-        assert!((a - b).abs() < 1e-12);
     }
 }

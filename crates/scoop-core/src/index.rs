@@ -194,11 +194,6 @@ impl StorageIndex {
     pub fn is_complete(&self) -> bool {
         self.domain.values().all(|v| self.lookup(v).is_some())
     }
-
-    /// Returns `true` if the index maps every value to the basestation.
-    pub fn is_send_to_base(&self) -> bool {
-        self.entries.iter().all(|e| e.owner.is_basestation())
-    }
 }
 
 /// Configuration of the index construction algorithm.
@@ -389,7 +384,6 @@ mod tests {
     #[test]
     fn send_to_base_index() {
         let idx = StorageIndex::send_to_base(StorageIndexId(2), base_domain(), SimTime::ZERO);
-        assert!(idx.is_send_to_base());
         assert!(idx.is_complete());
         assert_eq!(idx.lookup(5), Some(NodeId::BASESTATION));
         assert_eq!(idx.entries().len(), 1);

@@ -262,17 +262,6 @@ impl StatsStore {
         self.latest.iter().skip(1).filter(|s| s.is_some()).count()
     }
 
-    /// The maximum value reported by any node's summary — the "answer MAX
-    /// from summaries without touching the network" shortcut (Section 5.5).
-    pub fn max_from_summaries(&self) -> Option<Value> {
-        self.latest_summaries().filter_map(|s| s.max).max()
-    }
-
-    /// The minimum value reported by any node's summary.
-    pub fn min_from_summaries(&self) -> Option<Value> {
-        self.latest_summaries().filter_map(|s| s.min).min()
-    }
-
     // ---------------------------------------------------------------------
     // xmits(x → y)
     // ---------------------------------------------------------------------
@@ -296,11 +285,6 @@ impl StatsStore {
         let mut row = Vec::new();
         self.xmits_row_into(a, &mut row);
         row[b.index()]
-    }
-
-    /// Round-trip estimate `xmits(base → o → base)` from Figure 2.
-    pub fn xmits_roundtrip_base(&self, o: NodeId) -> f64 {
-        2.0 * self.xmits(NodeId::BASESTATION, o)
     }
 
     /// Overwrites `row` with `xmits(src → b)` for every node `b`, reusing its
@@ -422,9 +406,6 @@ mod tests {
             assert_eq!(st.p_produces(NodeId(node), 30 + node as Value), 0.0);
         }
         assert!(st.latest_summary(NodeId(3)).is_none());
-        // Aggregates still read the newest summary of each node.
-        assert_eq!(st.min_from_summaries(), Some(41));
-        assert_eq!(st.max_from_summaries(), Some(42));
     }
 
     #[test]
@@ -453,7 +434,6 @@ mod tests {
         assert!((st.xmits(NodeId(0), NodeId(2)) - 2.0).abs() < 1e-6);
         assert_eq!(st.xmits(NodeId(1), NodeId(1)), 0.0);
         assert!(st.xmits(NodeId(0), NodeId(3)) >= UNKNOWN_PATH_XMITS - 1e-9);
-        assert!((st.xmits_roundtrip_base(NodeId(2)) - 4.0).abs() < 1e-6);
     }
 
     #[test]
@@ -485,8 +465,6 @@ mod tests {
         st.record_summary(s2);
         assert_eq!(st.min_live_index(), StorageIndexId(3));
         assert_eq!(st.newest_complete_index(NodeId(2)), StorageIndexId(5));
-        assert_eq!(st.max_from_summaries(), Some(80));
-        assert_eq!(st.min_from_summaries(), Some(10));
     }
 
     /// The dense-era pipeline, reimplemented verbatim as an oracle: a

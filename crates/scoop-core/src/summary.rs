@@ -58,11 +58,6 @@ impl SummaryMessage {
             .map(|h| h.probability_of(v))
             .unwrap_or(0.0)
     }
-
-    /// Returns `true` if the node has produced any data recently.
-    pub fn has_data(&self) -> bool {
-        self.count > 0 && self.histogram.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -94,13 +89,11 @@ mod tests {
         let s = summary(&[10, 10, 10, 20]);
         assert!(s.probability_of(10) > s.probability_of(20));
         assert_eq!(s.probability_of(99), 0.0);
-        assert!(s.has_data());
     }
 
     #[test]
     fn empty_summary_has_no_data() {
         let s = summary(&[]);
-        assert!(!s.has_data());
         assert_eq!(s.probability_of(5), 0.0);
         assert_eq!(s.min, None);
         assert_eq!(s.count, 0);

@@ -467,6 +467,17 @@ mod tests {
     }
 
     #[test]
+    fn store_reads_refuse_a_missing_db() {
+        let db = std::env::temp_dir().join(format!("scoop-lab-no-db-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&db);
+        let db_arg = db.display().to_string();
+        for (sub, extra) in [("query", "--all"), ("stats", "--json")] {
+            assert_eq!(run_cli(&s(&["store", sub, "--db", &db_arg, extra])), 2);
+        }
+        assert!(!db.exists(), "a read must not create the store");
+    }
+
+    #[test]
     fn run_report_diff_cycle_in_temp_dir() {
         let dir = std::env::temp_dir().join(format!("scoop-lab-cli-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

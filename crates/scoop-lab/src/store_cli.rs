@@ -66,8 +66,13 @@ fn required_db(values: &[(String, String)]) -> Result<PathBuf, String> {
         .ok_or_else(|| "store commands need --db DIR".to_string())
 }
 
-fn open_store(values: &[(String, String)]) -> Result<Store, String> {
+/// Opens the store at `--db`. Only `ingest` may `create` one; the read-only
+/// subcommands refuse a path that is not an existing directory.
+fn open_store(values: &[(String, String)], create: bool) -> Result<Store, String> {
     let db = required_db(values)?;
+    if !create && !db.is_dir() {
+        return Err(format!("no store at `{}`", db.display()));
+    }
     let mut options = StoreOptions::default();
     if let Some((_, raw)) = values.iter().rev().find(|(n, _)| n == "block-size") {
         options.block_size = raw
@@ -173,7 +178,7 @@ fn cmd_ingest(
         records.extend(records_from_artifact(&load_artifact(path)?)?);
     }
 
-    let mut store = open_store(&values)?;
+    let mut store = open_store(&values, true)?;
     let mut report = IngestReport::default();
     if !records.is_empty() {
         report = store.append_batch(&records).map_err(|e| e.to_string())?;
@@ -262,7 +267,7 @@ fn cmd_query(
     let from = parse_ms("from")?;
     let to = parse_ms("to")?;
 
-    let mut store = open_store(&values)?;
+    let mut store = open_store(&values, false)?;
     let outcome = match (at, from, to, all) {
         (Some(t), None, None, false) => store.query_point(t),
         (None, Some(a), Some(b), false) => store.query_range(a, b),
@@ -323,7 +328,7 @@ fn cmd_stats(
     if let Some(extra) = positional.first() {
         return Err(format!("unexpected argument `{extra}`"));
     }
-    let store = open_store(&values)?;
+    let store = open_store(&values, false)?;
     let stats = store.stats().map_err(|e| e.to_string())?;
     let recovered = store
         .recovery_report()

@@ -232,18 +232,6 @@ pub struct SuiteOptions {
 }
 
 impl SuiteOptions {
-    /// The full paper-scale suite: every experiment, 3 trials.
-    pub fn paper_full() -> Self {
-        SuiteOptions {
-            scale: Scale::Paper,
-            trials: 3,
-            seed: 1,
-            points: PointSet::Full,
-            experiments: ExperimentId::ALL.to_vec(),
-            overrides: Vec::new(),
-        }
-    }
-
     /// The quick smoke suite backing `scoop-lab check`: deterministic,
     /// single-trial, reduced grids — small enough for a CI gate. Includes
     /// the 256-node grid scenario so the raised `MAX_NODES` cap stays

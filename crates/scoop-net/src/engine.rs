@@ -341,12 +341,6 @@ impl<L: NodeLogic> Engine<L> {
         }
     }
 
-    /// Runs the simulation for `d` more simulated time.
-    pub fn run_for(&mut self, d: SimDuration) {
-        let target = self.now + d;
-        self.run_until(target);
-    }
-
     /// Schedules a timer event for `node` at absolute simulated time `at`
     /// from *outside* any node callback — the hook an external driver (the
     /// `scoop-serve` front end) uses to make its stimulus part of the run.
@@ -589,6 +583,7 @@ mod tests {
     use super::*;
     use crate::link::LinkModel;
     use crate::topology::Topology;
+    use scoop_types::LinkSpec;
 
     /// A tiny test application: node 0 periodically broadcasts a counter;
     /// every other node forwards any number it has not seen to its lower
@@ -718,7 +713,7 @@ mod tests {
     fn deterministic_given_same_seed() {
         let run = |seed: u64| {
             let topo = Topology::office_floor(20, 3).unwrap();
-            let links = LinkModel::from_topology(&topo, 3);
+            let links = LinkModel::from_spec(&LinkSpec::legacy(), &topo, 3).unwrap();
             let nodes = (0..topo.len()).map(|_| TestApp::default()).collect();
             let mut eng = Engine::new(topo, links, nodes, EngineConfig { seed }).unwrap();
             eng.run_until(SimTime::from_secs(10));
@@ -777,7 +772,7 @@ mod tests {
         // Running backwards is a no-op, not a panic.
         eng.run_until(SimTime::from_secs(10));
         assert_eq!(eng.now(), SimTime::from_secs(42));
-        eng.run_for(SimDuration::from_secs(8));
+        eng.run_until(SimTime::from_secs(50));
         assert_eq!(eng.now(), SimTime::from_secs(50));
     }
 

@@ -168,11 +168,6 @@ mod tests {
             .unwrap();
         let links = StdLinkGen.generate(&LinkSpec::perfect(), &topo, 1).unwrap();
         assert_eq!(links.mean_loss(), 0.0);
-        assert_eq!(
-            links.params().max_delivery,
-            1.0,
-            "perfect family must ignore the decay knobs"
-        );
         let _ = LinkFamily::Perfect;
     }
 

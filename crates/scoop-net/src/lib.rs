@@ -34,7 +34,7 @@ pub use engine::{Engine, EngineConfig, NodeCtx, NodeLogic, TimerToken};
 pub use event::{Event, EventQueue};
 pub use fault::{FaultSchedule, Outage, PartitionCut};
 pub use gen::{LinkGen, StdLinkGen, StdTopologyGen, TopologyGen};
-pub use link::{LinkModel, LinkModelParams, LinkQuality, Neighbor};
+pub use link::{LinkModel, LinkQuality, Neighbor};
 pub use packet::{LinkDst, Packet, PacketMeta};
 pub use stats::{NetworkStats, NodeStats};
 pub use topology::{NodePosition, Topology, TopologyKind};

@@ -46,46 +46,6 @@ impl LinkQuality {
     }
 }
 
-/// Parameters controlling how link quality is derived from the topology.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
-pub struct LinkModelParams {
-    /// Delivery probability of a link at (near-)zero distance.
-    pub max_delivery: f64,
-    /// Delivery probability of a link right at the edge of radio range.
-    pub min_delivery: f64,
-    /// Standard deviation of the per-direction noise added to delivery
-    /// probability (produces asymmetry).
-    pub asymmetry_noise: f64,
-    /// Shape of the decay between the two endpoints: delivery falls with
-    /// `(d / range) ^ distance_exponent`; `1.0` is the calibrated linear
-    /// decay.
-    pub distance_exponent: f64,
-}
-
-impl LinkModelParams {
-    /// Translates the serializable [`LinkSpec`] calibration knobs into model
-    /// parameters. This is the only place the mapping lives, so the
-    /// spec-driven path and [`LinkModelParams::default`] cannot drift apart.
-    pub fn from_spec(spec: &LinkSpec) -> Self {
-        LinkModelParams {
-            max_delivery: spec.max_delivery(),
-            min_delivery: spec.edge_delivery,
-            asymmetry_noise: spec.asymmetry_noise,
-            distance_exponent: spec.distance_exponent,
-        }
-    }
-}
-
-impl Default for LinkModelParams {
-    fn default() -> Self {
-        // The pre-calibration knobs (`LinkSpec::legacy`), which
-        // `LinkModel::from_topology` builds with. The shipped calibrated
-        // model arrives through the `LinkSpec` path (`LinkModel::from_spec`
-        // with `LinkSpec::default()`).
-        Self::from_spec(&LinkSpec::legacy())
-    }
-}
-
 /// One usable outgoing link in the precomputed neighbor table.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Neighbor {
@@ -110,7 +70,6 @@ pub struct Neighbor {
 #[derive(Clone, Debug)]
 pub struct LinkModel {
     n: usize,
-    params: LinkModelParams,
     /// CSR row offsets into `nbr_entries`; `nbr_offsets[i]..nbr_offsets[i+1]`
     /// is transmitter `i`'s slice. Length `n + 1`.
     nbr_offsets: Vec<u32>,
@@ -120,12 +79,14 @@ pub struct LinkModel {
 }
 
 impl LinkModel {
-    /// Derives a link model from a topology with the default parameters.
+    /// The distance-decay model with the pre-calibration [`LinkSpec::legacy`]
+    /// knobs. Only the benchmark harness still calls it; everything else
+    /// builds through [`LinkModel::from_spec`].
     pub fn from_topology(topo: &Topology, seed: u64) -> Self {
-        Self::with_params(topo, seed, LinkModelParams::default())
+        Self::distance_decay(topo, seed, &LinkSpec::legacy())
     }
 
-    /// Derives a link model from a topology with explicit parameters.
+    /// The distance-decay family with `spec`'s calibration knobs.
     ///
     /// The CSR table is built directly from the topology's neighbor lists.
     /// Those lists are exactly the in-range destinations in ascending order —
@@ -133,8 +94,10 @@ impl LinkModel {
     /// visited — so the two noise draws per directed in-range pair consume
     /// the seeded RNG stream identically and every probability is
     /// bit-identical to the dense-matrix era.
-    pub fn with_params(topo: &Topology, seed: u64, params: LinkModelParams) -> Self {
+    fn distance_decay(topo: &Topology, seed: u64, spec: &LinkSpec) -> Self {
         let n = topo.len();
+        let max_delivery = spec.max_delivery();
+        let min_delivery = spec.edge_delivery;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x11d4_11d4);
         // The last few `(frac bits, frac.powf(exponent))` pairs, direct-mapped
         // by a hash of the bits. Regular layouts repeat a handful of distance
@@ -163,23 +126,22 @@ impl LinkModel {
                 // model), shaped by `frac^k` otherwise — plus per-direction
                 // Gaussian-ish noise (two uniform draws averaged keeps the
                 // dependency set small).
-                let shaped = if params.distance_exponent == 1.0 {
+                let shaped = if spec.distance_exponent == 1.0 {
                     frac
                 } else {
                     let bits = frac.to_bits();
                     let slot =
                         &mut shaped_memo[(bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 60) as usize];
                     if slot.0 != bits {
-                        *slot = (bits, frac.powf(params.distance_exponent));
+                        *slot = (bits, frac.powf(spec.distance_exponent));
                     }
                     slot.1
                 };
-                let base =
-                    params.max_delivery - shaped * (params.max_delivery - params.min_delivery);
+                let base = max_delivery - shaped * (max_delivery - min_delivery);
                 let noise: f64 = (rng.gen_range(-1.0..1.0) + rng.gen_range(-1.0..1.0)) / 2.0
-                    * params.asymmetry_noise
+                    * spec.asymmetry_noise
                     * 2.0;
-                let p = (base + noise).clamp(params.min_delivery * 0.5, params.max_delivery);
+                let p = (base + noise).clamp(min_delivery * 0.5, max_delivery);
                 if p > 0.0 {
                     nbr_entries.push(Neighbor {
                         node: b,
@@ -191,7 +153,6 @@ impl LinkModel {
         }
         LinkModel {
             n,
-            params,
             nbr_offsets,
             nbr_entries,
         }
@@ -216,12 +177,6 @@ impl LinkModel {
         }
         LinkModel {
             n,
-            params: LinkModelParams {
-                max_delivery: 1.0,
-                min_delivery: 1.0,
-                asymmetry_noise: 0.0,
-                distance_exponent: 1.0,
-            },
             nbr_offsets,
             nbr_entries,
         }
@@ -237,9 +192,7 @@ impl LinkModel {
     ) -> Result<Self, scoop_types::ScoopError> {
         spec.validate()?;
         Ok(match spec.family {
-            scoop_types::LinkFamily::DistanceDecay => {
-                Self::with_params(topo, seed, LinkModelParams::from_spec(spec))
-            }
+            scoop_types::LinkFamily::DistanceDecay => Self::distance_decay(topo, seed, spec),
             scoop_types::LinkFamily::Perfect => Self::perfect(topo),
         })
     }
@@ -252,11 +205,6 @@ impl LinkModel {
     /// Always false for a constructed model.
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// The parameters the model was built with.
-    pub fn params(&self) -> LinkModelParams {
-        self.params
     }
 
     /// The `nbr_entries` range holding transmitter `i`'s row.
@@ -402,89 +350,6 @@ impl LinkModel {
     }
 }
 
-// Hand-written (de)serialization. The wire schema is sparse — `{n, params,
-// offsets, targets, probs}`, the CSR split into parallel arrays — so file
-// size scales with usable links, not n².
-impl Serialize for LinkModel {
-    fn to_value(&self) -> serde::Value {
-        let targets: Vec<u16> = self.nbr_entries.iter().map(|e| e.node.0).collect();
-        let probs: Vec<f64> = self.nbr_entries.iter().map(|e| e.delivery_prob).collect();
-        serde::Value::Object(vec![
-            ("n".to_string(), Serialize::to_value(&self.n)),
-            ("params".to_string(), Serialize::to_value(&self.params)),
-            (
-                "offsets".to_string(),
-                Serialize::to_value(&self.nbr_offsets),
-            ),
-            ("targets".to_string(), Serialize::to_value(&targets)),
-            ("probs".to_string(), Serialize::to_value(&probs)),
-        ])
-    }
-}
-
-impl Deserialize for LinkModel {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let null = serde::Value::Null;
-        let n: usize = Deserialize::from_value(v.get("n").unwrap_or(&null))?;
-        let params: LinkModelParams = Deserialize::from_value(v.get("params").unwrap_or(&null))?;
-        let nbr_offsets: Vec<u32> = Deserialize::from_value(v.get("offsets").unwrap_or(&null))?;
-        let targets: Vec<u16> = Deserialize::from_value(v.get("targets").unwrap_or(&null))?;
-        let probs: Vec<f64> = Deserialize::from_value(v.get("probs").unwrap_or(&null))?;
-        if nbr_offsets.len() != n + 1 || nbr_offsets.first() != Some(&0) {
-            return Err(serde::Error::custom(format!(
-                "LinkModel: {} offsets for n = {n}",
-                nbr_offsets.len()
-            )));
-        }
-        if targets.len() != probs.len() || *nbr_offsets.last().unwrap() as usize != targets.len() {
-            return Err(serde::Error::custom(
-                "LinkModel: offsets/targets/probs disagree on link count".to_string(),
-            ));
-        }
-        let mut nbr_entries = Vec::with_capacity(targets.len());
-        for i in 0..n {
-            let lo = nbr_offsets[i] as usize;
-            let hi = nbr_offsets[i + 1] as usize;
-            if lo > hi || hi > targets.len() {
-                return Err(serde::Error::custom(format!(
-                    "LinkModel: row {i} offsets are not monotonic"
-                )));
-            }
-            let mut prev: Option<u16> = None;
-            for k in lo..hi {
-                let t = targets[k];
-                let p = probs[k];
-                if (t as usize) >= n || t as usize == i {
-                    return Err(serde::Error::custom(format!(
-                        "LinkModel: row {i} targets node {t} outside the model"
-                    )));
-                }
-                if prev.is_some_and(|pv| pv >= t) {
-                    return Err(serde::Error::custom(format!(
-                        "LinkModel: row {i} destinations are not ascending"
-                    )));
-                }
-                if !(p > 0.0 && p <= 1.0) {
-                    return Err(serde::Error::custom(format!(
-                        "LinkModel: row {i} stores unusable probability {p}"
-                    )));
-                }
-                prev = Some(t);
-                nbr_entries.push(Neighbor {
-                    node: NodeId(t),
-                    delivery_prob: p,
-                });
-            }
-        }
-        Ok(LinkModel {
-            n,
-            params,
-            nbr_offsets,
-            nbr_entries,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,7 +357,7 @@ mod tests {
 
     fn testbed() -> (Topology, LinkModel) {
         let topo = Topology::office_floor(62, 11).unwrap();
-        let links = LinkModel::from_topology(&topo, 11);
+        let links = LinkModel::from_spec(&LinkSpec::legacy(), &topo, 11).unwrap();
         (topo, links)
     }
 
@@ -581,9 +446,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let topo = Topology::office_floor(20, 5).unwrap();
-        let a = LinkModel::from_topology(&topo, 9);
-        let b = LinkModel::from_topology(&topo, 9);
-        let c = LinkModel::from_topology(&topo, 10);
+        let build = |seed| LinkModel::from_spec(&LinkSpec::legacy(), &topo, seed).unwrap();
+        let (a, b, c) = (build(9), build(9), build(10));
         assert_eq!(
             a.link(NodeId(1), NodeId(2)).delivery_prob,
             b.link(NodeId(1), NodeId(2)).delivery_prob
@@ -646,48 +510,6 @@ mod tests {
         links.set_link(NodeId(0), NodeId(1), 0.4); // revive it
         assert_eq!(links.neighbors(NodeId(0)).len(), before);
         assert_eq!(links.neighbors(NodeId(0)), dense_scan(&links, NodeId(0)));
-    }
-
-    #[test]
-    fn serialization_round_trips_and_rebuilds_the_table() {
-        let (_, links) = testbed();
-        let json = serde_json::to_string(&links).unwrap();
-        // The v2 wire schema is the sparse CSR split into parallel arrays —
-        // no dense matrix anywhere in the file.
-        assert!(json.starts_with("{\"n\":"));
-        assert!(json.contains("\"offsets\":"));
-        assert!(!json.contains("\"delivery\":"));
-        let back: LinkModel = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), links.len());
-        for a in 0..links.len() {
-            let a = NodeId(a as u16);
-            assert_eq!(back.neighbors(a), links.neighbors(a), "{a}");
-        }
-        // A corrupt node count is rejected instead of building a bogus table.
-        let bad = json.replacen("\"n\":63", "\"n\":62", 1);
-        assert!(serde_json::from_str::<LinkModel>(&bad).is_err());
-    }
-
-    #[test]
-    fn deserialization_rejects_the_dense_v1_schema() {
-        // The pre-sparse `{n, delivery, params}` document — a dense row-major
-        // matrix — has no CSR arrays, so it is a typed error, not a model.
-        let topo = Topology::grid(2, 10.0).unwrap();
-        let links = LinkModel::perfect(&topo);
-        let n = links.len();
-        let v1 = serde::Value::Object(vec![
-            ("n".to_string(), serde::Serialize::to_value(&n)),
-            (
-                "delivery".to_string(),
-                serde::Serialize::to_value(&vec![1.0; n * n]),
-            ),
-            (
-                "params".to_string(),
-                serde::Serialize::to_value(&links.params()),
-            ),
-        ]);
-        let err: serde::Error = LinkModel::from_value(&v1).unwrap_err();
-        assert!(err.to_string().contains("array"), "{err}");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use scoop_net::{
     Engine, EngineConfig, FaultSchedule, LinkModel, NodeCtx, NodeLogic, NodePosition, Packet,
     TimerToken, Topology, TopologyKind,
 };
-use scoop_types::{MessageKind, NodeId, SimDuration, SimTime};
+use scoop_types::{LinkSpec, MessageKind, NodeId, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -154,7 +154,7 @@ struct Outcome {
 }
 
 fn run(topology: Topology, faults: FaultSchedule, seed: u64, until: SimTime) -> Outcome {
-    let links = LinkModel::from_topology(&topology, seed);
+    let links = LinkModel::from_spec(&LinkSpec::legacy(), &topology, seed).expect("valid spec");
     let log = Rc::new(RefCell::new(Log::new()));
     let n = topology.len() as u16;
     let nodes = (0..n)

@@ -6,8 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scoop_net::{
-    FaultSchedule, LinkModel, LinkModelParams, Neighbor, NodePosition, StdTopologyGen, Topology,
-    TopologyGen,
+    FaultSchedule, LinkModel, Neighbor, NodePosition, StdTopologyGen, Topology, TopologyGen,
 };
 use scoop_types::{LinkSpec, NodeId, ScoopError, SimTime, TopologyKind, TopologySpec};
 use std::time::{Duration, Instant};
@@ -60,7 +59,7 @@ proptest! {
     #[test]
     fn link_model_probability_bounds(nodes in 4usize..60, seed in 0u64..300) {
         let topo = Topology::office_floor(nodes, seed).expect("topology");
-        let links = LinkModel::from_topology(&topo, seed);
+        let links = LinkModel::from_spec(&LinkSpec::legacy(), &topo, seed).expect("valid spec");
         for a in topo.nodes() {
             for b in topo.nodes() {
                 let q = links.link(a, b);
@@ -165,24 +164,23 @@ proptest! {
             ..LinkSpec::calibrated()
         };
         let links = LinkModel::from_spec(&link, &topo, seed).expect("valid spec");
-        let params = LinkModelParams::from_spec(&link);
+        let (max_delivery, min_delivery) = (link.max_delivery(), link.edge_delivery);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x11d4_11d4);
         for a in topo.nodes() {
             let mut expected = Vec::new();
             for &b in topo.neighbors(a) {
                 let d = topo.distance(a, b).expect("both exist");
                 let frac = (d / topo.radio_range()).clamp(0.0, 1.0);
-                let shaped = if params.distance_exponent == 1.0 {
+                let shaped = if link.distance_exponent == 1.0 {
                     frac
                 } else {
-                    frac.powf(params.distance_exponent)
+                    frac.powf(link.distance_exponent)
                 };
-                let base =
-                    params.max_delivery - shaped * (params.max_delivery - params.min_delivery);
+                let base = max_delivery - shaped * (max_delivery - min_delivery);
                 let noise: f64 = (rng.gen_range(-1.0..1.0) + rng.gen_range(-1.0..1.0)) / 2.0
-                    * params.asymmetry_noise
+                    * link.asymmetry_noise
                     * 2.0;
-                let p = (base + noise).clamp(params.min_delivery * 0.5, params.max_delivery);
+                let p = (base + noise).clamp(min_delivery * 0.5, max_delivery);
                 if p > 0.0 {
                     expected.push((b, p.clamp(0.0, 1.0).to_bits()));
                 }
@@ -195,7 +193,7 @@ proptest! {
             prop_assert_eq!(
                 got, expected,
                 "row {} ({:?}, {} nodes, seed {}, exponent {})",
-                a, spec.kind, nodes, seed, params.distance_exponent
+                a, spec.kind, nodes, seed, link.distance_exponent
             );
         }
     }
@@ -241,7 +239,7 @@ proptest! {
             ..TopologySpec::office_floor()
         };
         let topo = StdTopologyGen.generate(&spec, nodes, seed).expect("within limits");
-        let links = LinkModel::from_topology(&topo, seed);
+        let links = LinkModel::from_spec(&LinkSpec::legacy(), &topo, seed).expect("valid spec");
         for a in topo.nodes() {
             // The old dense scan, reimplemented verbatim as the oracle.
             let dense: Vec<Neighbor> = (0..links.len())

@@ -18,7 +18,7 @@ use scoop_net::{
     Engine, EngineConfig, LinkModel, NodeCtx, NodeLogic, NodePosition, Packet, TimerToken,
     Topology, TopologyKind,
 };
-use scoop_types::{MessageKind, NodeId, SimDuration, SimTime};
+use scoop_types::{LinkSpec, MessageKind, NodeId, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -99,7 +99,7 @@ fn steady_state_event_loop_allocates_nothing() {
     let topo = Topology::from_positions(TopologyKind::Grid, positions, 100.0).expect("field");
     let n = topo.len() as u16;
     // Lossy links: the unicast retry loop must actually retry sometimes.
-    let links = LinkModel::from_topology(&topo, 42);
+    let links = LinkModel::from_spec(&LinkSpec::legacy(), &topo, 42).expect("valid spec");
     assert!(
         links.neighbors(NodeId(1)).len() > 32,
         "a transmission must span more than one listener word"

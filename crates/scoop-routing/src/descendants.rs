@@ -106,12 +106,6 @@ impl DescendantsList {
     pub fn descendants(&self) -> Vec<NodeId> {
         self.entries.iter().map(|e| e.descendant).collect()
     }
-
-    /// Returns `true` if any of `targets` is a known descendant (used by the
-    /// query dissemination filter).
-    pub fn contains_any<I: IntoIterator<Item = NodeId>>(&self, targets: I) -> bool {
-        targets.into_iter().any(|t| self.contains(t))
-    }
 }
 
 #[cfg(test)]
@@ -166,14 +160,5 @@ mod tests {
             "entries via the removed child evicted"
         );
         assert!(d.contains(NodeId(2)));
-    }
-
-    #[test]
-    fn contains_any() {
-        let mut d = DescendantsList::new(4);
-        d.note(NodeId(5), NodeId(2), SimTime::ZERO);
-        assert!(d.contains_any([NodeId(1), NodeId(5)]));
-        assert!(!d.contains_any([NodeId(1), NodeId(6)]));
-        assert!(!d.contains_any(std::iter::empty()));
     }
 }

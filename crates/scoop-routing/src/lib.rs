@@ -1,7 +1,7 @@
 //! Tree routing, link estimation, and neighbor/descendant tracking.
 //!
 //! This crate is the Rust equivalent of the TinyOS multihop collection tree
-//! the paper builds on (Woo et al. [23]): nodes organize into a spanning tree
+//! the paper builds on (Woo et al. \[23\]): nodes organize into a spanning tree
 //! rooted at the basestation by listening to periodic tree-join beacons and
 //! picking as parent the neighbor offering the cheapest path (hop count plus
 //! expected transmissions). In addition to the tree, every node maintains

@@ -47,6 +47,6 @@ pub use cache::{AnswerCache, TouchedValues};
 pub use core::{AnswerCore, CoreStats};
 pub use index::ServeIndex;
 pub use server::{pump_once, ServeOptions, ServeServer, ServeStats};
-pub use smoke::{run_smoke, SmokeOptions, SmokeReport};
+pub use smoke::{run_smoke, SmokeReport};
 pub use tcp::{QueryError, RetriesExhausted, RetryPolicy, TcpClient, TcpServerTransport};
 pub use transport::{ClientId, InMemoryClient, InMemoryHub, InMemoryTransport, Transport};

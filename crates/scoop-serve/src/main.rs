@@ -17,7 +17,7 @@
 //! Serving throughput and latency are measured by `bench/run.sh`.
 
 use scoop_serve::server::{pump_once, ServeOptions, ServeServer};
-use scoop_serve::smoke::{run_smoke, SmokeOptions};
+use scoop_serve::smoke::run_smoke;
 use scoop_serve::tcp::{RetryPolicy, TcpClient, TcpServerTransport};
 use scoop_types::{ScenarioSpec, ServeRequest, SimDuration, SimTime, ValueRange};
 use std::time::{Duration, Instant};
@@ -97,7 +97,7 @@ fn scale_spec(values: &[(String, String)]) -> Result<ScenarioSpec, String> {
 
 fn cmd_smoke(args: &[String]) -> Result<(), String> {
     let (_, flags) = parse(args, &[], &["json"])?;
-    let report = run_smoke(&SmokeOptions::default()).map_err(|e| e.to_string())?;
+    let report = run_smoke().map_err(|e| e.to_string())?;
     if flags.iter().any(|f| f == "json") {
         println!(
             "{}",

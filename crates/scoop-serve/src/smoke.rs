@@ -4,8 +4,8 @@
 //! burst), the in-memory transport, and the full `pump_once` serve cycle.
 //! The run happens twice — cache off, then cache on — and refuses to report
 //! unless both produced byte-identical response streams. Everything in the
-//! resulting [`SmokeReport`] is a pure function of the options, so the report
-//! is committed as a golden file and compared verbatim in CI.
+//! resulting [`SmokeReport`] is a pure function of this module's constants,
+//! so the report is committed as a golden file and compared verbatim in CI.
 
 use crate::server::{pump_once, ServeOptions, ServeServer};
 use crate::transport::{InMemoryClient, InMemoryHub};
@@ -41,47 +41,24 @@ fn quantize(t: SimTime, quantum: SimDuration) -> SimTime {
     SimTime::from_millis((t.as_millis() / q) * q)
 }
 
-/// Configuration of the smoke run (defaults are what CI uses).
-#[derive(Clone)]
-pub struct SmokeOptions {
-    /// The simulated network (default: the scaled-down test scenario).
-    pub spec: ScenarioSpec,
-    /// Simulated time per tick.
-    pub tick: SimDuration,
-    /// Ticks to run.
-    pub ticks: u64,
-    /// Admission queue bound.
-    pub queue_capacity: usize,
-    /// Cache entries in the cached pass.
-    pub cache_capacity: usize,
-    /// Queries submitted per tick (across both clients).
-    pub queries_per_tick: usize,
-    /// The tick that submits a deliberate over-budget burst.
-    pub burst_tick: u64,
-    /// Extra queries added at the burst tick (sized to overflow the queue).
-    pub burst_extra: usize,
-    /// Query stream seed.
-    pub seed: u64,
-    /// Query windows snap to multiples of this.
-    pub window_quantum: SimDuration,
-}
-
-impl Default for SmokeOptions {
-    fn default() -> Self {
-        SmokeOptions {
-            spec: ScenarioSpec::small_test(),
-            tick: SimDuration::from_secs(30),
-            ticks: 20,
-            queue_capacity: 64,
-            cache_capacity: 128,
-            queries_per_tick: 40,
-            burst_tick: 12,
-            burst_extra: 80,
-            seed: 7,
-            window_quantum: SimDuration::from_secs(60),
-        }
-    }
-}
+/// Simulated time per tick.
+const TICK: SimDuration = SimDuration::from_secs(30);
+/// Ticks to run.
+const TICKS: u64 = 20;
+/// Admission queue bound.
+const QUEUE_CAPACITY: usize = 64;
+/// Cache entries in the cached pass.
+const CACHE_CAPACITY: usize = 128;
+/// Queries submitted per tick (across both clients).
+const QUERIES_PER_TICK: usize = 40;
+/// The tick that submits a deliberate over-budget burst.
+const BURST_TICK: u64 = 12;
+/// Extra queries added at the burst tick (sized to overflow the queue).
+const BURST_EXTRA: usize = 80;
+/// Query stream seed.
+const SEED: u64 = 7;
+/// Query windows snap to multiples of this.
+const WINDOW_QUANTUM: SimDuration = SimDuration::from_secs(60);
 
 /// The smoke run's deterministic outcome — the golden file's exact contents.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -110,29 +87,19 @@ pub struct SmokeReport {
     pub cache_invalidated: u64,
 }
 
-struct ModeOutcome {
-    digest: String,
-    answered: u64,
-    overloaded: u64,
-    rows_returned: u64,
-    readings_drained: u64,
-    coalesced_groups: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_invalidated: u64,
-}
-
-fn run_mode(options: &SmokeOptions, cache_capacity: usize) -> Result<ModeOutcome, ScoopError> {
-    let mut serve = ServeOptions::new(options.spec.clone());
-    serve.tick = options.tick;
-    serve.queue_capacity = options.queue_capacity;
+/// One pass over the scaled-down test scenario with `cache_capacity` entries.
+fn run_mode(cache_capacity: usize) -> Result<SmokeReport, ScoopError> {
+    let spec = ScenarioSpec::small_test();
+    let mut serve = ServeOptions::new(spec.clone());
+    serve.tick = TICK;
+    serve.queue_capacity = QUEUE_CAPACITY;
     serve.cache_capacity = cache_capacity;
     let mut server = ServeServer::new(serve)?;
 
     let hub = InMemoryHub::new();
     let clients: Vec<InMemoryClient> = (0..2).map(|_| hub.client()).collect();
     let mut generators: Vec<QueryGenerator> = (0..clients.len())
-        .map(|i| QueryGenerator::from_spec(&options.spec.workload, options.seed + i as u64))
+        .map(|i| QueryGenerator::from_spec(&spec.workload, SEED + i as u64))
         .collect();
     let mut transport = hub.transport();
 
@@ -144,10 +111,10 @@ fn run_mode(options: &SmokeOptions, cache_capacity: usize) -> Result<ModeOutcome
     let mut reqs = Vec::new();
     let mut frames = Vec::new();
 
-    for tick in 0..options.ticks {
-        let mut n = options.queries_per_tick;
-        if tick == options.burst_tick {
-            n += options.burst_extra;
+    for tick in 0..TICKS {
+        let mut n = QUERIES_PER_TICK;
+        if tick == BURST_TICK {
+            n += BURST_EXTRA;
         }
         for k in 0..n {
             let ci = k % clients.len();
@@ -155,8 +122,8 @@ fn run_mode(options: &SmokeOptions, cache_capacity: usize) -> Result<ModeOutcome
             clients[ci].submit(ServeRequest {
                 id: next_id,
                 values: q.values,
-                time_lo: quantize(q.time_lo, options.window_quantum),
-                time_hi: quantize(q.time_hi, options.window_quantum),
+                time_lo: quantize(q.time_lo, WINDOW_QUANTUM),
+                time_hi: quantize(q.time_hi, WINDOW_QUANTUM),
             });
             next_id += 1;
         }
@@ -179,12 +146,14 @@ fn run_mode(options: &SmokeOptions, cache_capacity: usize) -> Result<ModeOutcome
 
     let stats = *server.stats();
     let core = server.core_stats();
-    Ok(ModeOutcome {
+    Ok(SmokeReport {
         digest: digest.render(),
+        queries: next_id,
         answered,
         overloaded,
         rows_returned,
         readings_drained: stats.readings_drained,
+        ticks: TICKS,
         coalesced_groups: stats.coalesced_groups,
         cache_hits: core.cache_hits,
         cache_misses: core.cache_misses,
@@ -194,9 +163,9 @@ fn run_mode(options: &SmokeOptions, cache_capacity: usize) -> Result<ModeOutcome
 
 /// Runs the smoke twice (cache off, cache on), proves the response streams
 /// byte-identical, and reports the cached pass's counters.
-pub fn run_smoke(options: &SmokeOptions) -> Result<SmokeReport, ScoopError> {
-    let uncached = run_mode(options, 0)?;
-    let cached = run_mode(options, options.cache_capacity)?;
+pub fn run_smoke() -> Result<SmokeReport, ScoopError> {
+    let uncached = run_mode(0)?;
+    let cached = run_mode(CACHE_CAPACITY)?;
     if uncached.digest != cached.digest {
         return Err(ScoopError::Simulation(format!(
             "serve smoke: cached responses diverge from uncached \
@@ -204,21 +173,8 @@ pub fn run_smoke(options: &SmokeOptions) -> Result<SmokeReport, ScoopError> {
             cached.digest, uncached.digest
         )));
     }
-    let queries = options.ticks * options.queries_per_tick as u64 + options.burst_extra as u64;
-    debug_assert_eq!(cached.answered + cached.overloaded, queries);
-    Ok(SmokeReport {
-        digest: cached.digest,
-        queries,
-        answered: cached.answered,
-        overloaded: cached.overloaded,
-        rows_returned: cached.rows_returned,
-        readings_drained: cached.readings_drained,
-        ticks: options.ticks,
-        coalesced_groups: cached.coalesced_groups,
-        cache_hits: cached.cache_hits,
-        cache_misses: cached.cache_misses,
-        cache_invalidated: cached.cache_invalidated,
-    })
+    debug_assert_eq!(cached.answered + cached.overloaded, cached.queries);
+    Ok(cached)
 }
 
 #[cfg(test)]
@@ -227,9 +183,8 @@ mod tests {
 
     #[test]
     fn smoke_is_deterministic_and_exercises_backpressure() {
-        let options = SmokeOptions::default();
-        let a = run_smoke(&options).unwrap();
-        let b = run_smoke(&options).unwrap();
+        let a = run_smoke().unwrap();
+        let b = run_smoke().unwrap();
         assert_eq!(a, b, "two runs, identical reports");
         assert_eq!(a.answered + a.overloaded, a.queries);
         assert!(a.overloaded > 0, "the burst tick must overflow the queue");

@@ -1,7 +1,7 @@
 //! The hermetic serve smoke against its committed golden report.
 //!
-//! `run_smoke` is a pure function of its options — fixed seed, fixed query
-//! mix, in-memory transport — so the whole report (digest included) is
+//! `run_smoke` takes no input — fixed seed, fixed query mix, in-memory
+//! transport — so the whole report (digest included) is
 //! committed at `golden/serve_smoke.json` and compared verbatim. An
 //! intentional behavior change re-blesses with:
 //!
@@ -9,14 +9,14 @@
 //! SCOOP_SERVE_BLESS_GOLDEN=1 cargo test -p scoop-serve --test serve_golden
 //! ```
 
-use scoop_serve::smoke::{run_smoke, SmokeOptions, SmokeReport};
+use scoop_serve::smoke::{run_smoke, SmokeReport};
 use std::path::Path;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/serve_smoke.json");
 
 #[test]
 fn smoke_matches_committed_golden() {
-    let report = run_smoke(&SmokeOptions::default()).expect("smoke runs");
+    let report = run_smoke().expect("smoke runs");
 
     if std::env::var("SCOOP_SERVE_BLESS_GOLDEN").is_ok() {
         let json = serde_json::to_string_pretty(&report).expect("report serializes");

@@ -9,7 +9,7 @@
 //! Each bar in the paper is a stacked breakdown into query/reply, mapping,
 //! summary, and data messages; each [`Fig3Row`] carries the same four
 //! numbers. The bars are declared as a scenario grid and executed by the
-//! parallel [`SweepRunner`](crate::sweep::SweepRunner).
+//! parallel [`SweepRunner`].
 
 use crate::metrics::MessageBreakdown;
 use crate::sweep::{ScenarioSuite, SweepRunner};

@@ -1,7 +1,7 @@
 //! The prose experiments from Section 6: the sample-interval sweep, the loss
 //! / reliability measurements, the root-node skew analysis, and the scaling
 //! study. Each is a declarative scenario grid run by the parallel
-//! [`SweepRunner`](crate::sweep::SweepRunner).
+//! [`SweepRunner`].
 
 use crate::sweep::{ScenarioSuite, SweepRunner};
 use scoop_types::{DataSourceKind, ExperimentConfig, ScoopError, SimDuration, StoragePolicy};

@@ -1,7 +1,7 @@
 //! Builds and runs whole-network simulations from a
 //! [`ScenarioSpec`](scoop_types::ScenarioSpec) (aka the legacy
 //! [`ExperimentConfig`] alias). Engine construction is delegated to
-//! [`SimBuilder`](crate::builder::SimBuilder), so every axis — topology
+//! [`SimBuilder`], so every axis — topology
 //! family, loss model, faults — honors the spec rather than being hardcoded
 //! here.
 

@@ -7,7 +7,7 @@
 //! 16-byte [`Reading`]: nothing answers by storage-index epoch or by the time
 //! a reading was stored, so neither is kept.
 
-use scoop_types::{Reading, SimTime, StorageIndexId, Value, ValueRange};
+use scoop_types::{Reading, SimTime, StorageIndexId, ValueRange};
 
 /// A circular buffer of stored readings with flash-style semantics: when it
 /// fills up, the oldest readings are overwritten.
@@ -105,16 +105,6 @@ impl DataBuffer {
             .collect()
     }
 
-    /// Scans for readings produced by any of the listed values regardless of
-    /// time (convenience for tests).
-    pub fn scan_values(&self, values: &[Value]) -> Vec<Reading> {
-        self.slots
-            .iter()
-            .filter(|r| values.contains(&r.value))
-            .copied()
-            .collect()
-    }
-
     /// Iterates over everything currently stored.
     pub fn iter(&self) -> impl Iterator<Item = &Reading> {
         self.slots.iter()
@@ -143,7 +133,7 @@ impl DataBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scoop_types::{Attribute, NodeId};
+    use scoop_types::{Attribute, NodeId, Value};
 
     fn reading(producer: u16, v: Value, t: u64) -> Reading {
         Reading::new(NodeId(producer), Attribute::Light, v, SimTime::from_secs(t))
@@ -283,14 +273,5 @@ mod tests {
             assert!(reserved <= len + (len / 4).max(4), "{reserved} for {len}");
             assert!(reserved <= buf.capacity(), "{reserved} past the capacity");
         }
-    }
-
-    #[test]
-    fn scan_values_convenience() {
-        let mut buf = DataBuffer::new(10);
-        buf.store(reading(1, 5, 1), SimTime::from_secs(1), StorageIndexId(1));
-        buf.store(reading(1, 9, 2), SimTime::from_secs(2), StorageIndexId(1));
-        assert_eq!(buf.scan_values(&[9]).len(), 1);
-        assert_eq!(buf.scan_values(&[1, 2]).len(), 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Trickle-style dissemination.
 //!
-//! Scoop uses Trickle (Levis et al. [13]) twice:
+//! Scoop uses Trickle (Levis et al. \[13\]) twice:
 //!
 //! * to disseminate **storage index chunks** ("mapping messages") from the
 //!   basestation to every node, and

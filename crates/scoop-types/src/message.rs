@@ -46,12 +46,6 @@ impl MessageKind {
         MessageKind::Heartbeat,
     ];
 
-    /// Whether transmissions of this kind count towards the paper's cost
-    /// metric (Figure 3 counts data, summary, mapping, and query/reply).
-    pub fn counts_toward_cost(self) -> bool {
-        !matches!(self, MessageKind::Heartbeat)
-    }
-
     /// Short name used in reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -190,17 +184,6 @@ impl std::iter::Sum for MessageStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn heartbeats_do_not_count_toward_cost() {
-        assert!(MessageKind::Data.counts_toward_cost());
-        assert!(MessageKind::Summary.counts_toward_cost());
-        assert!(MessageKind::Mapping.counts_toward_cost());
-        assert!(MessageKind::Query.counts_toward_cost());
-        assert!(MessageKind::Reply.counts_toward_cost());
-        assert!(MessageKind::Aggregate.counts_toward_cost());
-        assert!(!MessageKind::Heartbeat.counts_toward_cost());
-    }
 
     #[test]
     fn aggregates_count_with_query_reply_and_hide_when_zero() {

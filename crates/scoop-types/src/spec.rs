@@ -143,26 +143,23 @@ impl TopologySpec {
         }
     }
 
-    /// Validates the geometry parameters.
+    /// Validates the geometry parameters. As in [`LinkSpec::validate`], each
+    /// check asserts the valid range, so `NaN` and `±∞` knobs fail it.
     pub fn validate(&self) -> Result<(), ScoopError> {
-        if self.area_per_node <= 0.0 {
-            return Err(ScoopError::InvalidConfig(
-                "topology.area_per_node must be > 0".into(),
-            ));
+        for (knob, x) in [
+            ("area_per_node", self.area_per_node),
+            ("spacing", self.spacing),
+            ("range_factor", self.range_factor),
+        ] {
+            if !(x > 0.0 && x.is_finite()) {
+                return Err(ScoopError::InvalidConfig(format!(
+                    "topology.{knob} must be finite and > 0"
+                )));
+            }
         }
         if !(0.0..0.5).contains(&self.jitter) {
             return Err(ScoopError::InvalidConfig(
                 "topology.jitter must be in [0, 0.5)".into(),
-            ));
-        }
-        if self.spacing <= 0.0 {
-            return Err(ScoopError::InvalidConfig(
-                "topology.spacing must be > 0".into(),
-            ));
-        }
-        if self.range_factor <= 0.0 {
-            return Err(ScoopError::InvalidConfig(
-                "topology.range_factor must be > 0".into(),
             ));
         }
         Ok(())
@@ -240,9 +237,9 @@ pub struct LinkSpec {
 impl LinkSpec {
     /// The original hardcoded distance-decay model (the pre-calibration
     /// default): linear decay from 78 % delivery at distance 0 to 10 % at
-    /// the range edge. These are the knobs of `LinkModelParams::default()`,
-    /// which `LinkModel::from_topology` builds with, and the anchor point of
-    /// the calibration grid that the calibrated model beats.
+    /// the range edge. `LinkModel::from_topology` builds with these knobs,
+    /// and they are the anchor point of the calibration grid that the
+    /// calibrated model beats.
     pub fn legacy() -> Self {
         LinkSpec {
             family: LinkFamily::DistanceDecay,
@@ -1458,6 +1455,16 @@ mod tests {
         let mut spec = ScenarioSpec::paper_defaults();
         spec.topology.spacing = 0.0;
         assert!(spec.validate().is_err());
+
+        // The CLI's `--set` path: NaN and ±∞ parse, and validation rejects them.
+        for bad in ["nan", "inf", "-inf"] {
+            for knob in ["area_per_node", "spacing", "range_factor"] {
+                let mut spec = ScenarioSpec::paper_defaults();
+                spec.set_axis(&format!("topology.{knob}"), bad).unwrap();
+                let err = spec.validate().unwrap_err().to_string();
+                assert!(err.contains(knob), "{knob} = {bad}: {err}");
+            }
+        }
 
         let mut spec = ScenarioSpec::paper_defaults();
         spec.faults

@@ -120,12 +120,6 @@ impl ValueRange {
         }
     }
 
-    /// Returns `true` if `other` starts exactly where `self` ends (so the two
-    /// can be coalesced into one contiguous range).
-    pub fn adjacent_below(&self, other: &ValueRange) -> bool {
-        self.hi + 1 == other.lo
-    }
-
     /// Iterates over every value in the range.
     pub fn values(&self) -> impl Iterator<Item = Value> {
         self.lo..=self.hi
@@ -180,15 +174,6 @@ mod tests {
         let b = ValueRange::new(5, 15);
         assert_eq!(a.intersect(&b), Some(ValueRange::new(5, 10)));
         assert_eq!(a.intersect(&ValueRange::new(20, 30)), None);
-    }
-
-    #[test]
-    fn adjacency() {
-        let a = ValueRange::new(0, 4);
-        let b = ValueRange::new(5, 9);
-        assert!(a.adjacent_below(&b));
-        assert!(!b.adjacent_below(&a));
-        assert!(!a.adjacent_below(&ValueRange::new(6, 9)));
     }
 
     #[test]

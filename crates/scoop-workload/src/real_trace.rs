@@ -25,7 +25,7 @@
 //! `(seed, node, now)`. Sampling is therefore a pure function of
 //! `(node, now)`: per-node copies of the trace agree exactly, which is the
 //! contract the parallel scenario runner relies on (see
-//! [`DataSource`](crate::sources::DataSource)).
+//! [`DataSource`]).
 
 use crate::sources::{sample_hash, unit_f64, DataSource};
 use rand::rngs::StdRng;

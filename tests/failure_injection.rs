@@ -5,7 +5,8 @@
 use scoop::net::{LinkModel, Topology};
 use scoop::sim::SimNode;
 use scoop::types::{
-    DataSourceKind, ExperimentConfig, FaultWindow, NodeId, SimDuration, SimTime, StoragePolicy,
+    DataSourceKind, ExperimentConfig, FaultWindow, LinkSpec, NodeId, SimDuration, SimTime,
+    StoragePolicy,
 };
 
 fn tiny_cfg() -> ExperimentConfig {
@@ -26,7 +27,7 @@ fn run_with_links(
     mutate: impl FnOnce(&Topology, &mut LinkModel),
 ) -> scoop::net::Engine<SimNode> {
     let topo = Topology::office_floor(cfg.num_nodes, cfg.seed).expect("topology");
-    let mut links = LinkModel::from_topology(&topo, cfg.seed);
+    let mut links = LinkModel::from_spec(&LinkSpec::legacy(), &topo, cfg.seed).expect("valid spec");
     mutate(&topo, &mut links);
     let mut engine = scoop::sim::runner::build_engine_with(cfg, topo, links).expect("engine");
     engine.run_until(SimTime::ZERO + cfg.duration);

@@ -9,7 +9,7 @@ use scoop::core::index::{IndexBuilderConfig, IndexDecision};
 use scoop::core::summary::{ReportedNeighbor, SummaryMessage};
 use scoop::core::{CostModel, CostParams, IndexBuilder, QueryPlanner, StatsStore};
 use scoop::net::{LinkModel, Topology};
-use scoop::types::{NodeId, SimTime, StorageIndexId, Value, ValueRange};
+use scoop::types::{LinkSpec, NodeId, SimTime, StorageIndexId, Value, ValueRange};
 
 /// Builds the basestation's statistics as if a 4-hop chain of sensors had
 /// reported summaries, then runs the full index-construction + query-planning
@@ -172,7 +172,7 @@ fn store_local_fallback_triggers_when_queries_stop() {
 #[test]
 fn paper_floor_is_connected_with_lossy_links() {
     let topo = Topology::office_floor(62, 9).expect("topology");
-    let links = LinkModel::from_topology(&topo, 9);
+    let links = LinkModel::from_spec(&LinkSpec::legacy(), &topo, 9).expect("valid spec");
     assert!(topo.is_connected());
     assert!(links.mean_loss() > 0.2 && links.mean_loss() < 0.8);
 }
