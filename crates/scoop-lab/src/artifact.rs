@@ -11,7 +11,7 @@
 
 use crate::rows::RowSet;
 use crate::suite::{ExperimentId, SuiteOptions};
-use scoop_types::{ExperimentConfig, ScoopError};
+use scoop_types::{ScenarioSpec, ScoopError};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -145,7 +145,7 @@ impl Artifact {
     pub fn new(
         id: ExperimentId,
         options: &SuiteOptions,
-        base: &ExperimentConfig,
+        base: &ScenarioSpec,
         rows: RowSet,
         provenance: Provenance,
     ) -> Self {
@@ -185,7 +185,7 @@ impl Artifact {
 }
 
 /// Stable 64-bit FNV-1a hash of the canonical (compact) config JSON.
-pub fn config_hash(config: &ExperimentConfig) -> String {
+pub fn config_hash(config: &ScenarioSpec) -> String {
     let canonical = serde_json::to_string(config).unwrap_or_default();
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in canonical.bytes() {

@@ -27,7 +27,7 @@ use crate::diff::diff_rows;
 use crate::rows::RowSet;
 use crate::suite::{run_suite, ExperimentId, PointSet, Scale, SuiteOptions};
 use scoop_sim::MessageBreakdown;
-use scoop_types::{ExperimentConfig, SimDuration, SimTime, MAX_NODES};
+use scoop_types::{ScenarioSpec, SimDuration, SimTime, MAX_NODES};
 use std::path::PathBuf;
 
 /// Default directory artifacts are written to / read from.
@@ -326,7 +326,7 @@ fn cmd_trace(args: &[String]) -> Result<i32, String> {
     }
     // The positionals are the spec axes of the same names, so a bad value
     // fails with the axis's accepted vocabulary instead of a silent default.
-    let mut cfg = ExperimentConfig::small_test();
+    let mut cfg = ScenarioSpec::small_test();
     for (axis, value) in ["policy", "source", "nodes"].into_iter().zip(&positional) {
         cfg.set_axis(axis, value).map_err(|e| e.to_string())?;
     }

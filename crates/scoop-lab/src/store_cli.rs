@@ -22,8 +22,7 @@
 
 use crate::artifact::Artifact;
 use crate::suite::{ExperimentId, PointSet, Scale, SuiteOptions};
-use scoop_storage::PersistenceBackend;
-use scoop_store::{DiskBackend, IngestReport, Store, StoreOptions, StoreStats};
+use scoop_store::{DiskBackend, IngestReport, PersistenceBackend, Store, StoreOptions, StoreStats};
 use scoop_types::{Attribute, DurableRecord, NodeId, Reading, SimTime};
 use serde::Serialize;
 use std::path::{Path, PathBuf};

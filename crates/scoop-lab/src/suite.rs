@@ -11,7 +11,7 @@
 use crate::artifact::{Artifact, Provenance};
 use crate::rows::RowSet;
 use scoop_sim::experiments::{self, calibration, fig4, fig5};
-use scoop_types::{DataSourceKind, ExperimentConfig, ScoopError, StoragePolicy};
+use scoop_types::{DataSourceKind, ScenarioSpec, ScoopError, StoragePolicy};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
@@ -27,7 +27,7 @@ pub enum Scale {
 
 impl Scale {
     /// The base configuration for this scale.
-    pub fn base_config(self) -> ExperimentConfig {
+    pub fn base_config(self) -> ScenarioSpec {
         match self {
             Scale::Paper => experiments::paper_base(),
             Scale::Quick => experiments::quick_base(),
@@ -264,7 +264,7 @@ impl SuiteOptions {
     /// value (the error lists the valid axes), or a resolved spec that is out
     /// of range — so these mistakes surface before any simulation runs, and
     /// an artifact never records a trial count it did not run.
-    pub fn base_config(&self) -> Result<ExperimentConfig, ScoopError> {
+    pub fn base_config(&self) -> Result<ScenarioSpec, ScoopError> {
         if self.trials == 0 {
             return Err(ScoopError::InvalidConfig(
                 "trials must be at least 1".into(),
@@ -281,7 +281,7 @@ impl SuiteOptions {
 /// Runs one experiment and returns its rows.
 pub fn run_experiment(
     id: ExperimentId,
-    base: &ExperimentConfig,
+    base: &ScenarioSpec,
     trials: usize,
     points: PointSet,
 ) -> Result<RowSet, ScoopError> {

@@ -24,7 +24,6 @@
 pub mod engine;
 pub mod event;
 pub mod fault;
-pub mod gen;
 pub mod link;
 pub mod packet;
 pub mod stats;
@@ -33,7 +32,6 @@ pub mod topology;
 pub use engine::{Engine, EngineConfig, NodeCtx, NodeLogic, TimerToken};
 pub use event::{Event, EventQueue};
 pub use fault::{FaultSchedule, Outage, PartitionCut};
-pub use gen::{LinkGen, StdLinkGen, StdTopologyGen, TopologyGen};
 pub use link::{LinkModel, LinkQuality, Neighbor};
 pub use packet::{LinkDst, Packet, PacketMeta};
 pub use stats::{NetworkStats, NodeStats};

@@ -184,7 +184,7 @@ impl LinkModel {
 
     /// Builds the loss model described by a [`LinkSpec`]: the family it names
     /// with its calibration knobs applied. This is the single construction
-    /// path the `LinkGen` factories use.
+    /// path a simulation's links take.
     pub fn from_spec(
         spec: &LinkSpec,
         topo: &Topology,
@@ -354,6 +354,44 @@ impl LinkModel {
 mod tests {
     use super::*;
     use crate::topology::Topology;
+    use scoop_types::TopologySpec;
+
+    #[test]
+    fn spec_path_matches_direct_construction_on_defaults() {
+        // The spec path must be byte-identical to the legacy constructors
+        // for the paper's office-floor defaults.
+        let topo_spec = Topology::connected(&TopologySpec::office_floor(), 62, 7).unwrap();
+        let topo_direct = Topology::office_floor(62, 7).unwrap();
+        for n in topo_direct.nodes() {
+            assert_eq!(
+                topo_spec.position(n).unwrap().x,
+                topo_direct.position(n).unwrap().x
+            );
+            assert_eq!(
+                topo_spec.position(n).unwrap().y,
+                topo_direct.position(n).unwrap().y
+            );
+        }
+        assert_eq!(topo_spec.radio_range(), topo_direct.radio_range());
+
+        let links_spec = LinkModel::from_spec(&LinkSpec::legacy(), &topo_spec, 7).unwrap();
+        let links_direct = LinkModel::from_topology(&topo_direct, 7);
+        for a in topo_direct.nodes() {
+            for b in topo_direct.nodes() {
+                assert_eq!(
+                    links_spec.link(a, b).delivery_prob,
+                    links_direct.link(a, b).delivery_prob
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn perfect_family_produces_lossless_links() {
+        let topo = Topology::connected(&TopologySpec::grid(), 24, 1).unwrap();
+        let links = LinkModel::from_spec(&LinkSpec::perfect(), &topo, 1).unwrap();
+        assert_eq!(links.mean_loss(), 0.0);
+    }
 
     fn testbed() -> (Topology, LinkModel) {
         let topo = Topology::office_floor(62, 11).unwrap();

@@ -189,9 +189,9 @@ impl Topology {
 
     /// Builds the layout described by a [`TopologySpec`]: the generator named
     /// by `spec.kind` with the spec's geometry parameters applied. This is
-    /// the single construction path the `TopologyGen` factories use; the
-    /// named constructors below are thin wrappers over it with the default
-    /// spec of each family.
+    /// the single construction path [`Topology::connected`] uses; the named
+    /// constructors below are thin wrappers over it with the default spec of
+    /// each family.
     pub fn from_spec(spec: &TopologySpec, num_nodes: usize, seed: u64) -> Result<Self, ScoopError> {
         spec.validate()?;
         match spec.kind {
@@ -199,6 +199,38 @@ impl Topology {
             TopologyKind::Grid => Self::grid_spec(spec, num_nodes),
             TopologyKind::UniformRandom => Self::uniform_random_spec(spec, num_nodes, seed),
             TopologyKind::Linear => Self::linear_spec(spec, num_nodes),
+        }
+    }
+
+    /// [`Topology::from_spec`], guaranteed connected: the layout every
+    /// simulation runs on, a pure function of `(spec, num_nodes, seed)`.
+    ///
+    /// Random placements (uniform random; jittered office floors at unlucky
+    /// sizes) can land disconnected. Rather than handing the protocol an
+    /// unreachable island, this deterministically widens the radio range by
+    /// 25 % per attempt until every node can reach the basestation. Specs
+    /// whose natural range already connects — including every paper default
+    /// used by the committed experiments — take the first attempt and are
+    /// byte-identical to `from_spec`.
+    pub fn connected(spec: &TopologySpec, num_nodes: usize, seed: u64) -> Result<Self, ScoopError> {
+        let mut boost = 1.0;
+        loop {
+            let attempt = TopologySpec {
+                range_factor: spec.range_factor * boost,
+                ..*spec
+            };
+            let topo = Self::from_spec(&attempt, num_nodes, seed)?;
+            if topo.is_connected() {
+                return Ok(topo);
+            }
+            boost *= 1.25;
+            if boost > 1e4 {
+                // A range 10⁴× the natural one covers any finite arena; if
+                // we get here the spec itself is degenerate.
+                return Err(ScoopError::InvalidConfig(format!(
+                    "topology spec cannot be connected: {spec:?} with {num_nodes} nodes"
+                )));
+            }
         }
     }
 
@@ -701,5 +733,45 @@ mod tests {
         assert!(topo.position(NodeId(99)).is_none());
         assert!(topo.neighbors(NodeId(99)).is_empty());
         assert_eq!(topo.hop_distance(NodeId(0), NodeId(99)), None);
+    }
+
+    #[test]
+    fn every_kind_generates_a_connected_topology() {
+        for kind in TopologyKind::ALL {
+            let spec = TopologySpec {
+                kind,
+                ..TopologySpec::office_floor()
+            };
+            for nodes in [2, 17, 96] {
+                let topo = Topology::connected(&spec, nodes, 11).unwrap();
+                assert_eq!(topo.num_sensors(), nodes, "{kind:?}");
+                assert!(topo.is_connected(), "{kind:?} at {nodes} nodes");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_random_placements_get_range_escalated_until_connected() {
+        // A deliberately starved radio range: escalation must rescue it.
+        let spec = TopologySpec {
+            kind: TopologyKind::UniformRandom,
+            range_factor: 0.05,
+            ..TopologySpec::uniform_random()
+        };
+        for seed in 0..10 {
+            let topo = Topology::connected(&spec, 30, seed).unwrap();
+            assert!(topo.is_connected(), "seed {seed}");
+            assert!(topo
+                .nodes()
+                .all(|n| topo.hop_distance(n, NodeId::BASESTATION).is_some()));
+        }
+    }
+
+    #[test]
+    fn grid_spec_truncates_to_the_requested_count() {
+        let topo = Topology::connected(&TopologySpec::grid(), 256, 3).unwrap();
+        assert_eq!(topo.len(), 257);
+        assert_eq!(topo.kind(), TopologyKind::Grid);
+        assert!(topo.is_connected());
     }
 }

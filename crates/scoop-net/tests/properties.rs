@@ -5,9 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scoop_net::{
-    FaultSchedule, LinkModel, Neighbor, NodePosition, StdTopologyGen, Topology, TopologyGen,
-};
+use scoop_net::{FaultSchedule, LinkModel, Neighbor, NodePosition, Topology};
 use scoop_types::{LinkSpec, NodeId, ScoopError, SimTime, TopologyKind, TopologySpec};
 use std::time::{Duration, Instant};
 
@@ -154,7 +152,7 @@ proptest! {
             kind: TopologyKind::ALL[kind_index],
             ..TopologySpec::office_floor()
         };
-        let topo = StdTopologyGen.generate(&spec, nodes, seed).expect("within limits");
+        let topo = Topology::connected(&spec, nodes, seed).expect("within limits");
         let link = LinkSpec {
             distance_exponent: if calibrated == 1 {
                 LinkSpec::calibrated().distance_exponent
@@ -238,7 +236,7 @@ proptest! {
             kind: TopologyKind::ALL[kind_index],
             ..TopologySpec::office_floor()
         };
-        let topo = StdTopologyGen.generate(&spec, nodes, seed).expect("within limits");
+        let topo = Topology::connected(&spec, nodes, seed).expect("within limits");
         let links = LinkModel::from_spec(&LinkSpec::legacy(), &topo, seed).expect("valid spec");
         for a in topo.nodes() {
             // The old dense scan, reimplemented verbatim as the oracle.
@@ -277,7 +275,7 @@ proptest! {
             kind: TopologyKind::ALL[kind_index],
             ..TopologySpec::office_floor()
         };
-        let topo = StdTopologyGen.generate(&spec, nodes, seed).expect("within limits");
+        let topo = Topology::connected(&spec, nodes, seed).expect("within limits");
         let defaults = LinkSpec::default();
         let harsh_spec = LinkSpec {
             loss_floor: floor_harsh,
@@ -318,7 +316,7 @@ proptest! {
             kind: TopologyKind::ALL[kind_index],
             ..TopologySpec::office_floor()
         };
-        let topo = StdTopologyGen.generate(&spec, nodes, seed).expect("within limits");
+        let topo = Topology::connected(&spec, nodes, seed).expect("within limits");
         let low_spec = LinkSpec {
             loss_floor: floor,
             edge_delivery: edge_low.min(1.0 - floor),
@@ -362,7 +360,7 @@ proptest! {
             kind: TopologyKind::ALL[kind_index],
             ..TopologySpec::office_floor()
         };
-        let topo = StdTopologyGen.generate(&spec, nodes, seed).expect("within limits");
+        let topo = Topology::connected(&spec, nodes, seed).expect("within limits");
         let link_spec = LinkSpec {
             loss_floor: floor,
             edge_delivery: (1.0 - floor).min(0.99),
@@ -398,7 +396,7 @@ proptest! {
             kind: TopologyKind::ALL[kind_index],
             ..TopologySpec::office_floor()
         };
-        let topo = StdTopologyGen.generate(&spec, nodes, seed).expect("within limits");
+        let topo = Topology::connected(&spec, nodes, seed).expect("within limits");
         prop_assert_eq!(topo.len(), nodes + 1);
         prop_assert!(topo.is_connected(), "{:?} disconnected at {} nodes seed {}",
             spec.kind, nodes, seed);
@@ -459,7 +457,7 @@ proptest! {
         // An unknown source reaches nothing, like `hop_distance` from it.
         prop_assert!(raw.hops_from(NodeId(raw.len() as u16)).iter().all(|&d| d == u32::MAX));
 
-        let escalated = StdTopologyGen.generate(&spec, nodes, seed).expect("escalates");
+        let escalated = Topology::connected(&spec, nodes, seed).expect("escalates");
         if raw.is_connected() {
             prop_assert_eq!(escalated.radio_range(), raw.radio_range());
         } else {
@@ -483,7 +481,7 @@ fn starved_range_disconnects_every_family_and_escalation_rescues_it() {
         };
         let raw = Topology::from_spec(&spec, 60, 3).expect("within limits");
         assert!(!raw.is_connected(), "{kind:?} should be starved at 0.2");
-        let rescued = StdTopologyGen.generate(&spec, 60, 3).expect("escalates");
+        let rescued = Topology::connected(&spec, 60, 3).expect("escalates");
         assert!(rescued.is_connected(), "{kind:?}");
         assert!(rescued.radio_range() > raw.radio_range());
     }

@@ -26,8 +26,7 @@ use crate::core::{AnswerCore, CoreStats};
 use crate::transport::{ClientId, Transport};
 use scoop_net::Engine;
 use scoop_sim::{SimBuilder, SimNode, TICK_SERVE};
-use scoop_storage::PersistenceBackend;
-use scoop_store::{DiskBackend, Store, StoreOptions};
+use scoop_store::{DiskBackend, PersistenceBackend, Store, StoreOptions};
 use scoop_types::append_overloaded_frame;
 use scoop_types::{
     append_rows_frame, DurableRecord, NodeId, Overloaded, QueryPredicate, Reading, ScenarioSpec,
@@ -168,7 +167,7 @@ impl ServeServer {
 
     /// Builds the simulated network over an explicit persistence backend
     /// (no stored history). This is how fault models are wired into the
-    /// seam: wrap any backend in a [`scoop_storage::FailpointBackend`] and
+    /// seam: wrap any backend in a [`scoop_store::FailpointBackend`] and
     /// hand it here.
     pub fn with_backend<B: PersistenceBackend + Send + 'static>(
         options: ServeOptions,

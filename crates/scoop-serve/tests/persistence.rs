@@ -6,7 +6,7 @@
 //! server keeps answering from memory.
 
 use scoop_serve::server::{ServeOptions, ServeServer};
-use scoop_storage::{FailpointBackend, InMemoryBackend};
+use scoop_store::{FailpointBackend, InMemoryBackend};
 use scoop_types::{ScenarioSpec, ScoopError, ServeRequest, SimDuration, SimTime, ValueRange};
 use std::path::{Path, PathBuf};
 

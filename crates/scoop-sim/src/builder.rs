@@ -3,16 +3,13 @@
 //! [`SimBuilder`] is the single construction path for every experiment run:
 //! the runner, the sweep grids, `scoop-lab`, and the bench harness all build
 //! engines here. The topology and link axes are realized by
-//! [`StdTopologyGen`] and [`StdLinkGen`], and the fault axis is resolved into
-//! a concrete radio-outage schedule. Everything stays `Send` and
-//! deterministic in `spec.seed`, which is what lets the parallel sweep
-//! runner spread builds across threads.
+//! [`Topology::connected`] and [`LinkModel::from_spec`], and the fault axis
+//! is resolved into a concrete radio-outage schedule. Everything stays
+//! `Send` and deterministic in `spec.seed`, which is what lets the parallel
+//! sweep runner spread builds across threads.
 
 use crate::node::{NodeShared, SimNode};
-use scoop_net::{
-    Engine, EngineConfig, FaultSchedule, LinkGen, LinkModel, StdLinkGen, StdTopologyGen, Topology,
-    TopologyGen,
-};
+use scoop_net::{Engine, EngineConfig, FaultSchedule, LinkModel, Topology};
 use scoop_types::{NodeId, ScenarioSpec, ScoopError, SimTime};
 use scoop_workload::make_source_for;
 use std::sync::Arc;
@@ -56,8 +53,8 @@ impl SimBuilder {
         let spec = &self.spec;
         spec.validate()?;
         let sensors = spec.num_nodes + spec.faults.total_joins(spec.num_nodes);
-        let topology = StdTopologyGen.generate(&spec.topology, sensors, spec.seed)?;
-        let links = StdLinkGen.generate(&spec.link, &topology, spec.seed)?;
+        let topology = Topology::connected(&spec.topology, sensors, spec.seed)?;
+        let links = LinkModel::from_spec(&spec.link, &topology, spec.seed)?;
         assemble(spec, topology, links)
     }
 }

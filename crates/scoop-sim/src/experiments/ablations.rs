@@ -8,7 +8,7 @@
 //! suite executed by the parallel sweep runner.
 
 use crate::sweep::{ScenarioSuite, SweepRunner};
-use scoop_types::{DataSourceKind, ExperimentConfig, ScoopError, StoragePolicy};
+use scoop_types::{DataSourceKind, ScenarioSpec, ScoopError, StoragePolicy};
 use serde::{Deserialize, Serialize};
 
 /// One ablation configuration and its cost.
@@ -27,7 +27,7 @@ pub struct AblationRow {
 }
 
 /// A named config mutation enabling one ablation variant.
-type Variant = (&'static str, fn(&mut ExperimentConfig));
+type Variant = (&'static str, fn(&mut ScenarioSpec));
 
 /// The ablation variants: name plus the config mutation that enables each.
 fn variants() -> Vec<Variant> {
@@ -48,7 +48,7 @@ fn variants() -> Vec<Variant> {
 
 /// Runs the full ablation suite for SCOOP on the given data source.
 pub fn ablation_rows(
-    base: &ExperimentConfig,
+    base: &ScenarioSpec,
     source: DataSourceKind,
     trials: usize,
 ) -> Result<Vec<AblationRow>, ScoopError> {

@@ -10,7 +10,7 @@
 //! committed `results/calibration.json` to that.
 
 use crate::sweep::{ScenarioSuite, SweepRunner};
-use scoop_types::{ExperimentConfig, LinkSpec, ScoopError, StoragePolicy};
+use scoop_types::{LinkSpec, ScenarioSpec, ScoopError, StoragePolicy};
 use serde::{Deserialize, Serialize};
 
 /// The paper targets, in [`objective`] term order: storage success ~93 %,
@@ -121,7 +121,7 @@ pub fn smoke_grid() -> Vec<LinkSpec> {
 /// Runs SCOOP and BASE at every grid point (through one sweep) and scores
 /// each point by [`objective`]. Rows come back in grid order.
 pub fn calibration(
-    base: &ExperimentConfig,
+    base: &ScenarioSpec,
     grid: &[LinkSpec],
     trials: usize,
 ) -> Result<Vec<CalibrationRow>, ScoopError> {

@@ -18,7 +18,7 @@ use crate::node::SimNode;
 use crate::runner::build_engine;
 use scoop_net::Engine;
 use scoop_types::{
-    ChurnEvent, ExperimentConfig, NodeId, PartitionWindow, ScoopError, SimDuration, SimTime,
+    ChurnEvent, NodeId, PartitionWindow, ScenarioSpec, ScoopError, SimDuration, SimTime,
     SinkOutage, StoragePolicy,
 };
 use serde::{Deserialize, Serialize};
@@ -84,7 +84,7 @@ pub struct ChaosRow {
 /// The shared chaos base: SCOOP, with the measured window doubled so the
 /// fault, its aftermath, and a steady-state recovery tail all fit. Both the
 /// faulted and the control run use this, so their phase windows coincide.
-pub fn chaos_base(base: &ExperimentConfig) -> ExperimentConfig {
+pub fn chaos_base(base: &ScenarioSpec) -> ScenarioSpec {
     let mut cfg = base.clone();
     cfg.policy.kind = StoragePolicy::Scoop;
     let w = cfg.warmup.as_secs();
@@ -104,7 +104,7 @@ pub fn chaos_base(base: &ExperimentConfig) -> ExperimentConfig {
 /// "end" is one remap interval after the event, the time the joiners need to
 /// be integrated. A fault-free config (the control) falls back to thirds,
 /// but the control is always measured over its faulted twin's boundaries.
-pub fn phase_boundaries(cfg: &ExperimentConfig) -> (SimTime, SimTime, SimTime, SimTime) {
+pub fn phase_boundaries(cfg: &ScenarioSpec) -> (SimTime, SimTime, SimTime, SimTime) {
     let w = cfg.warmup.as_secs();
     let d = cfg.duration.as_secs();
     let remap = cfg.policy.scoop.remap_interval.as_secs();
@@ -151,7 +151,7 @@ pub fn phase_boundaries(cfg: &ExperimentConfig) -> (SimTime, SimTime, SimTime, S
 ///   declares it dead and absorbs its attribute range before the restart.
 /// * `churn` — at `0.25 m`, a quarter of the sensors dies permanently and a
 ///   quarter's worth of fresh nodes joins.
-pub fn scenario_config(base: &ExperimentConfig, scenario: ChaosScenario) -> ExperimentConfig {
+pub fn scenario_config(base: &ScenarioSpec, scenario: ChaosScenario) -> ScenarioSpec {
     let mut cfg = chaos_base(base);
     let w = cfg.warmup.as_secs();
     let m = cfg.duration.as_secs().saturating_sub(w);
@@ -181,7 +181,7 @@ pub fn scenario_config(base: &ExperimentConfig, scenario: ChaosScenario) -> Expe
 /// The control configuration: same (doubled) base, SCOOP, no faults — and
 /// single-sink, so the failover scenario is compared against the classic
 /// deployment it must stay within tolerance of.
-pub fn control_config(base: &ExperimentConfig) -> ExperimentConfig {
+pub fn control_config(base: &ScenarioSpec) -> ScenarioSpec {
     chaos_base(base)
 }
 
@@ -220,7 +220,7 @@ struct PhaseRates {
 /// *faulted* config's), so faulted and control runs are differenced over
 /// identical windows.
 fn run_phased(
-    cfg: &ExperimentConfig,
+    cfg: &ScenarioSpec,
     boundaries: (SimTime, SimTime, SimTime, SimTime),
 ) -> Result<[PhaseRates; 3], ScoopError> {
     let (warmup, b1, b2, end) = boundaries;
@@ -258,7 +258,7 @@ fn run_phased(
 /// Runs one chaos scenario (`trials` seeds, averaged) and returns one row
 /// per phase.
 pub fn chaos(
-    base: &ExperimentConfig,
+    base: &ScenarioSpec,
     scenario: ChaosScenario,
     trials: usize,
 ) -> Result<Vec<ChaosRow>, ScoopError> {

@@ -13,7 +13,7 @@
 
 use crate::metrics::MessageBreakdown;
 use crate::sweep::{ScenarioSuite, SweepRunner};
-use scoop_types::{DataSourceKind, ExperimentConfig, ScoopError, StoragePolicy};
+use scoop_types::{DataSourceKind, ScenarioSpec, ScoopError, StoragePolicy};
 use serde::{Deserialize, Serialize};
 
 /// One bar of Figure 3.
@@ -32,7 +32,7 @@ pub struct Fig3Row {
 /// Runs one panel of Figure 3: the given `(policy, source)` bars.
 fn run_panel(
     name: &str,
-    base: &ExperimentConfig,
+    base: &ScenarioSpec,
     combos: &[(StoragePolicy, DataSourceKind)],
     trials: usize,
 ) -> Result<Vec<Fig3Row>, ScoopError> {
@@ -57,7 +57,7 @@ fn run_panel(
 }
 
 /// Figure 3 (left): the testbed bars.
-pub fn fig3_left(base: &ExperimentConfig, trials: usize) -> Result<Vec<Fig3Row>, ScoopError> {
+pub fn fig3_left(base: &ScenarioSpec, trials: usize) -> Result<Vec<Fig3Row>, ScoopError> {
     run_panel(
         "fig3-left",
         base,
@@ -72,7 +72,7 @@ pub fn fig3_left(base: &ExperimentConfig, trials: usize) -> Result<Vec<Fig3Row>,
 }
 
 /// Figure 3 (middle): all four policies over the REAL trace.
-pub fn fig3_middle(base: &ExperimentConfig, trials: usize) -> Result<Vec<Fig3Row>, ScoopError> {
+pub fn fig3_middle(base: &ScenarioSpec, trials: usize) -> Result<Vec<Fig3Row>, ScoopError> {
     let combos: Vec<_> = StoragePolicy::ALL
         .into_iter()
         .map(|p| (p, DataSourceKind::Real))
@@ -81,7 +81,7 @@ pub fn fig3_middle(base: &ExperimentConfig, trials: usize) -> Result<Vec<Fig3Row
 }
 
 /// Figure 3 (right): SCOOP over every data source.
-pub fn fig3_right(base: &ExperimentConfig, trials: usize) -> Result<Vec<Fig3Row>, ScoopError> {
+pub fn fig3_right(base: &ScenarioSpec, trials: usize) -> Result<Vec<Fig3Row>, ScoopError> {
     let combos: Vec<_> = DataSourceKind::ALL
         .into_iter()
         .map(|s| (StoragePolicy::Scoop, s))

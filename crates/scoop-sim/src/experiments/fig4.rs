@@ -6,7 +6,7 @@
 //! SCOOP grows with selectivity, crossing BASE at around 60 %.
 
 use crate::sweep::{ScenarioSuite, SweepRunner};
-use scoop_types::{ExperimentConfig, ScoopError, StoragePolicy};
+use scoop_types::{ScenarioSpec, ScoopError, StoragePolicy};
 use serde::{Deserialize, Serialize};
 
 /// One point of Figure 4.
@@ -25,7 +25,7 @@ pub struct Fig4Row {
 /// Runs the Figure 4 sweep. `width_fracs` are the query widths to try
 /// (the paper's x-axis runs from a few percent of nodes up to 100 %).
 pub fn fig4_selectivity(
-    base: &ExperimentConfig,
+    base: &ScenarioSpec,
     width_fracs: &[f64],
     trials: usize,
 ) -> Result<Vec<Fig4Row>, ScoopError> {

@@ -6,7 +6,7 @@
 //! summary traffic.
 
 use crate::sweep::{ScenarioSuite, SweepRunner};
-use scoop_types::{ExperimentConfig, ScoopError, SimDuration, StoragePolicy};
+use scoop_types::{ScenarioSpec, ScoopError, SimDuration, StoragePolicy};
 use serde::{Deserialize, Serialize};
 
 /// One point of Figure 5.
@@ -22,7 +22,7 @@ pub struct Fig5Row {
 
 /// Runs the Figure 5 sweep over the given query intervals (seconds).
 pub fn fig5_query_interval(
-    base: &ExperimentConfig,
+    base: &ScenarioSpec,
     intervals_secs: &[u64],
     trials: usize,
 ) -> Result<Vec<Fig5Row>, ScoopError> {

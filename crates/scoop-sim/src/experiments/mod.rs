@@ -1,7 +1,7 @@
 //! One module per experiment in the paper's evaluation (Section 6).
 //!
 //! Every function takes a *base* configuration — [`paper_base`] for the real
-//! thing, or [`ExperimentConfig::small_test`](scoop_types::ExperimentConfig::small_test)
+//! thing, or [`ScenarioSpec::small_test`](scoop_types::ScenarioSpec::small_test)
 //! for quick checks — plus a trial count, and returns the rows of the
 //! corresponding figure or table. `scoop-lab run <slug>` calls these,
 //! prints the rows and persists them as artifacts; `EXPERIMENTS.md` records
@@ -16,19 +16,19 @@ pub mod fig5;
 pub mod prose;
 pub mod workloads;
 
-use scoop_types::ExperimentConfig;
+use scoop_types::ScenarioSpec;
 
 /// The paper's default configuration (Section 6): 62 nodes, 40 minutes,
 /// 15-second sample and query intervals, REAL data.
-pub fn paper_base() -> ExperimentConfig {
-    ExperimentConfig::paper_defaults()
+pub fn paper_base() -> ScenarioSpec {
+    ScenarioSpec::paper_defaults()
 }
 
 /// A scaled-down configuration for fast sanity runs of every experiment
 /// (16 nodes, 12 minutes). The shapes of the results hold; absolute numbers
 /// are smaller.
-pub fn quick_base() -> ExperimentConfig {
-    ExperimentConfig::small_test()
+pub fn quick_base() -> ScenarioSpec {
+    ScenarioSpec::small_test()
 }
 
 pub use ablations::{ablation_rows, AblationRow};

@@ -4,7 +4,7 @@
 //! [`SweepRunner`].
 
 use crate::sweep::{ScenarioSuite, SweepRunner};
-use scoop_types::{DataSourceKind, ExperimentConfig, ScoopError, SimDuration, StoragePolicy};
+use scoop_types::{DataSourceKind, ScenarioSpec, ScoopError, SimDuration, StoragePolicy};
 use serde::{Deserialize, Serialize};
 
 /// One point of the sample-interval sweep ("as less data is stored,
@@ -25,7 +25,7 @@ pub struct SampleIntervalRow {
 
 /// Sweeps the sample interval for SCOOP over the given data sources.
 pub fn sample_interval_sweep(
-    base: &ExperimentConfig,
+    base: &ScenarioSpec,
     sources: &[DataSourceKind],
     intervals_secs: &[u64],
     trials: usize,
@@ -77,7 +77,7 @@ pub struct ReliabilityRow {
 
 /// Runs the reliability experiment for the given policies.
 pub fn reliability(
-    base: &ExperimentConfig,
+    base: &ScenarioSpec,
     policies: &[StoragePolicy],
     trials: usize,
 ) -> Result<Vec<ReliabilityRow>, ScoopError> {
@@ -118,7 +118,7 @@ pub struct RootSkewRow {
 }
 
 /// Runs the root-skew experiment for SCOOP, BASE, and LOCAL.
-pub fn root_skew(base: &ExperimentConfig, trials: usize) -> Result<Vec<RootSkewRow>, ScoopError> {
+pub fn root_skew(base: &ScenarioSpec, trials: usize) -> Result<Vec<RootSkewRow>, ScoopError> {
     let policies = [
         StoragePolicy::Scoop,
         StoragePolicy::Base,
@@ -164,7 +164,7 @@ pub struct ScalingRow {
 
 /// Runs the scaling study for SCOOP over the given network sizes and sources.
 pub fn scaling(
-    base: &ExperimentConfig,
+    base: &ScenarioSpec,
     sizes: &[usize],
     sources: &[DataSourceKind],
     trials: usize,
@@ -178,7 +178,7 @@ pub fn scaling(
 /// holds only a values × nodes cost matrix, but it runs one Dijkstra per
 /// producer — 0.2 s at 4,096 sensors — every remap interval.
 pub fn scaling_with_policy(
-    base: &ExperimentConfig,
+    base: &ScenarioSpec,
     sizes: &[usize],
     sources: &[DataSourceKind],
     policy: StoragePolicy,

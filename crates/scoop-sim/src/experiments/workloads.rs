@@ -9,7 +9,7 @@
 //! basestation's own store for free.
 
 use crate::sweep::{ScenarioSuite, SweepRunner};
-use scoop_types::{AggregateOp, ExperimentConfig, ScoopError, StoragePolicy, WorkloadKind};
+use scoop_types::{AggregateOp, ScenarioSpec, ScoopError, StoragePolicy, WorkloadKind};
 use serde::{Deserialize, Serialize};
 
 /// One point of the range-width sweep.
@@ -53,7 +53,7 @@ const POLICIES: [StoragePolicy; 3] = [
 /// Runs the range-width sweep: every policy × every width in `width_fracs`,
 /// with the workload kind pinned to `Range { width_frac }`.
 pub fn range_width(
-    base: &ExperimentConfig,
+    base: &ScenarioSpec,
     width_fracs: &[f64],
     trials: usize,
 ) -> Result<Vec<RangeWidthRow>, ScoopError> {
@@ -105,7 +105,7 @@ pub fn default_aggregate_ops() -> Vec<AggregateOp> {
 /// with the workload kind pinned to `Aggregate { op, epsilon }` at the
 /// default epsilon.
 pub fn aggregate_ops(
-    base: &ExperimentConfig,
+    base: &ScenarioSpec,
     ops: &[AggregateOp],
     trials: usize,
 ) -> Result<Vec<AggregateOpsRow>, ScoopError> {

@@ -7,7 +7,7 @@
 //! falling back to the root), and the transmission/reception skew of the root
 //! node.
 
-use scoop_types::{ExperimentConfig, MessageStats, NodeId};
+use scoop_types::{MessageStats, NodeId, ScenarioSpec};
 use serde::{Deserialize, Serialize};
 
 /// Network-wide message counts by kind over the measured window.
@@ -133,7 +133,7 @@ pub struct RootSkew {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RunResult {
     /// The configuration that produced this result.
-    pub config: ExperimentConfig,
+    pub config: ScenarioSpec,
     /// Network-wide message breakdown over the measured (post-warmup) window.
     pub messages: MessageBreakdown,
     /// Per-node total transmissions over the measured window (index = node id).
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn run_result_root_skew_and_busiest() {
-        let cfg = ExperimentConfig::small_test();
+        let cfg = ScenarioSpec::small_test();
         let r = RunResult {
             config: cfg,
             messages: MessageBreakdown::default(),

@@ -46,6 +46,7 @@ mod sink;
 
 pub use sink::QueryRecord;
 
+use crate::DataBuffer;
 use aggregate::Aggregation;
 use federation::Federation;
 use id_set::SparseIdSet;
@@ -54,9 +55,8 @@ use scoop_core::{DataMessage, QueryMessage, ReplyMessage, ScoopPayload, StorageI
 use scoop_net::{NodeCtx, NodeLogic, Packet, TimerToken};
 use scoop_routing::{RoutingConfig, RoutingState};
 use scoop_sensor::ScoopSensor;
-use scoop_storage::DataBuffer;
 use scoop_types::{
-    ExperimentConfig, MessageKind, NodeId, PartialAggregate, Reading, SimDuration, SimTime,
+    MessageKind, NodeId, PartialAggregate, Reading, ScenarioSpec, SimDuration, SimTime,
     StorageIndexId, StoragePolicy,
 };
 use scoop_workload::DataSource;
@@ -133,7 +133,7 @@ pub struct NodeLocalMetrics {
 /// The per-node protocol state machine (see module docs).
 pub struct SimNode {
     id: NodeId,
-    cfg: Arc<ExperimentConfig>,
+    cfg: Arc<ScenarioSpec>,
     routing: RoutingState,
     buffer: DataBuffer,
     source: Box<dyn DataSource>,
@@ -168,7 +168,7 @@ pub struct SimNode {
 /// per-run immutable state (notably the static index) exists once, not once
 /// per node.
 pub struct NodeShared {
-    cfg: Arc<ExperimentConfig>,
+    cfg: Arc<ScenarioSpec>,
     routing_cfg: RoutingConfig,
     /// The sorted sink set (`[node 0]` classically).
     sink_set: Arc<[NodeId]>,
@@ -179,7 +179,7 @@ pub struct NodeShared {
 
 impl NodeShared {
     /// Derives the shared state from `cfg`.
-    pub fn new(cfg: Arc<ExperimentConfig>) -> Self {
+    pub fn new(cfg: Arc<ScenarioSpec>) -> Self {
         let routing_cfg = RoutingConfig {
             neighbor_cap: cfg.policy.scoop.neighbor_list_cap,
             descendants_cap: cfg.policy.scoop.descendants_cap,
@@ -818,7 +818,7 @@ mod tests {
 
     /// Builds an engine over a small fully-connected grid with perfect links
     /// so protocol behaviour can be checked without loss-induced noise.
-    fn perfect_engine(cfg: &ExperimentConfig, side: usize) -> Engine<SimNode> {
+    fn perfect_engine(cfg: &ScenarioSpec, side: usize) -> Engine<SimNode> {
         let topo = Topology::grid(side, 10.0).expect("grid");
         let links = LinkModel::perfect(&topo);
         let shared = NodeShared::new(Arc::new(cfg.clone()));
@@ -835,8 +835,8 @@ mod tests {
         Engine::new(topo, links, nodes, EngineConfig { seed: cfg.seed }).expect("engine")
     }
 
-    fn tiny_cfg(policy: StoragePolicy, source: DataSourceKind) -> ExperimentConfig {
-        let mut cfg = ExperimentConfig::small_test();
+    fn tiny_cfg(policy: StoragePolicy, source: DataSourceKind) -> ScenarioSpec {
+        let mut cfg = ScenarioSpec::small_test();
         cfg.num_nodes = 8; // 3×3 grid
         cfg.duration = SimDuration::from_mins(9);
         cfg.warmup = SimDuration::from_mins(2);

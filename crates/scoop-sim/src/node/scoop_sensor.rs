@@ -5,14 +5,14 @@
 
 use super::id_set::SparseIdSet;
 use super::{SharedPayload, SimNode};
+use crate::RecentReadings;
 use scoop_core::histogram::SummaryHistogram;
 use scoop_core::index::IndexEntry;
 use scoop_core::summary::ReportedNeighbor;
 use scoop_core::{MappingChunk, ScoopPayload, StorageIndex, SummaryMessage};
 use scoop_net::NodeCtx;
-use scoop_storage::RecentReadings;
 use scoop_trickle::{Chunk, ChunkAssembler};
-use scoop_types::{ExperimentConfig, MessageKind};
+use scoop_types::{MessageKind, ScenarioSpec};
 use std::sync::Arc;
 
 /// Per-node state of the SCOOP policy.
@@ -26,7 +26,7 @@ pub(super) struct ScoopSensor {
 }
 
 impl ScoopSensor {
-    pub(super) fn new(cfg: &ExperimentConfig) -> Self {
+    pub(super) fn new(cfg: &ScenarioSpec) -> Self {
         ScoopSensor {
             recent: RecentReadings::new(cfg.policy.scoop.recent_readings),
             assembler: ChunkAssembler::new(),

@@ -13,7 +13,7 @@ use scoop_core::{
 use scoop_net::NodeCtx;
 use scoop_trickle::Chunker;
 use scoop_types::{
-    ExperimentConfig, MessageKind, NodeBitmap, NodeId, PartialAggregate, SimDuration, SimTime,
+    MessageKind, NodeBitmap, NodeId, PartialAggregate, ScenarioSpec, SimDuration, SimTime,
     StorageIndexId, StoragePolicy, ValueRange,
 };
 use scoop_workload::QueryGenerator;
@@ -112,7 +112,7 @@ impl MultiSinkState {
 
 impl SinkRole {
     /// The sink state of the rank-`rank` sink among `nsinks`.
-    pub(super) fn new(cfg: &ExperimentConfig, rank: usize, nsinks: usize) -> Self {
+    pub(super) fn new(cfg: &ScenarioSpec, rank: usize, nsinks: usize) -> Self {
         let is_multi = nsinks > 1;
         // Rank 0 (node 0) keeps the classic seed and id sequences, so a
         // single-sink run is byte-identical to the pre-federation code.

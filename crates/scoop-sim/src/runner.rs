@@ -1,15 +1,13 @@
-//! Builds and runs whole-network simulations from a
-//! [`ScenarioSpec`](scoop_types::ScenarioSpec) (aka the legacy
-//! [`ExperimentConfig`] alias). Engine construction is delegated to
-//! [`SimBuilder`], so every axis — topology
-//! family, loss model, faults — honors the spec rather than being hardcoded
-//! here.
+//! Builds and runs whole-network simulations from a [`ScenarioSpec`].
+//! Engine construction is delegated to [`SimBuilder`], so every axis —
+//! topology family, loss model, faults — honors the spec rather than being
+//! hardcoded here.
 
 use crate::builder::{assemble, SimBuilder};
 use crate::metrics::{MessageBreakdown, QueryMetrics, RunResult, StorageMetrics};
 use crate::node::SimNode;
 use scoop_net::{Engine, LinkModel, Topology};
-use scoop_types::{ExperimentConfig, MessageStats, NodeId, ScoopError, SimTime};
+use scoop_types::{MessageStats, NodeId, ScenarioSpec, ScoopError, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide count of engine events dispatched by every experiment run
@@ -33,7 +31,7 @@ pub(crate) fn record_events_dispatched(events: u64) {
 
 /// Builds the topology, link model, node state machines, and engine for one
 /// experiment run, as described by every axis of the spec.
-pub fn build_engine(config: &ExperimentConfig) -> Result<Engine<SimNode>, ScoopError> {
+pub fn build_engine(config: &ScenarioSpec) -> Result<Engine<SimNode>, ScoopError> {
     SimBuilder::new(config.clone()).build()
 }
 
@@ -42,7 +40,7 @@ pub fn build_engine(config: &ExperimentConfig) -> Result<Engine<SimNode>, ScoopE
 /// fault axis still applies; its topology and link axes are ignored in favor
 /// of the arguments.
 pub fn build_engine_with(
-    config: &ExperimentConfig,
+    config: &ScenarioSpec,
     topology: Topology,
     links: LinkModel,
 ) -> Result<Engine<SimNode>, ScoopError> {
@@ -65,7 +63,7 @@ fn stats_diff(after: &MessageStats, before: &MessageStats) -> MessageStats {
 ///
 /// Messages are counted over the *measured* window (after the stabilization
 /// warmup), matching the paper's methodology.
-pub fn run_experiment(config: &ExperimentConfig) -> Result<RunResult, ScoopError> {
+pub fn run_experiment(config: &ScenarioSpec) -> Result<RunResult, ScoopError> {
     run_built_experiment(config, build_engine(config)?)
 }
 
@@ -75,7 +73,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> Result<RunResult, ScoopError
 /// models) share the exact measurement path — the equivalence tests compare
 /// the builder path against hand construction through this function.
 pub fn run_built_experiment(
-    config: &ExperimentConfig,
+    config: &ScenarioSpec,
     mut engine: Engine<SimNode>,
 ) -> Result<RunResult, ScoopError> {
     let warmup_end = SimTime::ZERO + config.warmup;
@@ -149,7 +147,7 @@ pub fn run_built_experiment(
 
 /// Runs `trials` runs of the same configuration with different seeds
 /// (`config.seed`, `+1`, `+2`, ...) and returns every result.
-pub fn run_trials(config: &ExperimentConfig, trials: usize) -> Result<Vec<RunResult>, ScoopError> {
+pub fn run_trials(config: &ScenarioSpec, trials: usize) -> Result<Vec<RunResult>, ScoopError> {
     let mut results = Vec::with_capacity(trials);
     for t in 0..trials.max(1) {
         let mut cfg = config.clone();
@@ -220,8 +218,8 @@ mod tests {
     use super::*;
     use scoop_types::{DataSourceKind, StoragePolicy};
 
-    fn small(policy: StoragePolicy, source: DataSourceKind) -> ExperimentConfig {
-        let mut cfg = ExperimentConfig::small_test();
+    fn small(policy: StoragePolicy, source: DataSourceKind) -> ScenarioSpec {
+        let mut cfg = ScenarioSpec::small_test();
         cfg.policy.kind = policy;
         cfg.workload.data_source = source;
         cfg
@@ -304,7 +302,7 @@ mod tests {
 
     #[test]
     fn invalid_config_is_rejected() {
-        let mut cfg = ExperimentConfig::small_test();
+        let mut cfg = ScenarioSpec::small_test();
         cfg.num_nodes = 0;
         assert!(run_experiment(&cfg).is_err());
     }

@@ -18,7 +18,7 @@
 
 use crate::metrics::RunResult;
 use crate::runner::{average_results, run_experiment};
-use scoop_types::{ExperimentConfig, ScoopError};
+use scoop_types::{ScenarioSpec, ScoopError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One named point of a sweep.
@@ -27,12 +27,12 @@ pub struct Scenario {
     /// Human-readable label (used in reports and error messages).
     pub label: String,
     /// The configuration to run.
-    pub config: ExperimentConfig,
+    pub config: ScenarioSpec,
 }
 
 impl Scenario {
     /// Creates a scenario.
-    pub fn new(label: impl Into<String>, config: ExperimentConfig) -> Self {
+    pub fn new(label: impl Into<String>, config: ScenarioSpec) -> Self {
         Scenario {
             label: label.into(),
             config,
@@ -63,7 +63,7 @@ impl ScenarioSuite {
     }
 
     /// Adds one scenario (builder style).
-    pub fn scenario(mut self, label: impl Into<String>, config: ExperimentConfig) -> Self {
+    pub fn scenario(mut self, label: impl Into<String>, config: ScenarioSpec) -> Self {
         self.scenarios.push(Scenario::new(label, config));
         self
     }
@@ -74,7 +74,7 @@ impl ScenarioSuite {
         name: impl Into<String>,
         trials: usize,
         points: impl IntoIterator<Item = P>,
-        mut make: impl FnMut(P) -> (String, ExperimentConfig),
+        mut make: impl FnMut(P) -> (String, ScenarioSpec),
     ) -> Self {
         let mut suite = ScenarioSuite::new(name, trials);
         for point in points {
@@ -167,7 +167,7 @@ impl SweepRunner {
     /// order. The output is independent of thread count and scheduling: each
     /// run's randomness derives only from its own config, and results are
     /// placed by job index rather than completion order.
-    pub fn run_configs(&self, configs: &[ExperimentConfig]) -> Result<Vec<RunResult>, ScoopError> {
+    pub fn run_configs(&self, configs: &[ScenarioSpec]) -> Result<Vec<RunResult>, ScoopError> {
         // Fail fast on invalid configs so errors do not depend on which
         // worker happens to reach a bad job first.
         for config in configs {
@@ -259,7 +259,7 @@ fn assert_run_state_is_send() {
     fn is_send<T: Send>() {}
     is_send::<scoop_net::Engine<crate::node::SimNode>>();
     is_send::<RunResult>();
-    is_send::<ExperimentConfig>();
+    is_send::<ScenarioSpec>();
 }
 
 #[cfg(test)]
@@ -267,8 +267,8 @@ mod tests {
     use super::*;
     use scoop_types::{DataSourceKind, StoragePolicy};
 
-    fn tiny(policy: StoragePolicy, source: DataSourceKind, seed: u64) -> ExperimentConfig {
-        let mut cfg = ExperimentConfig::small_test();
+    fn tiny(policy: StoragePolicy, source: DataSourceKind, seed: u64) -> ScenarioSpec {
+        let mut cfg = ScenarioSpec::small_test();
         cfg.num_nodes = 8;
         cfg.duration = scoop_types::SimDuration::from_mins(6);
         cfg.warmup = scoop_types::SimDuration::from_mins(2);
@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_exactly() {
-        let configs: Vec<ExperimentConfig> = vec![
+        let configs: Vec<ScenarioSpec> = vec![
             tiny(StoragePolicy::Scoop, DataSourceKind::Unique, 1),
             tiny(StoragePolicy::Base, DataSourceKind::Gaussian, 2),
             tiny(StoragePolicy::Local, DataSourceKind::Random, 3),

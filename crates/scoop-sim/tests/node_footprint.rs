@@ -12,7 +12,7 @@
 
 use scoop_sim::{build_engine, SimNode};
 use scoop_types::{
-    DataSourceKind, ExperimentConfig, NodeId, SimDuration, SimTime, StoragePolicy, TopologyKind,
+    DataSourceKind, NodeId, ScenarioSpec, SimDuration, SimTime, StoragePolicy, TopologyKind,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -49,8 +49,8 @@ static GLOBAL: LiveBytesAllocator = LiveBytesAllocator;
 
 /// The benchmark's grid network (`bench/` `grid_config`), 90 s of warm-up
 /// then 120 measured seconds.
-fn grid_spec(policy: StoragePolicy, sensors: usize) -> ExperimentConfig {
-    let mut spec = ExperimentConfig::paper_defaults();
+fn grid_spec(policy: StoragePolicy, sensors: usize) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::paper_defaults();
     spec.topology.kind = TopologyKind::Grid;
     spec.workload.data_source = DataSourceKind::Gaussian;
     spec.policy.kind = policy;

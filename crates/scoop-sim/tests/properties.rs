@@ -1,7 +1,7 @@
-//! Property-based tests for the storage buffers.
+//! Property-based tests for a sensor's storage buffers.
 
 use proptest::prelude::*;
-use scoop_storage::{DataBuffer, RecentReadings};
+use scoop_sim::{DataBuffer, RecentReadings};
 use scoop_types::{Attribute, NodeId, Reading, SimTime, StorageIndexId, Value, ValueRange};
 use std::collections::VecDeque;
 

@@ -5,7 +5,7 @@
 
 use scoop_core::baselines::hash_index;
 use scoop_core::StorageIndex;
-use scoop_net::{Engine, EngineConfig, LinkGen, StdLinkGen, StdTopologyGen, TopologyGen};
+use scoop_net::{Engine, EngineConfig, LinkModel, Topology};
 use scoop_sim::{build_engine, run_built_experiment, NodeShared, SimBuilder, SimNode};
 use scoop_types::{
     DataSourceKind, NodeId, ScenarioSpec, SimDuration, SimTime, StorageIndexId, StoragePolicy,
@@ -73,12 +73,9 @@ fn federation_spec() -> ScenarioSpec {
 /// The same network with every node built over a private `NodeShared` of its
 /// own — the unshared reference construction.
 fn unshared_engine(spec: &ScenarioSpec) -> Engine<SimNode> {
-    let topology = StdTopologyGen
-        .generate(&spec.topology, spec.num_nodes, spec.seed)
-        .expect("topology");
-    let links = StdLinkGen
-        .generate(&spec.link, &topology, spec.seed)
-        .expect("links");
+    let topology =
+        Topology::connected(&spec.topology, spec.num_nodes, spec.seed).expect("topology");
+    let links = LinkModel::from_spec(&spec.link, &topology, spec.seed).expect("links");
     let cfg = Arc::new(spec.clone());
     let source = make_source_for(&spec.workload, spec.num_nodes, spec.seed);
     let nodes = topology

@@ -5,10 +5,10 @@
 
 use scoop_sim::sweep::{ScenarioSuite, SweepRunner};
 use scoop_sim::RunResult;
-use scoop_types::{DataSourceKind, ExperimentConfig, SimDuration, StoragePolicy};
+use scoop_types::{DataSourceKind, ScenarioSpec, SimDuration, StoragePolicy};
 
-fn small(policy: StoragePolicy, source: DataSourceKind, seed: u64) -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::small_test();
+fn small(policy: StoragePolicy, source: DataSourceKind, seed: u64) -> ScenarioSpec {
+    let mut cfg = ScenarioSpec::small_test();
     cfg.num_nodes = 10;
     cfg.duration = SimDuration::from_mins(8);
     cfg.warmup = SimDuration::from_mins(2);
@@ -21,7 +21,7 @@ fn small(policy: StoragePolicy, source: DataSourceKind, seed: u64) -> Experiment
 }
 
 /// Every (policy, source) combination the evaluation uses, as one grid.
-fn full_grid() -> Vec<ExperimentConfig> {
+fn full_grid() -> Vec<ScenarioSpec> {
     let mut configs = Vec::new();
     let mut seed = 1;
     for policy in StoragePolicy::ALL {
@@ -102,7 +102,7 @@ fn experiment_rows_are_thread_count_invariant() {
     // so run with --test-threads=1 if other env-sensitive tests join this
     // binary; today no other test here touches it.)
     let base = {
-        let mut cfg = ExperimentConfig::small_test();
+        let mut cfg = ScenarioSpec::small_test();
         cfg.num_nodes = 10;
         cfg.duration = SimDuration::from_mins(8);
         cfg.warmup = SimDuration::from_mins(2);

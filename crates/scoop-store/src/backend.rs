@@ -1,4 +1,4 @@
-//! The disk implementation of `scoop-storage`'s [`PersistenceBackend`].
+//! The disk implementation of [`PersistenceBackend`].
 //!
 //! [`DiskBackend`] adapts a [`Store`] to the backend trait: batches of
 //! the [`Reading`]s drained from simulator data buffers are converted to
@@ -8,8 +8,8 @@
 //! untouched.
 
 use crate::error::Result;
+use crate::persist::PersistenceBackend;
 use crate::store::{Store, StoreOptions};
-use scoop_storage::PersistenceBackend;
 use scoop_types::{DurableRecord, Reading, ScoopError};
 use std::path::Path;
 
@@ -69,28 +69,23 @@ impl PersistenceBackend for DiskBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scoop_storage::DataBuffer;
-    use scoop_types::{Attribute, NodeId, SimTime, StorageIndexId};
+    use scoop_types::{Attribute, NodeId, SimTime};
 
     #[test]
     fn disk_backend_round_trips_simulator_readings() {
         let dir = std::env::temp_dir().join(format!("scoop-store-backend-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let mut buf = DataBuffer::new(16);
-        for t in 1..=10u64 {
-            buf.store(
+        let batch: Vec<Reading> = (1..=10u64)
+            .map(|t| {
                 Reading::new(
                     NodeId(t as u16),
                     Attribute::Light,
                     t as i32 * 10,
                     SimTime::from_secs(t),
-                ),
-                SimTime::from_secs(t),
-                StorageIndexId(1),
-            );
-        }
-        let batch: Vec<Reading> = buf.iter().copied().collect();
+                )
+            })
+            .collect();
 
         let mut backend = DiskBackend::open(
             &dir,

@@ -119,18 +119,6 @@ pub fn decode_block_into(
     Ok(())
 }
 
-/// [`decode_block_into`] a fresh `Vec`.
-pub fn decode_block(
-    bytes: &[u8],
-    block_size: usize,
-    path: &Path,
-    block_index: usize,
-) -> Result<Vec<DurableRecord>> {
-    let mut records = Vec::new();
-    decode_block_into(bytes, block_size, path, block_index, &mut records)?;
-    Ok(records)
-}
-
 /// Summarizes a decoded block (records are stored time-ordered).
 pub fn meta_of(records: &[DurableRecord]) -> BlockMeta {
     BlockMeta {
@@ -144,6 +132,12 @@ pub fn meta_of(records: &[DurableRecord]) -> BlockMeta {
 mod tests {
     use super::*;
     use scoop_types::NodeId;
+
+    fn decode(bytes: &[u8], block_size: usize, block_index: usize) -> Result<Vec<DurableRecord>> {
+        let mut records = Vec::new();
+        decode_block_into(bytes, block_size, Path::new("t"), block_index, &mut records)?;
+        Ok(records)
+    }
 
     fn record(t: u64, v: i32) -> DurableRecord {
         DurableRecord {
@@ -162,7 +156,7 @@ mod tests {
             let records: Vec<DurableRecord> = (0..n).map(|i| record(i as u64, i)).collect();
             let bytes = encode_block(&records, block_size);
             assert_eq!(bytes.len(), block_size);
-            let back = decode_block(&bytes, block_size, Path::new("t"), 0).unwrap();
+            let back = decode(&bytes, block_size, 0).unwrap();
             assert_eq!(back, records);
             assert_eq!(meta_of(&back).count, n as u32);
         }
@@ -178,7 +172,7 @@ mod tests {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x40;
             assert!(
-                decode_block(&bad, block_size, Path::new("t"), 7).is_err(),
+                decode(&bad, block_size, 7).is_err(),
                 "flip at byte {pos} went undetected"
             );
         }
@@ -211,9 +205,9 @@ mod tests {
         let bytes = encode_block(&[record(1, 1)], block_size);
         let mut bad = bytes.clone();
         bad[0] = 0; // count 0
-        assert!(decode_block(&bad, block_size, Path::new("t"), 0).is_err());
+        assert!(decode(&bad, block_size, 0).is_err());
         let mut bad = bytes;
         bad[0] = 200; // count beyond capacity
-        assert!(decode_block(&bad, block_size, Path::new("t"), 0).is_err());
+        assert!(decode(&bad, block_size, 0).is_err());
     }
 }

@@ -17,7 +17,10 @@
 //! * [`segment`] — one segment file: writer, reader, torn-tail recovery
 //! * [`store`] — the multi-segment store with query-at-rest and stats
 //! * [`compact`] — size-tiered compaction: planning and the streaming merge
-//! * [`backend`] — [`DiskBackend`], the `scoop-storage` persistence seam
+//! * [`persist`] — [`PersistenceBackend`], the seam drained readings leave
+//!   through, with the [`InMemoryBackend`] default and the fault-injecting
+//!   [`FailpointBackend`]
+//! * [`backend`] — [`DiskBackend`], the seam's disk implementation
 //! * [`error`] — typed [`StoreError`]
 //!
 //! The byte-level format is specified in `docs/STORE_FORMAT.md`.
@@ -30,6 +33,7 @@ pub mod compact;
 pub mod crc;
 pub mod error;
 pub mod index;
+pub mod persist;
 pub mod segment;
 pub mod store;
 
@@ -37,6 +41,7 @@ pub use backend::DiskBackend;
 pub use block::{records_per_block, BlockMeta};
 pub use error::{Result, StoreError};
 pub use index::{BTreeRefIndex, LearnedTimeIndex, TimeIndex, DEFAULT_MAX_ERROR};
+pub use persist::{FailpointBackend, InMemoryBackend, PersistenceBackend};
 pub use segment::{
     BlockBuf, RecoveryOutcome, ScanOutcome, Segment, SegmentWriter, DEFAULT_BLOCK_SIZE, FOOTER_LEN,
     HEADER_LEN, SCHEMA_VERSION,

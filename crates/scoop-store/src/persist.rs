@@ -1,16 +1,14 @@
 //! Pluggable persistence behind the basestation store.
 //!
-//! Everything the simulator stores lives in in-memory [`DataBuffer`]s and
-//! dies with the process. [`PersistenceBackend`] is the seam that changes
+//! Everything the simulator stores lives in in-memory data buffers and dies
+//! with the process. [`PersistenceBackend`] is the seam that changes
 //! that *without touching the simulation*: a backend receives batches of the
 //! [`Reading`]s drained from those buffers after (or outside) a run and
 //! makes them durable. The in-memory default, [`InMemoryBackend`],
 //! reproduces today's behavior exactly — readings are held in RAM and lost on drop — so attaching a
 //! backend is strictly opt-in and the simulation's byte-identity is
-//! untouched. The disk implementation lives in the `scoop-store` crate
+//! untouched. The disk implementation is [`DiskBackend`](crate::DiskBackend)
 //! (crash-safe segment log + learned time index).
-//!
-//! [`DataBuffer`]: crate::DataBuffer
 
 use scoop_types::{Reading, ScoopError};
 
@@ -180,20 +178,13 @@ impl<B: PersistenceBackend> PersistenceBackend for FailpointBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DataBuffer;
-    use scoop_types::{Attribute, NodeId, SimTime, StorageIndexId};
+    use scoop_types::{Attribute, NodeId, SimTime};
 
     #[test]
     fn in_memory_backend_accumulates_and_counts() {
-        let mut buf = DataBuffer::new(8);
-        for t in 0..5u64 {
-            buf.store(
-                Reading::new(NodeId(1), Attribute::Light, t as i32, SimTime::from_secs(t)),
-                SimTime::from_secs(t),
-                StorageIndexId(1),
-            );
-        }
-        let batch: Vec<Reading> = buf.iter().copied().collect();
+        let batch: Vec<Reading> = (0..5u64)
+            .map(|t| Reading::new(NodeId(1), Attribute::Light, t as i32, SimTime::from_secs(t)))
+            .collect();
 
         let mut backend = InMemoryBackend::new();
         backend.append_batch(&[]).unwrap();

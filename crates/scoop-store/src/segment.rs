@@ -232,25 +232,53 @@ fn decode_index(bytes: &[u8], path: &Path) -> Result<(Vec<BlockMeta>, LearnedTim
             ),
         ));
     }
-    let mut dir = Vec::with_capacity(dir_count);
+    let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
+    let mut dir: Vec<BlockMeta> = Vec::with_capacity(dir_count);
     let mut offset = INDEX_PREFIX_LEN;
-    for _ in 0..dir_count {
-        let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
-        dir.push(BlockMeta {
+    for i in 0..dir_count {
+        let meta = BlockMeta {
             first_time_ms: u64_at(offset),
             last_time_ms: u64_at(offset + 8),
             count: u32_at(offset + 16),
-        });
+        };
+        // The directory of a time-ordered log: each block spans a time
+        // window, and no block starts before the previous one ends.
+        let prev_last = dir.last().map_or(0, |m| m.last_time_ms);
+        if meta.first_time_ms > meta.last_time_ms || meta.first_time_ms < prev_last {
+            return Err(corrupt(
+                path,
+                format!("directory entry {i} is out of time order"),
+            ));
+        }
+        dir.push(meta);
         offset += DIR_ENTRY_LEN;
     }
-    let mut segments = Vec::with_capacity(pla_count);
-    for _ in 0..pla_count {
-        let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
-        segments.push(PlaSegment {
+    let mut segments: Vec<PlaSegment> = Vec::with_capacity(pla_count);
+    for i in 0..pla_count {
+        let line = PlaSegment {
             start_key: u64_at(offset),
             start_pos: u64_at(offset + 8),
             slope: f64::from_bits(u64_at(offset + 16)),
-        });
+        };
+        // What `LearnedTimeIndex::build_with_error` produces and `predict`
+        // relies on: lines in key order, each starting at a real block, none
+        // with a negative or non-finite slope. A table that breaks one of
+        // these would clamp with its bounds crossed or index past the
+        // directory.
+        let goes_back = segments
+            .last()
+            .is_some_and(|p| line.start_key < p.start_key || line.start_pos < p.start_pos);
+        if goes_back
+            || line.start_pos >= dir_count as u64
+            || !line.slope.is_finite()
+            || line.slope < 0.0
+        {
+            return Err(corrupt(
+                path,
+                format!("learned-index line {i} goes back, starts past the directory or has a bad slope"),
+            ));
+        }
+        segments.push(line);
         offset += PLA_ENTRY_LEN;
     }
     let learned = LearnedTimeIndex::from_parts(segments, max_error, dir.len());
@@ -461,9 +489,21 @@ impl Segment {
         file_len: usize,
         footer: Footer,
     ) -> Result<Segment> {
-        let data_end = HEADER_LEN as u64 + footer.block_count * block_size as u64;
-        if footer.index_offset != data_end
-            || footer.index_offset + footer.index_len + FOOTER_LEN as u64 != file_len as u64
+        // Every footer field is attacker-controlled (its CRC only proves
+        // that whoever wrote it meant it), so the geometry is checked in
+        // overflow-free arithmetic and the index length is bounded by the
+        // file before anything is allocated from it.
+        let data_end = footer
+            .block_count
+            .checked_mul(block_size as u64)
+            .and_then(|data| data.checked_add(HEADER_LEN as u64));
+        let index_end = footer
+            .index_offset
+            .checked_add(footer.index_len)
+            .and_then(|end| end.checked_add(FOOTER_LEN as u64));
+        if footer.index_len > (file_len - HEADER_LEN - FOOTER_LEN) as u64
+            || data_end != Some(footer.index_offset)
+            || index_end != Some(file_len as u64)
         {
             return Err(corrupt(path, "footer geometry disagrees with file length"));
         }

@@ -2,9 +2,8 @@
 //!
 //! The experiment description itself lives in [`crate::spec`]: a
 //! [`ScenarioSpec`](crate::ScenarioSpec) composes these blocks with the
-//! topology / link / fault axes. [`ExperimentConfig`] is the legacy name for
-//! that type, kept as a thin alias; `ExperimentConfig::paper_defaults()`
-//! still reproduces the parameter table from Section 6 of the paper
+//! topology / link / fault axes, and `ScenarioSpec::paper_defaults()`
+//! reproduces the parameter table from Section 6 of the paper
 //! (62 nodes + 1 basestation, 40 simulated minutes, 15-second sample and
 //! query intervals, 110-second summary interval, 240-second remap interval,
 //! queries over 1–5 % of the value domain, the REAL data source).
@@ -12,14 +11,6 @@
 use crate::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Legacy name of [`ScenarioSpec`](crate::ScenarioSpec).
-///
-/// The closed `ExperimentConfig` struct was redesigned into the composable
-/// spec; see the README migration table for the old-field → new-axis mapping
-/// (e.g. `config.policy` → `spec.policy.kind`, `config.data_source` →
-/// `spec.workload.data_source`).
-pub type ExperimentConfig = crate::spec::ScenarioSpec;
 
 /// Which storage policy the network runs.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
@@ -220,16 +211,6 @@ mod tests {
         let names: std::collections::HashSet<_> =
             StoragePolicy::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(names.len(), StoragePolicy::ALL.len());
-    }
-
-    #[test]
-    fn legacy_alias_still_builds_the_paper_scenario() {
-        // The compatibility alias: old call sites keep compiling and get the
-        // same Section 6 defaults, now shaped as composable components.
-        let cfg = ExperimentConfig::paper_defaults();
-        assert_eq!(cfg, crate::ScenarioSpec::paper_defaults());
-        assert_eq!(cfg.policy.scoop.summary_interval.as_secs(), 110);
-        cfg.validate().unwrap();
     }
 
     #[test]

@@ -24,9 +24,7 @@ pub mod spec;
 pub mod time;
 pub mod value;
 
-pub use config::{
-    DataSourceKind, ExperimentConfig, QueryWorkloadConfig, ScoopParams, StoragePolicy,
-};
+pub use config::{DataSourceKind, QueryWorkloadConfig, ScoopParams, StoragePolicy};
 pub use durable::{attribute_code, attribute_from_code, DurableRecord, DURABLE_RECORD_LEN};
 pub use error::ScoopError;
 pub use ids::{NodeBitmap, NodeId, SeqNo, StorageIndexId, MAX_NODES};

@@ -19,10 +19,6 @@
 //! string-keyed *axis registry* ([`ScenarioSpec::set_axis`]) lets the CLI,
 //! sweep grids, and benches override any axis without recompiling
 //! (`topology=grid`, `link.loss_floor=0.1`, `nodes=96`, ...).
-//!
-//! The legacy `ExperimentConfig` name survives as a type alias of
-//! [`ScenarioSpec`]; see the README's migration table for the old-field →
-//! new-axis mapping.
 
 use crate::config::{DataSourceKind, QueryWorkloadConfig, ScoopParams, StoragePolicy};
 use crate::sketch::{AggregateOp, AggregateSpec};
@@ -717,9 +713,6 @@ impl FaultSpec {
 }
 
 /// Full description of one experiment run, as composable components.
-///
-/// The legacy name [`ExperimentConfig`](crate::ExperimentConfig) is an alias
-/// of this type.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Number of sensor nodes, excluding the basestation (paper: 62).

@@ -11,9 +11,9 @@
 //! storage index places on the basestation — the "send-to-base fraction".
 
 use scoop::sim::{build_engine, run_experiment};
-use scoop::types::{DataSourceKind, ExperimentConfig, NodeId, SimDuration, SimTime, StoragePolicy};
+use scoop::types::{DataSourceKind, NodeId, ScenarioSpec, SimDuration, SimTime, StoragePolicy};
 
-fn send_to_base_fraction(cfg: &ExperimentConfig) -> f64 {
+fn send_to_base_fraction(cfg: &ScenarioSpec) -> f64 {
     let mut engine = build_engine(cfg).expect("valid configuration");
     engine.run_until(SimTime::ZERO + cfg.duration);
     let base = engine.node(NodeId::BASESTATION);
@@ -33,7 +33,7 @@ fn send_to_base_fraction(cfg: &ExperimentConfig) -> f64 {
 }
 
 fn main() {
-    let mut base = ExperimentConfig::small_test();
+    let mut base = ScenarioSpec::small_test();
     base.num_nodes = 20;
     base.workload.data_source = DataSourceKind::Real;
     base.duration = SimDuration::from_mins(20);

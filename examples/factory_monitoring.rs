@@ -17,7 +17,7 @@
 use scoop::net::Topology;
 use scoop::sim::run_experiment;
 use scoop::types::{
-    Attribute, DataSourceKind, ExperimentConfig, SimDuration, StoragePolicy, ValueRange,
+    Attribute, DataSourceKind, ScenarioSpec, SimDuration, StoragePolicy, ValueRange,
 };
 
 /// Radio cost per bit sent or received (Section 2.1: about 700 nJ/bit).
@@ -49,7 +49,7 @@ fn main() {
     // Vibration classes 0-20 (Section 4's "classify ... on a scale of 1-20").
     // Machines in the same bay vibrate similarly: the GAUSSIAN source (fixed
     // per-node mean, small variance) is the right stand-in.
-    let mut base = ExperimentConfig::paper_defaults();
+    let mut base = ScenarioSpec::paper_defaults();
     base.num_nodes = 40;
     base.workload.attribute = Attribute::Acceleration;
     base.workload.value_domain = ValueRange::new(0, 20);

@@ -7,7 +7,7 @@
 //! ```
 
 use scoop::sim::sweep::{ScenarioSuite, SweepRunner};
-use scoop::types::{DataSourceKind, ExperimentConfig, SimDuration, StoragePolicy};
+use scoop::types::{DataSourceKind, ScenarioSpec, SimDuration, StoragePolicy};
 use std::time::Instant;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     let mut seed = 1u64;
     for policy in StoragePolicy::ALL {
         for source in DataSourceKind::ALL {
-            let mut cfg = ExperimentConfig::small_test();
+            let mut cfg = ScenarioSpec::small_test();
             cfg.num_nodes = 12;
             cfg.duration = SimDuration::from_mins(10);
             cfg.warmup = SimDuration::from_mins(2);

@@ -10,12 +10,12 @@
 //! reliability numbers.
 
 use scoop::sim::{build_engine, run_experiment};
-use scoop::types::{ExperimentConfig, NodeId, SimTime, StoragePolicy};
+use scoop::types::{NodeId, ScenarioSpec, SimTime, StoragePolicy};
 
 fn main() {
     // 1. Configure the experiment. `small_test()` is the paper's Section 6
     //    parameter table scaled down to 16 nodes / 12 minutes.
-    let mut cfg = ExperimentConfig::small_test();
+    let mut cfg = ScenarioSpec::small_test();
     cfg.policy.kind = StoragePolicy::Scoop;
     cfg.seed = 42;
 

@@ -3,17 +3,119 @@
 //! Re-exports the public API of every member crate so that examples and
 //! integration tests can write `use scoop::...`. Library users normally
 //! depend on the individual crates instead.
+//!
+//! A few names here exist in no member crate: the benchmark (`bench/`)
+//! still imports them, so the facade keeps each one as a shim over the
+//! crate API that replaced it. Every such item is documented "kept for
+//! `bench/` only"; once `bench/` is ported off a name, its shim goes.
 
 #![warn(missing_docs)]
 
 pub use scoop_core as core;
 pub use scoop_lab as lab;
-pub use scoop_net as net;
 pub use scoop_routing as routing;
 pub use scoop_serve as serve;
 pub use scoop_sim as sim;
-pub use scoop_storage as storage;
-pub use scoop_store as store;
 pub use scoop_trickle as trickle;
-pub use scoop_types as types;
 pub use scoop_workload as workload;
+
+/// [`scoop_types`], plus the legacy `ExperimentConfig` name.
+pub mod types {
+    pub use scoop_types::*;
+
+    /// The legacy name of [`ScenarioSpec`]. Kept for `bench/` only.
+    pub type ExperimentConfig = ScenarioSpec;
+}
+
+/// [`scoop_net`], plus the generator traits that `Topology::connected` and
+/// `LinkModel::from_spec` replaced.
+pub mod net {
+    pub use scoop_net::*;
+    use scoop_types::{LinkSpec, ScoopError, TopologySpec};
+
+    /// Builds a [`Topology`] from a [`TopologySpec`]. Kept for `bench/` only.
+    pub trait TopologyGen: Send + Sync {
+        /// Generates the placement for `num_nodes` sensors plus the
+        /// basestation.
+        fn generate(
+            &self,
+            spec: &TopologySpec,
+            num_nodes: usize,
+            seed: u64,
+        ) -> Result<Topology, ScoopError>;
+    }
+
+    /// Builds a [`LinkModel`] over a topology from a [`LinkSpec`]. Kept for
+    /// `bench/` only.
+    pub trait LinkGen: Send + Sync {
+        /// Derives per-directed-pair link quality for `topo`.
+        fn generate(
+            &self,
+            spec: &LinkSpec,
+            topo: &Topology,
+            seed: u64,
+        ) -> Result<LinkModel, ScoopError>;
+    }
+
+    /// [`Topology::connected`] behind [`TopologyGen`]. Kept for `bench/` only.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct StdTopologyGen;
+
+    impl TopologyGen for StdTopologyGen {
+        fn generate(
+            &self,
+            spec: &TopologySpec,
+            num_nodes: usize,
+            seed: u64,
+        ) -> Result<Topology, ScoopError> {
+            Topology::connected(spec, num_nodes, seed)
+        }
+    }
+
+    /// [`LinkModel::from_spec`] behind [`LinkGen`]. Kept for `bench/` only.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct StdLinkGen;
+
+    impl LinkGen for StdLinkGen {
+        fn generate(
+            &self,
+            spec: &LinkSpec,
+            topo: &Topology,
+            seed: u64,
+        ) -> Result<LinkModel, ScoopError> {
+            LinkModel::from_spec(spec, topo, seed)
+        }
+    }
+}
+
+/// [`scoop_store`], plus `block::decode_block`.
+pub mod store {
+    pub use scoop_store::*;
+
+    /// [`scoop_store::block`], plus `decode_block`.
+    pub mod block {
+        pub use scoop_store::block::*;
+        use scoop_store::Result;
+        use scoop_types::DurableRecord;
+        use std::path::Path;
+
+        /// [`decode_block_into`] a fresh `Vec`. Kept for `bench/` only.
+        pub fn decode_block(
+            bytes: &[u8],
+            block_size: usize,
+            path: &Path,
+            block_index: usize,
+        ) -> Result<Vec<DurableRecord>> {
+            let mut records = Vec::new();
+            decode_block_into(bytes, block_size, path, block_index, &mut records)?;
+            Ok(records)
+        }
+    }
+}
+
+/// The sensor data buffer under its old crate's name. Kept for `bench/`
+/// only.
+pub mod storage {
+    /// [`scoop_sim::DataBuffer`]. Kept for `bench/` only.
+    pub use scoop_sim::DataBuffer;
+}

@@ -1,0 +1,99 @@
+//! The facade's compatibility names — each kept for `bench/` only — are thin
+//! shims: every one must behave exactly like the crate API it wraps.
+
+use scoop::net::{LinkGen, StdLinkGen, StdTopologyGen, TopologyGen};
+use scoop_net::{LinkModel, Topology};
+use scoop_store::block::{decode_block_into, encode_block};
+use scoop_types::{DurableRecord, LinkSpec, NodeId, ScenarioSpec, TopologyKind, TopologySpec};
+use std::any::TypeId;
+use std::path::Path;
+
+#[test]
+fn experiment_config_is_the_scenario_spec() {
+    assert_eq!(
+        TypeId::of::<scoop::types::ExperimentConfig>(),
+        TypeId::of::<ScenarioSpec>()
+    );
+    let cfg = scoop::types::ExperimentConfig::paper_defaults();
+    assert_eq!(cfg, ScenarioSpec::paper_defaults());
+    assert_eq!(cfg.policy.scoop.summary_interval.as_secs(), 110);
+    cfg.validate().unwrap();
+}
+
+fn starved_uniform_random() -> TopologySpec {
+    TopologySpec {
+        kind: TopologyKind::UniformRandom,
+        range_factor: 0.05,
+        ..TopologySpec::uniform_random()
+    }
+}
+
+#[test]
+fn std_topology_gen_is_topology_connected() {
+    for (spec, nodes, seed) in [
+        (TopologySpec::office_floor(), 62, 7),
+        (starved_uniform_random(), 30, 4),
+    ] {
+        let shim = StdTopologyGen.generate(&spec, nodes, seed).unwrap();
+        let direct = Topology::connected(&spec, nodes, seed).unwrap();
+        assert_eq!(shim.len(), direct.len());
+        assert_eq!(shim.radio_range().to_bits(), direct.radio_range().to_bits());
+        for n in direct.nodes() {
+            let (a, b) = (shim.position(n).unwrap(), direct.position(n).unwrap());
+            assert_eq!(
+                (a.x.to_bits(), a.y.to_bits()),
+                (b.x.to_bits(), b.y.to_bits())
+            );
+        }
+    }
+}
+
+#[test]
+fn std_link_gen_is_link_model_from_spec() {
+    let topo = Topology::connected(&TopologySpec::office_floor(), 62, 7).unwrap();
+    for spec in [LinkSpec::default(), LinkSpec::legacy(), LinkSpec::perfect()] {
+        let shim = StdLinkGen.generate(&spec, &topo, 7).unwrap();
+        let direct = LinkModel::from_spec(&spec, &topo, 7).unwrap();
+        for a in topo.nodes() {
+            for b in topo.nodes() {
+                assert_eq!(
+                    shim.link(a, b).delivery_prob.to_bits(),
+                    direct.link(a, b).delivery_prob.to_bits(),
+                    "{a} -> {b}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn decode_block_is_decode_block_into_a_fresh_vec() {
+    let block_size = 8 + 16 * 4;
+    let records: Vec<DurableRecord> = (0..3)
+        .map(|i| DurableRecord {
+            time_ms: 10 * i,
+            node: NodeId(i as u16 + 1),
+            attribute: 1,
+            value: i as i32,
+        })
+        .collect();
+    let bytes = encode_block(&records, block_size);
+    let path = Path::new("compat");
+    let mut direct = Vec::new();
+    decode_block_into(&bytes, block_size, path, 0, &mut direct).unwrap();
+    let shim = scoop::store::block::decode_block(&bytes, block_size, path, 0).unwrap();
+    assert_eq!(shim, direct);
+    assert_eq!(shim, records);
+
+    let mut flipped = bytes;
+    flipped[8 + 5] ^= 0x10;
+    assert!(scoop::store::block::decode_block(&flipped, block_size, path, 0).is_err());
+}
+
+#[test]
+fn storage_data_buffer_is_the_simulator_data_buffer() {
+    assert_eq!(
+        TypeId::of::<scoop::storage::DataBuffer>(),
+        TypeId::of::<scoop_sim::DataBuffer>()
+    );
+}

@@ -5,12 +5,12 @@
 use scoop::net::{LinkModel, Topology};
 use scoop::sim::SimNode;
 use scoop::types::{
-    DataSourceKind, ExperimentConfig, FaultWindow, LinkSpec, NodeId, SimDuration, SimTime,
+    DataSourceKind, FaultWindow, LinkSpec, NodeId, ScenarioSpec, SimDuration, SimTime,
     StoragePolicy,
 };
 
-fn tiny_cfg() -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::small_test();
+fn tiny_cfg() -> ScenarioSpec {
+    let mut cfg = ScenarioSpec::small_test();
     cfg.num_nodes = 10;
     cfg.duration = SimDuration::from_mins(9);
     cfg.warmup = SimDuration::from_mins(2);
@@ -23,7 +23,7 @@ fn tiny_cfg() -> ExperimentConfig {
 }
 
 fn run_with_links(
-    cfg: &ExperimentConfig,
+    cfg: &ScenarioSpec,
     mutate: impl FnOnce(&Topology, &mut LinkModel),
 ) -> scoop::net::Engine<SimNode> {
     let topo = Topology::office_floor(cfg.num_nodes, cfg.seed).expect("topology");

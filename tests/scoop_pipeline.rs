@@ -4,13 +4,13 @@
 //! system-level invariants the paper relies on.
 
 use scoop::sim::{build_engine, run_experiment};
-use scoop::types::{DataSourceKind, ExperimentConfig, NodeId, SimDuration, SimTime, StoragePolicy};
+use scoop::types::{DataSourceKind, NodeId, ScenarioSpec, SimDuration, SimTime, StoragePolicy};
 
 /// A configuration small enough for debug-mode CI but still covering every
 /// protocol phase (several summary rounds, at least two remap rounds, many
 /// queries).
-fn tiny(policy: StoragePolicy, source: DataSourceKind) -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::small_test();
+fn tiny(policy: StoragePolicy, source: DataSourceKind) -> ScenarioSpec {
+    let mut cfg = ScenarioSpec::small_test();
     cfg.num_nodes = 12;
     cfg.duration = SimDuration::from_mins(10);
     cfg.warmup = SimDuration::from_mins(2);
