@@ -11,7 +11,7 @@
 
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultSchedule;
-use crate::link::{LinkModel, Neighbor};
+use crate::link::LinkModel;
 use crate::packet::{LinkDst, Packet, PacketMeta};
 use crate::stats::NetworkStats;
 use crate::topology::Topology;
@@ -373,7 +373,7 @@ impl<L: NodeLogic> Engine<L> {
                 while heard != 0 {
                     let bit = heard.trailing_zeros() as usize;
                     heard &= heard - 1;
-                    let node = self.links.neighbors(src)[first as usize + bit].node;
+                    let node = self.links.neighbors(src).0[first as usize + bit];
                     // A node whose radio is down hears nothing; the packet
                     // evaporates without touching stats or node state. Timers
                     // still fire (the CPU is alive), so a node whose outage
@@ -528,16 +528,10 @@ impl<L: NodeLogic> Engine<L> {
         } = self;
         let src = packet.meta.link_src;
         let mut acknowledged = false;
-        for (word, listeners) in links.neighbors(src).chunks(32).enumerate() {
+        let (nodes, probs) = links.neighbors(src);
+        for (word, (listeners, probs)) in nodes.chunks(32).zip(probs.chunks(32)).enumerate() {
             let mut heard = 0u32;
-            for (
-                bit,
-                &Neighbor {
-                    node: listener,
-                    delivery_prob,
-                },
-            ) in listeners.iter().enumerate()
-            {
+            for (bit, (&listener, &delivery_prob)) in listeners.iter().zip(probs).enumerate() {
                 if !rng.gen_bool(delivery_prob) {
                     continue;
                 }

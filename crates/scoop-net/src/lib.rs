@@ -32,7 +32,7 @@ pub mod topology;
 pub use engine::{Engine, EngineConfig, NodeCtx, NodeLogic, TimerToken};
 pub use event::{Event, EventQueue};
 pub use fault::{FaultSchedule, Outage, PartitionCut};
-pub use link::{LinkModel, LinkQuality, Neighbor};
+pub use link::{LinkModel, LinkQuality};
 pub use packet::{LinkDst, Packet, PacketMeta};
 pub use stats::{NetworkStats, NodeStats};
 pub use topology::{NodePosition, Topology, TopologyKind};

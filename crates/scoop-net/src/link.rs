@@ -46,16 +46,6 @@ impl LinkQuality {
     }
 }
 
-/// One usable outgoing link in the precomputed neighbor table.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Neighbor {
-    /// The node that can hear the transmitter.
-    pub node: NodeId,
-    /// Delivery probability of the directed link, pre-clamped to `[0, 1]`
-    /// so the engine's loss sampling needs no per-draw clamp.
-    pub delivery_prob: f64,
-}
-
 /// Delivery probabilities for the usable directed links of a deployment.
 ///
 /// The model stores only usable links (delivery probability > 0) in a
@@ -63,22 +53,57 @@ pub struct Neighbor {
 /// destination order. That table is the *single* source of truth — there is
 /// no dense matrix. A dense `n × n` f64 matrix was 8.6 GB at 32,768 nodes;
 /// the CSR table is O(usable links), a few MB for geometric topologies whose
-/// per-node degree is bounded by radio range. [`LinkModel::link`] lookups
-/// binary-search the transmitter's row; the engine's transmit loop iterates
-/// the row slice directly — same listeners, same ascending order, same
-/// pre-clamped probabilities as the historical dense-row scan.
+/// per-node degree is bounded by radio range. A link is held as two parallel
+/// entries, its listener's id and its probability, in two arrays under the
+/// same offsets: 10 bytes a link, where a padded `(u16, f64)` pair would
+/// take 16. [`LinkModel::link`] lookups binary-search the transmitter's row
+/// of ids; the engine's transmit loop walks the two row slices together —
+/// same listeners, same ascending order, same pre-clamped probabilities as
+/// the historical dense-row scan.
 #[derive(Clone, Debug)]
 pub struct LinkModel {
     n: usize,
-    /// CSR row offsets into `nbr_entries`; `nbr_offsets[i]..nbr_offsets[i+1]`
-    /// is transmitter `i`'s slice. Length `n + 1`.
+    /// CSR row offsets into `nbr_nodes` and `nbr_probs`;
+    /// `nbr_offsets[i]..nbr_offsets[i+1]` is transmitter `i`'s row. Length
+    /// `n + 1`.
     nbr_offsets: Vec<u32>,
-    /// Usable outgoing links, grouped by transmitter, destinations ascending
-    /// — exactly the order the old dense-row scan visited them.
-    nbr_entries: Vec<Neighbor>,
+    /// The listener of each usable outgoing link, grouped by transmitter,
+    /// destinations ascending — exactly the order the old dense-row scan
+    /// visited them.
+    nbr_nodes: Vec<NodeId>,
+    /// Each link's delivery probability, beside its listener in `nbr_nodes`,
+    /// pre-clamped to `[0, 1]` so the engine's loss sampling needs no
+    /// per-draw clamp.
+    nbr_probs: Vec<f64>,
 }
 
 impl LinkModel {
+    /// An empty table over `n` nodes with room for `links` links, filled by
+    /// [`push_link`](Self::push_link) row by row in transmitter order, each
+    /// row closed by [`end_row`](Self::end_row).
+    fn with_capacity(n: usize, links: usize) -> Self {
+        let mut nbr_offsets = Vec::with_capacity(n + 1);
+        nbr_offsets.push(0);
+        LinkModel {
+            n,
+            nbr_offsets,
+            nbr_nodes: Vec::with_capacity(links),
+            nbr_probs: Vec::with_capacity(links),
+        }
+    }
+
+    /// Appends the link to `to`, delivering with probability `p`, to the
+    /// open row.
+    fn push_link(&mut self, to: NodeId, p: f64) {
+        self.nbr_nodes.push(to);
+        self.nbr_probs.push(p);
+    }
+
+    /// Closes the open row.
+    fn end_row(&mut self) {
+        self.nbr_offsets.push(self.nbr_nodes.len() as u32);
+    }
+
     /// The distance-decay model with the pre-calibration [`LinkSpec::legacy`]
     /// knobs. Only the benchmark harness still calls it; everything else
     /// builds through [`LinkModel::from_spec`].
@@ -112,9 +137,7 @@ impl LinkModel {
         // which would move the probabilities, and so the digests, of
         // jittered layouts.
         let mut shaped_memo = [(1.0f64.to_bits(), 1.0); 16];
-        let mut nbr_offsets = Vec::with_capacity(n + 1);
-        let mut nbr_entries = Vec::new();
-        nbr_offsets.push(0u32);
+        let mut rows = LinkModel::with_capacity(n, topo.adjacency_len());
         for i in 0..n {
             let a = NodeId(i as u16);
             for &b in topo.neighbors(a) {
@@ -143,19 +166,12 @@ impl LinkModel {
                     * 2.0;
                 let p = (base + noise).clamp(min_delivery * 0.5, max_delivery);
                 if p > 0.0 {
-                    nbr_entries.push(Neighbor {
-                        node: b,
-                        delivery_prob: p.clamp(0.0, 1.0),
-                    });
+                    rows.push_link(b, p.clamp(0.0, 1.0));
                 }
             }
-            nbr_offsets.push(nbr_entries.len() as u32);
+            rows.end_row();
         }
-        LinkModel {
-            n,
-            nbr_offsets,
-            nbr_entries,
-        }
+        rows
     }
 
     /// A loss-free link model over a topology: every in-range directed link
@@ -163,23 +179,14 @@ impl LinkModel {
     /// logic from loss.
     pub fn perfect(topo: &Topology) -> Self {
         let n = topo.len();
-        let mut nbr_offsets = Vec::with_capacity(n + 1);
-        let mut nbr_entries = Vec::new();
-        nbr_offsets.push(0u32);
+        let mut rows = LinkModel::with_capacity(n, topo.adjacency_len());
         for i in 0..n {
             for &b in topo.neighbors(NodeId(i as u16)) {
-                nbr_entries.push(Neighbor {
-                    node: b,
-                    delivery_prob: 1.0,
-                });
+                rows.push_link(b, 1.0);
             }
-            nbr_offsets.push(nbr_entries.len() as u32);
+            rows.end_row();
         }
-        LinkModel {
-            n,
-            nbr_offsets,
-            nbr_entries,
-        }
+        rows
     }
 
     /// Builds the loss model described by a [`LinkSpec`]: the family it names
@@ -207,7 +214,8 @@ impl LinkModel {
         self.n == 0
     }
 
-    /// The `nbr_entries` range holding transmitter `i`'s row.
+    /// The range of `nbr_nodes` and `nbr_probs` holding transmitter `i`'s
+    /// row.
     #[inline]
     fn row_bounds(&self, i: usize) -> (usize, usize) {
         (
@@ -216,13 +224,13 @@ impl LinkModel {
         )
     }
 
-    /// Position of the `from → to` entry: `Ok(index into nbr_entries)` if the
-    /// link is stored, `Err(insertion index)` otherwise. Rows are sorted by
-    /// ascending destination, so this is a binary search of `from`'s slice.
+    /// Position of the `from → to` entry: `Ok(index into the row arrays)` if
+    /// the link is stored, `Err(insertion index)` otherwise. Rows are sorted
+    /// by ascending destination, so this is a binary search of `from`'s ids.
     fn entry_position(&self, from: usize, to: NodeId) -> Result<usize, usize> {
         let (lo, hi) = self.row_bounds(from);
-        self.nbr_entries[lo..hi]
-            .binary_search_by(|e| e.node.cmp(&to))
+        self.nbr_nodes[lo..hi]
+            .binary_search(&to)
             .map(|p| lo + p)
             .map_err(|p| lo + p)
     }
@@ -234,7 +242,7 @@ impl LinkModel {
         }
         match self.entry_position(from.index(), to) {
             Ok(i) => LinkQuality {
-                delivery_prob: self.nbr_entries[i].delivery_prob,
+                delivery_prob: self.nbr_probs[i],
             },
             Err(_) => LinkQuality::DEAD,
         }
@@ -253,21 +261,17 @@ impl LinkModel {
         // Overrides happen during scenario setup, never inside the event
         // loop; the O(links) offset shift on insert/remove is irrelevant.
         match self.entry_position(from.index(), to) {
-            Ok(i) if p > 0.0 => self.nbr_entries[i].delivery_prob = p,
+            Ok(i) if p > 0.0 => self.nbr_probs[i] = p,
             Ok(i) => {
-                self.nbr_entries.remove(i);
+                self.nbr_nodes.remove(i);
+                self.nbr_probs.remove(i);
                 for off in &mut self.nbr_offsets[from.index() + 1..] {
                     *off -= 1;
                 }
             }
             Err(i) if p > 0.0 => {
-                self.nbr_entries.insert(
-                    i,
-                    Neighbor {
-                        node: to,
-                        delivery_prob: p,
-                    },
-                );
+                self.nbr_nodes.insert(i, to);
+                self.nbr_probs.insert(i, p);
                 for off in &mut self.nbr_offsets[from.index() + 1..] {
                     *off += 1;
                 }
@@ -276,39 +280,39 @@ impl LinkModel {
         }
     }
 
-    /// The usable outgoing links of `node` (destinations ascending), with
-    /// their pre-clamped delivery probabilities — the engine's allocation-free
-    /// replacement for [`LinkModel::listeners`] + per-listener [`link`] calls.
+    /// The usable outgoing links of `node` as two parallel slices: the
+    /// listeners (ascending) and their pre-clamped delivery probabilities —
+    /// the engine's allocation-free replacement for [`LinkModel::listeners`]
+    /// + per-listener [`link`] calls.
     ///
     /// [`link`]: LinkModel::link
     #[inline]
-    pub fn neighbors(&self, node: NodeId) -> &[Neighbor] {
+    pub fn neighbors(&self, node: NodeId) -> (&[NodeId], &[f64]) {
         let i = node.index();
         if i >= self.n {
-            return &[];
+            return (&[], &[]);
         }
-        let lo = self.nbr_offsets[i] as usize;
-        let hi = self.nbr_offsets[i + 1] as usize;
-        &self.nbr_entries[lo..hi]
+        let (lo, hi) = self.row_bounds(i);
+        (&self.nbr_nodes[lo..hi], &self.nbr_probs[lo..hi])
     }
 
     /// Nodes with a usable link *from* `node` (i.e. nodes that can hear it).
     pub fn listeners(&self, node: NodeId) -> Vec<NodeId> {
-        self.neighbors(node).iter().map(|nb| nb.node).collect()
+        self.neighbors(node).0.to_vec()
     }
 
     /// Mean loss probability over all usable directed links.
     pub fn mean_loss(&self) -> f64 {
-        if self.nbr_entries.is_empty() {
+        if self.nbr_probs.is_empty() {
             return 0.0;
         }
-        let total: f64 = self.nbr_entries.iter().map(|e| 1.0 - e.delivery_prob).sum();
-        total / self.nbr_entries.len() as f64
+        let total: f64 = self.nbr_probs.iter().map(|p| 1.0 - p).sum();
+        total / self.nbr_probs.len() as f64
     }
 
     /// Total number of usable directed links (size of the neighbor table).
     pub fn usable_link_count(&self) -> usize {
-        self.nbr_entries.len()
+        self.nbr_nodes.len()
     }
 
     /// Fraction of usable link pairs whose two directions differ by more than
@@ -323,20 +327,20 @@ impl LinkModel {
         let mut asym = 0usize;
         let mut count = 0usize;
         for i in 0..self.n {
-            let (lo, hi) = self.row_bounds(i);
-            for e in &self.nbr_entries[lo..hi] {
-                let j = e.node.index();
-                let reverse = self.link(e.node, NodeId(i as u16)).delivery_prob;
+            let (nodes, probs) = self.neighbors(NodeId(i as u16));
+            for (&to, &p) in nodes.iter().zip(probs) {
+                let j = to.index();
+                let reverse = self.link(to, NodeId(i as u16)).delivery_prob;
                 if j > i {
                     count += 1;
-                    if (e.delivery_prob - reverse).abs() > threshold {
+                    if (p - reverse).abs() > threshold {
                         asym += 1;
                     }
                 } else if reverse == 0.0 {
                     // Only this (higher → lower) direction exists; the pair
                     // was not seen when scanning row `j`.
                     count += 1;
-                    if e.delivery_prob > threshold {
+                    if p > threshold {
                         asym += 1;
                     }
                 }
@@ -500,36 +504,39 @@ mod tests {
 
     /// The old dense-row scan, reimplemented verbatim as the oracle for the
     /// CSR table: ascending destinations, usable links only.
-    fn dense_scan(links: &LinkModel, from: NodeId) -> Vec<Neighbor> {
+    fn dense_scan(links: &LinkModel, from: NodeId) -> (Vec<NodeId>, Vec<f64>) {
         (0..links.len())
             .map(|i| NodeId(i as u16))
             .filter(|&m| m != from && links.link(from, m).is_usable())
-            .map(|m| Neighbor {
-                node: m,
-                delivery_prob: links.link(from, m).delivery_prob.clamp(0.0, 1.0),
-            })
-            .collect()
+            .map(|m| (m, links.link(from, m).delivery_prob.clamp(0.0, 1.0)))
+            .unzip()
+    }
+
+    /// `from`'s CSR row, owned, to compare with [`dense_scan`].
+    fn row(links: &LinkModel, from: NodeId) -> (Vec<NodeId>, Vec<f64>) {
+        let (nodes, probs) = links.neighbors(from);
+        (nodes.to_vec(), probs.to_vec())
     }
 
     #[test]
     fn csr_table_matches_dense_scan_order_and_probs() {
         let (topo, links) = testbed();
         for a in topo.nodes() {
-            assert_eq!(links.neighbors(a), dense_scan(&links, a).as_slice(), "{a}");
+            assert_eq!(row(&links, a), dense_scan(&links, a), "{a}");
         }
-        let total: usize = topo.nodes().map(|a| links.neighbors(a).len()).sum();
+        let total: usize = topo.nodes().map(|a| links.neighbors(a).0.len()).sum();
         assert_eq!(total, links.usable_link_count());
         // Out-of-model ids have no neighbors rather than panicking.
-        assert!(links.neighbors(NodeId(5000)).is_empty());
+        assert_eq!(row(&links, NodeId(5000)), (vec![], vec![]));
     }
 
     #[test]
     fn csr_probs_are_pre_clamped() {
         let (topo, links) = testbed();
         for a in topo.nodes() {
-            for nb in links.neighbors(a) {
-                assert!((0.0..=1.0).contains(&nb.delivery_prob));
-                assert!(nb.delivery_prob > 0.0, "dead links must not be listed");
+            for &p in links.neighbors(a).1 {
+                assert!((0.0..=1.0).contains(&p));
+                assert!(p > 0.0, "dead links must not be listed");
             }
         }
     }
@@ -538,16 +545,13 @@ mod tests {
     fn set_link_rebuilds_the_csr_table() {
         let topo = Topology::grid(3, 10.0).unwrap();
         let mut links = LinkModel::perfect(&topo);
-        let before = links.neighbors(NodeId(0)).len();
+        let before = links.neighbors(NodeId(0)).0.len();
         links.set_link(NodeId(0), NodeId(1), 0.0); // kill a link
-        assert_eq!(links.neighbors(NodeId(0)).len(), before - 1);
-        assert!(links
-            .neighbors(NodeId(0))
-            .iter()
-            .all(|nb| nb.node != NodeId(1)));
+        assert_eq!(links.neighbors(NodeId(0)).0.len(), before - 1);
+        assert!(!links.neighbors(NodeId(0)).0.contains(&NodeId(1)));
         links.set_link(NodeId(0), NodeId(1), 0.4); // revive it
-        assert_eq!(links.neighbors(NodeId(0)).len(), before);
-        assert_eq!(links.neighbors(NodeId(0)), dense_scan(&links, NodeId(0)));
+        assert_eq!(links.neighbors(NodeId(0)).0.len(), before);
+        assert_eq!(row(&links, NodeId(0)), dense_scan(&links, NodeId(0)));
     }
 
     #[test]
@@ -562,11 +566,11 @@ mod tests {
         links.set_link(a, b, 0.6);
         assert_eq!(links.usable_link_count(), before + 1);
         assert!((links.link(a, b).delivery_prob - 0.6).abs() < 1e-12);
-        assert_eq!(links.neighbors(a), dense_scan(&links, a).as_slice());
+        assert_eq!(row(&links, a), dense_scan(&links, a));
         // Other rows' slices are untouched by the offset shift.
         for i in 1..9 {
             let i = NodeId(i as u16);
-            assert_eq!(links.neighbors(i), dense_scan(&links, i).as_slice());
+            assert_eq!(row(&links, i), dense_scan(&links, i));
         }
         links.set_link(a, b, 0.0);
         assert_eq!(links.usable_link_count(), before);

@@ -443,6 +443,12 @@ impl Topology {
         &self.adjacency[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
+    /// In-range ordered pairs: the summed length of every node's
+    /// [`neighbors`](Self::neighbors).
+    pub(crate) fn adjacency_len(&self) -> usize {
+        self.adjacency.len()
+    }
+
     /// Returns `true` if `b` is within radio range of `a`.
     pub fn in_range(&self, a: NodeId, b: NodeId) -> bool {
         self.neighbors(a).binary_search(&b).is_ok()

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scoop_net::{FaultSchedule, LinkModel, Neighbor, NodePosition, Topology};
+use scoop_net::{FaultSchedule, LinkModel, NodePosition, Topology};
 use scoop_types::{LinkSpec, NodeId, ScoopError, SimTime, TopologyKind, TopologySpec};
 use std::time::{Duration, Instant};
 
@@ -183,10 +183,11 @@ proptest! {
                     expected.push((b, p.clamp(0.0, 1.0).to_bits()));
                 }
             }
-            let got: Vec<(NodeId, u64)> = links
-                .neighbors(a)
+            let (row_nodes, row_probs) = links.neighbors(a);
+            let got: Vec<(NodeId, u64)> = row_nodes
                 .iter()
-                .map(|e| (e.node, e.delivery_prob.to_bits()))
+                .zip(row_probs)
+                .map(|(&node, p)| (node, p.to_bits()))
                 .collect();
             prop_assert_eq!(
                 got, expected,
@@ -240,16 +241,13 @@ proptest! {
         let links = LinkModel::from_spec(&LinkSpec::legacy(), &topo, seed).expect("valid spec");
         for a in topo.nodes() {
             // The old dense scan, reimplemented verbatim as the oracle.
-            let dense: Vec<Neighbor> = (0..links.len())
+            let (dense_nodes, dense_probs): (Vec<NodeId>, Vec<f64>) = (0..links.len())
                 .map(|i| NodeId(i as u16))
                 .filter(|&m| m != a && links.link(a, m).is_usable())
-                .map(|m| Neighbor {
-                    node: m,
-                    delivery_prob: links.link(a, m).delivery_prob.clamp(0.0, 1.0),
-                })
-                .collect();
+                .map(|m| (m, links.link(a, m).delivery_prob.clamp(0.0, 1.0)))
+                .unzip();
             prop_assert_eq!(
-                links.neighbors(a), dense.as_slice(),
+                links.neighbors(a), (dense_nodes.as_slice(), dense_probs.as_slice()),
                 "CSR row of {} diverges from the dense scan ({:?}, {} nodes, seed {})",
                 a, spec.kind, nodes, seed
             );
@@ -371,13 +369,14 @@ proptest! {
         link_spec.validate().expect("spec is in the valid range");
         let links = LinkModel::from_spec(&link_spec, &topo, seed).expect("valid spec");
         for a in topo.nodes() {
-            for nb in links.neighbors(a) {
+            let (nodes, probs) = links.neighbors(a);
+            for (&node, &p) in nodes.iter().zip(probs) {
                 prop_assert!(
-                    (0.0..=1.0).contains(&nb.delivery_prob) && nb.delivery_prob > 0.0,
+                    (0.0..=1.0).contains(&p) && p > 0.0,
                     "CSR entry {a}->{} carries probability {}",
-                    nb.node, nb.delivery_prob
+                    node, p
                 );
-                prop_assert!(nb.delivery_prob.is_finite());
+                prop_assert!(p.is_finite());
             }
         }
     }

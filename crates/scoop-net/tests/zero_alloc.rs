@@ -101,7 +101,7 @@ fn steady_state_event_loop_allocates_nothing() {
     // Lossy links: the unicast retry loop must actually retry sometimes.
     let links = LinkModel::from_spec(&LinkSpec::legacy(), &topo, 42).expect("valid spec");
     assert!(
-        links.neighbors(NodeId(1)).len() > 32,
+        links.neighbors(NodeId(1)).0.len() > 32,
         "a transmission must span more than one listener word"
     );
     let nodes = (0..topo.len()).map(|_| FloodApp::default()).collect();

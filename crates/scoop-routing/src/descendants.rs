@@ -19,19 +19,19 @@ struct DescendantEntry {
 }
 
 /// A capacity-bounded map from descendant to the child branch it lives under.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// The capacity (32 in the paper) is the routing configuration's, the same on
+/// every node, so the list does not store it: [`DescendantsList::note`]
+/// takes it.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct DescendantsList {
     entries: Vec<DescendantEntry>,
-    capacity: usize,
 }
 
 impl DescendantsList {
-    /// Creates an empty list with the given capacity (32 in the paper).
-    pub fn new(capacity: usize) -> Self {
-        DescendantsList {
-            entries: Vec::new(),
-            capacity: capacity.max(1),
-        }
+    /// Creates an empty list.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of descendants tracked.
@@ -44,19 +44,15 @@ impl DescendantsList {
         self.entries.is_empty()
     }
 
-    /// The list's capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Records that a packet originated by `descendant` was received from the
     /// immediate child `via_child` (i.e. we are routing on its behalf).
     ///
-    /// When the list is full the least-recently-seen entry is evicted — the
+    /// When the list holds `capacity` entries (at least one) the
+    /// least-recently-seen entry is evicted — the
     /// paper notes the routing still works with a full list, just with
     /// "somewhat degraded performance", because packets for unknown
     /// descendants fall back to the parent path (rule 6).
-    pub fn note(&mut self, descendant: NodeId, via_child: NodeId, now: SimTime) {
+    pub fn note(&mut self, descendant: NodeId, via_child: NodeId, now: SimTime, capacity: usize) {
         if let Some(e) = self.entries.iter_mut().find(|e| e.descendant == descendant) {
             e.via_child = via_child;
             e.last_seen = now;
@@ -67,7 +63,7 @@ impl DescendantsList {
             via_child,
             last_seen: now,
         };
-        if self.entries.len() < self.capacity {
+        if self.entries.len() < capacity.max(1) {
             self.entries.push(entry);
         } else if let Some(oldest) = self
             .entries
@@ -114,10 +110,10 @@ mod tests {
 
     #[test]
     fn note_and_next_hop() {
-        let mut d = DescendantsList::new(4);
-        d.note(NodeId(9), NodeId(3), SimTime::from_secs(1));
-        d.note(NodeId(8), NodeId(3), SimTime::from_secs(2));
-        d.note(NodeId(7), NodeId(4), SimTime::from_secs(3));
+        let mut d = DescendantsList::new();
+        d.note(NodeId(9), NodeId(3), SimTime::from_secs(1), 4);
+        d.note(NodeId(8), NodeId(3), SimTime::from_secs(2), 4);
+        d.note(NodeId(7), NodeId(4), SimTime::from_secs(3), 4);
         assert_eq!(d.next_hop(NodeId(9)), Some(NodeId(3)));
         assert_eq!(d.next_hop(NodeId(7)), Some(NodeId(4)));
         assert_eq!(d.next_hop(NodeId(6)), None);
@@ -127,20 +123,20 @@ mod tests {
 
     #[test]
     fn renoting_updates_branch_and_timestamp() {
-        let mut d = DescendantsList::new(4);
-        d.note(NodeId(9), NodeId(3), SimTime::from_secs(1));
+        let mut d = DescendantsList::new();
+        d.note(NodeId(9), NodeId(3), SimTime::from_secs(1), 4);
         // The descendant moved to a different branch.
-        d.note(NodeId(9), NodeId(5), SimTime::from_secs(2));
+        d.note(NodeId(9), NodeId(5), SimTime::from_secs(2), 4);
         assert_eq!(d.len(), 1);
         assert_eq!(d.next_hop(NodeId(9)), Some(NodeId(5)));
     }
 
     #[test]
     fn capacity_evicts_least_recently_seen() {
-        let mut d = DescendantsList::new(2);
-        d.note(NodeId(1), NodeId(10), SimTime::from_secs(1));
-        d.note(NodeId(2), NodeId(10), SimTime::from_secs(2));
-        d.note(NodeId(3), NodeId(10), SimTime::from_secs(3));
+        let mut d = DescendantsList::new();
+        d.note(NodeId(1), NodeId(10), SimTime::from_secs(1), 2);
+        d.note(NodeId(2), NodeId(10), SimTime::from_secs(2), 2);
+        d.note(NodeId(3), NodeId(10), SimTime::from_secs(3), 2);
         assert_eq!(d.len(), 2);
         assert!(!d.contains(NodeId(1)), "oldest entry should be evicted");
         assert!(d.contains(NodeId(2)));
@@ -149,10 +145,10 @@ mod tests {
 
     #[test]
     fn evict_by_time_and_child() {
-        let mut d = DescendantsList::new(8);
-        d.note(NodeId(1), NodeId(10), SimTime::from_secs(1));
-        d.note(NodeId(2), NodeId(11), SimTime::from_secs(100));
-        d.note(NodeId(3), NodeId(12), SimTime::from_secs(100));
+        let mut d = DescendantsList::new();
+        d.note(NodeId(1), NodeId(10), SimTime::from_secs(1), 8);
+        d.note(NodeId(2), NodeId(11), SimTime::from_secs(100), 8);
+        d.note(NodeId(3), NodeId(12), SimTime::from_secs(100), 8);
         d.evict(SimTime::from_secs(50), Some(NodeId(12)));
         assert!(!d.contains(NodeId(1)), "stale entry evicted");
         assert!(

@@ -25,6 +25,10 @@ const REORDER_WINDOW: u32 = 128;
 
 /// Estimates inbound link quality (the fraction of a neighbor's transmissions
 /// this node actually hears) for every neighbor it has ever overheard.
+///
+/// The EWMA smoothing factor is the routing configuration's, the same on
+/// every node, so the estimator does not store it:
+/// [`LinkEstimator::observe`] takes it.
 #[derive(Clone, Debug, Default)]
 pub struct LinkEstimator {
     /// One record per neighbor, sorted by ascending `NodeId` and found by
@@ -32,23 +36,12 @@ pub struct LinkEstimator {
     /// the table is a few cache lines and every id-ordered walk of it is
     /// deterministic.
     records: Vec<LinkRecord>,
-    /// EWMA smoothing factor applied per observation.
-    alpha: f64,
 }
 
 impl LinkEstimator {
-    /// Creates an estimator with the default smoothing factor.
+    /// Creates an estimator that has heard nobody.
     pub fn new() -> Self {
-        Self::with_alpha(0.1)
-    }
-
-    /// Creates an estimator with an explicit EWMA smoothing factor in
-    /// `(0, 1]`; larger values react faster to changes.
-    pub fn with_alpha(alpha: f64) -> Self {
-        LinkEstimator {
-            records: Vec::new(),
-            alpha: alpha.clamp(0.001, 1.0),
-        }
+        Self::default()
     }
 
     fn position(&self, src: NodeId) -> Result<usize, usize> {
@@ -60,9 +53,11 @@ impl LinkEstimator {
     }
 
     /// Records that a packet from `src` carrying sequence number `seqno` was
-    /// heard (whether addressed to us or snooped) at time `now`. Returns the
-    /// updated [`quality`](Self::quality) of `src`.
-    pub fn observe(&mut self, src: NodeId, seqno: SeqNo, now: SimTime) -> f64 {
+    /// heard (whether addressed to us or snooped) at time `now`, smoothing
+    /// with the EWMA factor `alpha`, clamped into `[0.001, 1]`; larger values
+    /// react faster to changes. Returns the updated
+    /// [`quality`](Self::quality) of `src`.
+    pub fn observe(&mut self, src: NodeId, seqno: SeqNo, now: SimTime, alpha: f64) -> f64 {
         match self.position(src) {
             Err(at) => {
                 self.records.insert(
@@ -77,6 +72,7 @@ impl LinkEstimator {
                 1.0
             }
             Ok(at) => {
+                let alpha = alpha.clamp(0.001, 1.0);
                 let rec = &mut self.records[at];
                 let gap = seqno.distance_from(rec.last_seqno);
                 // gap == 0 is a duplicate; gaps beyond the reorder window are
@@ -94,9 +90,9 @@ impl LinkEstimator {
                 // received packet. With no miss the factor is exactly 1.0,
                 // so skipping the out-of-line `powi` call changes no bit.
                 if missed_now > 0 {
-                    rec.ewma *= (1.0 - self.alpha).powi(missed_now.min(1_000) as i32);
+                    rec.ewma *= (1.0 - alpha).powi(missed_now.min(1_000) as i32);
                 }
-                rec.ewma = (1.0 - self.alpha) * rec.ewma + self.alpha;
+                rec.ewma = (1.0 - alpha) * rec.ewma + alpha;
                 rec.ewma
             }
         }
@@ -154,11 +150,14 @@ impl LinkEstimator {
 mod tests {
     use super::*;
 
+    /// The routing configuration's default smoothing factor.
+    const ALPHA: f64 = 0.1;
+
     /// The quality of a link after `n` consecutive packets and no loss.
     fn lossless(n: u32) -> Option<f64> {
         let mut est = LinkEstimator::new();
         for i in 0..n {
-            est.observe(NodeId(1), SeqNo(i), SimTime::ZERO);
+            est.observe(NodeId(1), SeqNo(i), SimTime::ZERO, ALPHA);
         }
         est.quality(NodeId(1))
     }
@@ -167,7 +166,7 @@ mod tests {
     fn perfect_link_has_quality_one() {
         let mut est = LinkEstimator::new();
         for i in 0..50u32 {
-            est.observe(NodeId(3), SeqNo(i), SimTime::from_secs(i as u64));
+            est.observe(NodeId(3), SeqNo(i), SimTime::from_secs(i as u64), ALPHA);
         }
         let q = est.quality(NodeId(3)).unwrap();
         assert!(q > 0.99, "quality {q}");
@@ -176,10 +175,10 @@ mod tests {
 
     #[test]
     fn gaps_reduce_quality() {
-        let mut est = LinkEstimator::with_alpha(0.2);
+        let mut est = LinkEstimator::new();
         // Hear every other packet: seqnos 0, 2, 4, ...
         for i in 0..100u32 {
-            est.observe(NodeId(7), SeqNo(i * 2), SimTime::from_secs(i as u64));
+            est.observe(NodeId(7), SeqNo(i * 2), SimTime::from_secs(i as u64), 0.2);
         }
         let q = est.quality(NodeId(7)).unwrap();
         assert!((0.3..0.7).contains(&q), "expected ~0.5, got {q}");
@@ -196,8 +195,8 @@ mod tests {
     #[test]
     fn duplicate_seqno_does_not_count_as_loss() {
         let mut est = LinkEstimator::new();
-        est.observe(NodeId(1), SeqNo(5), SimTime::from_secs(1));
-        est.observe(NodeId(1), SeqNo(5), SimTime::from_secs(2));
+        est.observe(NodeId(1), SeqNo(5), SimTime::from_secs(1), ALPHA);
+        est.observe(NodeId(1), SeqNo(5), SimTime::from_secs(2), ALPHA);
         assert_eq!(est.quality(NodeId(1)), lossless(2));
     }
 
@@ -207,31 +206,31 @@ mod tests {
         // Seqno 20 arrives, then an older retransmission (seq 17) overtaken by
         // it. With naive wrapping arithmetic this would look like ~4 billion
         // missed packets.
-        est.observe(NodeId(1), SeqNo(20), SimTime::from_secs(1));
-        est.observe(NodeId(1), SeqNo(17), SimTime::from_secs(2));
+        est.observe(NodeId(1), SeqNo(20), SimTime::from_secs(1), ALPHA);
+        est.observe(NodeId(1), SeqNo(17), SimTime::from_secs(2), ALPHA);
         let q = est.quality(NodeId(1)).unwrap();
         assert!(q > 0.9, "reordering must not crater the estimate, got {q}");
         assert_eq!(Some(q), lossless(2));
         // Subsequent in-order packets keep working off the high-water mark.
-        est.observe(NodeId(1), SeqNo(21), SimTime::from_secs(3));
+        est.observe(NodeId(1), SeqNo(21), SimTime::from_secs(3), ALPHA);
         assert_eq!(est.quality(NodeId(1)), lossless(3));
     }
 
     #[test]
     fn neighbor_reboot_resets_cleanly() {
         let mut est = LinkEstimator::new();
-        est.observe(NodeId(1), SeqNo(1_000_000), SimTime::from_secs(1));
+        est.observe(NodeId(1), SeqNo(1_000_000), SimTime::from_secs(1), ALPHA);
         // The neighbor reboots and starts from zero: far outside the reorder
         // window, so it must not be treated as a billion lost packets.
-        est.observe(NodeId(1), SeqNo(0), SimTime::from_secs(2));
+        est.observe(NodeId(1), SeqNo(0), SimTime::from_secs(2), ALPHA);
         assert_eq!(est.quality(NodeId(1)), lossless(2));
     }
 
     #[test]
     fn eviction_removes_silent_neighbors() {
         let mut est = LinkEstimator::new();
-        est.observe(NodeId(1), SeqNo(0), SimTime::from_secs(10));
-        est.observe(NodeId(2), SeqNo(0), SimTime::from_secs(100));
+        est.observe(NodeId(1), SeqNo(0), SimTime::from_secs(10), ALPHA);
+        est.observe(NodeId(2), SeqNo(0), SimTime::from_secs(100), ALPHA);
         let evicted = est.evict_silent_since(SimTime::from_secs(50));
         assert_eq!(evicted, vec![NodeId(1)]);
         assert_eq!(est.len(), 1);
@@ -240,11 +239,11 @@ mod tests {
 
     #[test]
     fn worse_links_have_higher_etx() {
-        let mut good = LinkEstimator::with_alpha(0.3);
-        let mut bad = LinkEstimator::with_alpha(0.3);
+        let mut good = LinkEstimator::new();
+        let mut bad = LinkEstimator::new();
         for i in 0..60u32 {
-            good.observe(NodeId(1), SeqNo(i), SimTime::from_secs(i as u64));
-            bad.observe(NodeId(1), SeqNo(i * 4), SimTime::from_secs(i as u64));
+            good.observe(NodeId(1), SeqNo(i), SimTime::from_secs(i as u64), 0.3);
+            bad.observe(NodeId(1), SeqNo(i * 4), SimTime::from_secs(i as u64), 0.3);
         }
         assert!(bad.etx(NodeId(1)).unwrap() > good.etx(NodeId(1)).unwrap() * 1.5);
     }
@@ -254,7 +253,7 @@ mod tests {
         let mut est = LinkEstimator::new();
         // Heard in an order unrelated to the ids; 9 and 40 stay fresh.
         for (id, at) in [(40u16, 90), (3, 10), (17, 20), (9, 80), (1, 30), (25, 5)] {
-            est.observe(NodeId(id), SeqNo(0), SimTime::from_secs(at));
+            est.observe(NodeId(id), SeqNo(0), SimTime::from_secs(at), ALPHA);
         }
         let ids = |v: &[u16]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
         assert_eq!(

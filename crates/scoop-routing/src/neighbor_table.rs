@@ -29,21 +29,20 @@ pub struct NeighborEntry {
 ///
 /// Every quality the estimator holds is finite and > 0 (its EWMA never falls
 /// below `alpha`), so `f64::total_cmp` orders them exactly as `partial_cmp`.
-#[derive(Clone, Debug)]
+///
+/// The capacity is the routing configuration's, the same on every node, so
+/// the table does not store it: [`NeighborTable::observe`] takes it. Storage
+/// grows with the neighbors actually heard — the capacity is the paper's
+/// logical bound, not a reservation.
+#[derive(Clone, Debug, Default)]
 pub struct NeighborTable {
     nodes: Vec<NodeId>,
-    capacity: usize,
 }
 
 impl NeighborTable {
-    /// Creates an empty table holding at most `capacity` neighbors. Storage
-    /// grows with the neighbors actually heard: `capacity` is the paper's
-    /// logical bound, not a reservation.
-    pub fn new(capacity: usize) -> Self {
-        NeighborTable {
-            nodes: Vec::new(),
-            capacity: capacity.max(1),
-        }
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of neighbors currently tracked.
@@ -56,26 +55,22 @@ impl NeighborTable {
         self.nodes.is_empty()
     }
 
-    /// The table's capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Returns `true` if `node` is in the table.
     pub fn contains(&self, node: NodeId) -> bool {
         self.nodes.contains(&node)
     }
 
     /// Admits `node`, which `links` has just observed, if it is new. When the
-    /// table is full, `node` replaces the worst existing entry in place only
-    /// if its quality is higher; otherwise the observation is dropped.
-    pub fn observe(&mut self, node: NodeId, links: &LinkEstimator) {
+    /// table holds `capacity` neighbors (at least one), `node` replaces the
+    /// worst existing entry in place only if its quality is higher; otherwise
+    /// the observation is dropped.
+    pub fn observe(&mut self, node: NodeId, links: &LinkEstimator, capacity: usize) {
         // A neighbor the estimator has no record of ranks below every other.
         let quality = |n| links.quality(n).unwrap_or(f64::NEG_INFINITY);
         if self.contains(node) {
             return;
         }
-        if self.nodes.len() < self.capacity {
+        if self.nodes.len() < capacity.max(1) {
             self.nodes.push(node);
         } else if let Some((worst_idx, worst)) = self
             .nodes
@@ -131,26 +126,29 @@ mod tests {
     use super::*;
     use scoop_types::SeqNo;
 
+    /// The routing configuration's default smoothing factor.
+    const ALPHA: f64 = 0.1;
+
     /// `links` hears `node` twice at second `at`, `gap` sequence numbers
     /// apart: the wider the gap, the lower the quality.
     fn hear(links: &mut LinkEstimator, node: u16, gap: u32, at: u64) -> NodeId {
         let node = NodeId(node);
-        links.observe(node, SeqNo(0), SimTime::from_secs(at));
-        links.observe(node, SeqNo(gap), SimTime::from_secs(at));
+        links.observe(node, SeqNo(0), SimTime::from_secs(at), ALPHA);
+        links.observe(node, SeqNo(gap), SimTime::from_secs(at), ALPHA);
         node
     }
 
     #[test]
     fn observe_and_get() {
         let mut links = LinkEstimator::new();
-        let mut t = NeighborTable::new(4);
-        t.observe(hear(&mut links, 1, 1, 1), &links);
-        t.observe(hear(&mut links, 2, 5, 2), &links);
+        let mut t = NeighborTable::new();
+        t.observe(hear(&mut links, 1, 1, 1), &links, 4);
+        t.observe(hear(&mut links, 2, 5, 2), &links, 4);
         assert_eq!(t.len(), 2);
         assert!(t.contains(NodeId(1)));
         // Refreshing reads the estimator's new view rather than duplicating.
-        links.observe(NodeId(2), SeqNo(6), SimTime::from_secs(3));
-        t.observe(NodeId(2), &links);
+        links.observe(NodeId(2), SeqNo(6), SimTime::from_secs(3), ALPHA);
+        t.observe(NodeId(2), &links, 4);
         assert_eq!(t.len(), 2);
         let entry = t.best(2, &links)[1];
         assert_eq!(entry.node, NodeId(2));
@@ -161,14 +159,14 @@ mod tests {
     #[test]
     fn capacity_evicts_worst_only_for_better() {
         let mut links = LinkEstimator::new();
-        let mut t = NeighborTable::new(2);
-        t.observe(hear(&mut links, 1, 1, 0), &links);
-        t.observe(hear(&mut links, 2, 10, 0), &links);
+        let mut t = NeighborTable::new();
+        t.observe(hear(&mut links, 1, 1, 0), &links, 2);
+        t.observe(hear(&mut links, 2, 10, 0), &links, 2);
         // Worse than both: dropped.
-        t.observe(hear(&mut links, 3, 20, 0), &links);
+        t.observe(hear(&mut links, 3, 20, 0), &links, 2);
         assert!(!t.contains(NodeId(3)));
         // Better than the worst: replaces node 2.
-        t.observe(hear(&mut links, 4, 5, 0), &links);
+        t.observe(hear(&mut links, 4, 5, 0), &links, 2);
         assert!(t.contains(NodeId(4)));
         assert!(!t.contains(NodeId(2)));
         assert_eq!(t.len(), 2);
@@ -177,9 +175,9 @@ mod tests {
     #[test]
     fn best_k_is_sorted_by_quality() {
         let mut links = LinkEstimator::new();
-        let mut t = NeighborTable::new(10);
+        let mut t = NeighborTable::new();
         for (i, gap) in [(1u16, 10), (2, 1), (3, 5), (4, 20)] {
-            t.observe(hear(&mut links, i, gap, 0), &links);
+            t.observe(hear(&mut links, i, gap, 0), &links, 10);
         }
         let best = t.best(3, &links);
         let ids: Vec<NodeId> = best.iter().map(|e| e.node).collect();
@@ -189,9 +187,9 @@ mod tests {
     #[test]
     fn eviction_of_silent_neighbors() {
         let mut links = LinkEstimator::new();
-        let mut t = NeighborTable::new(10);
-        t.observe(hear(&mut links, 1, 1, 10), &links);
-        t.observe(hear(&mut links, 2, 1, 200), &links);
+        let mut t = NeighborTable::new();
+        t.observe(hear(&mut links, 1, 1, 10), &links, 10);
+        t.observe(hear(&mut links, 2, 1, 200), &links, 10);
         let evicted = t.evict_silent_since(SimTime::from_secs(100), &links);
         assert_eq!(evicted, vec![NodeId(1)]);
         assert!(!t.contains(NodeId(1)));

@@ -11,6 +11,14 @@
 use scoop_types::{NodeId, SimTime};
 use serde::{Deserialize, Serialize};
 
+/// A candidate must beat the current route by this much (in expected
+/// transmissions) before a node switches parents.
+const HYSTERESIS: f64 = 0.5;
+
+/// How long a node keeps a parent it has not heard from before declaring the
+/// route stale.
+const PARENT_TIMEOUT_MS: u64 = 90_000;
+
 /// The content of a tree-join (heartbeat) message.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Beacon {
@@ -32,12 +40,6 @@ pub struct TreeState {
     hops: u16,
     path_etx: f64,
     last_parent_heard: SimTime,
-    /// A candidate must beat the current route by this much (in expected
-    /// transmissions) before we switch parents.
-    hysteresis: f64,
-    /// How long we keep a parent we have not heard from before declaring the
-    /// route stale.
-    parent_timeout_ms: u64,
 }
 
 impl TreeState {
@@ -51,8 +53,6 @@ impl TreeState {
             hops: if is_root { 0 } else { u16::MAX },
             path_etx: if is_root { 0.0 } else { f64::INFINITY },
             last_parent_heard: SimTime::ZERO,
-            hysteresis: 0.5,
-            parent_timeout_ms: 90_000,
         }
     }
 
@@ -134,8 +134,8 @@ impl TreeState {
         let current_stale = now
             .as_millis()
             .saturating_sub(self.last_parent_heard.as_millis())
-            > self.parent_timeout_ms;
-        let better = candidate_cost + self.hysteresis < self.path_etx;
+            > PARENT_TIMEOUT_MS;
+        let better = candidate_cost + HYSTERESIS < self.path_etx;
         if self.parent.is_none() || current_stale || better {
             self.parent = Some(from);
             self.path_etx = candidate_cost;

@@ -122,6 +122,7 @@ impl EntryTable {
 struct ModelRouter {
     me: NodeId,
     stale_timeout: SimDuration,
+    descendants_cap: usize,
     estimator: HashMapEstimator,
     table: EntryTable,
     descendants: DescendantsList,
@@ -135,7 +136,8 @@ impl ModelRouter {
         let quality = self.estimator.observe(meta.link_src, meta.seqno, now);
         self.table.observe(meta.link_src, quality, now);
         if meta.origin_parent == Some(self.me) && meta.origin != self.me {
-            self.descendants.note(meta.origin, meta.origin, now);
+            self.descendants
+                .note(meta.origin, meta.origin, now, self.descendants_cap);
         }
     }
 
@@ -173,7 +175,7 @@ proptest! {
     ) {
         let mut est = LinkEstimator::new();
         for (i, &s) in seqnos.iter().enumerate() {
-            est.observe(NodeId(7), SeqNo(s), SimTime::from_secs(i as u64));
+            est.observe(NodeId(7), SeqNo(s), SimTime::from_secs(i as u64), HashMapEstimator::ALPHA);
         }
         let q = est.quality(NodeId(7)).unwrap();
         prop_assert!((0.0..=1.0).contains(&q), "quality {q}");
@@ -207,7 +209,8 @@ proptest! {
                 evicted.sort();
                 prop_assert_eq!(evicted, model.evict_silent_since(cutoff));
             } else {
-                let quality = est.observe(NodeId(src), SeqNo(seqno), SimTime::from_secs(now));
+                let at = SimTime::from_secs(now);
+                let quality = est.observe(NodeId(src), SeqNo(seqno), at, HashMapEstimator::ALPHA);
                 model.observe(NodeId(src), SeqNo(seqno), SimTime::from_secs(now));
                 prop_assert_eq!(Some(quality), est.quality(NodeId(src)));
             }
@@ -257,9 +260,10 @@ proptest! {
         let mut model = ModelRouter {
             me,
             stale_timeout: config.stale_timeout,
+            descendants_cap: config.descendants_cap,
             estimator: HashMapEstimator::default(),
             table: EntryTable { entries: Vec::new(), capacity },
-            descendants: DescendantsList::new(config.descendants_cap),
+            descendants: DescendantsList::new(),
         };
         let ids = || (0..48).map(NodeId);
         let mut now = 0u64;
@@ -308,7 +312,6 @@ proptest! {
                 prop_assert_eq!(rs.is_descendant(n), model.descendants.contains(n));
             }
         }
-        prop_assert_eq!(rs.neighbor_table().capacity(), capacity);
     }
 
     /// A node never selects itself or an unusable link as parent, and its hop

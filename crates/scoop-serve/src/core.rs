@@ -310,4 +310,17 @@ mod tests {
         assert!(lean.digest.is_none());
         assert_eq!(lean.answer(AggregateOp::Min), Some(2.0));
     }
+
+    #[test]
+    fn an_inverted_time_window_answers_zero_rows() {
+        // `QueryPredicate`'s fields are public, so an in-process caller can
+        // hand the core a window that `ServeRequest::decode` would refuse.
+        for cache in [0, 8] {
+            let mut core = AnswerCore::new(ValueRange::new(0, 9), cache);
+            core.ingest(&[rec(10, 1, 3), rec(20, 2, 3), rec(30, 3, 3)]);
+            let payload = core.answer_payload(&pred(0, 9, 25, 15)).unwrap();
+            assert_eq!(payload.as_slice(), &0u32.to_le_bytes(), "cache {cache}");
+            assert_eq!(core.stats().rows_returned, 0);
+        }
+    }
 }

@@ -80,7 +80,8 @@ impl ServeIndex {
     /// `out`, then sorts all of `out` — these rows and whatever the caller
     /// had already put there — into canonical global order. The time filter
     /// binary-searches each bucket (they are time-major sorted); the final
-    /// sort merges the few touched buckets.
+    /// sort merges the few touched buckets. An inverted window
+    /// (`time_lo_ms > time_hi_ms`) matches nothing, as in the store.
     pub fn query_into(
         &self,
         values: &ValueRange,
@@ -88,15 +89,18 @@ impl ServeIndex {
         time_hi_ms: u64,
         out: &mut Vec<DurableRecord>,
     ) {
-        // A range wholly outside the domain can only match overflow records.
-        if let Some(clipped) = self.domain.intersect(values) {
-            for v in clipped.lo..=clipped.hi {
-                let b = (v - self.domain.lo) as usize;
-                Self::scan_sorted(&self.buckets[b], values, time_lo_ms, time_hi_ms, out);
+        if time_lo_ms <= time_hi_ms {
+            // A range wholly outside the domain can only match overflow
+            // records.
+            if let Some(clipped) = self.domain.intersect(values) {
+                for v in clipped.lo..=clipped.hi {
+                    let b = (v - self.domain.lo) as usize;
+                    Self::scan_sorted(&self.buckets[b], values, time_lo_ms, time_hi_ms, out);
+                }
             }
-        }
-        if !self.overflow().is_empty() {
-            Self::scan_sorted(self.overflow(), values, time_lo_ms, time_hi_ms, out);
+            if !self.overflow().is_empty() {
+                Self::scan_sorted(self.overflow(), values, time_lo_ms, time_hi_ms, out);
+            }
         }
         out.sort_unstable();
     }
@@ -221,5 +225,14 @@ mod tests {
         out.clear();
         idx.query_into(&ValueRange::new(1, 1), 11, 29, &mut out);
         assert_eq!(out, vec![rec(20, 1, 1)]);
+    }
+
+    #[test]
+    fn an_inverted_time_window_matches_nothing() {
+        let mut idx = ServeIndex::new(ValueRange::new(0, 4));
+        idx.insert_batch(&[rec(10, 1, 1), rec(20, 1, 1), rec(30, 1, 9)]);
+        let mut out = Vec::new();
+        idx.query_into(&ValueRange::new(0, 20), 25, 15, &mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 }

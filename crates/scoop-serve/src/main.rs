@@ -185,14 +185,25 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         &[],
     )?;
     let addr = lookup(&values, "addr").ok_or("query needs --addr=HOST:PORT")?;
+    let (from_ms, to_ms) = (
+        numeric(&values, "from-ms", 0u64)?,
+        numeric(&values, "to-ms", u64::MAX / 2)?,
+    );
+    // The server drops a connection whose request does not decode; refuse
+    // the window here instead of sending it.
+    if from_ms > to_ms {
+        return Err(format!(
+            "time window --from-ms={from_ms} --to-ms={to_ms} is inverted"
+        ));
+    }
     let req = ServeRequest {
         id: numeric(&values, "id", 1u64)?,
         values: ValueRange::new(
             numeric(&values, "lo", 0)?,
             numeric(&values, "hi", i32::MAX)?,
         ),
-        time_lo: SimTime::from_millis(numeric(&values, "from-ms", 0u64)?),
-        time_hi: SimTime::from_millis(numeric(&values, "to-ms", u64::MAX / 2)?),
+        time_lo: SimTime::from_millis(from_ms),
+        time_hi: SimTime::from_millis(to_ms),
     };
     let policy = RetryPolicy::new(
         numeric(&values, "retry", 0u32)?,

@@ -11,7 +11,6 @@
 use crate::node::{NodeShared, SimNode};
 use scoop_net::{Engine, EngineConfig, FaultSchedule, LinkModel, Topology};
 use scoop_types::{NodeId, ScenarioSpec, ScoopError, SimTime};
-use scoop_workload::make_source_for;
 use std::sync::Arc;
 
 /// Salt keeping the fault-sampling random stream independent of the other
@@ -75,19 +74,14 @@ pub fn assemble(
     // `spec.num_nodes` and the clone is bit-identical to the input.
     let mut node_spec = spec.clone();
     node_spec.num_nodes = topology.len() - 1;
-    let cfg = Arc::new(node_spec);
-    // Every node owns its data source. Sources are pure in `(node, now)`
-    // (the scoop-workload contract), so per-node copies agree exactly with a
-    // single shared source — and the resulting engine is `Send`, which lets
-    // the sweep runner spread runs over threads. Construct once, then take
-    // cheap copies (bulky immutable state is Arc-shared inside the source).
-    let proto_source = make_source_for(&spec.workload, cfg.num_nodes, spec.seed);
-    // Likewise everything that is a function of the config alone — the
-    // static HASH / BASE index above all — is computed once and shared.
-    let shared = NodeShared::new(cfg);
+    // Everything that is a function of the config alone — the spec itself,
+    // the data source (pure in `(node, now)`, the scoop-workload contract),
+    // the static HASH / BASE index — is built once and shared by every node,
+    // so assembly allocates nothing per node beyond the node array.
+    let shared = Arc::new(NodeShared::new(node_spec));
     let nodes: Vec<SimNode> = topology
         .nodes()
-        .map(|id| SimNode::with_shared(id, &shared, proto_source.clone_box()))
+        .map(|id| SimNode::with_shared(id, &shared))
         .collect();
     let total = topology.len();
     let mut engine = Engine::new(topology, links, nodes, EngineConfig { seed: spec.seed })?;

@@ -5,10 +5,14 @@
 //! event-driven [`NodeLogic`] for the discrete-event engine. Its state is
 //! split by how often it is touched and by who needs it:
 //!
-//! * the **hot core**, inline in every `SimNode` (at most 472 bytes) and
+//! * the **run's constants**, one [`NodeShared`] per run behind an `Arc`
+//!   every node points to: the spec, the data source (pure in
+//!   `(node, now)`), the sink set and the static HASH / BASE index — what a
+//!   mote would have compiled into the one image every node runs;
+//! * the **hot core**, inline in every `SimNode` (at most 384 bytes) and
 //!   touched by every event: tree routing (periodic beacons, link estimation
-//!   by snooping, parent selection), the data buffer and source, the current
-//!   storage index and the six routing rules applied to sampled and forwarded
+//!   by snooping, parent selection), the data buffer, the current storage
+//!   index and the six routing rules applied to sampled and forwarded
 //!   readings, the gossip queue, and the counters the harness reads;
 //! * four boxed **roles**, each allocated at construction on exactly the
 //!   nodes whose spec gives them the part, so a node that never plays a role
@@ -17,7 +21,8 @@
 //!     dissemination every remap interval, query issue and reply accounting,
 //!     peer liveness in the federation;
 //!   - `scoop_sensor` — SCOOP runs only: the recent-readings ring behind the
-//!     periodic summaries, and index assembly from mapping chunks;
+//!     periodic summaries, the batch of readings bound for one owner
+//!     (Section 5.4), and index assembly from mapping chunks;
 //!   - `federation` — multi-sink runs only: per-rank index assembly,
 //!     sink-liveness gossip, routing replies to the issuing sink;
 //!   - `aggregate` — sensors of LOCAL aggregate workloads only: partials held
@@ -59,7 +64,7 @@ use scoop_types::{
     MessageKind, NodeId, PartialAggregate, Reading, ScenarioSpec, SimDuration, SimTime,
     StorageIndexId, StoragePolicy,
 };
-use scoop_workload::DataSource;
+use scoop_workload::{make_source_for, DataSource};
 use sink::SinkRole;
 
 use rand::rngs::StdRng;
@@ -133,18 +138,15 @@ pub struct NodeLocalMetrics {
 /// The per-node protocol state machine (see module docs).
 pub struct SimNode {
     id: NodeId,
-    cfg: Arc<ScenarioSpec>,
+    /// The run's constants: spec, data source, sink set, static index.
+    shared: Arc<NodeShared>,
     routing: RoutingState,
     buffer: DataBuffer,
-    source: Box<dyn DataSource>,
     rng: StdRng,
     /// Newest complete storage index this node holds. Behind an `Arc`: the
     /// static HASH / BASE index is one allocation shared by every node of
     /// the run (see [`NodeShared`]).
     current_index: Option<Arc<StorageIndex>>,
-    /// Readings batched for the same owner, waiting to be sent.
-    batch: Vec<Reading>,
-    batch_dest: Option<(NodeId, StorageIndexId)>,
     /// Ids of the queries already processed (deduplication for gossip).
     seen_queries: SparseIdSet,
     /// Items waiting to be re-broadcast. The payloads are the shared `Arc`s
@@ -162,13 +164,16 @@ pub struct SimNode {
     pub metrics: NodeLocalMetrics,
 }
 
-/// The part of a node's initial state that is a pure function of the
-/// experiment configuration, hence identical on every node of a run. Built
-/// once per engine and handed to every [`SimNode::with_shared`] call, so the
-/// per-run immutable state (notably the static index) exists once, not once
-/// per node.
+/// Everything a node reads that is a pure function of the experiment
+/// configuration, hence identical on every node of a run. Built once per
+/// engine and shared by every [`SimNode::with_shared`] node through one
+/// `Arc`, so the per-run immutable state — the spec, the data source, the
+/// static index — exists once, not once per node.
 pub struct NodeShared {
-    cfg: Arc<ScenarioSpec>,
+    cfg: ScenarioSpec,
+    /// The run's one data source; sources are pure in `(node, now)`, so every
+    /// node samples it by reference.
+    source: Box<dyn DataSource>,
     routing_cfg: RoutingConfig,
     /// The sorted sink set (`[node 0]` classically).
     sink_set: Arc<[NodeId]>,
@@ -178,8 +183,8 @@ pub struct NodeShared {
 }
 
 impl NodeShared {
-    /// Derives the shared state from `cfg`.
-    pub fn new(cfg: Arc<ScenarioSpec>) -> Self {
+    /// Derives the shared state, the data source included, from `cfg`.
+    pub fn new(cfg: ScenarioSpec) -> Self {
         let routing_cfg = RoutingConfig {
             neighbor_cap: cfg.policy.scoop.neighbor_list_cap,
             descendants_cap: cfg.policy.scoop.descendants_cap,
@@ -200,6 +205,7 @@ impl NodeShared {
             StoragePolicy::Scoop | StoragePolicy::Local => None,
         };
         NodeShared {
+            source: make_source_for(&cfg.workload, cfg.num_nodes, cfg.seed),
             routing_cfg,
             sink_set: cfg.policy.sink_ids().into(),
             static_index: static_index.map(Arc::new),
@@ -211,13 +217,11 @@ impl NodeShared {
 impl SimNode {
     /// Creates the state machine for node `id` over the run's shared state.
     ///
-    /// Each node owns its `source` outright. Data sources are pure functions
-    /// of `(node, now)` (see [`scoop_workload::sources`]), so per-node copies
-    /// built from the same config behave exactly like one shared source —
-    /// without the `Rc<RefCell<...>>` sharing that would pin a run to a
-    /// single thread. This keeps `SimNode` (and the whole engine) `Send`.
-    pub fn with_shared(id: NodeId, shared: &NodeShared, source: Box<dyn DataSource>) -> Self {
-        let cfg = Arc::clone(&shared.cfg);
+    /// Shared state is immutable and `Sync` (data sources are pure functions
+    /// of `(node, now)`, see [`scoop_workload::sources`]), so holding it
+    /// behind an `Arc` keeps `SimNode` — and the whole engine — `Send`.
+    pub fn with_shared(id: NodeId, shared: &Arc<NodeShared>) -> Self {
+        let cfg = &shared.cfg;
         let nsinks = shared.sink_set.len();
         let rank = shared.sink_set.iter().position(|&s| s == id);
         let tree_aggregation = cfg.policy.kind == StoragePolicy::Local
@@ -227,21 +231,18 @@ impl SimNode {
             id,
             routing: RoutingState::new(id, shared.routing_cfg),
             buffer: DataBuffer::new(DATA_BUFFER_CAP),
-            source,
             rng: StdRng::seed_from_u64(cfg.seed ^ (0xa0de_0000 + id.0 as u64)),
             current_index: shared.static_index.clone(),
-            batch: Vec::new(),
-            batch_dest: None,
             seen_queries: SparseIdSet::default(),
             pending_gossip: VecDeque::new(),
             gossip_timer_armed: false,
-            sink: rank.map(|rank| Box::new(SinkRole::new(&cfg, rank, nsinks))),
+            sink: rank.map(|rank| Box::new(SinkRole::new(cfg, rank, nsinks))),
             scoop: (cfg.policy.kind == StoragePolicy::Scoop)
-                .then(|| Box::new(ScoopSensor::new(&cfg))),
+                .then(|| Box::new(ScoopSensor::new(cfg))),
             federation: (nsinks > 1).then(|| Box::new(Federation::new(&shared.sink_set))),
             aggregation: (tree_aggregation && rank.is_none()).then(Box::default),
             metrics: NodeLocalMetrics::default(),
-            cfg,
+            shared: Arc::clone(shared),
         }
     }
 
@@ -276,7 +277,7 @@ impl SimNode {
     /// Readings currently batched and waiting to be sent to their owner
     /// (sampled but neither stored nor lost yet).
     pub fn pending_batched(&self) -> usize {
-        self.batch.len()
+        self.scoop.as_ref().map_or(0, |scoop| scoop.batched())
     }
 
     /// Whether this node plays the sink (basestation) role: node 0
@@ -287,7 +288,7 @@ impl SimNode {
     }
 
     fn policy(&self) -> StoragePolicy {
-        self.cfg.policy.kind
+        self.shared.cfg.policy.kind
     }
 
     fn jitter(&mut self, max_ms: u64) -> SimDuration {
@@ -344,8 +345,8 @@ impl SimNode {
 
     fn handle_sample(&mut self, ctx: &mut NodeCtx<'_, SharedPayload>) {
         let now = ctx.now();
-        let value = self.source.sample(self.id, now);
-        let reading = Reading::new(self.id, self.cfg.workload.attribute, value, now);
+        let value = self.shared.source.sample(self.id, now);
+        let reading = Reading::new(self.id, self.shared.cfg.workload.attribute, value, now);
         self.metrics.sampled += 1;
         if let Some(scoop) = self.scoop.as_mut() {
             scoop.recent.push(value);
@@ -364,10 +365,11 @@ impl SimNode {
             return;
         }
 
-        if self.policy() != StoragePolicy::Scoop {
-            // Batching readings into one packet is a Scoop optimization
-            // (Section 5.4); the BASE and HASH comparison policies ship each
-            // reading individually, as the paper's cost analysis assumes.
+        // Batching readings into one packet is a Scoop optimization
+        // (Section 5.4), so the batch lives in the SCOOP role; the BASE and
+        // HASH comparison policies ship each reading individually, as the
+        // paper's cost analysis assumes.
+        let Some(scoop) = self.scoop.as_mut() else {
             let msg = DataMessage {
                 readings: vec![reading],
                 owner,
@@ -375,41 +377,11 @@ impl SimNode {
             };
             self.dispatch_data(ctx, msg, None);
             return;
-        }
-
-        // Batch readings destined for the same owner.
-        match self.batch_dest {
-            Some((dest, dest_sid)) if dest == owner && dest_sid == sid => {
-                self.batch.push(reading);
-            }
-            Some(_) => {
-                self.flush_batch(ctx);
-                self.batch_dest = Some((owner, sid));
-                self.batch.push(reading);
-            }
-            None => {
-                self.batch_dest = Some((owner, sid));
-                self.batch.push(reading);
-            }
-        }
-        if self.batch.len() >= self.cfg.policy.scoop.batch_size {
-            self.flush_batch(ctx);
-        }
-    }
-
-    fn flush_batch(&mut self, ctx: &mut NodeCtx<'_, SharedPayload>) {
-        let Some((owner, sid)) = self.batch_dest.take() else {
-            return;
         };
-        if self.batch.is_empty() {
-            return;
+        let batch_size = self.shared.cfg.policy.scoop.batch_size;
+        for msg in scoop.batch_reading(reading, (owner, sid), batch_size) {
+            self.dispatch_data(ctx, msg, None);
         }
-        let msg = DataMessage {
-            readings: std::mem::take(&mut self.batch),
-            owner,
-            sid,
-        };
-        self.dispatch_data(ctx, msg, None);
     }
 
     /// Routes a data message that was either produced locally (`incoming` is
@@ -442,7 +414,7 @@ impl SimNode {
                 id: self.id,
                 index: self.current_index.as_deref(),
                 routing: &self.routing,
-                neighbor_shortcut: self.cfg.policy.scoop.neighbor_shortcut,
+                neighbor_shortcut: self.shared.cfg.policy.scoop.neighbor_shortcut,
             };
             route_data(&view, msg)
         };
@@ -652,7 +624,7 @@ impl SimNode {
                 // Aggregate path: fold the matching readings into a partial
                 // instead of shipping them.
                 let mut partial =
-                    PartialAggregate::for_spec(&agg_spec, self.cfg.workload.value_domain);
+                    PartialAggregate::for_spec(&agg_spec, self.shared.cfg.workload.value_domain);
                 for r in &readings {
                     partial.observe(r.value);
                 }
@@ -696,25 +668,28 @@ impl NodeLogic for SimNode {
         ctx.set_timer(beacon_offset, TICK_BEACON);
         ctx.set_timer(MAINTENANCE_INTERVAL, TICK_MAINTENANCE);
 
-        let warmup = self.cfg.warmup;
+        let warmup = self.shared.cfg.warmup;
         if !self.is_sink() {
-            let sample_offset = self.jitter(self.cfg.workload.sample_interval.as_millis());
+            let sample_offset = self.jitter(self.shared.cfg.workload.sample_interval.as_millis());
             ctx.set_timer(warmup + sample_offset, TICK_SAMPLE);
             if self.policy() == StoragePolicy::Scoop {
                 let summary_offset =
-                    self.jitter(self.cfg.policy.scoop.summary_interval.as_millis());
+                    self.jitter(self.shared.cfg.policy.scoop.summary_interval.as_millis());
                 ctx.set_timer(warmup + summary_offset, TICK_SUMMARY);
             }
         } else {
             if self.policy() == StoragePolicy::Scoop {
-                ctx.set_timer(warmup + self.cfg.policy.scoop.remap_interval, TICK_REMAP);
+                ctx.set_timer(
+                    warmup + self.shared.cfg.policy.scoop.remap_interval,
+                    TICK_REMAP,
+                );
             }
             if self.policy() != StoragePolicy::Base {
                 // Stagger the first query half an interval after sampling
                 // starts so there is something to query.
-                let offset = self.cfg.workload.queries.query_interval.div(2);
+                let offset = self.shared.cfg.workload.queries.query_interval.div(2);
                 ctx.set_timer(
-                    warmup + self.cfg.workload.queries.query_interval + offset,
+                    warmup + self.shared.cfg.workload.queries.query_interval + offset,
                     TICK_QUERY,
                 );
             }
@@ -778,19 +753,19 @@ impl NodeLogic for SimNode {
             }
             TICK_SAMPLE => {
                 self.handle_sample(ctx);
-                ctx.set_timer(self.cfg.workload.sample_interval, TICK_SAMPLE);
+                ctx.set_timer(self.shared.cfg.workload.sample_interval, TICK_SAMPLE);
             }
             TICK_SUMMARY => {
                 self.send_summary(ctx);
-                ctx.set_timer(self.cfg.policy.scoop.summary_interval, TICK_SUMMARY);
+                ctx.set_timer(self.shared.cfg.policy.scoop.summary_interval, TICK_SUMMARY);
             }
             TICK_REMAP => {
                 self.remap(ctx);
-                ctx.set_timer(self.cfg.policy.scoop.remap_interval, TICK_REMAP);
+                ctx.set_timer(self.shared.cfg.policy.scoop.remap_interval, TICK_REMAP);
             }
             TICK_QUERY => {
                 self.issue_query(ctx);
-                ctx.set_timer(self.cfg.workload.queries.query_interval, TICK_QUERY);
+                ctx.set_timer(self.shared.cfg.workload.queries.query_interval, TICK_QUERY);
             }
             TICK_GOSSIP => {
                 self.flush_one_gossip(ctx);
@@ -814,23 +789,16 @@ mod tests {
     use super::*;
     use scoop_net::{Engine, EngineConfig, LinkModel, Topology};
     use scoop_types::{DataSourceKind, Value, ValueRange};
-    use scoop_workload::make_source;
 
     /// Builds an engine over a small fully-connected grid with perfect links
     /// so protocol behaviour can be checked without loss-induced noise.
     fn perfect_engine(cfg: &ScenarioSpec, side: usize) -> Engine<SimNode> {
         let topo = Topology::grid(side, 10.0).expect("grid");
         let links = LinkModel::perfect(&topo);
-        let shared = NodeShared::new(Arc::new(cfg.clone()));
-        let proto = make_source(
-            cfg.workload.data_source,
-            cfg.workload.value_domain,
-            topo.len() - 1,
-            cfg.seed,
-        );
+        let shared = Arc::new(NodeShared::new(cfg.clone()));
         let nodes: Vec<SimNode> = topo
             .nodes()
-            .map(|id| SimNode::with_shared(id, &shared, proto.clone_box()))
+            .map(|id| SimNode::with_shared(id, &shared))
             .collect();
         Engine::new(topo, links, nodes, EngineConfig { seed: cfg.seed }).expect("engine")
     }

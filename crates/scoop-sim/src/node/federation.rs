@@ -122,7 +122,7 @@ impl SimNode {
         let sink = fed.sinks[(query_id.wrapping_sub(1) as usize) % fed.sinks.len()];
         match self
             .routing
-            .next_hop_for(sink, self.cfg.policy.scoop.neighbor_shortcut)
+            .next_hop_for(sink, self.shared.cfg.policy.scoop.neighbor_shortcut)
         {
             NextHop::Neighbor(h) | NextHop::DownTree(h) | NextHop::UpTree(h) => Some(h),
             NextHop::Local | NextHop::Stuck => None,

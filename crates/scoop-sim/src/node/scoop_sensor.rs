@@ -1,6 +1,7 @@
-//! The SCOOP role: what a node needs to report summaries and to assemble
-//! disseminated storage indices. Nodes of LOCAL / HASH / BASE runs carry no
-//! [`ScoopSensor`] — their index, if any, is static and nobody reads a
+//! The SCOOP role: what a node needs to report summaries, to batch readings
+//! for their owners, and to assemble disseminated storage indices. Nodes of
+//! LOCAL / HASH / BASE runs carry no [`ScoopSensor`] — their index, if any,
+//! is static, they ship each reading on its own, and nobody reads a
 //! histogram of their readings.
 
 use super::id_set::SparseIdSet;
@@ -9,10 +10,10 @@ use crate::RecentReadings;
 use scoop_core::histogram::SummaryHistogram;
 use scoop_core::index::IndexEntry;
 use scoop_core::summary::ReportedNeighbor;
-use scoop_core::{MappingChunk, ScoopPayload, StorageIndex, SummaryMessage};
+use scoop_core::{DataMessage, MappingChunk, ScoopPayload, StorageIndex, SummaryMessage};
 use scoop_net::NodeCtx;
 use scoop_trickle::{Chunk, ChunkAssembler};
-use scoop_types::{MessageKind, ScenarioSpec};
+use scoop_types::{MessageKind, NodeId, Reading, ScenarioSpec, StorageIndexId};
 use std::sync::Arc;
 
 /// Per-node state of the SCOOP policy.
@@ -23,6 +24,10 @@ pub(super) struct ScoopSensor {
     assembler: ChunkAssembler<IndexEntry>,
     /// Mapping chunks already gossiped, keyed by [`chunk_key`].
     pub(super) seen_chunks: SparseIdSet,
+    /// Readings batched for one owner, waiting to be sent (Section 5.4).
+    batch: Vec<Reading>,
+    /// The owner, and the index that named it, of every batched reading.
+    batch_dest: Option<(NodeId, StorageIndexId)>,
 }
 
 impl ScoopSensor {
@@ -31,7 +36,47 @@ impl ScoopSensor {
             recent: RecentReadings::new(cfg.policy.scoop.recent_readings),
             assembler: ChunkAssembler::new(),
             seen_chunks: SparseIdSet::default(),
+            batch: Vec::new(),
+            batch_dest: None,
         }
+    }
+
+    /// Readings batched and not yet sent.
+    pub(super) fn batched(&self) -> usize {
+        self.batch.len()
+    }
+
+    /// Adds `reading`, bound for `dest`, to the batch and returns the
+    /// messages now due, oldest first: the batch for another destination it
+    /// displaces, then this batch once it holds `batch_size` readings.
+    pub(super) fn batch_reading(
+        &mut self,
+        reading: Reading,
+        dest: (NodeId, StorageIndexId),
+        batch_size: usize,
+    ) -> impl Iterator<Item = DataMessage> {
+        let displaced = if self.batch_dest == Some(dest) {
+            None
+        } else {
+            self.take_batch()
+        };
+        self.batch_dest = Some(dest);
+        self.batch.push(reading);
+        let full = if self.batch.len() >= batch_size {
+            self.take_batch()
+        } else {
+            None
+        };
+        displaced.into_iter().chain(full)
+    }
+
+    fn take_batch(&mut self) -> Option<DataMessage> {
+        let (owner, sid) = self.batch_dest.take()?;
+        Some(DataMessage {
+            readings: std::mem::take(&mut self.batch),
+            owner,
+            sid,
+        })
     }
 }
 
@@ -46,15 +91,15 @@ impl SimNode {
         let (Some(parent), Some(scoop)) = (self.routing.parent(), self.scoop.as_ref()) else {
             return;
         };
-        let recent = &scoop.recent;
+        let (cfg, recent) = (&self.shared.cfg, &scoop.recent);
         let summary = SummaryMessage {
             node: self.id,
-            histogram: SummaryHistogram::build(recent.values(), self.cfg.policy.scoop.n_bins),
+            histogram: SummaryHistogram::build(recent.values(), cfg.policy.scoop.n_bins),
             min: recent.min_value(),
             max: recent.max_value(),
             sum: recent.sum(),
             count: recent.len() as u32,
-            data_rate_hz: 1.0 / self.cfg.workload.sample_interval.as_secs_f64().max(0.001),
+            data_rate_hz: 1.0 / cfg.workload.sample_interval.as_secs_f64().max(0.001),
             neighbors: self
                 .routing
                 .summary_neighbors()

@@ -221,7 +221,8 @@ impl SimNode {
 
     pub(super) fn remap(&mut self, ctx: &mut NodeCtx<'_, SharedPayload>) {
         let now = ctx.now();
-        let cfg = Arc::clone(&self.cfg);
+        let shared = Arc::clone(&self.shared);
+        let cfg = &shared.cfg;
         let my_id = self.id;
         let Some(base) = self.sink.as_mut() else {
             return;
@@ -322,7 +323,7 @@ impl SimNode {
     pub(super) fn issue_query(&mut self, ctx: &mut NodeCtx<'_, SharedPayload>) {
         let now = ctx.now();
         let policy = self.policy();
-        let num_sensors = self.cfg.num_nodes;
+        let num_sensors = self.shared.cfg.num_nodes;
         let Some(base) = self.sink.as_mut() else {
             return;
         };
@@ -396,7 +397,7 @@ impl SimNode {
             time_lo: spec.time_lo,
             time_hi: spec.time_hi,
             targets,
-            aggregate: self.cfg.workload.kind.aggregate_spec(),
+            aggregate: self.shared.cfg.workload.kind.aggregate_spec(),
         };
         self.seen_queries.insert(query_id.into());
         ctx.send_broadcast(MessageKind::Query, None, Arc::new(ScoopPayload::Query(msg)));

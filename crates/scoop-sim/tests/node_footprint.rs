@@ -1,13 +1,13 @@
 //! The per-node memory gate: a simulated node costs what its role needs, not
 //! what the richest role in the codebase needs.
 //!
-//! Measured with a live-bytes counting global allocator (the pattern of
-//! `scoop-net/tests/zero_alloc.rs`, extended from counting calls to tracking
-//! bytes currently allocated). Heap sizes are a function of the allocation
-//! sequence, which a seeded run repeats exactly, so the bound is a count —
-//! never a wall-clock or RSS reading.
+//! Measured with a counting global allocator (the pattern of
+//! `scoop-net/tests/zero_alloc.rs`: it counts allocations, and also tracks
+//! the bytes currently allocated). Heap sizes are a function of the
+//! allocation sequence, which a seeded run repeats exactly, so each bound is
+//! a count — never a wall-clock or RSS reading.
 //!
-//! This file deliberately contains a single `#[test]`: the counter is
+//! This file deliberately contains a single `#[test]`: the counters are
 //! process-global, and a concurrently running test would pollute the window.
 
 use scoop_sim::{build_engine, SimNode};
@@ -15,18 +15,22 @@ use scoop_types::{
     DataSourceKind, NodeId, ScenarioSpec, SimDuration, SimTime, StoragePolicy, TopologyKind,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 /// Tracks the bytes currently allocated through the global allocator.
 struct LiveBytesAllocator;
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+/// Allocations made (not reallocations): how many separate blocks the heap
+/// was asked for.
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counter is only a side effect.
 unsafe impl GlobalAlloc for LiveBytesAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -63,31 +67,46 @@ fn grid_spec(policy: StoragePolicy, sensors: usize) -> ScenarioSpec {
 
 #[test]
 fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
-    // The hot core every event touches: under eight cache lines, down from
-    // 1,336 B when the sink state sat inline in every node, from 512 B when
-    // the seen query ids were a `HashSet`, and from 488 B when `DataBuffer`
-    // stored its next slot and overwrite count beside its write count.
+    // The hot core every event touches: six cache lines, down from 1,336 B
+    // when the sink state sat inline in every node, from 512 B when the seen
+    // query ids were a `HashSet`, from 488 B when `DataBuffer` stored its
+    // next slot and overwrite count beside its write count, and from 472 B
+    // when every node held its own spec pointer, data source and SCOOP-only
+    // batch, and its routing tables their own copies of the routing
+    // constants.
     let inline = std::mem::size_of::<SimNode>();
-    assert!(inline <= 472, "SimNode is {inline} B inline, budget 472");
+    assert!(inline <= 384, "SimNode is {inline} B inline, budget 384");
 
     // Everything a built-and-run HASH network holds on the heap — topology,
     // links, event queue, the nodes and all they own, stored readings — per
-    // node. This run measures 1,441 B: 1,585 B before a `DataBuffer` slot
-    // shrank from a 32-byte tagged reading to the bare 16-byte `Reading`,
-    // 1,609 B before the seen query ids became bits, 1,913 B before the neighbour table dropped to ids, link
-    // records to 24 B and `DataBuffer` growth to a quarter, and 3,954 B
-    // before the hot/cold split.
+    // node. This run measures 1,252 B: 1,421 B before the run's data source
+    // and constants were held once instead of once per node and a link
+    // became a 2-byte id beside an 8-byte probability, 1,585 B before a
+    // `DataBuffer` slot shrank from a 32-byte tagged reading to the bare
+    // 16-byte `Reading`, 1,609 B before the seen query ids became bits,
+    // 1,913 B before the neighbour table dropped to ids, link records to
+    // 24 B and `DataBuffer` growth to a quarter, and 3,954 B before the
+    // hot/cold split.
     let spec = grid_spec(StoragePolicy::Hash, 4_095);
     let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
     let mut engine = build_engine(&spec).expect("HASH grid builds");
+    // Assembly allocates per structure, never per node: this build makes 29
+    // allocations, 4,125 when every node boxed its own copy of the data
+    // source.
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations;
+    assert!(
+        allocations <= 64,
+        "building 4,096 nodes made {allocations} allocations, budget 64"
+    );
     engine.run_until(SimTime::ZERO + spec.duration);
     let held = LIVE_BYTES.load(Ordering::Relaxed) - before;
     let nodes = engine.topology().len();
     assert_eq!(nodes, 4_096);
     let per_node = held as usize / nodes;
     assert!(
-        per_node <= 1_500,
-        "a HASH node holds {per_node} B of live heap, budget 1,500"
+        per_node <= 1_300,
+        "a HASH node holds {per_node} B of live heap, budget 1,300"
     );
     assert!(engine.stats().total_tx().data > 0, "the run stored nothing");
 
@@ -102,8 +121,9 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
     // A SCOOP network holds what the protocol reads: one summary per node at
     // the basestation, seen query ids and mapping chunks as bits, a ring of
     // 30 values per sensor, and partial chunks in one flat buffer per
-    // assembler, and 16-byte data-buffer slots. This run measures 6,236 B per
-    // node: 7,125 B when each slot was a 32-byte tagged reading, and
+    // assembler, and 16-byte data-buffer slots. This run measures 6,057 B per
+    // node: 6,192 B before the run's constants were held once instead of
+    // once per node, 7,125 B when each slot was a 32-byte tagged reading, and
     // 10,214 B when the basestation kept every summary ever received, the
     // seen sets were hash sets, the ring held whole readings and each chunk
     // was its own `Vec`.
@@ -115,8 +135,8 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
     let held = LIVE_BYTES.load(Ordering::Relaxed) - before;
     let per_node = held as usize / engine.topology().len();
     assert!(
-        per_node <= 6_500,
-        "a SCOOP node holds {per_node} B of live heap, budget 6,500"
+        per_node <= 6_200,
+        "a SCOOP node holds {per_node} B of live heap, budget 6,200"
     );
 
     // SCOOP sensors still carry the recent-readings ring, and it still feeds

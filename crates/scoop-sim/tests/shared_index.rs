@@ -11,7 +11,6 @@ use scoop_types::{
     DataSourceKind, NodeId, ScenarioSpec, SimDuration, SimTime, StorageIndexId, StoragePolicy,
     TopologyKind, MAX_NODES,
 };
-use scoop_workload::make_source_for;
 use std::sync::Arc;
 
 /// The largest network the simulator admits, on a grid.
@@ -76,14 +75,9 @@ fn unshared_engine(spec: &ScenarioSpec) -> Engine<SimNode> {
     let topology =
         Topology::connected(&spec.topology, spec.num_nodes, spec.seed).expect("topology");
     let links = LinkModel::from_spec(&spec.link, &topology, spec.seed).expect("links");
-    let cfg = Arc::new(spec.clone());
-    let source = make_source_for(&spec.workload, spec.num_nodes, spec.seed);
     let nodes = topology
         .nodes()
-        .map(|id| {
-            let private = NodeShared::new(Arc::clone(&cfg));
-            SimNode::with_shared(id, &private, source.clone_box())
-        })
+        .map(|id| SimNode::with_shared(id, &Arc::new(NodeShared::new(spec.clone()))))
         .collect();
     Engine::new(topology, links, nodes, EngineConfig { seed: spec.seed }).expect("engine")
 }

@@ -96,8 +96,8 @@ impl ServeRequest {
     }
 
     /// Decodes the fixed layout written by [`ServeRequest::encode_into`].
-    /// An inverted value range is an encoding error, not silently normalized:
-    /// the bytes did not come from this codec.
+    /// An inverted value range or time window is an encoding error, not
+    /// silently normalized: the bytes did not come from this codec.
     pub fn decode(bytes: &[u8; SERVE_REQUEST_LEN]) -> Result<Self, ScoopError> {
         let lo = Value::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
         let hi = Value::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
@@ -106,15 +106,18 @@ impl ServeRequest {
                 "serve request value range [{lo}, {hi}] is inverted"
             )));
         }
+        let t0 = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
+        let t1 = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
+        if t0 > t1 {
+            return Err(ScoopError::Serialization(format!(
+                "serve request time window [{t0}, {t1}] ms is inverted"
+            )));
+        }
         Ok(ServeRequest {
             id: u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes")),
             values: ValueRange::new(lo, hi),
-            time_lo: SimTime::from_millis(u64::from_le_bytes(
-                bytes[16..24].try_into().expect("8 bytes"),
-            )),
-            time_hi: SimTime::from_millis(u64::from_le_bytes(
-                bytes[24..32].try_into().expect("8 bytes"),
-            )),
+            time_lo: SimTime::from_millis(t0),
+            time_hi: SimTime::from_millis(t1),
         })
     }
 }
@@ -298,6 +301,27 @@ mod tests {
         req.encode_into(&mut buf);
         buf[8..12].copy_from_slice(&20i32.to_le_bytes()); // lo > hi
         assert!(ServeRequest::decode(&buf).is_err());
+    }
+
+    #[test]
+    fn inverted_time_window_is_a_decode_error() {
+        let req = ServeRequest {
+            id: 1,
+            values: ValueRange::new(0, 10),
+            time_lo: SimTime::from_millis(25),
+            time_hi: SimTime::from_millis(15),
+        };
+        let mut buf = [0u8; SERVE_REQUEST_LEN];
+        req.encode_into(&mut buf);
+        match ServeRequest::decode(&buf) {
+            Err(ScoopError::Serialization(msg)) => {
+                assert!(msg.contains("time window [25, 15] ms is inverted"), "{msg}")
+            }
+            other => panic!("an inverted window decoded as {other:?}"),
+        }
+        // A one-instant window is not inverted.
+        buf[24..32].copy_from_slice(&25u64.to_le_bytes());
+        assert!(ServeRequest::decode(&buf).is_ok());
     }
 
     #[test]

@@ -23,15 +23,13 @@
 //! The whole trace — including every room's light-toggle schedule — is fixed
 //! at construction time from the seed, and per-sample noise is hashed from
 //! `(seed, node, now)`. Sampling is therefore a pure function of
-//! `(node, now)`: per-node copies of the trace agree exactly, which is the
-//! contract the parallel scenario runner relies on (see
+//! `(node, now)`, and one trace serves every node of a run (see
 //! [`DataSource`]).
 
 use crate::sources::{sample_hash, unit_f64, DataSource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scoop_types::{DataSourceKind, NodeId, SimTime, Value, ValueRange};
-use std::sync::Arc;
 
 /// Number of consecutive node ids that share a "room" (and therefore a
 /// lighting state).
@@ -75,9 +73,9 @@ impl RoomState {
 #[derive(Clone, Debug)]
 pub struct RealTrace {
     domain: ValueRange,
-    rooms: Arc<Vec<RoomState>>,
+    rooms: Vec<RoomState>,
     /// Per-node fixed offset within its room (sensor placement / calibration).
-    node_offset: Arc<Vec<f64>>,
+    node_offset: Vec<f64>,
     /// Amplitude of the shared diurnal component, as a fraction of the domain.
     diurnal_amplitude: f64,
     /// Period of the diurnal component in seconds. Chosen shorter than a real
@@ -114,8 +112,8 @@ impl RealTrace {
             .collect();
         RealTrace {
             domain,
-            rooms: Arc::new(rooms),
-            node_offset: Arc::new(node_offset),
+            rooms,
+            node_offset,
             diurnal_amplitude: 0.18,
             diurnal_period_secs: 3_600.0,
             noise_std: 0.015,
@@ -129,10 +127,6 @@ impl RealTrace {
 }
 
 impl DataSource for RealTrace {
-    fn clone_box(&self) -> Box<dyn DataSource> {
-        Box::new(self.clone())
-    }
-
     fn kind(&self) -> DataSourceKind {
         DataSourceKind::Real
     }
@@ -141,7 +135,7 @@ impl DataSource for RealTrace {
         self.domain
     }
 
-    fn sample(&mut self, node: NodeId, now: SimTime) -> Value {
+    fn sample(&self, node: NodeId, now: SimTime) -> Value {
         let now_secs = now.as_secs_f64();
         let room_state = &self.rooms[self.room_of(node)];
 
@@ -168,7 +162,7 @@ mod tests {
 
     const DOMAIN: ValueRange = ValueRange { lo: 0, hi: 149 };
 
-    fn collect_series(trace: &mut RealTrace, node: NodeId, samples: usize) -> Vec<Value> {
+    fn collect_series(trace: &RealTrace, node: NodeId, samples: usize) -> Vec<Value> {
         (0..samples)
             .map(|i| trace.sample(node, SimTime::from_secs(i as u64 * 15)))
             .collect()
@@ -176,7 +170,7 @@ mod tests {
 
     #[test]
     fn values_stay_in_domain() {
-        let mut t = RealTrace::new(DOMAIN, 62, 1);
+        let t = RealTrace::new(DOMAIN, 62, 1);
         for n in 1..=62u16 {
             for i in 0..50 {
                 let v = t.sample(NodeId(n), SimTime::from_secs(i * 15));
@@ -187,8 +181,8 @@ mod tests {
 
     #[test]
     fn temporal_correlation_consecutive_samples_are_close() {
-        let mut t = RealTrace::new(DOMAIN, 62, 2);
-        let series = collect_series(&mut t, NodeId(10), 80);
+        let t = RealTrace::new(DOMAIN, 62, 2);
+        let series = collect_series(&t, NodeId(10), 80);
         let mut small_steps = 0;
         for w in series.windows(2) {
             if (w[0] - w[1]).abs() <= 15 {
@@ -206,7 +200,7 @@ mod tests {
 
     #[test]
     fn spatial_correlation_same_room_nodes_track_each_other() {
-        let mut t = RealTrace::new(DOMAIN, 62, 3);
+        let t = RealTrace::new(DOMAIN, 62, 3);
         // Nodes 12 and 13 share a room; 12 and 40 do not.
         let mut same_diffs = Vec::new();
         let mut far_diffs = Vec::new();
@@ -230,7 +224,7 @@ mod tests {
 
     #[test]
     fn different_rooms_have_different_levels() {
-        let mut t = RealTrace::new(DOMAIN, 62, 4);
+        let t = RealTrace::new(DOMAIN, 62, 4);
         let now = SimTime::from_secs(300);
         let values: Vec<Value> = (1..=62u16).map(|n| t.sample(NodeId(n), now)).collect();
         let distinct: std::collections::HashSet<_> = values.iter().collect();
@@ -242,8 +236,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let mut a = RealTrace::new(DOMAIN, 30, 9);
-        let mut b = RealTrace::new(DOMAIN, 30, 9);
+        let a = RealTrace::new(DOMAIN, 30, 9);
+        let b = RealTrace::new(DOMAIN, 30, 9);
         for i in 0..40u64 {
             let n = NodeId((i % 30 + 1) as u16);
             assert_eq!(
@@ -257,11 +251,11 @@ mod tests {
     fn sampling_never_mutates_observable_state() {
         // Two copies disagree only if sampling mutates shared state; hammer
         // one copy, then check it still agrees with a fresh one.
-        let mut a = RealTrace::new(DOMAIN, 12, 6);
+        let a = RealTrace::new(DOMAIN, 12, 6);
         for i in 0..500u64 {
             a.sample(NodeId((i % 12 + 1) as u16), SimTime::from_secs(i * 3));
         }
-        let mut fresh = RealTrace::new(DOMAIN, 12, 6);
+        let fresh = RealTrace::new(DOMAIN, 12, 6);
         for i in 0..50u64 {
             let n = NodeId((i % 12 + 1) as u16);
             let t = SimTime::from_secs(i * 15);
@@ -271,7 +265,7 @@ mod tests {
 
     #[test]
     fn lights_keep_toggling_beyond_schedule_horizon() {
-        let mut t = RealTrace::new(DOMAIN, 12, 5);
+        let t = RealTrace::new(DOMAIN, 12, 5);
         // Sample a window starting well past SCHEDULE_HORIZON_SECS; room
         // light toggles must still produce visible jumps there.
         let base = 500_000u64;
@@ -291,8 +285,8 @@ mod tests {
 
     #[test]
     fn lights_toggle_eventually() {
-        let mut t = RealTrace::new(DOMAIN, 12, 5);
-        let series = collect_series(&mut t, NodeId(3), 400);
+        let t = RealTrace::new(DOMAIN, 12, 5);
+        let series = collect_series(&t, NodeId(3), 400);
         let max_jump = series
             .windows(2)
             .map(|w| (w[0] - w[1]).abs())

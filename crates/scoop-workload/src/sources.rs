@@ -4,24 +4,23 @@
 //! `(node, now)` sample coordinates: per-sample randomness is derived by
 //! hashing `(seed, node, now)` rather than by advancing shared generator
 //! state. Two sources built from the same arguments therefore return
-//! identical values no matter how calls interleave — which is what lets the
-//! simulation give every node its own owned copy (no `Rc<RefCell<...>>`
-//! sharing, every run is `Send`) and still behave exactly like a single
-//! shared source.
+//! identical values no matter how calls interleave — which is what lets a
+//! simulation build one source per run, read it through `&self` from every
+//! node, and still move the whole run to another thread.
 
 use crate::real_trace::RealTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scoop_types::{DataSourceKind, NodeId, SimTime, Value, ValueRange};
-use std::sync::Arc;
 
 /// A generator of sensor readings for every node in the network.
 ///
-/// Implementations must be deterministic given their construction arguments:
-/// the same `(node, now)` pair always produces the same value, independent of
-/// call order. This order-independence is load-bearing — the scenario runner
-/// builds one owned copy per node and relies on copies agreeing.
-pub trait DataSource: Send {
+/// Implementations are pure: the same `(node, now)` pair always produces the
+/// same value, independent of call order, and sampling mutates nothing. The
+/// scenario runner builds one source per run and every node reads it by
+/// reference — like a constant compiled into the one image every mote runs —
+/// so the trait is `Sync` and [`DataSource::sample`] takes `&self`.
+pub trait DataSource: Send + Sync {
     /// Which of the paper's data sources this is.
     fn kind(&self) -> DataSourceKind;
 
@@ -29,12 +28,7 @@ pub trait DataSource: Send {
     fn domain(&self) -> ValueRange;
 
     /// Samples the sensor of `node` at time `now`.
-    fn sample(&mut self, node: NodeId, now: SimTime) -> Value;
-
-    /// Cheap copy of this source. Copies agree exactly with the original
-    /// (sources are pure in `(node, now)`); bulky immutable state such as the
-    /// REAL trace's toggle schedules is shared behind an `Arc`.
-    fn clone_box(&self) -> Box<dyn DataSource>;
+    fn sample(&self, node: NodeId, now: SimTime) -> Value;
 }
 
 /// SplitMix64 finalizer: one 64-bit hash step.
@@ -80,16 +74,13 @@ impl UniqueSource {
 }
 
 impl DataSource for UniqueSource {
-    fn clone_box(&self) -> Box<dyn DataSource> {
-        Box::new(self.clone())
-    }
     fn kind(&self) -> DataSourceKind {
         DataSourceKind::Unique
     }
     fn domain(&self) -> ValueRange {
         self.domain
     }
-    fn sample(&mut self, node: NodeId, _now: SimTime) -> Value {
+    fn sample(&self, node: NodeId, _now: SimTime) -> Value {
         (self.domain.lo + node.0 as Value).min(self.domain.hi)
     }
 }
@@ -117,16 +108,13 @@ impl EqualSource {
 }
 
 impl DataSource for EqualSource {
-    fn clone_box(&self) -> Box<dyn DataSource> {
-        Box::new(self.clone())
-    }
     fn kind(&self) -> DataSourceKind {
         DataSourceKind::Equal
     }
     fn domain(&self) -> ValueRange {
         self.domain
     }
-    fn sample(&mut self, _node: NodeId, _now: SimTime) -> Value {
+    fn sample(&self, _node: NodeId, _now: SimTime) -> Value {
         self.value
     }
 }
@@ -146,16 +134,13 @@ impl RandomSource {
 }
 
 impl DataSource for RandomSource {
-    fn clone_box(&self) -> Box<dyn DataSource> {
-        Box::new(self.clone())
-    }
     fn kind(&self) -> DataSourceKind {
         DataSourceKind::Random
     }
     fn domain(&self) -> ValueRange {
         self.domain
     }
-    fn sample(&mut self, node: NodeId, now: SimTime) -> Value {
+    fn sample(&self, node: NodeId, now: SimTime) -> Value {
         let width = self.domain.width();
         let h = sample_hash(self.seed, node, now, 0x4a4d04);
         self.domain.lo + (h % width) as Value
@@ -167,7 +152,7 @@ impl DataSource for RandomSource {
 #[derive(Clone, Debug)]
 pub struct GaussianSource {
     domain: ValueRange,
-    means: Arc<Vec<f64>>,
+    means: Vec<f64>,
     std_dev: f64,
     seed: u64,
 }
@@ -182,7 +167,7 @@ impl GaussianSource {
             .collect();
         GaussianSource {
             domain,
-            means: Arc::new(means),
+            means,
             // Paper: "variance of 10" → standard deviation sqrt(10).
             std_dev: 10.0_f64.sqrt(),
             seed,
@@ -196,16 +181,13 @@ impl GaussianSource {
 }
 
 impl DataSource for GaussianSource {
-    fn clone_box(&self) -> Box<dyn DataSource> {
-        Box::new(self.clone())
-    }
     fn kind(&self) -> DataSourceKind {
         DataSourceKind::Gaussian
     }
     fn domain(&self) -> ValueRange {
         self.domain
     }
-    fn sample(&mut self, node: NodeId, now: SimTime) -> Value {
+    fn sample(&self, node: NodeId, now: SimTime) -> Value {
         let mean = self
             .means
             .get(node.index())
@@ -225,9 +207,8 @@ impl DataSource for GaussianSource {
 /// * `num_nodes` — sensor count (excluding the basestation);
 /// * `seed` — all randomness derives from this.
 ///
-/// Sources are pure in `(node, now)`, so callers that need one source per
-/// node (the simulation harness does) simply call this once per node with
-/// identical arguments.
+/// Sources are pure in `(node, now)`, so one source serves every node of a
+/// run (the simulation harness builds exactly one).
 pub fn make_source(
     kind: DataSourceKind,
     domain: ValueRange,
@@ -262,7 +243,7 @@ mod tests {
 
     #[test]
     fn unique_source_returns_node_id() {
-        let mut s = UniqueSource::new(DOMAIN);
+        let s = UniqueSource::new(DOMAIN);
         assert_eq!(s.sample(NodeId(7), SimTime::ZERO), 7);
         assert_eq!(s.sample(NodeId(42), SimTime::from_secs(99)), 42);
         // Values are clamped into the domain.
@@ -271,7 +252,7 @@ mod tests {
 
     #[test]
     fn equal_source_is_constant_across_nodes_and_time() {
-        let mut s = EqualSource::new(DOMAIN, 3);
+        let s = EqualSource::new(DOMAIN, 3);
         let v = s.sample(NodeId(1), SimTime::ZERO);
         for n in 1..20u16 {
             for t in 0..5 {
@@ -283,7 +264,7 @@ mod tests {
 
     #[test]
     fn random_source_covers_domain_without_structure() {
-        let mut s = RandomSource::new(DOMAIN, 5);
+        let s = RandomSource::new(DOMAIN, 5);
         let vals: Vec<Value> = (0..2000)
             .map(|i| s.sample(NodeId(1), SimTime::from_secs(i)))
             .collect();
@@ -294,7 +275,7 @@ mod tests {
 
     #[test]
     fn gaussian_source_clusters_around_per_node_mean() {
-        let mut s = GaussianSource::new(DOMAIN, 30, 7);
+        let s = GaussianSource::new(DOMAIN, 30, 7);
         for n in [1u16, 5, 20] {
             let mean = s.mean_of(NodeId(n)).unwrap();
             let vals: Vec<Value> = (0..200)
@@ -323,7 +304,7 @@ mod tests {
     #[test]
     fn factory_builds_every_kind() {
         for kind in DataSourceKind::ALL {
-            let mut s = make_source(kind, DOMAIN, 16, 1);
+            let s = make_source(kind, DOMAIN, 16, 1);
             assert_eq!(s.kind(), kind);
             let v = s.sample(NodeId(3), SimTime::from_secs(30));
             assert!(s.domain().contains(v), "{kind}: {v} outside domain");
@@ -333,8 +314,8 @@ mod tests {
     #[test]
     fn sources_are_deterministic_per_seed() {
         for kind in DataSourceKind::ALL {
-            let mut a = make_source(kind, DOMAIN, 16, 9);
-            let mut b = make_source(kind, DOMAIN, 16, 9);
+            let a = make_source(kind, DOMAIN, 16, 9);
+            let b = make_source(kind, DOMAIN, 16, 9);
             for t in 0..50 {
                 let node = NodeId((t % 16 + 1) as u16);
                 assert_eq!(
@@ -346,16 +327,16 @@ mod tests {
         }
     }
 
-    /// The property the parallel scenario runner depends on: sampling is a
-    /// pure function of `(node, now)`, so interleaving order cannot matter
-    /// and per-node copies agree with any shared-source call sequence.
+    /// The property the one-source-per-run simulation depends on: sampling
+    /// is a pure function of `(node, now)`, so however the nodes' calls
+    /// interleave, each node sees what a source of its own would return.
     #[test]
     fn sources_are_order_independent() {
         for kind in DataSourceKind::ALL {
             // `a` samples nodes in interleaved order; `b` samples one node at
             // a time. Every (node, time) coordinate must agree.
-            let mut a = make_source(kind, DOMAIN, 8, 11);
-            let mut b = make_source(kind, DOMAIN, 8, 11);
+            let a = make_source(kind, DOMAIN, 8, 11);
+            let b = make_source(kind, DOMAIN, 8, 11);
             let coords: Vec<(NodeId, SimTime)> = (0..40)
                 .map(|i| (NodeId((i % 8 + 1) as u16), SimTime::from_secs(i * 7)))
                 .collect();

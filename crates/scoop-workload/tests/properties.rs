@@ -24,8 +24,8 @@ proptest! {
     ) {
         let kind = DataSourceKind::ALL[kind_idx];
         let domain = ValueRange::new(lo, lo + width);
-        let mut a = make_source(kind, domain, num_nodes, seed);
-        let mut b = make_source(kind, domain, num_nodes, seed);
+        let a = make_source(kind, domain, num_nodes, seed);
+        let b = make_source(kind, domain, num_nodes, seed);
         for (i, &t) in times.iter().enumerate() {
             let node = NodeId((i % num_nodes + 1) as u16);
             let now = SimTime::from_secs(t);
