@@ -413,7 +413,8 @@ impl<L: NodeLogic> Engine<L> {
     /// `self` for the duration of the callback (callbacks never re-enter the
     /// engine, so the temporary empty buffer is never observed), drained, and
     /// put back with its capacity intact — no allocation once the busiest
-    /// callback has been seen.
+    /// callback has been seen. A callback that issued no command skips the
+    /// drain.
     fn with_ctx<F>(&mut self, node: NodeId, f: F)
     where
         F: FnOnce(&mut L, &mut NodeCtx<'_, L::Payload>),
@@ -428,8 +429,12 @@ impl<L: NodeLogic> Engine<L> {
             let logic = &mut self.nodes[node.index()];
             f(logic, &mut ctx);
         }
-        for cmd in commands.drain(..) {
-            self.apply(node, cmd);
+        // Most callbacks issue nothing: an overheard unicast only updates the
+        // listener's link estimate.
+        if !commands.is_empty() {
+            for cmd in commands.drain(..) {
+                self.apply(node, cmd);
+            }
         }
         self.cmd_buf = commands;
     }
@@ -510,9 +515,11 @@ impl<L: NodeLogic> Engine<L> {
     /// listeners in the same ascending order, with the same pre-clamped
     /// probabilities, as the historical dense-row scan — one RNG draw per
     /// listener per attempt, so the random stream (and therefore every
-    /// committed artifact) is byte-identical. The table iteration borrows
-    /// `self.links` while the loop mutates the rng/queue, hence the field
-    /// destructuring.
+    /// committed artifact) is byte-identical. Each word is rolled first,
+    /// front to back, into a mask with no branch on the outcome; faults are
+    /// then applied to the bits that survived the roll. The table iteration
+    /// borrows `self.links` while the loop mutates the rng/queue, hence the
+    /// field destructuring.
     fn air(
         &mut self,
         packet: &Packet<L::Payload>,
@@ -530,26 +537,29 @@ impl<L: NodeLogic> Engine<L> {
         let mut acknowledged = false;
         let (nodes, probs) = links.neighbors(src);
         for (word, (listeners, probs)) in nodes.chunks(32).zip(probs.chunks(32)).enumerate() {
-            let mut heard = 0u32;
-            for (bit, (&listener, &delivery_prob)) in listeners.iter().zip(probs).enumerate() {
-                if !rng.gen_bool(delivery_prob) {
-                    continue;
-                }
-                // Faults apply *after* the loss roll, so scheduling one never
-                // shifts the random stream of the surviving links. A unicast
-                // destination whose radio is down at the arrival instant
-                // cannot acknowledge, and a partition cut between the
-                // endpoints severs the link: the attempt fails and the retry
-                // loop continues, exactly like loss. Bystanders' outages are
-                // left to dispatch.
+            let mut rolled = 0u32;
+            for (bit, &delivery_prob) in probs.iter().enumerate() {
+                rolled |= u32::from(rng.gen_bool(delivery_prob)) << bit;
+            }
+            // Faults apply *after* the loss roll, so scheduling one never
+            // shifts the random stream of the surviving links. A unicast
+            // destination whose radio is down at the arrival instant cannot
+            // acknowledge, and a partition cut between the endpoints severs
+            // the link: the attempt fails and the retry loop continues,
+            // exactly like loss. Bystanders' outages are left to dispatch.
+            let mut heard = rolled;
+            while rolled != 0 {
+                let bit = rolled.trailing_zeros();
+                rolled &= rolled - 1;
+                let listener = listeners[bit as usize];
                 let is_target = target == Some(listener);
                 if (is_target && faults.is_down(listener, arrival))
                     || faults.is_cut(src, listener, arrival)
                 {
-                    continue;
+                    heard &= !(1 << bit);
+                } else {
+                    acknowledged |= is_target;
                 }
-                acknowledged |= is_target;
-                heard |= 1 << bit;
             }
             if heard != 0 {
                 queue.push(

@@ -11,6 +11,11 @@ use scoop_types::{NodeId, SeqNo, SimTime};
 #[derive(Clone, Copy, Debug)]
 struct LinkRecord {
     node: NodeId,
+    /// Whether `node` is in the owning [`RoutingState`]'s neighbor table.
+    /// It sits in the padding after the `u16` id, so the record stays 24 B.
+    ///
+    /// [`RoutingState`]: crate::RoutingState
+    in_table: bool,
     last_seqno: SeqNo,
     /// Exponentially weighted reception ratio in `(0, 1]`.
     ewma: f64,
@@ -29,6 +34,17 @@ const REORDER_WINDOW: u32 = 128;
 /// The EWMA smoothing factor is the routing configuration's, the same on
 /// every node, so the estimator does not store it:
 /// [`LinkEstimator::observe`] takes it.
+///
+/// Each record also carries one bit of [`RoutingState`]'s: whether its
+/// neighbor is in the [`NeighborTable`]. The table is a subset of the
+/// records, so the bit answers "is this sender listed?" with the binary
+/// search `observe` already makes instead of a linear scan of the table.
+/// `RoutingState` is the one place that sets or clears it: a bit is set
+/// exactly when its id is in the table, and a record evicted here takes its
+/// bit with it.
+///
+/// [`RoutingState`]: crate::RoutingState
+/// [`NeighborTable`]: crate::NeighborTable
 #[derive(Clone, Debug, Default)]
 pub struct LinkEstimator {
     /// One record per neighbor, sorted by ascending `NodeId` and found by
@@ -55,21 +71,22 @@ impl LinkEstimator {
     /// Records that a packet from `src` carrying sequence number `seqno` was
     /// heard (whether addressed to us or snooped) at time `now`, smoothing
     /// with the EWMA factor `alpha`, clamped into `[0.001, 1]`; larger values
-    /// react faster to changes. Returns the updated
-    /// [`quality`](Self::quality) of `src`.
-    pub fn observe(&mut self, src: NodeId, seqno: SeqNo, now: SimTime, alpha: f64) -> f64 {
+    /// react faster to changes. Returns whether `src`'s record carries the
+    /// neighbor-table bit (never, for a sender heard for the first time).
+    pub fn observe(&mut self, src: NodeId, seqno: SeqNo, now: SimTime, alpha: f64) -> bool {
         match self.position(src) {
             Err(at) => {
                 self.records.insert(
                     at,
                     LinkRecord {
                         node: src,
+                        in_table: false,
                         last_seqno: seqno,
                         ewma: 1.0,
                         last_heard: now,
                     },
                 );
-                1.0
+                false
             }
             Ok(at) => {
                 let alpha = alpha.clamp(0.001, 1.0);
@@ -93,9 +110,24 @@ impl LinkEstimator {
                     rec.ewma *= (1.0 - alpha).powi(missed_now.min(1_000) as i32);
                 }
                 rec.ewma = (1.0 - alpha) * rec.ewma + alpha;
-                rec.ewma
+                rec.in_table
             }
         }
+    }
+
+    /// Whether `src`'s record carries the neighbor-table bit; `false` for a
+    /// sender with no record.
+    pub(crate) fn in_table(&self, src: NodeId) -> bool {
+        self.record(src).is_some_and(|r| r.in_table)
+    }
+
+    /// Sets or clears the neighbor-table bit on `src`'s record, which must
+    /// exist: the table only ever lists senders the estimator has heard.
+    pub(crate) fn set_in_table(&mut self, src: NodeId, listed: bool) {
+        let at = self
+            .position(src)
+            .expect("a neighbor-table id has a link record");
+        self.records[at].in_table = listed;
     }
 
     /// The estimated probability of hearing a transmission from `src`, or
@@ -271,7 +303,8 @@ mod tests {
     #[test]
     fn a_link_record_stays_within_24_bytes() {
         // One record per neighbour heard, on every node of a 32k-node run; the
-        // received/missed counters it used to carry made it 40.
+        // received/missed counters it used to carry made it 40. The
+        // neighbor-table bit rides in the padding after the id.
         assert!(std::mem::size_of::<LinkRecord>() <= 24);
     }
 }

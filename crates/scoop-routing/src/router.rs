@@ -7,7 +7,7 @@
 
 use crate::descendants::DescendantsList;
 use crate::link_estimator::LinkEstimator;
-use crate::neighbor_table::{NeighborEntry, NeighborTable};
+use crate::neighbor_table::{Admission, NeighborEntry, NeighborTable};
 use crate::tree::{Beacon, TreeState};
 use scoop_net::PacketMeta;
 use scoop_types::{NodeId, SimDuration, SimTime};
@@ -119,15 +119,33 @@ impl RoutingState {
     /// Records that a packet with header `meta` was heard (addressed or
     /// snooped). Updates the link estimator and neighbor table, and — if the
     /// packet's origin lists us as its parent — the descendants list.
+    ///
+    /// The estimator's record of the sender says whether it is already
+    /// listed, so only an unlisted sender is offered to the table. This is
+    /// the one place the records' table bits are set or cleared: an admitted
+    /// sender's is set, and the entry it replaces in place has its cleared.
     pub fn observe_packet(&mut self, meta: &PacketMeta, now: SimTime) {
-        if meta.link_src == self.id {
+        let src = meta.link_src;
+        if src == self.id {
             return;
         }
         let config = &self.config;
-        self.estimator
-            .observe(meta.link_src, meta.seqno, now, config.estimator_alpha);
-        self.neighbors
-            .observe(meta.link_src, &self.estimator, config.neighbor_cap);
+        let listed = self
+            .estimator
+            .observe(src, meta.seqno, now, config.estimator_alpha);
+        if !listed {
+            match self
+                .neighbors
+                .admit(src, &self.estimator, config.neighbor_cap)
+            {
+                Admission::Dropped => {}
+                Admission::Added => self.estimator.set_in_table(src, true),
+                Admission::Replaced(evicted) => {
+                    self.estimator.set_in_table(evicted, false);
+                    self.estimator.set_in_table(src, true);
+                }
+            }
+        }
         if meta.origin_parent == Some(self.id) && meta.origin != self.id {
             // The origin is our direct child: it is trivially a descendant
             // reached through itself.
@@ -162,9 +180,10 @@ impl RoutingState {
         self.estimator.quality(node)
     }
 
-    /// Returns `true` if `node` is currently in the neighbor table.
+    /// Returns `true` if `node` is currently in the neighbor table (read
+    /// from the table bit on its link record).
     pub fn is_neighbor(&self, node: NodeId) -> bool {
-        self.neighbors.contains(node)
+        self.estimator.in_table(node)
     }
 
     /// Returns `true` if `node` is a known descendant.
@@ -197,7 +216,7 @@ impl RoutingState {
         if dst == self.id {
             return NextHop::Local;
         }
-        if allow_neighbor_shortcut && self.neighbors.contains(dst) {
+        if allow_neighbor_shortcut && self.is_neighbor(dst) {
             return NextHop::Neighbor(dst);
         }
         if let Some(child) = self.descendants.next_hop(dst) {
@@ -216,6 +235,8 @@ impl RoutingState {
                 .saturating_sub(self.config.stale_timeout.as_millis()),
         );
         // The table reads last-heard times from the estimator: it goes first.
+        // The estimator then drops the same ids' records at the same cutoff,
+        // and with them their table bits, so no bit outlives its entry.
         let evicted = self.neighbors.evict_silent_since(cutoff, &self.estimator);
         self.estimator.evict_silent_since(cutoff);
         self.descendants.evict(cutoff, None);

@@ -156,6 +156,61 @@ impl ModelRouter {
     }
 }
 
+/// The id-only neighbor table as it was before membership moved onto the
+/// link records: a linear `contains` on every observation, the worst entry
+/// found by `min_by` in table order and replaced in place, and eviction by
+/// `retain`. Qualities and last-heard times come from the reference
+/// estimator. Kept here as the model the table bit is checked against.
+struct ScanTable {
+    nodes: Vec<NodeId>,
+    capacity: usize,
+}
+
+impl ScanTable {
+    fn observe(&mut self, node: NodeId, links: &HashMapEstimator) {
+        let quality = |n: NodeId| links.records.get(&n).map_or(f64::NEG_INFINITY, |r| r.ewma);
+        if self.nodes.contains(&node) {
+            return;
+        }
+        if self.nodes.len() < self.capacity {
+            self.nodes.push(node);
+        } else if let Some((worst_idx, worst)) = self
+            .nodes
+            .iter()
+            .map(|&n| quality(n))
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+        {
+            if quality(node) > worst {
+                self.nodes[worst_idx] = node;
+            }
+        }
+    }
+
+    fn evict_silent_since(&mut self, cutoff: SimTime, links: &HashMapEstimator) {
+        self.nodes
+            .retain(|n| links.records.get(n).is_some_and(|r| r.last_heard >= cutoff));
+    }
+
+    fn best(&self, k: usize, links: &HashMapEstimator) -> Vec<NeighborEntry> {
+        let mut sorted: Vec<NeighborEntry> = self
+            .nodes
+            .iter()
+            .map(|&node| {
+                let r = &links.records[&node];
+                NeighborEntry {
+                    node,
+                    quality: r.ewma,
+                    last_heard: r.last_heard,
+                }
+            })
+            .collect();
+        sorted.sort_by(|a, b| b.quality.total_cmp(&a.quality));
+        sorted.truncate(k);
+        sorted
+    }
+}
+
 /// `(node, quality bits, last heard)` of each summary entry.
 fn summary_bits(entries: &[NeighborEntry]) -> Vec<(NodeId, u64, SimTime)> {
     entries
@@ -210,9 +265,11 @@ proptest! {
                 prop_assert_eq!(evicted, model.evict_silent_since(cutoff));
             } else {
                 let at = SimTime::from_secs(now);
-                let quality = est.observe(NodeId(src), SeqNo(seqno), at, HashMapEstimator::ALPHA);
-                model.observe(NodeId(src), SeqNo(seqno), SimTime::from_secs(now));
-                prop_assert_eq!(Some(quality), est.quality(NodeId(src)));
+                // A bare estimator has no neighbor table to mark records in.
+                let listed = est.observe(NodeId(src), SeqNo(seqno), at, HashMapEstimator::ALPHA);
+                let quality = model.observe(NodeId(src), SeqNo(seqno), SimTime::from_secs(now));
+                prop_assert!(!listed);
+                prop_assert_eq!(est.quality(NodeId(src)).map(f64::to_bits), Some(quality.to_bits()));
             }
             prop_assert_eq!(est.len(), model.records.len());
         }
@@ -311,6 +368,64 @@ proptest! {
                 prop_assert_eq!(rs.is_neighbor(n), model.table.entries.iter().any(|e| e.node == n));
                 prop_assert_eq!(rs.is_descendant(n), model.descendants.contains(n));
             }
+        }
+    }
+
+    /// Membership model: over random streams of observations (sender,
+    /// sequence gap, time step) mixed with maintenance, at capacities 1–4 so
+    /// that the table is full and both in-place replacement and eviction
+    /// run, `is_neighbor` agrees with the table's ids after every step, and
+    /// the table's order and reported summary equal the scan-based model's.
+    #[test]
+    fn table_bits_match_the_scan_membership_model(
+        capacity in 1usize..5,
+        timeout in 1u64..30,
+        ops in proptest::collection::vec((0u8..10, 0u16..12, 1u32..6, 0u64..6), 1..300),
+    ) {
+        let me = NodeId(12);
+        let config = RoutingConfig {
+            neighbor_cap: capacity,
+            summary_neighbors: capacity,
+            stale_timeout: SimDuration::from_secs(timeout),
+            ..RoutingConfig::default()
+        };
+        let mut rs = RoutingState::new(me, config);
+        let mut links = HashMapEstimator::default();
+        let mut table = ScanTable { nodes: Vec::new(), capacity };
+        let mut sent = [0u32; 12];
+        let mut now = 0u64;
+        for &(kind, src, gap, dt) in &ops {
+            now += dt;
+            let at = SimTime::from_secs(now);
+            if kind == 0 {
+                rs.maintenance(at);
+                let cutoff = SimTime::from_secs(now.saturating_sub(timeout));
+                table.evict_silent_since(cutoff, &links);
+                links.evict_silent_since(cutoff);
+            } else {
+                sent[src as usize] += gap;
+                let meta = PacketMeta {
+                    link_src: NodeId(src),
+                    link_dst: LinkDst::Broadcast,
+                    origin: NodeId(src),
+                    origin_parent: None,
+                    seqno: SeqNo(sent[src as usize]),
+                    kind: MessageKind::Data,
+                    hops: 0,
+                };
+                rs.observe_packet(&meta, at);
+                links.observe(meta.link_src, meta.seqno, at);
+                table.observe(meta.link_src, &links);
+            }
+            let ids = rs.neighbor_table().ids();
+            for n in (0..=12).map(NodeId) {
+                prop_assert_eq!(rs.is_neighbor(n), ids.contains(&n), "node {:?}", n);
+            }
+            prop_assert_eq!(ids, &table.nodes[..]);
+            prop_assert_eq!(
+                summary_bits(&rs.summary_neighbors()),
+                summary_bits(&table.best(capacity, &links))
+            );
         }
     }
 

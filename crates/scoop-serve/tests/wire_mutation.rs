@@ -12,8 +12,8 @@
 //!   [`ServeResponse::decode`] must return `Err` or a value whose encoding is
 //!   the decoded bytes.
 //!
-//! The TCP framer in front of `decode` (`parse_requests`) reads a socket and
-//! is not covered here.
+//! The TCP framer in front of `decode` (`parse_requests`) reads a socket;
+//! `tcp_framing.rs` feeds it raw bytes through a loopback connection.
 
 use proptest::prelude::*;
 use scoop_serve::core::AnswerCore;

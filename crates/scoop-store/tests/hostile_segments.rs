@@ -2,7 +2,8 @@
 //! `Segment::open` and the lookups after it must answer with a typed error
 //! (or a valid segment), never a panic or an allocation sized by an
 //! unchecked field. Random byte flips alone only ever exercise the CRC
-//! checks, so every mutation here re-seals the index and footer CRCs first.
+//! checks, so every mutation here re-seals the CRCs over what it touched
+//! first: the header's, a block's, or the index and footer's.
 
 use proptest::prelude::*;
 use scoop_store::crc::crc32;
@@ -16,6 +17,8 @@ use std::path::{Path, PathBuf};
 const INDEX_PREFIX_LEN: usize = 16;
 const DIR_ENTRY_LEN: usize = 20;
 const PLA_ENTRY_LEN: usize = 24;
+const BLOCK_HEADER_LEN: usize = 8;
+const RECORD_LEN: usize = 16;
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("scoop-hostile-{}-{name}", std::process::id()));
@@ -251,12 +254,46 @@ fn fields(file: &[u8]) -> Vec<(usize, usize)> {
     out
 }
 
+/// Writes `value` into a field of `width` bytes: whole if it fits, else its
+/// high bytes, so a narrow field still sees the sign bit and the float
+/// exponents.
 fn overwrite(file: &mut [u8], (at, width): (usize, usize), value: u64) {
-    if width == 8 {
-        file[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    let bits = 8 * width as u32;
+    let narrow = if bits == 64 || value >> bits == 0 {
+        value
     } else {
-        let narrow = u32::try_from(value).unwrap_or((value >> 32) as u32);
-        file[at..at + 4].copy_from_slice(&narrow.to_le_bytes());
+        value >> (64 - bits)
+    };
+    file[at..at + width].copy_from_slice(&narrow.to_le_bytes()[..width]);
+}
+
+/// The header's version, block size and reserved word as `(offset, width)`.
+const HEADER_FIELDS: [(usize, usize); 3] = [(8, 4), (12, 4), (16, 8)];
+
+/// Every field of every data block but its checksum, as `(offset, width)`:
+/// the record count and reserved half-word, then each stored record's node,
+/// attribute, reserved byte, value and time.
+fn block_fields(file: &[u8], block_size: usize) -> Vec<(usize, usize)> {
+    let index = index_region(file);
+    let mut out = Vec::new();
+    for at in (HEADER_LEN..index.start).step_by(block_size) {
+        out.extend([(at, 2), (at + 2, 2)]);
+        let count = u16::from_le_bytes([file[at], file[at + 1]]) as usize;
+        for r in (0..count).map(|i| at + BLOCK_HEADER_LEN + i * RECORD_LEN) {
+            out.extend([(r, 2), (r + 2, 1), (r + 3, 1), (r + 4, 4), (r + 8, 8)]);
+        }
+    }
+    out
+}
+
+/// Recomputes the header CRC and the CRC of every data block, laid out
+/// with the file's original `block_size` (whatever the header now says).
+fn reseal_header_and_blocks(file: &mut [u8], block_size: usize) {
+    let header_crc = crc32(&file[0..24]);
+    file[24..28].copy_from_slice(&header_crc.to_le_bytes());
+    for at in (HEADER_LEN..index_region(file).start).step_by(block_size) {
+        let crc = crc32(&file[at + BLOCK_HEADER_LEN..at + block_size]);
+        file[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
     }
 }
 
@@ -280,6 +317,20 @@ fn open_and_query(path: &Path) {
     let _ = segment.scan_all();
 }
 
+/// `per_block` records to a block and the times `steps` walk through, step
+/// 5 a jump so that some directories need several learned lines.
+fn sealed_from_steps(path: &Path, per_block: usize, steps: &[u64]) -> (Vec<u8>, usize) {
+    let times: Vec<u64> = steps
+        .iter()
+        .scan(0u64, |t, &d| {
+            *t += if d == 5 { 100_000 } else { d };
+            Some(*t)
+        })
+        .collect();
+    let block_size = 8 + 16 * per_block;
+    (sealed_bytes(path, block_size, &times), block_size)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -292,21 +343,42 @@ proptest! {
     ) {
         let dir = scratch(&format!("mutate-{per_block}-{}", steps.len()));
         let path = dir.join("seg-00000000.scoop");
-        // Step 5 is a jump, so some directories need several learned lines.
-        let times: Vec<u64> = steps
-            .iter()
-            .scan(0u64, |t, &d| {
-                *t += if d == 5 { 100_000 } else { d };
-                Some(*t)
-            })
-            .collect();
-        let sealed = sealed_bytes(&path, 8 + 16 * per_block, &times);
+        let (sealed, _) = sealed_from_steps(&path, per_block, &steps);
         let index = index_region(&sealed);
         for field in fields(&sealed) {
             for value in EDGES {
                 let mut bad = sealed.clone();
                 overwrite(&mut bad, field, value);
                 reseal(&mut bad, index.clone());
+                std::fs::write(&path, &bad).unwrap();
+                open_and_query(&path);
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every header field (version, block size, reserved) and every field of
+    /// every data block, overwritten with every edge value under re-sealed
+    /// header and block CRCs, opens and answers without a panic.
+    #[test]
+    fn edge_values_in_header_and_block_fields_never_panic_the_reader(
+        per_block in 1usize..5,
+        steps in proptest::collection::vec(0u64..6, 1..24),
+    ) {
+        let dir = scratch(&format!("blocks-{per_block}-{}", steps.len()));
+        let path = dir.join("seg-00000000.scoop");
+        let (sealed, block_size) = sealed_from_steps(&path, per_block, &steps);
+        // Re-sealing an untouched file reproduces its checksums, so a mutant
+        // reaches the field checks behind them.
+        let mut resealed = sealed.clone();
+        reseal_header_and_blocks(&mut resealed, block_size);
+        prop_assert!(resealed == sealed);
+        let fields = HEADER_FIELDS.into_iter().chain(block_fields(&sealed, block_size));
+        for field in fields {
+            for value in EDGES {
+                let mut bad = sealed.clone();
+                overwrite(&mut bad, field, value);
+                reseal_header_and_blocks(&mut bad, block_size);
                 std::fs::write(&path, &bad).unwrap();
                 open_and_query(&path);
             }
