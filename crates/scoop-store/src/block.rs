@@ -106,8 +106,7 @@ pub fn decode_block_into(
     let start = out.len();
     out.reserve(count);
     let payload = &bytes[BLOCK_HEADER_LEN..BLOCK_HEADER_LEN + count * DURABLE_RECORD_LEN];
-    for raw in payload.chunks_exact(DURABLE_RECORD_LEN) {
-        let raw: &[u8; DURABLE_RECORD_LEN] = raw.try_into().expect("chunked to record length");
+    for raw in payload.as_chunks::<DURABLE_RECORD_LEN>().0 {
         match DurableRecord::decode(raw) {
             Ok(record) => out.push(record),
             Err(e) => {

@@ -130,7 +130,9 @@ fn merge_into(inputs: &[&Segment], writer: &mut SegmentWriter) -> Result<()> {
             heads.push(Reverse((cursor.head_time(), i)));
         }
         // No input holds anything earlier than the last timestamp taken, so
-        // everything before it is complete.
+        // everything before it is complete. Invariant: the input just popped
+        // holds the earliest head, which is at most `bound`, so `take >= 1`
+        // and `pending` is not empty.
         let last = pending.last().expect("a slice was just taken").time_ms;
         let complete = pending.partition_point(|r| r.time_ms < last);
         write_canonical(&mut pending[..complete], writer)?;

@@ -109,6 +109,19 @@ pub(crate) fn sync_dir_of(path: &Path) -> Result<()> {
     dir.sync_all().map_err(|e| io_err(parent, e))
 }
 
+/// The little-endian `u32` at `bytes[at..at + 4]`. Invariant: every caller
+/// reads inside a fixed-size array or a length it has already checked, so
+/// the range is in bounds and a 4-byte slice always converts.
+fn le_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("a 4-byte slice"))
+}
+
+/// The little-endian `u64` at `bytes[at..at + 8]`; the invariant of
+/// [`le_u32`] holds for every caller.
+fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("an 8-byte slice"))
+}
+
 fn encode_header(block_size: usize) -> [u8; HEADER_LEN] {
     let mut header = [0u8; HEADER_LEN];
     header[0..8].copy_from_slice(SEGMENT_MAGIC);
@@ -124,7 +137,7 @@ fn decode_header(header: &[u8; HEADER_LEN], path: &Path) -> Result<usize> {
     if &header[0..8] != SEGMENT_MAGIC {
         return Err(corrupt(path, "bad segment magic (not a scoop-store file?)"));
     }
-    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
+    let version = le_u32(header, 8);
     if version != SCHEMA_VERSION {
         return Err(StoreError::SchemaVersion {
             path: path.to_path_buf(),
@@ -132,11 +145,11 @@ fn decode_header(header: &[u8; HEADER_LEN], path: &Path) -> Result<usize> {
             expected: SCHEMA_VERSION,
         });
     }
-    let stored_crc = u32::from_le_bytes(header[24..28].try_into().expect("4 bytes"));
+    let stored_crc = le_u32(header, 24);
     if crc32(&header[0..24]) != stored_crc {
         return Err(corrupt(path, "header checksum mismatch"));
     }
-    let block_size = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes")) as usize;
+    let block_size = le_u32(header, 12) as usize;
     if !(MIN_BLOCK_SIZE..=(1 << 24)).contains(&block_size) {
         return Err(corrupt(
             path,
@@ -177,19 +190,18 @@ fn decode_footer(bytes: &[u8; FOOTER_LEN]) -> Option<Footer> {
     if &bytes[0..8] != FOOTER_MAGIC {
         return None;
     }
-    let stored_crc = u32::from_le_bytes(bytes[60..64].try_into().expect("4 bytes"));
+    let stored_crc = le_u32(bytes, 60);
     if crc32(&bytes[0..60]) != stored_crc {
         return None;
     }
-    let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
     Some(Footer {
-        record_count: u64_at(8),
-        block_count: u64_at(16),
-        index_offset: u64_at(24),
-        index_len: u64_at(32),
-        min_time_ms: u64_at(40),
-        max_time_ms: u64_at(48),
-        index_crc: u32::from_le_bytes(bytes[56..60].try_into().expect("4 bytes")),
+        record_count: le_u64(bytes, 8),
+        block_count: le_u64(bytes, 16),
+        index_offset: le_u64(bytes, 24),
+        index_len: le_u64(bytes, 32),
+        min_time_ms: le_u64(bytes, 40),
+        max_time_ms: le_u64(bytes, 48),
+        index_crc: le_u32(bytes, 56),
     })
 }
 
@@ -218,10 +230,9 @@ fn decode_index(bytes: &[u8], path: &Path) -> Result<(Vec<BlockMeta>, LearnedTim
     if bytes.len() < INDEX_PREFIX_LEN {
         return Err(corrupt(path, "index region shorter than its prefix"));
     }
-    let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"));
-    let dir_count = u32_at(0) as usize;
-    let pla_count = u32_at(4) as usize;
-    let max_error = u32_at(8);
+    let dir_count = le_u32(bytes, 0) as usize;
+    let pla_count = le_u32(bytes, 4) as usize;
+    let max_error = le_u32(bytes, 8);
     let expected = INDEX_PREFIX_LEN + dir_count * DIR_ENTRY_LEN + pla_count * PLA_ENTRY_LEN;
     if bytes.len() != expected || max_error == 0 {
         return Err(corrupt(
@@ -232,14 +243,13 @@ fn decode_index(bytes: &[u8], path: &Path) -> Result<(Vec<BlockMeta>, LearnedTim
             ),
         ));
     }
-    let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
     let mut dir: Vec<BlockMeta> = Vec::with_capacity(dir_count);
     let mut offset = INDEX_PREFIX_LEN;
     for i in 0..dir_count {
         let meta = BlockMeta {
-            first_time_ms: u64_at(offset),
-            last_time_ms: u64_at(offset + 8),
-            count: u32_at(offset + 16),
+            first_time_ms: le_u64(bytes, offset),
+            last_time_ms: le_u64(bytes, offset + 8),
+            count: le_u32(bytes, offset + 16),
         };
         // The directory of a time-ordered log: each block spans a time
         // window, and no block starts before the previous one ends.
@@ -256,9 +266,9 @@ fn decode_index(bytes: &[u8], path: &Path) -> Result<(Vec<BlockMeta>, LearnedTim
     let mut segments: Vec<PlaSegment> = Vec::with_capacity(pla_count);
     for i in 0..pla_count {
         let line = PlaSegment {
-            start_key: u64_at(offset),
-            start_pos: u64_at(offset + 8),
-            slope: f64::from_bits(u64_at(offset + 16)),
+            start_key: le_u64(bytes, offset),
+            start_pos: le_u64(bytes, offset + 8),
+            slope: f64::from_bits(le_u64(bytes, offset + 16)),
         };
         // What `LearnedTimeIndex::build_with_error` produces and `predict`
         // relies on: lines in key order, each starting at a real block, none

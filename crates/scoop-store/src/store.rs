@@ -177,6 +177,7 @@ impl Store {
                 SegmentWriter::create(&segment_path(&self.dir, id), self.options.block_size)?;
             self.active = Some((id, writer));
         }
+        // Invariant: the branch above fills `active` whenever it is empty.
         Ok(&mut self.active.as_mut().expect("just ensured").1)
     }
 

@@ -2,8 +2,10 @@
 //! checksum computed bit by bit from the polynomial, sharing no table and no
 //! code with the crate — must open sealed and read back. This is the format's
 //! fixture: the checksum *implementation* may change (byte-at-a-time, then
-//! slice-by-8); the values on disk may not.
+//! slice-by-8, then four interleaved lanes on long inputs); the values on
+//! disk may not.
 
+use scoop_store::crc::LANE_MIN;
 use scoop_store::{RecoveryOutcome, Segment, StoreError};
 use scoop_types::{DurableRecord, NodeId};
 
@@ -24,6 +26,10 @@ fn crc32_bitwise(bytes: &[u8]) -> u32 {
 }
 
 const BLOCK_SIZE: usize = 72; // 8-byte block header + four 16-byte records
+/// The default block size: its payload, and the index region of a segment
+/// of [`LARGE_BLOCKS`] of them, are long enough for the laned checksum.
+const PAGE_BLOCK_SIZE: usize = 4096;
+const LARGE_BLOCKS: usize = 16;
 
 fn record(time_ms: u64, value: i32) -> DurableRecord {
     DurableRecord {
@@ -34,8 +40,8 @@ fn record(time_ms: u64, value: i32) -> DurableRecord {
     }
 }
 
-fn block(records: &[DurableRecord]) -> Vec<u8> {
-    let mut out = vec![0u8; BLOCK_SIZE];
+fn block(records: &[DurableRecord], block_size: usize) -> Vec<u8> {
+    let mut out = vec![0u8; block_size];
     out[0..2].copy_from_slice(&(records.len() as u16).to_le_bytes());
     for (i, r) in records.iter().enumerate() {
         let at = 8 + 16 * i;
@@ -51,25 +57,30 @@ fn block(records: &[DurableRecord]) -> Vec<u8> {
 
 /// Header, the blocks, index region, footer. `dir_counts` are the record
 /// counts the directory claims per block (honest callers pass the lengths).
-fn documented_segment(blocks: &[Vec<DurableRecord>], dir_counts: &[u32]) -> Vec<u8> {
+fn documented_segment(
+    block_size: usize,
+    blocks: &[Vec<DurableRecord>],
+    dir_counts: &[u32],
+) -> Vec<u8> {
     let mut file = Vec::new();
     file.extend_from_slice(b"SCOOPSG1");
     file.extend_from_slice(&1u32.to_le_bytes());
-    file.extend_from_slice(&(BLOCK_SIZE as u32).to_le_bytes());
+    file.extend_from_slice(&(block_size as u32).to_le_bytes());
     file.extend_from_slice(&[0u8; 8]);
     let header_crc = crc32_bitwise(&file[0..24]);
     file.extend_from_slice(&header_crc.to_le_bytes());
     file.extend_from_slice(&[0u8; 4]);
     for records in blocks {
-        file.extend_from_slice(&block(records));
+        file.extend_from_slice(&block(records, block_size));
     }
 
-    // One PLA line through the origin covers any directory this small.
+    // One flat PLA line through the origin, its error bound at least the
+    // directory's length, covers every block.
     let index_offset = file.len() as u64;
     let mut index = Vec::new();
     index.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
     index.extend_from_slice(&1u32.to_le_bytes());
-    index.extend_from_slice(&8u32.to_le_bytes());
+    index.extend_from_slice(&(blocks.len() as u32).max(8).to_le_bytes());
     index.extend_from_slice(&0u32.to_le_bytes());
     for (records, count) in blocks.iter().zip(dir_counts) {
         index.extend_from_slice(&records[0].time_ms.to_le_bytes());
@@ -124,7 +135,7 @@ fn a_segment_built_from_the_format_document_opens_and_reads_back() {
     let blocks = two_blocks();
     let dir = scratch_dir("opens");
     let path = dir.join("seg-00000000.scoop");
-    let bytes = documented_segment(&blocks, &[4, 2]);
+    let bytes = documented_segment(BLOCK_SIZE, &blocks, &[4, 2]);
     std::fs::write(&path, &bytes).unwrap();
 
     let segment = Segment::open(&path).unwrap().expect("committed data");
@@ -148,6 +159,49 @@ fn a_segment_built_from_the_format_document_opens_and_reads_back() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Page-sized blocks: every block payload (4,088 B) and the index region
+/// are past the checksum's lane threshold, so the crate's laned kernel must
+/// agree with the bitwise one here too.
+#[test]
+fn a_page_block_segment_past_the_lane_threshold_opens_and_reads_back() {
+    let per_block = (PAGE_BLOCK_SIZE - 8) / 16;
+    let blocks: Vec<Vec<DurableRecord>> = (0..LARGE_BLOCKS)
+        .map(|b| {
+            let len = if b + 1 == LARGE_BLOCKS { 7 } else { per_block };
+            (0..len)
+                .map(|i| {
+                    let n = (b * per_block + i) as u64;
+                    record(n * 10, (n as i32).wrapping_mul(-7919))
+                })
+                .collect()
+        })
+        .collect();
+    let counts: Vec<u32> = blocks.iter().map(|b| b.len() as u32).collect();
+    let bytes = documented_segment(PAGE_BLOCK_SIZE, &blocks, &counts);
+    let index_len = 16 + 20 * LARGE_BLOCKS + 24;
+    assert!(index_len > LANE_MIN && PAGE_BLOCK_SIZE - 8 > LANE_MIN);
+
+    let dir = scratch_dir("page-blocks");
+    let path = dir.join("seg-00000000.scoop");
+    std::fs::write(&path, &bytes).unwrap();
+    let segment = Segment::open(&path).unwrap().expect("committed data");
+    assert_eq!(segment.recovery(), RecoveryOutcome::Sealed);
+    assert_eq!(segment.block_count(), LARGE_BLOCKS);
+    let expected: Vec<DurableRecord> = blocks.concat();
+    assert_eq!(segment.record_count(), expected.len() as u64);
+    assert_eq!(segment.scan_all().unwrap().records, expected);
+    let last = expected[expected.len() - 1];
+    assert_eq!(segment.query_point(last.time_ms).unwrap().records, [last]);
+    let (from, to) = (expected[300].time_ms, expected[700].time_ms);
+    assert_eq!(
+        segment.query_range(from, to).unwrap().records,
+        expected[300..=700]
+    );
+    drop(segment);
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Scans size their buffers from the footer's record count, so a directory
 /// (checksummed like any other, by whoever wrote it) may not claim more
 /// records than its blocks can hold.
@@ -155,7 +209,11 @@ fn a_segment_built_from_the_format_document_opens_and_reads_back() {
 fn a_directory_claiming_more_records_than_a_block_holds_is_refused() {
     let dir = scratch_dir("overclaim");
     let path = dir.join("seg-00000000.scoop");
-    std::fs::write(&path, documented_segment(&two_blocks(), &[4, u32::MAX])).unwrap();
+    std::fs::write(
+        &path,
+        documented_segment(BLOCK_SIZE, &two_blocks(), &[4, u32::MAX]),
+    )
+    .unwrap();
     match Segment::open(&path) {
         Err(StoreError::Corrupt { detail, .. }) => {
             assert!(

@@ -3,8 +3,16 @@
 //! Renders and parses JSON text over the [`serde`] shim's [`Value`] data
 //! model. Supports exactly what the workspace uses: [`to_string`],
 //! [`to_string_pretty`], [`from_str`], and a [`Value`] type with indexing.
+//!
+//! The parser recurses once per nested array or object, so [`from_str`]
+//! refuses input nested deeper than 128 levels with an [`Error`] instead of
+//! overflowing the stack.
 
 pub use serde::{Error, Value};
+
+/// The deepest nesting of arrays and objects [`from_str`] accepts: upstream
+/// `serde_json`'s default. The deepest JSON this workspace writes is 6.
+const RECURSION_LIMIT: usize = 128;
 
 use serde::{Deserialize, Serialize};
 
@@ -29,7 +37,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
         pos: 0,
     };
     parser.skip_ws();
-    let value = parser.parse_value()?;
+    let value = parser.parse_value(0)?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
         return Err(Error::custom(format!(
@@ -154,7 +162,7 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
+    fn eat_byte(&mut self, b: u8) -> Result<(), Error> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -175,10 +183,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
+    /// Parses one value inside `depth` enclosing arrays and objects.
+    fn parse_value(&mut self, depth: usize) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
             None => Err(Error::custom("unexpected end of input")),
+            Some(b'[' | b'{') if depth == RECURSION_LIMIT => Err(Error::custom(format!(
+                "recursion limit exceeded at offset {}: nested deeper than {RECURSION_LIMIT}",
+                self.pos
+            ))),
             Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
@@ -192,7 +205,7 @@ impl<'a> Parser<'a> {
                     return Ok(Value::Array(items));
                 }
                 loop {
-                    items.push(self.parse_value()?);
+                    items.push(self.parse_value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -216,8 +229,8 @@ impl<'a> Parser<'a> {
                     self.skip_ws();
                     let key = self.parse_string()?;
                     self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
+                    self.eat_byte(b':')?;
+                    let value = self.parse_value(depth + 1)?;
                     pairs.push((key, value));
                     self.skip_ws();
                     match self.peek() {
@@ -235,7 +248,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
+        self.eat_byte(b'"')?;
         let mut out = String::new();
         loop {
             let Some(b) = self.peek() else {
@@ -387,6 +400,19 @@ mod tests {
         assert_eq!(json, "2.0");
         let v: Value = from_str(&json).unwrap();
         assert_eq!(v, 2.0);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_recursion_limit() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let nested = |depth: usize| format!("{}0{}", open.repeat(depth), close.repeat(depth));
+            assert!(from_str::<Value>(&nested(RECURSION_LIMIT)).is_ok());
+            let err = from_str::<Value>(&nested(RECURSION_LIMIT + 1)).unwrap_err();
+            assert!(err.to_string().contains("recursion limit"), "{err}");
+            // Deep enough to overflow the stack without the cap, and cut
+            // short: the cap answers before the missing close is seen.
+            assert!(from_str::<Value>(&open.repeat(100_000)).is_err());
+        }
     }
 
     #[test]
