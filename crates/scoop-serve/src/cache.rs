@@ -272,6 +272,8 @@ impl AnswerCache {
     /// Moves probation's oldest answer to main if it was hit, else drops it
     /// to a ghost.
     fn leave_probation(&mut self) {
+        // Invariant: the one caller runs this only while probation holds more
+        // than its capacity, so it is not empty.
         let pred = self
             .probation
             .pop_front()
@@ -294,6 +296,7 @@ impl AnswerCache {
     /// Drops main's oldest answer (key and all) if main is over capacity.
     fn trim_main(&mut self) {
         if self.main.len() > self.main_cap {
+            // Invariant: main holds more than its capacity, so it is not empty.
             let pred = self.main.pop_front().expect("main is over capacity");
             if let Some(Slot::Resident { payload, .. }) = self.slots.remove(&pred) {
                 self.bytes -= payload.len() as u64;
@@ -313,6 +316,9 @@ impl AnswerCache {
         self.ghost_queue.push_back((pred, seq));
         self.ghosts += 1;
         while self.ghosts > self.main_cap {
+            // Invariant: every live ghost's key sits in the queue until it is
+            // counted out of `ghosts`, so with one or more live the queue is
+            // not empty.
             let (oldest, seq) = self
                 .ghost_queue
                 .pop_front()

@@ -9,10 +9,7 @@
 use crate::cache::{AnswerCache, TouchedValues};
 use crate::index::ServeIndex;
 use scoop_store::Snapshot;
-use scoop_types::{
-    append_rows_payload, AggregateSpec, DurableRecord, PartialAggregate, QueryPredicate,
-    ScoopError, ValueRange,
-};
+use scoop_types::{append_rows_payload, DurableRecord, QueryPredicate, ScoopError, ValueRange};
 use std::sync::Arc;
 
 /// Counters the core accumulates across its life.
@@ -43,7 +40,6 @@ pub struct CoreStats {
 
 /// Index + optional answer cache; produces encoded rows payloads.
 pub struct AnswerCore {
-    domain: ValueRange,
     index: ServeIndex,
     /// Stored history, answered straight from its sealed segments.
     history: Option<Snapshot>,
@@ -60,7 +56,6 @@ impl AnswerCore {
     /// configuration the cached path is proven byte-identical against.
     pub fn new(domain: ValueRange, cache_capacity: usize) -> Self {
         AnswerCore {
-            domain,
             index: ServeIndex::new(domain),
             history: None,
             history_blocks_read: 0,
@@ -124,6 +119,8 @@ impl AnswerCore {
         if let Some(cache) = &mut self.cache {
             if let Some(payload) = cache.get(pred) {
                 // Row count is the payload's little-endian u32 prefix.
+                // Invariant: the cache holds only payloads this core encoded,
+                // and `append_rows_payload` always writes that prefix.
                 let count =
                     u32::from_le_bytes(payload[0..4].try_into().expect("payload has a count"));
                 self.rows_returned += count as u64;
@@ -139,26 +136,6 @@ impl AnswerCore {
             cache.insert(*pred, Arc::clone(&payload));
         }
         Ok(payload)
-    }
-
-    /// The partial aggregate over every record matching `pred` — the serve
-    /// twin of the in-network aggregation path. It evaluates over exactly
-    /// the rows [`AnswerCore::answer_payload`] would return for the same
-    /// predicate (one shared evaluation), so an aggregate answer and a range
-    /// answer can never disagree about which readings matched. The byte
-    /// cache is not consulted: partials are tiny and derived, and their
-    /// correctness is anchored to the row path, not to cached bytes.
-    pub fn aggregate_answer(
-        &mut self,
-        pred: &QueryPredicate,
-        spec: &AggregateSpec,
-    ) -> Result<PartialAggregate, ScoopError> {
-        self.evaluate(pred)?;
-        let mut partial = PartialAggregate::for_spec(spec, self.domain);
-        for rec in &self.scratch {
-            partial.observe(rec.value);
-        }
-        Ok(partial)
     }
 
     /// Lifetime counters.
@@ -276,39 +253,6 @@ mod tests {
         }
         assert!(on.stats().cache_hits > 0, "the cache actually engaged");
         assert_eq!(on.stats().rows_returned, off.stats().rows_returned);
-    }
-
-    #[test]
-    fn aggregate_answer_matches_the_row_path() {
-        use scoop_types::AggregateOp;
-        let domain = ValueRange::new(0, 9);
-        let mut core = AnswerCore::new(domain, 8);
-        core.ingest(&[rec(10, 1, 2), rec(20, 2, 7), rec(30, 3, 4), rec(40, 1, 7)]);
-        let p = pred(2, 7, 0, 35);
-        let spec = AggregateSpec {
-            op: AggregateOp::Quantile(0.5),
-            epsilon: 0.05,
-        };
-        let partial = core.aggregate_answer(&p, &spec).unwrap();
-        // Matches {2, 7, 4}: same rows the payload path returns.
-        assert_eq!(partial.count, 3);
-        assert_eq!(partial.min, 2);
-        assert_eq!(partial.max, 7);
-        assert_eq!(partial.sum, 13);
-        let payload = core.answer_payload(&p).unwrap();
-        let rows = u32::from_le_bytes(payload[0..4].try_into().unwrap());
-        assert_eq!(rows as u64, partial.count);
-        // The digest is present for quantile specs and tracks the stream.
-        let digest = partial.digest.as_ref().expect("quantile carries a digest");
-        assert_eq!(digest.count(), 3);
-        // Min/max specs skip the digest entirely.
-        let min_spec = AggregateSpec {
-            op: AggregateOp::Min,
-            epsilon: 0.05,
-        };
-        let lean = core.aggregate_answer(&p, &min_spec).unwrap();
-        assert!(lean.digest.is_none());
-        assert_eq!(lean.answer(AggregateOp::Min), Some(2.0));
     }
 
     #[test]

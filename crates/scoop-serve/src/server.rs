@@ -205,17 +205,6 @@ impl ServeServer {
         self.core.stats()
     }
 
-    /// The partial aggregate over every stored or live record matching
-    /// `pred` — the serve twin of the in-network aggregation path, see
-    /// [`AnswerCore::aggregate_answer`].
-    pub fn aggregate_answer(
-        &mut self,
-        pred: &scoop_types::QueryPredicate,
-        spec: &scoop_types::AggregateSpec,
-    ) -> Result<scoop_types::PartialAggregate, ScoopError> {
-        self.core.aggregate_answer(pred, spec)
-    }
-
     /// True while the persistence seam is attached and healthy.
     pub fn persistence_active(&self) -> bool {
         self.persistence.is_some()

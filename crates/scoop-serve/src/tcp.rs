@@ -49,23 +49,17 @@ impl Conn {
     /// Moves every complete frame out of `inbuf` as a decoded request.
     fn parse_requests(&mut self, client: ClientId, out: &mut Vec<(ClientId, ServeRequest)>) {
         let mut consumed = 0;
-        while self.inbuf.len() - consumed >= 4 {
-            let len = u32::from_le_bytes(
-                self.inbuf[consumed..consumed + 4]
-                    .try_into()
-                    .expect("4 bytes"),
-            );
+        while let Some(prefix) = self.inbuf[consumed..].first_chunk::<4>() {
+            let len = u32::from_le_bytes(*prefix);
             if len > MAX_FRAME_BYTES || len as usize != SERVE_REQUEST_LEN {
                 self.dead = true;
                 break;
             }
-            let end = consumed + 4 + len as usize;
-            if self.inbuf.len() < end {
+            let end = consumed + 4 + SERVE_REQUEST_LEN;
+            // A frame whose body has not fully arrived waits for the next fill.
+            let Some(body) = self.inbuf[consumed + 4..].first_chunk::<SERVE_REQUEST_LEN>() else {
                 break;
-            }
-            let body: &[u8; SERVE_REQUEST_LEN] = self.inbuf[consumed + 4..end]
-                .try_into()
-                .expect("length checked above");
+            };
             match ServeRequest::decode(body) {
                 Ok(req) => out.push((client, req)),
                 Err(_) => {
@@ -190,10 +184,9 @@ impl Transport for TcpServerTransport {
     fn poll(&mut self, out: &mut Vec<(ClientId, ServeRequest)>) -> Result<(), ScoopError> {
         self.accept_new();
         // Deterministic order within one server: iterate clients by id.
-        let mut ids: Vec<ClientId> = self.conns.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let conn = self.conns.get_mut(&id).expect("listed connection");
+        let mut conns: Vec<(&ClientId, &mut Conn)> = self.conns.iter_mut().collect();
+        conns.sort_unstable_by_key(|(id, _)| **id);
+        for (&id, conn) in conns {
             conn.flush_pending();
             conn.fill();
             conn.parse_requests(id, out);

@@ -9,7 +9,7 @@
 
 use scoop_types::{ScoopError, ServeRequest, ServeResponse};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Identifies a connected client within one transport.
 pub type ClientId = u64;
@@ -29,6 +29,13 @@ struct HubInner {
     requests: Vec<(ClientId, ServeRequest)>,
     responses: HashMap<ClientId, Vec<Vec<u8>>>,
     next_client: ClientId,
+}
+
+/// Locks the hub.
+fn lock(inner: &Mutex<HubInner>) -> MutexGuard<'_, HubInner> {
+    // Invariant: no critical section can panic (each only moves whole values
+    // in or out of a collection), so no holder ever poisons the lock.
+    inner.lock().expect("hub lock")
 }
 
 /// The in-memory rendezvous between clients and the server half.
@@ -51,7 +58,7 @@ impl InMemoryHub {
 
     /// Registers a new client and returns its handle.
     pub fn client(&self) -> InMemoryClient {
-        let mut inner = self.inner.lock().expect("hub lock");
+        let mut inner = lock(&self.inner);
         let id = inner.next_client;
         inner.next_client += 1;
         inner.responses.insert(id, Vec::new());
@@ -83,16 +90,12 @@ impl InMemoryClient {
 
     /// Submits a request; it reaches the server at its next poll.
     pub fn submit(&self, req: ServeRequest) {
-        self.inner
-            .lock()
-            .expect("hub lock")
-            .requests
-            .push((self.id, req));
+        lock(&self.inner).requests.push((self.id, req));
     }
 
     /// Takes every raw response frame delivered to this client so far.
     pub fn drain_frames(&self) -> Vec<Vec<u8>> {
-        let mut inner = self.inner.lock().expect("hub lock");
+        let mut inner = lock(&self.inner);
         inner
             .responses
             .get_mut(&self.id)
@@ -116,13 +119,13 @@ pub struct InMemoryTransport {
 
 impl Transport for InMemoryTransport {
     fn poll(&mut self, out: &mut Vec<(ClientId, ServeRequest)>) -> Result<(), ScoopError> {
-        let mut inner = self.inner.lock().expect("hub lock");
+        let mut inner = lock(&self.inner);
         out.append(&mut inner.requests);
         Ok(())
     }
 
     fn deliver(&mut self, client: ClientId, frame: &[u8]) -> Result<(), ScoopError> {
-        let mut inner = self.inner.lock().expect("hub lock");
+        let mut inner = lock(&self.inner);
         match inner.responses.get_mut(&client) {
             Some(frames) => {
                 frames.push(frame.to_vec());

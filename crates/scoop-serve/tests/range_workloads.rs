@@ -8,10 +8,7 @@
 
 use scoop_serve::server::{pump_once, ServeOptions, ServeServer};
 use scoop_serve::transport::InMemoryHub;
-use scoop_types::{
-    AggregateOp, AggregateSpec, QueryPredicate, ScenarioSpec, ServeRequest, SimDuration, SimTime,
-    ValueRange, WorkloadKind,
-};
+use scoop_types::{ScenarioSpec, ServeRequest, SimDuration, SimTime, ValueRange, WorkloadKind};
 use std::path::{Path, PathBuf};
 
 /// A scenario whose simulated network itself runs range queries (the new
@@ -180,54 +177,6 @@ fn restarted_server_answers_range_queries_from_preloaded_segments() {
     assert_eq!(
         rows_total, drained,
         "disjoint covering ranges partition the stored rows"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn aggregate_answers_agree_with_served_rows_across_a_restart() {
-    let dir = scratch_dir("aggregate");
-
-    let mut first = ServeServer::new(persist_options(&dir)).expect("first server");
-    let mut frames = Vec::new();
-    for _ in 0..10 {
-        first.tick(&mut frames).expect("tick");
-    }
-    first.sync().expect("sync");
-    let drained = first.stats().readings_drained;
-    assert!(drained > 0);
-    drop(first);
-
-    let mut second = ServeServer::new(persist_options(&dir)).expect("second server");
-    let domain = range_scenario().workload.value_domain;
-    let pred = QueryPredicate {
-        value_lo: domain.lo,
-        value_hi: domain.hi,
-        time_lo_ms: 0,
-        time_hi_ms: SimTime::from_mins(10).as_millis(),
-    };
-    let spec = AggregateSpec {
-        op: AggregateOp::Quantile(0.5),
-        epsilon: 0.05,
-    };
-    let partial = second
-        .aggregate_answer(&pred, &spec)
-        .expect("stored blocks are intact");
-    assert_eq!(
-        partial.count, drained,
-        "the aggregate sees every stored record"
-    );
-    assert!(domain.contains(partial.min) && domain.contains(partial.max));
-    assert!(partial.min <= partial.max);
-    let median = partial
-        .answer(AggregateOp::Quantile(0.5))
-        .expect("non-empty");
-    assert!(
-        (partial.min as f64) <= median && median <= (partial.max as f64),
-        "median {median} inside [{}, {}]",
-        partial.min,
-        partial.max
     );
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -7,8 +7,8 @@ use scoop_serve::core::AnswerCore;
 use scoop_serve::server::{ServeOptions, ServeServer};
 use scoop_store::{Store, StoreOptions};
 use scoop_types::{
-    append_rows_frame, AggregateOp, AggregateSpec, DurableRecord, NodeId, PartialAggregate,
-    ScenarioSpec, ServeRequest, ServeResponse, SimDuration, SimTime, ValueRange,
+    append_rows_frame, DurableRecord, NodeId, ScenarioSpec, ServeRequest, ServeResponse,
+    SimDuration, SimTime, ValueRange,
 };
 use std::path::{Path, PathBuf};
 
@@ -204,21 +204,6 @@ fn records_drained_and_persisted_by_this_process_are_answered_once() {
     let all = rows_of(24, &frames[24].1).len() as u64;
     assert_eq!(all, drained + live_total);
 
-    // The aggregate shape evaluates the same rows, stored and live alike.
-    let spec = AggregateSpec {
-        op: AggregateOp::Quantile(0.5),
-        epsilon: 0.05,
-    };
-    for (request, (_, frame)) in requests.iter().zip(&frames) {
-        let mut from_rows = PartialAggregate::for_spec(&spec, domain());
-        for row in rows_of(request.id, frame) {
-            from_rows.observe(row.value);
-        }
-        let partial = second
-            .aggregate_answer(&request.predicate(), &spec)
-            .expect("stored blocks are intact");
-        assert_eq!(partial, from_rows, "request {}", request.id);
-    }
     second.sync().expect("sync");
     drop(second);
 

@@ -22,11 +22,17 @@
 //!     peer liveness in the federation;
 //!   - `scoop_sensor` — SCOOP runs only: the recent-readings ring behind the
 //!     periodic summaries, the batch of readings bound for one owner
-//!     (Section 5.4), and index assembly from mapping chunks;
-//!   - `federation` — multi-sink runs only: per-rank index assembly,
-//!     sink-liveness gossip, routing replies to the issuing sink;
+//!     (Section 5.4), and the dissemination state below;
+//!   - `federation` — multi-sink runs only: sink-liveness gossip, routing
+//!     replies to the issuing sink;
 //!   - `aggregate` — sensors of LOCAL aggregate workloads only: partials held
 //!     for in-network tree aggregation.
+//!
+//! Index dissemination is one module, `dissemination`: the sink's remap hands
+//! it each new index, the `Mapping` dispatch hands it each heard chunk, and it
+//! owns the per-rank chunk assemblers, the newest complete index of each sink
+//! rank and the seen-chunk set. A single-sink run is the one-rank case of the
+//! multi-sink federation.
 //!
 //! Mapping chunks, queries and sink-liveness beacons are disseminated by
 //! flood-once gossip: a node re-broadcasts an item it has not seen before at
@@ -44,6 +50,7 @@
 //! destination, a summary entering the basestation's statistics).
 
 mod aggregate;
+mod dissemination;
 mod federation;
 mod id_set;
 mod scoop_sensor;
@@ -239,7 +246,7 @@ impl SimNode {
             sink: rank.map(|rank| Box::new(SinkRole::new(cfg, rank, nsinks))),
             scoop: (cfg.policy.kind == StoragePolicy::Scoop)
                 .then(|| Box::new(ScoopSensor::new(cfg))),
-            federation: (nsinks > 1).then(|| Box::new(Federation::new(&shared.sink_set))),
+            federation: (nsinks > 1).then(Box::default),
             aggregation: (tree_aggregation && rank.is_none()).then(Box::default),
             metrics: NodeLocalMetrics::default(),
             shared: Arc::clone(shared),
@@ -330,17 +337,19 @@ impl SimNode {
     // ------------------------------------------------------------------
 
     /// Resolves the owner (and the index that named it) for a freshly
-    /// sampled value: a lookup in the one current index, or in the
-    /// federation's per-rank indices.
+    /// sampled value: a lookup in the disseminated indices, else in the
+    /// static HASH / BASE index. With no index naming the value, or none
+    /// complete yet, the node stores it locally (Section 5.3).
     fn lookup_owner(&self, value: scoop_types::Value) -> (NodeId, StorageIndexId) {
-        if let Some(fed) = &self.federation {
-            return fed.lookup_owner(self.id, value);
-        }
-        match &self.current_index {
-            Some(idx) => (idx.lookup(value).unwrap_or(self.id), idx.id()),
-            // No complete index yet: store locally (Section 5.3).
-            None => (self.id, StorageIndexId::NONE),
-        }
+        let static_hit = || {
+            let index = self.shared.static_index.as_ref()?;
+            Some((index.lookup(value)?, index.id()))
+        };
+        self.scoop
+            .as_ref()
+            .and_then(|scoop| scoop.dissemination.lookup(value))
+            .or_else(static_hit)
+            .unwrap_or((self.id, self.newest_index_id()))
     }
 
     fn handle_sample(&mut self, ctx: &mut NodeCtx<'_, SharedPayload>) {
@@ -516,7 +525,7 @@ impl SimNode {
                     }
                 }
             }
-            ScoopPayload::Mapping(chunk) => self.handle_mapping(ctx, chunk, &packet.payload),
+            ScoopPayload::Mapping(chunk) => self.on_mapping_chunk(ctx, chunk, &packet.payload),
             ScoopPayload::Data(data) => {
                 self.note_upward_route(&meta, ctx.now());
                 // Routing may rewrite owner/sid before storing or forwarding,
@@ -996,11 +1005,8 @@ mod tests {
 
         // Per-rank ids: rank 0 issues multiples of 64, rank 1 is offset 1.
         let held = |n: &SimNode| {
-            n.federation
-                .as_ref()
-                .expect("federated")
-                .sink_indices
-                .clone()
+            let dissemination = &n.scoop.as_ref().expect("SCOOP node").dissemination;
+            [0, 1].map(|rank| dissemination.rank_index(rank).cloned())
         };
         let (rank0, rank1) = (held(root)[0].clone(), held(root)[1].clone());
         let rank0 = rank0.expect("rank-0 index");

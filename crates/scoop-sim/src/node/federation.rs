@@ -1,14 +1,14 @@
-//! The multi-sink federation role: per-rank index assembly, sink-liveness
-//! gossip and routing towards the sink that issued a query. Every node of a
-//! multi-sink run carries a [`Federation`]; classic single-sink runs have none.
+//! The multi-sink federation role: sink-liveness gossip and routing towards
+//! the sink that issued a query. Every node of a multi-sink run carries a
+//! [`Federation`]; classic single-sink runs have none. Each sink's chunk
+//! stream is assembled by the dissemination module, like the one sink's.
 
 use super::{SharedPayload, SimNode};
 use scoop_core::index::IndexEntry;
-use scoop_core::{MappingChunk, SinkAliveMessage, StorageIndex};
+use scoop_core::{SinkAliveMessage, StorageIndex};
 use scoop_net::NodeCtx;
 use scoop_routing::NextHop;
-use scoop_trickle::ChunkAssembler;
-use scoop_types::{MessageKind, NodeId, SimTime, StorageIndexId, Value, ValueRange};
+use scoop_types::{MessageKind, NodeId, Value, ValueRange};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -16,57 +16,22 @@ use std::sync::Arc;
 /// the low bits for the issuing sink's rank (`MAX_SINKS` ranks).
 pub(super) const RANK_STRIDE: u32 = 64;
 
-/// What every node of a multi-sink run tracks about the sink set.
-pub(super) struct Federation {
-    /// The sorted sink set, shared by every node of the run.
-    pub(super) sinks: Arc<[NodeId]>,
-    /// One chunk assembler per sink rank, because each sink versions its own
-    /// chunk stream and a single assembler would let the streams preempt
-    /// each other.
-    rank_assemblers: Vec<ChunkAssembler<IndexEntry>>,
-    /// The newest complete index per sink rank. Owner lookups scan these
-    /// newest-first; `current_index` mirrors the newest overall so the
-    /// routing rules keep working unchanged.
-    pub(super) sink_indices: Vec<Option<Arc<StorageIndex>>>,
-    /// Sink-liveness beacons already gossiped, keyed by (sink, epoch).
-    pub(super) seen_alive: HashSet<(u16, u64)>,
+/// The step between consecutive index ids of one sink among `nsinks`, so
+/// that `id % stride` is the issuing sink's rank: [`RANK_STRIDE`] in a
+/// federation, 1 for a single sink, whose ids all have rank 0.
+pub(super) fn index_id_stride(nsinks: usize) -> u32 {
+    if nsinks > 1 {
+        RANK_STRIDE
+    } else {
+        1
+    }
 }
 
-impl Federation {
-    pub(super) fn new(sinks: &Arc<[NodeId]>) -> Self {
-        Federation {
-            sinks: Arc::clone(sinks),
-            rank_assemblers: sinks.iter().map(|_| ChunkAssembler::new()).collect(),
-            sink_indices: vec![None; sinks.len()],
-            seen_alive: HashSet::new(),
-        }
-    }
-
-    /// The newest per-rank index (by creation time, then id): what
-    /// `current_index` mirrors, so the unchanged routing rules keep
-    /// re-addressing in-flight data against the freshest mapping.
-    pub(super) fn newest_index(&self) -> Option<Arc<StorageIndex>> {
-        self.sink_indices
-            .iter()
-            .flatten()
-            .max_by_key(|i| (i.created_at(), i.id()))
-            .cloned()
-    }
-
-    /// Resolves the owner of a freshly sampled value on node `me`: each
-    /// sink's index covers only its owned slice of the domain, so the lookup
-    /// scans the per-rank indices newest-first and the first hit wins.
-    pub(super) fn lookup_owner(&self, me: NodeId, value: Value) -> (NodeId, StorageIndexId) {
-        let mut held: Vec<&Arc<StorageIndex>> = self.sink_indices.iter().flatten().collect();
-        held.sort_by_key(|i| (i.created_at(), i.id()));
-        for idx in held.iter().rev() {
-            if let Some(owner) = idx.lookup(value) {
-                return (owner, idx.id());
-            }
-        }
-        let newest = held.last().map(|i| i.id()).unwrap_or(StorageIndexId::NONE);
-        (me, newest)
-    }
+/// What every node of a multi-sink run remembers of the sinks' liveness.
+#[derive(Default)]
+pub(super) struct Federation {
+    /// Sink-liveness beacons already gossiped, keyed by (sink, epoch).
+    pub(super) seen_alive: HashSet<(u16, u64)>,
 }
 
 /// Which live sink rank owns value `v`: the existing hash, reduced over the
@@ -116,52 +81,17 @@ impl SimNode {
     /// stride `nsinks` starting at `1 + rank`, so the rank is recoverable
     /// from the id alone and repliers need no extra routing state.
     pub(super) fn reply_hop(&self, query_id: u32) -> Option<NodeId> {
-        let Some(fed) = &self.federation else {
+        if self.federation.is_none() {
             return self.routing.parent();
-        };
-        let sink = fed.sinks[(query_id.wrapping_sub(1) as usize) % fed.sinks.len()];
+        }
+        let sinks = &self.shared.sink_set;
+        let sink = sinks[(query_id.wrapping_sub(1) as usize) % sinks.len()];
         match self
             .routing
             .next_hop_for(sink, self.shared.cfg.policy.scoop.neighbor_shortcut)
         {
             NextHop::Neighbor(h) | NextHop::DownTree(h) | NextHop::UpTree(h) => Some(h),
             NextHop::Local | NextHop::Stuck => None,
-        }
-    }
-
-    /// Multi-sink half of mapping-chunk handling: everyone (sinks included)
-    /// assembles everyone's chunk stream, per issuing rank. A sink recording
-    /// a peer's assembled index into its planner is the index-summary
-    /// exchange that lets any sink plan queries over the whole domain, not
-    /// just its owned slice.
-    pub(super) fn assemble_rank_chunk(&mut self, mc: &MappingChunk, now: SimTime) {
-        let Some(fed) = self.federation.as_mut() else {
-            return;
-        };
-        let rank = (mc.chunk.version % RANK_STRIDE as u64) as usize;
-        if rank >= fed.rank_assemblers.len() {
-            return;
-        }
-        // A mapping chunk proves its issuing sink was alive recently; it
-        // counts as liveness evidence alongside the SinkAlive beacons.
-        if let Some(m) = self.sink.as_mut().and_then(|b| b.multi.as_mut()) {
-            m.heard(rank, now);
-        }
-        let newest_for_rank = fed.sink_indices[rank]
-            .as_ref()
-            .map(|i| i.id())
-            .unwrap_or(StorageIndexId::NONE);
-        if mc.index_id() <= newest_for_rank {
-            return;
-        }
-        if let Some(entries) = fed.rank_assemblers[rank].accept(&mc.chunk) {
-            let index =
-                StorageIndex::from_entries(mc.index_id(), mc.domain, entries, mc.created_at);
-            if let Some(base) = self.sink.as_mut() {
-                base.planner.record_index(index.clone());
-            }
-            fed.sink_indices[rank] = Some(Arc::new(index));
-            self.current_index = fed.newest_index();
         }
     }
 
@@ -180,7 +110,7 @@ impl SimNode {
         if !fed.seen_alive.insert((alive.sink.0, alive.epoch)) {
             return;
         }
-        if let Some(rank) = fed.sinks.iter().position(|s| *s == alive.sink) {
+        if let Some(rank) = self.shared.sink_set.iter().position(|s| *s == alive.sink) {
             if let Some(m) = self.sink.as_mut().and_then(|b| b.multi.as_mut()) {
                 m.heard(rank, ctx.now());
             }

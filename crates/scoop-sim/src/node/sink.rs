@@ -2,16 +2,14 @@
 //! dissemination, query issue and reply accounting, and — in the multi-sink
 //! federation — peer liveness. Only sinks carry a [`SinkRole`].
 
-use super::federation::{filter_entries_to_rank, RANK_STRIDE};
-use super::scoop_sensor::chunk_key;
+use super::federation::{filter_entries_to_rank, index_id_stride};
 use super::{SharedPayload, SimNode};
 use scoop_core::index::{IndexBuilderConfig, IndexDecision};
 use scoop_core::{
-    CostParams, IndexBuilder, MappingChunk, QueryMessage, QueryPlanner, ReplyMessage, ScoopPayload,
+    CostParams, IndexBuilder, QueryMessage, QueryPlanner, ReplyMessage, ScoopPayload,
     SinkAliveMessage, StatsStore, StorageIndex,
 };
 use scoop_net::NodeCtx;
-use scoop_trickle::Chunker;
 use scoop_types::{
     MessageKind, NodeBitmap, NodeId, PartialAggregate, ScenarioSpec, SimDuration, SimTime,
     StorageIndexId, StoragePolicy, ValueRange,
@@ -64,13 +62,10 @@ pub(super) struct SinkRole {
     query_gen: QueryGenerator,
     next_query_id: u32,
     next_index_id: StorageIndexId,
-    /// Stride between consecutive ids issued here: 1 classically; in the
-    /// multi-sink federation the query stride is the sink count and the
-    /// index stride is [`RANK_STRIDE`], so ids never collide across sinks
-    /// and `id % RANK_STRIDE` recovers the issuing sink's rank.
+    /// Stride between consecutive query ids issued here: the sink count, so
+    /// ids never collide across sinks. Index ids step by
+    /// [`index_id_stride`].
     query_id_stride: u32,
-    index_id_stride: u32,
-    last_disseminated: Option<StorageIndex>,
     outstanding: HashMap<u32, QueryOutcome>,
     indices_disseminated: u64,
     remaps_suppressed: u64,
@@ -122,14 +117,8 @@ impl SinkRole {
             planner: QueryPlanner::new(),
             query_gen: QueryGenerator::from_spec(&cfg.workload, query_seed),
             next_query_id: 1 + rank as u32,
-            next_index_id: if is_multi {
-                StorageIndexId(RANK_STRIDE + rank as u32)
-            } else {
-                StorageIndexId(1)
-            },
+            next_index_id: StorageIndexId(index_id_stride(nsinks) + rank as u32),
             query_id_stride: nsinks as u32,
-            index_id_stride: if is_multi { RANK_STRIDE } else { 1 },
-            last_disseminated: None,
             outstanding: HashMap::new(),
             indices_disseminated: 0,
             remaps_suppressed: 0,
@@ -280,7 +269,12 @@ impl SimNode {
         }
 
         if cfg.policy.scoop.suppress_unchanged_index {
-            if let Some(prev) = &base.last_disseminated {
+            // The sink's own-rank newest is the index it last disseminated.
+            let last = self
+                .scoop
+                .as_ref()
+                .and_then(|s| s.dissemination.rank_index(my_rank));
+            if let Some(prev) = last {
                 if index.difference_fraction(prev) < cfg.policy.scoop.suppression_threshold {
                     base.remaps_suppressed += 1;
                     return;
@@ -288,36 +282,11 @@ impl SimNode {
             }
         }
 
-        base.next_index_id = StorageIndexId(base.next_index_id.0 + base.index_id_stride);
+        let stride = index_id_stride(shared.sink_set.len());
+        base.next_index_id = StorageIndexId(base.next_index_id.0 + stride);
         base.planner.record_index(index.clone());
-        base.last_disseminated = Some(index.clone());
         base.indices_disseminated += 1;
-
-        // Chunk and broadcast; neighbors gossip it onward.
-        let chunker = Chunker::new(cfg.policy.scoop.mapping_entries_per_packet);
-        let chunks = chunker.split(index.id().0 as u64, index.entries());
-        let domain = index.domain();
-        let created_at = index.created_at();
-        if let (Some(fed), Some(scoop)) = (self.federation.as_mut(), self.scoop.as_mut()) {
-            // Our own chunks must not be re-gossiped when neighbors echo
-            // them back, and our own slice joins the per-rank merge like any
-            // peer's would.
-            for chunk in &chunks {
-                scoop.seen_chunks.insert(chunk_key(chunk));
-            }
-            fed.sink_indices[my_rank] = Some(Arc::new(index));
-            self.current_index = fed.newest_index();
-        } else {
-            self.current_index = Some(Arc::new(index));
-        }
-        for chunk in chunks {
-            let payload = Arc::new(ScoopPayload::Mapping(MappingChunk {
-                chunk,
-                domain,
-                created_at,
-            }));
-            ctx.send_broadcast(MessageKind::Mapping, None, payload);
-        }
+        self.disseminate(ctx, index);
     }
 
     pub(super) fn issue_query(&mut self, ctx: &mut NodeCtx<'_, SharedPayload>) {
@@ -352,11 +321,10 @@ impl SimNode {
                     // No index ever disseminated: every node stores locally.
                     // Multi-sink: promoted sinks occupy sensor-range ids but
                     // hold no sampled data, so query floods must skip them.
-                    let sinks: &[NodeId] = self.federation.as_ref().map_or(&[], |f| &f.sinks[..]);
                     NodeBitmap::from_nodes(
                         (1..=num_sensors)
                             .map(|i| NodeId(i as u16))
-                            .filter(|n| !sinks.contains(n)),
+                            .filter(|n| !self.shared.sink_set.contains(n)),
                     )
                 } else {
                     let plan = base.planner.plan(
