@@ -34,11 +34,14 @@
 //! rank and the seen-chunk set. A single-sink run is the one-rank case of the
 //! multi-sink federation.
 //!
-//! Mapping chunks, queries and sink-liveness beacons are disseminated by
-//! flood-once gossip: a node re-broadcasts an item it has not seen before at
-//! most once (a query only where it can still help), after a short random
-//! delay. Nothing suppresses or repeats it, so a node that misses every copy
-//! of an item never receives it.
+//! Queries and sink-liveness beacons are disseminated by flood-once gossip:
+//! a node re-broadcasts an item it has not seen before at most once (a query
+//! only where it can still help), after a short random delay. Nothing
+//! suppresses or repeats it, so a node that misses every copy of an item
+//! never receives it. Mapping chunks are flooded the same way, and are also
+//! re-sent: a parent whose child's summary names an older index than one it
+//! holds queues that index's chunks again, and each node that has not seen a
+//! chunk floods it onward once.
 //!
 //! The engine payload is `Arc<ScoopPayload>` (see [`SharedPayload`]): a
 //! packet is queued once per transmission attempt and every listener is shown
@@ -726,6 +729,14 @@ impl NodeLogic for SimNode {
                 base.stats.note_parent(packet.meta.origin, parent);
             }
         }
+        if let ScoopPayload::Summary(summary) = &*packet.payload {
+            // A child's own summary names the newest index it holds; a
+            // forwarded copy says nothing of the sender, and a snooped one
+            // may come over a link that does not carry a reply.
+            if addressed && packet.meta.link_src == summary.node {
+                self.on_child_summary(ctx, summary.newest_complete_index);
+            }
+        }
         if !addressed {
             // A snooped unicast feeds link estimation (above). Multi-sink:
             // a promoted sink rarely sits on the unicast path a summary
@@ -804,6 +815,10 @@ mod tests {
     fn perfect_engine(cfg: &ScenarioSpec, side: usize) -> Engine<SimNode> {
         let topo = Topology::grid(side, 10.0).expect("grid");
         let links = LinkModel::perfect(&topo);
+        engine_over(cfg, topo, links)
+    }
+
+    fn engine_over(cfg: &ScenarioSpec, topo: Topology, links: LinkModel) -> Engine<SimNode> {
         let shared = Arc::new(NodeShared::new(cfg.clone()));
         let nodes: Vec<SimNode> = topo
             .nodes()
@@ -856,9 +871,11 @@ mod tests {
         );
     }
 
-    /// Every node of a fully connected network hears every chunk and
-    /// re-broadcasts each exactly once, so each transmits as many mapping
-    /// packets as node 0: nothing is suppressed and nothing is repeated.
+    /// Every node of a fully connected network with perfect links hears
+    /// every chunk and floods each once, and no summary stays stale long
+    /// enough for a re-send: each node transmits as many mapping packets as
+    /// node 0, and ends the run holding, at each rank, the index that rank's
+    /// sink issued last.
     fn assert_mapping_floods_once(sinks: Vec<NodeId>) {
         let mut cfg = tiny_cfg(StoragePolicy::Scoop, DataSourceKind::Gaussian);
         cfg.policy.basestations = sinks;
@@ -868,6 +885,18 @@ mod tests {
         assert!(sent(NodeId::BASESTATION) > 0, "no mapping chunk was sent");
         for (id, _) in engine.iter_nodes() {
             assert_eq!(sent(id), sent(NodeId::BASESTATION), "node {id}");
+        }
+        let held = |id: NodeId, rank: usize| {
+            let scoop = engine.node(id).scoop.as_ref().expect("SCOOP node");
+            scoop.dissemination.rank_index(rank).map(|index| index.id())
+        };
+        let sink_set = engine.node(NodeId::BASESTATION).shared.sink_set.clone();
+        for (rank, &sink) in sink_set.iter().enumerate() {
+            let issued = held(sink, rank);
+            assert!(issued.is_some(), "sink {sink} issued no index");
+            for (id, _) in engine.iter_nodes() {
+                assert_eq!(held(id, rank), issued, "node {id}, rank {rank}");
+            }
         }
     }
 
@@ -879,6 +908,40 @@ mod tests {
     #[test]
     fn both_sinks_chunk_streams_flood_once_from_every_node() {
         assert_mapping_floods_once(vec![NodeId(0), NodeId(5)]);
+    }
+
+    /// Node 8 is heard perfectly but hears only node 7, and that a third of
+    /// the time, so node 7 is its parent and node 8 lags the sink's index
+    /// for much of the run. With one-chunk indices, each summary round costs
+    /// node 7 at most one re-sent chunk, and the neighbours that only
+    /// overhear node 8 send nothing beyond the flood.
+    #[test]
+    fn a_node_behind_a_lossy_one_way_link_costs_its_parent_one_chunk_per_summary() {
+        let mut cfg = tiny_cfg(StoragePolicy::Scoop, DataSourceKind::Gaussian);
+        cfg.policy.scoop.mapping_entries_per_packet = 1_000;
+        let topo = Topology::grid(3, 10.0).expect("grid");
+        let mut links = LinkModel::perfect(&topo);
+        let (lagging, parent) = (NodeId(8), NodeId(7));
+        for from in topo.nodes() {
+            links.set_link(from, lagging, if from == parent { 0.3 } else { 0.0 });
+        }
+        let mut engine = engine_over(&cfg, topo, links);
+        engine.run_until(SimTime::ZERO + cfg.duration);
+        let sent = |id: NodeId| engine.stats().node(id).tx.mapping;
+        // Every other node hears every chunk and floods it once.
+        let flooded = sent(NodeId::BASESTATION);
+        for (id, _) in engine.iter_nodes() {
+            if id != lagging && id != parent {
+                assert_eq!(sent(id), flooded, "node {id} re-sent");
+            }
+        }
+        let resent = sent(parent) - flooded;
+        let rounds = cfg.duration.as_millis() / cfg.policy.scoop.summary_interval.as_millis() + 1;
+        assert!(resent > 0, "node 8 was never repaired");
+        assert!(
+            resent <= rounds,
+            "{resent} chunks re-sent for {rounds} summary rounds of node 8"
+        );
     }
 
     #[test]

@@ -3,6 +3,18 @@
 //! broadcasts it; every heard chunk goes to [`SimNode::on_mapping_chunk`],
 //! which floods it onward once and assembles it.
 //!
+//! Flooding once never repairs a lost chunk, so a child's own summary, which
+//! names the newest index it holds, goes to [`SimNode::on_child_summary`] at
+//! its parent: a parent holding a newer index of that rank re-sends its
+//! chunks through the gossip queue, and every node that has not seen a chunk
+//! floods it onward once more. This is Trickle's inconsistency rule (Levis et
+//! al.), carried by the summaries every SCOOP node already sends, without
+//! Trickle's timer. Only the parent answers: the child chose it from beacons
+//! it heard, so the reply has a link to travel, and a lagging node costs one
+//! repairer, not every neighbour that overhears it. A summary names one
+//! index, so in a federation a node lagging on a rank other than its newest
+//! one is not detected.
+//!
 //! A single-sink run is the one-rank case of the multi-sink federation. Each
 //! sink versions its own chunk stream, and an index id carries its issuing
 //! sink's rank (see [`index_id_stride`]). Every SCOOP node assembles each
@@ -63,6 +75,22 @@ impl Dissemination {
         self.ranks.iter().filter_map(|(_, index)| index.as_ref())
     }
 
+    /// The held indices a child lacks whose newest complete index is
+    /// `heard`, issued by the sink of rank `rank`: every one when it holds
+    /// none, else this node's rank-`rank` index when that is newer.
+    fn newer_than(
+        &self,
+        heard: StorageIndexId,
+        rank: usize,
+    ) -> impl Iterator<Item = &Arc<StorageIndex>> {
+        let held = self.ranks.iter().enumerate();
+        held.filter_map(move |(r, (_, index))| {
+            let index = index.as_ref()?;
+            let lacks = heard == StorageIndexId::NONE || (r == rank && index.id() > heard);
+            lacks.then_some(index)
+        })
+    }
+
     /// The slot of `rank`, growing the slots to `nsinks` on first use.
     fn slot(&mut self, rank: usize, nsinks: usize) -> &mut RankSlot {
         if self.ranks.is_empty() {
@@ -78,6 +106,20 @@ impl SimNode {
     /// The rank of the sink that issued index `id`.
     fn issuing_rank(&self, id: StorageIndexId) -> usize {
         (id.0 % index_id_stride(self.shared.sink_set.len())) as usize
+    }
+
+    /// `index` split into mapping chunks of the run's packet size.
+    fn chunk_payloads(&self, index: &StorageIndex) -> impl Iterator<Item = SharedPayload> {
+        let chunker = Chunker::new(self.shared.cfg.policy.scoop.mapping_entries_per_packet);
+        let chunks = chunker.split(index.id().0 as u64, index.entries());
+        let (domain, created_at) = (index.domain(), index.created_at());
+        chunks.into_iter().map(move |chunk| {
+            Arc::new(ScoopPayload::Mapping(MappingChunk {
+                chunk,
+                domain,
+                created_at,
+            }))
+        })
     }
 
     /// Makes `index` the newest of `rank`. `current_index` mirrors the newest
@@ -99,17 +141,42 @@ impl SimNode {
         ctx: &mut NodeCtx<'_, SharedPayload>,
         index: StorageIndex,
     ) {
-        let chunker = Chunker::new(self.shared.cfg.policy.scoop.mapping_entries_per_packet);
-        let chunks = chunker.split(index.id().0 as u64, index.entries());
-        let (domain, created_at) = (index.domain(), index.created_at());
+        let payloads = self.chunk_payloads(&index);
         self.install(self.issuing_rank(index.id()), index);
-        for chunk in chunks {
-            let payload = Arc::new(ScoopPayload::Mapping(MappingChunk {
-                chunk,
-                domain,
-                created_at,
-            }));
+        for payload in payloads {
             ctx.send_broadcast(MessageKind::Mapping, None, payload);
+        }
+    }
+
+    /// The held indices a child whose newest complete index is `heard`
+    /// lacks, less those with chunks still in the gossip queue: a second
+    /// lagging child heard before the queue drains queues no second copy.
+    fn to_resend(&self, heard: StorageIndexId) -> impl Iterator<Item = &Arc<StorageIndex>> {
+        let queued = |id: StorageIndexId| {
+            self.pending_gossip.iter().any(|(payload, _)| {
+                matches!(&**payload, ScoopPayload::Mapping(mc) if mc.index_id() == id)
+            })
+        };
+        let rank = self.issuing_rank(heard);
+        self.scoop
+            .iter()
+            .flat_map(move |scoop| scoop.dissemination.newer_than(heard, rank))
+            .filter(move |index| !queued(index.id()))
+    }
+
+    /// A child's own summary named `heard` as its newest complete index: the
+    /// chunks of every held index it lacks join the gossip queue.
+    pub(super) fn on_child_summary(
+        &mut self,
+        ctx: &mut NodeCtx<'_, SharedPayload>,
+        heard: StorageIndexId,
+    ) {
+        let stale: Vec<SharedPayload> = self
+            .to_resend(heard)
+            .flat_map(|index| self.chunk_payloads(index))
+            .collect();
+        for payload in stale {
+            self.enqueue_gossip(ctx, payload, MessageKind::Mapping);
         }
     }
 
@@ -208,6 +275,66 @@ mod tests {
             assert_eq!(node.lookup_owner(10), (NodeId(2), older));
             assert_eq!(node.lookup_owner(99), (NodeId(2), older));
         }
+    }
+
+    #[test]
+    fn a_stale_summary_selects_only_the_indices_the_neighbour_lacks() {
+        // Rank 0 holds id 128 (its third index), rank 1 holds id 65.
+        let node = sensor_holding(vec![
+            (0, slice(128, 200, 0, 99, 2)),
+            (1, slice(65, 100, 0, 99, 7)),
+        ]);
+        let dissemination = &node.scoop.as_ref().expect("SCOOP node").dissemination;
+        let resent = |heard: u32| -> Vec<u32> {
+            let heard = StorageIndexId(heard);
+            let stale = dissemination.newer_than(heard, node.issuing_rank(heard));
+            stale.map(|index| index.id().0).collect()
+        };
+        // A stale id of one rank selects that rank only.
+        assert_eq!(resent(64), vec![128]);
+        assert_eq!(resent(1), vec![65]);
+        // A neighbour holding nothing lacks every held rank.
+        assert_eq!(resent(StorageIndexId::NONE.0), vec![128, 65]);
+        // An equal or newer id selects nothing, whatever the other rank holds.
+        for heard in [128, 192, 65, 129] {
+            assert!(resent(heard).is_empty(), "heard {heard}");
+        }
+        // A node holding nothing re-sends nothing.
+        let bare = sensor_holding(Vec::new());
+        let dissemination = &bare.scoop.as_ref().expect("SCOOP node").dissemination;
+        assert_eq!(dissemination.newer_than(StorageIndexId::NONE, 0).count(), 0);
+    }
+
+    #[test]
+    fn an_index_already_queued_is_not_queued_again() {
+        let mut node = sensor_holding(vec![
+            (0, slice(128, 200, 0, 99, 2)),
+            (1, slice(65, 100, 0, 99, 7)),
+        ]);
+        let resent = |node: &SimNode, heard: u32| -> Vec<u32> {
+            let stale = node.to_resend(StorageIndexId(heard));
+            stale.map(|index| index.id().0).collect()
+        };
+        let first_chunk = |node: &SimNode, rank: usize| {
+            let index = node
+                .scoop
+                .as_ref()
+                .and_then(|s| s.dissemination.rank_index(rank));
+            let index = Arc::clone(index.expect("rank holds an index"));
+            node.chunk_payloads(&index).next().expect("one chunk")
+        };
+        assert_eq!(resent(&node, StorageIndexId::NONE.0), vec![128, 65]);
+        // One queued chunk of id 65 holds back id 65 only.
+        let chunk = first_chunk(&node, 1);
+        node.pending_gossip.push_back((chunk, MessageKind::Mapping));
+        assert_eq!(resent(&node, StorageIndexId::NONE.0), vec![128]);
+        assert!(resent(&node, 1).is_empty());
+        assert_eq!(resent(&node, 64), vec![128]);
+        // With a chunk of each queued, no summary queues anything.
+        let chunk = first_chunk(&node, 0);
+        node.pending_gossip.push_back((chunk, MessageKind::Mapping));
+        assert!(resent(&node, StorageIndexId::NONE.0).is_empty());
+        assert!(resent(&node, 64).is_empty());
     }
 
     #[test]

@@ -121,8 +121,10 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
     // A SCOOP network holds what the protocol reads: one summary per node at
     // the basestation, seen query ids and mapping chunks as bits, a ring of
     // 30 values per sensor, and partial chunks in one flat buffer per
-    // assembler, and 16-byte data-buffer slots. This run measures 6,084 B per
-    // node: 6,057 B when the chunk assembler sat inline in every SCOOP node
+    // assembler, and 16-byte data-buffer slots. This run measures 4,809 B per
+    // node: 6,084 B while lost mapping chunks were never re-sent, so most
+    // sensors held a partial assembly all run, 6,057 B when the chunk
+    // assembler sat inline in every SCOOP node
     // instead of in a per-rank slot allocated on the node's first chunk,
     // 6,192 B before the run's constants were held once instead of
     // once per node, 7,125 B when each slot was a 32-byte tagged reading, and

@@ -34,6 +34,9 @@ pub struct DurableRecord {
 /// The stable on-disk code of an attribute: its position in
 /// [`Attribute::ALL`]. Appending new attributes keeps old codes valid.
 pub fn attribute_code(attribute: Attribute) -> u8 {
+    // Invariant: `Attribute::ALL` lists each of the enum's five variants, so
+    // the search always finds `attribute`; its input is an in-memory
+    // `Attribute`, never outside bytes.
     Attribute::ALL
         .iter()
         .position(|&a| a == attribute)
@@ -81,17 +84,17 @@ impl DurableRecord {
     /// The reserved byte must be zero — anything else means the bytes are not
     /// a record of this schema version.
     pub fn decode(bytes: &[u8; DURABLE_RECORD_LEN]) -> Result<Self, ScoopError> {
-        if bytes[3] != 0 {
+        let [n0, n1, attribute, reserved, v0, v1, v2, v3, time @ ..] = *bytes;
+        if reserved != 0 {
             return Err(ScoopError::Store(format!(
-                "record reserved byte is {:#04x}, expected 0 (newer schema?)",
-                bytes[3]
+                "record reserved byte is {reserved:#04x}, expected 0 (newer schema?)"
             )));
         }
         Ok(DurableRecord {
-            node: NodeId(u16::from_le_bytes([bytes[0], bytes[1]])),
-            attribute: bytes[2],
-            value: Value::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
-            time_ms: u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
+            node: NodeId(u16::from_le_bytes([n0, n1])),
+            attribute,
+            value: Value::from_le_bytes([v0, v1, v2, v3]),
+            time_ms: u64::from_le_bytes(time),
         })
     }
 }

@@ -99,22 +99,29 @@ impl ServeRequest {
     /// An inverted value range or time window is an encoding error, not
     /// silently normalized: the bytes did not come from this codec.
     pub fn decode(bytes: &[u8; SERVE_REQUEST_LEN]) -> Result<Self, ScoopError> {
-        let lo = Value::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        let hi = Value::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
+        // Four 8-byte words, the second packing `lo` and `hi`. A
+        // `SERVE_REQUEST_LEN` array always splits so; the `else` cannot fire.
+        let ([id, values, t0, t1], []) = bytes.as_chunks() else {
+            return Err(ScoopError::Serialization("serve request truncated".into()));
+        };
+        let [l0, l1, l2, l3, h0, h1, h2, h3] = *values;
+        let (lo, hi) = (
+            Value::from_le_bytes([l0, l1, l2, l3]),
+            Value::from_le_bytes([h0, h1, h2, h3]),
+        );
+        let (t0, t1) = (u64::from_le_bytes(*t0), u64::from_le_bytes(*t1));
         if lo > hi {
             return Err(ScoopError::Serialization(format!(
                 "serve request value range [{lo}, {hi}] is inverted"
             )));
         }
-        let t0 = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-        let t1 = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
         if t0 > t1 {
             return Err(ScoopError::Serialization(format!(
                 "serve request time window [{t0}, {t1}] ms is inverted"
             )));
         }
         Ok(ServeRequest {
-            id: u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes")),
+            id: u64::from_le_bytes(*id),
             values: ValueRange::new(lo, hi),
             time_lo: SimTime::from_millis(t0),
             time_hi: SimTime::from_millis(t1),
@@ -192,17 +199,13 @@ impl ServeResponse {
                 bytes.len()
             ))
         };
-        if bytes.len() < 9 {
-            return Err(short("header"));
-        }
-        let id = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes"));
-        match bytes[8] {
+        let (id, rest) = bytes.split_first_chunk().ok_or_else(|| short("header"))?;
+        let (&status, rest) = rest.split_first().ok_or_else(|| short("header"))?;
+        let id = u64::from_le_bytes(*id);
+        match status {
             SERVE_STATUS_ROWS => {
-                if bytes.len() < 13 {
-                    return Err(short("row count"));
-                }
-                let count = u32::from_le_bytes(bytes[9..13].try_into().expect("4 bytes")) as usize;
-                let body = &bytes[13..];
+                let (count, body) = rest.split_first_chunk().ok_or_else(|| short("row count"))?;
+                let count = u32::from_le_bytes(*count) as usize;
                 if body.len() != count * DURABLE_RECORD_LEN {
                     return Err(ScoopError::Serialization(format!(
                         "serve response claims {count} rows but carries {} bytes",
@@ -210,21 +213,19 @@ impl ServeResponse {
                     )));
                 }
                 let mut rows = Vec::with_capacity(count);
-                for chunk in body.chunks_exact(DURABLE_RECORD_LEN) {
-                    let arr: &[u8; DURABLE_RECORD_LEN] =
-                        chunk.try_into().expect("exact chunks are 16 bytes");
-                    rows.push(DurableRecord::decode(arr)?);
+                for record in body.as_chunks().0 {
+                    rows.push(DurableRecord::decode(record)?);
                 }
                 Ok(ServeResponse::Rows(ServeRows { id, rows }))
             }
             SERVE_STATUS_OVERLOADED => {
-                if bytes.len() != 17 {
+                let ([queued, capacity], []) = rest.as_chunks() else {
                     return Err(short("overload body"));
-                }
+                };
                 Ok(ServeResponse::Overloaded(Overloaded {
                     id,
-                    queued: u32::from_le_bytes(bytes[9..13].try_into().expect("4 bytes")),
-                    capacity: u32::from_le_bytes(bytes[13..17].try_into().expect("4 bytes")),
+                    queued: u32::from_le_bytes(*queued),
+                    capacity: u32::from_le_bytes(*capacity),
                 }))
             }
             other => Err(ScoopError::Serialization(format!(
