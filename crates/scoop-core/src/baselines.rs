@@ -14,12 +14,10 @@ use scoop_types::{NodeId, SimTime, StorageIndexId, ValueRange};
 /// `1 + (hash(v) mod n_sensors)`, independent of any statistics. The same
 /// mapping is used for the whole experiment (id 1).
 pub fn hash_index(domain: ValueRange, num_sensors: usize, created_at: SimTime) -> StorageIndex {
-    let owners: Vec<NodeId> = domain
+    let owners = domain
         .values()
-        .map(|v| NodeId((1 + (splitmix(v as u64) as usize % num_sensors.max(1))) as u16))
-        .collect();
-    StorageIndex::from_owners(StorageIndexId(1), domain, &owners, created_at)
-        .expect("owner vector sized from the domain")
+        .map(|v| NodeId((1 + (splitmix(v as u64) as usize % num_sensors.max(1))) as u16));
+    StorageIndex::coalesced(StorageIndexId(1), domain, owners, created_at)
 }
 
 /// A small, deterministic integer hash (SplitMix64 finalizer) so the HASH

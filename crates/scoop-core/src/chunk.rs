@@ -1,6 +1,14 @@
 //! Splitting large disseminated objects into packet-sized chunks and
 //! reassembling them.
 //!
+//! Scoop disseminates each storage index from the basestation to every node
+//! as mapping messages: each [`ScoopPayload::Mapping`](crate::ScoopPayload)
+//! carries one [`Chunk`] inside a [`MappingChunk`](crate::MappingChunk). The
+//! paper carries them with Trickle (Levis et al. \[13\]); the simulator
+//! floods each chunk once and repairs a loss when a child's summary shows
+//! its parent that it holds an older index (see `scoop-sim`'s dissemination
+//! module).
+//!
 //! "After generating a storage index, the basestation splits it into
 //! different mapping messages since it is unlikely to fit in a single network
 //! packet. ... When a node has received all chunks for one storage index, it

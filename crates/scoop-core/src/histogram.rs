@@ -39,11 +39,12 @@ impl SummaryHistogram {
     /// Returns `None` if `values` is empty (a node with no readings sends no
     /// histogram).
     pub fn build(values: &[Value], n_bins: usize) -> Option<Self> {
-        if values.is_empty() || n_bins == 0 {
+        if n_bins == 0 {
             return None;
         }
-        let min = *values.iter().min().expect("non-empty");
-        let max = *values.iter().max().expect("non-empty");
+        let (Some(&min), Some(&max)) = (values.iter().min(), values.iter().max()) else {
+            return None;
+        };
         let mut bins = vec![0u32; n_bins];
         let width = Self::bin_width_for(min, max, n_bins);
         for &v in values {

@@ -58,7 +58,7 @@ impl StorageIndex {
 
     /// The index assigning the domain's values, lowest first, to `owners` in
     /// turn, consecutive values with the same owner coalesced.
-    fn coalesced(
+    pub(crate) fn coalesced(
         id: StorageIndexId,
         domain: ValueRange,
         owners: impl Iterator<Item = NodeId>,

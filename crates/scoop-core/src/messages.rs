@@ -4,10 +4,10 @@
 //! the simulation harness instantiates it with [`ScoopPayload`], which covers
 //! every message the Scoop, LOCAL, BASE, and HASH policies exchange.
 
+use crate::chunk::Chunk;
 use crate::index::IndexEntry;
 use crate::summary::SummaryMessage;
 use scoop_routing::Beacon;
-use scoop_trickle::Chunk;
 use scoop_types::{
     AggregateSpec, NodeBitmap, NodeId, PartialAggregate, Reading, SimTime, StorageIndexId,
     ValueRange,

@@ -136,7 +136,9 @@ impl RowSet {
             .collect();
         let mut out = format!("{title}\n");
         for line in &lines {
-            let (key, values) = line.split_first().expect("every line has a row key");
+            let Some((key, values)) = line.split_first() else {
+                continue;
+            };
             out.push_str(&format!("{key:<width$}", width = widths[0]));
             for (value, width) in values.iter().zip(&widths[1..]) {
                 out.push_str(&format!("  {value:>width$}"));

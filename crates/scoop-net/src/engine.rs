@@ -332,6 +332,9 @@ impl<L: NodeLogic> Engine<L> {
             if next > t {
                 break;
             }
+            // Invariant: `peek_time` just returned `Some`, and nothing runs
+            // between it and the pop. A comment, not a branch: this is the
+            // dispatch loop.
             let (time, event) = self.queue.pop().expect("peeked event must exist");
             self.now = time;
             self.dispatch(event);

@@ -124,6 +124,8 @@ impl LinkEstimator {
     /// Sets or clears the neighbor-table bit on `src`'s record, which must
     /// exist: the table only ever lists senders the estimator has heard.
     pub(crate) fn set_in_table(&mut self, src: NodeId, listed: bool) {
+        // Invariant: the router admits only a sender it has just observed,
+        // and evicts an id from the table and the estimator together.
         let at = self
             .position(src)
             .expect("a neighbor-table id has a link record");

@@ -103,6 +103,7 @@ impl NeighborTable {
             .map(|&n| quality(n))
             .enumerate()
             .min_by(|a, b| a.1.total_cmp(&b.1))
+            // Invariant: here `nodes.len() >= capacity.max(1) >= 1`.
             .expect("a full table holds at least one id");
         if quality(node) > worst {
             Admission::Replaced(std::mem::replace(&mut self.nodes[worst_idx], node))

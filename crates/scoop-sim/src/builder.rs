@@ -267,12 +267,11 @@ mod tests {
 
     #[test]
     fn partitions_resolve_to_cuts_with_seeded_or_explicit_sides() {
-        use scoop_types::PartitionWindow;
         let mut spec = ScenarioSpec::small_test();
         spec.faults
             .partitions
-            .push(PartitionWindow::seeded(240, 420, 0.5));
-        spec.faults.partitions.push(PartitionWindow {
+            .push(FaultWindow::blackout(240, 420, 0.5));
+        spec.faults.partitions.push(FaultWindow {
             start: scoop_types::SimDuration::from_secs(500),
             end: scoop_types::SimDuration::from_secs(600),
             fraction: 0.0,

@@ -138,8 +138,12 @@ pub fn calibration(
     let mut averaged = report.averaged();
     let mut rows = Vec::with_capacity(grid.len());
     for &point in grid {
-        let scoop = averaged.next().expect("one SCOOP result per grid point");
-        let base_run = averaged.next().expect("one BASE result per grid point");
+        let (Some(scoop), Some(base_run)) = (averaged.next(), averaged.next()) else {
+            return Err(ScoopError::Simulation(
+                "calibration sweep returned fewer than one SCOOP and one BASE result per grid point"
+                    .into(),
+            ));
+        };
         let scoop_messages = scoop.total_messages();
         let base_messages = base_run.total_messages();
         let mut row = CalibrationRow {

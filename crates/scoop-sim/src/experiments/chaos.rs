@@ -18,8 +18,8 @@ use crate::node::SimNode;
 use crate::runner::build_engine;
 use scoop_net::Engine;
 use scoop_types::{
-    ChurnEvent, NodeId, PartitionWindow, ScenarioSpec, ScoopError, SimDuration, SimTime,
-    SinkOutage, StoragePolicy,
+    ChurnEvent, FaultWindow, NodeId, ScenarioSpec, ScoopError, SimDuration, SimTime, SinkOutage,
+    StoragePolicy,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -160,7 +160,7 @@ pub fn scenario_config(base: &ScenarioSpec, scenario: ChaosScenario) -> Scenario
         ChaosScenario::Partition => {
             cfg.faults
                 .partitions
-                .push(PartitionWindow::seeded(start, w + m / 2, 0.5));
+                .push(FaultWindow::blackout(start, w + m / 2, 0.5));
         }
         ChaosScenario::SinkFailover => {
             let peer = (cfg.num_nodes / 2).max(1) as u16;

@@ -24,10 +24,10 @@
 use super::federation::index_id_stride;
 use super::id_set::SparseIdSet;
 use super::{SharedPayload, SimNode};
+use scoop_core::chunk::{ChunkAssembler, Chunker};
 use scoop_core::index::IndexEntry;
 use scoop_core::{MappingChunk, ScoopPayload, StorageIndex};
 use scoop_net::NodeCtx;
-use scoop_trickle::{ChunkAssembler, Chunker};
 use scoop_types::{MessageKind, NodeId, SimTime, StorageIndexId, Value};
 use std::sync::Arc;
 

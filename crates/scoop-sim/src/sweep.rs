@@ -185,8 +185,8 @@ impl SweepRunner {
         // and the output order still depends only on the job indices — never
         // on scheduling.
         let next_job = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Result<RunResult, ScoopError>>> =
-            (0..configs.len()).map(|_| None).collect();
+        let mut completed: Vec<(usize, Result<RunResult, ScoopError>)> =
+            Vec::with_capacity(configs.len());
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
@@ -204,15 +204,17 @@ impl SweepRunner {
                 })
                 .collect();
             for handle in handles {
-                for (job, result) in handle.join().expect("sweep worker panicked") {
-                    slots[job] = Some(result);
-                }
+                // A worker that panicked re-raises its own panic here.
+                completed.extend(
+                    handle
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                );
             }
         });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every job index is claimed exactly once"))
-            .collect()
+        // Every job index is claimed by exactly one worker.
+        completed.sort_unstable_by_key(|&(job, _)| job);
+        completed.into_iter().map(|(_, result)| result).collect()
     }
 
     /// Runs a whole suite: `trials` seeds per scenario, every run scheduled
@@ -220,8 +222,7 @@ impl SweepRunner {
     /// all workers), averaged per scenario afterwards.
     pub fn run(&self, suite: &ScenarioSuite) -> Result<SweepReport, ScoopError> {
         // Re-clamp here: `trials` is a public field, so a caller can bypass
-        // the constructor's max(1) and would otherwise hit the empty-average
-        // expect below.
+        // the constructor's max(1) and would otherwise average no trials.
         let trials = suite.trials.max(1);
         let mut jobs = Vec::with_capacity(suite.scenarios.len() * trials);
         for scenario in &suite.scenarios {
@@ -232,19 +233,21 @@ impl SweepRunner {
             }
         }
         let mut flat = self.run_configs(&jobs)?.into_iter();
-        let results = suite
-            .scenarios
-            .iter()
-            .map(|scenario| {
-                let trials: Vec<RunResult> = flat.by_ref().take(trials).collect();
-                let averaged = average_results(&trials).expect("trials >= 1");
-                ScenarioResult {
-                    label: scenario.label.clone(),
-                    trials,
-                    averaged,
-                }
-            })
-            .collect();
+        let mut results = Vec::with_capacity(suite.scenarios.len());
+        for scenario in &suite.scenarios {
+            let trials: Vec<RunResult> = flat.by_ref().take(trials).collect();
+            let Some(averaged) = average_results(&trials) else {
+                return Err(ScoopError::Simulation(format!(
+                    "scenario `{}` produced no trial results",
+                    scenario.label
+                )));
+            };
+            results.push(ScenarioResult {
+                label: scenario.label.clone(),
+                trials,
+                averaged,
+            });
+        }
         Ok(SweepReport {
             suite: suite.name.clone(),
             results,

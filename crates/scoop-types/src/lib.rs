@@ -36,8 +36,8 @@ pub use serve::{
 };
 pub use sketch::{AggregateOp, AggregateSpec, PartialAggregate, QDigest};
 pub use spec::{
-    axis_help, AxisDoc, ChurnEvent, FaultSpec, FaultWindow, LinkFamily, LinkSpec, PartitionWindow,
-    PolicySpec, RangeWorkload, ScenarioSpec, SinkOutage, TopologyKind, TopologySpec, WorkloadKind,
+    axis_help, Axis, ChurnEvent, FaultSpec, FaultWindow, LinkFamily, LinkSpec, PolicySpec,
+    RangeWorkload, ScenarioSpec, SinkOutage, TopologyKind, TopologySpec, WorkloadKind,
     WorkloadSpec, AXES, MAX_SINKS,
 };
 pub use time::{SimDuration, SimTime};

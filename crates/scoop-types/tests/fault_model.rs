@@ -6,8 +6,7 @@
 
 use proptest::prelude::*;
 use scoop_types::{
-    ChurnEvent, FaultSpec, FaultWindow, PartitionWindow, ScenarioSpec, ScoopError, SimDuration,
-    SinkOutage,
+    ChurnEvent, FaultSpec, FaultWindow, ScenarioSpec, ScoopError, SimDuration, SinkOutage,
 };
 
 /// Values that are never a valid fraction: the non-finite poisons plus
@@ -54,7 +53,7 @@ proptest! {
                 .collect(),
             partitions: partitions
                 .iter()
-                .map(|&(s, len, f)| PartitionWindow::seeded(s, s + len, f))
+                .map(|&(s, len, f)| FaultWindow::blackout(s, s + len, f))
                 .collect(),
             sink_outages: outages
                 .iter()
@@ -83,7 +82,7 @@ proptest! {
             ..FaultSpec::none()
         });
         assert_invalid(&FaultSpec {
-            partitions: vec![PartitionWindow::seeded(0, 10, bad)],
+            partitions: vec![FaultWindow::blackout(0, 10, bad)],
             ..FaultSpec::none()
         });
         assert_invalid(&FaultSpec {
@@ -105,7 +104,7 @@ proptest! {
             ..FaultSpec::none()
         });
         assert_invalid(&FaultSpec {
-            partitions: vec![PartitionWindow::seeded(start, end, 0.5)],
+            partitions: vec![FaultWindow::blackout(start, end, 0.5)],
             ..FaultSpec::none()
         });
         assert_invalid(&FaultSpec {
@@ -114,7 +113,8 @@ proptest! {
         });
     }
 
-    /// A partition's explicit node set must not contain duplicates.
+    /// An explicit node set must not contain duplicates, in an outage
+    /// window or in a partition.
     #[test]
     fn duplicate_partition_node_sets_are_rejected(
         base in proptest::collection::vec(1u16..200, 1..8),
@@ -123,16 +123,20 @@ proptest! {
         let mut nodes = base;
         let dup = nodes[dup_index % nodes.len()];
         nodes.push(dup);
-        let spec = FaultSpec {
-            partitions: vec![PartitionWindow {
-                start: SimDuration::from_secs(10),
-                end: SimDuration::from_secs(20),
-                fraction: 0.0,
-                nodes,
-            }],
-            ..FaultSpec::none()
+        let window = FaultWindow {
+            start: SimDuration::from_secs(10),
+            end: SimDuration::from_secs(20),
+            fraction: 0.0,
+            nodes,
         };
-        assert_invalid(&spec);
+        assert_invalid(&FaultSpec {
+            windows: vec![window.clone()],
+            ..FaultSpec::none()
+        });
+        assert_invalid(&FaultSpec {
+            partitions: vec![window],
+            ..FaultSpec::none()
+        });
     }
 
     /// A sink outage may only target a configured basestation: in the

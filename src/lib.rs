@@ -16,7 +16,6 @@ pub use scoop_lab as lab;
 pub use scoop_routing as routing;
 pub use scoop_serve as serve;
 pub use scoop_sim as sim;
-pub use scoop_trickle as trickle;
 pub use scoop_workload as workload;
 
 /// [`scoop_types`], plus the legacy `ExperimentConfig` name.
@@ -111,6 +110,13 @@ pub mod store {
             Ok(records)
         }
     }
+}
+
+/// The storage-index chunker under its old crate's name. Kept for `bench/`
+/// only.
+pub mod trickle {
+    /// [`scoop_core::chunk`]'s items. Kept for `bench/` only.
+    pub use scoop_core::chunk::{Chunk, ChunkAssembler, Chunker};
 }
 
 /// The sensor data buffer under its old crate's name. Kept for `bench/`
