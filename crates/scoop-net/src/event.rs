@@ -20,19 +20,18 @@
 //! untouched because loss is still rolled once per listener per attempt, at
 //! transmit time.
 //!
-//! # Sharding
+//! # Two heaps
 //!
-//! The engine runs one heap ([`EventQueue::with_capacity`]).
-//! [`EventQueue::sharded`] partitions the queue into per-region shards —
-//! contiguous node-id ranges each backed by their own binary heap, events
-//! routed to the shard of their node — and exists only so the benchmark
-//! harness can time it against the single heap. Popping takes the minimum
-//! across shard heads ordered by `(time, seq, shard)`. Because `seq` is a
-//! *global* insertion counter shared by all shards, every event has a unique
-//! `(time, seq)` key, and the cross-shard minimum is exactly the element a
-//! single merged heap would pop, whatever the shard count. (The shard index
-//! in the ordering key is the documented tie-breaker, but it is never
-//! reached: global `seq` uniqueness decides every tie first.)
+//! Almost every pending entry is a timer: each node keeps its periodic
+//! timers armed, while only the few transmissions in flight wait as
+//! arrivals. A timer needs 22 bytes with its key, a batch of arrivals 56, so
+//! the queue keeps them in two binary heaps — timers as 24-byte entries,
+//! arrivals as full events — and [`EventQueue::pop`] takes whichever head has
+//! the smaller `(time, seq)`. `seq` is one insertion counter shared by both
+//! heaps, so every entry has a unique `(time, seq)` key, each heap's head is
+//! the minimum of its own entries, and the smaller of the two heads is
+//! exactly the entry one heap over both would pop: the pop order is the
+//! single heap's order, ties included.
 
 use crate::packet::Packet;
 use scoop_types::{NodeId, SimTime};
@@ -66,146 +65,141 @@ pub enum Event<P> {
     },
 }
 
-impl<P> Event<P> {
-    /// The node whose region shard queues this event: the node a timer is
-    /// delivered to, the *transmitter* of a batch of arrivals (its listeners
-    /// are its radio neighbours, so they share its region or border it).
-    pub fn node(&self) -> NodeId {
-        match self {
-            Event::Arrivals { packet, .. } => packet.meta.link_src,
-            Event::TimerFire { node, .. } => *node,
-        }
-    }
-}
-
-struct QueueEntry<P> {
+/// One heap entry: an item under its `(time, seq)` key.
+struct Entry<T> {
     time: SimTime,
     seq: u64,
-    event: Event<P>,
+    item: T,
 }
 
-impl<P> PartialEq for QueueEntry<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl<T> Entry<T> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
     }
 }
-impl<P> Eq for QueueEntry<P> {}
-impl<P> PartialOrd for QueueEntry<P> {
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<T> Eq for Entry<T> {}
+impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<P> Ord for QueueEntry<P> {
+impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse so the earliest event pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
-/// A time-ordered queue of pending events, sharded by destination region.
+/// A queued timer, `(node, token)`: 24 bytes with its key.
+type TimerEntry = Entry<(NodeId, u32)>;
+
+/// A time-ordered queue of pending events: one heap of timers, one of
+/// arrivals (see the module docs).
 pub struct EventQueue<P> {
-    /// One heap per contiguous node-id region. A single-shard queue is the
-    /// classic global heap.
-    shards: Vec<BinaryHeap<QueueEntry<P>>>,
-    /// Width of each region: events for node `i` route to shard
-    /// `i / nodes_per_shard` (clamped to the last shard).
-    nodes_per_shard: usize,
-    /// Global insertion counter shared by every shard — the key to the
-    /// byte-identity argument in the module docs.
+    timers: BinaryHeap<TimerEntry>,
+    /// Holds only [`Event::Arrivals`].
+    arrivals: BinaryHeap<Entry<Event<P>>>,
+    /// Insertion counter shared by both heaps — the key to the pop-order
+    /// argument in the module docs.
     next_seq: u64,
 }
 
 impl<P> EventQueue<P> {
-    /// An empty single-shard queue.
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_capacity(0)
+        Self::with_capacity(0, 0)
     }
 
-    /// An empty single-shard queue with room for `cap` events before
-    /// reallocating. The backing storage only ever grows, so capacity
-    /// established during warm-up is recycled across the whole simulation.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self::sharded(1, usize::MAX, cap)
-    }
-
-    /// An empty queue with `num_shards` region shards of `nodes_per_shard`
-    /// consecutive node ids each, every shard pre-sized to `cap_per_shard`.
-    pub fn sharded(num_shards: usize, nodes_per_shard: usize, cap_per_shard: usize) -> Self {
-        let num_shards = num_shards.max(1);
+    /// An empty queue with room for `timers` timers and `arrivals` batches
+    /// of arrivals before reallocating. The backing storage only ever grows,
+    /// so capacity established during warm-up is recycled across the whole
+    /// simulation.
+    pub fn with_capacity(timers: usize, arrivals: usize) -> Self {
         EventQueue {
-            shards: (0..num_shards)
-                .map(|_| BinaryHeap::with_capacity(cap_per_shard))
-                .collect(),
-            nodes_per_shard: nodes_per_shard.max(1),
+            timers: BinaryHeap::with_capacity(timers),
+            arrivals: BinaryHeap::with_capacity(arrivals),
             next_seq: 0,
         }
     }
 
-    /// Number of region shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
+    /// An empty queue with room for `num_shards * cap_per_shard` timers.
+    /// Kept for `bench/` only, whose queue-hold measurement still names
+    /// region shards; the queue has none, so the region arguments only size
+    /// the timer heap.
+    pub fn sharded(num_shards: usize, _nodes_per_shard: usize, cap_per_shard: usize) -> Self {
+        Self::with_capacity(num_shards.max(1) * cap_per_shard, 0)
     }
 
-    #[inline]
-    fn shard_of(&self, event: &Event<P>) -> usize {
-        (event.node().index() / self.nodes_per_shard).min(self.shards.len() - 1)
-    }
-
-    /// Total number of queue entries the shards can hold without
+    /// Total number of queue entries both heaps can hold without
     /// reallocating.
     pub fn capacity(&self) -> usize {
-        self.shards.iter().map(BinaryHeap::capacity).sum()
+        self.timers.capacity() + self.arrivals.capacity()
     }
 
     /// Schedules `event` at absolute time `time`.
     pub fn push(&mut self, time: SimTime, event: Event<P>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let shard = self.shard_of(&event);
-        self.shards[shard].push(QueueEntry { time, seq, event });
+        match event {
+            Event::TimerFire { node, token } => self.timers.push(Entry {
+                time,
+                seq,
+                item: (node, token),
+            }),
+            arrivals => self.arrivals.push(Entry {
+                time,
+                seq,
+                item: arrivals,
+            }),
+        }
     }
 
-    /// The shard holding the globally earliest event, by `(time, seq,
-    /// shard)`. `seq` is globally unique, so this is exactly the element a
-    /// single merged heap would surface.
+    /// Whether the earliest entry is a timer; `None` when both heaps are
+    /// empty.
     #[inline]
-    fn earliest_shard(&self) -> Option<usize> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (s, heap) in self.shards.iter().enumerate() {
-            if let Some(head) = heap.peek() {
-                let key = (head.time, head.seq, s);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
+    fn timer_is_next(&self) -> Option<bool> {
+        match (self.timers.peek(), self.arrivals.peek()) {
+            (Some(t), Some(a)) => Some(t.key() < a.key()),
+            (Some(_), None) => Some(true),
+            (None, Some(_)) => Some(false),
+            (None, None) => None,
         }
-        best.map(|(_, _, s)| s)
     }
 
     /// Removes and returns the earliest event, along with its time.
     pub fn pop(&mut self) -> Option<(SimTime, Event<P>)> {
-        let s = self.earliest_shard()?;
-        self.shards[s].pop().map(|e| (e.time, e.event))
+        if self.timer_is_next()? {
+            self.timers.pop().map(|e| {
+                let (node, token) = e.item;
+                (e.time, Event::TimerFire { node, token })
+            })
+        } else {
+            self.arrivals.pop().map(|e| (e.time, e.item))
+        }
     }
 
     /// The time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.earliest_shard()
-            .and_then(|s| self.shards[s].peek().map(|e| e.time))
+        let timer = self.timers.peek().map(|e| e.time);
+        let arrival = self.arrivals.peek().map(|e| e.time);
+        timer.into_iter().chain(arrival).min()
     }
 
     /// Number of pending queue entries (a transmission's arrivals count once
     /// per 32-listener word, not once per listener).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(BinaryHeap::len).sum()
+        self.timers.len() + self.arrivals.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(BinaryHeap::is_empty)
+        self.timers.is_empty() && self.arrivals.is_empty()
     }
 }
 
@@ -219,7 +213,9 @@ impl<P> Default for EventQueue<P> {
 mod tests {
     use super::*;
     use crate::packet::{LinkDst, PacketMeta};
+    use proptest::prelude::*;
     use scoop_types::{MessageKind, SeqNo};
+    use std::cmp::Reverse;
 
     #[test]
     fn pops_in_time_order() {
@@ -288,97 +284,80 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(9)));
     }
 
-    #[test]
-    fn sharded_pop_order_matches_single_queue() {
-        // Any shard count must reproduce the single global heap's pop order
-        // exactly — the global `seq` counter makes every (time, seq) key
-        // unique, so the cross-shard minimum is the merged-heap minimum.
-        let mut events = Vec::new();
-        let mut state = 0x9e37_79b9_u64;
-        for k in 0..500u32 {
-            // Cheap deterministic pseudo-random times/nodes, many ties.
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let t = SimTime::from_secs((state >> 33) % 17);
-            let node = NodeId(((state >> 17) % 40) as u16);
-            events.push((t, node, k));
-        }
-        let drain = |num_shards: usize| -> Vec<(u64, u32)> {
-            let mut q: EventQueue<()> =
-                EventQueue::sharded(num_shards, 40usize.div_ceil(num_shards), 0);
-            for &(t, node, token) in &events {
-                q.push(t, Event::TimerFire { node, token });
-            }
-            std::iter::from_fn(|| q.pop())
-                .map(|(t, e)| match e {
-                    Event::TimerFire { token, .. } => (t.as_secs(), token),
-                    _ => unreachable!(),
-                })
-                .collect()
-        };
-        let single = drain(1);
-        assert_eq!(single.len(), events.len());
-        for shards in [2, 3, 4, 7, 64] {
-            assert_eq!(drain(shards), single, "{shards} shards diverged");
-        }
-    }
-
-    #[test]
-    fn sharded_routing_and_interleaved_push_pop() {
-        let mut q: EventQueue<()> = EventQueue::sharded(4, 10, 0);
-        assert_eq!(q.num_shards(), 4);
-        // Nodes beyond the last region clamp into the final shard instead of
-        // panicking.
-        q.push(
-            SimTime::from_secs(1),
-            Event::TimerFire {
-                node: NodeId(999),
-                token: 0,
-            },
-        );
-        q.push(
-            SimTime::from_secs(1),
-            Event::TimerFire {
-                node: NodeId(0),
-                token: 1,
-            },
-        );
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-        // Same time → global insertion order decides, across shards.
-        let (_, first) = q.pop().unwrap();
-        assert_eq!(first.node(), NodeId(999));
-        let (_, second) = q.pop().unwrap();
-        assert_eq!(second.node(), NodeId(0));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn event_node_accessor() {
-        let e: Event<()> = Event::TimerFire {
-            node: NodeId(7),
-            token: 1,
-        };
-        assert_eq!(e.node(), NodeId(7));
-        // A batch of arrivals is routed by its transmitter.
-        let batch: Event<()> = Event::Arrivals {
-            first: 32,
-            heard: 0b101,
+    /// A batch of arrivals carrying `id` as its payload.
+    fn arrivals(id: u64) -> Event<u64> {
+        Event::Arrivals {
+            first: 0,
+            heard: 1,
             packet: Packet {
                 meta: PacketMeta {
                     link_src: NodeId(9),
                     link_dst: LinkDst::Broadcast,
-                    origin: NodeId(3),
+                    origin: NodeId(9),
                     origin_parent: None,
                     seqno: SeqNo(1),
                     kind: MessageKind::Heartbeat,
                     hops: 0,
                 },
-                payload: (),
+                payload: id,
             },
-        };
-        assert_eq!(batch.node(), NodeId(9));
+        }
+    }
+
+    /// `(time, is a timer, id)` of a popped event: a timer's id is its
+    /// token, a batch's its payload.
+    fn observed((time, event): (SimTime, Event<u64>)) -> (SimTime, bool, u64) {
+        match event {
+            Event::TimerFire { token, .. } => (time, true, u64::from(token)),
+            Event::Arrivals { packet, .. } => (time, false, packet.payload),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any interleaving of timer pushes, arrival pushes and pops, over a
+        /// handful of distinct times (so most pushes tie with another), pops
+        /// in the order of one heap keyed by `(time, seq)` over both kinds.
+        #[test]
+        fn two_heaps_pop_in_one_heaps_order(
+            ops in proptest::collection::vec((0u8..5, 0u64..4), 1..300),
+        ) {
+            let mut queue: EventQueue<u64> = EventQueue::new();
+            let mut reference = BinaryHeap::new();
+            for (seq, &(op, t)) in ops.iter().enumerate() {
+                let time = SimTime::from_secs(t);
+                let id = seq as u64;
+                match op {
+                    0 | 1 => {
+                        queue.push(time, Event::TimerFire { node: NodeId(1), token: seq as u32 });
+                        reference.push(Reverse((time, seq, true, id)));
+                    }
+                    2 | 3 => {
+                        queue.push(time, arrivals(id));
+                        reference.push(Reverse((time, seq, false, id)));
+                    }
+                    _ => {
+                        let want = reference.pop().map(|Reverse((t, _, timer, id))| (t, timer, id));
+                        prop_assert_eq!(queue.pop().map(observed), want);
+                    }
+                }
+                prop_assert_eq!(queue.len(), reference.len());
+                let head = reference.peek().map(|Reverse((t, ..))| *t);
+                prop_assert_eq!(queue.peek_time(), head);
+            }
+            while let Some(Reverse((t, _, timer, id))) = reference.pop() {
+                prop_assert_eq!(queue.pop().map(observed), Some((t, timer, id)));
+            }
+            prop_assert!(queue.pop().is_none());
+        }
+    }
+
+    #[test]
+    fn a_queued_timer_is_24_bytes() {
+        // Timers are nearly every pending entry of a large run; in an entry
+        // sized for a packet, as arrivals are, each took 56 bytes.
+        assert_eq!(std::mem::size_of::<TimerEntry>(), 24);
     }
 
     #[test]

@@ -120,17 +120,37 @@ impl LinkModel {
     /// the seeded RNG stream identically and every probability is
     /// bit-identical to the dense-matrix era.
     fn distance_decay(topo: &Topology, seed: u64, spec: &LinkSpec) -> Self {
+        Self::distance_decay_with(topo, seed, spec, |frac| frac.powf(spec.distance_exponent))
+    }
+
+    /// [`distance_decay`](Self::distance_decay) with the shaping power
+    /// `frac ↦ frac^exponent` passed in, so a test can count its calls.
+    ///
+    /// Two passes over one table. The first lays out every in-range link
+    /// with its *shaped* distance in the probability slot; the second rolls
+    /// each link's noise in row order, turns the slot into the delivery
+    /// probability and closes up the links that came out dead. Both
+    /// directions of a pair share one distance, bit for bit (the squared
+    /// coordinate differences are the same numbers either way), so the
+    /// second direction copies the shaped value the first one stored: one
+    /// `powf` per unordered pair, and no side buffer.
+    fn distance_decay_with(
+        topo: &Topology,
+        seed: u64,
+        spec: &LinkSpec,
+        mut pow: impl FnMut(f64) -> f64,
+    ) -> Self {
         let n = topo.len();
         let max_delivery = spec.max_delivery();
         let min_delivery = spec.edge_delivery;
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x11d4_11d4);
         // The last few `(frac bits, frac.powf(exponent))` pairs, direct-mapped
         // by a hash of the bits. Regular layouts repeat a handful of distance
         // fractions (a 10 m grid with a 16 m range has two), so most links
-        // skip the libm call; a miss on a jittered layout costs one hash and
-        // one compare. A hit returns the bits `powf` returned for the same
-        // input bits, so every probability is identical to calling `powf`.
-        // The initial slots are genuine pairs: `pow(1, y)` is 1 for every y.
+        // skip the reverse lookup and the libm call alike; a miss on a
+        // jittered layout costs one hash and one compare. A hit returns the
+        // bits `powf` returned for the same input bits, so every probability
+        // is identical to calling `powf`. The initial slots are genuine
+        // pairs: `pow(1, y)` is 1 for every y.
         // Do not replace `powf` with `frac * frac` for the calibrated
         // exponent 2.0: glibc's `pow(x, 2.0)` differs from `x * x` in the last
         // bit for 17,019 of 20M uniform x in [0, 1) (e.g. 0.8244240315627476),
@@ -143,12 +163,9 @@ impl LinkModel {
             for &b in topo.neighbors(a) {
                 let d = topo.distance(a, b).unwrap_or(f64::INFINITY);
                 let frac = (d / topo.radio_range()).clamp(0.0, 1.0);
-                // Decay from max_delivery at distance 0 to min_delivery at the
-                // edge of range — linear when the exponent is 1 (the exact
-                // comparison keeps the default bit-identical to the historical
-                // model), shaped by `frac^k` otherwise — plus per-direction
-                // Gaussian-ish noise (two uniform draws averaged keeps the
-                // dependency set small).
+                // Decay is linear when the exponent is 1 (the exact
+                // comparison keeps the default bit-identical to the
+                // historical model), shaped by `frac^k` otherwise.
                 let shaped = if spec.distance_exponent == 1.0 {
                     frac
                 } else {
@@ -156,21 +173,53 @@ impl LinkModel {
                     let slot =
                         &mut shaped_memo[(bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 60) as usize];
                     if slot.0 != bits {
-                        *slot = (bits, frac.powf(spec.distance_exponent));
+                        // Row `b` is already closed when `b < a`.
+                        let reverse = if b < a {
+                            rows.entry_position(b.index(), a).ok()
+                        } else {
+                            None
+                        };
+                        let value = match reverse {
+                            Some(k) => rows.nbr_probs[k],
+                            None => pow(frac),
+                        };
+                        *slot = (bits, value);
                     }
                     slot.1
                 };
-                let base = max_delivery - shaped * (max_delivery - min_delivery);
+                rows.push_link(b, shaped);
+            }
+            rows.end_row();
+        }
+        // Decay from max_delivery at distance 0 to min_delivery at the edge
+        // of range, plus per-direction Gaussian-ish noise (two uniform draws
+        // averaged keeps the dependency set small). A kept link moves down
+        // to `kept`, which never passes the link being read.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x11d4_11d4);
+        let mut kept = 0;
+        let mut lo = 0;
+        for i in 0..n {
+            let hi = rows.nbr_offsets[i + 1] as usize;
+            for k in lo..hi {
+                let base = max_delivery - rows.nbr_probs[k] * (max_delivery - min_delivery);
                 let noise: f64 = (rng.gen_range(-1.0..1.0) + rng.gen_range(-1.0..1.0)) / 2.0
                     * spec.asymmetry_noise
                     * 2.0;
                 let p = (base + noise).clamp(min_delivery * 0.5, max_delivery);
                 if p > 0.0 {
-                    rows.push_link(b, p.clamp(0.0, 1.0));
+                    // Until a link is dropped its id is already in place.
+                    if kept != k {
+                        rows.nbr_nodes[kept] = rows.nbr_nodes[k];
+                    }
+                    rows.nbr_probs[kept] = p.clamp(0.0, 1.0);
+                    kept += 1;
                 }
             }
-            rows.end_row();
+            rows.nbr_offsets[i + 1] = kept as u32;
+            lo = hi;
         }
+        rows.nbr_nodes.truncate(kept);
+        rows.nbr_probs.truncate(kept);
         rows
     }
 
@@ -575,6 +624,117 @@ mod tests {
         links.set_link(a, b, 0.0);
         assert_eq!(links.usable_link_count(), before);
         assert!(!links.link(a, b).is_usable());
+    }
+
+    /// The per-link construction as it was before the table was built in
+    /// two passes: one `powf` per directed link, noise rolled as it goes,
+    /// dead links dropped on the spot. Every kept link as `(from, to,
+    /// probability bits)`, in row order.
+    fn per_link_reference(
+        topo: &Topology,
+        seed: u64,
+        spec: &LinkSpec,
+    ) -> Vec<(NodeId, NodeId, u64)> {
+        let max_delivery = spec.max_delivery();
+        let min_delivery = spec.edge_delivery;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x11d4_11d4);
+        let mut out = Vec::new();
+        for a in topo.nodes() {
+            for &b in topo.neighbors(a) {
+                let d = topo.distance(a, b).unwrap_or(f64::INFINITY);
+                let frac = (d / topo.radio_range()).clamp(0.0, 1.0);
+                let shaped = if spec.distance_exponent == 1.0 {
+                    frac
+                } else {
+                    frac.powf(spec.distance_exponent)
+                };
+                let base = max_delivery - shaped * (max_delivery - min_delivery);
+                let noise: f64 = (rng.gen_range(-1.0..1.0) + rng.gen_range(-1.0..1.0)) / 2.0
+                    * spec.asymmetry_noise
+                    * 2.0;
+                let p = (base + noise).clamp(min_delivery * 0.5, max_delivery);
+                if p > 0.0 {
+                    out.push((a, b, p.clamp(0.0, 1.0).to_bits()));
+                }
+            }
+        }
+        out
+    }
+
+    /// Every link of `links` in the shape [`per_link_reference`] returns.
+    fn table(links: &LinkModel) -> Vec<(NodeId, NodeId, u64)> {
+        (0..links.len())
+            .map(|i| NodeId(i as u16))
+            .flat_map(|a| {
+                let (nodes, probs) = links.neighbors(a);
+                nodes
+                    .iter()
+                    .zip(probs)
+                    .map(move |(&b, p)| (a, b, p.to_bits()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn two_pass_build_matches_the_per_link_loop_bit_for_bit() {
+        let mut cases = Vec::new();
+        for seed in 1..=32 {
+            cases.push((TopologySpec::office_floor(), 62, seed));
+        }
+        for seed in [3, 17] {
+            cases.push((TopologySpec::uniform_random(), 150, seed));
+            cases.push((TopologySpec::grid(), 150, seed));
+        }
+        for exponent in [1.0, 2.0, 2.7] {
+            let spec = LinkSpec {
+                distance_exponent: exponent,
+                ..LinkSpec::default()
+            };
+            for (topo_spec, nodes, seed) in &cases {
+                let topo = Topology::connected(topo_spec, *nodes, *seed).unwrap();
+                let links = LinkModel::from_spec(&spec, &topo, *seed).unwrap();
+                assert_eq!(
+                    table(&links),
+                    per_link_reference(&topo, *seed, &spec),
+                    "{:?}, seed {seed}, exponent {exponent}",
+                    topo_spec.kind
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn two_pass_build_drops_dead_links_like_the_per_link_loop() {
+        // `from_spec` refuses a zero edge delivery, so no validated spec
+        // reaches the drop path; build through the family directly.
+        let spec = LinkSpec {
+            edge_delivery: 0.0,
+            ..LinkSpec::default()
+        };
+        let mut dropped = 0;
+        for seed in 1..=8 {
+            let topo = Topology::connected(&TopologySpec::office_floor(), 62, seed).unwrap();
+            let links = LinkModel::distance_decay(&topo, seed, &spec);
+            let reference = per_link_reference(&topo, seed, &spec);
+            assert_eq!(table(&links), reference, "seed {seed}");
+            dropped += topo.adjacency_len() - reference.len();
+        }
+        assert!(dropped > 0, "no link came out dead");
+    }
+
+    #[test]
+    fn the_office_floor_shapes_each_in_range_pair_once() {
+        let spec = LinkSpec::default();
+        assert_ne!(spec.distance_exponent, 1.0);
+        let topo = Topology::connected(&TopologySpec::office_floor(), 62, 11).unwrap();
+        let mut calls = 0;
+        let links = LinkModel::distance_decay_with(&topo, 11, &spec, |frac| {
+            calls += 1;
+            frac.powf(spec.distance_exponent)
+        });
+        assert_eq!(table(&links), per_link_reference(&topo, 11, &spec));
+        let pairs = topo.adjacency_len() / 2;
+        assert!(calls <= pairs, "{calls} powf calls for {pairs} pairs");
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::tree::{Beacon, TreeState};
 use scoop_net::PacketMeta;
 use scoop_types::{NodeId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Configuration of the routing layer (capacities and timeouts).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -65,12 +66,19 @@ pub struct RoutingState {
     estimator: LinkEstimator,
     neighbors: NeighborTable,
     descendants: DescendantsList,
-    config: RoutingConfig,
+    /// One allocation per run: every node of a simulation shares it.
+    config: Arc<RoutingConfig>,
 }
 
 impl RoutingState {
     /// Creates routing state for node `id`.
     pub fn new(id: NodeId, config: RoutingConfig) -> Self {
+        Self::with_shared_config(id, Arc::new(config))
+    }
+
+    /// Creates routing state for node `id` over a configuration shared with
+    /// the other nodes of its run.
+    pub fn with_shared_config(id: NodeId, config: Arc<RoutingConfig>) -> Self {
         RoutingState {
             id,
             tree: TreeState::new(id),

@@ -184,7 +184,8 @@ pub struct NodeShared {
     /// The run's one data source; sources are pure in `(node, now)`, so every
     /// node samples it by reference.
     source: Box<dyn DataSource>,
-    routing_cfg: RoutingConfig,
+    /// Every node's [`RoutingState`] holds a clone of this one `Arc`.
+    routing_cfg: Arc<RoutingConfig>,
     /// The sorted sink set (`[node 0]` classically).
     sink_set: Arc<[NodeId]>,
     /// The index known a priori under the HASH and BASE policies — the
@@ -216,7 +217,7 @@ impl NodeShared {
         };
         NodeShared {
             source: make_source_for(&cfg.workload, cfg.num_nodes, cfg.seed),
-            routing_cfg,
+            routing_cfg: Arc::new(routing_cfg),
             sink_set: cfg.policy.sink_ids().into(),
             static_index: static_index.map(Arc::new),
             cfg,
@@ -239,7 +240,7 @@ impl SimNode {
             && cfg.workload.kind.aggregate_spec().is_some();
         SimNode {
             id,
-            routing: RoutingState::new(id, shared.routing_cfg),
+            routing: RoutingState::with_shared_config(id, Arc::clone(&shared.routing_cfg)),
             buffer: DataBuffer::new(DATA_BUFFER_CAP),
             rng: StdRng::seed_from_u64(cfg.seed ^ (0xa0de_0000 + id.0 as u64)),
             current_index: shared.static_index.clone(),

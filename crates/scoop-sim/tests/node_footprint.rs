@@ -67,19 +67,22 @@ fn grid_spec(policy: StoragePolicy, sensors: usize) -> ScenarioSpec {
 
 #[test]
 fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
-    // The hot core every event touches: six cache lines, down from 1,336 B
-    // when the sink state sat inline in every node, from 512 B when the seen
-    // query ids were a `HashSet`, from 488 B when `DataBuffer` stored its
-    // next slot and overwrite count beside its write count, and from 472 B
-    // when every node held its own spec pointer, data source and SCOOP-only
-    // batch, and its routing tables their own copies of the routing
-    // constants.
+    // The hot core every event touches: five and a half cache lines, down
+    // from 1,336 B when the sink state sat inline in every node, from 512 B
+    // when the seen query ids were a `HashSet`, from 488 B when `DataBuffer`
+    // stored its next slot and overwrite count beside its write count, from
+    // 472 B when every node held its own spec pointer, data source and
+    // SCOOP-only batch, and its routing tables their own copies of the
+    // routing constants, and from 384 B when its `RoutingState` held its own
+    // 40-byte copy of the run's `RoutingConfig`.
     let inline = std::mem::size_of::<SimNode>();
-    assert!(inline <= 384, "SimNode is {inline} B inline, budget 384");
+    assert!(inline <= 352, "SimNode is {inline} B inline, budget 352");
 
     // Everything a built-and-run HASH network holds on the heap — topology,
     // links, event queue, the nodes and all they own, stored readings — per
-    // node. This run measures 1,252 B: 1,421 B before the run's data source
+    // node. This run measures 1,095 B: 1,252 B before a queued timer took a
+    // 24-byte entry of its own instead of a 56-byte packet-sized one and the
+    // routing constants were held once per run, 1,421 B before the run's data source
     // and constants were held once instead of once per node and a link
     // became a 2-byte id beside an 8-byte probability, 1,585 B before a
     // `DataBuffer` slot shrank from a 32-byte tagged reading to the bare
@@ -91,8 +94,10 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
     let before = LIVE_BYTES.load(Ordering::Relaxed);
     let allocations = ALLOCATIONS.load(Ordering::Relaxed);
     let mut engine = build_engine(&spec).expect("HASH grid builds");
-    // Assembly allocates per structure, never per node: this build makes 29
-    // allocations, 4,125 when every node boxed its own copy of the data
+    // Assembly allocates per structure, never per node: this build makes 30
+    // allocations — 29 before the arrivals took a heap of their own and the
+    // routing constants an `Arc`, when the queue kept a list of region
+    // shards — and 4,125 when every node boxed its own copy of the data
     // source.
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations;
     assert!(
@@ -105,8 +110,8 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
     assert_eq!(nodes, 4_096);
     let per_node = held as usize / nodes;
     assert!(
-        per_node <= 1_300,
-        "a HASH node holds {per_node} B of live heap, budget 1,300"
+        per_node <= 1_150,
+        "a HASH node holds {per_node} B of live heap, budget 1,150"
     );
     assert!(engine.stats().total_tx().data > 0, "the run stored nothing");
 
@@ -121,8 +126,10 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
     // A SCOOP network holds what the protocol reads: one summary per node at
     // the basestation, seen query ids and mapping chunks as bits, a ring of
     // 30 values per sensor, and partial chunks in one flat buffer per
-    // assembler, and 16-byte data-buffer slots. This run measures 4,809 B per
-    // node: 6,084 B while lost mapping chunks were never re-sent, so most
+    // assembler, and 16-byte data-buffer slots. This run measures 4,561 B per
+    // node: 4,809 B while every queued timer took a 56-byte entry and every
+    // node its own copy of the routing constants, 6,084 B while lost mapping
+    // chunks were never re-sent, so most
     // sensors held a partial assembly all run, 6,057 B when the chunk
     // assembler sat inline in every SCOOP node
     // instead of in a per-rank slot allocated on the node's first chunk,
@@ -139,8 +146,8 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
     let held = LIVE_BYTES.load(Ordering::Relaxed) - before;
     let per_node = held as usize / engine.topology().len();
     assert!(
-        per_node <= 6_200,
-        "a SCOOP node holds {per_node} B of live heap, budget 6,200"
+        per_node <= 4_800,
+        "a SCOOP node holds {per_node} B of live heap, budget 4,800"
     );
 
     // SCOOP sensors still carry the recent-readings ring, and it still feeds

@@ -30,6 +30,7 @@ use crate::sources::{sample_hash, unit_f64, DataSource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scoop_types::{DataSourceKind, NodeId, SimTime, Value, ValueRange};
+use std::ops::Range;
 
 /// Number of consecutive node ids that share a "room" (and therefore a
 /// lighting state).
@@ -40,7 +41,7 @@ const TOGGLE_MEAN_SECS: f64 = 600.0;
 
 /// Toggle schedules are materialized out to this simulated horizon (far
 /// longer than any experiment run); beyond it rooms keep toggling on a
-/// regular `TOGGLE_MEAN_SECS` cadence (see [`RoomState::lights_on`]).
+/// regular `TOGGLE_MEAN_SECS` cadence (see [`lights_on`]).
 const SCHEDULE_HORIZON_SECS: f64 = 400_000.0;
 
 #[derive(Clone, Debug)]
@@ -49,24 +50,23 @@ struct RoomState {
     baseline: f64,
     /// Whether the artificial lights start out on.
     initially_on: bool,
-    /// Ascending times (seconds) at which the lights flip, fixed at
-    /// construction so sampling never mutates shared state.
-    toggles: Vec<f64>,
+    /// The room's run of [`RealTrace::toggles`].
+    toggles: Range<u32>,
 }
 
-impl RoomState {
-    fn lights_on(&self, now_secs: f64) -> bool {
-        let mut flips = self.toggles.partition_point(|&t| t <= now_secs);
-        // Past the materialized schedule the lights keep toggling on a
-        // regular cadence (rather than silently freezing), so arbitrarily
-        // long runs retain temporal dynamics while staying pure.
-        if let Some(&last) = self.toggles.last() {
-            if now_secs > last {
-                flips += ((now_secs - last) / TOGGLE_MEAN_SECS) as usize;
-            }
+/// Whether lights that start out `initially_on` and flip at the ascending
+/// times `toggles` (seconds) are on at `now_secs`.
+fn lights_on(initially_on: bool, toggles: &[f64], now_secs: f64) -> bool {
+    let mut flips = toggles.partition_point(|&t| t <= now_secs);
+    // Past the materialized schedule the lights keep toggling on a regular
+    // cadence (rather than silently freezing), so arbitrarily long runs
+    // retain temporal dynamics while staying pure.
+    if let Some(&last) = toggles.last() {
+        if now_secs > last {
+            flips += ((now_secs - last) / TOGGLE_MEAN_SECS) as usize;
         }
-        self.initially_on ^ (flips % 2 == 1)
     }
+    initially_on ^ (flips % 2 == 1)
 }
 
 /// Synthetic, spatially and temporally correlated light trace.
@@ -74,6 +74,10 @@ impl RoomState {
 pub struct RealTrace {
     domain: ValueRange,
     rooms: Vec<RoomState>,
+    /// Every room's light toggle times (seconds), one room after another,
+    /// each run ascending; fixed at construction so sampling never mutates
+    /// shared state.
+    toggles: Vec<f64>,
     /// Per-node fixed offset within its room (sensor placement / calibration).
     node_offset: Vec<f64>,
     /// Amplitude of the shared diurnal component, as a fraction of the domain.
@@ -90,11 +94,16 @@ impl RealTrace {
     pub fn new(domain: ValueRange, num_nodes: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x4ea111);
         let num_rooms = (num_nodes + 1).div_ceil(ROOM_SIZE).max(1);
+        // A room toggles every `TOGGLE_MEAN_SECS` on average; a tenth more
+        // than that is many standard deviations of headroom, so the flat
+        // schedule is allocated once.
+        let per_room = (SCHEDULE_HORIZON_SECS / TOGGLE_MEAN_SECS * 1.1) as usize;
+        let mut toggles = Vec::with_capacity(num_rooms * per_room);
         let rooms = (0..num_rooms)
             .map(|_| {
                 let baseline = rng.gen_range(0.25..0.75);
                 let initially_on = rng.gen_bool(0.6);
-                let mut toggles = Vec::new();
+                let start = toggles.len() as u32;
                 let mut next = rng.gen_range(0.0..TOGGLE_MEAN_SECS * 2.0);
                 while next < SCHEDULE_HORIZON_SECS {
                     toggles.push(next);
@@ -103,7 +112,7 @@ impl RealTrace {
                 RoomState {
                     baseline,
                     initially_on,
-                    toggles,
+                    toggles: start..toggles.len() as u32,
                 }
             })
             .collect();
@@ -113,6 +122,7 @@ impl RealTrace {
         RealTrace {
             domain,
             rooms,
+            toggles,
             node_offset,
             diurnal_amplitude: 0.18,
             diurnal_period_secs: 3_600.0,
@@ -141,7 +151,8 @@ impl DataSource for RealTrace {
 
         let diurnal = self.diurnal_amplitude
             * (2.0 * std::f64::consts::PI * now_secs / self.diurnal_period_secs).sin();
-        let lights = if room_state.lights_on(now_secs) {
+        let run = room_state.toggles.start as usize..room_state.toggles.end as usize;
+        let lights = if lights_on(room_state.initially_on, &self.toggles[run], now_secs) {
             0.22
         } else {
             0.0
@@ -281,6 +292,86 @@ mod tests {
             max_jump > 15,
             "lights froze beyond the schedule horizon (max jump {max_jump})"
         );
+    }
+
+    /// The trace as it was built before the toggle schedules were
+    /// flattened: one separately grown `Vec` per room, sampled with the same
+    /// formula. The differential oracle for [`RealTrace`].
+    struct PerRoomTrace {
+        rooms: Vec<(f64, bool, Vec<f64>)>,
+        node_offset: Vec<f64>,
+        seed: u64,
+    }
+
+    impl PerRoomTrace {
+        fn new(num_nodes: usize, seed: u64) -> Self {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x4ea111);
+            let num_rooms = (num_nodes + 1).div_ceil(ROOM_SIZE).max(1);
+            let rooms = (0..num_rooms)
+                .map(|_| {
+                    let baseline = rng.gen_range(0.25..0.75);
+                    let initially_on = rng.gen_bool(0.6);
+                    let mut toggles = Vec::new();
+                    let mut next = rng.gen_range(0.0..TOGGLE_MEAN_SECS * 2.0);
+                    while next < SCHEDULE_HORIZON_SECS {
+                        toggles.push(next);
+                        next += rng.gen_range(TOGGLE_MEAN_SECS * 0.5..TOGGLE_MEAN_SECS * 1.5);
+                    }
+                    (baseline, initially_on, toggles)
+                })
+                .collect();
+            let node_offset = (0..=num_nodes)
+                .map(|_| rng.gen_range(-0.06..0.06))
+                .collect();
+            PerRoomTrace {
+                rooms,
+                node_offset,
+                seed,
+            }
+        }
+
+        fn sample(&self, node: NodeId, now: SimTime) -> Value {
+            let now_secs = now.as_secs_f64();
+            let (baseline, initially_on, toggles) =
+                &self.rooms[(node.index() / ROOM_SIZE).min(self.rooms.len() - 1)];
+            let mut flips = toggles.partition_point(|&t| t <= now_secs);
+            if let Some(&last) = toggles.last() {
+                if now_secs > last {
+                    flips += ((now_secs - last) / TOGGLE_MEAN_SECS) as usize;
+                }
+            }
+            let on = *initially_on ^ (flips % 2 == 1);
+            let diurnal = 0.18 * (2.0 * std::f64::consts::PI * now_secs / 3_600.0).sin();
+            let lights = if on { 0.22 } else { 0.0 };
+            let offset = self.node_offset.get(node.index()).copied().unwrap_or(0.0);
+            let h = sample_hash(self.seed, node, now, 0x4ea15e);
+            let noise = (unit_f64(h) * 2.0 - 1.0) * 0.015;
+            let frac = (baseline + diurnal + lights + offset + noise).clamp(0.0, 1.0);
+            let span = (DOMAIN.hi - DOMAIN.lo) as f64;
+            (DOMAIN.lo as f64 + frac * span).round() as Value
+        }
+    }
+
+    #[test]
+    fn flat_schedule_samples_like_per_room_schedules() {
+        for (num_nodes, seed) in [(1, 3), (12, 5), (62, 11), (62, 29), (300, 7)] {
+            let flat = RealTrace::new(DOMAIN, num_nodes, seed);
+            let per_room = PerRoomTrace::new(num_nodes, seed);
+            // Past the last node too: out-of-range ids fall into the last
+            // room with no offset.
+            for n in 0..=num_nodes as u16 + 2 {
+                // Across the whole materialized schedule and 50,000 s past
+                // its 400,000-s horizon, where the regular cadence takes over.
+                for t in (0..450_000u64).step_by(1_237) {
+                    let (node, now) = (NodeId(n), SimTime::from_millis(t * 1_000 + n as u64));
+                    assert_eq!(
+                        flat.sample(node, now),
+                        per_room.sample(node, now),
+                        "{num_nodes} nodes, seed {seed}, node {n}, {t} s"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
