@@ -190,8 +190,7 @@ impl Topology {
     /// Builds the layout described by a [`TopologySpec`]: the generator named
     /// by `spec.kind` with the spec's geometry parameters applied. This is
     /// the single construction path [`Topology::connected`] uses; the named
-    /// constructors below are thin wrappers over it with the default spec of
-    /// each family.
+    /// constructors below are thin wrappers over it.
     pub fn from_spec(spec: &TopologySpec, num_nodes: usize, seed: u64) -> Result<Self, ScoopError> {
         spec.validate()?;
         match spec.kind {
@@ -296,16 +295,12 @@ impl Topology {
     /// radio range of `1.6 × spacing` (each node hears its horizontal,
     /// vertical, and diagonal neighbors).
     pub fn grid(side: usize, spacing: f64) -> Result<Self, ScoopError> {
-        let mut positions = Vec::with_capacity(side * side);
-        for r in 0..side {
-            for c in 0..side {
-                positions.push(NodePosition {
-                    x: c as f64 * spacing,
-                    y: r as f64 * spacing,
-                });
-            }
-        }
-        Self::from_positions(TopologyKind::Grid, positions, 1.6 * spacing)
+        let spec = TopologySpec {
+            spacing,
+            ..TopologySpec::grid()
+        };
+        // A side of 0 or 1 leaves no sensor, which `from_positions` refuses.
+        Self::from_spec(&spec, side.saturating_mul(side).saturating_sub(1), 0)
     }
 
     fn grid_spec(spec: &TopologySpec, num_nodes: usize) -> Result<Self, ScoopError> {
@@ -333,11 +328,7 @@ impl Topology {
     }
 
     /// `num_nodes + 1` nodes placed uniformly at random in a square arena
-    /// sized for ~25 m² per node, basestation at the center.
-    pub fn uniform_random(num_nodes: usize, seed: u64) -> Result<Self, ScoopError> {
-        Self::uniform_random_spec(&TopologySpec::uniform_random(), num_nodes, seed)
-    }
-
+    /// sized for `area_per_node` (~25 m²) per node, basestation at the center.
     fn uniform_random_spec(
         spec: &TopologySpec,
         num_nodes: usize,
@@ -367,14 +358,6 @@ impl Topology {
     /// A straight chain of `num_nodes + 1` nodes, `spacing` meters apart, with
     /// a radio range of `1.5 × spacing` (each node hears only its immediate
     /// neighbors and, weakly, the node two hops away).
-    pub fn linear(num_nodes: usize, spacing: f64) -> Result<Self, ScoopError> {
-        let spec = TopologySpec {
-            spacing,
-            ..TopologySpec::linear()
-        };
-        Self::linear_spec(&spec, num_nodes)
-    }
-
     fn linear_spec(spec: &TopologySpec, num_nodes: usize) -> Result<Self, ScoopError> {
         let positions = (0..=num_nodes)
             .map(|i| NodePosition {
@@ -587,7 +570,7 @@ mod tests {
 
     #[test]
     fn linear_topology_depth_equals_length() {
-        let topo = Topology::linear(10, 10.0).unwrap();
+        let topo = Topology::from_spec(&TopologySpec::linear(), 10, 0).unwrap();
         assert_eq!(topo.len(), 11);
         assert!(topo.is_connected());
         assert_eq!(topo.hop_distance(NodeId(0), NodeId(10)), Some(10));
@@ -596,7 +579,7 @@ mod tests {
 
     #[test]
     fn uniform_random_within_limits() {
-        let topo = Topology::uniform_random(40, 3).unwrap();
+        let topo = Topology::from_spec(&TopologySpec::uniform_random(), 40, 3).unwrap();
         assert_eq!(topo.len(), 41);
         for n in topo.nodes() {
             assert!(topo.position(n).is_some());
@@ -620,6 +603,40 @@ mod tests {
 
         let linear = Topology::from_spec(&TopologySpec::linear(), 10, 0).unwrap();
         assert_eq!(linear.network_depth(), 10);
+
+        // `grid(side, spacing)` is the spec grid of `side²` nodes, laid out
+        // row-major from the basestation's corner.
+        let (side, spacing) = (5, 7.5);
+        let spec = TopologySpec {
+            spacing,
+            ..TopologySpec::grid()
+        };
+        let grid = Topology::from_spec(&spec, side * side - 1, 0).unwrap();
+        let direct = Topology::grid(side, spacing).unwrap();
+        assert_eq!(direct.len(), side * side);
+        assert_eq!(direct.radio_range(), grid.radio_range());
+        assert_eq!(direct.radio_range(), 1.6 * spacing);
+        for (i, n) in direct.nodes().enumerate() {
+            let (x, y) = ((i % side) as f64 * spacing, (i / side) as f64 * spacing);
+            let (p, q) = (direct.position(n).unwrap(), grid.position(n).unwrap());
+            assert_eq!((p.x, p.y), (x, y), "node {n}");
+            assert_eq!((q.x, q.y), (x, y), "node {n}");
+        }
+    }
+
+    #[test]
+    fn grid_refuses_empty_and_non_finite_layouts_with_typed_errors() {
+        for side in [0, 1] {
+            let built = Topology::grid(side, 10.0);
+            assert!(matches!(built, Err(ScoopError::InvalidConfig(_))), "{side}");
+        }
+        for spacing in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let built = Topology::grid(3, spacing);
+            assert!(
+                matches!(built, Err(ScoopError::InvalidConfig(_))),
+                "{spacing}"
+            );
+        }
     }
 
     #[test]
@@ -714,8 +731,8 @@ mod tests {
         let topos = [
             Topology::office_floor(62, 11).unwrap(),
             Topology::grid(7, 10.0).unwrap(),
-            Topology::uniform_random(80, 3).unwrap(),
-            Topology::linear(12, 10.0).unwrap(),
+            Topology::from_spec(&TopologySpec::uniform_random(), 80, 3).unwrap(),
+            Topology::from_spec(&TopologySpec::linear(), 12, 0).unwrap(),
         ];
         for topo in &topos {
             for a in topo.nodes() {

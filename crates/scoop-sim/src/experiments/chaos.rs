@@ -68,12 +68,18 @@ pub struct ChaosRow {
     pub phase: String,
     /// Fraction of readings sampled in this phase that were stored.
     pub storage_success: f64,
-    /// Fraction of expected query replies that arrived, for queries whose
-    /// targets were counted in this phase.
+    /// Replies that arrived in this phase *plus* the queries the sinks
+    /// answered from their own buffers in it, over the reply targets of the
+    /// queries issued in it, capped at 1. A locally answered query adds one
+    /// to the numerator and nothing to the denominator, so this is not the
+    /// fraction of expected replies that arrived, nor the ratio
+    /// `QueryMetrics::query_success` reports; rows read 1.0 where replies
+    /// fell short.
     pub query_success: f64,
     /// Storage success of the control run over the same phase window.
     pub control_storage_success: f64,
-    /// Query success of the control run over the same phase window.
+    /// Query success of the control run over the same phase window, counted
+    /// as [`ChaosRow::query_success`] is.
     pub control_query_success: f64,
     /// Readings sampled in this phase of the faulted run (averaged).
     pub sampled: u64,

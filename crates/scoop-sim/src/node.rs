@@ -9,7 +9,7 @@
 //!   every node points to: the spec, the data source (pure in
 //!   `(node, now)`), the sink set and the static HASH / BASE index — what a
 //!   mote would have compiled into the one image every node runs;
-//! * the **hot core**, inline in every `SimNode` (at most 384 bytes) and
+//! * the **hot core**, inline in every `SimNode` (at most 352 bytes) and
 //!   touched by every event: tree routing (periodic beacons, link estimation
 //!   by snooping, parent selection), the data buffer, the current storage
 //!   index and the six routing rules applied to sampled and forwarded
@@ -18,13 +18,17 @@
 //!   nodes whose spec gives them the part, so a node that never plays a role
 //!   pays one null pointer for it and no handler asks "is it there yet":
 //!   - `sink` — sinks only: summary statistics, index construction and
-//!     dissemination every remap interval, query issue and reply accounting,
-//!     peer liveness in the federation;
+//!     dissemination every remap interval, query issue and reply accounting;
 //!   - `scoop_sensor` — SCOOP runs only: the recent-readings ring behind the
 //!     periodic summaries, the batch of readings bound for one owner
 //!     (Section 5.4), and the dissemination state below;
-//!   - `federation` — multi-sink runs only: sink-liveness gossip, routing
-//!     replies to the issuing sink;
+//!   - `federation` — multi-sink runs only, on every node: the sink-liveness
+//!     beacons already gossiped, and on sinks the peers' liveness. Its
+//!     module holds every multi-sink decision: each remap round's beacon and
+//!     owned share, the sink rank that index and query ids carry, routing
+//!     replies to the issuing sink, and a sink's relaying of peers' queries,
+//!     replies and summaries. `federation` being `Some` is the one marker of
+//!     a multi-sink run;
 //!   - `aggregate` — sensors of LOCAL aggregate workloads only: partials held
 //!     for in-network tree aggregation.
 //!
@@ -250,7 +254,7 @@ impl SimNode {
             sink: rank.map(|rank| Box::new(SinkRole::new(cfg, rank, nsinks))),
             scoop: (cfg.policy.kind == StoragePolicy::Scoop)
                 .then(|| Box::new(ScoopSensor::new(cfg))),
-            federation: (nsinks > 1).then(Box::default),
+            federation: (nsinks > 1).then(|| Box::new(Federation::new(rank, nsinks))),
             aggregation: (tree_aggregation && rank.is_none()).then(Box::default),
             metrics: NodeLocalMetrics::default(),
             shared: Arc::clone(shared),
@@ -406,21 +410,10 @@ impl SimNode {
         msg: DataMessage,
         incoming: Option<&scoop_net::PacketMeta>,
     ) {
-        if let Some(meta) = incoming {
-            if meta.hops >= MAX_FORWARD_HOPS {
-                // Forwarding budget exhausted (almost certainly a transient
-                // routing loop): keep the data here rather than losing it.
-                let reason = if self.id.is_basestation() {
-                    StoreReason::BaseFallback
-                } else {
-                    StoreReason::LocalDefault
-                };
-                let sid = msg.sid;
-                for r in msg.readings {
-                    self.store_reading(r, sid, reason);
-                }
-                return;
-            }
+        if incoming.is_some_and(|meta| meta.hops >= MAX_FORWARD_HOPS) {
+            // Forwarding budget exhausted (almost certainly a transient
+            // routing loop): keep the data here rather than losing it.
+            return self.store_message(msg, self.kept_reason());
         }
         let action = {
             let view = LocalNodeView {
@@ -435,21 +428,13 @@ impl SimNode {
             DataRoutingAction::StoreLocal(m) => {
                 let reason = if m.owner == self.id {
                     StoreReason::Owner
-                } else if self.id.is_basestation() {
-                    StoreReason::BaseFallback
                 } else {
-                    StoreReason::LocalDefault
+                    self.kept_reason()
                 };
-                let sid = m.sid;
-                for r in m.readings {
-                    self.store_reading(r, sid, reason);
-                }
+                self.store_message(m, reason);
             }
             DataRoutingAction::StrandedStoreLocal(m) => {
-                let sid = m.sid;
-                for r in m.readings {
-                    self.store_reading(r, sid, StoreReason::LocalDefault);
-                }
+                self.store_message(m, StoreReason::LocalDefault);
             }
             DataRoutingAction::Forward { next_hop, message } => {
                 // The routing rules may have rewritten owner/sid, so the
@@ -474,6 +459,22 @@ impl SimNode {
                     ),
                 }
             }
+        }
+    }
+
+    /// Why data this node keeps for another owner is stored here: the
+    /// basestation's fallback (rule 4), or a sensor's local default.
+    fn kept_reason(&self) -> StoreReason {
+        if self.id.is_basestation() {
+            StoreReason::BaseFallback
+        } else {
+            StoreReason::LocalDefault
+        }
+    }
+
+    fn store_message(&mut self, msg: DataMessage, reason: StoreReason) {
+        for r in msg.readings {
+            self.store_reading(r, msg.sid, reason);
         }
     }
 
@@ -507,24 +508,15 @@ impl SimNode {
                     // the way here shared the arrival allocation.
                     base.stats.record_summary(summary.clone());
                 }
-                // Non-sinks forward up the tree; a promoted sink does too
-                // (after recording), because summaries climb towards node 0
-                // and stopping them here would starve the sinks above us.
-                // Node 0 itself is the root and keeps its classic behaviour.
-                if self.sink.is_none() || !self.id.is_basestation() {
+                // Non-sinks forward up the tree, and so does a promoted sink.
+                if self.sink.is_none() || self.sink_forwards_summary() {
                     // Remember the child branch the origin lives under (only
                     // when it really arrived from below — never learn
                     // "descendants" through our parent).
                     self.note_upward_route(&meta, ctx.now());
                     if meta.hops < MAX_FORWARD_HOPS {
                         if let Some(parent) = self.routing.parent() {
-                            ctx.forward(
-                                Packet {
-                                    meta,
-                                    payload: Arc::clone(&packet.payload),
-                                },
-                                scoop_net::LinkDst::Unicast(parent),
-                            );
+                            ctx.forward(packet.clone(), scoop_net::LinkDst::Unicast(parent));
                         }
                     }
                 }
@@ -548,21 +540,7 @@ impl SimNode {
         reply: &ReplyMessage,
         packet: &Packet<SharedPayload>,
     ) {
-        // Classically an unknown reply at the sink is stale and dies here; in
-        // multi-sink mode it belongs to a peer and must keep travelling.
-        let mut consumed = match self.sink.as_mut() {
-            Some(base) => base.record_reply(reply) || self.federation.is_none(),
-            None => false,
-        };
-        // In-network tree aggregation: an intermediate still holding its own
-        // partial for this query folds the child's partial in instead of
-        // forwarding; the merged result climbs on this node's own flush.
-        if !consumed {
-            if let (Some(agg), Some(partial)) = (self.aggregation.as_mut(), &reply.aggregate) {
-                consumed = agg.merge_held(reply.query_id, partial);
-            }
-        }
-        if consumed {
+        if self.sink_takes_reply(reply) || self.merge_held(reply) {
             return;
         }
         self.note_upward_route(&packet.meta, ctx.now());
@@ -587,6 +565,15 @@ impl SimNode {
         self.routing.note_routed_up(meta.origin, meta.link_src, now);
     }
 
+    /// Whether re-broadcasting `query` can reach one of its targets: a
+    /// neighbour or a descendant of this node is one.
+    fn reaches_a_target(&self, query: &QueryMessage) -> bool {
+        query
+            .targets
+            .iter()
+            .any(|t| self.routing.is_neighbor(t) || self.routing.is_descendant(t))
+    }
+
     fn handle_query(
         &mut self,
         ctx: &mut NodeCtx<'_, SharedPayload>,
@@ -594,24 +581,7 @@ impl SimNode {
         payload: &SharedPayload,
     ) {
         if self.sink.is_some() {
-            if self.federation.is_none() {
-                return;
-            }
-            // A multi-sink sink relays peers' queries onward (they flood by
-            // gossip, and a sink sits on good tree positions) but never
-            // answers them: sinks hold only fallback data, which the issuing
-            // sink already accounts for via its own planner.
-            if !self.seen_queries.insert(query.query_id.into()) {
-                return;
-            }
-            let useful = query
-                .targets
-                .iter()
-                .any(|t| self.routing.is_neighbor(t) || self.routing.is_descendant(t));
-            if useful {
-                self.enqueue_gossip(ctx, Arc::clone(payload), MessageKind::Query);
-            }
-            return;
+            return self.relay_peer_query(ctx, query, payload);
         }
         if !self.seen_queries.insert(query.query_id.into()) {
             return;
@@ -619,12 +589,7 @@ impl SimNode {
 
         // Modified Trickle: only re-broadcast if doing so can still help —
         // our own bit is set, or a neighbor / descendant is targeted.
-        let useful = query.targets.contains(self.id)
-            || query
-                .targets
-                .iter()
-                .any(|t| self.routing.is_neighbor(t) || self.routing.is_descendant(t));
-        if useful {
+        if query.targets.contains(self.id) || self.reaches_a_target(query) {
             self.enqueue_gossip(ctx, Arc::clone(payload), MessageKind::Query);
         }
 
@@ -739,19 +704,9 @@ impl NodeLogic for SimNode {
             }
         }
         if !addressed {
-            // A snooped unicast feeds link estimation (above). Multi-sink:
-            // a promoted sink rarely sits on the unicast path a summary
-            // climbs towards node 0, so it harvests overheard summaries
-            // too — the statistics don't care how a report arrived. Never
-            // taken in single-sink mode.
-            if self.federation.is_some() {
-                if let ScoopPayload::Summary(summary) = &*packet.payload {
-                    if let Some(base) = self.sink.as_mut() {
-                        base.stats.record_summary(summary.clone());
-                    }
-                }
-            }
-            return;
+            // A snooped unicast feeds link estimation (above), and a
+            // federation sink's statistics.
+            return self.on_overheard(&packet.payload);
         }
         self.handle_payload(ctx, packet);
     }
@@ -805,11 +760,10 @@ impl NodeLogic for SimNode {
 
 #[cfg(test)]
 mod tests {
-    use super::federation::{filter_entries_to_rank, RANK_STRIDE};
-    use super::sink::MultiSinkState;
+    use super::federation::RANK_STRIDE;
     use super::*;
     use scoop_net::{Engine, EngineConfig, LinkModel, Topology};
-    use scoop_types::{DataSourceKind, Value, ValueRange};
+    use scoop_types::{DataSourceKind, Value};
 
     /// Builds an engine over a small fully-connected grid with perfect links
     /// so protocol behaviour can be checked without loss-induced noise.
@@ -1005,49 +959,6 @@ mod tests {
                 assert_eq!(node.metrics.stored, node.metrics.sampled);
             }
         }
-    }
-
-    #[test]
-    fn ownership_partition_is_disjoint_complete_and_collapses_on_failover() {
-        let live = vec![0usize, 1];
-        let domain = ValueRange::new(0, 99);
-        let owners = vec![NodeId(3); 100];
-        let full =
-            StorageIndex::from_owners(StorageIndexId(64), domain, &owners, SimTime::ZERO).unwrap();
-        let a = filter_entries_to_rank(&full, 0, &live);
-        let b = filter_entries_to_rank(&full, 1, &live);
-        let ia = StorageIndex::from_entries(StorageIndexId(64), domain, a, SimTime::ZERO);
-        let ib = StorageIndex::from_entries(StorageIndexId(65), domain, b, SimTime::ZERO);
-        let mut covered = 0;
-        for v in domain.values() {
-            let in_a = ia.lookup(v).is_some();
-            let in_b = ib.lookup(v).is_some();
-            assert!(in_a != in_b, "value {v} must be owned by exactly one rank");
-            covered += 1;
-        }
-        assert_eq!(covered, 100);
-        assert!(!ia.is_complete() && !ib.is_complete());
-        // With rank 1 dead, rank 0 owns the entire domain: that is failover.
-        let solo = filter_entries_to_rank(&full, 0, &[0]);
-        let is0 = StorageIndex::from_entries(StorageIndexId(128), domain, solo, SimTime::ZERO);
-        assert!(is0.is_complete());
-    }
-
-    #[test]
-    fn stale_sinks_drop_out_of_the_live_set_and_reappear_on_contact() {
-        let mut m = MultiSinkState {
-            rank: 0,
-            epoch: 1,
-            last_heard: vec![None, None],
-        };
-        let timeout = SimDuration::from_secs(120);
-        // Grace period: a never-heard peer counts as alive early on.
-        assert_eq!(m.live_ranks(SimTime::from_secs(60), timeout), vec![0, 1]);
-        // Long silence past the timeout kills it.
-        assert_eq!(m.live_ranks(SimTime::from_secs(500), timeout), vec![0]);
-        // One beacon resurrects it.
-        m.last_heard[1] = Some(SimTime::from_secs(450));
-        assert_eq!(m.live_ranks(SimTime::from_secs(500), timeout), vec![0, 1]);
     }
 
     #[test]

@@ -25,21 +25,22 @@ pub(super) struct Aggregation {
     held: Vec<(u32, PartialAggregate)>,
 }
 
-impl Aggregation {
-    /// Folds a child's partial for `query_id` into the one still held here
-    /// (arrival order — deterministic); `false` if none is held.
-    pub(super) fn merge_held(&mut self, query_id: u32, partial: &PartialAggregate) -> bool {
-        match self.held.iter_mut().find(|(id, _)| *id == query_id) {
-            Some((_, held)) => {
-                held.merge(partial);
-                true
-            }
-            None => false,
-        }
-    }
-}
-
 impl SimNode {
+    /// Tree aggregation: an intermediate still holding its own partial for
+    /// `reply`'s query folds the child's partial into it (arrival order —
+    /// deterministic) instead of forwarding it; the merged result climbs on
+    /// this node's own flush. `false` if no partial is held.
+    pub(super) fn merge_held(&mut self, reply: &ReplyMessage) -> bool {
+        let (Some(agg), Some(partial)) = (self.aggregation.as_mut(), &reply.aggregate) else {
+            return false;
+        };
+        let Some((_, held)) = agg.held.iter_mut().find(|(id, _)| *id == reply.query_id) else {
+            return false;
+        };
+        held.merge(partial);
+        true
+    }
+
     /// Answers an aggregate query with this node's `partial`. With tree
     /// aggregation, hold it for a fixed depth-scaled delay so descendants'
     /// partials can merge in, then flush one message to the parent; no

@@ -200,10 +200,8 @@ impl SimNode {
         if !scoop.dissemination.seen.insert(key) {
             return;
         }
-        // A mapping chunk proves its issuing sink was alive recently; it
-        // counts as liveness evidence alongside the SinkAlive beacons.
-        if let Some(m) = self.sink.as_mut().and_then(|base| base.multi.as_mut()) {
-            m.heard(rank, ctx.now());
+        if let Some(federation) = self.federation.as_mut() {
+            federation.heard(rank, ctx.now());
         }
         let (assembler, newest) = scoop.dissemination.slot(rank, sinks.len());
         let newest = newest.as_ref().map_or(StorageIndexId::NONE, |i| i.id());

@@ -1,18 +1,18 @@
 //! The sink (basestation) role: statistics, index construction and
-//! dissemination, query issue and reply accounting, and — in the multi-sink
-//! federation — peer liveness. Only sinks carry a [`SinkRole`].
+//! dissemination, query issue and reply accounting. Only sinks carry a
+//! [`SinkRole`]; what a federation sink does besides is the federation
+//! module's.
 
-use super::federation::{filter_entries_to_rank, index_id_stride};
+use super::federation::{index_id_stride, query_ids, QueryIds};
 use super::{SharedPayload, SimNode};
 use scoop_core::index::{IndexBuilderConfig, IndexDecision};
 use scoop_core::{
-    CostParams, IndexBuilder, QueryMessage, QueryPlanner, ReplyMessage, ScoopPayload,
-    SinkAliveMessage, StatsStore, StorageIndex,
+    CostParams, IndexBuilder, QueryMessage, QueryPlanner, ReplyMessage, ScoopPayload, StatsStore,
 };
 use scoop_net::NodeCtx;
 use scoop_types::{
-    MessageKind, NodeBitmap, NodeId, PartialAggregate, ScenarioSpec, SimDuration, SimTime,
-    StorageIndexId, StoragePolicy, ValueRange,
+    MessageKind, NodeBitmap, NodeId, PartialAggregate, ScenarioSpec, SimTime, StorageIndexId,
+    StoragePolicy, ValueRange,
 };
 use scoop_workload::QueryGenerator;
 use std::collections::HashMap;
@@ -60,55 +60,19 @@ pub(super) struct SinkRole {
     pub(super) stats: StatsStore,
     pub(super) planner: QueryPlanner,
     query_gen: QueryGenerator,
-    next_query_id: u32,
+    /// The ids of the queries this sink issues next (see [`query_ids`]).
+    query_ids: QueryIds,
+    /// The id of the next index; ids step by [`index_id_stride`].
     next_index_id: StorageIndexId,
-    /// Stride between consecutive query ids issued here: the sink count, so
-    /// ids never collide across sinks. Index ids step by
-    /// [`index_id_stride`].
-    query_id_stride: u32,
     outstanding: HashMap<u32, QueryOutcome>,
     indices_disseminated: u64,
     remaps_suppressed: u64,
     queries_answered_locally: u64,
-    /// Federation state; `None` in the classic single-sink mode.
-    pub(super) multi: Option<MultiSinkState>,
-}
-
-/// Per-sink federation state: liveness tracking for the peers.
-pub(super) struct MultiSinkState {
-    /// This sink's rank in the sorted sink list.
-    pub(super) rank: usize,
-    /// Epoch of the next liveness beacon; strictly increasing.
-    pub(super) epoch: u64,
-    /// When each rank was last heard from (beacon or mapping chunk). `None`
-    /// until first contact, which counts as "alive" — the grace period that
-    /// stops every sink from "failing over" at startup.
-    pub(super) last_heard: Vec<Option<SimTime>>,
-}
-
-impl MultiSinkState {
-    /// Ranks considered alive at `now`: self, plus every peer heard from
-    /// within the failover timeout (or not yet expected to have spoken).
-    pub(super) fn live_ranks(&self, now: SimTime, timeout: SimDuration) -> Vec<usize> {
-        (0..self.last_heard.len())
-            .filter(|&r| {
-                r == self.rank || now.since(self.last_heard[r].unwrap_or(SimTime::ZERO)) <= timeout
-            })
-            .collect()
-    }
-
-    /// Notes that sink `rank` gave a sign of life (beacon or mapping chunk).
-    pub(super) fn heard(&mut self, rank: usize, now: SimTime) {
-        if rank != self.rank {
-            self.last_heard[rank] = Some(now);
-        }
-    }
 }
 
 impl SinkRole {
     /// The sink state of the rank-`rank` sink among `nsinks`.
     pub(super) fn new(cfg: &ScenarioSpec, rank: usize, nsinks: usize) -> Self {
-        let is_multi = nsinks > 1;
         // Rank 0 (node 0) keeps the classic seed and id sequences, so a
         // single-sink run is byte-identical to the pre-federation code.
         let query_seed = cfg.seed ^ (rank as u64).wrapping_mul(0x51ab_a11e_0000_0001);
@@ -116,18 +80,12 @@ impl SinkRole {
             stats: StatsStore::new(cfg.num_nodes + 1, cfg.workload.value_domain),
             planner: QueryPlanner::new(),
             query_gen: QueryGenerator::from_spec(&cfg.workload, query_seed),
-            next_query_id: 1 + rank as u32,
+            query_ids: query_ids(rank, nsinks),
             next_index_id: StorageIndexId(index_id_stride(nsinks) + rank as u32),
-            query_id_stride: nsinks as u32,
             outstanding: HashMap::new(),
             indices_disseminated: 0,
             remaps_suppressed: 0,
             queries_answered_locally: 0,
-            multi: is_multi.then(|| MultiSinkState {
-                rank,
-                epoch: 1,
-                last_heard: vec![None; nsinks],
-            }),
         }
     }
 
@@ -209,32 +167,13 @@ impl SimNode {
     }
 
     pub(super) fn remap(&mut self, ctx: &mut NodeCtx<'_, SharedPayload>) {
+        let share = self.open_remap_round(ctx);
         let now = ctx.now();
         let shared = Arc::clone(&self.shared);
         let cfg = &shared.cfg;
-        let my_id = self.id;
         let Some(base) = self.sink.as_mut() else {
             return;
         };
-        // Multi-sink: every remap round opens with an epoch-stamped liveness
-        // beacon (even when dissemination ends up suppressed below) and a
-        // fresh view of which peers are still alive. A restarted sink's
-        // deferred remap timer fires right after the halt ends, so this
-        // beacon is also what announces the heal.
-        let mut live: Vec<usize> = Vec::new();
-        let mut my_rank = 0usize;
-        if let (Some(m), Some(fed)) = (base.multi.as_mut(), self.federation.as_mut()) {
-            let epoch = m.epoch;
-            m.epoch += 1;
-            my_rank = m.rank;
-            live = m.live_ranks(now, cfg.policy.scoop.effective_failover_timeout());
-            fed.seen_alive.insert((my_id.0, epoch));
-            let beacon = Arc::new(ScoopPayload::SinkAlive(SinkAliveMessage {
-                sink: my_id,
-                epoch,
-            }));
-            ctx.send_broadcast(MessageKind::Heartbeat, self.routing.parent(), beacon);
-        }
         if base.stats.nodes_reporting() == 0 {
             // Nothing to optimize against yet.
             return;
@@ -244,36 +183,27 @@ impl SimNode {
             allow_store_local_fallback: cfg.policy.scoop.allow_store_local_fallback,
         });
         let decision = builder.build(&base.stats, params, base.next_index_id, now);
-        let mut index = match decision {
-            IndexDecision::UseIndex(index) => index,
-            IndexDecision::StoreLocal { .. } => {
-                // The store-local policy is cheaper: do not disseminate
-                // anything; nodes keep (or fall back to) local storage.
-                base.remaps_suppressed += 1;
-                return;
-            }
+        // A federation sink disseminates only its own share of the index.
+        let index = match (decision, &share) {
+            (IndexDecision::UseIndex(index), Some(share)) => share.cut(index),
+            (IndexDecision::UseIndex(index), None) => Some(index),
+            (IndexDecision::StoreLocal { .. }, _) => None,
         };
-
-        if base.multi.is_some() {
-            // Keep only the value runs this sink owns under the live-rank
-            // hash partition; the live peers disseminate the rest. A dead
-            // peer's share folds into the survivors automatically because it
-            // has dropped out of `live` — that IS the failover.
-            let owned = filter_entries_to_rank(&index, my_rank, &live);
-            if owned.is_empty() {
-                base.remaps_suppressed += 1;
-                return;
-            }
-            index =
-                StorageIndex::from_entries(index.id(), index.domain(), owned, index.created_at());
-        }
+        let Some(index) = index else {
+            // The store-local policy is cheaper, or the live peers own the
+            // whole index: do not disseminate anything; nodes keep (or fall
+            // back to) local storage.
+            base.remaps_suppressed += 1;
+            return;
+        };
 
         if cfg.policy.scoop.suppress_unchanged_index {
             // The sink's own-rank newest is the index it last disseminated.
+            let rank = share.map_or(0, |share| share.rank);
             let last = self
                 .scoop
                 .as_ref()
-                .and_then(|s| s.dissemination.rank_index(my_rank));
+                .and_then(|s| s.dissemination.rank_index(rank));
             if let Some(prev) = last {
                 if index.difference_fraction(prev) < cfg.policy.scoop.suppression_threshold {
                     base.remaps_suppressed += 1;
@@ -345,8 +275,9 @@ impl SimNode {
             return;
         }
 
-        let query_id = base.next_query_id;
-        base.next_query_id += base.query_id_stride;
+        let Some(query_id) = base.query_ids.next() else {
+            return;
+        };
         base.outstanding.insert(
             query_id,
             QueryOutcome {
