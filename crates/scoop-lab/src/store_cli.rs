@@ -225,9 +225,8 @@ fn cmd_ingest(
         store.dir().display()
     );
     println!(
-        "store: {} segment(s), {} block(s), {} bytes on disk, \
-         index built in {:.4} s ({} PLA segment(s))",
-        stats.segments, stats.blocks, stats.disk_bytes, stats.index_build_secs, stats.pla_segments
+        "store: {} segment(s), {} block(s), {} bytes on disk",
+        stats.segments, stats.blocks, stats.disk_bytes
     );
 
     if let Some((_, dump)) = values.iter().rev().find(|(n, _)| n == "dump") {
@@ -310,10 +309,7 @@ struct StatsJson {
     blocks: usize,
     records: u64,
     disk_bytes: u64,
-    pla_segments: usize,
     blocks_read: u64,
-    index_fallback_lookups: u64,
-    index_build_secs: f64,
     min_time_ms: u64,
     max_time_ms: u64,
     recovered_segments: usize,
@@ -340,10 +336,7 @@ fn cmd_stats(
             blocks: stats.blocks,
             records: stats.records,
             disk_bytes: stats.disk_bytes,
-            pla_segments: stats.pla_segments,
             blocks_read: stats.blocks_read,
-            index_fallback_lookups: stats.index_fallback_lookups,
-            index_build_secs: stats.index_build_secs,
             min_time_ms: stats.min_time_ms,
             max_time_ms: stats.max_time_ms,
             recovered_segments: recovered,
@@ -367,11 +360,6 @@ fn print_stats_text(stats: &StoreStats, recovered: usize, dir: &Path) {
     println!(
         "  time span: {} .. {} ms",
         stats.min_time_ms, stats.max_time_ms
-    );
-    println!(
-        "  learned index: {} PLA segment(s), built in {:.4} s, \
-         {} fallback lookup(s)",
-        stats.pla_segments, stats.index_build_secs, stats.index_fallback_lookups
     );
     println!(
         "  session: {} data block(s) read, {} segment(s) recovered on open",

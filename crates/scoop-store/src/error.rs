@@ -37,8 +37,8 @@ pub enum StoreError {
         expected: u32,
     },
     /// A record was appended out of time order within one segment (the
-    /// segment log is time-ordered; that is what the learned index relies
-    /// on). Sort the batch before appending.
+    /// segment log is time-ordered; that is what the block directory's
+    /// binary search relies on). Sort the batch before appending.
     OutOfOrder {
         /// The last timestamp already in the segment (ms).
         last_time_ms: u64,

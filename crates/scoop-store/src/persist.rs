@@ -8,7 +8,7 @@
 //! reproduces today's behavior exactly — readings are held in RAM and lost on drop — so attaching a
 //! backend is strictly opt-in and the simulation's byte-identity is
 //! untouched. The disk implementation is [`DiskBackend`](crate::DiskBackend)
-//! (crash-safe segment log + learned time index).
+//! (crash-safe segment log + block-directory time index).
 
 use scoop_types::{Reading, ScoopError};
 

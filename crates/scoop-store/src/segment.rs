@@ -20,13 +20,11 @@ use crate::block::{
 };
 use crate::crc::crc32;
 use crate::error::{corrupt, io_err, Result, StoreError};
-use crate::index::{BTreeRefIndex, LearnedTimeIndex, PlaSegment, TimeIndex, DEFAULT_MAX_ERROR};
 use scoop_types::DurableRecord;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
 /// First 8 bytes of every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"SCOOPSG1";
@@ -44,6 +42,9 @@ pub const DEFAULT_BLOCK_SIZE: usize = 4096;
 const INDEX_PREFIX_LEN: usize = 16;
 const DIR_ENTRY_LEN: usize = 20;
 const PLA_ENTRY_LEN: usize = 24;
+/// The index prefix's `max_error` word. Earlier builds stored a learned
+/// model behind it and refuse a file whose word is 0; no lookup reads it.
+const LEGACY_MAX_ERROR: u32 = 4;
 
 /// What `Segment::open` found on disk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -205,28 +206,24 @@ fn decode_footer(bytes: &[u8; FOOTER_LEN]) -> Option<Footer> {
     })
 }
 
-fn encode_index(dir: &[BlockMeta], pla: &LearnedTimeIndex) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
-        INDEX_PREFIX_LEN + dir.len() * DIR_ENTRY_LEN + pla.segments().len() * PLA_ENTRY_LEN,
-    );
+fn encode_index(dir: &[BlockMeta]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(INDEX_PREFIX_LEN + dir.len() * DIR_ENTRY_LEN);
     out.extend_from_slice(&(dir.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(pla.segments().len() as u32).to_le_bytes());
-    out.extend_from_slice(&pla.max_error().to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes()); // pla_count: no lines
+    out.extend_from_slice(&LEGACY_MAX_ERROR.to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes());
     for meta in dir {
         out.extend_from_slice(&meta.first_time_ms.to_le_bytes());
         out.extend_from_slice(&meta.last_time_ms.to_le_bytes());
         out.extend_from_slice(&meta.count.to_le_bytes());
     }
-    for seg in pla.segments() {
-        out.extend_from_slice(&seg.start_key.to_le_bytes());
-        out.extend_from_slice(&seg.start_pos.to_le_bytes());
-        out.extend_from_slice(&seg.slope.to_bits().to_le_bytes());
-    }
     out
 }
 
-fn decode_index(bytes: &[u8], path: &Path) -> Result<(Vec<BlockMeta>, LearnedTimeIndex)> {
+/// Decodes and validates the index region into the block directory. Lines
+/// of the learned model earlier builds wrote after the directory are
+/// checked as those builds checked them, then dropped.
+fn decode_index(bytes: &[u8], path: &Path) -> Result<Vec<BlockMeta>> {
     if bytes.len() < INDEX_PREFIX_LEN {
         return Err(corrupt(path, "index region shorter than its prefix"));
     }
@@ -263,36 +260,32 @@ fn decode_index(bytes: &[u8], path: &Path) -> Result<(Vec<BlockMeta>, LearnedTim
         dir.push(meta);
         offset += DIR_ENTRY_LEN;
     }
-    let mut segments: Vec<PlaSegment> = Vec::with_capacity(pla_count);
+    // A legacy line is `start_key u64, start_pos u64, slope f64`. The rules
+    // are the ones its writer kept: lines in key order, each starting at a
+    // real block, none with a negative or non-finite slope.
+    let mut prev: Option<(u64, u64)> = None;
     for i in 0..pla_count {
-        let line = PlaSegment {
-            start_key: le_u64(bytes, offset),
-            start_pos: le_u64(bytes, offset + 8),
-            slope: f64::from_bits(le_u64(bytes, offset + 16)),
-        };
-        // What `LearnedTimeIndex::build_with_error` produces and `predict`
-        // relies on: lines in key order, each starting at a real block, none
-        // with a negative or non-finite slope. A table that breaks one of
-        // these would clamp with its bounds crossed or index past the
-        // directory.
-        let goes_back = segments
-            .last()
-            .is_some_and(|p| line.start_key < p.start_key || line.start_pos < p.start_pos);
-        if goes_back
-            || line.start_pos >= dir_count as u64
-            || !line.slope.is_finite()
-            || line.slope < 0.0
-        {
+        let (start_key, start_pos) = (le_u64(bytes, offset), le_u64(bytes, offset + 8));
+        let slope = f64::from_bits(le_u64(bytes, offset + 16));
+        let goes_back = prev.is_some_and(|(key, pos)| start_key < key || start_pos < pos);
+        if goes_back || start_pos >= dir_count as u64 || !slope.is_finite() || slope < 0.0 {
             return Err(corrupt(
                 path,
                 format!("learned-index line {i} goes back, starts past the directory or has a bad slope"),
             ));
         }
-        segments.push(line);
+        prev = Some((start_key, start_pos));
         offset += PLA_ENTRY_LEN;
     }
-    let learned = LearnedTimeIndex::from_parts(segments, max_error, dir.len());
-    Ok((dir, learned))
+    Ok(dir)
+}
+
+/// The index of the first block of `dir` whose last record time is `>= t`
+/// (`dir.len()` when every block ends before `t`): the partition point of
+/// `t` over the directory's `last_time_ms` column. The directory is sorted
+/// and in memory, so this one binary search is a segment's time index.
+pub fn first_block_for(dir: &[BlockMeta], t: u64) -> usize {
+    dir.partition_point(|m| m.last_time_ms < t)
 }
 
 /// Appends time-ordered records into a new segment file. Full blocks are
@@ -396,14 +389,11 @@ impl SegmentWriter {
     }
 }
 
-/// Seals `file`, whose data region is exactly the blocks of `dir`: fits the
-/// index, writes the index region and the committing footer after the data,
-/// fsyncs file and directory, and reopens the result.
+/// Seals `file`, whose data region is exactly the blocks of `dir`: writes
+/// the index region and the committing footer after the data, fsyncs file
+/// and directory, and reopens the result.
 fn seal_file(mut file: File, path: &Path, block_size: usize, dir: &[BlockMeta]) -> Result<Segment> {
-    let build_started = std::time::Instant::now();
-    let learned = LearnedTimeIndex::build_with_error(dir, DEFAULT_MAX_ERROR);
-    let index_bytes = encode_index(dir, &learned);
-    let index_build_secs = build_started.elapsed().as_secs_f64();
+    let index_bytes = encode_index(dir);
     let index_offset = (HEADER_LEN + dir.len() * block_size) as u64;
     let footer = Footer {
         record_count: dir.iter().map(|m| m.count as u64).sum(),
@@ -422,28 +412,20 @@ fn seal_file(mut file: File, path: &Path, block_size: usize, dir: &[BlockMeta]) 
     file.sync_all().map_err(|e| io_err(path, e))?;
     sync_dir_of(path)?;
     drop(file);
-    let mut segment =
-        Segment::open(path)?.ok_or_else(|| corrupt(path, "sealed segment vanished on reopen"))?;
-    segment.index_build_secs = index_build_secs;
-    Ok(segment)
+    Segment::open(path)?.ok_or_else(|| corrupt(path, "sealed segment vanished on reopen"))
 }
 
-/// A readable segment: the block directory and learned index live in
-/// memory; data blocks are fetched (and CRC-checked) on demand.
+/// A readable segment: the block directory lives in memory and is the time
+/// index; data blocks are fetched (and CRC-checked) on demand.
 pub struct Segment {
     path: PathBuf,
     file: File,
     block_size: usize,
     dir: Vec<BlockMeta>,
-    learned: LearnedTimeIndex,
-    /// Built by the first [`Segment::reference_index`] call; no query path
-    /// reads it.
-    reference: OnceLock<BTreeRefIndex>,
     record_count: u64,
     min_time_ms: u64,
     max_time_ms: u64,
     recovery: RecoveryOutcome,
-    index_build_secs: f64,
 }
 
 impl Segment {
@@ -523,7 +505,7 @@ impl Segment {
         if crc32(&index_bytes) != footer.index_crc {
             return Err(corrupt(path, "index region checksum mismatch"));
         }
-        let (dir, learned) = decode_index(&index_bytes, path)?;
+        let dir = decode_index(&index_bytes, path)?;
         if dir.len() as u64 != footer.block_count {
             return Err(corrupt(path, "directory length disagrees with footer"));
         }
@@ -549,13 +531,10 @@ impl Segment {
             file,
             block_size,
             dir,
-            learned,
-            reference: OnceLock::new(),
             record_count: footer.record_count,
             min_time_ms: footer.min_time_ms,
             max_time_ms: footer.max_time_ms,
             recovery: RecoveryOutcome::Sealed,
-            index_build_secs: 0.0,
         })
     }
 
@@ -633,23 +612,6 @@ impl Segment {
         &self.dir
     }
 
-    /// The learned index (for stats and A/B checks).
-    pub fn learned_index(&self) -> &LearnedTimeIndex {
-        &self.learned
-    }
-
-    /// Wall-clock seconds spent fitting + encoding this segment's index
-    /// (zero when the index was loaded from disk rather than built).
-    pub fn index_build_secs(&self) -> f64 {
-        self.index_build_secs
-    }
-
-    /// The reference index (for A/B checks), built on first use.
-    pub fn reference_index(&self) -> &BTreeRefIndex {
-        self.reference
-            .get_or_init(|| BTreeRefIndex::build(&self.dir))
-    }
-
     /// Bytes this segment occupies on disk.
     pub fn disk_bytes(&self) -> Result<u64> {
         Ok(self
@@ -692,32 +654,25 @@ impl Segment {
 
     /// All records with timestamp exactly `t`.
     pub fn query_point(&self, t: u64) -> Result<ScanOutcome> {
-        self.scan_matching(t, t, &self.learned)
+        self.query_range(t, t)
     }
 
     /// All records with `t0 <= time_ms <= t1`.
     pub fn query_range(&self, t0: u64, t1: u64) -> Result<ScanOutcome> {
-        self.scan_matching(t0, t1, &self.learned)
-    }
-
-    /// Range scan steered by an explicit index implementation (the model
-    /// tests drive both the learned and the reference index through here).
-    pub fn scan_matching(&self, t0: u64, t1: u64, index: &dyn TimeIndex) -> Result<ScanOutcome> {
         let mut outcome = ScanOutcome::default();
         let (buf, records) = (&mut BlockBuf::default(), &mut outcome.records);
-        outcome.blocks_read = self.scan_matching_into(t0, t1, index, buf, |_| true, records)?;
+        outcome.blocks_read = self.scan_matching_into(t0, t1, buf, |_| true, records)?;
         Ok(outcome)
     }
 
-    /// [`Segment::scan_matching`] through a caller-owned `buf`, appending
-    /// the in-window records `keep` accepts to `out` (the store merges all
-    /// its segments into one this way). Returns the blocks read — none when
-    /// the window misses the segment's `[min_time, max_time]`.
+    /// [`Segment::query_range`] through a caller-owned `buf`, appending the
+    /// in-window records `keep` accepts to `out` (the store merges all its
+    /// segments into one this way). Returns the blocks read — none when the
+    /// window misses the segment's `[min_time, max_time]`.
     pub(crate) fn scan_matching_into(
         &self,
         t0: u64,
         t1: u64,
-        index: &dyn TimeIndex,
         buf: &mut BlockBuf,
         keep: impl Fn(&DurableRecord) -> bool,
         out: &mut Vec<DurableRecord>,
@@ -726,7 +681,7 @@ impl Segment {
         if t1 < t0 || t1 < self.min_time_ms || t0 > self.max_time_ms {
             return Ok(blocks_read);
         }
-        let mut i = index.first_block_for(t0, &self.dir);
+        let mut i = first_block_for(&self.dir, t0);
         while i < self.dir.len() && self.dir[i].first_time_ms <= t1 {
             let records = self.read_block_into(buf, i)?;
             blocks_read += 1;

@@ -57,14 +57,15 @@ pub struct StoreStats {
     pub records: u64,
     /// Bytes the store occupies on disk.
     pub disk_bytes: u64,
-    /// Piecewise-linear segments across all learned indexes.
+    /// Always 0: no segment holds a learned model any more. Kept for
+    /// `bench/` only.
     pub pla_segments: usize,
     /// Data blocks fetched from disk since this store was opened.
     pub blocks_read: u64,
-    /// Learned-index lookups that fell back to a full binary search
-    /// (expected to stay 0; the model tests prove the bound).
+    /// Always 0: the directory lookup has no fallback. Kept for `bench/`
+    /// only.
     pub index_fallback_lookups: u64,
-    /// Wall-clock seconds spent building learned indexes since open.
+    /// Always 0: sealing builds no model. Kept for `bench/` only.
     pub index_build_secs: f64,
     /// Earliest committed timestamp (ms), 0 when empty.
     pub min_time_ms: u64,
@@ -96,9 +97,6 @@ pub struct Store {
     blocks_read: u64,
     /// The block reader's buffers, reused by every lookup and scan.
     buf: BlockBuf,
-    /// Counters carried over from segments retired by compaction.
-    retired_fallbacks: u64,
-    retired_index_build_secs: f64,
     recovery_report: Vec<(PathBuf, RecoveryOutcome)>,
 }
 
@@ -153,8 +151,6 @@ impl Store {
             next_id: ids.last().map(|id| id + 1).unwrap_or(0),
             blocks_read: 0,
             buf: BlockBuf::default(),
-            retired_fallbacks: 0,
-            retired_index_build_secs: 0.0,
             recovery_report,
         })
     }
@@ -272,9 +268,9 @@ impl Store {
         let inputs: Vec<&Segment> = tier.iter().map(|&i| &*self.segments[i].1).collect();
         let output_path = segment_path(&self.dir, output_id);
         let merged = compact::merge(&inputs, &output_path, self.options.block_size)?;
-        // Retire the inputs: carry their counters over, then delete their
-        // files (the merged output is already durable under its own name; a
-        // snapshot still holding an input reads on through its descriptor).
+        // Retire the inputs: delete their files (the merged output is
+        // already durable under its own name; a snapshot still holding an
+        // input reads on through its descriptor).
         let retired: Vec<Arc<Segment>> = tier
             .iter()
             .rev()
@@ -284,8 +280,6 @@ impl Store {
         // the largest and the list stays in id order.
         self.segments.push((output_id, Arc::new(merged)));
         for segment in &retired {
-            self.retired_fallbacks += segment.learned_index().fallback_lookups();
-            self.retired_index_build_secs += segment.index_build_secs();
             std::fs::remove_file(segment.path()).map_err(|e| io_err(segment.path(), e))?;
         }
         Ok(())
@@ -319,8 +313,8 @@ impl Store {
         self.commit()?;
         let mut merged = ScanOutcome::default();
         for (_, segment) in &self.segments {
-            let (index, buf, out) = (segment.learned_index(), &mut self.buf, &mut merged.records);
-            merged.blocks_read += segment.scan_matching_into(t0, t1, index, buf, |_| true, out)?;
+            let (buf, out) = (&mut self.buf, &mut merged.records);
+            merged.blocks_read += segment.scan_matching_into(t0, t1, buf, |_| true, out)?;
         }
         self.blocks_read += merged.blocks_read;
         merged.records.sort_unstable();
@@ -369,8 +363,6 @@ impl Store {
         let mut stats = StoreStats {
             segments: self.segments.len(),
             blocks_read: self.blocks_read,
-            index_fallback_lookups: self.retired_fallbacks,
-            index_build_secs: self.retired_index_build_secs,
             min_time_ms: u64::MAX,
             ..StoreStats::default()
         };
@@ -378,9 +370,6 @@ impl Store {
             stats.blocks += segment.block_count();
             stats.records += segment.record_count();
             stats.disk_bytes += segment.disk_bytes()?;
-            stats.pla_segments += segment.learned_index().segments().len();
-            stats.index_fallback_lookups += segment.learned_index().fallback_lookups();
-            stats.index_build_secs += segment.index_build_secs();
             if segment.record_count() > 0 {
                 stats.min_time_ms = stats.min_time_ms.min(segment.min_time_ms());
                 stats.max_time_ms = stats.max_time_ms.max(segment.max_time_ms());
@@ -409,10 +398,10 @@ impl std::fmt::Debug for Store {
 }
 
 /// A read-only view of the segments that were sealed when
-/// [`Store::snapshot`] took it. Only the block directories and learned
-/// indexes are in memory; a lookup fetches the few blocks its window names.
-/// The view never changes: records the store appends later are not in it,
-/// and inputs a later compaction retires stay readable until it is dropped.
+/// [`Store::snapshot`] took it. Only the block directories are in memory; a
+/// lookup fetches the few blocks its window names. The view never changes:
+/// records the store appends later are not in it, and inputs a later
+/// compaction retires stay readable until it is dropped.
 #[derive(Debug)]
 pub struct Snapshot {
     segments: Vec<Arc<Segment>>,
@@ -437,8 +426,7 @@ impl Snapshot {
     ) -> Result<u64> {
         let mut blocks_read = 0;
         for segment in &self.segments {
-            let index = segment.learned_index();
-            blocks_read += segment.scan_matching_into(t0, t1, index, &mut self.buf, &keep, out)?;
+            blocks_read += segment.scan_matching_into(t0, t1, &mut self.buf, &keep, out)?;
         }
         Ok(blocks_read)
     }
@@ -565,7 +553,6 @@ mod tests {
             assert!(miss.records.is_empty());
             assert!(miss.blocks_read <= 1);
         }
-        assert_eq!(store.stats().unwrap().index_fallback_lookups, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

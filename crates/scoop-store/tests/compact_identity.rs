@@ -260,7 +260,10 @@ impl SplitMix {
 /// advances, often stalls (equal-time runs across batches, hence across
 /// blocks and segments) and sometimes rolls back (a fresh segment behind the
 /// last). The digests below were recorded on the collect-sort-write merge
-/// this crate shipped before the streaming one and have not changed since.
+/// this crate shipped before the streaming one, and re-recorded once when
+/// the writer stopped storing learned-index lines: the shorter files fall
+/// into different log4 size tiers, so the schedule leaves 9 files before
+/// the final merge instead of 11.
 #[test]
 fn fixed_adversarial_schedule_reproduces_the_recorded_digests() {
     let root = scratch("schedule");
@@ -323,10 +326,10 @@ fn fixed_adversarial_schedule_reproduces_the_recorded_digests() {
         seen,
         (
             19_372,
-            11,
-            "seg-00000851.scoop".to_string(),
-            "5514f748091bb5b4".to_string(),
-            "8f5d6da56bb3e41a".to_string()
+            9,
+            "seg-00000852.scoop".to_string(),
+            "06f8e82ccd681db1".to_string(),
+            "52188be65e557fce".to_string()
         )
     );
     drop(store);

@@ -6,7 +6,7 @@
 //! disk may not.
 
 use scoop_store::crc::LANE_MIN;
-use scoop_store::{RecoveryOutcome, Segment, StoreError};
+use scoop_store::{RecoveryOutcome, Segment, SegmentWriter, StoreError};
 use scoop_types::{DurableRecord, NodeId};
 
 /// CRC-32/IEEE straight from its definition: one bit per step.
@@ -55,12 +55,24 @@ fn block(records: &[DurableRecord], block_size: usize) -> Vec<u8> {
     out
 }
 
-/// Header, the blocks, index region, footer. `dir_counts` are the record
-/// counts the directory claims per block (honest callers pass the lengths).
+/// Header, the blocks, index region with one legacy PLA line, footer.
+/// `dir_counts` are the record counts the directory claims per block (honest
+/// callers pass the lengths).
 fn documented_segment(
     block_size: usize,
     blocks: &[Vec<DurableRecord>],
     dir_counts: &[u32],
+) -> Vec<u8> {
+    documented_segment_with_lines(block_size, blocks, dir_counts, 1)
+}
+
+/// [`documented_segment`] with `pla_lines` (0 or 1) legacy PLA lines: 0 is
+/// what the writer emits, 1 what earlier builds did.
+fn documented_segment_with_lines(
+    block_size: usize,
+    blocks: &[Vec<DurableRecord>],
+    dir_counts: &[u32],
+    pla_lines: u32,
 ) -> Vec<u8> {
     let mut file = Vec::new();
     file.extend_from_slice(b"SCOOPSG1");
@@ -74,12 +86,12 @@ fn documented_segment(
         file.extend_from_slice(&block(records, block_size));
     }
 
-    // One flat PLA line through the origin, its error bound at least the
-    // directory's length, covers every block.
+    // At most one flat PLA line through the origin, its error bound at least
+    // the directory's length, covering every block.
     let index_offset = file.len() as u64;
     let mut index = Vec::new();
     index.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-    index.extend_from_slice(&1u32.to_le_bytes());
+    index.extend_from_slice(&pla_lines.to_le_bytes());
     index.extend_from_slice(&(blocks.len() as u32).max(8).to_le_bytes());
     index.extend_from_slice(&0u32.to_le_bytes());
     for (records, count) in blocks.iter().zip(dir_counts) {
@@ -87,9 +99,11 @@ fn documented_segment(
         index.extend_from_slice(&records[records.len() - 1].time_ms.to_le_bytes());
         index.extend_from_slice(&count.to_le_bytes());
     }
-    index.extend_from_slice(&0u64.to_le_bytes());
-    index.extend_from_slice(&0u64.to_le_bytes());
-    index.extend_from_slice(&0f64.to_bits().to_le_bytes());
+    for _ in 0..pla_lines {
+        index.extend_from_slice(&0u64.to_le_bytes());
+        index.extend_from_slice(&0u64.to_le_bytes());
+        index.extend_from_slice(&0f64.to_bits().to_le_bytes());
+    }
     file.extend_from_slice(&index);
 
     let all: Vec<&DurableRecord> = blocks.iter().flatten().collect();
@@ -155,6 +169,64 @@ fn a_segment_built_from_the_format_document_opens_and_reads_back() {
         std::fs::read(&path).unwrap(),
         bytes,
         "opening a sealed file rewrites nothing"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The writer's form: an empty PLA array (`pla_count = 0`), the index
+/// region just the prefix and the directory.
+#[test]
+fn a_segment_without_pla_lines_opens_and_reads_back() {
+    let blocks = two_blocks();
+    let dir = scratch_dir("no-lines");
+    let path = dir.join("seg-00000000.scoop");
+    let bytes = documented_segment_with_lines(BLOCK_SIZE, &blocks, &[4, 2], 0);
+    assert_eq!(
+        bytes.len(),
+        32 + 2 * BLOCK_SIZE + (16 + 20 * 2) + 64,
+        "header, blocks, prefix and directory, footer"
+    );
+    std::fs::write(&path, &bytes).unwrap();
+
+    let segment = Segment::open(&path).unwrap().expect("committed data");
+    assert_eq!(segment.recovery(), RecoveryOutcome::Sealed);
+    assert_eq!(segment.record_count(), 6);
+    let expected: Vec<DurableRecord> = blocks.concat();
+    assert_eq!(segment.scan_all().unwrap().records, expected);
+    assert_eq!(segment.query_point(31).unwrap().records, expected[3..5]);
+    assert_eq!(segment.query_range(11, 89).unwrap().records, expected[2..5]);
+    drop(segment);
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `SegmentWriter::seal` writes no PLA lines: `pla_count` is 0, the
+/// `max_error` word is non-zero (earlier readers refuse 0), and the index
+/// region is exactly `16 + 20 × blocks` bytes.
+#[test]
+fn the_writer_seals_an_index_region_of_prefix_and_directory_only() {
+    let dir = scratch_dir("writer");
+    let path = dir.join("seg-00000000.scoop");
+    let mut writer = SegmentWriter::create(&path, BLOCK_SIZE).unwrap();
+    for t in 0..11u64 {
+        writer.append(record(t * 5, t as i32)).unwrap();
+    }
+    let blocks = writer.seal().unwrap().block_count();
+    assert_eq!(blocks, 3, "four records to a block");
+
+    let file = std::fs::read(&path).unwrap();
+    let u64_at = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap());
+    let u32_at = |at: usize| u32::from_le_bytes(file[at..at + 4].try_into().unwrap());
+    let footer = file.len() - 64;
+    let (index_offset, index_len) = (u64_at(footer + 24) as usize, u64_at(footer + 32) as usize);
+    assert_eq!(index_len, 16 + 20 * blocks);
+    assert_eq!(index_offset + index_len, footer);
+    assert_eq!(u32_at(index_offset), blocks as u32, "dir_count");
+    assert_eq!(u32_at(index_offset + 4), 0, "pla_count");
+    assert_ne!(u32_at(index_offset + 8), 0, "max_error");
+    assert_eq!(
+        crc32_bitwise(&file[index_offset..footer]),
+        u32_at(footer + 56)
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -137,9 +137,10 @@ fn a_footer_whose_geometry_wraps_is_refused_before_allocating() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Replaces a sealed file's learned-index table with `lines`
+/// Replaces a sealed file's legacy learned-index table with `lines`
 /// (`start_key`, `start_pos`, `slope`), keeping its block directory, and
-/// rewrites the footer to match.
+/// rewrites the footer to match. The writer leaves the table empty; files
+/// from earlier builds carry one, and the reader still validates it.
 fn with_learned_lines(file: &[u8], lines: &[(u64, u64, f64)]) -> Vec<u8> {
     let old = index_region(file);
     let dir_count = u32_at(file, old.start) as usize;
@@ -318,7 +319,7 @@ fn open_and_query(path: &Path) {
 }
 
 /// `per_block` records to a block and the times `steps` walk through, step
-/// 5 a jump so that some directories need several learned lines.
+/// 5 a jump so that some directories get several [`legacy_lines`].
 fn sealed_from_steps(path: &Path, per_block: usize, steps: &[u64]) -> (Vec<u8>, usize) {
     let times: Vec<u64> = steps
         .iter()
@@ -331,11 +332,25 @@ fn sealed_from_steps(path: &Path, per_block: usize, steps: &[u64]) -> (Vec<u8>, 
     (sealed_bytes(path, block_size, &times), block_size)
 }
 
+/// Valid legacy lines for a sealed file, as an earlier build's fit would
+/// roughly have left them: one from block 0 and one from each block that
+/// starts after a time jump, each keyed by its block's last time.
+fn legacy_lines(file: &[u8]) -> Vec<(u64, u64, f64)> {
+    let index = index_region(file);
+    let entry = |i: usize| index.start + INDEX_PREFIX_LEN + i * DIR_ENTRY_LEN;
+    let jumps_in = |i: usize| u64_at(file, entry(i)) - u64_at(file, entry(i - 1) + 8) >= 100_000;
+    (0..u32_at(file, index.start) as usize)
+        .filter(|&i| i == 0 || jumps_in(i))
+        .map(|i| (u64_at(file, entry(i) + 8), i as u64, 0.5))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Every field of a random small sealed segment, overwritten with every
-    /// edge value under re-sealed CRCs, opens and answers without a panic.
+    /// Every field of a random small sealed segment carrying legacy lines,
+    /// overwritten with every edge value under re-sealed CRCs, opens and
+    /// answers without a panic.
     #[test]
     fn edge_values_in_any_field_never_panic_the_reader(
         per_block in 1usize..5,
@@ -343,8 +358,14 @@ proptest! {
     ) {
         let dir = scratch(&format!("mutate-{per_block}-{}", steps.len()));
         let path = dir.join("seg-00000000.scoop");
-        let (sealed, _) = sealed_from_steps(&path, per_block, &steps);
+        let (written, _) = sealed_from_steps(&path, per_block, &steps);
+        let sealed = with_learned_lines(&written, &legacy_lines(&written));
         let index = index_region(&sealed);
+        prop_assert!(u32_at(&sealed, index.start + 4) >= 1, "the seed carries lines");
+        std::fs::write(&path, &sealed).unwrap();
+        let seeded = Segment::open(&path).unwrap().expect("sealed");
+        prop_assert_eq!(seeded.scan_all().unwrap().records.len(), steps.len());
+        drop(seeded);
         for field in fields(&sealed) {
             for value in EDGES {
                 let mut bad = sealed.clone();

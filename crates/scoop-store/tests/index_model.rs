@@ -1,12 +1,14 @@
-//! Property-based model test: the learned (piecewise-linear) time index must
-//! agree with the `BTreeMap` reference index on every lookup, over arbitrary
-//! monotone workloads — including the empty, single-block, and
-//! duplicate-timestamp edges — and a segment queried through either index
-//! must return identical point and range results.
+//! Property-based model test: the block-directory lookup
+//! (`first_block_for`, a partition point over the blocks' last times) must
+//! agree with a `BTreeMap` reference on every lookup, over arbitrary
+//! monotone directories — including the empty, single-block, and
+//! duplicate-timestamp edges — and a sealed segment's point and range
+//! queries must match a naive filter over the records it was given.
 
 use proptest::prelude::*;
-use scoop_store::{BTreeRefIndex, BlockMeta, LearnedTimeIndex, SegmentWriter, TimeIndex};
+use scoop_store::{first_block_for, BlockMeta, SegmentWriter};
 use scoop_types::{DurableRecord, NodeId};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// Folds `(gap, span, count)` triples into a valid monotone block directory:
@@ -28,6 +30,17 @@ fn directory(shape: &[(u64, u64, u16)]) -> Vec<BlockMeta> {
     dir
 }
 
+/// The reference: block last time → the smallest block index carrying it.
+/// The first block for `t` is the one at the first key `>= t`.
+fn reference(dir: &[BlockMeta]) -> BTreeMap<u64, usize> {
+    let mut by_last_time = BTreeMap::new();
+    // In reverse, so the smallest index of a duplicate key wins.
+    for (i, meta) in dir.iter().enumerate().rev() {
+        by_last_time.insert(meta.last_time_ms, i);
+    }
+    by_last_time
+}
+
 /// Query times worth probing: every key, its neighbours, and the far edges.
 fn probes(dir: &[BlockMeta]) -> Vec<u64> {
     let mut probes = vec![0, 1, u64::MAX];
@@ -39,6 +52,22 @@ fn probes(dir: &[BlockMeta]) -> Vec<u64> {
     probes
 }
 
+fn assert_agrees(dir: &[BlockMeta], times: impl IntoIterator<Item = u64>) {
+    let by_last_time = reference(dir);
+    for t in times {
+        let expected = by_last_time
+            .range(t..)
+            .next()
+            .map_or(dir.len(), |(_, &i)| i);
+        assert_eq!(
+            first_block_for(dir, t),
+            expected,
+            "t={t} over {} blocks",
+            dir.len()
+        );
+    }
+}
+
 fn scratch(name: u64) -> PathBuf {
     std::env::temp_dir().join(format!(
         "scoop-idxmodel-{}-{name}.scoop",
@@ -46,34 +75,35 @@ fn scratch(name: u64) -> PathBuf {
     ))
 }
 
+#[test]
+fn empty_single_block_and_duplicate_key_directories() {
+    assert_agrees(&[], [0, 1, u64::MAX]);
+    let one = directory(&[(5, 4, 1)]);
+    assert_agrees(&one, (0..20).chain([u64::MAX]));
+    // Three blocks ending at 10, then a run of blocks that all end at 10.
+    let dupes = directory(&[(0, 10, 3), (0, 0, 1), (0, 0, 1), (0, 0, 2), (3, 7, 1)]);
+    assert_eq!(first_block_for(&dupes, 10), 0, "first of the equal keys");
+    assert_eq!(first_block_for(&dupes, 11), 4);
+    assert_agrees(&dupes, probes(&dupes));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// `first_block_for` agrees with the reference on arbitrary monotone
-    /// directories, for every error bound, at every interesting query time.
+    /// directories at every interesting query time.
     #[test]
-    fn learned_index_matches_reference_on_lookup(
+    fn directory_lookup_matches_reference(
         shape in proptest::collection::vec((0u64..20, 0u64..20, 1u16..512), 0..64),
-        max_error in 1u32..9,
         extra in proptest::collection::vec(0u64..2_000, 0..16),
     ) {
         let dir = directory(&shape);
-        let learned = LearnedTimeIndex::build_with_error(&dir, max_error);
-        let reference = BTreeRefIndex::build(&dir);
-        let mut times = probes(&dir);
-        times.extend(extra);
-        for t in times {
-            prop_assert_eq!(
-                learned.first_block_for(t, &dir),
-                reference.first_block_for(t, &dir),
-                "t={} over {} blocks (max_error {})", t, dir.len(), max_error
-            );
-        }
+        assert_agrees(&dir, probes(&dir).into_iter().chain(extra));
     }
 
-    /// A real sealed segment answers point and range queries identically
-    /// through the learned and the reference index, and both match a naive
-    /// in-memory filter over the ingested records.
+    /// A real sealed segment answers point and range queries exactly as a
+    /// naive in-memory filter over the ingested records does, and a point
+    /// query is the one-instant range.
     #[test]
     fn segment_queries_agree_with_naive_model(
         deltas in proptest::collection::vec(0u64..30, 1..300),
@@ -106,14 +136,8 @@ proptest! {
                 .copied()
                 .filter(|r| (t0..=t1).contains(&r.time_ms))
                 .collect();
-            let learned = segment
-                .scan_matching(t0, t1, segment.learned_index())
-                .unwrap();
-            let reference = segment
-                .scan_matching(t0, t1, segment.reference_index())
-                .unwrap();
-            prop_assert_eq!(&learned.records, &expected, "range [{}, {}]", t0, t1);
-            prop_assert_eq!(&reference.records, &expected, "range [{}, {}]", t0, t1);
+            let range = segment.query_range(t0, t1).unwrap();
+            prop_assert_eq!(&range.records, &expected, "range [{}, {}]", t0, t1);
             // Point queries at both window edges.
             for t in [t0, t1] {
                 let expected_point: Vec<DurableRecord> = records
@@ -121,7 +145,11 @@ proptest! {
                     .copied()
                     .filter(|r| r.time_ms == t)
                     .collect();
-                prop_assert_eq!(&segment.query_point(t).unwrap().records, &expected_point);
+                let point = segment.query_point(t).unwrap();
+                prop_assert_eq!(&point.records, &expected_point);
+                let instant = segment.query_range(t, t).unwrap();
+                prop_assert_eq!(&instant.records, &point.records);
+                prop_assert_eq!(instant.blocks_read, point.blocks_read);
             }
         }
         std::fs::remove_file(&path).unwrap();

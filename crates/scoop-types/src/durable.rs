@@ -7,9 +7,9 @@
 //! definition, and a format change is a change to exactly one file.
 //!
 //! Records sort by `(time, node, attribute, value)`: the segment log is
-//! time-ordered (that is what makes the learned index over the time column
-//! work), and the remaining fields give ingest a total order so equal-time
-//! records land deterministically.
+//! time-ordered (that is what makes the binary search over the block
+//! directory's time column work), and the remaining fields give ingest a
+//! total order so equal-time records land deterministically.
 
 use crate::{Attribute, NodeId, Reading, ScoopError, SimTime, Value};
 use serde::{Deserialize, Serialize};

@@ -87,9 +87,38 @@ pub mod net {
     }
 }
 
-/// [`scoop_store`], plus `block::decode_block`.
+/// [`scoop_store`], plus `block::decode_block` and the `TimeIndex` trait.
 pub mod store {
     pub use scoop_store::*;
+
+    /// The time-index lookup a segment once took from a learned model, now
+    /// [`first_block_for`] over the block directory. Kept for `bench/` only.
+    pub trait TimeIndex {
+        /// [`first_block_for`]`(dir, t)`. Kept for `bench/` only.
+        fn first_block_for(&self, t: u64, dir: &[BlockMeta]) -> usize;
+
+        /// This segment's lookup. Kept for `bench/` only.
+        fn learned_index(&self) -> &dyn TimeIndex
+        where
+            Self: Sized,
+        {
+            self
+        }
+
+        /// This segment's lookup. Kept for `bench/` only.
+        fn reference_index(&self) -> &dyn TimeIndex
+        where
+            Self: Sized,
+        {
+            self
+        }
+    }
+
+    impl TimeIndex for Segment {
+        fn first_block_for(&self, t: u64, dir: &[BlockMeta]) -> usize {
+            first_block_for(dir, t)
+        }
+    }
 
     /// [`scoop_store::block`], plus `decode_block`.
     pub mod block {

@@ -2,8 +2,10 @@
 //! shims: every one must behave exactly like the crate API it wraps.
 
 use scoop::net::{LinkGen, StdLinkGen, StdTopologyGen, TopologyGen};
+use scoop::store::TimeIndex;
 use scoop_net::{LinkModel, Topology};
 use scoop_store::block::{decode_block_into, encode_block};
+use scoop_store::SegmentWriter;
 use scoop_types::{DurableRecord, LinkSpec, NodeId, ScenarioSpec, TopologyKind, TopologySpec};
 use std::any::TypeId;
 use std::path::Path;
@@ -96,4 +98,50 @@ fn storage_data_buffer_is_the_simulator_data_buffer() {
         TypeId::of::<scoop::storage::DataBuffer>(),
         TypeId::of::<scoop_sim::DataBuffer>()
     );
+}
+
+#[test]
+fn time_index_probes_are_the_directory_partition_point() {
+    let dir = std::env::temp_dir().join(format!("scoop-compat-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("seg-00000000.scoop");
+    // Two records to a block; runs of equal times cross block boundaries.
+    let mut writer = SegmentWriter::create(&path, 8 + 16 * 2).unwrap();
+    for (i, t) in [3u64, 3, 3, 3, 3, 8, 20, 20, 21, 40, 40, 40, 95]
+        .into_iter()
+        .enumerate()
+    {
+        let record = DurableRecord {
+            time_ms: t,
+            node: NodeId(1),
+            attribute: 0,
+            value: i as i32,
+        };
+        writer.append(record).unwrap();
+    }
+    let segment = writer.seal().unwrap();
+    let blocks = segment.dir();
+    assert_eq!(blocks.len(), 7);
+
+    let mut times = vec![0, u64::MAX];
+    for meta in blocks {
+        for key in [meta.first_time_ms, meta.last_time_ms] {
+            times.extend([key - 1, key, key + 1]);
+        }
+    }
+    for t in times {
+        let expected = blocks.partition_point(|m| m.last_time_ms < t);
+        assert_eq!(
+            segment.learned_index().first_block_for(t, blocks),
+            expected,
+            "t={t}"
+        );
+        assert_eq!(
+            segment.reference_index().first_block_for(t, blocks),
+            expected,
+            "t={t}"
+        );
+    }
+    drop(segment);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
