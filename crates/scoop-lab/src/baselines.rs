@@ -43,33 +43,35 @@ pub fn paper_baseline(id: ExperimentId) -> Option<BaselineSet> {
     // The reference bar of a ratio-normalized panel is 1.0 by construction;
     // a tiny absolute tolerance keeps it an explicit, visible row.
     let definitional = Absolute(1e-9);
+    let vs_ref = |key, expected, tolerance| row(key, &[("total_vs_ref", expected, tolerance)]);
+    let vs_base = |key, expected, tolerance| row(key, &[("total_vs_base", expected, tolerance)]);
     let (source, rows): (&str, Vec<BaselineRow>) = match id {
         ExperimentId::Fig3Left => (
             "paper Figure 3 (left), bars normalized to BASE/gaussian (read off the figure)",
             vec![
-                row("scoop/unique", &[("total_vs_ref", 0.35, Relative(0.45))]),
-                row("scoop/gaussian", &[("total_vs_ref", 0.80, Relative(0.30))]),
-                row("local/gaussian", &[("total_vs_ref", 1.10, Relative(0.25))]),
-                row("base/gaussian", &[("total_vs_ref", 1.0, definitional)]),
+                vs_ref("scoop/unique", 0.35, Relative(0.45)),
+                vs_ref("scoop/gaussian", 0.80, Relative(0.30)),
+                vs_ref("local/gaussian", 1.10, Relative(0.25)),
+                vs_ref("base/gaussian", 1.0, definitional),
             ],
         ),
         ExperimentId::Fig3Middle => (
             "paper Figure 3 (middle), bars normalized to BASE (read off the figure)",
             vec![
-                row("scoop/real", &[("total_vs_ref", 0.70, Relative(0.30))]),
-                row("local/real", &[("total_vs_ref", 1.10, Relative(0.25))]),
-                row("base/real", &[("total_vs_ref", 1.0, definitional)]),
-                row("hash/real", &[("total_vs_ref", 0.95, Relative(0.25))]),
+                vs_ref("scoop/real", 0.70, Relative(0.30)),
+                vs_ref("local/real", 1.10, Relative(0.25)),
+                vs_ref("base/real", 1.0, definitional),
+                vs_ref("hash/real", 0.95, Relative(0.25)),
             ],
         ),
         ExperimentId::Fig3Right => (
             "paper Figure 3 (right), bars normalized to SCOOP/REAL (read off the figure)",
             vec![
-                row("scoop/unique", &[("total_vs_ref", 0.50, Relative(0.40))]),
-                row("scoop/equal", &[("total_vs_ref", 0.55, Relative(0.40))]),
-                row("scoop/real", &[("total_vs_ref", 1.0, definitional)]),
-                row("scoop/gaussian", &[("total_vs_ref", 1.15, Relative(0.30))]),
-                row("scoop/random", &[("total_vs_ref", 1.15, Relative(0.30))]),
+                vs_ref("scoop/unique", 0.50, Relative(0.40)),
+                vs_ref("scoop/equal", 0.55, Relative(0.40)),
+                vs_ref("scoop/real", 1.0, definitional),
+                vs_ref("scoop/gaussian", 1.15, Relative(0.30)),
+                vs_ref("scoop/random", 1.15, Relative(0.30)),
             ],
         ),
         ExperimentId::Fig4 => (
@@ -77,22 +79,13 @@ pub fn paper_baseline(id: ExperimentId) -> Option<BaselineSet> {
              nodes queried; LOCAL and BASE are flat (curve points normalized to BASE \
              at the same query width)",
             vec![
-                row("scoop/width-2%", &[("total_vs_base", 0.35, Relative(0.35))]),
-                row(
-                    "scoop/width-50%",
-                    &[("total_vs_base", 0.90, Relative(0.30))],
-                ),
-                row(
-                    "scoop/width-100%",
-                    &[("total_vs_base", 1.30, Relative(0.30))],
-                ),
-                row("local/width-2%", &[("total_vs_base", 1.10, Relative(0.25))]),
-                row(
-                    "local/width-100%",
-                    &[("total_vs_base", 1.10, Relative(0.25))],
-                ),
-                row("base/width-2%", &[("total_vs_base", 1.0, definitional)]),
-                row("base/width-100%", &[("total_vs_base", 1.0, definitional)]),
+                vs_base("scoop/width-2%", 0.35, Relative(0.35)),
+                vs_base("scoop/width-50%", 0.90, Relative(0.30)),
+                vs_base("scoop/width-100%", 1.30, Relative(0.30)),
+                vs_base("local/width-2%", 1.10, Relative(0.25)),
+                vs_base("local/width-100%", 1.10, Relative(0.25)),
+                vs_base("base/width-2%", 1.0, definitional),
+                vs_base("base/width-100%", 1.0, definitional),
             ],
         ),
         ExperimentId::Fig5 => (
@@ -100,48 +93,24 @@ pub fn paper_baseline(id: ExperimentId) -> Option<BaselineSet> {
              become rare); SCOOP mildly decreasing; BASE flat (curve points normalized \
              to BASE at the same interval)",
             vec![
-                row(
-                    "scoop/interval-5s",
-                    &[("total_vs_base", 1.15, Relative(0.30))],
-                ),
-                row(
-                    "scoop/interval-15s",
-                    &[("total_vs_base", 0.75, Relative(0.30))],
-                ),
-                row(
-                    "scoop/interval-50s",
-                    &[("total_vs_base", 0.55, Relative(0.30))],
-                ),
-                row(
-                    "local/interval-5s",
-                    &[("total_vs_base", 3.00, Relative(0.35))],
-                ),
-                row(
-                    "local/interval-50s",
-                    &[("total_vs_base", 0.33, Relative(0.40))],
-                ),
-                row("base/interval-5s", &[("total_vs_base", 1.0, definitional)]),
-                row("base/interval-50s", &[("total_vs_base", 1.0, definitional)]),
+                vs_base("scoop/interval-5s", 1.15, Relative(0.30)),
+                vs_base("scoop/interval-15s", 0.75, Relative(0.30)),
+                vs_base("scoop/interval-50s", 0.55, Relative(0.30)),
+                vs_base("local/interval-5s", 3.00, Relative(0.35)),
+                vs_base("local/interval-50s", 0.33, Relative(0.40)),
+                vs_base("base/interval-5s", 1.0, definitional),
+                vs_base("base/interval-50s", 1.0, definitional),
             ],
         ),
         ExperimentId::Ablations => (
             "mechanism expectations from DESIGN.md (the paper has no ablation figure); \
              variants normalized to the unmodified baseline",
             vec![
-                row("baseline", &[("total_vs_ref", 1.0, definitional)]),
-                row("no-batching", &[("total_vs_ref", 1.45, Relative(0.25))]),
-                row(
-                    "no-index-suppression",
-                    &[("total_vs_ref", 1.0, Relative(0.10))],
-                ),
-                row(
-                    "no-neighbor-shortcut",
-                    &[("total_vs_ref", 1.10, Relative(0.20))],
-                ),
-                row(
-                    "store-local-fallback",
-                    &[("total_vs_ref", 1.0, Relative(0.15))],
-                ),
+                vs_ref("baseline", 1.0, definitional),
+                vs_ref("no-batching", 1.45, Relative(0.25)),
+                vs_ref("no-index-suppression", 1.0, Relative(0.10)),
+                vs_ref("no-neighbor-shortcut", 1.10, Relative(0.20)),
+                vs_ref("store-local-fallback", 1.0, Relative(0.15)),
             ],
         ),
         ExperimentId::Reliability => (
@@ -161,32 +130,13 @@ pub fn paper_baseline(id: ExperimentId) -> Option<BaselineSet> {
         // calibration grid, the large-scale grid scenarios, the chaos fault
         // family, and the range/aggregate workload grids go beyond it by
         // design.
-        ExperimentId::SampleInterval
-        | ExperimentId::RootSkew
-        | ExperimentId::Scaling
-        | ExperimentId::Calibration
-        | ExperimentId::Scaling256
-        | ExperimentId::Scaling4096
-        | ExperimentId::Scaling32768
-        | ExperimentId::ChaosPartition
-        | ExperimentId::ChaosSinkFailover
-        | ExperimentId::ChaosChurn
-        | ExperimentId::RangeWidth
-        | ExperimentId::AggregateOps => return None,
+        _ => return None,
     };
     Some(BaselineSet {
         experiment: id.slug().to_string(),
         source: source.to_string(),
         rows,
     })
-}
-
-/// Every paper baseline, in suite order.
-pub fn paper_baselines() -> Vec<BaselineSet> {
-    ExperimentId::ALL
-        .into_iter()
-        .filter_map(paper_baseline)
-        .collect()
 }
 
 /// Builds a regression baseline from a committed artifact: every metric of
@@ -222,6 +172,14 @@ mod tests {
     use crate::artifact::Provenance;
     use crate::diff::{diff_rows, RowStatus};
     use crate::suite::{run_experiment, SuiteOptions};
+
+    /// Every paper baseline, in suite order.
+    fn paper_baselines() -> Vec<BaselineSet> {
+        ExperimentId::ALL
+            .into_iter()
+            .filter_map(paper_baseline)
+            .collect()
+    }
 
     #[test]
     fn paper_baselines_cover_the_required_figures() {

@@ -44,7 +44,7 @@ mod store_cli;
 pub mod suite;
 
 pub use artifact::{Artifact, ArtifactStore, Provenance, SCHEMA_VERSION};
-pub use baselines::{paper_baseline, paper_baselines, regression_baseline};
+pub use baselines::{paper_baseline, regression_baseline};
 pub use check::{run_check, CheckOutcome, BASELINE_PATH};
 pub use diff::{
     diff_rows, BaselineRow, BaselineSet, DiffReport, MetricCheck, RowStatus, Tolerance,

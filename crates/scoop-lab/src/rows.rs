@@ -8,7 +8,8 @@
 //! metrics (ratios to a reference row) that the paper's figures actually
 //! argue about, so baselines transfer across absolute-scale differences
 //! between the paper's testbed and this simulator. [`RowSet::table`] renders
-//! the same flattening, so which fields a row has is decided in one place.
+//! the same flattening. Each row type's key and metrics are its one `Row`
+//! impl below, so which fields a row has is decided in one place.
 
 use scoop_sim::experiments::{
     calibration, AblationRow, AggregateOpsRow, CalibrationRow, ChaosRow, Fig3Row, Fig4Row, Fig5Row,
@@ -84,23 +85,227 @@ impl MeasuredRow {
     }
 }
 
+/// One experiment family's row type: its stable key and absolute metrics.
+trait Row: Serialize {
+    /// The row key (`policy/point`, a variant name, …).
+    fn key(&self) -> String;
+
+    /// The absolute `(metric, value)` pairs, in presentation order.
+    fn metrics(&self) -> Vec<(&'static str, f64)>;
+}
+
+impl Row for Fig3Row {
+    fn key(&self) -> String {
+        format!("{}/{}", self.policy, self.source)
+    }
+    fn metrics(&self) -> Vec<(&'static str, f64)> {
+        vec![
+            ("total_messages", self.total as f64),
+            ("data_messages", self.messages.data as f64),
+            ("summary_messages", self.messages.summary as f64),
+            ("mapping_messages", self.messages.mapping as f64),
+            ("query_reply_messages", self.messages.query_reply as f64),
+        ]
+    }
+}
+
+impl Row for Fig4Row {
+    fn key(&self) -> String {
+        format!(
+            "{}/width-{:.0}%",
+            self.policy,
+            self.requested_width_frac * 100.0
+        )
+    }
+    fn metrics(&self) -> Vec<(&'static str, f64)> {
+        vec![
+            ("total_messages", self.total_messages as f64),
+            ("fraction_nodes_queried", self.fraction_nodes_queried),
+        ]
+    }
+}
+
+impl Row for Fig5Row {
+    fn key(&self) -> String {
+        format!("{}/interval-{}s", self.policy, self.query_interval_secs)
+    }
+    fn metrics(&self) -> Vec<(&'static str, f64)> {
+        vec![("total_messages", self.total_messages as f64)]
+    }
+}
+
+impl Row for AblationRow {
+    fn key(&self) -> String {
+        self.variant.clone()
+    }
+    fn metrics(&self) -> Vec<(&'static str, f64)> {
+        vec![
+            ("total_messages", self.total_messages as f64),
+            ("data_messages", self.data_messages as f64),
+            ("mapping_messages", self.mapping_messages as f64),
+        ]
+    }
+}
+
+impl Row for SampleIntervalRow {
+    fn key(&self) -> String {
+        format!("{}/sample-{}s", self.source, self.sample_interval_secs)
+    }
+    fn metrics(&self) -> Vec<(&'static str, f64)> {
+        vec![
+            ("total_messages", self.total_messages as f64),
+            ("non_data_messages", self.non_data_messages as f64),
+        ]
+    }
+}
+
+impl Row for ReliabilityRow {
+    fn key(&self) -> String {
+        self.policy.to_string()
+    }
+    fn metrics(&self) -> Vec<(&'static str, f64)> {
+        vec![
+            ("storage_success", self.storage_success),
+            ("query_success", self.query_success),
+            ("destination_accuracy", self.destination_accuracy),
+        ]
+    }
+}
+
+impl Row for RootSkewRow {
+    fn key(&self) -> String {
+        self.policy.to_string()
+    }
+    fn metrics(&self) -> Vec<(&'static str, f64)> {
+        vec![
+            ("root_tx", self.root_tx as f64),
+            ("root_rx", self.root_rx as f64),
+            ("mean_sensor_tx", self.mean_sensor_tx),
+            ("total_messages", self.total_messages as f64),
+        ]
+    }
+}
+
+impl Row for ScalingRow {
+    fn key(&self) -> String {
+        format!("{}/{}-nodes", self.source, self.num_nodes)
+    }
+    fn metrics(&self) -> Vec<(&'static str, f64)> {
+        vec![
+            ("total_messages", self.total_messages as f64),
+            ("messages_per_node", self.messages_per_node),
+            ("storage_success", self.storage_success),
+        ]
+    }
+}
+
+impl Row for CalibrationRow {
+    fn key(&self) -> String {
+        calibration::label(&self.point)
+    }
+    fn metrics(&self) -> Vec<(&'static str, f64)> {
+        vec![
+            ("storage_success", self.storage_success),
+            ("query_success", self.query_success),
+            ("destination_accuracy", self.destination_accuracy),
+            ("scoop_messages", self.scoop_messages as f64),
+            ("base_messages", self.base_messages as f64),
+            ("cost_ratio", self.cost_ratio),
+            ("objective", self.objective),
+        ]
+    }
+}
+
+impl Row for ChaosRow {
+    fn key(&self) -> String {
+        format!("{}/{}", self.scenario, self.phase)
+    }
+    fn metrics(&self) -> Vec<(&'static str, f64)> {
+        vec![
+            ("storage_success", self.storage_success),
+            ("query_success", self.query_success),
+            ("control_storage_success", self.control_storage_success),
+            ("control_query_success", self.control_query_success),
+        ]
+    }
+}
+
+impl Row for RangeWidthRow {
+    fn key(&self) -> String {
+        format!("{}/width-{:.0}%", self.policy, self.width_frac * 100.0)
+    }
+    fn metrics(&self) -> Vec<(&'static str, f64)> {
+        vec![
+            ("total_messages", self.total_messages as f64),
+            ("fraction_nodes_queried", self.fraction_nodes_queried),
+            ("query_success", self.query_success),
+        ]
+    }
+}
+
+impl Row for AggregateOpsRow {
+    fn key(&self) -> String {
+        format!("{}/{}", self.policy, self.op)
+    }
+    fn metrics(&self) -> Vec<(&'static str, f64)> {
+        vec![
+            ("total_messages", self.total_messages as f64),
+            ("query_reply_messages", self.query_reply_messages as f64),
+            ("query_success", self.query_success),
+        ]
+    }
+}
+
+/// What a [`RowSet`] needs from its rows, whatever their family.
+trait Rows {
+    fn len(&self) -> usize;
+    fn json(&self) -> Result<String, serde_json::Error>;
+    fn measured(&self) -> Vec<MeasuredRow>;
+}
+
+impl<R: Row> Rows for Vec<R> {
+    fn len(&self) -> usize {
+        self.len()
+    }
+    fn json(&self) -> Result<String, serde_json::Error> {
+        serde_json::to_string_pretty(self)
+    }
+    fn measured(&self) -> Vec<MeasuredRow> {
+        self.iter()
+            .map(|r| MeasuredRow {
+                key: r.key(),
+                metrics: r
+                    .metrics()
+                    .into_iter()
+                    .map(|(m, v)| (m.to_string(), v))
+                    .collect(),
+            })
+            .collect()
+    }
+}
+
 impl RowSet {
+    /// The rows, whatever their family: the one dispatch over the variants.
+    fn rows(&self) -> &dyn Rows {
+        match self {
+            RowSet::Fig3(r) => r,
+            RowSet::Fig4(r) => r,
+            RowSet::Fig5(r) => r,
+            RowSet::Ablations(r) => r,
+            RowSet::SampleInterval(r) => r,
+            RowSet::Reliability(r) => r,
+            RowSet::RootSkew(r) => r,
+            RowSet::Scaling(r) => r,
+            RowSet::Calibration(r) => r,
+            RowSet::Chaos(r) => r,
+            RowSet::RangeWidth(r) => r,
+            RowSet::Aggregate(r) => r,
+        }
+    }
+
     /// Number of rows carried.
     pub fn len(&self) -> usize {
-        match self {
-            RowSet::Fig3(r) => r.len(),
-            RowSet::Fig4(r) => r.len(),
-            RowSet::Fig5(r) => r.len(),
-            RowSet::Ablations(r) => r.len(),
-            RowSet::SampleInterval(r) => r.len(),
-            RowSet::Reliability(r) => r.len(),
-            RowSet::RootSkew(r) => r.len(),
-            RowSet::Scaling(r) => r.len(),
-            RowSet::Calibration(r) => r.len(),
-            RowSet::Chaos(r) => r.len(),
-            RowSet::RangeWidth(r) => r.len(),
-            RowSet::Aggregate(r) => r.len(),
-        }
+        self.rows().len()
     }
 
     /// Whether the set carries no rows.
@@ -112,7 +317,7 @@ impl RowSet {
     /// absolute metric, one line per row. A calibration set also names its
     /// grid winner.
     pub fn table(&self, title: &str) -> String {
-        let rows = self.raw_rows();
+        let rows = self.rows().measured();
         let header = rows
             .first()
             .into_iter()
@@ -166,21 +371,9 @@ impl RowSet {
     /// format `scoop-lab run --json` prints), without the enum tag
     /// that [`serde::Serialize`] adds for artifact files.
     pub fn rows_json(&self) -> Result<String, ScoopError> {
-        match self {
-            RowSet::Fig3(rows) => serde_json::to_string_pretty(rows),
-            RowSet::Fig4(rows) => serde_json::to_string_pretty(rows),
-            RowSet::Fig5(rows) => serde_json::to_string_pretty(rows),
-            RowSet::Ablations(rows) => serde_json::to_string_pretty(rows),
-            RowSet::SampleInterval(rows) => serde_json::to_string_pretty(rows),
-            RowSet::Reliability(rows) => serde_json::to_string_pretty(rows),
-            RowSet::RootSkew(rows) => serde_json::to_string_pretty(rows),
-            RowSet::Scaling(rows) => serde_json::to_string_pretty(rows),
-            RowSet::Calibration(rows) => serde_json::to_string_pretty(rows),
-            RowSet::Chaos(rows) => serde_json::to_string_pretty(rows),
-            RowSet::RangeWidth(rows) => serde_json::to_string_pretty(rows),
-            RowSet::Aggregate(rows) => serde_json::to_string_pretty(rows),
-        }
-        .map_err(|e| ScoopError::Serialization(e.to_string()))
+        self.rows()
+            .json()
+            .map_err(|e| ScoopError::Serialization(e.to_string()))
     }
 
     /// Flattens the rows into keyed metric vectors.
@@ -190,7 +383,7 @@ impl RowSet {
     /// reference_key`]); rows in families without a reference (or when the
     /// reference row is absent) simply omit the ratio metrics.
     pub fn measured_rows(&self, reference_key: Option<&str>) -> Vec<MeasuredRow> {
-        let mut rows = self.raw_rows();
+        let mut rows = self.rows().measured();
         // Figures 4 and 5 (and the range-width sweep, their steady-state
         // cousin) compare policies *pointwise*: normalize each row to the
         // BASE row at the same sweep point (same width / same interval).
@@ -233,146 +426,6 @@ impl RowSet {
             }
         }
         rows
-    }
-
-    /// The per-family flattening, absolute metrics only.
-    fn raw_rows(&self) -> Vec<MeasuredRow> {
-        match self {
-            RowSet::Fig3(rows) => rows
-                .iter()
-                .map(|r| MeasuredRow {
-                    key: format!("{}/{}", r.policy, r.source),
-                    metrics: vec![
-                        ("total_messages".into(), r.total as f64),
-                        ("data_messages".into(), r.messages.data as f64),
-                        ("summary_messages".into(), r.messages.summary as f64),
-                        ("mapping_messages".into(), r.messages.mapping as f64),
-                        ("query_reply_messages".into(), r.messages.query_reply as f64),
-                    ],
-                })
-                .collect(),
-            RowSet::Fig4(rows) => rows
-                .iter()
-                .map(|r| MeasuredRow {
-                    key: format!("{}/width-{:.0}%", r.policy, r.requested_width_frac * 100.0),
-                    metrics: vec![
-                        ("total_messages".into(), r.total_messages as f64),
-                        ("fraction_nodes_queried".into(), r.fraction_nodes_queried),
-                    ],
-                })
-                .collect(),
-            RowSet::Fig5(rows) => rows
-                .iter()
-                .map(|r| MeasuredRow {
-                    key: format!("{}/interval-{}s", r.policy, r.query_interval_secs),
-                    metrics: vec![("total_messages".into(), r.total_messages as f64)],
-                })
-                .collect(),
-            RowSet::Ablations(rows) => rows
-                .iter()
-                .map(|r| MeasuredRow {
-                    key: r.variant.clone(),
-                    metrics: vec![
-                        ("total_messages".into(), r.total_messages as f64),
-                        ("data_messages".into(), r.data_messages as f64),
-                        ("mapping_messages".into(), r.mapping_messages as f64),
-                    ],
-                })
-                .collect(),
-            RowSet::SampleInterval(rows) => rows
-                .iter()
-                .map(|r| MeasuredRow {
-                    key: format!("{}/sample-{}s", r.source, r.sample_interval_secs),
-                    metrics: vec![
-                        ("total_messages".into(), r.total_messages as f64),
-                        ("non_data_messages".into(), r.non_data_messages as f64),
-                    ],
-                })
-                .collect(),
-            RowSet::Reliability(rows) => rows
-                .iter()
-                .map(|r| MeasuredRow {
-                    key: r.policy.to_string(),
-                    metrics: vec![
-                        ("storage_success".into(), r.storage_success),
-                        ("query_success".into(), r.query_success),
-                        ("destination_accuracy".into(), r.destination_accuracy),
-                    ],
-                })
-                .collect(),
-            RowSet::RootSkew(rows) => rows
-                .iter()
-                .map(|r| MeasuredRow {
-                    key: r.policy.to_string(),
-                    metrics: vec![
-                        ("root_tx".into(), r.root_tx as f64),
-                        ("root_rx".into(), r.root_rx as f64),
-                        ("mean_sensor_tx".into(), r.mean_sensor_tx),
-                        ("total_messages".into(), r.total_messages as f64),
-                    ],
-                })
-                .collect(),
-            RowSet::Scaling(rows) => rows
-                .iter()
-                .map(|r| MeasuredRow {
-                    key: format!("{}/{}-nodes", r.source, r.num_nodes),
-                    metrics: vec![
-                        ("total_messages".into(), r.total_messages as f64),
-                        ("messages_per_node".into(), r.messages_per_node),
-                        ("storage_success".into(), r.storage_success),
-                    ],
-                })
-                .collect(),
-            RowSet::Calibration(rows) => rows
-                .iter()
-                .map(|r| MeasuredRow {
-                    key: calibration::label(&r.point),
-                    metrics: vec![
-                        ("storage_success".into(), r.storage_success),
-                        ("query_success".into(), r.query_success),
-                        ("destination_accuracy".into(), r.destination_accuracy),
-                        ("scoop_messages".into(), r.scoop_messages as f64),
-                        ("base_messages".into(), r.base_messages as f64),
-                        ("cost_ratio".into(), r.cost_ratio),
-                        ("objective".into(), r.objective),
-                    ],
-                })
-                .collect(),
-            RowSet::Chaos(rows) => rows
-                .iter()
-                .map(|r| MeasuredRow {
-                    key: format!("{}/{}", r.scenario, r.phase),
-                    metrics: vec![
-                        ("storage_success".into(), r.storage_success),
-                        ("query_success".into(), r.query_success),
-                        ("control_storage_success".into(), r.control_storage_success),
-                        ("control_query_success".into(), r.control_query_success),
-                    ],
-                })
-                .collect(),
-            RowSet::RangeWidth(rows) => rows
-                .iter()
-                .map(|r| MeasuredRow {
-                    key: format!("{}/width-{:.0}%", r.policy, r.width_frac * 100.0),
-                    metrics: vec![
-                        ("total_messages".into(), r.total_messages as f64),
-                        ("fraction_nodes_queried".into(), r.fraction_nodes_queried),
-                        ("query_success".into(), r.query_success),
-                    ],
-                })
-                .collect(),
-            RowSet::Aggregate(rows) => rows
-                .iter()
-                .map(|r| MeasuredRow {
-                    key: format!("{}/{}", r.policy, r.op),
-                    metrics: vec![
-                        ("total_messages".into(), r.total_messages as f64),
-                        ("query_reply_messages".into(), r.query_reply_messages as f64),
-                        ("query_success".into(), r.query_success),
-                    ],
-                })
-                .collect(),
-        }
     }
 }
 

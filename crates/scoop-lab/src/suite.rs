@@ -2,16 +2,20 @@
 //! identifier per experiment.
 //!
 //! [`ExperimentId`] is the single enumeration the CLI, the artifact store,
-//! the baselines, and the bench harness all key on. [`run_experiment`] maps
-//! an id to the corresponding `scoop_sim::experiments` function (all grids
-//! execute on the parallel [`SweepRunner`](scoop_sim::SweepRunner) inside),
-//! and [`run_suite`] runs a list of experiments, recording per-experiment
-//! wall-clock into [`Artifact`]s.
+//! the baselines, and the bench harness all key on. Each experiment is
+//! declared once, as one entry of the `EXPERIMENTS` table: its slug, title,
+//! reference row, and the call into `scoop_sim::experiments` that runs it
+//! (every grid executes on the parallel
+//! [`SweepRunner`](scoop_sim::SweepRunner) inside). [`run_experiment`] calls
+//! that entry, and [`run_suite`] runs a list of experiments, recording
+//! per-experiment wall-clock into [`Artifact`]s.
 
 use crate::artifact::{Artifact, Provenance};
 use crate::rows::RowSet;
-use scoop_sim::experiments::{self, calibration, fig4, fig5};
-use scoop_types::{DataSourceKind, ScenarioSpec, ScoopError, StoragePolicy};
+use scoop_sim::experiments::{self, calibration, fig4, fig5, workloads, ChaosScenario};
+use scoop_types::{
+    AggregateOp, DataSourceKind, ScenarioSpec, ScoopError, SimDuration, StoragePolicy, TopologyKind,
+};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
@@ -49,7 +53,9 @@ impl fmt::Display for Scale {
     }
 }
 
-/// One experiment of the paper's evaluation.
+/// One experiment of the paper's evaluation. Each variant's slug, title,
+/// reference row and run function are its one entry of the `EXPERIMENTS`
+/// table, which sits at the variant's declaration index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExperimentId {
     /// Figure 3 (left): the testbed comparison bars.
@@ -68,13 +74,13 @@ pub enum ExperimentId {
     SampleInterval,
     /// The reliability measurements.
     Reliability,
+    /// The link-model calibration: SCOOP and BASE over the LinkSpec knob
+    /// grid, scored against the paper's reliability and cost targets.
+    Calibration,
     /// The root-skew analysis.
     RootSkew,
     /// The scaling study.
     Scaling,
-    /// The link-model calibration: SCOOP and BASE over the LinkSpec knob
-    /// grid, scored against the paper's reliability and cost targets.
-    Calibration,
     /// The 256-node grid scaling scenario (exercises the raised MAX_NODES).
     Scaling256,
     /// The 4096-node grid stress scenario under the HASH policy.
@@ -94,29 +100,286 @@ pub enum ExperimentId {
     AggregateOps,
 }
 
+/// Which sweep points an experiment runs over.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PointSet {
+    /// The full grids used for figure regeneration.
+    Full,
+    /// Reduced grids for the regression smoke suite (`scoop-lab check`).
+    Smoke,
+}
+
+impl PointSet {
+    /// `smoke` under [`PointSet::Smoke`], `full` under [`PointSet::Full`].
+    fn pick<T>(self, smoke: T, full: T) -> T {
+        match self {
+            PointSet::Smoke => smoke,
+            PointSet::Full => full,
+        }
+    }
+}
+
+/// The declaration of one experiment: the accessors of [`ExperimentId`]
+/// read these fields.
+struct Experiment {
+    id: ExperimentId,
+    slug: &'static str,
+    title: &'static str,
+    reference_key: Option<&'static str>,
+    run: fn(&ScenarioSpec, usize, PointSet) -> Result<RowSet, ScoopError>,
+}
+
+/// The scaling study of `policy` over GAUSSIAN data on a regular grid: the
+/// office-floor heuristics were calibrated for ≤ ~100 nodes, and the
+/// large-scale points go far beyond that.
+fn grid_scaling(
+    base: &ScenarioSpec,
+    policy: StoragePolicy,
+    sizes: &[usize],
+    trials: usize,
+) -> Result<RowSet, ScoopError> {
+    let mut cfg = base.clone();
+    cfg.topology.kind = TopologyKind::Grid;
+    let sources = [DataSourceKind::Gaussian];
+    experiments::scaling(&cfg, sizes, &sources, policy, trials).map(RowSet::Scaling)
+}
+
+/// The engine-scalability stress points: HASH keeps these runs about the
+/// engine. Its storage index is static (no summaries, no remap — a Scoop
+/// remap runs one Dijkstra per producer), so event volume and host time grow
+/// with the network. Warmup and duration (seconds) are trimmed so the event
+/// count stays proportional to node count — the interesting figures are
+/// peak RSS and events/s in the provenance block, not the message totals.
+fn hash_grid(
+    base: &ScenarioSpec,
+    sizes: &[usize],
+    (warmup, duration): (u64, u64),
+    trials: usize,
+) -> Result<RowSet, ScoopError> {
+    let mut cfg = base.clone();
+    cfg.warmup = SimDuration::from_secs(warmup);
+    cfg.duration = SimDuration::from_secs(duration);
+    grid_scaling(&cfg, StoragePolicy::Hash, sizes, trials)
+}
+
+/// Every experiment, in the order `run`/`report` process them; entry `i`
+/// declares the `ExperimentId` variant declared `i`-th.
+const EXPERIMENTS: [Experiment; 19] = [
+    Experiment {
+        id: ExperimentId::Fig3Left,
+        slug: "fig3-left",
+        title: "Figure 3 (left): testbed comparison",
+        reference_key: Some("base/gaussian"),
+        run: |base, trials, _| experiments::fig3_left(base, trials).map(RowSet::Fig3),
+    },
+    Experiment {
+        id: ExperimentId::Fig3Middle,
+        slug: "fig3-middle",
+        title: "Figure 3 (middle): policies on the REAL trace",
+        reference_key: Some("base/real"),
+        run: |base, trials, _| experiments::fig3_middle(base, trials).map(RowSet::Fig3),
+    },
+    Experiment {
+        id: ExperimentId::Fig3Right,
+        slug: "fig3-right",
+        title: "Figure 3 (right): Scoop across data sources",
+        reference_key: Some("scoop/real"),
+        run: |base, trials, _| experiments::fig3_right(base, trials).map(RowSet::Fig3),
+    },
+    Experiment {
+        id: ExperimentId::Fig4,
+        slug: "fig4",
+        title: "Figure 4: cost vs. % of nodes queried",
+        reference_key: None,
+        run: |base, trials, points| {
+            let widths: &[f64] = points.pick(&[0.05, 0.5], &fig4::DEFAULT_WIDTH_FRACS);
+            experiments::fig4_selectivity(base, widths, trials).map(RowSet::Fig4)
+        },
+    },
+    Experiment {
+        id: ExperimentId::Fig5,
+        slug: "fig5",
+        title: "Figure 5: cost vs. query interval",
+        reference_key: None,
+        run: |base, trials, points| {
+            let intervals: &[u64] = points.pick(&[5, 45], &fig5::DEFAULT_INTERVALS);
+            experiments::fig5_query_interval(base, intervals, trials).map(RowSet::Fig5)
+        },
+    },
+    Experiment {
+        id: ExperimentId::Ablations,
+        slug: "ablations",
+        title: "Ablations (SCOOP on the REAL trace)",
+        reference_key: Some("baseline"),
+        run: |base, trials, _| {
+            experiments::ablation_rows(base, DataSourceKind::Real, trials).map(RowSet::Ablations)
+        },
+    },
+    Experiment {
+        id: ExperimentId::SampleInterval,
+        slug: "sample-interval",
+        title: "Sample-interval sweep",
+        reference_key: None,
+        run: |base, trials, points| {
+            let sources = [
+                DataSourceKind::Real,
+                DataSourceKind::Random,
+                DataSourceKind::Unique,
+            ];
+            let intervals: &[u64] = points.pick(&[15, 60], &[15, 30, 60, 120]);
+            experiments::sample_interval_sweep(base, &sources, intervals, trials)
+                .map(RowSet::SampleInterval)
+        },
+    },
+    Experiment {
+        id: ExperimentId::Reliability,
+        slug: "reliability",
+        title: "Reliability",
+        reference_key: None,
+        run: |base, trials, _| {
+            experiments::reliability(base, &experiments::POLICIES, trials).map(RowSet::Reliability)
+        },
+    },
+    Experiment {
+        id: ExperimentId::Calibration,
+        slug: "calibration",
+        title: "Link calibration (LinkSpec knobs vs. the paper targets)",
+        reference_key: None,
+        run: |base, trials, points| {
+            let grid = points.pick(calibration::smoke_grid(), calibration::default_grid());
+            experiments::calibration(base, &grid, trials).map(RowSet::Calibration)
+        },
+    },
+    Experiment {
+        id: ExperimentId::RootSkew,
+        slug: "root-skew",
+        title: "Root-node skew",
+        reference_key: None,
+        run: |base, trials, _| experiments::root_skew(base, trials).map(RowSet::RootSkew),
+    },
+    Experiment {
+        id: ExperimentId::Scaling,
+        slug: "scaling",
+        title: "Scaling study",
+        reference_key: None,
+        run: |base, trials, points| {
+            let full = if base.num_nodes <= 16 {
+                vec![8, 16, 25]
+            } else {
+                vec![25, 50, 62, 100]
+            };
+            let sizes = points.pick(vec![8, 16], full);
+            let sources = [DataSourceKind::Real, DataSourceKind::Random];
+            experiments::scaling(base, &sizes, &sources, StoragePolicy::Scoop, trials)
+                .map(RowSet::Scaling)
+        },
+    },
+    Experiment {
+        id: ExperimentId::Scaling256,
+        slug: "scaling-256",
+        title: "Scaling to 256 nodes (grid topology)",
+        reference_key: None,
+        // Sizes beyond the paper's, including 256, past the old 128-node cap.
+        run: |base, trials, points| {
+            let sizes = points.pick(vec![64, 256], vec![64, 128, 256]);
+            grid_scaling(base, StoragePolicy::Scoop, &sizes, trials)
+        },
+    },
+    Experiment {
+        id: ExperimentId::Scaling4096,
+        slug: "scaling-4096",
+        title: "Scaling to 4096 nodes (grid, HASH policy)",
+        reference_key: None,
+        // 512, the old MAX_NODES cap, rides along so the committed artifact
+        // spans old ceiling → new stress point.
+        run: |base, trials, points| {
+            let sizes = points.pick(vec![512], vec![512, 1024, 4096]);
+            hash_grid(base, &sizes, (120, 360), trials)
+        },
+    },
+    Experiment {
+        id: ExperimentId::Scaling32768,
+        slug: "scaling-32768",
+        title: "Scaling to 32k nodes (grid, HASH policy)",
+        reference_key: None,
+        // 32,767 sensors + the basestation = 32,768 nodes, the raised
+        // MAX_NODES cap exactly.
+        run: |base, trials, points| {
+            let sizes = points.pick(vec![2048], vec![32_767]);
+            hash_grid(base, &sizes, (90, 210), trials)
+        },
+    },
+    Experiment {
+        id: ExperimentId::ChaosPartition,
+        slug: "chaos-partition",
+        title: "Chaos: network partition (50 % isolated, healed)",
+        reference_key: None,
+        run: |base, trials, _| {
+            experiments::chaos(base, ChaosScenario::Partition, trials).map(RowSet::Chaos)
+        },
+    },
+    Experiment {
+        id: ExperimentId::ChaosSinkFailover,
+        slug: "chaos-failover",
+        title: "Chaos: basestation failover (2-sink federation)",
+        reference_key: None,
+        run: |base, trials, _| {
+            experiments::chaos(base, ChaosScenario::SinkFailover, trials).map(RowSet::Chaos)
+        },
+    },
+    Experiment {
+        id: ExperimentId::ChaosChurn,
+        slug: "chaos-churn",
+        title: "Chaos: mass churn (25 % killed, 25 % joined)",
+        reference_key: None,
+        run: |base, trials, _| {
+            experiments::chaos(base, ChaosScenario::Churn, trials).map(RowSet::Chaos)
+        },
+    },
+    Experiment {
+        id: ExperimentId::RangeWidth,
+        slug: "range-width",
+        title: "Range workloads: cost vs. fixed query width",
+        reference_key: None,
+        run: |base, trials, points| {
+            let widths: &[f64] = points.pick(&[0.05, 0.5], &workloads::DEFAULT_RANGE_WIDTHS);
+            experiments::range_width(base, widths, trials).map(RowSet::RangeWidth)
+        },
+    },
+    Experiment {
+        id: ExperimentId::AggregateOps,
+        slug: "aggregate-ops",
+        title: "Aggregate workloads: cost per operator",
+        reference_key: None,
+        run: |base, trials, points| {
+            let smoke = &[AggregateOp::Min, AggregateOp::Quantile(0.5)];
+            let ops: &[AggregateOp] = points.pick(smoke, &workloads::DEFAULT_AGGREGATE_OPS);
+            experiments::aggregate_ops(base, ops, trials).map(RowSet::Aggregate)
+        },
+    },
+];
+
+// Entry `i` declares the variant with discriminant `i`: the ids are
+// distinct, and `EXPERIMENTS[id as usize]` is `id`'s entry.
+const _: () = {
+    let mut i = 0;
+    while i < EXPERIMENTS.len() {
+        assert!(EXPERIMENTS[i].id as usize == i);
+        i += 1;
+    }
+};
+
 impl ExperimentId {
     /// Every experiment, in the order `run`/`report` process them.
-    pub const ALL: [ExperimentId; 19] = [
-        ExperimentId::Fig3Left,
-        ExperimentId::Fig3Middle,
-        ExperimentId::Fig3Right,
-        ExperimentId::Fig4,
-        ExperimentId::Fig5,
-        ExperimentId::Ablations,
-        ExperimentId::SampleInterval,
-        ExperimentId::Reliability,
-        ExperimentId::Calibration,
-        ExperimentId::RootSkew,
-        ExperimentId::Scaling,
-        ExperimentId::Scaling256,
-        ExperimentId::Scaling4096,
-        ExperimentId::Scaling32768,
-        ExperimentId::ChaosPartition,
-        ExperimentId::ChaosSinkFailover,
-        ExperimentId::ChaosChurn,
-        ExperimentId::RangeWidth,
-        ExperimentId::AggregateOps,
-    ];
+    pub const ALL: [ExperimentId; EXPERIMENTS.len()] = {
+        let mut all = [ExperimentId::Fig3Left; EXPERIMENTS.len()];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = EXPERIMENTS[i].id;
+            i += 1;
+        }
+        all
+    };
 
     /// The chaos scenario family, in suite order.
     pub const CHAOS: [ExperimentId; 3] = [
@@ -125,75 +388,32 @@ impl ExperimentId {
         ExperimentId::ChaosChurn,
     ];
 
+    /// This experiment's `EXPERIMENTS` entry.
+    fn entry(self) -> &'static Experiment {
+        &EXPERIMENTS[self as usize]
+    }
+
     /// Stable slug used for CLI selection and artifact file names.
     pub fn slug(self) -> &'static str {
-        match self {
-            ExperimentId::Fig3Left => "fig3-left",
-            ExperimentId::Fig3Middle => "fig3-middle",
-            ExperimentId::Fig3Right => "fig3-right",
-            ExperimentId::Fig4 => "fig4",
-            ExperimentId::Fig5 => "fig5",
-            ExperimentId::Ablations => "ablations",
-            ExperimentId::SampleInterval => "sample-interval",
-            ExperimentId::Reliability => "reliability",
-            ExperimentId::RootSkew => "root-skew",
-            ExperimentId::Scaling => "scaling",
-            ExperimentId::Calibration => "calibration",
-            ExperimentId::Scaling256 => "scaling-256",
-            ExperimentId::Scaling4096 => "scaling-4096",
-            ExperimentId::Scaling32768 => "scaling-32768",
-            ExperimentId::ChaosPartition => "chaos-partition",
-            ExperimentId::ChaosSinkFailover => "chaos-failover",
-            ExperimentId::ChaosChurn => "chaos-churn",
-            ExperimentId::RangeWidth => "range-width",
-            ExperimentId::AggregateOps => "aggregate-ops",
-        }
+        self.entry().slug
     }
 
     /// Human-readable title used in tables and EXPERIMENTS.md headings.
     pub fn title(self) -> &'static str {
-        match self {
-            ExperimentId::Fig3Left => "Figure 3 (left): testbed comparison",
-            ExperimentId::Fig3Middle => "Figure 3 (middle): policies on the REAL trace",
-            ExperimentId::Fig3Right => "Figure 3 (right): Scoop across data sources",
-            ExperimentId::Fig4 => "Figure 4: cost vs. % of nodes queried",
-            ExperimentId::Fig5 => "Figure 5: cost vs. query interval",
-            ExperimentId::Ablations => "Ablations (SCOOP on the REAL trace)",
-            ExperimentId::SampleInterval => "Sample-interval sweep",
-            ExperimentId::Reliability => "Reliability",
-            ExperimentId::RootSkew => "Root-node skew",
-            ExperimentId::Scaling => "Scaling study",
-            ExperimentId::Calibration => "Link calibration (LinkSpec knobs vs. the paper targets)",
-            ExperimentId::Scaling256 => "Scaling to 256 nodes (grid topology)",
-            ExperimentId::Scaling4096 => "Scaling to 4096 nodes (grid, HASH policy)",
-            ExperimentId::Scaling32768 => "Scaling to 32k nodes (grid, HASH policy)",
-            ExperimentId::ChaosPartition => "Chaos: network partition (50 % isolated, healed)",
-            ExperimentId::ChaosSinkFailover => "Chaos: basestation failover (2-sink federation)",
-            ExperimentId::ChaosChurn => "Chaos: mass churn (25 % killed, 25 % joined)",
-            ExperimentId::RangeWidth => "Range workloads: cost vs. fixed query width",
-            ExperimentId::AggregateOps => "Aggregate workloads: cost per operator",
-        }
+        self.entry().title
     }
 
     /// Parses a slug (as typed on the CLI).
     pub fn from_slug(slug: &str) -> Option<ExperimentId> {
-        ExperimentId::ALL.into_iter().find(|id| id.slug() == slug)
+        EXPERIMENTS.iter().find(|e| e.slug == slug).map(|e| e.id)
     }
 
     /// The row key the normalized `total_vs_ref` metric divides by, if this
-    /// experiment's figure argues in ratios (see [`RowSet::measured_rows`]).
-    ///
-    /// Figure 3 panels normalize to the panel's BASE bar (left/middle) or the
-    /// REAL bar (right); ablations normalize to the unmodified baseline
-    /// variant.
+    /// experiment's figure argues in ratios (see [`RowSet::measured_rows`]):
+    /// the panel's BASE bar for Figure 3 left/middle, the REAL bar for
+    /// Figure 3 right, and the unmodified variant for the ablations.
     pub fn reference_key(self) -> Option<&'static str> {
-        match self {
-            ExperimentId::Fig3Left => Some("base/gaussian"),
-            ExperimentId::Fig3Middle => Some("base/real"),
-            ExperimentId::Fig3Right => Some("scoop/real"),
-            ExperimentId::Ablations => Some("baseline"),
-            _ => None,
-        }
+        self.entry().reference_key
     }
 }
 
@@ -201,15 +421,6 @@ impl fmt::Display for ExperimentId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.slug())
     }
-}
-
-/// Which sweep points an experiment runs over.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PointSet {
-    /// The full grids used for figure regeneration.
-    Full,
-    /// Reduced grids for the regression smoke suite (`scoop-lab check`).
-    Smoke,
 }
 
 /// Options for one suite invocation.
@@ -285,156 +496,7 @@ pub fn run_experiment(
     trials: usize,
     points: PointSet,
 ) -> Result<RowSet, ScoopError> {
-    let smoke = points == PointSet::Smoke;
-    match id {
-        ExperimentId::Fig3Left => experiments::fig3_left(base, trials).map(RowSet::Fig3),
-        ExperimentId::Fig3Middle => experiments::fig3_middle(base, trials).map(RowSet::Fig3),
-        ExperimentId::Fig3Right => experiments::fig3_right(base, trials).map(RowSet::Fig3),
-        ExperimentId::Fig4 => {
-            let widths = if smoke {
-                vec![0.05, 0.5]
-            } else {
-                fig4::default_width_fracs()
-            };
-            experiments::fig4_selectivity(base, &widths, trials).map(RowSet::Fig4)
-        }
-        ExperimentId::Fig5 => {
-            let intervals = if smoke {
-                vec![5, 45]
-            } else {
-                fig5::default_intervals()
-            };
-            experiments::fig5_query_interval(base, &intervals, trials).map(RowSet::Fig5)
-        }
-        ExperimentId::Ablations => {
-            experiments::ablation_rows(base, DataSourceKind::Real, trials).map(RowSet::Ablations)
-        }
-        ExperimentId::SampleInterval => {
-            let sources = [
-                DataSourceKind::Real,
-                DataSourceKind::Random,
-                DataSourceKind::Unique,
-            ];
-            let intervals: &[u64] = if smoke { &[15, 60] } else { &[15, 30, 60, 120] };
-            experiments::sample_interval_sweep(base, &sources, intervals, trials)
-                .map(RowSet::SampleInterval)
-        }
-        ExperimentId::Reliability => {
-            let policies = [
-                StoragePolicy::Scoop,
-                StoragePolicy::Local,
-                StoragePolicy::Base,
-            ];
-            experiments::reliability(base, &policies, trials).map(RowSet::Reliability)
-        }
-        ExperimentId::RootSkew => experiments::root_skew(base, trials).map(RowSet::RootSkew),
-        ExperimentId::Scaling => {
-            let sizes: Vec<usize> = if smoke {
-                vec![8, 16]
-            } else if base.num_nodes <= 16 {
-                vec![8, 16, 25]
-            } else {
-                vec![25, 50, 62, 100]
-            };
-            let sources = [DataSourceKind::Real, DataSourceKind::Random];
-            experiments::scaling(base, &sizes, &sources, trials).map(RowSet::Scaling)
-        }
-        ExperimentId::Calibration => {
-            let grid = if smoke {
-                calibration::smoke_grid()
-            } else {
-                calibration::default_grid()
-            };
-            experiments::calibration(base, &grid, trials).map(RowSet::Calibration)
-        }
-        ExperimentId::Scaling256 => {
-            // The large-scale point: a regular grid (the office-floor
-            // heuristics were calibrated for ≤ ~100 nodes) at sizes beyond
-            // the paper's — including 256, past the old 128-node cap.
-            let mut grid_base = base.clone();
-            grid_base.topology = scoop_types::TopologySpec {
-                kind: scoop_types::TopologyKind::Grid,
-                ..grid_base.topology
-            };
-            let sizes: Vec<usize> = if smoke {
-                vec![64, 256]
-            } else {
-                vec![64, 128, 256]
-            };
-            let sources = [DataSourceKind::Gaussian];
-            experiments::scaling(&grid_base, &sizes, &sources, trials).map(RowSet::Scaling)
-        }
-        ExperimentId::Scaling4096 | ExperimentId::Scaling32768 => {
-            // The engine-scalability stress points. HASH keeps these runs
-            // about the engine: its storage index is static (no summaries,
-            // no remap — a Scoop remap runs one Dijkstra per producer), so
-            // event volume and host time grow with the network. Durations
-            // are trimmed so the event count stays proportional to node
-            // count — the interesting figures are peak RSS and events/s in
-            // the provenance block, not the message totals.
-            let mut grid_base = base.clone();
-            grid_base.topology = scoop_types::TopologySpec {
-                kind: scoop_types::TopologyKind::Grid,
-                ..grid_base.topology
-            };
-            let sizes: Vec<usize> = match (id, points) {
-                (ExperimentId::Scaling4096, PointSet::Smoke) => vec![512],
-                // 512 — the pre-PR-6 MAX_NODES cap — rides along so the
-                // committed artifact spans old ceiling → new stress point.
-                (ExperimentId::Scaling4096, PointSet::Full) => vec![512, 1024, 4096],
-                (_, PointSet::Smoke) => vec![2048],
-                // 32,767 sensors + the basestation = 32,768 nodes, the
-                // raised MAX_NODES cap exactly.
-                (_, PointSet::Full) => vec![32_767],
-            };
-            if id == ExperimentId::Scaling32768 {
-                grid_base.warmup = scoop_types::SimDuration::from_secs(90);
-                grid_base.duration = scoop_types::SimDuration::from_secs(210);
-            } else {
-                grid_base.warmup = scoop_types::SimDuration::from_secs(120);
-                grid_base.duration = scoop_types::SimDuration::from_secs(360);
-            }
-            let sources = [DataSourceKind::Gaussian];
-            experiments::scaling_with_policy(
-                &grid_base,
-                &sizes,
-                &sources,
-                StoragePolicy::Hash,
-                trials,
-            )
-            .map(RowSet::Scaling)
-        }
-        ExperimentId::ChaosPartition => {
-            experiments::chaos(base, experiments::ChaosScenario::Partition, trials)
-                .map(RowSet::Chaos)
-        }
-        ExperimentId::ChaosSinkFailover => {
-            experiments::chaos(base, experiments::ChaosScenario::SinkFailover, trials)
-                .map(RowSet::Chaos)
-        }
-        ExperimentId::ChaosChurn => {
-            experiments::chaos(base, experiments::ChaosScenario::Churn, trials).map(RowSet::Chaos)
-        }
-        ExperimentId::RangeWidth => {
-            let widths = if smoke {
-                vec![0.05, 0.5]
-            } else {
-                experiments::workloads::default_range_widths()
-            };
-            experiments::range_width(base, &widths, trials).map(RowSet::RangeWidth)
-        }
-        ExperimentId::AggregateOps => {
-            let ops = if smoke {
-                vec![
-                    scoop_types::AggregateOp::Min,
-                    scoop_types::AggregateOp::Quantile(0.5),
-                ]
-            } else {
-                experiments::workloads::default_aggregate_ops()
-            };
-            experiments::aggregate_ops(base, &ops, trials).map(RowSet::Aggregate)
-        }
-    }
+    (id.entry().run)(base, trials, points)
 }
 
 /// Runs every experiment in `options`, timing each, and wraps the results as
@@ -467,15 +529,54 @@ pub fn run_suite(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn slugs_round_trip_and_are_unique() {
-        let mut seen = std::collections::HashSet::new();
+        let (mut slugs, mut titles) = (HashSet::new(), HashSet::new());
         for id in ExperimentId::ALL {
             assert_eq!(ExperimentId::from_slug(id.slug()), Some(id));
-            assert!(seen.insert(id.slug()), "duplicate slug {}", id.slug());
+            assert!(slugs.insert(id.slug()), "duplicate slug {}", id.slug());
+            assert!(titles.insert(id.title()), "duplicate title {}", id.title());
         }
         assert_eq!(ExperimentId::from_slug("fig9"), None);
+
+        // Every variant has exactly one table entry. The match below has no
+        // wildcard arm, so a new variant does not compile until it is listed
+        // here, and then fails until it has its entry.
+        use ExperimentId::*;
+        let every = [
+            Fig3Left,
+            Fig3Middle,
+            Fig3Right,
+            Fig4,
+            Fig5,
+            Ablations,
+            SampleInterval,
+            Reliability,
+            Calibration,
+            RootSkew,
+            Scaling,
+            Scaling256,
+            Scaling4096,
+            Scaling32768,
+            ChaosPartition,
+            ChaosSinkFailover,
+            ChaosChurn,
+            RangeWidth,
+            AggregateOps,
+        ];
+        for id in every {
+            match id {
+                Fig3Left | Fig3Middle | Fig3Right | Fig4 | Fig5 | Ablations | SampleInterval
+                | Reliability | Calibration | RootSkew | Scaling | Scaling256 | Scaling4096
+                | Scaling32768 | ChaosPartition | ChaosSinkFailover | ChaosChurn | RangeWidth
+                | AggregateOps => {}
+            }
+            let entries = EXPERIMENTS.iter().filter(|e| e.id == id).count();
+            assert_eq!(entries, 1, "{id:?} has {entries} table entries");
+        }
+        assert_eq!(EXPERIMENTS.len(), every.len());
     }
 
     #[test]

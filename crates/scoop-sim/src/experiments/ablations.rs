@@ -4,10 +4,10 @@
 //!
 //! These are not figures from the paper, but they isolate the mechanisms the
 //! paper credits for parts of its results (e.g. batching is why EQUAL beats
-//! RANDOM in Figure 3 right). Each variant is one scenario in a declarative
-//! suite executed by the parallel sweep runner.
+//! RANDOM in Figure 3 right). Each variant is one config of a grid run on the
+//! parallel sweep pool.
 
-use crate::sweep::{ScenarioSuite, SweepRunner};
+use super::sweep;
 use scoop_types::{DataSourceKind, ScenarioSpec, ScoopError, StoragePolicy};
 use serde::{Deserialize, Serialize};
 
@@ -30,21 +30,19 @@ pub struct AblationRow {
 type Variant = (&'static str, fn(&mut ScenarioSpec));
 
 /// The ablation variants: name plus the config mutation that enables each.
-fn variants() -> Vec<Variant> {
-    vec![
-        ("baseline", |_| {}),
-        ("no-batching", |cfg| cfg.policy.scoop.batch_size = 1),
-        ("no-index-suppression", |cfg| {
-            cfg.policy.scoop.suppress_unchanged_index = false
-        }),
-        ("no-neighbor-shortcut", |cfg| {
-            cfg.policy.scoop.neighbor_shortcut = false
-        }),
-        ("store-local-fallback", |cfg| {
-            cfg.policy.scoop.allow_store_local_fallback = true
-        }),
-    ]
-}
+const VARIANTS: [Variant; 5] = [
+    ("baseline", |_| {}),
+    ("no-batching", |cfg| cfg.policy.scoop.batch_size = 1),
+    ("no-index-suppression", |cfg| {
+        cfg.policy.scoop.suppress_unchanged_index = false
+    }),
+    ("no-neighbor-shortcut", |cfg| {
+        cfg.policy.scoop.neighbor_shortcut = false
+    }),
+    ("store-local-fallback", |cfg| {
+        cfg.policy.scoop.allow_store_local_fallback = true
+    }),
+];
 
 /// Runs the full ablation suite for SCOOP on the given data source.
 pub fn ablation_rows(
@@ -52,20 +50,14 @@ pub fn ablation_rows(
     source: DataSourceKind,
     trials: usize,
 ) -> Result<Vec<AblationRow>, ScoopError> {
-    let variants = variants();
-    let suite =
-        ScenarioSuite::from_grid("ablations", trials, variants.iter(), |&(name, mutate)| {
-            let mut cfg = base.clone();
-            cfg.policy.kind = StoragePolicy::Scoop;
-            cfg.workload.data_source = source;
-            mutate(&mut cfg);
-            (name.to_string(), cfg)
-        });
-    let report = SweepRunner::from_env().run(&suite)?;
-    Ok(variants
-        .iter()
-        .zip(report.averaged())
-        .map(|(&(name, _), avg)| AblationRow {
+    let results = sweep(base, &VARIANTS, trials, |cfg, (_, mutate)| {
+        cfg.policy.kind = StoragePolicy::Scoop;
+        cfg.workload.data_source = source;
+        mutate(cfg);
+    })?;
+    Ok(results
+        .into_iter()
+        .map(|((name, _), avg)| AblationRow {
             variant: name.to_string(),
             source,
             total_messages: avg.total_messages(),

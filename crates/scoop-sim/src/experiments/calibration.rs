@@ -9,7 +9,7 @@
 //! grid ships as `LinkSpec::default()`; the calibration-oracle test holds the
 //! committed `results/calibration.json` to that.
 
-use crate::sweep::{ScenarioSuite, SweepRunner};
+use super::sweep;
 use scoop_types::{LinkSpec, ScenarioSpec, ScoopError, StoragePolicy};
 use serde::{Deserialize, Serialize};
 
@@ -71,8 +71,7 @@ pub fn winner(rows: &[CalibrationRow]) -> Option<&CalibrationRow> {
         .min_by(|a, b| a.objective.total_cmp(&b.objective))
 }
 
-/// Short label of a grid point, used in scenario labels, row keys and
-/// reports.
+/// Short label of a grid point, used in row keys and reports.
 pub fn label(spec: &LinkSpec) -> String {
     format!(
         "floor-{:.2}/edge-{:.2}/exp-{:.1}/noise-{:.2}",
@@ -125,45 +124,38 @@ pub fn calibration(
     grid: &[LinkSpec],
     trials: usize,
 ) -> Result<Vec<CalibrationRow>, ScoopError> {
-    let jobs = grid
+    let jobs: Vec<(LinkSpec, StoragePolicy)> = grid
         .iter()
-        .flat_map(|&spec| [(spec, StoragePolicy::Scoop), (spec, StoragePolicy::Base)]);
-    let suite = ScenarioSuite::from_grid("calibration", trials, jobs, |(spec, policy)| {
-        let mut cfg = base.clone();
+        .flat_map(|&spec| [(spec, StoragePolicy::Scoop), (spec, StoragePolicy::Base)])
+        .collect();
+    let results = sweep(base, &jobs, trials, |cfg, (spec, policy)| {
         cfg.policy.kind = policy;
         cfg.link = spec;
-        (format!("{}/{policy}", label(&spec)), cfg)
-    });
-    let report = SweepRunner::from_env().run(&suite)?;
-    let mut averaged = report.averaged();
-    let mut rows = Vec::with_capacity(grid.len());
-    for &point in grid {
-        let (Some(scoop), Some(base_run)) = (averaged.next(), averaged.next()) else {
-            return Err(ScoopError::Simulation(
-                "calibration sweep returned fewer than one SCOOP and one BASE result per grid point"
-                    .into(),
-            ));
-        };
-        let scoop_messages = scoop.total_messages();
-        let base_messages = base_run.total_messages();
-        let mut row = CalibrationRow {
-            point,
-            storage_success: scoop.storage.storage_success(),
-            query_success: scoop.queries.query_success(),
-            destination_accuracy: scoop.storage.destination_accuracy(),
-            scoop_messages,
-            base_messages,
-            cost_ratio: if base_messages == 0 {
-                f64::INFINITY
-            } else {
-                scoop_messages as f64 / base_messages as f64
-            },
-            objective: 0.0,
-        };
-        row.objective = objective(&row);
-        rows.push(row);
-    }
-    Ok(rows)
+    })?;
+    Ok(results
+        .chunks_exact(2)
+        .map(|pair| {
+            let (((point, _), scoop), (_, base_run)) = (&pair[0], &pair[1]);
+            let scoop_messages = scoop.total_messages();
+            let base_messages = base_run.total_messages();
+            let mut row = CalibrationRow {
+                point: *point,
+                storage_success: scoop.storage.storage_success(),
+                query_success: scoop.queries.query_success(),
+                destination_accuracy: scoop.storage.destination_accuracy(),
+                scoop_messages,
+                base_messages,
+                cost_ratio: if base_messages == 0 {
+                    f64::INFINITY
+                } else {
+                    scoop_messages as f64 / base_messages as f64
+                },
+                objective: 0.0,
+            };
+            row.objective = objective(&row);
+            row
+        })
+        .collect())
 }
 
 #[cfg(test)]

@@ -8,11 +8,10 @@
 //!
 //! Each bar in the paper is a stacked breakdown into query/reply, mapping,
 //! summary, and data messages; each [`Fig3Row`] carries the same four
-//! numbers. The bars are declared as a scenario grid and executed by the
-//! parallel [`SweepRunner`].
+//! numbers. The bars are one config grid, run on the parallel sweep pool.
 
+use super::sweep;
 use crate::metrics::MessageBreakdown;
-use crate::sweep::{ScenarioSuite, SweepRunner};
 use scoop_types::{DataSourceKind, ScenarioSpec, ScoopError, StoragePolicy};
 use serde::{Deserialize, Serialize};
 
@@ -31,23 +30,17 @@ pub struct Fig3Row {
 
 /// Runs one panel of Figure 3: the given `(policy, source)` bars.
 fn run_panel(
-    name: &str,
     base: &ScenarioSpec,
     combos: &[(StoragePolicy, DataSourceKind)],
     trials: usize,
 ) -> Result<Vec<Fig3Row>, ScoopError> {
-    let suite =
-        ScenarioSuite::from_grid(name, trials, combos.iter().copied(), |(policy, source)| {
-            let mut cfg = base.clone();
-            cfg.policy.kind = policy;
-            cfg.workload.data_source = source;
-            (format!("{policy}/{source}"), cfg)
-        });
-    let report = SweepRunner::from_env().run(&suite)?;
-    Ok(combos
-        .iter()
-        .zip(report.averaged())
-        .map(|(&(policy, source), avg)| Fig3Row {
+    let results = sweep(base, combos, trials, |cfg, (policy, source)| {
+        cfg.policy.kind = policy;
+        cfg.workload.data_source = source;
+    })?;
+    Ok(results
+        .into_iter()
+        .map(|((policy, source), avg)| Fig3Row {
             policy,
             source,
             messages: avg.messages,
@@ -59,7 +52,6 @@ fn run_panel(
 /// Figure 3 (left): the testbed bars.
 pub fn fig3_left(base: &ScenarioSpec, trials: usize) -> Result<Vec<Fig3Row>, ScoopError> {
     run_panel(
-        "fig3-left",
         base,
         &[
             (StoragePolicy::Scoop, DataSourceKind::Unique),
@@ -77,7 +69,7 @@ pub fn fig3_middle(base: &ScenarioSpec, trials: usize) -> Result<Vec<Fig3Row>, S
         .into_iter()
         .map(|p| (p, DataSourceKind::Real))
         .collect();
-    run_panel("fig3-middle", base, &combos, trials)
+    run_panel(base, &combos, trials)
 }
 
 /// Figure 3 (right): SCOOP over every data source.
@@ -86,7 +78,7 @@ pub fn fig3_right(base: &ScenarioSpec, trials: usize) -> Result<Vec<Fig3Row>, Sc
         .into_iter()
         .map(|s| (StoragePolicy::Scoop, s))
         .collect();
-    run_panel("fig3-right", base, &combos, trials)
+    run_panel(base, &combos, trials)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! is flat (it always floods everyone), BASE is flat (queries are free), and
 //! SCOOP grows with selectivity, crossing BASE at around 60 %.
 
-use crate::sweep::{ScenarioSuite, SweepRunner};
+use super::{cross, sweep, POLICIES};
 use scoop_types::{ScenarioSpec, ScoopError, StoragePolicy};
 use serde::{Deserialize, Serialize};
 
@@ -29,32 +29,15 @@ pub fn fig4_selectivity(
     width_fracs: &[f64],
     trials: usize,
 ) -> Result<Vec<Fig4Row>, ScoopError> {
-    let policies = [
-        StoragePolicy::Scoop,
-        StoragePolicy::Local,
-        StoragePolicy::Base,
-    ];
-    let grid: Vec<(StoragePolicy, f64)> = policies
+    let grid = cross(&POLICIES, width_fracs);
+    let results = sweep(base, &grid, trials, |cfg, (policy, frac)| {
+        cfg.policy.kind = policy;
+        cfg.workload.queries.min_width_frac = frac;
+        cfg.workload.queries.max_width_frac = frac;
+    })?;
+    Ok(results
         .into_iter()
-        .flat_map(|p| width_fracs.iter().map(move |&f| (p, f)))
-        .collect();
-    let suite = ScenarioSuite::from_grid(
-        "fig4-selectivity",
-        trials,
-        grid.iter().copied(),
-        |(policy, frac)| {
-            let mut cfg = base.clone();
-            cfg.policy.kind = policy;
-            cfg.workload.queries.min_width_frac = frac;
-            cfg.workload.queries.max_width_frac = frac;
-            (format!("{policy}/width-{frac:.2}"), cfg)
-        },
-    );
-    let report = SweepRunner::from_env().run(&suite)?;
-    Ok(grid
-        .iter()
-        .zip(report.averaged())
-        .map(|(&(policy, frac), avg)| Fig4Row {
+        .map(|((policy, frac), avg)| Fig4Row {
             policy,
             requested_width_frac: frac,
             fraction_nodes_queried: match policy {
@@ -68,10 +51,8 @@ pub fn fig4_selectivity(
         .collect())
 }
 
-/// The default sweep points used by the bench harness.
-pub fn default_width_fracs() -> Vec<f64> {
-    vec![0.02, 0.10, 0.25, 0.50, 0.75, 1.0]
-}
+/// The full grid's query widths.
+pub const DEFAULT_WIDTH_FRACS: [f64; 6] = [0.02, 0.10, 0.25, 0.50, 0.75, 1.0];
 
 #[cfg(test)]
 mod tests {

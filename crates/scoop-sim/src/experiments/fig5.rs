@@ -5,7 +5,7 @@
 //! BASE are largely insensitive because their dominant costs are data and
 //! summary traffic.
 
-use crate::sweep::{ScenarioSuite, SweepRunner};
+use super::{cross, sweep, POLICIES};
 use scoop_types::{ScenarioSpec, ScoopError, SimDuration, StoragePolicy};
 use serde::{Deserialize, Serialize};
 
@@ -26,31 +26,14 @@ pub fn fig5_query_interval(
     intervals_secs: &[u64],
     trials: usize,
 ) -> Result<Vec<Fig5Row>, ScoopError> {
-    let policies = [
-        StoragePolicy::Scoop,
-        StoragePolicy::Local,
-        StoragePolicy::Base,
-    ];
-    let grid: Vec<(StoragePolicy, u64)> = policies
+    let grid = cross(&POLICIES, intervals_secs);
+    let results = sweep(base, &grid, trials, |cfg, (policy, secs)| {
+        cfg.policy.kind = policy;
+        cfg.workload.queries.query_interval = SimDuration::from_secs(secs.max(1));
+    })?;
+    Ok(results
         .into_iter()
-        .flat_map(|p| intervals_secs.iter().map(move |&s| (p, s)))
-        .collect();
-    let suite = ScenarioSuite::from_grid(
-        "fig5-query-interval",
-        trials,
-        grid.iter().copied(),
-        |(policy, secs)| {
-            let mut cfg = base.clone();
-            cfg.policy.kind = policy;
-            cfg.workload.queries.query_interval = SimDuration::from_secs(secs.max(1));
-            (format!("{policy}/interval-{secs}s"), cfg)
-        },
-    );
-    let report = SweepRunner::from_env().run(&suite)?;
-    Ok(grid
-        .iter()
-        .zip(report.averaged())
-        .map(|(&(policy, secs), avg)| Fig5Row {
+        .map(|((policy, secs), avg)| Fig5Row {
             policy,
             query_interval_secs: secs,
             total_messages: avg.total_messages(),
@@ -58,11 +41,8 @@ pub fn fig5_query_interval(
         .collect())
 }
 
-/// The default sweep points used by the bench harness (5 s to 50 s, as in the
-/// paper's x-axis).
-pub fn default_intervals() -> Vec<u64> {
-    vec![5, 10, 15, 25, 40, 50]
-}
+/// The full grid's query intervals: 5 s to 50 s, as on the paper's x-axis.
+pub const DEFAULT_INTERVALS: [u64; 6] = [5, 10, 15, 25, 40, 50];
 
 #[cfg(test)]
 mod tests {

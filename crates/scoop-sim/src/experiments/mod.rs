@@ -16,7 +16,9 @@ pub mod fig5;
 pub mod prose;
 pub mod workloads;
 
-use scoop_types::ScenarioSpec;
+use crate::metrics::RunResult;
+use crate::sweep::SweepRunner;
+use scoop_types::{ScenarioSpec, ScoopError, StoragePolicy};
 
 /// The paper's default configuration (Section 6): 62 nodes, 40 minutes,
 /// 15-second sample and query intervals, REAL data.
@@ -31,6 +33,43 @@ pub fn quick_base() -> ScenarioSpec {
     ScenarioSpec::small_test()
 }
 
+/// The policies the pointwise sweeps (Figures 4 and 5, reliability, the
+/// range and aggregate workloads) compare. HASH adds nothing there that
+/// SCOOP's value routing doesn't already show.
+pub const POLICIES: [StoragePolicy; 3] = [
+    StoragePolicy::Scoop,
+    StoragePolicy::Local,
+    StoragePolicy::Base,
+];
+
+/// Every `(a, b)` pair, `a`-major: the grid of two sweep axes.
+fn cross<A: Copy, B: Copy>(xs: &[A], ys: &[B]) -> Vec<(A, B)> {
+    xs.iter()
+        .flat_map(|&x| ys.iter().map(move |&y| (x, y)))
+        .collect()
+}
+
+/// Runs one copy of `base` per grid point, adjusted by `set`, for `trials`
+/// seeds each on the environment's sweep pool ([`SweepRunner::from_env`]),
+/// and pairs every point with its averaged result, in grid order.
+fn sweep<P: Copy>(
+    base: &ScenarioSpec,
+    grid: &[P],
+    trials: usize,
+    set: impl Fn(&mut ScenarioSpec, P),
+) -> Result<Vec<(P, RunResult)>, ScoopError> {
+    let configs: Vec<ScenarioSpec> = grid
+        .iter()
+        .map(|&point| {
+            let mut cfg = base.clone();
+            set(&mut cfg, point);
+            cfg
+        })
+        .collect();
+    let averaged = SweepRunner::from_env().averaged(&configs, trials)?;
+    Ok(grid.iter().copied().zip(averaged).collect())
+}
+
 pub use ablations::{ablation_rows, AblationRow};
 pub use calibration::{calibration, CalibrationRow};
 pub use chaos::{chaos, ChaosRow, ChaosScenario};
@@ -38,7 +77,7 @@ pub use fig3::{fig3_left, fig3_middle, fig3_right, Fig3Row};
 pub use fig4::{fig4_selectivity, Fig4Row};
 pub use fig5::{fig5_query_interval, Fig5Row};
 pub use prose::{
-    reliability, root_skew, sample_interval_sweep, scaling, scaling_with_policy, ReliabilityRow,
-    RootSkewRow, SampleIntervalRow, ScalingRow,
+    reliability, root_skew, sample_interval_sweep, scaling, ReliabilityRow, RootSkewRow,
+    SampleIntervalRow, ScalingRow,
 };
 pub use workloads::{aggregate_ops, range_width, AggregateOpsRow, RangeWidthRow};

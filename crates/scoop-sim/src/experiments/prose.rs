@@ -1,9 +1,8 @@
 //! The prose experiments from Section 6: the sample-interval sweep, the loss
 //! / reliability measurements, the root-node skew analysis, and the scaling
-//! study. Each is a declarative scenario grid run by the parallel
-//! [`SweepRunner`].
+//! study. Each is one config grid run on the parallel sweep pool.
 
-use crate::sweep::{ScenarioSuite, SweepRunner};
+use super::{cross, sweep};
 use scoop_types::{DataSourceKind, ScenarioSpec, ScoopError, SimDuration, StoragePolicy};
 use serde::{Deserialize, Serialize};
 
@@ -30,27 +29,15 @@ pub fn sample_interval_sweep(
     intervals_secs: &[u64],
     trials: usize,
 ) -> Result<Vec<SampleIntervalRow>, ScoopError> {
-    let grid: Vec<(DataSourceKind, u64)> = sources
-        .iter()
-        .flat_map(|&src| intervals_secs.iter().map(move |&s| (src, s)))
-        .collect();
-    let suite = ScenarioSuite::from_grid(
-        "sample-interval",
-        trials,
-        grid.iter().copied(),
-        |(source, secs)| {
-            let mut cfg = base.clone();
-            cfg.policy.kind = StoragePolicy::Scoop;
-            cfg.workload.data_source = source;
-            cfg.workload.sample_interval = SimDuration::from_secs(secs.max(1));
-            (format!("{source}/sample-{secs}s"), cfg)
-        },
-    );
-    let report = SweepRunner::from_env().run(&suite)?;
-    Ok(grid
-        .iter()
-        .zip(report.averaged())
-        .map(|(&(source, secs), avg)| SampleIntervalRow {
+    let grid = cross(sources, intervals_secs);
+    let results = sweep(base, &grid, trials, |cfg, (source, secs)| {
+        cfg.policy.kind = StoragePolicy::Scoop;
+        cfg.workload.data_source = source;
+        cfg.workload.sample_interval = SimDuration::from_secs(secs.max(1));
+    })?;
+    Ok(results
+        .into_iter()
+        .map(|((source, secs), avg)| SampleIntervalRow {
             source,
             sample_interval_secs: secs,
             total_messages: avg.total_messages(),
@@ -81,17 +68,12 @@ pub fn reliability(
     policies: &[StoragePolicy],
     trials: usize,
 ) -> Result<Vec<ReliabilityRow>, ScoopError> {
-    let suite =
-        ScenarioSuite::from_grid("reliability", trials, policies.iter().copied(), |policy| {
-            let mut cfg = base.clone();
-            cfg.policy.kind = policy;
-            (policy.to_string(), cfg)
-        });
-    let report = SweepRunner::from_env().run(&suite)?;
-    Ok(policies
-        .iter()
-        .zip(report.averaged())
-        .map(|(&policy, avg)| ReliabilityRow {
+    let results = sweep(base, policies, trials, |cfg, policy| {
+        cfg.policy.kind = policy
+    })?;
+    Ok(results
+        .into_iter()
+        .map(|(policy, avg)| ReliabilityRow {
             policy,
             storage_success: avg.storage.storage_success(),
             query_success: avg.queries.query_success(),
@@ -124,16 +106,12 @@ pub fn root_skew(base: &ScenarioSpec, trials: usize) -> Result<Vec<RootSkewRow>,
         StoragePolicy::Base,
         StoragePolicy::Local,
     ];
-    let suite = ScenarioSuite::from_grid("root-skew", trials, policies, |policy| {
-        let mut cfg = base.clone();
-        cfg.policy.kind = policy;
-        (policy.to_string(), cfg)
-    });
-    let report = SweepRunner::from_env().run(&suite)?;
-    Ok(policies
-        .iter()
-        .zip(report.averaged())
-        .map(|(&policy, avg)| {
+    let results = sweep(base, &policies, trials, |cfg, policy| {
+        cfg.policy.kind = policy
+    })?;
+    Ok(results
+        .into_iter()
+        .map(|(policy, avg)| {
             let skew = avg.root_skew();
             RootSkewRow {
                 policy,
@@ -162,44 +140,28 @@ pub struct ScalingRow {
     pub storage_success: f64,
 }
 
-/// Runs the scaling study for SCOOP over the given network sizes and sources.
+/// Runs the scaling study under `policy` over the given network sizes and
+/// sources. The large-scale scenarios (thousands of nodes) run HASH: its
+/// storage index is static, so no node ships summaries and the basestation
+/// never remaps. A Scoop remap holds only a values × nodes cost matrix, but
+/// it runs one Dijkstra per producer — 0.2 s at 4,096 sensors — every remap
+/// interval.
 pub fn scaling(
-    base: &ScenarioSpec,
-    sizes: &[usize],
-    sources: &[DataSourceKind],
-    trials: usize,
-) -> Result<Vec<ScalingRow>, ScoopError> {
-    scaling_with_policy(base, sizes, sources, StoragePolicy::Scoop, trials)
-}
-
-/// The scaling study under an explicit storage policy. The large-scale
-/// scenarios (thousands of nodes) run HASH: its storage index is static, so
-/// no node ships summaries and the basestation never remaps. A Scoop remap
-/// holds only a values × nodes cost matrix, but it runs one Dijkstra per
-/// producer — 0.2 s at 4,096 sensors — every remap interval.
-pub fn scaling_with_policy(
     base: &ScenarioSpec,
     sizes: &[usize],
     sources: &[DataSourceKind],
     policy: StoragePolicy,
     trials: usize,
 ) -> Result<Vec<ScalingRow>, ScoopError> {
-    let grid: Vec<(DataSourceKind, usize)> = sources
-        .iter()
-        .flat_map(|&src| sizes.iter().map(move |&n| (src, n)))
-        .collect();
-    let suite = ScenarioSuite::from_grid("scaling", trials, grid.iter().copied(), |(source, n)| {
-        let mut cfg = base.clone();
+    let grid = cross(sources, sizes);
+    let results = sweep(base, &grid, trials, |cfg, (source, n)| {
         cfg.policy.kind = policy;
         cfg.workload.data_source = source;
         cfg.num_nodes = n;
-        (format!("{source}/{n}-nodes"), cfg)
-    });
-    let report = SweepRunner::from_env().run(&suite)?;
-    Ok(grid
-        .iter()
-        .zip(report.averaged())
-        .map(|(&(source, n), avg)| ScalingRow {
+    })?;
+    Ok(results
+        .into_iter()
+        .map(|((source, n), avg)| ScalingRow {
             source,
             num_nodes: n,
             total_messages: avg.total_messages(),
@@ -246,7 +208,14 @@ mod tests {
 
     #[test]
     fn scaling_runs_multiple_sizes() {
-        let rows = scaling(&quick_base(), &[8, 16], &[DataSourceKind::Gaussian], 1).unwrap();
+        let rows = scaling(
+            &quick_base(),
+            &[8, 16],
+            &[DataSourceKind::Gaussian],
+            StoragePolicy::Scoop,
+            1,
+        )
+        .unwrap();
         assert_eq!(rows.len(), 2);
         assert!(
             rows[1].total_messages > rows[0].total_messages,
@@ -256,7 +225,7 @@ mod tests {
 
     #[test]
     fn scaling_with_policy_runs_the_hash_baseline() {
-        let rows = scaling_with_policy(
+        let rows = scaling(
             &quick_base(),
             &[8],
             &[DataSourceKind::Gaussian],

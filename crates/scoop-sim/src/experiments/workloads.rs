@@ -8,7 +8,7 @@
 //! combine hop-by-hop up the routing tree (TAG-style), BASE answers from the
 //! basestation's own store for free.
 
-use crate::sweep::{ScenarioSuite, SweepRunner};
+use super::{cross, sweep, POLICIES};
 use scoop_types::{AggregateOp, ScenarioSpec, ScoopError, StoragePolicy, WorkloadKind};
 use serde::{Deserialize, Serialize};
 
@@ -42,14 +42,6 @@ pub struct AggregateOpsRow {
     pub query_success: f64,
 }
 
-/// The policies every workload grid compares (HASH adds nothing here that
-/// SCOOP's value routing doesn't already show).
-const POLICIES: [StoragePolicy; 3] = [
-    StoragePolicy::Scoop,
-    StoragePolicy::Local,
-    StoragePolicy::Base,
-];
-
 /// Runs the range-width sweep: every policy × every width in `width_fracs`,
 /// with the workload kind pinned to `Range { width_frac }`.
 pub fn range_width(
@@ -57,26 +49,14 @@ pub fn range_width(
     width_fracs: &[f64],
     trials: usize,
 ) -> Result<Vec<RangeWidthRow>, ScoopError> {
-    let grid: Vec<(StoragePolicy, f64)> = POLICIES
+    let grid = cross(&POLICIES, width_fracs);
+    let results = sweep(base, &grid, trials, |cfg, (policy, frac)| {
+        cfg.policy.kind = policy;
+        cfg.workload.kind = WorkloadKind::range(frac);
+    })?;
+    Ok(results
         .into_iter()
-        .flat_map(|p| width_fracs.iter().map(move |&f| (p, f)))
-        .collect();
-    let suite = ScenarioSuite::from_grid(
-        "range-width",
-        trials,
-        grid.iter().copied(),
-        |(policy, frac)| {
-            let mut cfg = base.clone();
-            cfg.policy.kind = policy;
-            cfg.workload.kind = WorkloadKind::range(frac);
-            (format!("{policy}/width-{frac:.2}"), cfg)
-        },
-    );
-    let report = SweepRunner::from_env().run(&suite)?;
-    Ok(grid
-        .iter()
-        .zip(report.averaged())
-        .map(|(&(policy, frac), avg)| RangeWidthRow {
+        .map(|((policy, frac), avg)| RangeWidthRow {
             policy,
             width_frac: frac,
             fraction_nodes_queried: match policy {
@@ -91,15 +71,13 @@ pub fn range_width(
         .collect())
 }
 
-/// The operators the aggregate grid runs by default.
-pub fn default_aggregate_ops() -> Vec<AggregateOp> {
-    vec![
-        AggregateOp::Min,
-        AggregateOp::Max,
-        AggregateOp::Avg,
-        AggregateOp::Quantile(0.5),
-    ]
-}
+/// The full grid's aggregate operators.
+pub const DEFAULT_AGGREGATE_OPS: [AggregateOp; 4] = [
+    AggregateOp::Min,
+    AggregateOp::Max,
+    AggregateOp::Avg,
+    AggregateOp::Quantile(0.5),
+];
 
 /// Runs the aggregate-operator grid: every policy × every operator in `ops`,
 /// with the workload kind pinned to `Aggregate { op, epsilon }` at the
@@ -109,26 +87,14 @@ pub fn aggregate_ops(
     ops: &[AggregateOp],
     trials: usize,
 ) -> Result<Vec<AggregateOpsRow>, ScoopError> {
-    let grid: Vec<(StoragePolicy, AggregateOp)> = POLICIES
+    let grid = cross(&POLICIES, ops);
+    let results = sweep(base, &grid, trials, |cfg, (policy, op)| {
+        cfg.policy.kind = policy;
+        cfg.workload.kind = WorkloadKind::aggregate(op, WorkloadKind::DEFAULT_EPSILON);
+    })?;
+    Ok(results
         .into_iter()
-        .flat_map(|p| ops.iter().map(move |&op| (p, op)))
-        .collect();
-    let suite = ScenarioSuite::from_grid(
-        "aggregate-ops",
-        trials,
-        grid.iter().copied(),
-        |(policy, op)| {
-            let mut cfg = base.clone();
-            cfg.policy.kind = policy;
-            cfg.workload.kind = WorkloadKind::aggregate(op, WorkloadKind::DEFAULT_EPSILON);
-            (format!("{policy}/{}", op.label()), cfg)
-        },
-    );
-    let report = SweepRunner::from_env().run(&suite)?;
-    Ok(grid
-        .iter()
-        .zip(report.averaged())
-        .map(|(&(policy, op), avg)| AggregateOpsRow {
+        .map(|((policy, op), avg)| AggregateOpsRow {
             policy,
             op: op.label(),
             total_messages: avg.total_messages(),
@@ -138,10 +104,8 @@ pub fn aggregate_ops(
         .collect())
 }
 
-/// The default width points for the range sweep.
-pub fn default_range_widths() -> Vec<f64> {
-    vec![0.05, 0.25, 0.50, 1.0]
-}
+/// The full grid's range-query widths.
+pub const DEFAULT_RANGE_WIDTHS: [f64; 4] = [0.05, 0.25, 0.50, 1.0];
 
 #[cfg(test)]
 mod tests {

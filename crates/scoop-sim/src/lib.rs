@@ -21,11 +21,11 @@
 //!   fault axis into a radio-outage schedule.
 //! * [`runner`] — runs a built engine and extracts a
 //!   [`metrics::RunResult`]; multi-trial averaging included.
-//! * [`sweep`] — the parallel, deterministic scenario runner: declarative
-//!   [`sweep::ScenarioSuite`]s executed across threads by
-//!   [`sweep::SweepRunner`] with results collected in input order.
-//! * [`experiments`] — one module per paper figure/table, each a declarative
-//!   scenario grid handed to the sweep runner.
+//! * [`sweep`] — the parallel, deterministic scenario runner:
+//!   [`sweep::SweepRunner::averaged`] runs a list of configs over several
+//!   seeds each, across threads, and averages them in input order.
+//! * [`experiments`] — one module per paper figure/table, each a grid of
+//!   configs handed to the sweep runner.
 
 #![warn(missing_docs)]
 
@@ -47,6 +47,6 @@ pub use node::{NodeShared, SimNode};
 pub use ring::RecentReadings;
 pub use runner::{
     average_results, build_engine, build_engine_with, events_dispatched_total,
-    run_built_experiment, run_experiment, run_trials,
+    run_built_experiment, run_experiment,
 };
-pub use sweep::{Scenario, ScenarioSuite, SweepReport, SweepRunner};
+pub use sweep::SweepRunner;

@@ -145,18 +145,6 @@ pub fn run_built_experiment(
     })
 }
 
-/// Runs `trials` runs of the same configuration with different seeds
-/// (`config.seed`, `+1`, `+2`, ...) and returns every result.
-pub fn run_trials(config: &ScenarioSpec, trials: usize) -> Result<Vec<RunResult>, ScoopError> {
-    let mut results = Vec::with_capacity(trials);
-    for t in 0..trials.max(1) {
-        let mut cfg = config.clone();
-        cfg.seed = config.seed + t as u64;
-        results.push(run_experiment(&cfg)?);
-    }
-    Ok(results)
-}
-
 /// Element-wise average of several runs of the same configuration (the paper
 /// averages three trials). Per-node vectors are averaged pairwise; counters
 /// are averaged as floating point and rounded.
@@ -166,23 +154,11 @@ pub fn average_results(results: &[RunResult]) -> Option<RunResult> {
     let avg_u64 = |f: &dyn Fn(&RunResult) -> u64| -> u64 {
         (results.iter().map(|r| f(r) as f64).sum::<f64>() / k).round() as u64
     };
-    let n = first.per_node_tx.len();
-    let mut per_node_tx = vec![0u64; n];
-    let mut per_node_rx = vec![0u64; n];
-    for i in 0..n {
-        per_node_tx[i] = (results
-            .iter()
-            .map(|r| *r.per_node_tx.get(i).unwrap_or(&0) as f64)
-            .sum::<f64>()
-            / k)
-            .round() as u64;
-        per_node_rx[i] = (results
-            .iter()
-            .map(|r| *r.per_node_rx.get(i).unwrap_or(&0) as f64)
-            .sum::<f64>()
-            / k)
-            .round() as u64;
-    }
+    let per_node = |f: fn(&RunResult) -> &[u64]| -> Vec<u64> {
+        (0..f(first).len())
+            .map(|i| avg_u64(&|r| *f(r).get(i).unwrap_or(&0)))
+            .collect()
+    };
     Some(RunResult {
         config: first.config.clone(),
         messages: MessageBreakdown {
@@ -191,8 +167,8 @@ pub fn average_results(results: &[RunResult]) -> Option<RunResult> {
             mapping: avg_u64(&|r| r.messages.mapping),
             query_reply: avg_u64(&|r| r.messages.query_reply),
         },
-        per_node_tx,
-        per_node_rx,
+        per_node_tx: per_node(|r| &r.per_node_tx),
+        per_node_rx: per_node(|r| &r.per_node_rx),
         storage: StorageMetrics {
             sampled: avg_u64(&|r| r.storage.sampled),
             stored: avg_u64(&|r| r.storage.stored),
@@ -290,10 +266,19 @@ mod tests {
     #[test]
     fn trials_use_distinct_seeds_and_average() {
         let cfg = small(StoragePolicy::Base, DataSourceKind::Gaussian);
-        let results = run_trials(&cfg, 2).unwrap();
-        assert_eq!(results.len(), 2);
+        let averaged = crate::SweepRunner::sequential()
+            .averaged(std::slice::from_ref(&cfg), 2)
+            .unwrap();
+        let results: Vec<RunResult> = (0..2)
+            .map(|t| {
+                let mut trial = cfg.clone();
+                trial.seed = cfg.seed + t;
+                run_experiment(&trial).unwrap()
+            })
+            .collect();
         assert_eq!(results[0].config.seed + 1, results[1].config.seed);
         let avg = average_results(&results).unwrap();
+        assert_eq!(averaged, std::slice::from_ref(&avg));
         let lo = results.iter().map(|r| r.total_messages()).min().unwrap();
         let hi = results.iter().map(|r| r.total_messages()).max().unwrap();
         assert!(avg.total_messages() >= lo && avg.total_messages() <= hi);

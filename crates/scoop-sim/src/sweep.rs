@@ -8,114 +8,17 @@
 //! making the output bit-identical to a sequential run regardless of thread
 //! count or completion order.
 //!
-//! * [`Scenario`] — one named configuration.
-//! * [`ScenarioSuite`] — a named list of scenarios plus a trial count; the
-//!   declarative form every `experiments::*` module now reduces to.
-//! * [`SweepRunner`] — executes a suite (or a bare config grid) over a worker
-//!   pool sized by [`SweepRunner::with_threads`], the
-//!   `SCOOP_SWEEP_THREADS` environment variable, or the machine's available
-//!   parallelism, in that order of precedence.
+//! [`SweepRunner`] owns a worker pool sized by [`SweepRunner::with_threads`],
+//! the `SCOOP_SWEEP_THREADS` environment variable, or the machine's
+//! available parallelism, in that order of precedence. It has two entry
+//! points: [`SweepRunner::run_configs`] runs each config once, and
+//! [`SweepRunner::averaged`] runs each config over several seeds and returns
+//! their averages — the number every figure plots.
 
 use crate::metrics::RunResult;
 use crate::runner::{average_results, run_experiment};
 use scoop_types::{ScenarioSpec, ScoopError};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// One named point of a sweep.
-#[derive(Clone, Debug)]
-pub struct Scenario {
-    /// Human-readable label (used in reports and error messages).
-    pub label: String,
-    /// The configuration to run.
-    pub config: ScenarioSpec,
-}
-
-impl Scenario {
-    /// Creates a scenario.
-    pub fn new(label: impl Into<String>, config: ScenarioSpec) -> Self {
-        Scenario {
-            label: label.into(),
-            config,
-        }
-    }
-}
-
-/// A declarative description of one whole sweep.
-#[derive(Clone, Debug)]
-pub struct ScenarioSuite {
-    /// Name of the suite (e.g. `"fig3-left"`).
-    pub name: String,
-    /// The scenarios, in presentation order.
-    pub scenarios: Vec<Scenario>,
-    /// Trials per scenario; trial `t` runs with `config.seed + t`, matching
-    /// [`crate::runner::run_trials`].
-    pub trials: usize,
-}
-
-impl ScenarioSuite {
-    /// Creates an empty suite running `trials` trials per scenario.
-    pub fn new(name: impl Into<String>, trials: usize) -> Self {
-        ScenarioSuite {
-            name: name.into(),
-            scenarios: Vec::new(),
-            trials: trials.max(1),
-        }
-    }
-
-    /// Adds one scenario (builder style).
-    pub fn scenario(mut self, label: impl Into<String>, config: ScenarioSpec) -> Self {
-        self.scenarios.push(Scenario::new(label, config));
-        self
-    }
-
-    /// Builds a suite by applying `make` to every grid point. The label is
-    /// `make`'s first return; the config its second.
-    pub fn from_grid<P>(
-        name: impl Into<String>,
-        trials: usize,
-        points: impl IntoIterator<Item = P>,
-        mut make: impl FnMut(P) -> (String, ScenarioSpec),
-    ) -> Self {
-        let mut suite = ScenarioSuite::new(name, trials);
-        for point in points {
-            let (label, config) = make(point);
-            suite.scenarios.push(Scenario::new(label, config));
-        }
-        suite
-    }
-
-    /// Total number of simulation runs this suite expands to.
-    pub fn job_count(&self) -> usize {
-        self.scenarios.len() * self.trials
-    }
-}
-
-/// The result of one scenario: every trial plus their average.
-#[derive(Clone, Debug)]
-pub struct ScenarioResult {
-    /// Label copied from the scenario.
-    pub label: String,
-    /// One result per trial, in seed order.
-    pub trials: Vec<RunResult>,
-    /// Element-wise average of `trials` (the number each figure plots).
-    pub averaged: RunResult,
-}
-
-/// The results of a whole suite, in scenario order.
-#[derive(Clone, Debug)]
-pub struct SweepReport {
-    /// Name copied from the suite.
-    pub suite: String,
-    /// One entry per scenario, in the suite's order.
-    pub results: Vec<ScenarioResult>,
-}
-
-impl SweepReport {
-    /// The averaged results, in scenario order (the common consumption shape).
-    pub fn averaged(&self) -> impl Iterator<Item = &RunResult> {
-        self.results.iter().map(|r| &r.averaged)
-    }
-}
 
 /// Executes sweeps over a fixed-size worker pool.
 #[derive(Clone, Copy, Debug)]
@@ -217,41 +120,31 @@ impl SweepRunner {
         completed.into_iter().map(|(_, result)| result).collect()
     }
 
-    /// Runs a whole suite: `trials` seeds per scenario, every run scheduled
-    /// onto the pool at once (so narrow suites with many trials still fill
-    /// all workers), averaged per scenario afterwards.
-    pub fn run(&self, suite: &ScenarioSuite) -> Result<SweepReport, ScoopError> {
-        // Re-clamp here: `trials` is a public field, so a caller can bypass
-        // the constructor's max(1) and would otherwise average no trials.
-        let trials = suite.trials.max(1);
-        let mut jobs = Vec::with_capacity(suite.scenarios.len() * trials);
-        for scenario in &suite.scenarios {
-            for trial in 0..trials {
-                let mut config = scenario.config.clone();
-                config.seed = scenario.config.seed + trial as u64;
-                jobs.push(config);
-            }
-        }
-        let mut flat = self.run_configs(&jobs)?.into_iter();
-        let mut results = Vec::with_capacity(suite.scenarios.len());
-        for scenario in &suite.scenarios {
-            let trials: Vec<RunResult> = flat.by_ref().take(trials).collect();
-            let Some(averaged) = average_results(&trials) else {
-                return Err(ScoopError::Simulation(format!(
-                    "scenario `{}` produced no trial results",
-                    scenario.label
-                )));
-            };
-            results.push(ScenarioResult {
-                label: scenario.label.clone(),
-                trials,
-                averaged,
-            });
-        }
-        Ok(SweepReport {
-            suite: suite.name.clone(),
-            results,
-        })
+    /// Runs every config `trials` times and returns each config's averaged
+    /// result, in input order. Trial `t` of a config runs with
+    /// `config.seed + t`; all `configs.len() × trials` runs go onto the pool
+    /// at once, so a narrow grid with many trials still fills every worker.
+    /// `trials` is clamped to at least 1.
+    pub fn averaged(
+        &self,
+        configs: &[ScenarioSpec],
+        trials: usize,
+    ) -> Result<Vec<RunResult>, ScoopError> {
+        let trials = trials.max(1);
+        let jobs: Vec<ScenarioSpec> = configs
+            .iter()
+            .flat_map(|config| {
+                (0..trials as u64).map(move |t| ScenarioSpec {
+                    seed: config.seed + t,
+                    ..config.clone()
+                })
+            })
+            .collect();
+        Ok(self
+            .run_configs(&jobs)?
+            .chunks_exact(trials)
+            .filter_map(average_results)
+            .collect())
     }
 }
 
@@ -295,34 +188,31 @@ mod tests {
     }
 
     #[test]
-    fn suite_trials_match_run_trials_seeding() {
+    fn averaged_trials_run_seed_plus_t() {
         let cfg = tiny(StoragePolicy::Base, DataSourceKind::Gaussian, 7);
-        let suite = ScenarioSuite::new("s", 2).scenario("base", cfg.clone());
-        let report = SweepRunner::with_threads(2).run(&suite).unwrap();
-        let expected = crate::runner::run_trials(&cfg, 2).unwrap();
-        assert_eq!(report.results.len(), 1);
-        assert_eq!(report.results[0].trials, expected);
-        let averaged = crate::runner::average_results(&expected).unwrap();
-        assert_eq!(report.results[0].averaged, averaged);
+        let averaged = SweepRunner::with_threads(2)
+            .averaged(std::slice::from_ref(&cfg), 2)
+            .unwrap();
+        let expected: Vec<RunResult> = (0..2)
+            .map(|t| {
+                let mut trial = cfg.clone();
+                trial.seed = cfg.seed + t;
+                run_experiment(&trial).unwrap()
+            })
+            .collect();
+        assert_eq!(expected[0].config.seed, 7);
+        assert_eq!(expected[1].config.seed, 8);
+        assert_eq!(averaged, vec![average_results(&expected).unwrap()]);
     }
 
     #[test]
-    fn from_grid_preserves_order() {
-        let suite = ScenarioSuite::from_grid("g", 1, [5u64, 9, 13], |seed| {
-            (
-                format!("seed-{seed}"),
-                tiny(StoragePolicy::Base, DataSourceKind::Unique, seed),
-            )
-        });
-        assert_eq!(suite.job_count(), 3);
-        let labels: Vec<&str> = suite.scenarios.iter().map(|s| s.label.as_str()).collect();
-        assert_eq!(labels, ["seed-5", "seed-9", "seed-13"]);
-        let report = SweepRunner::with_threads(3).run(&suite).unwrap();
-        let seeds: Vec<u64> = report
-            .results
-            .iter()
-            .map(|r| r.trials[0].config.seed)
+    fn averaged_preserves_input_order() {
+        let configs: Vec<ScenarioSpec> = [5u64, 9, 13]
+            .into_iter()
+            .map(|seed| tiny(StoragePolicy::Base, DataSourceKind::Unique, seed))
             .collect();
+        let averaged = SweepRunner::with_threads(3).averaged(&configs, 1).unwrap();
+        let seeds: Vec<u64> = averaged.iter().map(|r| r.config.seed).collect();
         assert_eq!(seeds, [5, 9, 13]);
     }
 
@@ -336,12 +226,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_trials_field_is_clamped_not_panicking() {
-        let mut suite = ScenarioSuite::new("z", 1)
-            .scenario("base", tiny(StoragePolicy::Base, DataSourceKind::Unique, 3));
-        suite.trials = 0; // bypasses the constructor clamp via the pub field
-        let report = SweepRunner::sequential().run(&suite).unwrap();
-        assert_eq!(report.results[0].trials.len(), 1);
+    fn zero_trials_are_clamped_not_panicking() {
+        let cfg = tiny(StoragePolicy::Base, DataSourceKind::Unique, 3);
+        let averaged = SweepRunner::sequential()
+            .averaged(std::slice::from_ref(&cfg), 0)
+            .unwrap();
+        assert_eq!(averaged, vec![run_experiment(&cfg).unwrap()]);
     }
 
     #[test]

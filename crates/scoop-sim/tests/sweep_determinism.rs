@@ -3,7 +3,7 @@
 //! executed sequentially, for every policy and data source, and the
 //! experiment modules built on top of it inherit that determinism.
 
-use scoop_sim::sweep::{ScenarioSuite, SweepRunner};
+use scoop_sim::sweep::SweepRunner;
 use scoop_sim::RunResult;
 use scoop_types::{DataSourceKind, ScenarioSpec, SimDuration, StoragePolicy};
 
@@ -52,26 +52,37 @@ fn parallel_sweep_is_bit_identical_to_sequential() {
 
 #[test]
 fn suite_results_are_thread_count_invariant_with_trials() {
-    let suite = ScenarioSuite::new("determinism", 3)
-        .scenario(
-            "scoop/real",
-            small(StoragePolicy::Scoop, DataSourceKind::Real, 5),
-        )
-        .scenario(
-            "local/gauss",
-            small(StoragePolicy::Local, DataSourceKind::Gaussian, 6),
-        )
-        .scenario(
-            "base/unique",
-            small(StoragePolicy::Base, DataSourceKind::Unique, 7),
-        );
-    let baseline = SweepRunner::sequential().run(&suite).expect("sequential");
-    let parallel = SweepRunner::with_threads(4).run(&suite).expect("parallel");
-    assert_eq!(baseline.results.len(), parallel.results.len());
-    for (a, b) in baseline.results.iter().zip(&parallel.results) {
-        assert_eq!(a.label, b.label);
-        assert_eq!(a.trials, b.trials, "trials diverged for {}", a.label);
-        assert_eq!(a.averaged, b.averaged, "average diverged for {}", a.label);
+    let configs = [
+        small(StoragePolicy::Scoop, DataSourceKind::Real, 5),
+        small(StoragePolicy::Local, DataSourceKind::Gaussian, 6),
+        small(StoragePolicy::Base, DataSourceKind::Unique, 7),
+    ];
+    let baseline = SweepRunner::sequential()
+        .averaged(&configs, 3)
+        .expect("sequential");
+    let parallel = SweepRunner::with_threads(4)
+        .averaged(&configs, 3)
+        .expect("parallel");
+    assert_eq!(baseline.len(), configs.len());
+    assert_eq!(baseline, parallel, "averages diverged across thread counts");
+    // Each average is taken over that config's own three seeds, so it
+    // matches the average of the per-trial runs (on any thread count).
+    let trials: Vec<ScenarioSpec> = configs
+        .iter()
+        .flat_map(|c| {
+            (0..3).map(move |t| ScenarioSpec {
+                seed: c.seed + t,
+                ..c.clone()
+            })
+        })
+        .collect();
+    let per_trial = SweepRunner::with_threads(4)
+        .run_configs(&trials)
+        .expect("per-trial runs");
+    for ((config, runs), averaged) in configs.iter().zip(per_trial.chunks(3)).zip(&baseline) {
+        let seeds: Vec<u64> = runs.iter().map(|r| r.config.seed).collect();
+        assert_eq!(seeds, [config.seed, config.seed + 1, config.seed + 2]);
+        assert_eq!(Some(averaged), scoop_sim::average_results(runs).as_ref());
     }
 }
 

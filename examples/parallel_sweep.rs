@@ -6,7 +6,7 @@
 //! cargo run --release --example parallel_sweep [-- threads]
 //! ```
 
-use scoop::sim::sweep::{ScenarioSuite, SweepRunner};
+use scoop::sim::sweep::SweepRunner;
 use scoop::types::{DataSourceKind, ScenarioSpec, SimDuration, StoragePolicy};
 use std::time::Instant;
 
@@ -17,7 +17,8 @@ fn main() {
         .unwrap_or_else(|| SweepRunner::from_env().threads().max(4));
 
     // A 4-policy × 5-source grid of small runs, two trials each: 40 runs.
-    let mut suite = ScenarioSuite::new("policy-x-source", 2);
+    const TRIALS: usize = 2;
+    let mut configs = Vec::new();
     let mut seed = 1u64;
     for policy in StoragePolicy::ALL {
         for source in DataSourceKind::ALL {
@@ -29,34 +30,28 @@ fn main() {
             cfg.workload.data_source = source;
             cfg.seed = seed;
             seed += 1;
-            suite = suite.scenario(format!("{policy}/{source}"), cfg);
+            configs.push(cfg);
         }
     }
     println!(
-        "suite `{}`: {} scenarios x {} trials = {} runs",
-        suite.name,
-        suite.scenarios.len(),
-        suite.trials,
-        suite.job_count()
+        "{} configs x {TRIALS} trials = {} runs",
+        configs.len(),
+        configs.len() * TRIALS
     );
 
     let start = Instant::now();
     let sequential = SweepRunner::sequential()
-        .run(&suite)
+        .averaged(&configs, TRIALS)
         .expect("sequential sweep");
     let seq_elapsed = start.elapsed();
 
     let start = Instant::now();
     let parallel = SweepRunner::with_threads(threads)
-        .run(&suite)
+        .averaged(&configs, TRIALS)
         .expect("parallel sweep");
     let par_elapsed = start.elapsed();
 
-    let identical = sequential
-        .results
-        .iter()
-        .zip(&parallel.results)
-        .all(|(a, b)| a.trials == b.trials && a.averaged == b.averaged);
+    let identical = sequential == parallel;
     println!(
         "sequential: {:.2} s | {} threads: {:.2} s | speedup {:.2}x | results identical: {identical}",
         seq_elapsed.as_secs_f64(),
@@ -73,12 +68,13 @@ fn main() {
         "\n{:<18} {:>10} {:>12}",
         "scenario", "messages", "storage ok"
     );
-    for result in &parallel.results {
+    for result in &parallel {
+        let cfg = &result.config;
         println!(
             "{:<18} {:>10} {:>11.1}%",
-            result.label,
-            result.averaged.total_messages(),
-            result.averaged.storage.storage_success() * 100.0
+            format!("{}/{}", cfg.policy.kind, cfg.workload.data_source),
+            result.total_messages(),
+            result.storage.storage_success() * 100.0
         );
     }
 }
