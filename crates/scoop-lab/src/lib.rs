@@ -22,8 +22,10 @@
 //!   with drift annotations) from the latest artifacts.
 //! * [`check`] — the CI regression gate: the quick smoke suite must
 //!   reproduce its committed baseline file byte for byte.
-//! * [`cli`] — the `scoop-lab` binary's `run | report | diff | check |
-//!   store | trace` subcommands.
+//! * [`cli`] — the workspace's one binary, `scoop-lab`: the lab's `run |
+//!   report | diff | check | trace`, `store ingest | query | stats` over
+//!   `scoop-store`, and `serve smoke | listen | query` over `scoop-serve`,
+//!   each one entry of a single command table.
 //!
 //! Everything the lab records is an [`Artifact`] written by
 //! [`suite::run_suite`], the link-model calibration included: it is the
@@ -40,6 +42,7 @@ pub mod cli;
 pub mod diff;
 pub mod render;
 pub mod rows;
+mod serve_cli;
 mod store_cli;
 pub mod suite;
 

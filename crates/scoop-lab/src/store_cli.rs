@@ -1,14 +1,6 @@
-//! `scoop-lab store` — ingest readings into the durable basestation store,
-//! query them back at rest, and inspect store statistics.
-//!
-//! ```text
-//! scoop-lab store ingest --db DIR [--artifact FILE]... [--sim [--paper]]
-//!                        [--set key=value]... [--block-size N] [--compact]
-//!                        [--dump FILE]
-//! scoop-lab store query  --db DIR (--at MS | --from MS --to MS | --all)
-//!                        [--json] [--out FILE]
-//! scoop-lab store stats  --db DIR [--json]
-//! ```
+//! `scoop-lab store ingest | query | stats` — ingest readings into the
+//! durable basestation store, query them back at rest, and inspect store
+//! statistics. `scoop-lab help` lists each command's options.
 //!
 //! Two ingest sources exist. `--artifact` maps the measured rows of a
 //! committed results artifact to records **deterministically** (row and
@@ -21,64 +13,26 @@
 //! are ingestible" path.
 
 use crate::artifact::Artifact;
-use crate::suite::{ExperimentId, PointSet, Scale, SuiteOptions};
+use crate::cli::{parse_set, Args, Out};
+use crate::suite::{Scale, SuiteOptions};
 use scoop_store::{DiskBackend, IngestReport, PersistenceBackend, Store, StoreOptions, StoreStats};
 use scoop_types::{Attribute, DurableRecord, NodeId, Reading, SimTime};
 use serde::Serialize;
-use std::path::{Path, PathBuf};
-
-pub(crate) const STORE_USAGE: &str = "usage: scoop-lab store <ingest|query|stats> [options]
-  ingest --db DIR [--artifact FILE]... [--sim [--paper]] [--set key=value]...
-         [--block-size N] [--compact] [--dump FILE]
-  query  --db DIR (--at MS | --from MS --to MS | --all) [--json] [--out FILE]
-  stats  --db DIR [--json]";
-
-/// Entry point for `scoop-lab store ...` (wired up in `cli.rs`).
-pub(crate) fn cmd_store(
-    args: &[String],
-    parse: impl Fn(
-        &[String],
-        &[&str],
-        &[&str],
-    ) -> Result<(Vec<String>, Vec<String>, Vec<(String, String)>), String>,
-) -> Result<i32, String> {
-    let Some(sub) = args.first() else {
-        return Err(STORE_USAGE.to_string());
-    };
-    let rest = &args[1..];
-    match sub.as_str() {
-        "ingest" => cmd_ingest(rest, &parse),
-        "query" => cmd_query(rest, &parse),
-        "stats" => cmd_stats(rest, &parse),
-        other => Err(format!("unknown store subcommand `{other}`\n{STORE_USAGE}")),
-    }
-}
-
-type Parsed = (Vec<String>, Vec<String>, Vec<(String, String)>);
-
-fn required_db(values: &[(String, String)]) -> Result<PathBuf, String> {
-    values
-        .iter()
-        .rev()
-        .find(|(n, _)| n == "db")
-        .map(|(_, v)| PathBuf::from(v))
-        .ok_or_else(|| "store commands need --db DIR".to_string())
-}
+use std::path::Path;
 
 /// Opens the store at `--db`. Only `ingest` may `create` one; the read-only
-/// subcommands refuse a path that is not an existing directory.
-fn open_store(values: &[(String, String)], create: bool) -> Result<Store, String> {
-    let db = required_db(values)?;
+/// commands refuse a path that is not an existing directory.
+fn open_store(args: &Args, create: bool) -> Result<Store, String> {
+    let db = Path::new(args.value("db").ok_or("store commands need --db DIR")?);
     if !create && !db.is_dir() {
         return Err(format!("no store at `{}`", db.display()));
     }
-    let mut options = StoreOptions::default();
-    if let Some((_, raw)) = values.iter().rev().find(|(n, _)| n == "block-size") {
-        options.block_size = raw
-            .parse()
-            .map_err(|_| format!("bad --block-size value `{raw}`"))?;
-    }
-    Store::open(&db, options).map_err(|e| e.to_string())
+    let defaults = StoreOptions::default();
+    let options = StoreOptions {
+        block_size: args.number("block-size", defaults.block_size)?,
+        ..defaults
+    };
+    Store::open(db, options).map_err(|e| e.to_string())
 }
 
 /// Deterministically maps one results artifact to durable records: row `i`
@@ -87,7 +41,7 @@ fn open_store(values: &[(String, String)], create: bool) -> Result<Store, String
 /// count up in 1-second steps in (row, metric) order. The mapping carries no
 /// sensor semantics — it exists so the same artifact always yields the same
 /// bytes, which the CI round-trip diffs.
-pub(crate) fn records_from_artifact(artifact: &Artifact) -> Result<Vec<DurableRecord>, String> {
+fn records_from_artifact(artifact: &Artifact) -> Result<Vec<DurableRecord>, String> {
     let reference_key = artifact.experiment_id().and_then(|id| id.reference_key());
     let rows = artifact.rows.measured_rows(reference_key);
     if rows.is_empty() {
@@ -122,11 +76,9 @@ fn load_artifact(path: &str) -> Result<Artifact, String> {
 fn records_from_sim(paper: bool, overrides: Vec<(String, String)>) -> Result<Vec<Reading>, String> {
     let options = SuiteOptions {
         scale: if paper { Scale::Paper } else { Scale::Quick },
-        trials: 1,
-        seed: 1,
-        points: PointSet::Full,
-        experiments: ExperimentId::ALL.to_vec(),
         overrides,
+        // One trial on seed 1; the experiment list and points are unused.
+        ..SuiteOptions::quick_smoke()
     };
     let config = options.base_config().map_err(|e| e.to_string())?;
     let mut engine = scoop_sim::build_engine(&config).map_err(|e| e.to_string())?;
@@ -148,26 +100,12 @@ fn records_json(records: &[DurableRecord]) -> Result<String, String> {
     Ok(json)
 }
 
-fn cmd_ingest(
-    args: &[String],
-    parse: &impl Fn(&[String], &[&str], &[&str]) -> Result<Parsed, String>,
-) -> Result<i32, String> {
-    let (positional, flags, values) = parse(
-        args,
-        &["db", "artifact", "set", "block-size", "dump"],
-        &["sim", "paper", "compact"],
-    )?;
-    if let Some(extra) = positional.first() {
-        return Err(format!("unexpected argument `{extra}`"));
+pub(crate) fn ingest(args: &Args, out: &mut Out<'_>) -> Result<i32, String> {
+    let sim = args.flag("sim");
+    if !sim && (args.flag("paper") || args.value("set").is_some()) {
+        return Err("--paper and --set configure --sim; pass --sim too".into());
     }
-    let sim = flags.iter().any(|f| f == "sim");
-    let paper = flags.iter().any(|f| f == "paper");
-    let compact = flags.iter().any(|f| f == "compact");
-    let artifact_paths: Vec<&str> = values
-        .iter()
-        .filter(|(n, _)| n == "artifact")
-        .map(|(_, v)| v.as_str())
-        .collect();
+    let artifact_paths: Vec<&str> = args.values("artifact").collect();
     if artifact_paths.is_empty() && !sim {
         return Err("nothing to ingest: pass --artifact FILE and/or --sim".into());
     }
@@ -177,23 +115,17 @@ fn cmd_ingest(
         records.extend(records_from_artifact(&load_artifact(path)?)?);
     }
 
-    let mut store = open_store(&values, true)?;
+    let mut store = open_store(args, true)?;
     let mut report = IngestReport::default();
     if !records.is_empty() {
         report = store.append_batch(&records).map_err(|e| e.to_string())?;
     }
     if sim {
-        let overrides: Vec<(String, String)> = values
-            .iter()
-            .filter(|(n, _)| n == "set")
-            .map(|(_, payload)| {
-                payload
-                    .split_once('=')
-                    .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-                    .ok_or_else(|| format!("--set needs key=value, got `{payload}`"))
-            })
+        let overrides = args
+            .values("set")
+            .map(parse_set)
             .collect::<Result<_, _>>()?;
-        let readings = records_from_sim(paper, overrides)?;
+        let readings = records_from_sim(args.flag("paper"), overrides)?;
         // Persist through the opt-in backend seam, exactly as an attached
         // basestation would; then fold the store back out for the summary.
         let started = std::time::Instant::now();
@@ -212,87 +144,74 @@ fn cmd_ingest(
         0.0
     };
     store.commit().map_err(|e| e.to_string())?;
-    if compact {
+    if args.flag("compact") {
         store.compact_all_blocking().map_err(|e| e.to_string())?;
     }
     let stats = store.stats().map_err(|e| e.to_string())?;
 
-    println!(
+    writeln!(
+        out,
         "ingested {} record(s) in {:.3} s ({:.0} records/s) into {}",
         report.records,
         report.ingest_secs,
         report.records_per_sec,
         store.dir().display()
     );
-    println!(
+    writeln!(
+        out,
         "store: {} segment(s), {} block(s), {} bytes on disk",
         stats.segments, stats.blocks, stats.disk_bytes
     );
 
-    if let Some((_, dump)) = values.iter().rev().find(|(n, _)| n == "dump") {
+    if let Some(dump) = args.value("dump") {
         std::fs::write(dump, records_json(&records)?).map_err(|e| format!("{dump}: {e}"))?;
-        println!("dumped canonical ingest set to {dump}");
+        writeln!(out, "dumped canonical ingest set to {dump}");
     }
     Ok(0)
 }
 
-fn cmd_query(
-    args: &[String],
-    parse: &impl Fn(&[String], &[&str], &[&str]) -> Result<Parsed, String>,
-) -> Result<i32, String> {
-    let (positional, flags, values) = parse(
-        args,
-        &["db", "at", "from", "to", "out", "block-size"],
-        &["json", "all"],
-    )?;
-    if let Some(extra) = positional.first() {
-        return Err(format!("unexpected argument `{extra}`"));
+pub(crate) fn query(args: &Args, out: &mut Out<'_>) -> Result<i32, String> {
+    let (at, from, to, all) = (
+        args.value("at").is_some(),
+        args.value("from").is_some(),
+        args.value("to").is_some(),
+        args.flag("all"),
+    );
+    if [at, from || to, all].iter().filter(|&&given| given).count() != 1 || from != to {
+        return Err("pass exactly one of --at MS, --from MS --to MS, or --all".into());
     }
-    let json = flags.iter().any(|f| f == "json");
-    let all = flags.iter().any(|f| f == "all");
-    let parse_ms = |name: &str| -> Result<Option<u64>, String> {
-        values
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, raw)| {
-                raw.parse()
-                    .map_err(|_| format!("bad --{name} value `{raw}`"))
-            })
-            .transpose()
-    };
-    let at = parse_ms("at")?;
-    let from = parse_ms("from")?;
-    let to = parse_ms("to")?;
+    let time = args.number("at", 0)?;
+    let (lo, hi) = args.bounds(("from", 0), ("to", 0))?;
 
-    let mut store = open_store(&values, false)?;
-    let outcome = match (at, from, to, all) {
-        (Some(t), None, None, false) => store.query_point(t),
-        (None, Some(a), Some(b), false) => store.query_range(a, b),
-        (None, None, None, true) => store.scan_all(),
-        _ => return Err("pass exactly one of --at MS, --from MS --to MS, or --all".into()),
+    let mut store = open_store(args, false)?;
+    let outcome = if at {
+        store.query_point(time)
+    } else if all {
+        store.scan_all()
+    } else {
+        store.query_range(lo, hi)
     }
     .map_err(|e| e.to_string())?;
 
-    if json {
+    if args.flag("json") {
         let payload = records_json(&outcome.records)?;
-        match values.iter().rev().find(|(n, _)| n == "out") {
-            Some((_, out)) => {
-                std::fs::write(out, payload).map_err(|e| format!("{out}: {e}"))?;
-            }
-            None => print!("{payload}"),
+        match args.value("out") {
+            Some(path) => std::fs::write(path, payload).map_err(|e| format!("{path}: {e}"))?,
+            None => write!(out, "{payload}"),
         }
     } else {
         for r in &outcome.records {
             let attribute = scoop_types::attribute_from_code(r.attribute)
                 .map(|a| a.to_string())
                 .unwrap_or_else(|| format!("code-{}", r.attribute));
-            println!(
+            writeln!(
+                out,
                 "t={:>10} ms  node={:<5} {:<12} value={}",
                 r.time_ms, r.node.0, attribute, r.value
             );
         }
-        println!(
+        writeln!(
+            out,
             "{} record(s), {} data block(s) read",
             outcome.records.len(),
             outcome.blocks_read
@@ -315,22 +234,15 @@ struct StatsJson {
     recovered_segments: usize,
 }
 
-fn cmd_stats(
-    args: &[String],
-    parse: &impl Fn(&[String], &[&str], &[&str]) -> Result<Parsed, String>,
-) -> Result<i32, String> {
-    let (positional, flags, values) = parse(args, &["db", "block-size"], &["json"])?;
-    if let Some(extra) = positional.first() {
-        return Err(format!("unexpected argument `{extra}`"));
-    }
-    let store = open_store(&values, false)?;
+pub(crate) fn stats(args: &Args, out: &mut Out<'_>) -> Result<i32, String> {
+    let store = open_store(args, false)?;
     let stats = store.stats().map_err(|e| e.to_string())?;
     let recovered = store
         .recovery_report()
         .iter()
         .filter(|(_, outcome)| !matches!(outcome, scoop_store::RecoveryOutcome::Sealed))
         .count();
-    if flags.iter().any(|f| f == "json") {
+    if args.flag("json") {
         let payload = StatsJson {
             segments: stats.segments,
             blocks: stats.blocks,
@@ -341,27 +253,28 @@ fn cmd_stats(
             max_time_ms: stats.max_time_ms,
             recovered_segments: recovered,
         };
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&payload).map_err(|e| e.to_string())?
-        );
+        let json = serde_json::to_string_pretty(&payload).map_err(|e| e.to_string())?;
+        writeln!(out, "{json}");
     } else {
-        print_stats_text(&stats, recovered, store.dir());
+        print_stats_text(out, &stats, recovered, store.dir());
     }
     Ok(0)
 }
 
-fn print_stats_text(stats: &StoreStats, recovered: usize, dir: &Path) {
-    println!("store at {}", dir.display());
-    println!(
+fn print_stats_text(out: &mut Out<'_>, stats: &StoreStats, recovered: usize, dir: &Path) {
+    writeln!(out, "store at {}", dir.display());
+    writeln!(
+        out,
         "  {} segment(s), {} block(s), {} record(s), {} bytes on disk",
         stats.segments, stats.blocks, stats.records, stats.disk_bytes
     );
-    println!(
+    writeln!(
+        out,
         "  time span: {} .. {} ms",
         stats.min_time_ms, stats.max_time_ms
     );
-    println!(
+    writeln!(
+        out,
         "  session: {} data block(s) read, {} segment(s) recovered on open",
         stats.blocks_read, recovered
     );

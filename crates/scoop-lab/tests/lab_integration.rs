@@ -81,7 +81,11 @@ fn check_exit_codes_track_baseline_perturbation() {
         "check".to_string(),
         format!("--baseline={}", baseline_path.display()),
     ];
-    assert_eq!(run_cli(&args), 0, "the committed baseline must pass");
+    assert_eq!(
+        run_cli(&args, &mut std::io::sink()),
+        0,
+        "the committed baseline must pass"
+    );
 
     let mut perturbed: Vec<Artifact> = serde_json::from_str(&committed).unwrap();
     let fig3 = perturbed
@@ -93,7 +97,11 @@ fn check_exit_codes_track_baseline_perturbation() {
         other => panic!("unexpected rows {other:?}"),
     }
     std::fs::write(&baseline_path, baseline_file_content(&perturbed).unwrap()).unwrap();
-    assert_eq!(run_cli(&args), 1, "a perturbed baseline must fail the gate");
+    assert_eq!(
+        run_cli(&args, &mut std::io::sink()),
+        1,
+        "a perturbed baseline must fail the gate"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
