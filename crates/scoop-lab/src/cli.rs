@@ -125,12 +125,12 @@ const COMMANDS: &[Command] = &[
     Command {
         path: &["store", "query"],
         usage: "--db DIR (--at MS | --from MS --to MS | --all) [--json]\n\
-                [--out FILE] [--block-size N]",
+                [--out FILE]",
         run: store_cli::query,
     },
     Command {
         path: &["store", "stats"],
-        usage: "--db DIR [--json] [--block-size N]",
+        usage: "--db DIR [--json]",
         run: store_cli::stats,
     },
     Command {
@@ -768,7 +768,7 @@ mod tests {
             )
         );
         let query = grammar(&["store", "query"]);
-        assert_eq!(query.0, ["db", "at", "from", "to", "out", "block-size"]);
+        assert_eq!(query.0, ["db", "at", "from", "to", "out"]);
         assert_eq!(query.1, ["all", "json"]);
         let listen = grammar(&["serve", "listen"]);
         assert_eq!(
@@ -811,6 +811,26 @@ mod tests {
             assert_eq!(run(&args), 2);
         }
         assert!(!db.exists(), "a refused ingest must not create the store");
+    }
+
+    #[test]
+    fn only_ingest_takes_a_block_size() {
+        let db = std::env::temp_dir().join(format!("scoop-lab-block-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&db);
+        let db_arg = db.display().to_string();
+        let artifact = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/fig3-left.json");
+        let ingest = ["store", "ingest", "--db", &db_arg, "--artifact", artifact];
+        assert_eq!(run(&[&ingest[..], &["--block-size", "64"]].concat()), 0);
+        for read in [
+            &["store", "query", "--db", &db_arg, "--all"][..],
+            &["store", "stats", "--db", &db_arg],
+        ] {
+            assert_eq!(run(read), 0, "{read:?}");
+            let with_size = [read, &["--block-size", "64"]].concat();
+            assert!(error(&with_size).contains("--block-size"), "{read:?}");
+            assert_eq!(run(&with_size), 2, "{read:?}");
+        }
+        std::fs::remove_dir_all(&db).unwrap();
     }
 
     #[test]

@@ -20,8 +20,10 @@ use scoop_types::{Attribute, DurableRecord, NodeId, Reading, SimTime};
 use serde::Serialize;
 use std::path::Path;
 
-/// Opens the store at `--db`. Only `ingest` may `create` one; the read-only
-/// commands refuse a path that is not an existing directory.
+/// Opens the store at `--db`. Only `ingest` may `create` one, and only it
+/// takes `--block-size` (a read commits nothing); the read-only commands
+/// open with the default options and refuse a path that is not an existing
+/// directory.
 fn open_store(args: &Args, create: bool) -> Result<Store, String> {
     let db = Path::new(args.value("db").ok_or("store commands need --db DIR")?);
     if !create && !db.is_dir() {

@@ -1,8 +1,11 @@
 //! Sweep-thread invariance under active faults: the chaos scenarios must
-//! render byte-identical artifacts whether the sweep layer runs on one
-//! worker or four. The chaos suite drives each faulted/control engine pair
-//! deterministically, so any divergence here would mean thread count leaked
-//! into simulation state — exactly the regression this test exists to catch.
+//! render byte-identical artifacts with `SCOOP_SWEEP_THREADS` at 1 and at 4.
+//! Today the variable never reaches chaos: the suite runs its experiments
+//! one after another, and each chaos trial runs its faulted and control
+//! engines in turn on the calling thread, not on the sweep runner's workers
+//! (`scoop_sim::experiments::chaos` says why). This test is the guard for
+//! the day chaos does go through the sweep layer: a divergence here would
+//! mean thread count leaked into simulation state.
 //!
 //! Env mutation is process-global, so this file keeps a single #[test]
 //! (its own binary) and restores the variable before asserting.

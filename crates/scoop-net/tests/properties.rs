@@ -381,7 +381,7 @@ proptest! {
         }
     }
 
-    /// The spec-driven generator — the path `SimBuilder` builds every
+    /// The spec-driven generator — the path `build_engine` builds every
     /// experiment through — yields a connected topology for *every* placement
     /// family at any supported node count and seed: the basestation (node 0)
     /// is reachable from every node.

@@ -25,7 +25,7 @@ use crate::admission::AdmissionQueue;
 use crate::core::{AnswerCore, CoreStats};
 use crate::transport::{ClientId, Transport};
 use scoop_net::Engine;
-use scoop_sim::{SimBuilder, SimNode, TICK_SERVE};
+use scoop_sim::{build_engine, SimNode, TICK_SERVE};
 use scoop_store::{DiskBackend, PersistenceBackend, Store, StoreOptions};
 use scoop_types::append_overloaded_frame;
 use scoop_types::{
@@ -130,7 +130,7 @@ impl ServeServer {
         let spec = options.spec;
         spec.validate()?;
         let domain = spec.workload.value_domain;
-        let engine = SimBuilder::new(spec).build()?;
+        let engine = build_engine(&spec)?;
         let total_nodes = engine.topology().len();
 
         let mut core = AnswerCore::new(domain, options.cache_capacity);

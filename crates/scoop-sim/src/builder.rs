@@ -1,12 +1,13 @@
-//! Assembles a runnable engine from a [`ScenarioSpec`].
+//! Builds a runnable engine from a [`ScenarioSpec`].
 //!
-//! [`SimBuilder`] is the single construction path for every experiment run:
-//! the runner, the sweep grids, `scoop-lab`, and the bench harness all build
-//! engines here. The topology and link axes are realized by
-//! [`Topology::connected`] and [`LinkModel::from_spec`], and the fault axis
-//! is resolved into a concrete radio-outage schedule. Everything stays
-//! `Send` and deterministic in `spec.seed`, which is what lets the parallel
-//! sweep runner spread builds across threads.
+//! [`build_engine`] is the construction path for every experiment run: the
+//! runner, the sweep grids, `scoop-lab`, the serving layer and the bench
+//! harness all build engines here. It realizes the topology and link axes
+//! through [`Topology::connected`] and [`LinkModel::from_spec`] and hands
+//! them to [`build_engine_with`], which wires the nodes and resolves the
+//! fault axis into a concrete radio-outage schedule. Everything stays `Send`
+//! and deterministic in `spec.seed`, which is what lets the parallel sweep
+//! runner spread builds across threads.
 
 use crate::node::{NodeShared, SimNode};
 use scoop_net::{Engine, EngineConfig, FaultSchedule, LinkModel, Topology};
@@ -17,53 +18,28 @@ use std::sync::Arc;
 /// per-seed streams (topology jitter, link noise, engine loss).
 const FAULT_SEED_SALT: u64 = 0x5eed_fa17;
 
-/// Builds engines from scenario specs.
-pub struct SimBuilder {
-    spec: ScenarioSpec,
+/// Builds the topology, link model, fault schedule, node state machines,
+/// and engine for one run, as described by every axis of the spec.
+///
+/// Mass-churn joins enlarge the generated topology: the fresh nodes are
+/// placed up front by the same seeded generator (so their positions are
+/// deterministic) and kept dormant by the fault schedule until their
+/// churn event fires. A schedule without joins generates exactly
+/// `num_nodes` sensors.
+pub fn build_engine(spec: &ScenarioSpec) -> Result<Engine<SimNode>, ScoopError> {
+    spec.validate()?;
+    let sensors = spec.num_nodes + spec.faults.total_joins(spec.num_nodes);
+    let topology = Topology::connected(&spec.topology, sensors, spec.seed)?;
+    let links = LinkModel::from_spec(&spec.link, &topology, spec.seed)?;
+    build_engine_with(spec, topology, links)
 }
 
-impl SimBuilder {
-    /// A builder over `spec`.
-    pub fn new(spec: ScenarioSpec) -> Self {
-        SimBuilder { spec }
-    }
-
-    /// Applies one string-keyed axis override (`"topology=grid"` style; see
-    /// [`scoop_types::AXES`] for the vocabulary).
-    pub fn set(mut self, key: &str, value: &str) -> Result<Self, ScoopError> {
-        self.spec.set_axis(key, value)?;
-        Ok(self)
-    }
-
-    /// The spec as currently configured.
-    pub fn spec(&self) -> &ScenarioSpec {
-        &self.spec
-    }
-
-    /// Builds the topology, link model, fault schedule, node state machines,
-    /// and engine for one run.
-    ///
-    /// Mass-churn joins enlarge the generated topology: the fresh nodes are
-    /// placed up front by the same seeded generator (so their positions are
-    /// deterministic) and kept dormant by the fault schedule until their
-    /// churn event fires. A schedule without joins generates exactly
-    /// `num_nodes` sensors, as before.
-    pub fn build(&self) -> Result<Engine<SimNode>, ScoopError> {
-        let spec = &self.spec;
-        spec.validate()?;
-        let sensors = spec.num_nodes + spec.faults.total_joins(spec.num_nodes);
-        let topology = Topology::connected(&spec.topology, sensors, spec.seed)?;
-        let links = LinkModel::from_spec(&spec.link, &topology, spec.seed)?;
-        assemble(spec, topology, links)
-    }
-}
-
-/// Wires node state machines and the engine over an explicit topology and
-/// link model (used by the builder, and directly by tests and
-/// failure-injection experiments that perturb the network by hand). The
-/// spec's fault axis is resolved and installed here, so hand-built engines
-/// honor it too.
-pub fn assemble(
+/// Builds an engine over an explicit topology and link model (used by
+/// [`build_engine`], and directly by tests and failure-injection experiments
+/// that perturb the network by hand). The spec's fault axis is resolved and
+/// installed here, so hand-built engines honor it too; its topology and link
+/// axes are ignored in favor of the arguments.
+pub fn build_engine_with(
     spec: &ScenarioSpec,
     topology: Topology,
     links: LinkModel,
@@ -259,9 +235,9 @@ mod tests {
 
     #[test]
     fn builder_installs_the_resolved_schedule() {
-        let engine = SimBuilder::new(spec_with_window(0.25)).build().unwrap();
+        let engine = build_engine(&spec_with_window(0.25)).unwrap();
         assert_eq!(engine.fault_schedule().len(), 4);
-        let engine = SimBuilder::new(ScenarioSpec::small_test()).build().unwrap();
+        let engine = build_engine(&ScenarioSpec::small_test()).unwrap();
         assert!(engine.fault_schedule().is_empty());
     }
 
@@ -327,7 +303,7 @@ mod tests {
         assert_eq!(spec.faults.total_joins(spec.num_nodes), 4);
 
         // Topology grows by the joins: 16 original sensors + 4 joiners + base.
-        let engine = SimBuilder::new(spec.clone()).build().unwrap();
+        let engine = build_engine(&spec).unwrap();
         assert_eq!(engine.topology().len(), 21);
 
         let s = resolve_fault_schedule(&spec, 21);
@@ -356,26 +332,21 @@ mod tests {
 
     #[test]
     fn builder_set_applies_axis_overrides() {
-        let builder = SimBuilder::new(ScenarioSpec::small_test())
-            .set("topology", "grid")
-            .unwrap()
-            .set("nodes", "96")
-            .unwrap()
-            .set("link.loss_floor", "0.05")
-            .unwrap();
-        assert_eq!(builder.spec().num_nodes, 96);
-        let engine = builder.build().unwrap();
+        let mut spec = ScenarioSpec::small_test();
+        spec.set_axis("topology", "grid").unwrap();
+        spec.set_axis("nodes", "96").unwrap();
+        spec.set_axis("link.loss_floor", "0.05").unwrap();
+        assert_eq!(spec.num_nodes, 96);
+        let engine = build_engine(&spec).unwrap();
         assert_eq!(engine.topology().len(), 97);
         assert_eq!(engine.topology().kind(), scoop_net::TopologyKind::Grid);
     }
 
     #[test]
     fn builder_rejects_unknown_axes_and_invalid_specs() {
-        assert!(SimBuilder::new(ScenarioSpec::small_test())
-            .set("warp", "9")
-            .is_err());
+        assert!(ScenarioSpec::small_test().set_axis("warp", "9").is_err());
         let mut spec = ScenarioSpec::small_test();
         spec.num_nodes = 0;
-        assert!(SimBuilder::new(spec).build().is_err());
+        assert!(build_engine(&spec).is_err());
     }
 }

@@ -9,14 +9,23 @@
 //! fault matches the control, degrades (boundedly) during it, and recovers
 //! after the heal.
 //!
-//! The [`SweepRunner`](crate::sweep::SweepRunner) only runs experiments to
-//! completion, so this module drives engines directly: build, run to each
-//! phase boundary, snapshot every node's cumulative counters, and difference
-//! consecutive snapshots into per-phase rates.
+//! Each run is one [`run_windows`] call over the boundaries
+//! `[warmup, fault start, aftermath end, run end]`, read window by window;
+//! the `before` window counts storage and queries from time zero, as every
+//! whole-run measurement does.
+//!
+//! Chaos stays sequential: each trial runs its faulted and then its control
+//! engine on the calling thread, never on the
+//! [`SweepRunner`](crate::sweep::SweepRunner)'s workers. Running the two at
+//! once keeps two networks live, and on the `sim-paper62` benchmark
+//! workload, which runs `chaos-failover` at paper scale, that raised
+//! `peak_rss_mib` from 4.74–5.02 to 5.92–6.07 MiB (six alternating pairs,
+//! seed 11, two-core x86-64 Linux): about +22 %, against the benchmark's
+//! 15 % bound.
 
-use crate::node::SimNode;
-use crate::runner::build_engine;
-use scoop_net::Engine;
+use crate::builder::build_engine;
+use crate::metrics::RunResult;
+use crate::runner::run_windows;
 use scoop_types::{
     ChurnEvent, FaultWindow, NodeId, ScenarioSpec, ScoopError, SimDuration, SimTime, SinkOutage,
     StoragePolicy,
@@ -99,7 +108,7 @@ pub fn chaos_base(base: &ScenarioSpec) -> ScenarioSpec {
     cfg
 }
 
-/// Phase boundaries `(warmup_end, fault_start, aftermath_end, run_end)`,
+/// Phase boundaries `[warmup_end, fault_start, aftermath_end, run_end]`,
 /// derived from the faulted config's own schedule.
 ///
 /// The `during` phase runs from the first fault's start to one remap
@@ -110,7 +119,7 @@ pub fn chaos_base(base: &ScenarioSpec) -> ScenarioSpec {
 /// "end" is one remap interval after the event, the time the joiners need to
 /// be integrated. A fault-free config (the control) falls back to thirds,
 /// but the control is always measured over its faulted twin's boundaries.
-pub fn phase_boundaries(cfg: &ScenarioSpec) -> (SimTime, SimTime, SimTime, SimTime) {
+pub fn phase_boundaries(cfg: &ScenarioSpec) -> [SimTime; 4] {
     let w = cfg.warmup.as_secs();
     let d = cfg.duration.as_secs();
     let remap = cfg.policy.scoop.remap_interval.as_secs();
@@ -138,12 +147,7 @@ pub fn phase_boundaries(cfg: &ScenarioSpec) -> (SimTime, SimTime, SimTime, SimTi
         end = w + m * 2 / 3;
     }
     let during_end = (end + remap).min(d.saturating_sub(1)).max(start + 1);
-    (
-        SimTime::from_secs(w),
-        SimTime::from_secs(start.clamp(w + 1, during_end - 1)),
-        SimTime::from_secs(during_end),
-        SimTime::from_secs(d),
-    )
+    [w, start.clamp(w + 1, during_end - 1), during_end, d].map(SimTime::from_secs)
 }
 
 /// The faulted configuration for one scenario, derived from
@@ -191,27 +195,6 @@ pub fn control_config(base: &ScenarioSpec) -> ScenarioSpec {
     chaos_base(base)
 }
 
-/// Cumulative network-wide counters at one instant.
-#[derive(Clone, Copy, Debug, Default)]
-struct Counters {
-    sampled: u64,
-    stored: u64,
-    targets: u64,
-    replies: u64,
-}
-
-fn snapshot(engine: &Engine<SimNode>) -> Counters {
-    let mut c = Counters::default();
-    for (_, node) in engine.iter_nodes() {
-        c.sampled += node.metrics.sampled;
-        c.stored += node.metrics.stored;
-        let (_, targets, replies, _, answered_locally) = node.query_outcomes();
-        c.targets += targets;
-        c.replies += replies + answered_locally;
-    }
-    c
-}
-
 /// Per-phase success rates plus the faulted-run denominators.
 #[derive(Clone, Copy, Debug, Default)]
 struct PhaseRates {
@@ -221,44 +204,31 @@ struct PhaseRates {
     targets: u64,
 }
 
-/// Runs one configuration once, snapshotting at every phase boundary, and
-/// returns the three per-phase rates. Boundaries are passed in (always the
-/// *faulted* config's), so faulted and control runs are differenced over
-/// identical windows.
-fn run_phased(
-    cfg: &ScenarioSpec,
-    boundaries: (SimTime, SimTime, SimTime, SimTime),
-) -> Result<[PhaseRates; 3], ScoopError> {
-    let (warmup, b1, b2, end) = boundaries;
-    let mut engine = build_engine(cfg)?;
-    engine.run_until(warmup);
-    let mut prev = snapshot(&engine);
-    let mut phases = [PhaseRates::default(); 3];
-    for (slot, boundary) in phases.iter_mut().zip([b1, b2, end]) {
-        engine.run_until(boundary);
-        let cur = snapshot(&engine);
-        let sampled = cur.sampled - prev.sampled;
-        let stored = cur.stored - prev.stored;
-        let targets = cur.targets - prev.targets;
-        let replies = cur.replies - prev.replies;
-        *slot = PhaseRates {
-            storage: if sampled == 0 {
+impl PhaseRates {
+    /// One window's rates, counted as the [`ChaosRow`] fields are.
+    fn of(window: &RunResult) -> Self {
+        let q = &window.queries;
+        let answered = q.replies_received + q.answered_locally;
+        PhaseRates {
+            storage: window.storage.storage_success(),
+            query: if q.targets_total == 0 {
                 1.0
             } else {
-                stored as f64 / sampled as f64
+                (answered as f64 / q.targets_total as f64).min(1.0)
             },
-            query: if targets == 0 {
-                1.0
-            } else {
-                (replies as f64 / targets as f64).min(1.0)
-            },
-            sampled,
-            targets,
-        };
-        prev = cur;
+            sampled: window.storage.sampled,
+            targets: q.targets_total,
+        }
     }
-    crate::runner::record_events_dispatched(engine.events_processed());
-    Ok(phases)
+}
+
+/// Runs one configuration once over the phase `boundaries` and returns the
+/// three per-phase rates. Boundaries are passed in (always the *faulted*
+/// config's), so faulted and control runs are measured over identical
+/// windows.
+fn run_phased(cfg: &ScenarioSpec, boundaries: [SimTime; 4]) -> Result<[PhaseRates; 3], ScoopError> {
+    let windows = run_windows(cfg, build_engine(cfg)?, &boundaries);
+    Ok([0, 1, 2].map(|i| PhaseRates::of(&windows[i])))
 }
 
 /// Runs one chaos scenario (`trials` seeds, averaged) and returns one row
@@ -320,7 +290,7 @@ mod tests {
             ChaosScenario::Churn,
         ] {
             let cfg = scenario_config(&quick_base(), scenario);
-            let (w, b1, b2, end) = phase_boundaries(&cfg);
+            let [w, b1, b2, end] = phase_boundaries(&cfg);
             assert_eq!(w, SimTime::from_secs(120));
             assert_eq!(end, SimTime::from_secs(1320));
             assert!(w < b1 && b1 < b2 && b2 < end, "{scenario}");
@@ -330,7 +300,7 @@ mod tests {
         // The during phase extends one remap interval (120s) past the heal:
         // partition heals at 720, failover restarts at 840, churn "ends" one
         // remap after the 420s event.
-        let at = |s| phase_boundaries(&scenario_config(&quick_base(), s)).2;
+        let at = |s| phase_boundaries(&scenario_config(&quick_base(), s))[2];
         assert_eq!(at(ChaosScenario::Partition), SimTime::from_secs(840));
         assert_eq!(at(ChaosScenario::SinkFailover), SimTime::from_secs(960));
         assert_eq!(at(ChaosScenario::Churn), SimTime::from_secs(660));

@@ -15,12 +15,15 @@
 //!   role, driven entirely by simulator events.
 //! * [`metrics`] — per-run metrics: the Figure 3 message breakdown, storage
 //!   and query success rates, destination accuracy, and per-node skew.
-//! * [`builder`] — [`SimBuilder`]: assembles an engine from a
+//! * [`builder`] — [`build_engine`] builds an engine from a
 //!   [`ScenarioSpec`](scoop_types::ScenarioSpec) through
-//!   `Topology::connected` and `LinkModel::from_spec`, and resolves the
-//!   fault axis into a radio-outage schedule.
-//! * [`runner`] — runs a built engine and extracts a
-//!   [`metrics::RunResult`]; multi-trial averaging included.
+//!   `Topology::connected` and `LinkModel::from_spec`, and
+//!   [`build_engine_with`] over a hand-made topology and link model; both
+//!   resolve the fault axis into a radio-outage schedule.
+//! * [`runner`] — [`run_windows`] runs a built engine through ascending time
+//!   boundaries and measures one [`metrics::RunResult`] per window;
+//!   [`run_experiment`] is its one-window case after the warmup.
+//!   Multi-trial averaging included.
 //! * [`sweep`] — the parallel, deterministic scenario runner:
 //!   [`sweep::SweepRunner::averaged`] runs a list of configs over several
 //!   seeds each, across threads, and averages them in input order.
@@ -38,7 +41,7 @@ pub mod ring;
 pub mod runner;
 pub mod sweep;
 
-pub use builder::{resolve_fault_schedule, SimBuilder};
+pub use builder::{build_engine, build_engine_with, resolve_fault_schedule};
 pub use data_buffer::DataBuffer;
 pub use metrics::{MessageBreakdown, QueryMetrics, RootSkew, RunResult, StorageMetrics};
 pub use node::SharedPayload;
@@ -46,7 +49,6 @@ pub use node::TICK_SERVE;
 pub use node::{NodeShared, SimNode};
 pub use ring::RecentReadings;
 pub use runner::{
-    average_results, build_engine, build_engine_with, events_dispatched_total,
-    run_built_experiment, run_experiment,
+    average_results, events_dispatched_total, run_built_experiment, run_experiment, run_windows,
 };
 pub use sweep::SweepRunner;

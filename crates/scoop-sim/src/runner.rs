@@ -1,62 +1,30 @@
-//! Builds and runs whole-network simulations from a [`ScenarioSpec`].
-//! Engine construction is delegated to [`SimBuilder`], so every axis —
-//! topology family, loss model, faults — honors the spec rather than being
-//! hardcoded here.
+//! Runs whole-network simulations and measures them.
+//!
+//! One routine, [`run_windows`], measures every run: it drives a built
+//! engine through ascending time boundaries and reports one [`RunResult`]
+//! per window between them. [`run_built_experiment`] is its one-window case
+//! (warmup to the end, the paper's methodology); the chaos family splits the
+//! same span into before / during / after windows. Engines come from
+//! [`build_engine`], so every axis — topology family, loss model, faults —
+//! honors the spec rather than being hardcoded here.
 
-use crate::builder::{assemble, SimBuilder};
+use crate::builder::build_engine;
 use crate::metrics::{MessageBreakdown, QueryMetrics, RunResult, StorageMetrics};
 use crate::node::SimNode;
-use scoop_net::{Engine, LinkModel, Topology};
+use scoop_net::Engine;
 use scoop_types::{MessageStats, NodeId, ScenarioSpec, ScoopError, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide count of engine events dispatched by every experiment run
-/// (any thread). `run_built_experiment` — the single chokepoint every sweep,
-/// lab, and bench path funnels through — adds each finished engine's total
-/// here, so a harness can compute events-per-experiment as a snapshot delta
+/// (any thread). [`run_windows`] — the single chokepoint every sweep, lab,
+/// and bench path funnels through — adds each finished engine's total here,
+/// so a harness can compute events-per-experiment as a snapshot delta
 /// without threading a counter through every experiment function.
 static EVENTS_DISPATCHED: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the process-wide dispatched-event counter (monotonic).
 pub fn events_dispatched_total() -> u64 {
     EVENTS_DISPATCHED.load(Ordering::Relaxed)
-}
-
-/// Adds a finished engine's event total to the process-wide counter. For
-/// harnesses (like the phased chaos runner) that drive engines directly
-/// instead of going through [`run_built_experiment`].
-pub(crate) fn record_events_dispatched(events: u64) {
-    EVENTS_DISPATCHED.fetch_add(events, Ordering::Relaxed);
-}
-
-/// Builds the topology, link model, node state machines, and engine for one
-/// experiment run, as described by every axis of the spec.
-pub fn build_engine(config: &ScenarioSpec) -> Result<Engine<SimNode>, ScoopError> {
-    SimBuilder::new(config.clone()).build()
-}
-
-/// Builds an engine over an explicit topology and link model (used by tests
-/// and by ablation experiments that perturb the network by hand). The spec's
-/// fault axis still applies; its topology and link axes are ignored in favor
-/// of the arguments.
-pub fn build_engine_with(
-    config: &ScenarioSpec,
-    topology: Topology,
-    links: LinkModel,
-) -> Result<Engine<SimNode>, ScoopError> {
-    assemble(config, topology, links)
-}
-
-fn stats_diff(after: &MessageStats, before: &MessageStats) -> MessageStats {
-    MessageStats {
-        data: after.data - before.data,
-        summary: after.summary - before.summary,
-        mapping: after.mapping - before.mapping,
-        query: after.query - before.query,
-        reply: after.reply - before.reply,
-        aggregate: after.aggregate - before.aggregate,
-        heartbeat: after.heartbeat - before.heartbeat,
-    }
 }
 
 /// Runs one experiment to completion and extracts its metrics.
@@ -70,123 +38,151 @@ pub fn run_experiment(config: &ScenarioSpec) -> Result<RunResult, ScoopError> {
 /// Runs an already-built engine to completion and extracts its metrics;
 /// `config` must be the spec the engine was built from. Exposed so harnesses
 /// that construct engines by hand (explicit topologies, perturbed link
-/// models) share the exact measurement path — the equivalence tests compare
-/// the builder path against hand construction through this function.
+/// models) share the exact measurement path. It is [`run_windows`] over the
+/// one window `[warmup, duration]`.
 pub fn run_built_experiment(
     config: &ScenarioSpec,
-    mut engine: Engine<SimNode>,
+    engine: Engine<SimNode>,
 ) -> Result<RunResult, ScoopError> {
-    let warmup_end = SimTime::ZERO + config.warmup;
-    engine.run_until(warmup_end);
+    let bounds = [
+        SimTime::ZERO + config.warmup,
+        SimTime::ZERO + config.duration,
+    ];
+    Ok(run_windows(config, engine, &bounds).remove(0))
+}
 
-    // Snapshot per-node counters at the end of warmup.
+/// Runs `engine` (built from `config`) through ascending time `boundaries`
+/// and returns one [`RunResult`] per window between consecutive boundaries.
+///
+/// Messages and per-node transmissions / receptions count within each
+/// window. Storage, query, index and remap counters count within each
+/// window too, except the first window's, which count from time zero (as a
+/// whole run's always have). Each window's `events_processed` is the
+/// engine's total at the window's end. The windows' counters sum to the
+/// one-window result over the same span.
+pub fn run_windows(
+    config: &ScenarioSpec,
+    mut engine: Engine<SimNode>,
+    boundaries: &[SimTime],
+) -> Vec<RunResult> {
+    let mut marks = boundaries.iter().map(|&boundary| {
+        engine.run_until(boundary);
+        counters(config, &engine)
+    });
+    let mut windows = Vec::with_capacity(boundaries.len().saturating_sub(1));
+    if let Some(first) = marks.next() {
+        let mut start = RunResult {
+            storage: StorageMetrics::default(),
+            queries: QueryMetrics::default(),
+            indices_disseminated: 0,
+            remaps_suppressed: 0,
+            ..first
+        };
+        for end in marks {
+            let mut window = zip_counters(&end, &start, |end, start| end - start);
+            window.events_processed = end.events_processed;
+            windows.push(window);
+            start = end;
+        }
+    }
+    EVENTS_DISPATCHED.fetch_add(engine.events_processed(), Ordering::Relaxed);
+    windows
+}
+
+/// Every counter a [`RunResult`] reports, read off `engine` at its current
+/// time, each cumulative from time zero.
+fn counters(config: &ScenarioSpec, engine: &Engine<SimNode>) -> RunResult {
     let n = engine.topology().len();
-    let warm_tx: Vec<MessageStats> = (0..n)
-        .map(|i| engine.stats().node(NodeId(i as u16)).tx)
-        .collect();
-    let warm_rx: Vec<MessageStats> = (0..n)
-        .map(|i| engine.stats().node(NodeId(i as u16)).rx)
-        .collect();
-
-    engine.run_until(SimTime::ZERO + config.duration);
-
     let mut network = MessageStats::default();
     let mut per_node_tx = Vec::with_capacity(n);
     let mut per_node_rx = Vec::with_capacity(n);
     for i in 0..n {
-        let id = NodeId(i as u16);
-        let tx = stats_diff(&engine.stats().node(id).tx, &warm_tx[i]);
-        let rx = stats_diff(&engine.stats().node(id).rx, &warm_rx[i]);
-        network += tx;
-        per_node_tx.push(tx.cost());
-        per_node_rx.push(rx.cost());
+        let stats = engine.stats().node(NodeId(i as u16));
+        network += stats.tx;
+        per_node_tx.push(stats.tx.cost());
+        per_node_rx.push(stats.rx.cost());
     }
-
-    // Storage metrics from every node's local counters.
-    let mut storage = StorageMetrics::default();
+    let mut run = RunResult {
+        config: config.clone(),
+        messages: MessageBreakdown::from_stats(&network),
+        per_node_tx,
+        per_node_rx,
+        storage: StorageMetrics::default(),
+        queries: QueryMetrics::default(),
+        indices_disseminated: 0,
+        remaps_suppressed: 0,
+        events_processed: engine.events_processed(),
+    };
+    // Storage from every node's local counters; queries summed over every
+    // sink (non-sinks report zeros).
     for (_, node) in engine.iter_nodes() {
         let m = node.metrics;
+        let storage = &mut run.storage;
         storage.sampled += m.sampled;
         storage.stored += m.stored;
         storage.stored_at_owner += m.stored_as_owner;
         storage.stored_at_base_fallback += m.stored_base_fallback;
         storage.stored_local_default += m.stored_local_default;
-    }
-
-    // Query metrics summed over every sink (non-sinks report zeros; a
-    // single-sink run reads exactly the node-0 counters it always did).
-    let mut queries = QueryMetrics::default();
-    let mut indices_disseminated = 0;
-    let mut remaps_suppressed = 0;
-    for (_, node) in engine.iter_nodes() {
         let (issued, targets, replies, readings, local) = node.query_outcomes();
+        let queries = &mut run.queries;
         queries.issued += issued;
         queries.targets_total += targets;
         queries.replies_received += replies;
         queries.readings_returned += readings;
         queries.answered_locally += local;
-        indices_disseminated += node.indices_disseminated();
-        remaps_suppressed += node.remaps_suppressed();
+        run.indices_disseminated += node.indices_disseminated();
+        run.remaps_suppressed += node.remaps_suppressed();
     }
+    run
+}
 
-    let events_processed = engine.events_processed();
-    EVENTS_DISPATCHED.fetch_add(events_processed, Ordering::Relaxed);
-
-    Ok(RunResult {
-        config: config.clone(),
-        messages: MessageBreakdown::from_stats(&network),
-        per_node_tx,
-        per_node_rx,
-        storage,
-        queries,
-        indices_disseminated,
-        remaps_suppressed,
-        events_processed,
-    })
+/// Combines two runs counter by counter with `f` (per-node vectors element
+/// by element); the spec is `a`'s.
+fn zip_counters(a: &RunResult, b: &RunResult, f: impl Fn(u64, u64) -> u64) -> RunResult {
+    let per_node = |a: &[u64], b: &[u64]| a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect();
+    let (sa, sb, qa, qb) = (&a.storage, &b.storage, &a.queries, &b.queries);
+    RunResult {
+        config: a.config.clone(),
+        messages: MessageBreakdown {
+            data: f(a.messages.data, b.messages.data),
+            summary: f(a.messages.summary, b.messages.summary),
+            mapping: f(a.messages.mapping, b.messages.mapping),
+            query_reply: f(a.messages.query_reply, b.messages.query_reply),
+        },
+        per_node_tx: per_node(&a.per_node_tx, &b.per_node_tx),
+        per_node_rx: per_node(&a.per_node_rx, &b.per_node_rx),
+        storage: StorageMetrics {
+            sampled: f(sa.sampled, sb.sampled),
+            stored: f(sa.stored, sb.stored),
+            stored_at_owner: f(sa.stored_at_owner, sb.stored_at_owner),
+            stored_at_base_fallback: f(sa.stored_at_base_fallback, sb.stored_at_base_fallback),
+            stored_local_default: f(sa.stored_local_default, sb.stored_local_default),
+        },
+        queries: QueryMetrics {
+            issued: f(qa.issued, qb.issued),
+            targets_total: f(qa.targets_total, qb.targets_total),
+            replies_received: f(qa.replies_received, qb.replies_received),
+            readings_returned: f(qa.readings_returned, qb.readings_returned),
+            answered_locally: f(qa.answered_locally, qb.answered_locally),
+        },
+        indices_disseminated: f(a.indices_disseminated, b.indices_disseminated),
+        remaps_suppressed: f(a.remaps_suppressed, b.remaps_suppressed),
+        events_processed: f(a.events_processed, b.events_processed),
+    }
 }
 
 /// Element-wise average of several runs of the same configuration (the paper
-/// averages three trials). Per-node vectors are averaged pairwise; counters
-/// are averaged as floating point and rounded.
+/// averages three trials): every counter, per-node entries included, is
+/// summed, divided by the number of runs and rounded.
 pub fn average_results(results: &[RunResult]) -> Option<RunResult> {
-    let first = results.first()?;
+    let (first, rest) = results.split_first()?;
+    let sum = rest
+        .iter()
+        .fold(first.clone(), |sum, r| zip_counters(&sum, r, |x, y| x + y));
     let k = results.len() as f64;
-    let avg_u64 = |f: &dyn Fn(&RunResult) -> u64| -> u64 {
-        (results.iter().map(|r| f(r) as f64).sum::<f64>() / k).round() as u64
-    };
-    let per_node = |f: fn(&RunResult) -> &[u64]| -> Vec<u64> {
-        (0..f(first).len())
-            .map(|i| avg_u64(&|r| *f(r).get(i).unwrap_or(&0)))
-            .collect()
-    };
-    Some(RunResult {
-        config: first.config.clone(),
-        messages: MessageBreakdown {
-            data: avg_u64(&|r| r.messages.data),
-            summary: avg_u64(&|r| r.messages.summary),
-            mapping: avg_u64(&|r| r.messages.mapping),
-            query_reply: avg_u64(&|r| r.messages.query_reply),
-        },
-        per_node_tx: per_node(|r| &r.per_node_tx),
-        per_node_rx: per_node(|r| &r.per_node_rx),
-        storage: StorageMetrics {
-            sampled: avg_u64(&|r| r.storage.sampled),
-            stored: avg_u64(&|r| r.storage.stored),
-            stored_at_owner: avg_u64(&|r| r.storage.stored_at_owner),
-            stored_at_base_fallback: avg_u64(&|r| r.storage.stored_at_base_fallback),
-            stored_local_default: avg_u64(&|r| r.storage.stored_local_default),
-        },
-        queries: QueryMetrics {
-            issued: avg_u64(&|r| r.queries.issued),
-            targets_total: avg_u64(&|r| r.queries.targets_total),
-            replies_received: avg_u64(&|r| r.queries.replies_received),
-            readings_returned: avg_u64(&|r| r.queries.readings_returned),
-            answered_locally: avg_u64(&|r| r.queries.answered_locally),
-        },
-        indices_disseminated: avg_u64(&|r| r.indices_disseminated),
-        remaps_suppressed: avg_u64(&|r| r.remaps_suppressed),
-        events_processed: avg_u64(&|r| r.events_processed),
-    })
+    Some(zip_counters(&sum, &sum, |total, _| {
+        (total as f64 / k).round() as u64
+    }))
 }
 
 #[cfg(test)]

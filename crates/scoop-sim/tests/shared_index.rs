@@ -6,7 +6,7 @@
 use scoop_core::baselines::hash_index;
 use scoop_core::StorageIndex;
 use scoop_net::{Engine, EngineConfig, LinkModel, Topology};
-use scoop_sim::{build_engine, run_built_experiment, NodeShared, SimBuilder, SimNode};
+use scoop_sim::{build_engine, run_built_experiment, NodeShared, SimNode};
 use scoop_types::{
     DataSourceKind, NodeId, ScenarioSpec, SimDuration, SimTime, StorageIndexId, StoragePolicy,
     TopologyKind, MAX_NODES,
@@ -32,7 +32,7 @@ fn static_index_is_one_shared_allocation_at_the_node_cap() {
             StoragePolicy::Hash => hash_index(domain, spec.num_nodes, SimTime::ZERO),
             _ => StorageIndex::send_to_base(StorageIndexId(1), domain, SimTime::ZERO),
         };
-        let engine = SimBuilder::new(spec).build().expect("cap-sized engine");
+        let engine = build_engine(&spec).expect("cap-sized engine");
         assert_eq!(engine.topology().len(), MAX_NODES);
         let first = engine
             .node(NodeId(1))
@@ -49,9 +49,7 @@ fn static_index_is_one_shared_allocation_at_the_node_cap() {
     }
 
     // SCOOP learns its index from the basestation; nobody starts with one.
-    let engine = SimBuilder::new(cap_spec(StoragePolicy::Scoop))
-        .build()
-        .expect("cap-sized engine");
+    let engine = build_engine(&cap_spec(StoragePolicy::Scoop)).expect("cap-sized engine");
     assert!(engine
         .iter_nodes()
         .all(|(_, node)| node.current_index().is_none()));

@@ -7,7 +7,7 @@
 //! SCOOP and HASH answer from owner buffers, so their answers must be
 //! bounded by the oracle; BASE never issues network queries at all.
 
-use scoop_sim::runner::build_engine;
+use scoop_sim::build_engine;
 use scoop_sim::SimNode;
 use scoop_types::{
     AggregateOp, Reading, ScenarioSpec, SimDuration, SimTime, StoragePolicy, TopologyKind,

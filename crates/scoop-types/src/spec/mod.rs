@@ -15,7 +15,7 @@
 //! * [`FaultSpec`] — scheduled radio outages, partitions, sink crashes and
 //!   mass churn.
 //!
-//! `scoop_sim::SimBuilder` assembles an engine from a spec through the
+//! `scoop_sim::build_engine` builds an engine from a spec through the
 //! standard topology and link generators in `scoop-net`, and the
 //! string-keyed *axis registry* ([`ScenarioSpec::set_axis`]) lets the CLI,
 //! sweep grids, and benches override any axis without recompiling

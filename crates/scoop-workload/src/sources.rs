@@ -226,7 +226,7 @@ pub fn make_source(
 
 /// Builds the data source named by a [`WorkloadSpec`](scoop_types::WorkloadSpec)
 /// over its value domain — the spec-driven twin of [`make_source`] used by
-/// `scoop_sim::SimBuilder`.
+/// `scoop_sim::build_engine`.
 pub fn make_source_for(
     workload: &scoop_types::WorkloadSpec,
     num_nodes: usize,

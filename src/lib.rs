@@ -15,7 +15,6 @@ pub use scoop_core as core;
 pub use scoop_lab as lab;
 pub use scoop_routing as routing;
 pub use scoop_serve as serve;
-pub use scoop_sim as sim;
 pub use scoop_workload as workload;
 
 /// [`scoop_types`], plus the legacy `ExperimentConfig` name.
@@ -83,6 +82,31 @@ pub mod net {
             seed: u64,
         ) -> Result<LinkModel, ScoopError> {
             LinkModel::from_spec(spec, topo, seed)
+        }
+    }
+}
+
+/// [`scoop_sim`], plus the `SimBuilder` that [`scoop_sim::build_engine`]
+/// replaced.
+pub mod sim {
+    use scoop_net::Engine;
+    pub use scoop_sim::*;
+    use scoop_types::{ScenarioSpec, ScoopError};
+
+    /// Holds a spec until [`SimBuilder::build`]. Kept for `bench/` only.
+    pub struct SimBuilder {
+        spec: ScenarioSpec,
+    }
+
+    impl SimBuilder {
+        /// A builder over `spec`. Kept for `bench/` only.
+        pub fn new(spec: ScenarioSpec) -> Self {
+            SimBuilder { spec }
+        }
+
+        /// [`build_engine`] over the spec. Kept for `bench/` only.
+        pub fn build(&self) -> Result<Engine<SimNode>, ScoopError> {
+            build_engine(&self.spec)
         }
     }
 }

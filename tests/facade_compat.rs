@@ -6,7 +6,9 @@ use scoop::store::TimeIndex;
 use scoop_net::{LinkModel, Topology};
 use scoop_store::block::{decode_block_into, encode_block};
 use scoop_store::SegmentWriter;
-use scoop_types::{DurableRecord, LinkSpec, NodeId, ScenarioSpec, TopologyKind, TopologySpec};
+use scoop_types::{
+    DurableRecord, FaultWindow, LinkSpec, NodeId, ScenarioSpec, TopologyKind, TopologySpec,
+};
 use std::any::TypeId;
 use std::path::Path;
 
@@ -90,6 +92,22 @@ fn decode_block_is_decode_block_into_a_fresh_vec() {
     let mut flipped = bytes;
     flipped[8 + 5] ^= 0x10;
     assert!(scoop::store::block::decode_block(&flipped, block_size, path, 0).is_err());
+}
+
+#[test]
+fn sim_builder_is_build_engine() {
+    let mut spec = ScenarioSpec::small_test();
+    spec.faults
+        .partitions
+        .push(FaultWindow::blackout(240, 420, 0.5));
+    let shim = scoop::sim::SimBuilder::new(spec.clone()).build().unwrap();
+    let direct = scoop_sim::build_engine(&spec).unwrap();
+    assert_eq!(
+        scoop_sim::run_built_experiment(&spec, shim).unwrap(),
+        scoop_sim::run_built_experiment(&spec, direct).unwrap()
+    );
+    spec.num_nodes = 0;
+    assert!(scoop::sim::SimBuilder::new(spec).build().is_err());
 }
 
 #[test]

@@ -29,7 +29,7 @@ fn run_with_links(
     let topo = Topology::office_floor(cfg.num_nodes, cfg.seed).expect("topology");
     let mut links = LinkModel::from_spec(&LinkSpec::legacy(), &topo, cfg.seed).expect("valid spec");
     mutate(&topo, &mut links);
-    let mut engine = scoop::sim::runner::build_engine_with(cfg, topo, links).expect("engine");
+    let mut engine = scoop::sim::build_engine_with(cfg, topo, links).expect("engine");
     engine.run_until(SimTime::ZERO + cfg.duration);
     engine
 }
