@@ -8,6 +8,14 @@
 //! one-shot timers. All transmissions are counted in [`NetworkStats`] per
 //! node and per [`MessageKind`], because the paper's evaluation metric is the
 //! number of messages sent.
+//!
+//! The link model is fixed once the engine is built, so the set of
+//! transmitters each node can hear is fixed too. When a run starts, the
+//! engine transposes the link rows once: it hands every node the ascending
+//! list of its transmitters ([`NodeLogic::on_senders`]) and keeps, beside
+//! each row entry `src → l`, the index of `src` in `l`'s list. Every delivery
+//! carries that index ([`NodeCtx::sender_slot`]), so a node that keeps
+//! per-sender state in the announced order finds it without a search.
 
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultSchedule;
@@ -29,6 +37,14 @@ pub type TimerToken = u32;
 pub trait NodeLogic {
     /// Application payload carried by packets.
     type Payload: Clone;
+
+    /// Called once, at simulation start and before any `on_init`, with the
+    /// ascending list of every node whose transmissions this node's radio
+    /// can hear. A delivery's [`NodeCtx::sender_slot`] is its sender's index
+    /// in this list. The default ignores it.
+    fn on_senders(&mut self, senders: &[NodeId]) {
+        let _ = senders;
+    }
 
     /// Called once, at simulation start.
     fn on_init(&mut self, ctx: &mut NodeCtx<'_, Self::Payload>);
@@ -110,8 +126,12 @@ enum Command<P> {
 pub struct NodeCtx<'a, P> {
     node: NodeId,
     now: SimTime,
+    sender_slot: usize,
     commands: &'a mut Vec<Command<P>>,
 }
+
+/// The [`NodeCtx::sender_slot`] of a callback that is not a delivery.
+const NO_SLOT: usize = usize::MAX;
 
 impl<'a, P> NodeCtx<'a, P> {
     /// The node this context belongs to.
@@ -122,6 +142,14 @@ impl<'a, P> NodeCtx<'a, P> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// Inside [`NodeLogic::on_packet_ref`], the index of the packet's
+    /// link-layer sender in the list this node was given by
+    /// [`NodeLogic::on_senders`]; `usize::MAX`, which indexes no list, in
+    /// any other callback.
+    pub fn sender_slot(&self) -> usize {
+        self.sender_slot
     }
 
     /// Returns `true` if this node is the basestation.
@@ -184,6 +212,11 @@ pub struct Engine<L: NodeLogic> {
     now: SimTime,
     stats: NetworkStats,
     seqnos: Vec<SeqNo>,
+    /// For each link entry `src → l` (indexed as [`LinkModel::row_start`]
+    /// lays them out), the index of `src` in the list of `l`'s transmitters
+    /// handed to `l` at start: a delivery's [`NodeCtx::sender_slot`]. Empty
+    /// until the run starts.
+    sender_slot: Vec<u16>,
     rng: StdRng,
     faults: FaultSchedule,
     started: bool,
@@ -240,6 +273,7 @@ impl<L: NodeLogic> Engine<L> {
             now: SimTime::ZERO,
             stats: NetworkStats::new(n),
             seqnos: vec![SeqNo::default(); n],
+            sender_slot: Vec::new(),
             rng: StdRng::seed_from_u64(config.seed ^ 0xe4e4_e4e4),
             faults: FaultSchedule::empty(),
             started: false,
@@ -329,8 +363,9 @@ impl<L: NodeLogic> Engine<L> {
     pub fn run_until(&mut self, t: SimTime) {
         if !self.started {
             self.started = true;
+            self.announce_senders();
             for i in 0..self.nodes.len() {
-                self.with_ctx(NodeId(i as u16), |node, ctx| node.on_init(ctx));
+                self.with_ctx(NodeId(i as u16), NO_SLOT, |node, ctx| node.on_init(ctx));
             }
         }
         while let Some(next) = self.queue.peek_time() {
@@ -347,6 +382,43 @@ impl<L: NodeLogic> Engine<L> {
         if t > self.now {
             self.now = t;
         }
+    }
+
+    /// Transposes the link rows: hands every node the ascending list of its
+    /// transmitters and fills `sender_slot`. Run once, at start rather than
+    /// in [`Engine::new`], so that building an engine costs nothing for it.
+    fn announce_senders(&mut self) {
+        let n = self.nodes.len();
+        // Rows are walked in ascending transmitter order, so when entry
+        // `src → l` is reached, the transmitters of `l` counted so far are
+        // exactly those below `src`: the count is `src`'s index in `l`'s
+        // ascending list.
+        let mut starts = vec![0u32; n + 1];
+        let mut slots = Vec::with_capacity(self.links.usable_link_count());
+        for src in 0..n {
+            for &l in self.links.neighbors(NodeId(src as u16)).0 {
+                let count = &mut starts[l.index() + 1];
+                // Fits: a listener has fewer transmitters than there are
+                // `u16` node ids.
+                slots.push(*count as u16);
+                *count += 1;
+            }
+        }
+        for i in 0..n {
+            starts[i + 1] += starts[i];
+        }
+        let mut senders = vec![NodeId(0); starts[n] as usize];
+        for src in 0..n {
+            let id = NodeId(src as u16);
+            let row = self.links.row_start(id);
+            for (i, &l) in self.links.neighbors(id).0.iter().enumerate() {
+                senders[starts[l.index()] as usize + usize::from(slots[row + i])] = id;
+            }
+        }
+        for (l, node) in self.nodes.iter_mut().enumerate() {
+            node.on_senders(&senders[starts[l] as usize..starts[l + 1] as usize]);
+        }
+        self.sender_slot = slots;
     }
 
     /// Schedules a timer event for `node` at absolute simulated time `at`
@@ -376,12 +448,14 @@ impl<L: NodeLogic> Engine<L> {
                 self.events_processed += u64::from(heard.count_ones());
                 let src = packet.meta.link_src;
                 let target = packet.meta.link_dst.unicast_target();
+                let first_entry = self.links.row_start(src) + usize::from(first);
                 // Ascending bit order is ascending row order: the order the
                 // loss rolls were made in (see the `event` module docs).
                 while heard != 0 {
                     let bit = heard.trailing_zeros() as usize;
                     heard &= heard - 1;
-                    let node = self.links.neighbors(src).0[first as usize + bit];
+                    let entry = first_entry + bit;
+                    let node = self.links.listener(entry);
                     // A node whose radio is down hears nothing; the packet
                     // evaporates without touching stats or node state. Timers
                     // still fire (the CPU is alive), so a node whose outage
@@ -395,7 +469,8 @@ impl<L: NodeLogic> Engine<L> {
                     } else {
                         self.stats.record_snoop(node);
                     }
-                    self.with_ctx(node, |logic, ctx| {
+                    let slot = usize::from(self.sender_slot[entry]);
+                    self.with_ctx(node, slot, |logic, ctx| {
                         logic.on_packet_ref(ctx, &packet, addressed)
                     });
                 }
@@ -409,13 +484,14 @@ impl<L: NodeLogic> Engine<L> {
                     self.queue.push(until, Event::TimerFire { node, token });
                     return;
                 }
-                self.with_ctx(node, |logic, ctx| logic.on_timer(ctx, token));
+                self.with_ctx(node, NO_SLOT, |logic, ctx| logic.on_timer(ctx, token));
             }
         }
     }
 
-    /// Runs `f` with a command-buffering context for `node`, then applies the
-    /// buffered commands.
+    /// Runs `f` with a command-buffering context for `node`, whose
+    /// [`NodeCtx::sender_slot`] is `sender_slot`, then applies the buffered
+    /// commands.
     ///
     /// The command buffer is engine-owned and recycled: it is taken out of
     /// `self` for the duration of the callback (callbacks never re-enter the
@@ -423,7 +499,7 @@ impl<L: NodeLogic> Engine<L> {
     /// put back with its capacity intact — no allocation once the busiest
     /// callback has been seen. A callback that issued no command skips the
     /// drain.
-    fn with_ctx<F>(&mut self, node: NodeId, f: F)
+    fn with_ctx<F>(&mut self, node: NodeId, sender_slot: usize, f: F)
     where
         F: FnOnce(&mut L, &mut NodeCtx<'_, L::Payload>),
     {
@@ -432,6 +508,7 @@ impl<L: NodeLogic> Engine<L> {
             let mut ctx = NodeCtx {
                 node,
                 now: self.now,
+                sender_slot,
                 commands: &mut commands,
             };
             let logic = &mut self.nodes[node.index()];

@@ -273,6 +273,21 @@ impl LinkModel {
         )
     }
 
+    /// Index, into the model's link entries, of `node`'s first outgoing
+    /// link: entry `row_start(node) + i` is `neighbors(node).0[i]`. Rows
+    /// are laid out in ascending transmitter order, so the entries of all
+    /// rows, walked in order, are the links grouped by ascending transmitter.
+    #[inline]
+    pub(crate) fn row_start(&self, node: NodeId) -> usize {
+        self.nbr_offsets[node.index()] as usize
+    }
+
+    /// The listener of link entry `entry` (see [`LinkModel::row_start`]).
+    #[inline]
+    pub(crate) fn listener(&self, entry: usize) -> NodeId {
+        self.nbr_nodes[entry]
+    }
+
     /// Position of the `from → to` entry: `Ok(index into the row arrays)` if
     /// the link is stored, `Err(insertion index)` otherwise. Rows are sorted
     /// by ascending destination, so this is a binary search of `from`'s ids.

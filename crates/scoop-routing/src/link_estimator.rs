@@ -4,6 +4,15 @@
 //! network and, per neighbor, counting the number of packets it did not
 //! receive using a monotonically increasing number that all nodes put in the
 //! header of all their outgoing packets." (Section 5.2)
+//!
+//! Every delivery updates one record, so how a record is found is the
+//! estimator's hot path. A node in a running simulation is told, once, the
+//! ascending list of transmitters its radio can hear
+//! ([`LinkEstimator::announce`]), and each delivery then names its sender's
+//! index in that list: the record sits at that index and is updated in
+//! place. A sender that was never announced, or a slot that does not name
+//! it, is found by binary search instead; that path also serves an estimator
+//! nobody announced anything to.
 
 use scoop_types::{NodeId, SeqNo, SimTime};
 
@@ -12,14 +21,65 @@ use scoop_types::{NodeId, SeqNo, SimTime};
 struct LinkRecord {
     node: NodeId,
     /// Whether `node` is in the owning [`RoutingState`]'s neighbor table.
-    /// It sits in the padding after the `u16` id, so the record stays 24 B.
+    /// It and `heard` sit in the padding after the `u16` id, so the record
+    /// stays 24 B.
     ///
     /// [`RoutingState`]: crate::RoutingState
     in_table: bool,
+    /// Whether `node` has been heard since it was announced or last evicted.
+    /// Every reader skips an unheard record: it is a place kept for the
+    /// sender, not a neighbor.
+    heard: bool,
     last_seqno: SeqNo,
     /// Exponentially weighted reception ratio in `(0, 1]`.
     ewma: f64,
     last_heard: SimTime,
+}
+
+impl LinkRecord {
+    /// A record of `node` that has not been heard.
+    fn unheard(node: NodeId) -> Self {
+        LinkRecord {
+            node,
+            in_table: false,
+            heard: false,
+            last_seqno: SeqNo::default(),
+            ewma: 1.0,
+            last_heard: SimTime::ZERO,
+        }
+    }
+
+    /// Counts one packet carrying `seqno`, heard at `now`; see
+    /// [`LinkEstimator::observe`]. An unheard record starts afresh, exactly
+    /// as a record inserted for a first-time sender would.
+    fn hear(&mut self, seqno: SeqNo, now: SimTime, alpha: f64) {
+        self.last_heard = now;
+        if !self.heard {
+            self.heard = true;
+            self.last_seqno = seqno;
+            self.ewma = 1.0;
+            return;
+        }
+        let alpha = alpha.clamp(0.001, 1.0);
+        let gap = seqno.distance_from(self.last_seqno);
+        // gap == 0 is a duplicate; gaps beyond the reorder window are
+        // out-of-order arrivals (e.g. a retransmitted packet overtaken by a
+        // newer one). Both count as a reception with no misses and do not
+        // move the high-water sequence number backwards.
+        let reordered = gap == 0 || gap > REORDER_WINDOW;
+        let missed_now = if reordered { 0 } else { gap - 1 };
+        if !reordered {
+            self.last_seqno = seqno;
+        }
+        // Decay the EWMA once per missed packet (closed form) so bursts of
+        // loss push the estimate down, then credit the received packet. With
+        // no miss the factor is exactly 1.0, so skipping the out-of-line
+        // `powi` call changes no bit.
+        if missed_now > 0 {
+            self.ewma *= (1.0 - alpha).powi(missed_now.min(1_000) as i32);
+        }
+        self.ewma = (1.0 - alpha) * self.ewma + alpha;
+    }
 }
 
 /// Sequence-number gaps larger than this are treated as packet reordering
@@ -29,7 +89,8 @@ struct LinkRecord {
 const REORDER_WINDOW: u32 = 128;
 
 /// Estimates inbound link quality (the fraction of a neighbor's transmissions
-/// this node actually hears) for every neighbor it has ever overheard.
+/// this node actually hears) for every neighbor it has heard and not since
+/// evicted.
 ///
 /// The EWMA smoothing factor is the routing configuration's, the same on
 /// every node, so the estimator does not store it:
@@ -37,8 +98,8 @@ const REORDER_WINDOW: u32 = 128;
 ///
 /// Each record also carries one bit of [`RoutingState`]'s: whether its
 /// neighbor is in the [`NeighborTable`]. The table is a subset of the
-/// records, so the bit answers "is this sender listed?" with the binary
-/// search `observe` already makes instead of a linear scan of the table.
+/// records, so the bit answers "is this sender listed?" from the record
+/// `observe` already updates instead of a linear scan of the table.
 /// `RoutingState` is the one place that sets or clears it: a bit is set
 /// exactly when its id is in the table, and a record evicted here takes its
 /// bit with it.
@@ -47,10 +108,11 @@ const REORDER_WINDOW: u32 = 128;
 /// [`NeighborTable`]: crate::NeighborTable
 #[derive(Clone, Debug, Default)]
 pub struct LinkEstimator {
-    /// One record per neighbor, sorted by ascending `NodeId` and found by
-    /// binary search: a node hears a radio neighborhood, not the network, so
-    /// the table is a few cache lines and every id-ordered walk of it is
-    /// deterministic.
+    /// One record per announced or heard sender, sorted by ascending
+    /// `NodeId`: a node hears a radio neighborhood, not the network, so the
+    /// table is a few cache lines and every id-ordered walk of it is
+    /// deterministic. Eviction marks a record unheard and keeps its place,
+    /// so an announced sender's index never moves.
     records: Vec<LinkRecord>,
 }
 
@@ -60,12 +122,37 @@ impl LinkEstimator {
         Self::default()
     }
 
-    fn position(&self, src: NodeId) -> Result<usize, usize> {
+    /// Lays out one unheard record per sender of `senders`, which must be
+    /// ascending and come before anything is heard: the record of
+    /// `senders[i]` is then record `i`, the slot
+    /// [`observe_at`](Self::observe_at) and [`quality_at`](Self::quality_at)
+    /// take. Nothing reads an unheard record, so announcing changes no
+    /// estimate.
+    pub fn announce(&mut self, senders: &[NodeId]) {
+        debug_assert!(self.records.is_empty(), "announced after hearing");
+        debug_assert!(senders.windows(2).all(|w| w[0] < w[1]), "{senders:?}");
+        self.records = senders.iter().map(|&n| LinkRecord::unheard(n)).collect();
+    }
+
+    /// Whether record `slot` is `src`'s, heard or not: whether
+    /// [`observe_at`](Self::observe_at) finds it without a search.
+    pub fn names_at(&self, slot: usize, src: NodeId) -> bool {
+        self.records.get(slot).is_some_and(|r| r.node == src)
+    }
+
+    /// Index of `src`'s record: `slot` if it names `src`, else found by
+    /// binary search (`Err` is where it would be inserted).
+    fn position(&self, slot: usize, src: NodeId) -> Result<usize, usize> {
+        if self.names_at(slot, src) {
+            return Ok(slot);
+        }
         self.records.binary_search_by_key(&src, |r| r.node)
     }
 
-    fn record(&self, src: NodeId) -> Option<&LinkRecord> {
-        self.position(src).ok().map(|at| &self.records[at])
+    /// `src`'s record, if it has been heard and not since evicted.
+    fn record(&self, slot: usize, src: NodeId) -> Option<&LinkRecord> {
+        let at = self.position(slot, src).ok()?;
+        Some(&self.records[at]).filter(|r| r.heard)
     }
 
     /// Records that a packet from `src` carrying sequence number `seqno` was
@@ -74,51 +161,36 @@ impl LinkEstimator {
     /// react faster to changes. Returns whether `src`'s record carries the
     /// neighbor-table bit (never, for a sender heard for the first time).
     pub fn observe(&mut self, src: NodeId, seqno: SeqNo, now: SimTime, alpha: f64) -> bool {
-        match self.position(src) {
+        self.observe_at(usize::MAX, src, seqno, now, alpha)
+    }
+
+    /// [`observe`](Self::observe) with `src`'s announced slot: record `slot`
+    /// is updated in place when it is `src`'s, and any other slot falls back
+    /// to the search.
+    pub fn observe_at(
+        &mut self,
+        slot: usize,
+        src: NodeId,
+        seqno: SeqNo,
+        now: SimTime,
+        alpha: f64,
+    ) -> bool {
+        let at = match self.position(slot, src) {
+            Ok(at) => at,
             Err(at) => {
-                self.records.insert(
-                    at,
-                    LinkRecord {
-                        node: src,
-                        in_table: false,
-                        last_seqno: seqno,
-                        ewma: 1.0,
-                        last_heard: now,
-                    },
-                );
-                false
+                self.records.insert(at, LinkRecord::unheard(src));
+                at
             }
-            Ok(at) => {
-                let alpha = alpha.clamp(0.001, 1.0);
-                let rec = &mut self.records[at];
-                let gap = seqno.distance_from(rec.last_seqno);
-                // gap == 0 is a duplicate; gaps beyond the reorder window are
-                // out-of-order arrivals (e.g. a retransmitted packet overtaken
-                // by a newer one). Both count as a reception with no misses
-                // and do not move the high-water sequence number backwards.
-                let reordered = gap == 0 || gap > REORDER_WINDOW;
-                let missed_now = if reordered { 0 } else { gap - 1 };
-                if !reordered {
-                    rec.last_seqno = seqno;
-                }
-                rec.last_heard = now;
-                // Decay the EWMA once per missed packet (closed form) so
-                // bursts of loss push the estimate down, then credit the
-                // received packet. With no miss the factor is exactly 1.0,
-                // so skipping the out-of-line `powi` call changes no bit.
-                if missed_now > 0 {
-                    rec.ewma *= (1.0 - alpha).powi(missed_now.min(1_000) as i32);
-                }
-                rec.ewma = (1.0 - alpha) * rec.ewma + alpha;
-                rec.in_table
-            }
-        }
+        };
+        let rec = &mut self.records[at];
+        rec.hear(seqno, now, alpha);
+        rec.in_table
     }
 
     /// Whether `src`'s record carries the neighbor-table bit; `false` for a
     /// sender with no record.
     pub(crate) fn in_table(&self, src: NodeId) -> bool {
-        self.record(src).is_some_and(|r| r.in_table)
+        self.record(usize::MAX, src).is_some_and(|r| r.in_table)
     }
 
     /// Sets or clears the neighbor-table bit on `src`'s record, which must
@@ -127,15 +199,21 @@ impl LinkEstimator {
         // Invariant: the router admits only a sender it has just observed,
         // and evicts an id from the table and the estimator together.
         let at = self
-            .position(src)
+            .position(usize::MAX, src)
             .expect("a neighbor-table id has a link record");
         self.records[at].in_table = listed;
     }
 
     /// The estimated probability of hearing a transmission from `src`, or
-    /// `None` if `src` has never been heard.
+    /// `None` if `src` has not been heard (or was evicted since).
     pub fn quality(&self, src: NodeId) -> Option<f64> {
-        self.record(src).map(|r| r.ewma)
+        self.quality_at(usize::MAX, src)
+    }
+
+    /// [`quality`](Self::quality) read from record `slot` when it is
+    /// `src`'s, as [`observe_at`](Self::observe_at) finds it.
+    pub fn quality_at(&self, slot: usize, src: NodeId) -> Option<f64> {
+        self.record(slot, src).map(|r| r.ewma)
     }
 
     /// Expected number of transmissions for `src` to get one packet through
@@ -147,36 +225,37 @@ impl LinkEstimator {
 
     /// When `src` was last heard.
     pub fn last_heard(&self, src: NodeId) -> Option<SimTime> {
-        self.record(src).map(|r| r.last_heard)
+        self.record(usize::MAX, src).map(|r| r.last_heard)
     }
 
-    /// Forgets every neighbor not heard since `cutoff`. Returns the ids that
-    /// were evicted, in ascending `NodeId` order.
+    /// Forgets every neighbor not heard since `cutoff`: its record is marked
+    /// unheard and loses its table bit, and keeps its place. Returns the ids
+    /// that were evicted, in ascending `NodeId` order.
     pub fn evict_silent_since(&mut self, cutoff: SimTime) -> Vec<NodeId> {
         let mut stale = Vec::new();
-        self.records.retain(|r| {
-            let keep = r.last_heard >= cutoff;
-            if !keep {
+        for r in &mut self.records {
+            if r.heard && r.last_heard < cutoff {
+                r.heard = false;
+                r.in_table = false;
                 stale.push(r.node);
             }
-            keep
-        });
+        }
         stale
     }
 
     /// Every neighbor currently tracked, in ascending `NodeId` order.
     pub fn tracked(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.records.iter().map(|r| r.node)
+        self.records.iter().filter(|r| r.heard).map(|r| r.node)
     }
 
     /// Number of neighbors tracked.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.tracked().count()
     }
 
-    /// True if no neighbor has ever been heard.
+    /// True if no neighbor is tracked.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.tracked().next().is_none()
     }
 }
 
@@ -300,6 +379,36 @@ mod tests {
         // Survivors keep their records and stay searchable.
         assert_eq!(est.last_heard(NodeId(9)), Some(SimTime::from_secs(80)));
         assert_eq!(est.quality(NodeId(3)), None);
+    }
+
+    #[test]
+    fn an_announced_sender_is_found_at_its_slot_and_starts_afresh_when_reheard() {
+        let mut est = LinkEstimator::new();
+        est.announce(&[NodeId(2), NodeId(5), NodeId(9)]);
+        // Announced records are places, not neighbours.
+        assert!(est.is_empty());
+        assert_eq!(est.quality(NodeId(5)), None);
+        assert!(est.names_at(1, NodeId(5)));
+        for i in 0..10u32 {
+            let at = SimTime::from_secs(u64::from(i));
+            est.observe_at(1, NodeId(5), SeqNo(i * 2), at, ALPHA);
+        }
+        assert!(est.quality_at(1, NodeId(5)) < lossless(10));
+        assert_eq!(est.tracked().collect::<Vec<_>>(), [NodeId(5)]);
+        assert_eq!(est.evict_silent_since(SimTime::from_secs(100)), [NodeId(5)]);
+        assert!(est.is_empty());
+        // Re-heard, the record starts over in its place, exactly as a
+        // first-time sender's would.
+        est.observe_at(1, NodeId(5), SeqNo(100), SimTime::from_secs(200), ALPHA);
+        assert_eq!(est.quality(NodeId(5)), lossless(1));
+        assert!(est.names_at(1, NodeId(5)));
+        // A sender never announced is inserted by search, which moves every
+        // later record off its slot: their slots then fall back to search.
+        est.observe_at(0, NodeId(3), SeqNo(0), SimTime::from_secs(200), ALPHA);
+        assert!(!est.names_at(1, NodeId(5)));
+        est.observe_at(1, NodeId(5), SeqNo(101), SimTime::from_secs(201), ALPHA);
+        assert_eq!(est.quality(NodeId(5)), lossless(2));
+        assert_eq!(est.tracked().collect::<Vec<_>>(), [NodeId(3), NodeId(5)]);
     }
 
     #[test]

@@ -124,6 +124,19 @@ impl RoutingState {
         self.tree.path_etx()
     }
 
+    /// Lays out the link estimator's records for the ascending list of
+    /// transmitters this node can hear; see [`LinkEstimator::announce`].
+    /// Call it before anything is heard.
+    pub fn announce_senders(&mut self, senders: &[NodeId]) {
+        self.estimator.announce(senders);
+    }
+
+    /// The link estimator, which tracks every sender heard and not since
+    /// evicted.
+    pub fn estimator(&self) -> &LinkEstimator {
+        &self.estimator
+    }
+
     /// Records that a packet with header `meta` was heard (addressed or
     /// snooped). Updates the link estimator and neighbor table, and — if the
     /// packet's origin lists us as its parent — the descendants list.
@@ -133,6 +146,14 @@ impl RoutingState {
     /// the one place the records' table bits are set or cleared: an admitted
     /// sender's is set, and the entry it replaces in place has its cleared.
     pub fn observe_packet(&mut self, meta: &PacketMeta, now: SimTime) {
+        self.observe_packet_at(meta, usize::MAX, now);
+    }
+
+    /// [`observe_packet`](Self::observe_packet) with the sender's index in
+    /// the list given to [`announce_senders`](Self::announce_senders): the
+    /// estimator updates that record in place, and falls back to a search
+    /// when `slot` does not name the sender.
+    pub fn observe_packet_at(&mut self, meta: &PacketMeta, slot: usize, now: SimTime) {
         let src = meta.link_src;
         if src == self.id {
             return;
@@ -140,7 +161,7 @@ impl RoutingState {
         let config = &self.config;
         let listed = self
             .estimator
-            .observe(src, meta.seqno, now, config.estimator_alpha);
+            .observe_at(slot, src, meta.seqno, now, config.estimator_alpha);
         if !listed {
             match self
                 .neighbors
@@ -165,7 +186,20 @@ impl RoutingState {
     /// Processes a tree-join beacon heard from `from`.
     /// Returns `true` if the parent changed.
     pub fn on_beacon(&mut self, from: NodeId, beacon: &Beacon, now: SimTime) -> bool {
-        let quality = self.estimator.quality(from).unwrap_or(0.0);
+        self.on_beacon_at(from, usize::MAX, beacon, now)
+    }
+
+    /// [`on_beacon`](Self::on_beacon) reading `from`'s link quality at its
+    /// announced `slot`, as [`observe_packet_at`](Self::observe_packet_at)
+    /// finds it.
+    pub fn on_beacon_at(
+        &mut self,
+        from: NodeId,
+        slot: usize,
+        beacon: &Beacon,
+        now: SimTime,
+    ) -> bool {
+        let quality = self.estimator.quality_at(slot, from).unwrap_or(0.0);
         self.tree.on_beacon(from, beacon, quality, now)
     }
 

@@ -289,6 +289,123 @@ proptest! {
         }
     }
 
+    /// Differential for the slot path: estimators driven by sender slots
+    /// agree with the `HashMap` reference through interleaved observations,
+    /// evictions and re-hearings. One is told a random ascending sender list
+    /// first; a bare one never is. Both get the same slots: mostly the
+    /// sender's index in the list, sometimes a wrong one, and sometimes a
+    /// sender that was never announced, whose slot names nobody or someone
+    /// else. Both cases fall back to the search, and the fallback's
+    /// insertions shift every later record off its announced slot. A
+    /// `RoutingState` told the same list and driven the same way keeps its
+    /// table bits equal to the scan-based membership model through
+    /// maintenance, so an evicted record that kept its bit would show.
+    #[test]
+    fn slot_driven_estimator_matches_the_hashmap_reference_model(
+        announced in proptest::collection::vec(0u16..48, 0..48),
+        capacity in 1usize..5,
+        timeout in 1u64..30,
+        ops in proptest::collection::vec((0u8..12, 0u16..48, 0u32..200, 0u64..4, 0u8..8), 1..400),
+    ) {
+        let mut senders: Vec<NodeId> = announced.into_iter().map(NodeId).collect();
+        senders.sort();
+        senders.dedup();
+        let mut slotted = LinkEstimator::new();
+        slotted.announce(&senders);
+        prop_assert!(slotted.is_empty());
+        let mut bare = LinkEstimator::new();
+        let mut model = HashMapEstimator::default();
+
+        let me = NodeId(48);
+        let config = RoutingConfig {
+            neighbor_cap: capacity,
+            summary_neighbors: capacity,
+            stale_timeout: SimDuration::from_secs(timeout),
+            ..RoutingConfig::default()
+        };
+        let mut rs = RoutingState::new(me, config);
+        rs.announce_senders(&senders);
+        let mut links = HashMapEstimator::default();
+        let mut table = ScanTable { nodes: Vec::new(), capacity };
+
+        let mut now = 0u64;
+        // As in the estimator differential: a step below 20 lands behind the
+        // sender's high-water sequence number, 20 on it, the rest ahead.
+        let mut sent = [1_000u32; 48];
+        for &(kind, pick, step, dt, how) in &ops {
+            now += dt;
+            let at = SimTime::from_secs(now);
+            if kind == 0 {
+                let cutoff = SimTime::from_secs(now.saturating_sub(step as u64));
+                let expected = model.evict_silent_since(cutoff);
+                prop_assert_eq!(slotted.evict_silent_since(cutoff), expected.clone());
+                prop_assert_eq!(bare.evict_silent_since(cutoff), expected);
+                rs.maintenance(at);
+                let cutoff = SimTime::from_secs(now.saturating_sub(timeout));
+                table.evict_silent_since(cutoff, &links);
+                links.evict_silent_since(cutoff);
+            } else {
+                let (src, slot) = match (senders.len(), how) {
+                    (0, _) | (_, 7) => (NodeId(pick), pick as usize),
+                    (len, 6) => (senders[pick as usize % len], pick as usize % len + 1),
+                    (len, _) => (senders[pick as usize % len], pick as usize % len),
+                };
+                let seqno = sent[src.index()].wrapping_add(step).wrapping_sub(20);
+                sent[src.index()] = sent[src.index()].max(seqno);
+                let seqno = SeqNo(seqno);
+                let alpha = HashMapEstimator::ALPHA;
+                let quality = model.observe(src, seqno, at);
+                // Neither estimator has a neighbor table to mark records in.
+                prop_assert!(!slotted.observe_at(slot, src, seqno, at, alpha));
+                prop_assert!(!bare.observe_at(slot, src, seqno, at, alpha));
+                for est in [&slotted, &bare] {
+                    prop_assert_eq!(est.quality(src).map(f64::to_bits), Some(quality.to_bits()));
+                    prop_assert_eq!(est.quality_at(slot, src).map(f64::to_bits), Some(quality.to_bits()));
+                }
+                let meta = PacketMeta {
+                    link_src: src,
+                    link_dst: LinkDst::Broadcast,
+                    origin: src,
+                    origin_parent: None,
+                    seqno,
+                    kind: MessageKind::Data,
+                    hops: 0,
+                };
+                rs.observe_packet_at(&meta, slot, at);
+                links.observe(src, seqno, at);
+                table.observe(src, &links);
+            }
+            prop_assert_eq!(slotted.len(), model.records.len());
+            prop_assert_eq!(bare.len(), model.records.len());
+            let ids = rs.neighbor_table().ids();
+            for n in (0..=48).map(NodeId) {
+                prop_assert_eq!(rs.is_neighbor(n), ids.contains(&n), "node {:?}", n);
+            }
+            prop_assert_eq!(ids, &table.nodes[..]);
+            prop_assert_eq!(
+                summary_bits(&rs.summary_neighbors()),
+                summary_bits(&table.best(capacity, &links))
+            );
+        }
+        let mut expected: Vec<NodeId> = model.records.keys().copied().collect();
+        expected.sort();
+        for est in [&slotted, &bare] {
+            prop_assert_eq!(est.tracked().collect::<Vec<_>>(), expected.clone());
+            for src in (0..48).map(NodeId) {
+                let record = model.records.get(&src);
+                prop_assert_eq!(
+                    est.quality(src).map(f64::to_bits),
+                    record.map(|r| r.ewma.to_bits())
+                );
+                prop_assert_eq!(
+                    est.etx(src).map(f64::to_bits),
+                    record.map(|r| (1.0 / r.ewma).to_bits())
+                );
+                prop_assert_eq!(est.last_heard(src), record.map(|r| r.last_heard));
+            }
+        }
+    }
+
     /// Differential: driven through `RoutingState` by arbitrary sources,
     /// sequence-number gaps, time steps, `origin_parent` headers and
     /// maintenance, at capacities small enough that the table is full and

@@ -500,7 +500,8 @@ impl SimNode {
         let meta = packet.meta;
         match &*packet.payload {
             ScoopPayload::Beacon(beacon) => {
-                self.routing.on_beacon(meta.link_src, beacon, ctx.now());
+                self.routing
+                    .on_beacon_at(meta.link_src, ctx.sender_slot(), beacon, ctx.now());
             }
             ScoopPayload::Summary(summary) => {
                 if let Some(base) = self.sink.as_mut() {
@@ -639,6 +640,10 @@ enum StoreReason {
 impl NodeLogic for SimNode {
     type Payload = SharedPayload;
 
+    fn on_senders(&mut self, senders: &[NodeId]) {
+        self.routing.announce_senders(senders);
+    }
+
     fn on_init(&mut self, ctx: &mut NodeCtx<'_, SharedPayload>) {
         // Beacons and maintenance run on every node from the very start, so
         // the tree forms during the warmup window.
@@ -689,7 +694,19 @@ impl NodeLogic for SimNode {
         packet: &Packet<SharedPayload>,
         addressed: bool,
     ) {
-        self.routing.observe_packet(&packet.meta, ctx.now());
+        // The engine announced every sender this radio can hear, so the
+        // delivery's slot always names its sender's link record.
+        debug_assert!(
+            self.routing
+                .estimator()
+                .names_at(ctx.sender_slot(), packet.meta.link_src),
+            "node {} has no link record of {} at slot {}",
+            self.id,
+            packet.meta.link_src,
+            ctx.sender_slot()
+        );
+        self.routing
+            .observe_packet_at(&packet.meta, ctx.sender_slot(), ctx.now());
         if let Some(base) = self.sink.as_mut() {
             if let Some(parent) = packet.meta.origin_parent {
                 base.stats.note_parent(packet.meta.origin, parent);

@@ -80,7 +80,10 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
 
     // Everything a built-and-run HASH network holds on the heap — topology,
     // links, event queue, the nodes and all they own, stored readings — per
-    // node. This run measures 1,095 B: 1,252 B before a queued timer took a
+    // node. This run measures 1,107 B: 1,095 B before the engine kept a
+    // 2-byte sender slot per link and each node's estimator one record per
+    // sender it can hear, laid out when the run starts instead of grown as
+    // senders are first heard; 1,252 B before a queued timer took a
     // 24-byte entry of its own instead of a 56-byte packet-sized one and the
     // routing constants were held once per run, 1,421 B before the run's data source
     // and constants were held once instead of once per node and a link
@@ -126,8 +129,10 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
     // A SCOOP network holds what the protocol reads: one summary per node at
     // the basestation, seen query ids and mapping chunks as bits, a ring of
     // 30 values per sensor, and partial chunks in one flat buffer per
-    // assembler, and 16-byte data-buffer slots. This run measures 4,561 B per
-    // node: 4,809 B while every queued timer took a 56-byte entry and every
+    // assembler, and 16-byte data-buffer slots. This run measures 4,559 B per
+    // node: 4,561 B while link records were grown as senders were first
+    // heard instead of laid out per sender at start, 4,809 B while every
+    // queued timer took a 56-byte entry and every
     // node its own copy of the routing constants, 6,084 B while lost mapping
     // chunks were never re-sent, so most
     // sensors held a partial assembly all run, 6,057 B when the chunk
