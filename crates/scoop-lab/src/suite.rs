@@ -33,8 +33,8 @@ impl Scale {
     /// The base configuration for this scale.
     pub fn base_config(self) -> ScenarioSpec {
         match self {
-            Scale::Paper => experiments::paper_base(),
-            Scale::Quick => experiments::quick_base(),
+            Scale::Paper => ScenarioSpec::paper_defaults(),
+            Scale::Quick => ScenarioSpec::small_test(),
         }
     }
 

@@ -5,9 +5,12 @@
 //! interact with the world only through the [`NodeCtx`] handed to their
 //! callbacks: they can transmit packets (unicast with link-layer
 //! acknowledgement and bounded retransmission, or local broadcast) and arm
-//! one-shot timers. All transmissions are counted in [`NetworkStats`] per
-//! node and per [`MessageKind`], because the paper's evaluation metric is the
-//! number of messages sent.
+//! one-shot timers. Like a TinyOS event handler's, each such call takes
+//! effect as it is made: the engine lends the callback its node and the
+//! network beside it, so a send rolls loss and is queued, and a timer is
+//! queued, before the call returns. All transmissions are counted in
+//! [`NetworkStats`] per node and per [`MessageKind`], because the paper's
+//! evaluation metric is the number of messages sent.
 //!
 //! The link model is fixed once the engine is built, so the set of
 //! transmitters each node can hear is fixed too. When a run starts, the
@@ -33,7 +36,8 @@ pub type TimerToken = u32;
 /// Application logic running on every node (including the basestation).
 ///
 /// Implementations are purely event-driven: the engine calls these hooks and
-/// the node reacts by issuing commands through the [`NodeCtx`].
+/// the node reacts through the [`NodeCtx`], whose sends and timers take
+/// effect as they are made.
 pub trait NodeLogic {
     /// Application payload carried by packets.
     type Payload: Clone;
@@ -102,38 +106,19 @@ const MAX_UNICAST_RETRIES: u32 = 3;
 /// of milliseconds.
 const TX_SLOT: SimDuration = SimDuration::from_millis(30);
 
-/// A node-issued command, buffered during a callback and applied by the
-/// engine afterwards.
-enum Command<P> {
-    Send {
-        dst: LinkDst,
-        kind: MessageKind,
-        origin: NodeId,
-        origin_parent: Option<NodeId>,
-        payload: P,
-    },
-    Forward {
-        packet: Packet<P>,
-        dst: LinkDst,
-    },
-    Timer {
-        delay: SimDuration,
-        token: TimerToken,
-    },
-}
-
 /// The interface a node uses to act on the world from inside a callback.
+/// Each call takes effect as it is made: a send is on the air, and a timer
+/// in the queue, before the call returns.
 pub struct NodeCtx<'a, P> {
     node: NodeId,
-    now: SimTime,
     sender_slot: usize,
-    commands: &'a mut Vec<Command<P>>,
+    net: &'a mut Network<P>,
 }
 
 /// The [`NodeCtx::sender_slot`] of a callback that is not a delivery.
 const NO_SLOT: usize = usize::MAX;
 
-impl<'a, P> NodeCtx<'a, P> {
+impl<P: Clone> NodeCtx<'_, P> {
     /// The node this context belongs to.
     pub fn id(&self) -> NodeId {
         self.node
@@ -141,7 +126,7 @@ impl<'a, P> NodeCtx<'a, P> {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.net.now
     }
 
     /// Inside [`NodeLogic::on_packet_ref`], the index of the packet's
@@ -168,63 +153,69 @@ impl<'a, P> NodeCtx<'a, P> {
         origin_parent: Option<NodeId>,
         payload: P,
     ) {
-        let origin = self.node;
-        self.commands.push(Command::Send {
-            dst: LinkDst::Unicast(dst),
-            kind,
-            origin,
-            origin_parent,
-            payload,
-        });
+        self.send(LinkDst::Unicast(dst), kind, origin_parent, payload);
     }
 
     /// Sends a new application message as a local broadcast.
     pub fn send_broadcast(&mut self, kind: MessageKind, origin_parent: Option<NodeId>, payload: P) {
-        let origin = self.node;
-        self.commands.push(Command::Send {
-            dst: LinkDst::Broadcast,
-            kind,
-            origin,
+        self.send(LinkDst::Broadcast, kind, origin_parent, payload);
+    }
+
+    fn send(&mut self, dst: LinkDst, kind: MessageKind, origin_parent: Option<NodeId>, payload: P) {
+        let meta = PacketMeta {
+            link_src: self.node,
+            link_dst: dst,
+            origin: self.node,
             origin_parent,
-            payload,
-        });
+            seqno: self.net.seqnos[self.node.index()],
+            kind,
+            hops: 0,
+        };
+        self.net.transmit(self.node, Packet { meta, payload });
     }
 
     /// Forwards an existing packet towards `dst`, preserving its origin
     /// fields and payload (multihop routing).
     pub fn forward(&mut self, packet: Packet<P>, dst: LinkDst) {
-        self.commands.push(Command::Forward { packet, dst });
+        let seq = self.net.seqnos[self.node.index()];
+        let packet = packet.forwarded(self.node, dst, seq);
+        self.net.transmit(self.node, packet);
     }
 
     /// Arms a one-shot timer that fires after `delay`; `token` is handed back
     /// to [`NodeLogic::on_timer`].
     pub fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
-        self.commands.push(Command::Timer { delay, token });
+        let node = self.node;
+        let at = self.net.now + delay;
+        self.net.queue.push(at, Event::TimerFire { node, token });
     }
+}
+
+/// Everything a node callback acts on: the radio (links, loss randomness,
+/// faults, sequence numbers), the event queue, the clock and the counters.
+/// The engine lends it to one [`NodeCtx`] at a time, beside the node.
+struct Network<P> {
+    links: LinkModel,
+    queue: EventQueue<P>,
+    now: SimTime,
+    stats: NetworkStats,
+    seqnos: Vec<SeqNo>,
+    rng: StdRng,
+    faults: FaultSchedule,
 }
 
 /// The discrete-event simulator.
 pub struct Engine<L: NodeLogic> {
     topology: Topology,
-    links: LinkModel,
     nodes: Vec<L>,
-    queue: EventQueue<L::Payload>,
-    now: SimTime,
-    stats: NetworkStats,
-    seqnos: Vec<SeqNo>,
+    net: Network<L::Payload>,
     /// For each link entry `src → l` (indexed as [`LinkModel::row_start`]
     /// lays them out), the index of `src` in the list of `l`'s transmitters
     /// handed to `l` at start: a delivery's [`NodeCtx::sender_slot`]. Empty
     /// until the run starts.
     sender_slot: Vec<u16>,
-    rng: StdRng,
-    faults: FaultSchedule,
     started: bool,
     events_processed: u64,
-    /// Reusable command buffer handed to node callbacks: taken in
-    /// [`Engine::with_ctx`], drained, and put back so the steady-state event
-    /// loop never allocates a fresh `Vec` per callback.
-    cmd_buf: Vec<Command<L::Payload>>,
 }
 
 impl<L: NodeLogic> Engine<L> {
@@ -267,18 +258,19 @@ impl<L: NodeLogic> Engine<L> {
         const ARRIVALS_CAP: usize = 256;
         Ok(Engine {
             topology,
-            links,
             nodes,
-            queue: EventQueue::with_capacity(timer_cap, ARRIVALS_CAP),
-            now: SimTime::ZERO,
-            stats: NetworkStats::new(n),
-            seqnos: vec![SeqNo::default(); n],
+            net: Network {
+                links,
+                queue: EventQueue::with_capacity(timer_cap, ARRIVALS_CAP),
+                now: SimTime::ZERO,
+                stats: NetworkStats::new(n),
+                seqnos: vec![SeqNo::default(); n],
+                rng: StdRng::seed_from_u64(config.seed ^ 0xe4e4_e4e4),
+                faults: FaultSchedule::empty(),
+            },
             sender_slot: Vec::new(),
-            rng: StdRng::seed_from_u64(config.seed ^ 0xe4e4_e4e4),
-            faults: FaultSchedule::empty(),
             started: false,
             events_processed: 0,
-            cmd_buf: Vec::with_capacity(16),
         })
     }
 
@@ -286,17 +278,17 @@ impl<L: NodeLogic> Engine<L> {
     /// schedule — the default — leaves behavior byte-identical to an engine
     /// without faults.
     pub fn set_fault_schedule(&mut self, faults: FaultSchedule) {
-        self.faults = faults;
+        self.net.faults = faults;
     }
 
     /// The installed radio-outage schedule.
     pub fn fault_schedule(&self) -> &FaultSchedule {
-        &self.faults
+        &self.net.faults
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.net.now
     }
 
     /// The topology the engine runs over.
@@ -306,12 +298,12 @@ impl<L: NodeLogic> Engine<L> {
 
     /// The link model the engine samples loss from.
     pub fn links(&self) -> &LinkModel {
-        &self.links
+        &self.net.links
     }
 
     /// Transmission / reception statistics collected so far.
     pub fn stats(&self) -> &NetworkStats {
-        &self.stats
+        &self.net.stats
     }
 
     /// Number of entries currently waiting in the queue (diagnostics): one
@@ -319,7 +311,7 @@ impl<L: NodeLogic> Engine<L> {
     /// attempt in flight — not one per delivery, so this is smaller than the
     /// number of callbacks still to come.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.net.queue.len()
     }
 
     /// Total number of events dispatched so far (diagnostics): timers and
@@ -334,15 +326,7 @@ impl<L: NodeLogic> Engine<L> {
     /// reaches steady state this must stop growing: the backing storage is
     /// recycled across `run_until` calls.
     pub fn queue_capacity(&self) -> usize {
-        self.queue.capacity()
-    }
-
-    /// Current allocated capacity of the reusable command buffer
-    /// (diagnostics). Like [`Engine::queue_capacity`], this plateaus once
-    /// the busiest callback has been seen — the hot loop reuses it instead
-    /// of allocating per callback.
-    pub fn command_buffer_capacity(&self) -> usize {
-        self.cmd_buf.capacity()
+        self.net.queue.capacity()
     }
 
     /// Immutable access to a node's application state.
@@ -368,19 +352,19 @@ impl<L: NodeLogic> Engine<L> {
                 self.with_ctx(NodeId(i as u16), NO_SLOT, |node, ctx| node.on_init(ctx));
             }
         }
-        while let Some(next) = self.queue.peek_time() {
+        while let Some(next) = self.net.queue.peek_time() {
             if next > t {
                 break;
             }
             // Invariant: `peek_time` just returned `Some`, and nothing runs
             // between it and the pop. A comment, not a branch: this is the
             // dispatch loop.
-            let (time, event) = self.queue.pop().expect("peeked event must exist");
-            self.now = time;
+            let (time, event) = self.net.queue.pop().expect("peeked event must exist");
+            self.net.now = time;
             self.dispatch(event);
         }
-        if t > self.now {
-            self.now = t;
+        if t > self.net.now {
+            self.net.now = t;
         }
     }
 
@@ -394,9 +378,10 @@ impl<L: NodeLogic> Engine<L> {
         // exactly those below `src`: the count is `src`'s index in `l`'s
         // ascending list.
         let mut starts = vec![0u32; n + 1];
-        let mut slots = Vec::with_capacity(self.links.usable_link_count());
+        let links = &self.net.links;
+        let mut slots = Vec::with_capacity(links.usable_link_count());
         for src in 0..n {
-            for &l in self.links.neighbors(NodeId(src as u16)).0 {
+            for &l in links.neighbors(NodeId(src as u16)).0 {
                 let count = &mut starts[l.index() + 1];
                 // Fits: a listener has fewer transmitters than there are
                 // `u16` node ids.
@@ -410,8 +395,8 @@ impl<L: NodeLogic> Engine<L> {
         let mut senders = vec![NodeId(0); starts[n] as usize];
         for src in 0..n {
             let id = NodeId(src as u16);
-            let row = self.links.row_start(id);
-            for (i, &l) in self.links.neighbors(id).0.iter().enumerate() {
+            let row = links.row_start(id);
+            for (i, &l) in links.neighbors(id).0.iter().enumerate() {
                 senders[starts[l.index()] as usize + usize::from(slots[row + i])] = id;
             }
         }
@@ -432,8 +417,8 @@ impl<L: NodeLogic> Engine<L> {
     /// Times in the past are clamped to `now` (the queue never travels
     /// backwards).
     pub fn inject_timer(&mut self, node: NodeId, at: SimTime, token: TimerToken) {
-        let at = if at > self.now { at } else { self.now };
-        self.queue.push(at, Event::TimerFire { node, token });
+        let at = if at > self.net.now { at } else { self.net.now };
+        self.net.queue.push(at, Event::TimerFire { node, token });
     }
 
     fn dispatch(&mut self, event: Event<L::Payload>) {
@@ -448,26 +433,26 @@ impl<L: NodeLogic> Engine<L> {
                 self.events_processed += u64::from(heard.count_ones());
                 let src = packet.meta.link_src;
                 let target = packet.meta.link_dst.unicast_target();
-                let first_entry = self.links.row_start(src) + usize::from(first);
+                let first_entry = self.net.links.row_start(src) + usize::from(first);
                 // Ascending bit order is ascending row order: the order the
                 // loss rolls were made in (see the `event` module docs).
                 while heard != 0 {
                     let bit = heard.trailing_zeros() as usize;
                     heard &= heard - 1;
                     let entry = first_entry + bit;
-                    let node = self.links.listener(entry);
+                    let node = self.net.links.listener(entry);
                     // A node whose radio is down hears nothing; the packet
                     // evaporates without touching stats or node state. Timers
                     // still fire (the CPU is alive), so a node whose outage
                     // ends rejoins with its protocol state intact.
-                    if self.faults.is_down(node, self.now) {
+                    if self.net.faults.is_down(node, self.net.now) {
                         continue;
                     }
                     let addressed = target.is_none_or(|dst| dst == node);
                     if addressed {
-                        self.stats.record_rx(node, packet.meta.kind);
+                        self.net.stats.record_rx(node, packet.meta.kind);
                     } else {
-                        self.stats.record_snoop(node);
+                        self.net.stats.record_snoop(node);
                     }
                     let slot = usize::from(self.sender_slot[entry]);
                     self.with_ctx(node, slot, |logic, ctx| {
@@ -480,8 +465,8 @@ impl<L: NodeLogic> Engine<L> {
                 // A halted CPU (crashed sink) fires nothing; the timer is
                 // deferred to the halt's end, so a restarted node resumes its
                 // periodic duties with state intact.
-                if let Some(until) = self.faults.halted_until(node, self.now) {
-                    self.queue.push(until, Event::TimerFire { node, token });
+                if let Some(until) = self.net.faults.halted_until(node, self.net.now) {
+                    self.net.queue.push(until, Event::TimerFire { node, token });
                     return;
                 }
                 self.with_ctx(node, NO_SLOT, |logic, ctx| logic.on_timer(ctx, token));
@@ -489,77 +474,26 @@ impl<L: NodeLogic> Engine<L> {
         }
     }
 
-    /// Runs `f` with a command-buffering context for `node`, whose
-    /// [`NodeCtx::sender_slot`] is `sender_slot`, then applies the buffered
-    /// commands.
-    ///
-    /// The command buffer is engine-owned and recycled: it is taken out of
-    /// `self` for the duration of the callback (callbacks never re-enter the
-    /// engine, so the temporary empty buffer is never observed), drained, and
-    /// put back with its capacity intact — no allocation once the busiest
-    /// callback has been seen. A callback that issued no command skips the
-    /// drain.
+    /// Runs `f` on `node` with a context over the network, whose
+    /// [`NodeCtx::sender_slot`] is `sender_slot`.
     fn with_ctx<F>(&mut self, node: NodeId, sender_slot: usize, f: F)
     where
         F: FnOnce(&mut L, &mut NodeCtx<'_, L::Payload>),
     {
-        let mut commands = std::mem::take(&mut self.cmd_buf);
-        {
-            let mut ctx = NodeCtx {
-                node,
-                now: self.now,
-                sender_slot,
-                commands: &mut commands,
-            };
-            let logic = &mut self.nodes[node.index()];
-            f(logic, &mut ctx);
-        }
-        // Most callbacks issue nothing: an overheard unicast only updates the
-        // listener's link estimate.
-        if !commands.is_empty() {
-            for cmd in commands.drain(..) {
-                self.apply(node, cmd);
-            }
-        }
-        self.cmd_buf = commands;
+        let mut ctx = NodeCtx {
+            node,
+            sender_slot,
+            net: &mut self.net,
+        };
+        f(&mut self.nodes[node.index()], &mut ctx);
     }
+}
 
-    fn apply(&mut self, node: NodeId, cmd: Command<L::Payload>) {
-        match cmd {
-            Command::Timer { delay, token } => {
-                self.queue
-                    .push(self.now + delay, Event::TimerFire { node, token });
-            }
-            Command::Send {
-                dst,
-                kind,
-                origin,
-                origin_parent,
-                payload,
-            } => {
-                let meta = PacketMeta {
-                    link_src: node,
-                    link_dst: dst,
-                    origin,
-                    origin_parent,
-                    seqno: self.seqnos[node.index()],
-                    kind,
-                    hops: 0,
-                };
-                self.transmit(node, Packet { meta, payload });
-            }
-            Command::Forward { packet, dst } => {
-                let seq = self.seqnos[node.index()];
-                let packet = packet.forwarded(node, dst, seq);
-                self.transmit(node, packet);
-            }
-        }
-    }
-
+impl<P: Clone> Network<P> {
     /// Simulates the physical transmission of `packet` by `src`, including
     /// link-layer retransmission for unicasts.
-    fn transmit(&mut self, src: NodeId, mut packet: Packet<L::Payload>) {
-        // A downed radio transmits nothing: the command is swallowed without
+    fn transmit(&mut self, src: NodeId, mut packet: Packet<P>) {
+        // A downed radio transmits nothing: the send is swallowed without
         // counting a transmission or consuming loss randomness.
         if self.faults.is_down(src, self.now) {
             return;
@@ -605,13 +539,8 @@ impl<L: NodeLogic> Engine<L> {
     /// then applied to the bits that survived the roll. The table iteration
     /// borrows `self.links` while the loop mutates the rng/queue, hence the
     /// field destructuring.
-    fn air(
-        &mut self,
-        packet: &Packet<L::Payload>,
-        target: Option<NodeId>,
-        arrival: SimTime,
-    ) -> bool {
-        let Engine {
+    fn air(&mut self, packet: &Packet<P>, target: Option<NodeId>, arrival: SimTime) -> bool {
+        let Network {
             links,
             rng,
             queue,

@@ -3,7 +3,10 @@
 //! test folds the log, `events_processed()` and the transmission totals into
 //! one digest per scenario. Any representation of a transmission must
 //! reproduce the digests below exactly (same deliveries, same `(time,
-//! relative order)`, same random stream, same counters).
+//! relative order)`, same random stream, same counters). Because a callback
+//! here can issue a broadcast, unicasts and a timer at once, the digests also
+//! pin the order in which several sends and timers issued within one callback
+//! take effect.
 //!
 //! Two scenarios, chosen for what a batched representation could get wrong:
 //!

@@ -6,10 +6,11 @@
 //! callbacks are allocation-free, so every counted allocation would belong to
 //! the engine: the CSR neighbor table (no per-transmit listener `Vec`), the
 //! listener bit masks a transmission is queued as (rows here have 48
-//! listeners, so every transmission spans two mask words), the reusable
-//! command buffer (no per-callback `Vec`), and the recycled event queue
-//! capacity. The same run asserts the buffer-capacity invariant: queue
-//! and command-buffer capacities established during warm-up never grow again.
+//! listeners, so every transmission spans two mask words), callbacks that
+//! transmit and arm timers directly (nothing is buffered per callback), and
+//! the recycled event queue capacity. The same run asserts the
+//! buffer-capacity invariant: the queue capacity established during warm-up
+//! never grows again.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a concurrently running test would pollute the window.
@@ -107,14 +108,13 @@ fn steady_state_event_loop_allocates_nothing() {
     let nodes = (0..topo.len()).map(|_| FloodApp::default()).collect();
     let mut engine = Engine::new(topo, links, nodes, EngineConfig::default()).expect("engine");
 
-    // Warm-up: on_init runs, the queue and command buffer reach their
-    // high-water capacities, every periodic pattern has repeated many times.
+    // Warm-up: on_init runs, the queue reaches its high-water capacity,
+    // every periodic pattern has repeated many times.
     engine.run_until(SimTime::from_secs(120));
     let events_before = engine.events_processed();
     assert!(events_before > 1_000, "warm-up must dispatch real traffic");
 
     let queue_cap = engine.queue_capacity();
-    let cmd_cap = engine.command_buffer_capacity();
     let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
 
     // The measured window: ten more minutes of simulated traffic.
@@ -136,11 +136,6 @@ fn steady_state_event_loop_allocates_nothing() {
 
     // Buffer-capacity invariant: steady state reuses, never regrows.
     assert_eq!(engine.queue_capacity(), queue_cap, "event queue regrew");
-    assert_eq!(
-        engine.command_buffer_capacity(),
-        cmd_cap,
-        "command buffer regrew"
-    );
 
     // Sanity: the workload really exercised broadcast, snoop, unicast ack,
     // and retry-exhaustion paths.

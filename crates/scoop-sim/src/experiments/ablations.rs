@@ -70,11 +70,10 @@ pub fn ablation_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::quick_base;
 
     #[test]
     fn ablation_suite_produces_all_variants() {
-        let rows = ablation_rows(&quick_base(), DataSourceKind::Equal, 1).unwrap();
+        let rows = ablation_rows(&ScenarioSpec::small_test(), DataSourceKind::Equal, 1).unwrap();
         assert_eq!(rows.len(), 5);
         let names: Vec<&str> = rows.iter().map(|r| r.variant.as_str()).collect();
         assert!(names.contains(&"baseline"));

@@ -161,7 +161,6 @@ pub fn calibration(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::quick_base;
 
     fn sample_row() -> CalibrationRow {
         CalibrationRow {
@@ -258,7 +257,7 @@ mod tests {
 
     #[test]
     fn smoke_calibration_runs_and_picks_a_grid_winner() {
-        let rows = calibration(&quick_base(), &smoke_grid(), 1).unwrap();
+        let rows = calibration(&ScenarioSpec::small_test(), &smoke_grid(), 1).unwrap();
         assert_eq!(rows.len(), smoke_grid().len());
         for row in &rows {
             assert!(row.storage_success > 0.0 && row.storage_success <= 1.0);
@@ -280,7 +279,7 @@ mod tests {
 
     #[test]
     fn loss_knobs_take_effect_and_rows_stay_sane() {
-        let rows = calibration(&quick_base(), &smoke_grid(), 1).unwrap();
+        let rows = calibration(&ScenarioSpec::small_test(), &smoke_grid(), 1).unwrap();
         for row in &rows {
             assert!(row.storage_success > 0.3 && row.storage_success <= 1.0);
             assert!(row.query_success > 0.0 && row.query_success <= 1.0);

@@ -279,7 +279,6 @@ pub fn chaos(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::quick_base;
 
     #[test]
     fn phase_boundaries_track_the_fault_schedule() {
@@ -289,7 +288,7 @@ mod tests {
             ChaosScenario::SinkFailover,
             ChaosScenario::Churn,
         ] {
-            let cfg = scenario_config(&quick_base(), scenario);
+            let cfg = scenario_config(&ScenarioSpec::small_test(), scenario);
             let [w, b1, b2, end] = phase_boundaries(&cfg);
             assert_eq!(w, SimTime::from_secs(120));
             assert_eq!(end, SimTime::from_secs(1320));
@@ -300,7 +299,7 @@ mod tests {
         // The during phase extends one remap interval (120s) past the heal:
         // partition heals at 720, failover restarts at 840, churn "ends" one
         // remap after the 420s event.
-        let at = |s| phase_boundaries(&scenario_config(&quick_base(), s))[2];
+        let at = |s| phase_boundaries(&scenario_config(&ScenarioSpec::small_test(), s))[2];
         assert_eq!(at(ChaosScenario::Partition), SimTime::from_secs(840));
         assert_eq!(at(ChaosScenario::SinkFailover), SimTime::from_secs(960));
         assert_eq!(at(ChaosScenario::Churn), SimTime::from_secs(660));
@@ -310,7 +309,7 @@ mod tests {
     fn failover_outage_outlasts_detection() {
         // The outage must span the failover timeout plus a full remap round,
         // or the root can never declare the peer dead before it restarts.
-        let cfg = scenario_config(&quick_base(), ChaosScenario::SinkFailover);
+        let cfg = scenario_config(&ScenarioSpec::small_test(), ChaosScenario::SinkFailover);
         let outage = &cfg.faults.sink_outages[0];
         let timeout = cfg.policy.scoop.effective_failover_timeout().as_secs();
         let remap = cfg.policy.scoop.remap_interval.as_secs();
@@ -319,7 +318,7 @@ mod tests {
 
     #[test]
     fn scenario_configs_validate_and_schedule_the_fault_in_the_window() {
-        let base = quick_base();
+        let base = ScenarioSpec::small_test();
         for scenario in [
             ChaosScenario::Partition,
             ChaosScenario::SinkFailover,
@@ -343,7 +342,7 @@ mod tests {
 
     #[test]
     fn partition_degrades_during_and_recovers_after() {
-        let rows = chaos(&quick_base(), ChaosScenario::Partition, 1).unwrap();
+        let rows = chaos(&ScenarioSpec::small_test(), ChaosScenario::Partition, 1).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].phase, "before");
         let before = &rows[0];
@@ -376,8 +375,8 @@ mod tests {
 
     #[test]
     fn chaos_rows_are_deterministic_per_seed() {
-        let a = chaos(&quick_base(), ChaosScenario::Churn, 1).unwrap();
-        let b = chaos(&quick_base(), ChaosScenario::Churn, 1).unwrap();
+        let a = chaos(&ScenarioSpec::small_test(), ChaosScenario::Churn, 1).unwrap();
+        let b = chaos(&ScenarioSpec::small_test(), ChaosScenario::Churn, 1).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.storage_success, y.storage_success);
             assert_eq!(x.query_success, y.query_success);

@@ -84,11 +84,10 @@ pub fn fig3_right(base: &ScenarioSpec, trials: usize) -> Result<Vec<Fig3Row>, Sc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::quick_base;
 
     #[test]
     fn fig3_left_shape_scoop_beats_local_and_base_on_gaussian() {
-        let rows = fig3_left(&quick_base(), 1).unwrap();
+        let rows = fig3_left(&ScenarioSpec::small_test(), 1).unwrap();
         assert_eq!(rows.len(), 4);
         let get = |p: StoragePolicy, s: DataSourceKind| {
             rows.iter()
@@ -120,7 +119,7 @@ mod tests {
 
     #[test]
     fn fig3_right_random_is_worst_for_scoop() {
-        let rows = fig3_right(&quick_base(), 1).unwrap();
+        let rows = fig3_right(&ScenarioSpec::small_test(), 1).unwrap();
         assert_eq!(rows.len(), 5);
         let total = |s: DataSourceKind| rows.iter().find(|r| r.source == s).unwrap().total;
         // RANDOM has no structure to exploit; UNIQUE has the most.

@@ -57,11 +57,10 @@ pub const DEFAULT_WIDTH_FRACS: [f64; 6] = [0.02, 0.10, 0.25, 0.50, 0.75, 1.0];
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::quick_base;
 
     #[test]
     fn local_is_flat_and_scoop_targets_grow_with_selectivity() {
-        let rows = fig4_selectivity(&quick_base(), &[0.05, 1.0], 1).unwrap();
+        let rows = fig4_selectivity(&ScenarioSpec::small_test(), &[0.05, 1.0], 1).unwrap();
         let row = |p: StoragePolicy, f: f64| {
             rows.iter()
                 .find(|r| r.policy == p && (r.requested_width_frac - f).abs() < 1e-9)

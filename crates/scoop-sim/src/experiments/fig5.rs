@@ -47,11 +47,10 @@ pub const DEFAULT_INTERVALS: [u64; 6] = [5, 10, 15, 25, 40, 50];
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::quick_base;
 
     #[test]
     fn local_benefits_most_from_rare_queries() {
-        let rows = fig5_query_interval(&quick_base(), &[5, 45], 1).unwrap();
+        let rows = fig5_query_interval(&ScenarioSpec::small_test(), &[5, 45], 1).unwrap();
         let total = |p: StoragePolicy, s: u64| {
             rows.iter()
                 .find(|r| r.policy == p && r.query_interval_secs == s)

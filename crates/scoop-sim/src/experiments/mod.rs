@@ -1,11 +1,11 @@
 //! One module per experiment in the paper's evaluation (Section 6).
 //!
-//! Every function takes a *base* configuration — [`paper_base`] for the real
-//! thing, or [`ScenarioSpec::small_test`](scoop_types::ScenarioSpec::small_test)
-//! for quick checks — plus a trial count, and returns the rows of the
-//! corresponding figure or table. `scoop-lab run <slug>` calls these,
-//! prints the rows and persists them as artifacts; `EXPERIMENTS.md` records
-//! the measured numbers next to the paper's.
+//! Every function takes a *base* configuration —
+//! [`ScenarioSpec::paper_defaults`] for the real thing, or
+//! [`ScenarioSpec::small_test`] for quick checks — plus a trial count, and
+//! returns the rows of the corresponding figure or table. `scoop-lab run
+//! <slug>` calls these, prints the rows and persists them as artifacts;
+//! `EXPERIMENTS.md` records the measured numbers next to the paper's.
 
 pub mod ablations;
 pub mod calibration;
@@ -19,19 +19,6 @@ pub mod workloads;
 use crate::metrics::RunResult;
 use crate::sweep::SweepRunner;
 use scoop_types::{ScenarioSpec, ScoopError, StoragePolicy};
-
-/// The paper's default configuration (Section 6): 62 nodes, 40 minutes,
-/// 15-second sample and query intervals, REAL data.
-pub fn paper_base() -> ScenarioSpec {
-    ScenarioSpec::paper_defaults()
-}
-
-/// A scaled-down configuration for fast sanity runs of every experiment
-/// (16 nodes, 12 minutes). The shapes of the results hold; absolute numbers
-/// are smaller.
-pub fn quick_base() -> ScenarioSpec {
-    ScenarioSpec::small_test()
-}
 
 /// The policies the pointwise sweeps (Figures 4 and 5, reliability, the
 /// range and aggregate workloads) compare. HASH adds nothing there that

@@ -174,11 +174,10 @@ pub fn scaling(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::quick_base;
 
     #[test]
     fn reliability_rates_are_sane_for_scoop() {
-        let rows = reliability(&quick_base(), &[StoragePolicy::Scoop], 1).unwrap();
+        let rows = reliability(&ScenarioSpec::small_test(), &[StoragePolicy::Scoop], 1).unwrap();
         let r = &rows[0];
         assert!(r.storage_success > 0.5 && r.storage_success <= 1.0);
         assert!(r.query_success > 0.2 && r.query_success <= 1.0);
@@ -187,7 +186,7 @@ mod tests {
 
     #[test]
     fn root_receives_far_more_under_base_than_it_transmits() {
-        let rows = root_skew(&quick_base(), 1).unwrap();
+        let rows = root_skew(&ScenarioSpec::small_test(), 1).unwrap();
         let base_row = rows
             .iter()
             .find(|r| r.policy == StoragePolicy::Base)
@@ -209,7 +208,7 @@ mod tests {
     #[test]
     fn scaling_runs_multiple_sizes() {
         let rows = scaling(
-            &quick_base(),
+            &ScenarioSpec::small_test(),
             &[8, 16],
             &[DataSourceKind::Gaussian],
             StoragePolicy::Scoop,
@@ -226,7 +225,7 @@ mod tests {
     #[test]
     fn scaling_with_policy_runs_the_hash_baseline() {
         let rows = scaling(
-            &quick_base(),
+            &ScenarioSpec::small_test(),
             &[8],
             &[DataSourceKind::Gaussian],
             StoragePolicy::Hash,

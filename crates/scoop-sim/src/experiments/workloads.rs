@@ -110,11 +110,10 @@ pub const DEFAULT_RANGE_WIDTHS: [f64; 4] = [0.05, 0.25, 0.50, 1.0];
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::quick_base;
 
     #[test]
     fn range_width_grid_shapes_hold() {
-        let rows = range_width(&quick_base(), &[0.05, 0.5], 1).unwrap();
+        let rows = range_width(&ScenarioSpec::small_test(), &[0.05, 0.5], 1).unwrap();
         assert_eq!(rows.len(), 6);
         let row = |p: StoragePolicy, f: f64| {
             rows.iter()
@@ -135,7 +134,7 @@ mod tests {
     #[test]
     fn aggregate_grid_covers_every_policy_and_op() {
         let ops = [AggregateOp::Min, AggregateOp::Quantile(0.5)];
-        let rows = aggregate_ops(&quick_base(), &ops, 1).unwrap();
+        let rows = aggregate_ops(&ScenarioSpec::small_test(), &ops, 1).unwrap();
         assert_eq!(rows.len(), 6);
         for p in POLICIES {
             for op in ops {

@@ -18,23 +18,8 @@ use scoop_workload::QueryGenerator;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Basestation-side query bookkeeping.
-#[derive(Clone, Debug)]
-struct QueryOutcome {
-    targets: u64,
-    replies: u64,
-    readings: u64,
-    /// The issued predicate, kept so model tests can check answers against a
-    /// god's-eye evaluator without replaying the generator.
-    values: ValueRange,
-    time_lo: SimTime,
-    time_hi: SimTime,
-    /// Aggregate queries only: the partials merged at the sink so far.
-    aggregate: Option<PartialAggregate>,
-}
-
-/// One issued query's final outcome, as read out by tests and harnesses
-/// (see [`SimNode::query_records`]).
+/// One issued query and its outcome so far: the sink's own bookkeeping, and
+/// what tests and harnesses read out (see [`SimNode::query_records`]).
 #[derive(Clone, Debug)]
 pub struct QueryRecord {
     /// The query id on the wire.
@@ -64,7 +49,7 @@ pub(super) struct SinkRole {
     query_ids: QueryIds,
     /// The id of the next index; ids step by [`index_id_stride`].
     next_index_id: StorageIndexId,
-    outstanding: HashMap<u32, QueryOutcome>,
+    outstanding: HashMap<u32, QueryRecord>,
     indices_disseminated: u64,
     remaps_suppressed: u64,
     queries_answered_locally: u64,
@@ -148,20 +133,7 @@ impl SimNode {
         let Some(base) = self.sink.as_ref() else {
             return Vec::new();
         };
-        let mut records: Vec<QueryRecord> = base
-            .outstanding
-            .iter()
-            .map(|(&query_id, o)| QueryRecord {
-                query_id,
-                values: o.values,
-                time_lo: o.time_lo,
-                time_hi: o.time_hi,
-                targets: o.targets,
-                replies: o.replies,
-                readings: o.readings,
-                aggregate: o.aggregate.clone(),
-            })
-            .collect();
+        let mut records: Vec<QueryRecord> = base.outstanding.values().cloned().collect();
         records.sort_by_key(|r| r.query_id);
         records
     }
@@ -280,7 +252,8 @@ impl SimNode {
         };
         base.outstanding.insert(
             query_id,
-            QueryOutcome {
+            QueryRecord {
+                query_id,
                 targets: targets.len() as u64,
                 replies: 0,
                 readings: 0,

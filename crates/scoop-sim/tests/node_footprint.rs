@@ -97,11 +97,12 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
     let before = LIVE_BYTES.load(Ordering::Relaxed);
     let allocations = ALLOCATIONS.load(Ordering::Relaxed);
     let mut engine = build_engine(&spec).expect("HASH grid builds");
-    // Assembly allocates per structure, never per node: this build makes 30
-    // allocations — 29 before the arrivals took a heap of their own and the
-    // routing constants an `Arc`, when the queue kept a list of region
-    // shards — and 4,125 when every node boxed its own copy of the data
-    // source.
+    // Assembly allocates per structure, never per node: this build makes 29
+    // allocations — 30 while the engine pre-sized a buffer for the commands
+    // node callbacks issued, 29 before the arrivals took a heap of their own
+    // and the routing constants an `Arc`, when the queue kept a list of
+    // region shards — and 4,125 when every node boxed its own copy of the
+    // data source.
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations;
     assert!(
         allocations <= 64,
@@ -129,9 +130,12 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
     // A SCOOP network holds what the protocol reads: one summary per node at
     // the basestation, seen query ids and mapping chunks as bits, a ring of
     // 30 values per sensor, and partial chunks in one flat buffer per
-    // assembler, and 16-byte data-buffer slots. This run measures 4,559 B per
-    // node: 4,561 B while link records were grown as senders were first
-    // heard instead of laid out per sender at start, 4,809 B while every
+    // assembler, and 16-byte data-buffer slots. This run measures 4,556 B per
+    // node: 4,559 B while the engine kept a buffer for the commands node
+    // callbacks issued and the sink a second query-outcome type, 4,561 B
+    // while link records were grown as senders
+    // were first heard instead of laid out per sender at start, 4,809 B
+    // while every
     // queued timer took a 56-byte entry and every
     // node its own copy of the routing constants, 6,084 B while lost mapping
     // chunks were never re-sent, so most

@@ -5,9 +5,8 @@
 //! and query counters count from time zero.
 
 use scoop_sim::experiments::chaos::{scenario_config, ChaosScenario};
-use scoop_sim::experiments::quick_base;
 use scoop_sim::{build_engine, run_experiment, run_windows, RunResult};
-use scoop_types::SimTime;
+use scoop_types::{ScenarioSpec, SimTime};
 
 fn sum(windows: &[RunResult], f: impl Fn(&RunResult) -> Vec<u64>) -> Vec<u64> {
     let mut total = vec![0; f(&windows[0]).len()];
@@ -21,7 +20,7 @@ fn sum(windows: &[RunResult], f: impl Fn(&RunResult) -> Vec<u64>) -> Vec<u64> {
 
 #[test]
 fn windows_partition_the_one_window_result() {
-    let spec = scenario_config(&quick_base(), ChaosScenario::Partition);
+    let spec = scenario_config(&ScenarioSpec::small_test(), ChaosScenario::Partition);
     let warmup = SimTime::ZERO + spec.warmup;
     let end = SimTime::ZERO + spec.duration;
     // Interior boundaries inside and after the partition's open window.
