@@ -84,10 +84,10 @@ impl StorageIndex {
         }
     }
 
-    /// Builds an index directly from (already coalesced) entries. Used when a
-    /// node reassembles a disseminated index from mapping chunks. Entries
-    /// must be sorted and non-overlapping; gaps are tolerated (lookups in a
-    /// gap return `None`, and the node falls back to local storage).
+    /// Builds an index directly from (already coalesced) entries, such as a
+    /// federation sink's owned share of its index. Entries must be sorted
+    /// and non-overlapping; gaps are tolerated (lookups in a gap return
+    /// `None`, and the node falls back to local storage).
     pub fn from_entries(
         id: StorageIndexId,
         domain: ValueRange,

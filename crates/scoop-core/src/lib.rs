@@ -20,14 +20,11 @@
 //!   shortcut (Section 5.5).
 //! * [`baselines`] — the static HASH index the comparison policy simulates
 //!   with (BASE and LOCAL need no index).
-//! * [`chunk`] — splitting a storage index into packet-sized mapping
-//!   chunks and reassembling them in any order (Section 5.3).
 //! * [`messages`] — the wire-format structs carried by the network simulator.
 
 #![warn(missing_docs)]
 
 pub mod baselines;
-pub mod chunk;
 pub mod cost;
 pub mod histogram;
 pub mod index;

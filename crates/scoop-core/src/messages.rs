@@ -4,8 +4,7 @@
 //! the simulation harness instantiates it with [`ScoopPayload`], which covers
 //! every message the Scoop, LOCAL, BASE, and HASH policies exchange.
 
-use crate::chunk::Chunk;
-use crate::index::IndexEntry;
+use crate::index::StorageIndex;
 use crate::summary::SummaryMessage;
 use scoop_routing::Beacon;
 use scoop_types::{
@@ -13,6 +12,7 @@ use scoop_types::{
     ValueRange,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A data message carrying one or more readings towards their owner.
 ///
@@ -39,22 +39,30 @@ impl DataMessage {
     }
 }
 
-/// One chunk of a disseminated storage index, plus the metadata a node needs
-/// to start using the index once all chunks have arrived.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// One mapping message: chunk `chunk` of the `total` that a storage index is
+/// split into (Section 5.3), standing for the index's entries
+/// `chunk * p .. (chunk + 1) * p`, where `p` is the run's
+/// `mapping_entries_per_packet`.
+///
+/// The chunk is a window onto the issuing sink's index: every chunk of a
+/// version, and every node that completes it, shares that one allocation. A
+/// node completes a version by counting the chunks it hears, then installs
+/// the index itself; no entry is copied.
+#[derive(Clone, Debug, PartialEq)]
 pub struct MappingChunk {
-    /// The chunked entries. The chunk's `version` is the storage index id.
-    pub chunk: Chunk<IndexEntry>,
-    /// The attribute domain the index covers.
-    pub domain: ValueRange,
-    /// When the basestation created the index.
-    pub created_at: SimTime,
+    /// The whole index this chunk is a window onto.
+    pub index: Arc<StorageIndex>,
+    /// This chunk's position, `0..total`.
+    pub chunk: u32,
+    /// How many chunks the index is split into: at least 1, even for an
+    /// index without entries, so that every version is disseminated.
+    pub total: u32,
 }
 
 impl MappingChunk {
     /// The storage index id this chunk belongs to.
     pub fn index_id(&self) -> StorageIndexId {
-        StorageIndexId(self.chunk.version as u32)
+        self.index.id()
     }
 }
 
@@ -112,7 +120,7 @@ pub struct SinkAliveMessage {
 }
 
 /// Every application payload exchanged in a simulation run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ScoopPayload {
     /// Routing-tree heartbeat / tree-join beacon.
     Beacon(Beacon),
@@ -172,15 +180,16 @@ mod tests {
 
     #[test]
     fn mapping_chunk_index_id() {
+        let index = StorageIndex::from_entries(
+            StorageIndexId(9),
+            ValueRange::new(0, 99),
+            vec![],
+            SimTime::from_secs(240),
+        );
         let mc = MappingChunk {
-            chunk: Chunk {
-                version: 9,
-                index: 0,
-                total: 1,
-                items: vec![],
-            },
-            domain: ValueRange::new(0, 99),
-            created_at: SimTime::from_secs(240),
+            index: Arc::new(index),
+            chunk: 0,
+            total: 1,
         };
         assert_eq!(mc.index_id(), StorageIndexId(9));
     }

@@ -43,7 +43,7 @@ pub struct SummaryMessage {
     pub neighbors: Vec<ReportedNeighbor>,
     /// The node's current routing-tree parent.
     pub parent: Option<NodeId>,
-    /// The newest storage index the node has assembled completely.
+    /// The newest complete storage index the node holds.
     pub newest_complete_index: StorageIndexId,
     /// When the summary was generated at the node.
     pub generated_at: SimTime,

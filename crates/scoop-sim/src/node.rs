@@ -34,7 +34,7 @@
 //!
 //! Index dissemination is one module, `dissemination`: the sink's remap hands
 //! it each new index, the `Mapping` dispatch hands it each heard chunk, and it
-//! owns the per-rank chunk assemblers, the newest complete index of each sink
+//! owns the per-rank chunk counters, the newest complete index of each sink
 //! rank and the seen-chunk set. A single-sink run is the one-rank case of the
 //! multi-sink federation.
 //!

@@ -1,7 +1,20 @@
 //! Index dissemination: every decision about mapping chunks. A sink's remap
 //! hands its new index to [`SimNode::disseminate`], which chunks and
 //! broadcasts it; every heard chunk goes to [`SimNode::on_mapping_chunk`],
-//! which floods it onward once and assembles it.
+//! which floods it onward once and counts it.
+//!
+//! "After generating a storage index, the basestation splits it into
+//! different mapping messages since it is unlikely to fit in a single network
+//! packet. ... When a node has received all chunks for one storage index, it
+//! starts using that storage index, discarding the older index."
+//! (Section 5.3). Chunks may arrive out of order, duplicated, or not at all;
+//! a node only switches to a version it has heard completely and otherwise
+//! keeps using its previous complete version.
+//!
+//! A chunk is a window onto the sink's one copy of the index (see
+//! [`MappingChunk`]). A node completes a version by counting the chunks it
+//! hears for the first time, then installs that shared copy: every node
+//! holding a version holds the same allocation, and no entry is copied.
 //!
 //! Flooding once never repairs a lost chunk, so a child's own summary, which
 //! names the newest index it holds, goes to [`SimNode::on_child_summary`] at
@@ -17,34 +30,68 @@
 //!
 //! A single-sink run is the one-rank case of the multi-sink federation. Each
 //! sink versions its own chunk stream, and an index id carries its issuing
-//! sink's rank (see [`index_id_stride`]). Every SCOOP node assembles each
+//! sink's rank (see [`index_id_stride`]). Every SCOOP node counts each
 //! rank's stream in that rank's slot, and the newest complete index of each
 //! rank answers owner lookups.
 
 use super::federation::index_id_stride;
 use super::id_set::SparseIdSet;
 use super::{SharedPayload, SimNode};
-use scoop_core::chunk::{ChunkAssembler, Chunker};
-use scoop_core::index::IndexEntry;
 use scoop_core::{MappingChunk, ScoopPayload, StorageIndex};
 use scoop_net::NodeCtx;
 use scoop_types::{MessageKind, NodeId, SimTime, StorageIndexId, Value};
 use std::sync::Arc;
 
-/// One sink rank's chunk stream: its assembler and the newest complete index
-/// it produced.
-type RankSlot = (ChunkAssembler<IndexEntry>, Option<Arc<StorageIndex>>);
+/// How far a node has heard one rank's newest version: the version being
+/// counted and how many of its chunks were heard for the first time.
+#[derive(Clone, Copy, Default)]
+struct Progress {
+    version: StorageIndexId,
+    heard: u32,
+}
+
+impl Progress {
+    /// Counts one first-heard chunk of `version`, which is split into
+    /// `total`: a newer version restarts the count and an older one is
+    /// ignored. True on the chunk that completes `version`.
+    fn hear(&mut self, version: StorageIndexId, total: u32) -> bool {
+        if version < self.version {
+            return false;
+        }
+        if version > self.version {
+            *self = Progress { version, heard: 0 };
+        }
+        self.heard += 1;
+        self.heard == total
+    }
+}
+
+/// One sink rank's chunk stream: the count towards its newest version and
+/// the newest complete index it produced.
+type RankSlot = (Progress, Option<Arc<StorageIndex>>);
+
+/// What a heard mapping chunk is to the node that heard it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Heard {
+    /// A copy of a chunk already heard: neither flooded nor counted.
+    Again,
+    /// A first copy: flooded onward once.
+    First,
+    /// The first copy that completes its version.
+    Completes,
+}
 
 /// What a SCOOP node knows of every sink's chunk stream.
 #[derive(Default)]
 pub(super) struct Dissemination {
-    /// One slot per sink rank, because a single assembler would let the
-    /// streams preempt each other. Empty until the node first hears or
-    /// publishes a chunk; not grown at construction, which a network pays
-    /// for on every node.
+    /// One slot per sink rank, because a single count would let the streams
+    /// preempt each other. Empty until the node first hears or publishes a
+    /// chunk; not grown at construction, which a network pays for on every
+    /// node.
     ranks: Vec<RankSlot>,
-    /// Mapping chunks already gossiped, keyed `version << 32 | index`: exact,
-    /// because a chunk's version is a `StorageIndexId` (a `u32`) widened.
+    /// Mapping chunks already heard, keyed `version << 32 | chunk`. It admits
+    /// each chunk once and never forgets it, so a version's count reaches its
+    /// total exactly when every one of its chunks has been heard.
     seen: SparseIdSet,
 }
 
@@ -95,10 +142,27 @@ impl Dissemination {
     fn slot(&mut self, rank: usize, nsinks: usize) -> &mut RankSlot {
         if self.ranks.is_empty() {
             self.ranks.reserve_exact(nsinks);
-            self.ranks
-                .resize_with(nsinks, || (ChunkAssembler::new(), None));
+            self.ranks.resize(nsinks, (Progress::default(), None));
         }
         &mut self.ranks[rank]
+    }
+
+    /// Sorts out a heard chunk of `rank`'s stream. A first copy counts
+    /// towards its version only while that version is newer than the rank's
+    /// held index.
+    fn hear(&mut self, rank: usize, nsinks: usize, mc: &MappingChunk) -> Heard {
+        let version = mc.index_id();
+        let key = u64::from(version.0) << 32 | u64::from(mc.chunk);
+        if !self.seen.insert(key) {
+            return Heard::Again;
+        }
+        let (progress, newest) = self.slot(rank, nsinks);
+        let newest = newest.as_ref().map_or(StorageIndexId::NONE, |i| i.id());
+        if version > newest && progress.hear(version, mc.total) {
+            Heard::Completes
+        } else {
+            Heard::First
+        }
     }
 }
 
@@ -108,16 +172,17 @@ impl SimNode {
         (id.0 % index_id_stride(self.shared.sink_set.len())) as usize
     }
 
-    /// `index` split into mapping chunks of the run's packet size.
-    fn chunk_payloads(&self, index: &StorageIndex) -> impl Iterator<Item = SharedPayload> {
-        let chunker = Chunker::new(self.shared.cfg.policy.scoop.mapping_entries_per_packet);
-        let chunks = chunker.split(index.id().0 as u64, index.entries());
-        let (domain, created_at) = (index.domain(), index.created_at());
-        chunks.into_iter().map(move |chunk| {
+    /// `index` split into mapping chunks of the run's packet size, each a
+    /// window onto the one shared copy.
+    fn chunk_payloads(&self, index: &Arc<StorageIndex>) -> impl Iterator<Item = SharedPayload> {
+        let per_packet = self.shared.cfg.policy.scoop.mapping_entries_per_packet;
+        let total = index.entries().len().div_ceil(per_packet.max(1)).max(1) as u32;
+        let index = Arc::clone(index);
+        (0..total).map(move |chunk| {
             Arc::new(ScoopPayload::Mapping(MappingChunk {
+                index: Arc::clone(&index),
                 chunk,
-                domain,
-                created_at,
+                total,
             }))
         })
     }
@@ -125,10 +190,10 @@ impl SimNode {
     /// Makes `index` the newest of `rank`. `current_index` mirrors the newest
     /// held over all ranks, so the routing rules re-address in-flight data
     /// against the freshest mapping.
-    fn install(&mut self, rank: usize, index: StorageIndex) {
+    fn install(&mut self, rank: usize, index: Arc<StorageIndex>) {
         let nsinks = self.shared.sink_set.len();
         if let Some(scoop) = self.scoop.as_mut() {
-            scoop.dissemination.slot(rank, nsinks).1 = Some(Arc::new(index));
+            scoop.dissemination.slot(rank, nsinks).1 = Some(index);
             self.current_index = scoop.dissemination.held().max_by_key(newness).cloned();
         }
     }
@@ -141,6 +206,7 @@ impl SimNode {
         ctx: &mut NodeCtx<'_, SharedPayload>,
         index: StorageIndex,
     ) {
+        let index = Arc::new(index);
         let payloads = self.chunk_payloads(&index);
         self.install(self.issuing_rank(index.id()), index);
         for payload in payloads {
@@ -180,50 +246,43 @@ impl SimNode {
         }
     }
 
-    /// A heard mapping chunk: the first copy is flooded onward and fed to its
-    /// rank's assembler, unless that rank already holds the version. A sink
-    /// drops its own rank's chunks, because it built that index, and every
-    /// node drops a chunk that no configured sink issued.
+    /// A heard mapping chunk: the first copy is flooded onward and counted
+    /// towards its version, and the chunk that completes the version
+    /// installs the index it is a window onto. A sink drops its own rank's
+    /// chunks, because it built that index, and every node drops a chunk
+    /// that no configured sink issued.
     pub(super) fn on_mapping_chunk(
         &mut self,
         ctx: &mut NodeCtx<'_, SharedPayload>,
         mc: &MappingChunk,
         payload: &SharedPayload,
     ) {
-        let (rank, version) = (self.issuing_rank(mc.index_id()), mc.index_id());
+        let rank = self.issuing_rank(mc.index_id());
         let sinks = &self.shared.sink_set;
         let foreign = sinks.get(rank).is_some_and(|&sink| sink != self.id);
         let Some(scoop) = self.scoop.as_mut().filter(|_| foreign) else {
             return;
         };
-        let key = mc.chunk.version << 32 | u64::from(mc.chunk.index);
-        if !scoop.dissemination.seen.insert(key) {
+        let heard = scoop.dissemination.hear(rank, sinks.len(), mc);
+        if heard == Heard::Again {
             return;
         }
         if let Some(federation) = self.federation.as_mut() {
             federation.heard(rank, ctx.now());
         }
-        let (assembler, newest) = scoop.dissemination.slot(rank, sinks.len());
-        let newest = newest.as_ref().map_or(StorageIndexId::NONE, |i| i.id());
-        let entries = if version > newest {
-            assembler.accept(&mc.chunk)
-        } else {
-            None
-        };
         // Flood the chunk onward (once, after a random delay), reusing the
         // arrival's shared allocation.
         self.enqueue_gossip(ctx, Arc::clone(payload), MessageKind::Mapping);
-        let Some(entries) = entries else {
+        if heard != Heard::Completes {
             return;
-        };
-        let index = StorageIndex::from_entries(version, mc.domain, entries, mc.created_at);
+        }
         // A sink recording a peer's index into its planner is the
         // index-summary exchange that lets any sink plan queries over the
         // whole domain, not just its owned slice.
         if let Some(base) = self.sink.as_mut() {
-            base.planner.record_index(index.clone());
+            base.planner.record_index((*mc.index).clone());
         }
-        self.install(rank, index);
+        self.install(rank, Arc::clone(&mc.index));
     }
 }
 
@@ -231,7 +290,10 @@ impl SimNode {
 mod tests {
     use super::super::NodeShared;
     use super::*;
+    use proptest::prelude::*;
+    use scoop_core::index::IndexEntry;
     use scoop_types::{ScenarioSpec, SimTime, StoragePolicy, ValueRange};
+    use std::collections::{HashMap, HashSet};
 
     /// Sensor 3 of a two-sink SCOOP run, holding each `(rank, index)`.
     fn sensor_holding(indices: Vec<(usize, StorageIndex)>) -> SimNode {
@@ -240,7 +302,7 @@ mod tests {
         cfg.policy.basestations = vec![NodeId(0), NodeId(5)];
         let mut node = SimNode::with_shared(NodeId(3), &Arc::new(NodeShared::new(cfg)));
         for (rank, index) in indices {
-            node.install(rank, index);
+            node.install(rank, Arc::new(index));
         }
         node
     }
@@ -344,5 +406,72 @@ mod tests {
         assert_eq!(node.lookup_owner(50), (NodeId(3), StorageIndexId(129)));
         let bare = sensor_holding(Vec::new());
         assert_eq!(bare.lookup_owner(50), (NodeId(3), StorageIndexId::NONE));
+    }
+
+    /// The rule a node completes versions by, kept as sets of chunk indices:
+    /// a version newer than the one being collected starts a set of its
+    /// own, an older or already complete one is ignored, and a version
+    /// completes when its set holds all `total` chunks. Duplicates need no
+    /// filter, because a set holds each chunk once.
+    #[derive(Default)]
+    struct SetModel {
+        newest: u32,
+        collecting: u32,
+        chunks: HashMap<u32, HashSet<u32>>,
+    }
+
+    impl SetModel {
+        fn hear(&mut self, version: u32, chunk: u32, total: u32) -> bool {
+            if version <= self.newest || version < self.collecting {
+                return false;
+            }
+            self.collecting = version;
+            let chunks = self.chunks.entry(version).or_default();
+            if chunks.insert(chunk) && chunks.len() == total as usize {
+                self.newest = version;
+                return true;
+            }
+            false
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `Dissemination::hear`, which drops repeated chunks through `seen`
+        /// and counts the rest in a `Progress`, completes each version on the
+        /// same chunk as the set model, over streams that interleave
+        /// versions, repeat chunks, revisit stale versions and preempt a
+        /// partial version with a newer one.
+        #[test]
+        fn progress_completes_on_the_same_chunk_as_a_set_of_chunk_indices(
+            stream in proptest::collection::vec((1u32..7, 0u32..4), 1..60),
+        ) {
+            let indices: Vec<Arc<StorageIndex>> = (0..7)
+                .map(|id| Arc::new(slice(id, 0, 0, 99, 1)))
+                .collect();
+            let mut dissemination = Dissemination::default();
+            let mut model = SetModel::default();
+            let mut heard_before = HashSet::new();
+            for (version, chunk) in stream {
+                let total = 1 + version % 4;
+                let mc = MappingChunk {
+                    index: Arc::clone(&indices[version as usize]),
+                    chunk: chunk % total,
+                    total,
+                };
+                let heard = dissemination.hear(0, 1, &mc);
+                let first = heard_before.insert((version, mc.chunk));
+                prop_assert_eq!(heard != Heard::Again, first, "{:?}", mc);
+                let completes = model.hear(version, mc.chunk, total);
+                prop_assert_eq!(heard == Heard::Completes, completes, "{:?}", mc);
+                if completes {
+                    // What `SimNode::install` does to the rank's slot.
+                    dissemination.slot(0, 1).1 = Some(Arc::clone(&mc.index));
+                }
+            }
+            let held = dissemination.rank_index(0).map_or(0, |index| index.id().0);
+            prop_assert_eq!(held, model.newest);
+        }
     }
 }

@@ -17,7 +17,7 @@
 //!   reply to a peer's query travel on, harvests the summaries it overhears,
 //!   and, when promoted, still forwards summaries towards node 0.
 //!
-//! Each sink's chunk stream is assembled by the dissemination module, like
+//! Each sink's chunk stream is counted by the dissemination module, like
 //! the one sink's.
 
 use super::{SharedPayload, SimNode};

@@ -129,9 +129,12 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
 
     // A SCOOP network holds what the protocol reads: one summary per node at
     // the basestation, seen query ids and mapping chunks as bits, a ring of
-    // 30 values per sensor, and partial chunks in one flat buffer per
-    // assembler, and 16-byte data-buffer slots. This run measures 4,556 B per
-    // node: 4,559 B while the engine kept a buffer for the commands node
+    // 30 values per sensor, an 8-byte chunk count per sink rank, one copy of
+    // each disseminated index that every node holding it shares, and 16-byte
+    // data-buffer slots. This run measures 3,047 B per node: 4,556 B while
+    // every node copied each chunk's entries into a buffer of its own,
+    // assembled them into a second and installed a private index, 4,559 B
+    // while the engine kept a buffer for the commands node
     // callbacks issued and the sink a second query-outcome type, 4,561 B
     // while link records were grown as senders
     // were first heard instead of laid out per sender at start, 4,809 B
@@ -155,8 +158,8 @@ fn a_hash_node_fits_its_budget_and_only_role_players_pay_for_roles() {
     let held = LIVE_BYTES.load(Ordering::Relaxed) - before;
     let per_node = held as usize / engine.topology().len();
     assert!(
-        per_node <= 4_800,
-        "a SCOOP node holds {per_node} B of live heap, budget 4,800"
+        per_node <= 3_300,
+        "a SCOOP node holds {per_node} B of live heap, budget 3,300"
     );
 
     // SCOOP sensors still carry the recent-readings ring, and it still feeds

@@ -1,7 +1,8 @@
 //! Per-run immutable state exists once: the static HASH / BASE index is one
 //! allocation shared by every node of an engine, checked structurally (by
 //! pointer, not by wall clock) at the `MAX_NODES` cap where 32,768 private
-//! copies used to dominate set-up time and memory.
+//! copies used to dominate set-up time and memory. A disseminated SCOOP
+//! index is likewise one allocation per version, the one its sink built.
 
 use scoop_core::baselines::hash_index;
 use scoop_core::StorageIndex;
@@ -11,6 +12,7 @@ use scoop_types::{
     DataSourceKind, NodeId, ScenarioSpec, SimDuration, SimTime, StorageIndexId, StoragePolicy,
     TopologyKind, MAX_NODES,
 };
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The largest network the simulator admits, on a grid.
@@ -53,6 +55,48 @@ fn static_index_is_one_shared_allocation_at_the_node_cap() {
     assert!(engine
         .iter_nodes()
         .all(|(_, node)| node.current_index().is_none()));
+}
+
+#[test]
+fn a_disseminated_index_is_one_allocation_per_version() {
+    let mut spec = ScenarioSpec::paper_defaults();
+    spec.topology.kind = TopologyKind::Grid;
+    spec.workload.data_source = DataSourceKind::Gaussian;
+    spec.policy.kind = StoragePolicy::Scoop;
+    spec.num_nodes = 120;
+    spec.seed = 11;
+    spec.warmup = SimDuration::from_secs(90);
+    spec.duration = SimDuration::from_mins(16);
+    let mut engine = build_engine(&spec).expect("valid grid spec");
+    engine.run_until(SimTime::ZERO + spec.duration);
+
+    let sink = engine.node(NodeId::BASESTATION);
+    assert!(
+        sink.indices_disseminated() >= 3,
+        "the sink remapped {} times",
+        sink.indices_disseminated()
+    );
+    let sent = sink.current_index().expect("the sink holds what it sent");
+    // The first node seen holding each version, and how many hold it.
+    let mut copies: HashMap<StorageIndexId, (&StorageIndex, usize)> = HashMap::new();
+    for (id, node) in engine.iter_nodes() {
+        let Some(held) = node.current_index() else {
+            continue;
+        };
+        let (first, holders) = copies.entry(held.id()).or_insert((held, 0));
+        *holders += 1;
+        assert!(
+            std::ptr::eq(held, *first),
+            "node {id} holds a private copy of index {:?}",
+            held.id()
+        );
+    }
+    let (first, holders) = copies[&sent.id()];
+    assert!(
+        std::ptr::eq(first, sent),
+        "the sensors' copy is not the sink's"
+    );
+    assert!(holders > 1, "no sensor completed the sink's newest index");
 }
 
 /// The 62-node, 2-sink federation the chaos failover scenario runs, over a

@@ -1,26 +1,11 @@
-//! Splitting large disseminated objects into packet-sized chunks and
-//! reassembling them.
-//!
-//! Scoop disseminates each storage index from the basestation to every node
-//! as mapping messages: each [`ScoopPayload::Mapping`](crate::ScoopPayload)
-//! carries one [`Chunk`] inside a [`MappingChunk`](crate::MappingChunk). The
-//! paper carries them with Trickle (Levis et al. \[13\]); the simulator
-//! floods each chunk once and repairs a loss when a child's summary shows
-//! its parent that it holds an older index (see `scoop-sim`'s dissemination
-//! module).
-//!
-//! "After generating a storage index, the basestation splits it into
-//! different mapping messages since it is unlikely to fit in a single network
-//! packet. ... When a node has received all chunks for one storage index, it
-//! starts using that storage index, discarding the older index."
-//! (Section 5.3). Chunks may arrive out of order, duplicated, or not at all;
-//! a node only switches to a version it has assembled completely and
-//! otherwise keeps using its previous complete version.
-
-use serde::{Deserialize, Serialize};
+//! Splitting a list of items into packet-sized chunks and reassembling
+//! them in any order. Kept for `bench/` only: the simulator sends each
+//! mapping chunk as a window onto the sink's one copy of the index and
+//! counts chunks instead of reassembling them (see `scoop-sim`'s
+//! dissemination module).
 
 /// One packet-sized piece of a disseminated object of some version.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Chunk<T> {
     /// Version of the object this chunk belongs to.
     pub version: u64,

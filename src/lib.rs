@@ -165,11 +165,13 @@ pub mod store {
     }
 }
 
-/// The storage-index chunker under its old crate's name. Kept for `bench/`
-/// only.
+mod chunk;
+
+/// The chunk splitter and assembler under their old crate's name. Kept for
+/// `bench/` only.
 pub mod trickle {
-    /// [`scoop_core::chunk`]'s items. Kept for `bench/` only.
-    pub use scoop_core::chunk::{Chunk, ChunkAssembler, Chunker};
+    /// The items of the facade's chunk module. Kept for `bench/` only.
+    pub use crate::chunk::{Chunk, ChunkAssembler, Chunker};
 }
 
 /// The sensor data buffer under its old crate's name. Kept for `bench/`

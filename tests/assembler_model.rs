@@ -10,7 +10,7 @@
 //! that rule on the reference's side, and everything else must agree.
 
 use proptest::prelude::*;
-use scoop_core::chunk::{Chunk, ChunkAssembler};
+use scoop::trickle::{Chunk, ChunkAssembler};
 
 /// The assembler as it was before the flat buffer: one `Option<Vec<T>>` per
 /// chunk, kept until a newer version arrives.
